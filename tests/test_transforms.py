@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 from vmorph.errors import NotApplicable
 from vmorph.nodes import Block, Break, If, LocalVarDecl, Switch, structurally_equal, walk
 from vmorph.parser import parse
-from vmorph.printer import print_stmt
+from vmorph.printer import print_method, print_stmt
 from vmorph.transforms import (
     EXTRACT,
     INLINE,
@@ -24,6 +25,7 @@ from vmorph.transforms import (
 )
 
 from conftest import (
+    FIXTURES,
     gen_call_arg_stmt,
     gen_chain_stmt,
     gen_if_else,
@@ -416,3 +418,29 @@ def test_report_spans_inside_method(corpus_files):
             for _, span, _ in report.applied + report.skipped:
                 if not span.is_synthetic():
                     assert m.span.contains(span), (name, m.name, span)
+
+
+GOLDEN_APPLY_ALL = FIXTURES / "golden" / "apply_all_corpus.txt"
+
+
+def apply_all_corpus_snapshot() -> str:
+    """The printed `apply_all` output and report of every corpus method.
+
+    Regenerate the golden file (only when an output change is intended) with
+    `PYTHONPATH=src:tests python -c "import test_transforms as t;
+    t.GOLDEN_APPLY_ALL.write_text(t.apply_all_corpus_snapshot())"`.
+    """
+    parts = []
+    for path in sorted((FIXTURES / "corpus").glob("*.java")):
+        ast = parse(path.read_text(), path.name)
+        for cls in ast.types:
+            for m in cls.methods:
+                out, report = apply_all(m, context=ast)
+                parts.append(f"// {path.name} {cls.name}.{m.name}\n")
+                parts.append(print_method(out))
+                parts.append(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    return "".join(parts)
+
+
+def test_apply_all_corpus_matches_golden():
+    assert apply_all_corpus_snapshot().encode("utf-8") == GOLDEN_APPLY_ALL.read_bytes()

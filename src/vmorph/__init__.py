@@ -20,7 +20,6 @@ from .errors import (
     GenerationFailure,
     InsufficientSamples,
     JavaSyntaxError,
-    NonZeroExit,
     NotApplicable,
     RunnerNotFound,
     SpanOutsideMethod,

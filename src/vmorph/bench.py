@@ -318,44 +318,39 @@ def _generate_for_record(
         dictionary_path = vuln_dir / "dictionary.json"
         dictionary_path.write_text(dct.dumps(), encoding="utf-8")
 
+    # The rename and both variants share one renamed project, computed by the
+    # first of them to run; both is the structure change applied on top of it.
+    renamed: dict[str, SourceFile] | None = None
+    suggested = _suggested_filenames(project.asts, dct) if needs_dictionary else {}
     for kind in kinds:
         entry = ManifestEntry(record=record, variant=kind, notes=list(project.notes))
         try:
             variant_dir = vuln_dir / kind.value
             report = TransformReport()
-            if kind is VariantKind.RENAME_ONLY:
-                variant_asts = dict(zip(project.asts.keys(), apply_rename(
-                    list(project.asts.values()), dct)))
-                report.notes.append(RENAME_NOTE)
-                entry.suggested_filenames = _suggested_filenames(project.asts, dct)
-            elif kind is VariantKind.STRUCTURE_ONLY:
-                transformed, report = apply_all(method, context=buggy_ast)
-                variant_asts = dict(project.asts)
-                variant_asts[record.buggy_file] = _replace_method(buggy_ast, method, transformed)
-            else:  # BOTH: structure change applied on top of the same renaming
-                renamed = dict(zip(project.asts.keys(), apply_rename(
-                    list(project.asts.values()), dct)))
-                renamed_buggy = renamed[record.buggy_file]
+            variant_asts = dict(project.asts)
+            variant_method = method
+            if kind is not VariantKind.STRUCTURE_ONLY:
+                if renamed is None:
+                    renamed = dict(zip(project.asts.keys(), apply_rename(
+                        list(project.asts.values()), dct)))
+                variant_asts = dict(renamed)
                 renamed_name = dct.forward.get(method.name, method.name)
-                renamed_method = _find_method(renamed_buggy, renamed_name)
-                if renamed_method is None:
+                variant_method = _find_method(variant_asts[record.buggy_file], renamed_name)
+                if variant_method is None:
                     raise VmorphError(f"renamed method {renamed_name!r} not found")
-                transformed, report = apply_all(renamed_method, context=renamed_buggy)
-                renamed[record.buggy_file] = _replace_method(
-                    renamed_buggy, renamed_method, transformed)
-                variant_asts = renamed
+                entry.suggested_filenames = dict(suggested)
+            if kind is not VariantKind.RENAME_ONLY:
+                buggy = variant_asts[record.buggy_file]
+                transformed, report = apply_all(variant_method, context=buggy)
+                variant_asts[record.buggy_file] = _replace_method(buggy, variant_method,
+                                                                  transformed)
+                variant_method = transformed
+            if kind is not VariantKind.STRUCTURE_ONLY:
                 report.notes.append(RENAME_NOTE)
-                entry.suggested_filenames = _suggested_filenames(project.asts, dct)
 
             _write_project(variant_dir, variant_asts, project.verbatim)
 
             variant_buggy = variant_asts[record.buggy_file]
-            variant_name = method.name
-            if kind is not VariantKind.STRUCTURE_ONLY:
-                variant_name = dct.forward.get(method.name, method.name)
-            variant_method = _find_method(variant_buggy, variant_name)
-            if variant_method is None:
-                raise VmorphError(f"transformed method {variant_name!r} not found")
             entry.equivalence = _equivalence_json(
                 method, buggy_ast, variant_method, variant_buggy, trials, seed, fuel)
 

@@ -117,8 +117,8 @@ def _cmd_transform(args) -> int:
     )
     failed = [e for e in manifest.entries if e.error]
     for entry in manifest.entries:
-        status = entry.error if entry.error else "ok"
-        print(f"{entry.record.id}/{entry.variant.value}: {status}")
+        # An entry's error already starts with "<id>/<variant>: ".
+        print(entry.error or f"{entry.record.id}/{entry.variant.value}: ok")
     print(f"manifest: {manifest.path}")
     return 1 if failed else 0
 

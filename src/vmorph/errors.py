@@ -91,9 +91,3 @@ class InsufficientSamples(VmorphError):
 
 class RunnerNotFound(VmorphError):
     pass
-
-
-class NonZeroExit(VmorphError):
-    def __init__(self, code: int):
-        self.code = code
-        super().__init__(f"runner exited with code {code}")

@@ -16,7 +16,7 @@ survive printing (buggy-line hint comments must round-trip).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
 
 
@@ -47,12 +47,6 @@ class Span:
         if (other.end_line, other.end_col) > (self.end_line, self.end_col):
             return False
         return True
-
-    def covers_line(self, line: int) -> bool:
-        return self.start_line <= line <= self.end_line
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.start_line, self.start_col, self.end_line, self.end_col)
 
 
 def _span_field() -> Span:
@@ -373,7 +367,3 @@ def walk(node: Node) -> Iterator[Node]:
     yield node
     for child in children(node):
         yield from walk(child)
-
-
-def with_span(node: Node, span: Span):
-    return replace(node, span=span)

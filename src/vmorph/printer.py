@@ -110,14 +110,6 @@ def print_stmt(stmt: Stmt, indent: int = 0) -> str:
     return "".join(lines)
 
 
-def print_block_body(block: Block, indent: int = 0) -> str:
-    """Render only the statements of a block, without the surrounding braces."""
-    lines: list[str] = []
-    for s in block.stmts:
-        _stmt(lines, s, indent)
-    return "".join(lines)
-
-
 def print_expr(expr: Expr) -> str:
     return _expr(expr, _ASSIGN)
 

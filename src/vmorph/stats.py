@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 import statistics
 
-from scipy.stats import t as student_t
-
 from .errors import InsufficientSamples
 
 
@@ -23,5 +21,8 @@ def margin_of_error(samples: list[float], confidence: float = 0.95) -> float:
     s = statistics.stdev(samples)
     if s == 0.0:
         return 0.0
+    # Imported here: scipy is slow to load, and only this function needs it.
+    from scipy.stats import t as student_t
+
     quantile = float(student_t.ppf(1.0 - (1.0 - confidence) / 2.0, n - 1))
     return quantile * s / math.sqrt(n)

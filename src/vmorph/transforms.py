@@ -5,10 +5,20 @@ conversion (ternary/if-else and switch/if-chain), function-chain split/merge,
 argument-pass extract/inline, and adjacent-statement reordering.
 
 Every rule is total over its precondition and raises NotApplicable otherwise;
-the driver turns per-site NotApplicable into skipped-report entries. All
-applicability predicates are deliberately conservative: a rewrite fires only
-when the reordering of observable effects (calls, writes, throw-capable
-operators) provably cannot change the outcome.
+the driver turns per-site NotApplicable into skipped-report entries.
+
+Reordering, split/extract (hoisting code before the statement) and
+merge/inline (sinking a declaration into its use) ask one question: may these
+two pieces of code change order? One evaluation-order walk summarizes code as
+the locations it reads and writes and whether it may throw; `conflicts`
+answers the question for two summaries. Locations are local names and one
+HEAP location for all fields. Two sides conflict when one writes a location
+the other reads or writes (Bernstein's conditions), or when both may throw
+(calls, allocations, `/` and `%`). The heap rule: a call outside the purity
+whitelist, or an allocation, may read and write any field, so it conflicts
+with any code that touches the heap. The heap is every FieldAccess, plus
+every bare name that `context` declares as a field and that no parameter or
+local of the method shadows. Without `context`, every free name is a local.
 """
 
 from __future__ import annotations
@@ -425,60 +435,164 @@ def _equality_labels(cond: Expr, out: list[Literal]) -> Name | None:
 
 
 # ---------------------------------------------------------------------------
-# Effect analysis shared by chaining / argument passing / reordering
+# Effect analysis: the one answer to "may these two pieces of code change
+# order?", shared by reordering, hoisting (split/extract) and sinking
+# (merge/inline)
 # ---------------------------------------------------------------------------
 
+# The one location that stands for every field. Not a Java identifier, so it
+# never meets a local name.
+HEAP = "<heap>"
 
-def _effects_in_order(expr: Expr, conditional: bool = False):
-    """Yield (node, conditional) for every effect, in evaluation order.
 
-    Effects are calls, allocations, writes, and the throw-capable `/` and `%`.
-    `conditional` marks positions that may not execute (ternary branches and
-    the right side of a short-circuit operator).
+@dataclass(frozen=True)
+class Effects:
+    """The locations some code may read and write, and whether it may throw.
+
+    A location is a local name or HEAP.
     """
-    if isinstance(expr, (Name, Literal)):
+
+    reads: frozenset[str] = frozenset()
+    writes: frozenset[str] = frozenset()
+    throws: bool = False
+
+    def __or__(self, other: Effects) -> Effects:
+        return Effects(self.reads | other.reads, self.writes | other.writes,
+                       self.throws or other.throws)
+
+
+_NO_EFFECTS = Effects()
+_THROWS = Effects(throws=True)
+_READS_HEAP = Effects(reads=frozenset({HEAP}))
+# A call outside the purity whitelist, or an allocation, may read and write
+# any field.
+_IMPURE = Effects(frozenset({HEAP}), frozenset({HEAP}), True)
+
+
+def _union(items) -> Effects:
+    out = _NO_EFFECTS
+    for e in items:
+        out = out | e
+    return out
+
+
+def conflicts(a: Effects, b: Effects) -> str | None:
+    """Why `a` and `b` may not change order, or None when they may.
+
+    Bernstein's conditions: neither side writes a location that the other
+    reads or writes. Two sides that may both throw conflict as well, because
+    the order would decide which exception escapes. A conflict on HEAP alone
+    is named apart ("heap-interference"); everything else is "interference".
+    """
+    shared = (a.writes & (b.reads | b.writes)) | (b.writes & a.reads)
+    if shared - {HEAP} or (a.throws and b.throws):
+        return "interference"
+    return "heap-interference" if shared else None
+
+
+def _evaluation_order(node, conditional: bool = False):
+    """Yield (node, conditional) for `node` and every node under it, in the
+    order Java evaluates them: operands before the step that uses them.
+
+    `conditional` marks positions that may not run: ternary branches and the
+    right side of `&&` and `||`. An assignment's target is not yielded as a
+    read (the Assign step is the write), and a Declarator follows its
+    initializer as the write of the declared name. `node` is an expression,
+    a local declaration or an expression statement.
+    """
+    if isinstance(node, LocalVarDecl):
+        for d in node.declarators:
+            if d.init is not None:
+                yield from _evaluation_order(d.init, conditional)
+            yield d, conditional
         return
-    if isinstance(expr, FieldAccess):
-        yield from _effects_in_order(expr.receiver, conditional)
-    elif isinstance(expr, Unary):
-        yield from _effects_in_order(expr.operand, conditional)
-    elif isinstance(expr, Binary):
-        if expr.op in ("&&", "||"):
-            yield from _effects_in_order(expr.left, conditional)
-            yield from _effects_in_order(expr.right, True)
-        else:
-            yield from _effects_in_order(expr.left, conditional)
-            yield from _effects_in_order(expr.right, conditional)
-            if expr.op in ("/", "%"):
-                yield expr, conditional
-    elif isinstance(expr, Ternary):
-        yield from _effects_in_order(expr.cond, conditional)
-        yield from _effects_in_order(expr.if_true, True)
-        yield from _effects_in_order(expr.if_false, True)
-    elif isinstance(expr, Call):
-        if expr.receiver is not None:
-            yield from _effects_in_order(expr.receiver, conditional)
-        for a in expr.args:
-            yield from _effects_in_order(a, conditional)
-        yield expr, conditional
-    elif isinstance(expr, New):
-        for a in expr.args:
-            yield from _effects_in_order(a, conditional)
-        yield expr, conditional
-    elif isinstance(expr, Assign):
-        yield from _effects_in_order(expr.value, conditional)
-        yield expr, conditional
-    else:
-        raise TypeError(f"unknown expression {type(expr).__name__}")
+    if isinstance(node, ExprStmt):
+        yield from _evaluation_order(node.expr, conditional)
+        return
+    if isinstance(node, FieldAccess):
+        yield from _evaluation_order(node.receiver, conditional)
+    elif isinstance(node, Unary):
+        yield from _evaluation_order(node.operand, conditional)
+    elif isinstance(node, Binary):
+        yield from _evaluation_order(node.left, conditional)
+        yield from _evaluation_order(node.right, conditional or node.op in ("&&", "||"))
+    elif isinstance(node, Ternary):
+        yield from _evaluation_order(node.cond, conditional)
+        yield from _evaluation_order(node.if_true, True)
+        yield from _evaluation_order(node.if_false, True)
+    elif isinstance(node, Call):
+        if node.receiver is not None:
+            yield from _evaluation_order(node.receiver, conditional)
+        for a in node.args:
+            yield from _evaluation_order(a, conditional)
+    elif isinstance(node, New):
+        for a in node.args:
+            yield from _evaluation_order(a, conditional)
+    elif isinstance(node, Assign):
+        if isinstance(node.target, FieldAccess):
+            yield from _evaluation_order(node.target.receiver, conditional)
+        yield from _evaluation_order(node.value, conditional)
+    elif not isinstance(node, (Name, Literal)):
+        raise TypeError(f"unknown node {type(node).__name__}")
+    yield node, conditional
 
 
-def _is_first_effect(stmt_expr: Expr, target: Expr) -> bool:
-    """True when `target` is the first effect the statement would evaluate."""
-    for node, conditional in _effects_in_order(stmt_expr):
-        if node is target:
-            return not conditional
-        return False
-    return False
+@dataclass(frozen=True)
+class _Scope:
+    """How the names and calls of one method map to effects."""
+
+    fields: frozenset[str]  # bare names that denote fields
+    pure: frozenset[str]  # method names of the purity whitelist
+
+    def effect(self, node) -> Effects:
+        """The effect of `node`'s own step, without its operands."""
+        if isinstance(node, Name):
+            return _READS_HEAP if node.id in self.fields else Effects(reads=frozenset({node.id}))
+        if isinstance(node, FieldAccess):
+            return _READS_HEAP
+        if isinstance(node, Assign):
+            target = node.target
+            local = isinstance(target, Name) and target.id not in self.fields
+            return Effects(writes=frozenset({target.id if local else HEAP}))
+        if isinstance(node, Declarator):
+            return Effects(writes=frozenset({node.name}))
+        if isinstance(node, Call) and node.method in self.pure:
+            return _THROWS
+        if isinstance(node, (Call, New)):
+            return _IMPURE
+        if isinstance(node, Binary) and node.op in ("/", "%"):
+            return _THROWS
+        return _NO_EFFECTS
+
+    def summary(self, node) -> Effects:
+        """The effects of evaluating all of `node`."""
+        return _union(self.effect(n) for n, _ in _evaluation_order(node))
+
+    def before(self, holder, target) -> tuple[Effects, bool]:
+        """The effects of everything `holder` evaluates before `target`'s own
+        step (so including `target`'s operands), and whether `target` sits in
+        a conditional position."""
+        prefix = _NO_EFFECTS
+        for node, conditional in _evaluation_order(holder):
+            if node is target:
+                return prefix, conditional
+            prefix = prefix | self.effect(node)
+        raise ValueError("target is not evaluated by holder")
+
+
+def _scope_for(m: MethodDecl, context: SourceFile | None,
+               whitelist: frozenset[str] | None) -> _Scope:
+    """Fields are the names `context` declares as fields that no parameter
+    or local of `m` shadows; without `context` every free name is local."""
+    fields: set[str] = set()
+    if context is not None:
+        fields = {d.name for cls in context.types for f in cls.fields for d in f.declarators}
+        fields -= {p.name for p in m.params}
+        fields -= {n.name for n in walk(m.body) if isinstance(n, Declarator)}
+    return _Scope(frozenset(fields), whitelist if whitelist is not None else _DEFAULT_WHITELIST)
+
+
+_DEFAULT_SCOPE = _Scope(frozenset(), _DEFAULT_WHITELIST)
 
 
 class _FreshNames:
@@ -570,10 +684,10 @@ def chain_functions(block: Block, direction: str, taken: set[str] | None = None)
         fresh = _FreshNames(taken if taken is not None else _names_in(block))
         new_stmts: list[Stmt] = []
         for stmt in block.stmts:
-            new_stmts.extend(_split_stmt(stmt, fresh)[0])
+            new_stmts.extend(_split_stmt(stmt, fresh, _DEFAULT_SCOPE)[0])
         return replace(block, stmts=tuple(new_stmts))
     if direction == MERGE:
-        return _merge_block(block)
+        return _merge_block(block, _DEFAULT_SCOPE)
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -590,8 +704,12 @@ def _find_chain_link(expr: Expr) -> Call | None:
     return None
 
 
-def _split_stmt(stmt: Stmt, fresh: _FreshNames) -> tuple[list[Stmt], bool]:
-    """Returns (replacement statements, whether a split happened)."""
+def _split_stmt(stmt: Stmt, fresh: _FreshNames, scope: _Scope) -> tuple[list[Stmt], bool]:
+    """Returns (replacement statements, whether a split happened).
+
+    The hoisted link must not conflict with anything the statement evaluates
+    before it, its own operands included.
+    """
     if isinstance(stmt, ExprStmt):
         holder = stmt.expr
     elif isinstance(stmt, LocalVarDecl) and len(stmt.declarators) == 1 \
@@ -605,8 +723,10 @@ def _split_stmt(stmt: Stmt, fresh: _FreshNames) -> tuple[list[Stmt], bool]:
         return [stmt], False
     inner = link.receiver
     assert isinstance(inner, Call)
-    if not _is_first_effect(holder, inner):
-        raise NotApplicable("interference")
+    prefix, conditional = scope.before(holder, inner)
+    reason = "interference" if conditional else conflicts(prefix, scope.summary(inner))
+    if reason:
+        raise NotApplicable(reason)
 
     var_name = fresh.claim(_split_base_name(inner))
     decl = LocalVarDecl(
@@ -615,50 +735,50 @@ def _split_stmt(stmt: Stmt, fresh: _FreshNames) -> tuple[list[Stmt], bool]:
         stmt.comments if hasattr(stmt, "comments") else (),
         inner.span,
     )
-    rewritten = _replace_expr(stmt, inner, Name(var_name, inner.span))
+    rewritten = _substitute(stmt, {id(inner): Name(var_name, inner.span)})
     rewritten = replace(rewritten, comments=())
     return [decl, rewritten], True
 
 
-def _replace_expr(node, old: Expr, new: Expr):
-    """Rebuild `node` with the single (identity-matched) `old` replaced."""
-    if node is old:
-        return new
+def _substitute(node, subst: dict[int, Expr]):
+    """Rebuild `node` with each node whose id is a key of `subst` replaced."""
+    if id(node) in subst:
+        return subst[id(node)]
     if isinstance(node, (Name, Literal)) or node is None:
         return node
     if isinstance(node, ExprStmt):
-        return replace(node, expr=_replace_expr(node.expr, old, new))
+        return replace(node, expr=_substitute(node.expr, subst))
     if isinstance(node, LocalVarDecl):
         return replace(node, declarators=tuple(
-            replace(d, init=_replace_expr(d.init, old, new) if d.init is not None else None)
+            replace(d, init=_substitute(d.init, subst) if d.init is not None else None)
             for d in node.declarators
         ))
     if isinstance(node, Return):
-        return replace(node, value=_replace_expr(node.value, old, new))
+        return replace(node, value=_substitute(node.value, subst))
     if isinstance(node, Throw):
-        return replace(node, expr=_replace_expr(node.expr, old, new))
+        return replace(node, expr=_substitute(node.expr, subst))
     if isinstance(node, Unary):
-        return replace(node, operand=_replace_expr(node.operand, old, new))
+        return replace(node, operand=_substitute(node.operand, subst))
     if isinstance(node, Binary):
-        return replace(node, left=_replace_expr(node.left, old, new),
-                       right=_replace_expr(node.right, old, new))
+        return replace(node, left=_substitute(node.left, subst),
+                       right=_substitute(node.right, subst))
     if isinstance(node, Ternary):
-        return replace(node, cond=_replace_expr(node.cond, old, new),
-                       if_true=_replace_expr(node.if_true, old, new),
-                       if_false=_replace_expr(node.if_false, old, new))
+        return replace(node, cond=_substitute(node.cond, subst),
+                       if_true=_substitute(node.if_true, subst),
+                       if_false=_substitute(node.if_false, subst))
     if isinstance(node, Call):
         return replace(
             node,
-            receiver=_replace_expr(node.receiver, old, new) if node.receiver else None,
-            args=tuple(_replace_expr(a, old, new) for a in node.args),
+            receiver=_substitute(node.receiver, subst) if node.receiver else None,
+            args=tuple(_substitute(a, subst) for a in node.args),
         )
     if isinstance(node, FieldAccess):
-        return replace(node, receiver=_replace_expr(node.receiver, old, new))
+        return replace(node, receiver=_substitute(node.receiver, subst))
     if isinstance(node, Assign):
-        return replace(node, target=_replace_expr(node.target, old, new),
-                       value=_replace_expr(node.value, old, new))
+        return replace(node, target=_substitute(node.target, subst),
+                       value=_substitute(node.value, subst))
     if isinstance(node, New):
-        return replace(node, args=tuple(_replace_expr(a, old, new) for a in node.args))
+        return replace(node, args=tuple(_substitute(a, subst) for a in node.args))
     return node
 
 
@@ -671,11 +791,11 @@ def _count_name_uses(stmts, name: str) -> int:
     return count
 
 
-def _merge_block(block: Block) -> Block:
+def _merge_block(block: Block, scope: _Scope) -> Block:
     stmts = list(block.stmts)
     i = 0
     while i + 1 < len(stmts):
-        merged = _try_merge(stmts, i)
+        merged = _try_merge(stmts, i, scope)
         if merged is not None:
             stmts[i : i + 2] = [merged]
         else:
@@ -683,7 +803,9 @@ def _merge_block(block: Block) -> Block:
     return replace(block, stmts=tuple(stmts))
 
 
-def _try_merge(stmts: list[Stmt], i: int) -> Stmt | None:
+def _try_merge(stmts: list[Stmt], i: int, scope: _Scope) -> Stmt | None:
+    """Sink a declaration's call into the receiver of its single use, which
+    must run unconditionally and after nothing that conflicts with the call."""
     decl = stmts[i]
     if not (isinstance(decl, LocalVarDecl) and len(decl.declarators) == 1
             and isinstance(decl.declarators[0].init, Call)):
@@ -704,10 +826,11 @@ def _try_merge(stmts: list[Stmt], i: int) -> Stmt | None:
         return None
     if _count_name_uses([use_stmt], name) != 1:
         return None
-    if not _is_first_effect(holder, target):
+    init = decl.declarators[0].init
+    prefix, conditional = scope.before(holder, target.receiver)
+    if conditional or conflicts(prefix, scope.summary(init)):
         return None
-    new_call = replace(target, receiver=decl.declarators[0].init)
-    rewritten = _replace_expr(use_stmt, target, new_call)
+    rewritten = _substitute(use_stmt, {id(target): replace(target, receiver=init)})
     return replace(rewritten, comments=decl.comments + rewritten.comments)
 
 
@@ -734,155 +857,77 @@ def argument_pass(block: Block, direction: str, taken: set[str] | None = None) -
         fresh = _FreshNames(taken if taken is not None else _names_in(block))
         new_stmts: list[Stmt] = []
         for stmt in block.stmts:
-            decls, rewritten, _ = _extract_stmt(stmt, fresh)
+            decls, rewritten, _ = _extract_stmt(stmt, fresh, _DEFAULT_SCOPE)
             new_stmts.extend(decls)
             new_stmts.append(rewritten)
         return replace(block, stmts=tuple(new_stmts))
     if direction == INLINE:
-        return _inline_block(block)
+        return _inline_block(block, _DEFAULT_SCOPE)
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _extract_stmt(stmt: Stmt, fresh: _FreshNames):
+def _extract_stmt(stmt: Stmt, fresh: _FreshNames, scope: _Scope):
     """Hoist every safely extractable argument of one statement.
 
     Returns (hoisted declarations, rewritten statement, skip reasons).
-    Extraction preserves effect order: arguments are hoisted left to right
-    and only while every preceding effect has itself been hoisted.
+    Arguments are taken in evaluation order, so the hoisted declarations
+    keep their order. One is hoisted when it runs unconditionally and does
+    not conflict with anything that stays in place and is evaluated before
+    it, its own operands included.
     """
     holder = _stmt_expr(stmt)
     skips: list[tuple[Span, str]] = []
-    if holder is None or not isinstance(stmt, (ExprStmt, LocalVarDecl, Return, Throw)):
+    if holder is None:
         return [], stmt, skips
 
+    events = list(_evaluation_order(holder))
+    args = {id(a) for n, _ in events if isinstance(n, (Call, New)) for a in n.args}
+    kept: list[tuple[object, Effects]] = []  # evaluated so far and staying in place
+    hoisted: dict[int, Expr] = {}
     decls: list[Stmt] = []
-    prefix_ok = True
+    for node, conditional in events:
+        if isinstance(node, (Call, New)) and id(node) in args:
+            reason = "conditional-context" if conditional else conflicts(
+                _union(e for _, e in kept), scope.summary(node))
+            if reason is None:
+                inside = {id(n) for n in walk(node)}
+                kept = [k for k in kept if id(k[0]) not in inside]
+                var_name = fresh.claim(_extract_base_name(node) or "tmp")
+                decls.append(LocalVarDecl(
+                    _decl_type_for(node),
+                    (Declarator(var_name, _substitute(node, hoisted), node.span),),
+                    (), node.span))
+                hoisted[id(node)] = Name(var_name, node.span)
+                continue
+            skips.append((node.span, reason))
+        kept.append((node, scope.effect(node)))
 
-    def process(e: Expr, in_arg: bool, conditional: bool) -> Expr:
-        nonlocal prefix_ok
-        if isinstance(e, (Name, Literal)):
-            return e
-        if isinstance(e, FieldAccess):
-            return replace(e, receiver=process(e.receiver, False, conditional))
-        if isinstance(e, Unary):
-            return replace(e, operand=process(e.operand, in_arg=False, conditional=conditional))
-        if isinstance(e, Binary):
-            if e.op in ("&&", "||"):
-                left = process(e.left, False, conditional)
-                right = process(e.right, False, True)
-            else:
-                left = process(e.left, False, conditional)
-                right = process(e.right, False, conditional)
-                if e.op in ("/", "%"):
-                    prefix_ok = False
-            return replace(e, left=left, right=right)
-        if isinstance(e, Ternary):
-            cond = process(e.cond, False, conditional)
-            if_true = process(e.if_true, False, True)
-            if_false = process(e.if_false, False, True)
-            return replace(e, cond=cond, if_true=if_true, if_false=if_false)
-        if isinstance(e, Assign):
-            value = process(e.value, False, conditional)
-            prefix_ok = False
-            return replace(e, value=value)
-        if isinstance(e, (Call, New)):
-            if isinstance(e, Call) and e.receiver is not None:
-                receiver = process(e.receiver, False, conditional)
-                e = replace(e, receiver=receiver)
-            args = tuple(process(a, True, conditional) for a in e.args)
-            e = replace(e, args=args)
-            if in_arg:
-                if conditional:
-                    skips.append((e.span, "conditional-context"))
-                    prefix_ok = False
-                    return e
-                if not prefix_ok:
-                    skips.append((e.span, "interference"))
-                    return e
-                base = _extract_base_name(e)
-                var_name = fresh.claim(base) if base else fresh.claim("tmp")
-                decls.append(LocalVarDecl(_decl_type_for(e),
-                                          (Declarator(var_name, e, e.span),),
-                                          (), e.span))
-                return Name(var_name, e.span)
-            prefix_ok = False
-            return e
-        raise TypeError(f"unknown expression {type(e).__name__}")
-
-    new_holder = process(holder, False, False)
     if not decls:
         return [], stmt, skips
-    rewritten = _replace_holder(stmt, new_holder)
-    if decls and getattr(stmt, "comments", ()):
+    rewritten = _substitute(stmt, hoisted)
+    if getattr(stmt, "comments", ()):
         decls[0] = replace(decls[0], comments=stmt.comments)
         rewritten = replace(rewritten, comments=())
     return decls, rewritten, skips
 
 
-def _replace_holder(stmt: Stmt, new_expr: Expr) -> Stmt:
-    if isinstance(stmt, ExprStmt):
-        return replace(stmt, expr=new_expr)
-    if isinstance(stmt, LocalVarDecl):
-        d = stmt.declarators[0]
-        return replace(stmt, declarators=(replace(d, init=new_expr),))
-    if isinstance(stmt, Return):
-        return replace(stmt, value=new_expr)
-    if isinstance(stmt, Throw):
-        return replace(stmt, expr=new_expr)
-    raise TypeError(f"cannot rebuild {type(stmt).__name__}")
-
-
 _STRAIGHT_LINE = (LocalVarDecl, ExprStmt)
 
 
-def _reads_of_expr(expr: Expr) -> set[str]:
-    reads: set[str] = set()
-    for n in walk(expr):
-        if isinstance(n, Name):
-            reads.add(n.id)
-    return reads
-
-
-def _writes_of_stmt(stmt: Stmt) -> set[str]:
-    writes: set[str] = set()
-    for n in walk(stmt):
-        if isinstance(n, Assign):
-            if isinstance(n.target, Name):
-                writes.add(n.target.id)
-            elif isinstance(n.target, FieldAccess):
-                base = n.target
-                while isinstance(base, FieldAccess):
-                    base = base.receiver
-                if isinstance(base, Name):
-                    writes.add(base.id)
-        elif isinstance(n, Declarator):
-            writes.add(n.name)
-    return writes
-
-
-def _has_effects(expr: Expr) -> bool:
-    return next(iter(_effects_in_order(expr)), None) is not None
-
-
-def _stmt_has_effects(stmt: Stmt) -> bool:
-    if isinstance(stmt, LocalVarDecl):
-        return any(d.init is not None and _has_effects(d.init) for d in stmt.declarators)
-    if isinstance(stmt, ExprStmt):
-        return _has_effects(stmt.expr)
-    return True
-
-
-def _inline_block(block: Block) -> Block:
+def _inline_block(block: Block, scope: _Scope) -> Block:
     stmts = list(block.stmts)
     i = 0
     while i < len(stmts):
-        performed = _try_inline(stmts, i)
+        performed = _try_inline(stmts, i, scope)
         if not performed:
             i += 1
     return replace(block, stmts=tuple(stmts))
 
 
-def _try_inline(stmts: list[Stmt], i: int) -> bool:
+def _try_inline(stmts: list[Stmt], i: int, scope: _Scope) -> bool:
+    """Sink a declaration's initializer into its single use, which must be a
+    whole argument that runs unconditionally. The initializer may pass only
+    straight-line statements and code that do not conflict with it."""
     decl = stmts[i]
     if not (isinstance(decl, LocalVarDecl) and len(decl.declarators) == 1
             and decl.declarators[0].init is not None):
@@ -893,16 +938,11 @@ def _try_inline(stmts: list[Stmt], i: int) -> bool:
     if total_uses != 1:
         return False
 
-    init_reads = _reads_of_expr(init)
-    init_effectful = _has_effects(init)
+    moved = scope.summary(init)
     j = i + 1
     while j < len(stmts) and _count_name_uses([stmts[j]], name) == 0:
         s = stmts[j]
-        if not isinstance(s, _STRAIGHT_LINE):
-            return False
-        if _writes_of_stmt(s) & init_reads:
-            return False
-        if init_effectful and _stmt_has_effects(s):
+        if not isinstance(s, _STRAIGHT_LINE) or conflicts(moved, scope.summary(s)):
             return False
         j += 1
     if j >= len(stmts):
@@ -911,68 +951,15 @@ def _try_inline(stmts: list[Stmt], i: int) -> bool:
     holder = _stmt_expr(use_stmt)
     if holder is None:
         return False
-
-    # The single use must sit in argument position, reachable before any
-    # effect or conflicting write the statement would evaluate first.
-    state = {"ok": True, "found": False, "arg": False}
-
-    def scan(e: Expr, in_arg: bool, conditional: bool) -> None:
-        if state["found"] and not state["ok"]:
-            return
-        if isinstance(e, Name):
-            if e.id == name and not state["found"]:
-                state["found"] = True
-                state["arg"] = in_arg and not conditional and state["ok"]
-            return
-        if isinstance(e, Literal):
-            return
-        if isinstance(e, FieldAccess):
-            scan(e.receiver, False, conditional)
-            return
-        if isinstance(e, Unary):
-            scan(e.operand, False, conditional)
-            return
-        if isinstance(e, Binary):
-            scan(e.left, False, conditional)
-            scan(e.right, False, conditional or e.op in ("&&", "||"))
-            if e.op in ("/", "%") and not state["found"] and init_effectful:
-                state["ok"] = False
-            return
-        if isinstance(e, Ternary):
-            scan(e.cond, False, conditional)
-            scan(e.if_true, False, True)
-            scan(e.if_false, False, True)
-            return
-        if isinstance(e, Assign):
-            scan(e.value, False, conditional)
-            if not state["found"]:
-                target = e.target
-                if isinstance(target, Name) and target.id in init_reads:
-                    state["ok"] = False
-                if init_effectful:
-                    state["ok"] = False
-            return
-        if isinstance(e, (Call, New)):
-            if isinstance(e, Call) and e.receiver is not None:
-                scan(e.receiver, False, conditional)
-            for a in e.args:
-                scan(a, True, conditional)
-            if not state["found"] and init_effectful:
-                state["ok"] = False
-            return
-        raise TypeError(f"unknown expression {type(e).__name__}")
-
-    scan(holder, False, False)
-    if not (state["found"] and state["arg"]):
+    use = next((a for n in walk(holder) if isinstance(n, (Call, New))
+                for a in n.args if isinstance(a, Name) and a.id == name), None)
+    if use is None:
+        return False
+    prefix, conditional = scope.before(holder, use)
+    if conditional or conflicts(prefix, moved):
         return False
 
-    use_node = None
-    for n in walk(holder):
-        if isinstance(n, Name) and n.id == name:
-            use_node = n
-            break
-    assert use_node is not None
-    rewritten = _replace_expr(use_stmt, use_node, init)
+    rewritten = _substitute(use_stmt, {id(use): init})
     if decl.comments:
         rewritten = replace(rewritten, comments=decl.comments + rewritten.comments)
     stmts[j] = rewritten
@@ -984,107 +971,40 @@ def _try_inline(stmts: list[Stmt], i: int) -> bool:
 # Rule 6: statement reordering
 # ---------------------------------------------------------------------------
 
-_CONTROL_FLOW = (Return, Break, Continue, Throw, If, While, For, Switch, Block)
-
-
-def _reads_of_stmt(stmt: Stmt) -> set[str]:
-    reads: set[str] = set()
-
-    def visit_expr(e: Expr) -> None:
-        if isinstance(e, Name):
-            reads.add(e.id)
-        elif isinstance(e, Literal):
-            pass
-        elif isinstance(e, Unary):
-            visit_expr(e.operand)
-        elif isinstance(e, Binary):
-            visit_expr(e.left)
-            visit_expr(e.right)
-        elif isinstance(e, Ternary):
-            visit_expr(e.cond)
-            visit_expr(e.if_true)
-            visit_expr(e.if_false)
-        elif isinstance(e, Call):
-            reads.add(e.method)
-            if e.receiver is not None:
-                visit_expr(e.receiver)
-            for a in e.args:
-                visit_expr(a)
-        elif isinstance(e, FieldAccess):
-            reads.add(e.name)
-            visit_expr(e.receiver)
-        elif isinstance(e, Assign):
-            # A plain-name target is written, not read; compound targets read.
-            if not isinstance(e.target, Name):
-                visit_expr(e.target)
-            visit_expr(e.value)
-        elif isinstance(e, New):
-            for a in e.args:
-                visit_expr(a)
-
-    if isinstance(stmt, LocalVarDecl):
-        for d in stmt.declarators:
-            if d.init is not None:
-                visit_expr(d.init)
-    elif isinstance(stmt, ExprStmt):
-        visit_expr(stmt.expr)
-    return reads
-
-
-def _throw_capable(stmt: Stmt) -> bool:
-    for n in walk(stmt):
-        if isinstance(n, (Call, New)):
-            return True
-        if isinstance(n, Binary) and n.op in ("/", "%"):
-            return True
-    return False
-
-
-def _impure(stmt: Stmt, whitelist: frozenset[str]) -> bool:
-    for n in walk(stmt):
-        if isinstance(n, New):
-            return True
-        if isinstance(n, Call) and n.method not in whitelist:
-            return True
-    return False
-
 
 def reorder_statements(block: Block, whitelist: frozenset[str] | None = None) -> Block:
     """Swap independent adjacent statement pairs; identity when none qualify.
 
-    A pair swaps only when read/write sets are disjoint in both directions, at
-    most one side is impure, and at most one side can throw (calls, news,
-    division); control flow never moves.
+    A pair swaps only when both are declarations or expression statements
+    (control flow never moves) and the two do not conflict (see
+    `conflicts`); no name is a field here.
     """
     wl = whitelist if whitelist is not None else _DEFAULT_WHITELIST
-    stmts = list(block.stmts)
+    return _reorder(block, _Scope(frozenset(), wl), TransformReport())
+
+
+def _reorder(block: Block, scope: _Scope, report: TransformReport) -> Block:
+    stmts = block.stmts
+    effects = [scope.summary(s) if isinstance(s, _STRAIGHT_LINE) else None for s in stmts]
     out: list[Stmt] = []
     i = 0
     while i < len(stmts):
-        if i + 1 < len(stmts) and _swappable(stmts[i], stmts[i + 1], wl):
-            out.append(stmts[i + 1])
-            out.append(stmts[i])
-            i += 2
-        else:
-            out.append(stmts[i])
-            i += 1
+        if i + 1 < len(stmts) and effects[i] is not None and effects[i + 1] is not None:
+            reason = conflicts(effects[i], effects[i + 1])
+            if reason is None:
+                out += [stmts[i + 1], stmts[i]]
+                report.applied.append((TransformRule.CODE_ORDER, stmts[i].span,
+                                       "independent adjacent statements swapped"))
+                i += 2
+                continue
+            # Pairs that depend through locals are the common case and go
+            # unreported. A pair held in order by the heap alone is reported:
+            # the oracle does not model fields, so it cannot confirm that.
+            if reason == "heap-interference":
+                report.skipped.append((TransformRule.CODE_ORDER, stmts[i].span, reason))
+        out.append(stmts[i])
+        i += 1
     return replace(block, stmts=tuple(out))
-
-
-def _swappable(s1: Stmt, s2: Stmt, whitelist: frozenset[str]) -> bool:
-    if isinstance(s1, _CONTROL_FLOW) or isinstance(s2, _CONTROL_FLOW):
-        return False
-    w1, w2 = _writes_of_stmt(s1), _writes_of_stmt(s2)
-    r1, r2 = _reads_of_stmt(s1), _reads_of_stmt(s2)
-    if w1 & (r2 | w2):
-        return False
-    if w2 & r1:
-        return False
-    if _impure(s1, whitelist) and _impure(s2, whitelist):
-        return False
-    if _throw_capable(s1) and _throw_capable(s2):
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1115,8 +1035,9 @@ def apply_all(
     body = m.body
     taken = _names_in(context) if context is not None else _names_in(m)
     fresh = _FreshNames(taken)
+    scope = _scope_for(m, context, whitelist)
     for rule in APPLY_ORDER:
-        body = _run_rule(body, rule, fresh, whitelist, report)
+        body = _run_rule(body, rule, fresh, scope, report)
     return replace(m, body=body), report
 
 
@@ -1130,7 +1051,7 @@ def apply_rule(
     report = TransformReport()
     taken = _names_in(context) if context is not None else _names_in(m)
     fresh = _FreshNames(taken)
-    body = _run_rule(m.body, rule, fresh, whitelist, report)
+    body = _run_rule(m.body, rule, fresh, _scope_for(m, context, whitelist), report)
     return replace(m, body=body), report
 
 
@@ -1138,10 +1059,9 @@ def _run_rule(
     body: Block,
     rule: TransformRule,
     fresh: _FreshNames,
-    whitelist: frozenset[str] | None,
+    scope: _Scope,
     report: TransformReport,
 ) -> Block:
-    wl = whitelist if whitelist is not None else _DEFAULT_WHITELIST
     if rule is TransformRule.IF_FLIP:
         return _pass_if_flip(body, report)
     if rule is TransformRule.LOOP_CONVERT:
@@ -1149,11 +1069,11 @@ def _run_rule(
     if rule is TransformRule.COND_CONVERT:
         return _pass_cond_convert(body, report)
     if rule is TransformRule.FUNCTION_CHAIN:
-        return _pass_blockwise(body, lambda b: _pass_chain_split(b, fresh, report))
+        return _pass_blockwise(body, lambda b: _pass_chain_split(b, fresh, scope, report))
     if rule is TransformRule.ARGUMENT_PASS:
-        return _pass_blockwise(body, lambda b: _pass_extract(b, fresh, report))
+        return _pass_blockwise(body, lambda b: _pass_extract(b, fresh, scope, report))
     if rule is TransformRule.CODE_ORDER:
-        return _pass_reorder(body, wl, report)
+        return _pass_blockwise(body, lambda b: _reorder(b, scope, report))
     raise ValueError(f"unknown rule {rule!r}")
 
 
@@ -1289,11 +1209,12 @@ def _record_misplaced_ternaries(stmt: Stmt, report: TransformReport) -> None:
                 (TransformRule.COND_CONVERT, n.span, "nested-ternary-position"))
 
 
-def _pass_chain_split(block: Block, fresh: _FreshNames, report: TransformReport) -> Block:
+def _pass_chain_split(block: Block, fresh: _FreshNames, scope: _Scope,
+                      report: TransformReport) -> Block:
     new_stmts: list[Stmt] = []
     for stmt in block.stmts:
         try:
-            result, did = _split_stmt(stmt, fresh)
+            result, did = _split_stmt(stmt, fresh, scope)
         except NotApplicable as e:
             report.skipped.append((TransformRule.FUNCTION_CHAIN, stmt.span, e.reason))
             result, did = [stmt], False
@@ -1304,10 +1225,11 @@ def _pass_chain_split(block: Block, fresh: _FreshNames, report: TransformReport)
     return replace(block, stmts=tuple(new_stmts))
 
 
-def _pass_extract(block: Block, fresh: _FreshNames, report: TransformReport) -> Block:
+def _pass_extract(block: Block, fresh: _FreshNames, scope: _Scope,
+                  report: TransformReport) -> Block:
     new_stmts: list[Stmt] = []
     for stmt in block.stmts:
-        decls, rewritten, skips = _extract_stmt(stmt, fresh)
+        decls, rewritten, skips = _extract_stmt(stmt, fresh, scope)
         for span, reason in skips:
             report.skipped.append((TransformRule.ARGUMENT_PASS, span, reason))
         if decls:
@@ -1317,20 +1239,3 @@ def _pass_extract(block: Block, fresh: _FreshNames, report: TransformReport) -> 
         new_stmts.extend(decls)
         new_stmts.append(rewritten)
     return replace(block, stmts=tuple(new_stmts))
-
-
-def _pass_reorder(block: Block, whitelist: frozenset[str], report: TransformReport) -> Block:
-    def one_block(b: Block) -> Block:
-        reordered = reorder_statements(b, whitelist)
-        i = 0
-        while i < len(b.stmts):
-            if reordered.stmts[i] is not b.stmts[i]:
-                report.applied.append(
-                    (TransformRule.CODE_ORDER, b.stmts[i].span,
-                     "independent adjacent statements swapped"))
-                i += 2
-            else:
-                i += 1
-        return reordered
-
-    return _pass_blockwise(block, one_block)

@@ -263,6 +263,20 @@ def test_cli_transform_and_recover(guard_record, tmp_path, capsys):
     assert captured.out == "return pathToCheck.normalize();"
 
 
+def test_cli_transform_names_a_failed_entry_once(tmp_path, capsys):
+    root = tmp_path / "broken"
+    root.mkdir()
+    (root / "Broken.java").write_text("class Broken { void f() { } }")
+    (root / "vuln.json").write_text(json.dumps(
+        {"id": "Broken-1", "buggy_file": "Missing.java", "buggy_lines": [1, 1]}))
+    out = tmp_path / "out"
+    rc = cli_main(["transform", "--mode", "rename", "--project", str(root), "--out", str(out)])
+    assert rc == 1
+    error = BenchmarkManifest.load(out / "manifest.json").entries[0].error
+    assert error.startswith("Broken-1/rename: ")
+    assert capsys.readouterr().out.splitlines()[0] == error
+
+
 def test_cli_prompt(fixtures_dir, capsys):
     sample = fixtures_dir / "golden" / "Sample.java"
     rc = cli_main(["prompt", "--format", "codet5-mask", "--file", str(sample),

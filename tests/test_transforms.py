@@ -420,6 +420,49 @@ def test_report_spans_inside_method(corpus_files):
                     assert m.span.contains(span), (name, m.name, span)
 
 
+# ---------------------------------------------------------------------------
+# Fields: an impure call may read or write any field
+# ---------------------------------------------------------------------------
+
+FIELD_CLASS = """class Counter {
+    static int count;
+    static int bump() {
+        count = count + 1;
+        return count;
+    }
+    static int sum(int a, int b) {
+        return a + b;
+    }
+    static String mk() {
+        count = count + 1;
+        return "x";
+    }
+    static int subject(int n) {
+%s
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("rule, body", [
+    (TransformRule.CODE_ORDER, "int a = bump();\ncount = n;\nreturn a;"),
+    (TransformRule.CODE_ORDER, "int a = count;\nint b = bump();\nreturn a + b;"),
+    (TransformRule.ARGUMENT_PASS, "return sum(count, bump());"),
+    (TransformRule.FUNCTION_CHAIN, "int r = sum(count, mk().length());\nreturn r;"),
+], ids=["order-write", "order-read", "extract", "split"])
+def test_impure_call_keeps_its_place_around_fields(rule, body):
+    ast = parse(FIELD_CLASS % body, "Counter.java")
+    m = next(m for m in ast.types[0].methods if m.name == "subject")
+    site_line = m.body.stmts[0].span.start_line
+    out, report = apply_rule(m, rule, context=ast)
+    assert structurally_equal(out, m)
+    assert [r for r, span, _ in report.skipped
+            if r is rule and span.start_line == site_line], report.skipped
+    if rule is TransformRule.CODE_ORDER:
+        out, _ = apply_all(m, context=ast)
+        assert structurally_equal(out, m)
+
+
 GOLDEN_APPLY_ALL = FIXTURES / "golden" / "apply_all_corpus.txt"
 
 

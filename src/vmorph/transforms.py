@@ -13,12 +13,15 @@ two pieces of code change order? One evaluation-order walk summarizes code as
 the locations it reads and writes and whether it may throw; `conflicts`
 answers the question for two summaries. Locations are local names and one
 HEAP location for all fields. Two sides conflict when one writes a location
-the other reads or writes (Bernstein's conditions), or when both may throw
-(calls, allocations, `/` and `%`). The heap rule: a call outside the purity
-whitelist, or an allocation, may read and write any field, so it conflicts
-with any code that touches the heap. The heap is every FieldAccess, plus
-every bare name that `context` declares as a field and that no parameter or
-local of the method shadows. Without `context`, every free name is a local.
+the other reads or writes (Bernstein's conditions), when both may throw
+(calls, allocations, `/`, `%`, and field access through a receiver other
+than `this`), or when one may throw and the other writes HEAP. The heap
+rule: a call outside the purity whitelist, or an allocation, may read and
+write any field, so it conflicts with any code that touches the heap. The
+heap is every FieldAccess, plus every bare name that `context` declares as a
+field and that no parameter shadows; a field name that the method also
+declares as a local may denote either, so it touches both. Without
+`context`, every free name is a local.
 """
 
 from __future__ import annotations
@@ -463,10 +466,10 @@ class Effects:
 
 _NO_EFFECTS = Effects()
 _THROWS = Effects(throws=True)
-_READS_HEAP = Effects(reads=frozenset({HEAP}))
+_HEAP = frozenset({HEAP})
 # A call outside the purity whitelist, or an allocation, may read and write
 # any field.
-_IMPURE = Effects(frozenset({HEAP}), frozenset({HEAP}), True)
+_IMPURE = Effects(_HEAP, _HEAP, True)
 
 
 def _union(items) -> Effects:
@@ -481,13 +484,18 @@ def conflicts(a: Effects, b: Effects) -> str | None:
 
     Bernstein's conditions: neither side writes a location that the other
     reads or writes. Two sides that may both throw conflict as well, because
-    the order would decide which exception escapes. A conflict on HEAP alone
-    is named apart ("heap-interference"); everything else is "interference".
+    the order would decide which exception escapes. So do a side that may
+    throw and a side that writes HEAP: a field write stays visible after the
+    exception leaves the method, a local write does not (the subset has no
+    `try`). A conflict through HEAP alone is named apart
+    ("heap-interference"); everything else is "interference".
     """
     shared = (a.writes & (b.reads | b.writes)) | (b.writes & a.reads)
     if shared - {HEAP} or (a.throws and b.throws):
         return "interference"
-    return "heap-interference" if shared else None
+    if shared or (a.throws and HEAP in b.writes) or (b.throws and HEAP in a.writes):
+        return "heap-interference"
+    return None
 
 
 def _evaluation_order(node, conditional: bool = False):
@@ -537,23 +545,34 @@ def _evaluation_order(node, conditional: bool = False):
     yield node, conditional
 
 
+def _may_be_null(receiver: Expr) -> bool:
+    """Whether a field access through `receiver` may throw NullPointerException."""
+    return not (isinstance(receiver, Name) and receiver.id == "this")
+
+
 @dataclass(frozen=True)
 class _Scope:
     """How the names and calls of one method map to effects."""
 
-    fields: frozenset[str]  # bare names that denote fields
+    # The locations each bare field name may denote: HEAP, plus the name
+    # itself when a local of that name is declared somewhere in the method.
+    fields: dict[str, frozenset[str]]
     pure: frozenset[str]  # method names of the purity whitelist
+
+    def bare(self, name: str) -> frozenset[str]:
+        return self.fields.get(name) or frozenset({name})
 
     def effect(self, node) -> Effects:
         """The effect of `node`'s own step, without its operands."""
         if isinstance(node, Name):
-            return _READS_HEAP if node.id in self.fields else Effects(reads=frozenset({node.id}))
+            return Effects(reads=self.bare(node.id))
         if isinstance(node, FieldAccess):
-            return _READS_HEAP
+            return Effects(reads=_HEAP, throws=_may_be_null(node.receiver))
         if isinstance(node, Assign):
             target = node.target
-            local = isinstance(target, Name) and target.id not in self.fields
-            return Effects(writes=frozenset({target.id if local else HEAP}))
+            if isinstance(target, Name):
+                return Effects(writes=self.bare(target.id))
+            return Effects(writes=_HEAP, throws=_may_be_null(target.receiver))
         if isinstance(node, Declarator):
             return Effects(writes=frozenset({node.name}))
         if isinstance(node, Call) and node.method in self.pure:
@@ -583,16 +602,20 @@ class _Scope:
 def _scope_for(m: MethodDecl, context: SourceFile | None,
                whitelist: frozenset[str] | None) -> _Scope:
     """Fields are the names `context` declares as fields that no parameter
-    or local of `m` shadows; without `context` every free name is local."""
-    fields: set[str] = set()
+    of `m` shadows; without `context` every free name is local. A local
+    shadows a field only from its declaration on, so a bare name that is
+    both may denote either."""
+    fields: dict[str, frozenset[str]] = {}
     if context is not None:
-        fields = {d.name for cls in context.types for f in cls.fields for d in f.declarators}
-        fields -= {p.name for p in m.params}
-        fields -= {n.name for n in walk(m.body) if isinstance(n, Declarator)}
-    return _Scope(frozenset(fields), whitelist if whitelist is not None else _DEFAULT_WHITELIST)
+        params = {p.name for p in m.params}
+        locals_ = {n.name for n in walk(m.body) if isinstance(n, Declarator)}
+        fields = {d.name: _HEAP | ({d.name} & locals_)
+                  for cls in context.types for f in cls.fields for d in f.declarators
+                  if d.name not in params}
+    return _Scope(fields, whitelist if whitelist is not None else _DEFAULT_WHITELIST)
 
 
-_DEFAULT_SCOPE = _Scope(frozenset(), _DEFAULT_WHITELIST)
+_DEFAULT_SCOPE = _Scope({}, _DEFAULT_WHITELIST)
 
 
 class _FreshNames:
@@ -980,7 +1003,7 @@ def reorder_statements(block: Block, whitelist: frozenset[str] | None = None) ->
     `conflicts`); no name is a field here.
     """
     wl = whitelist if whitelist is not None else _DEFAULT_WHITELIST
-    return _reorder(block, _Scope(frozenset(), wl), TransformReport())
+    return _reorder(block, _Scope({}, wl), TransformReport())
 
 
 def _reorder(block: Block, scope: _Scope, report: TransformReport) -> Block:

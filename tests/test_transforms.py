@@ -294,6 +294,12 @@ def test_inline_blocked_by_interfering_write():
     assert structurally_equal(argument_pass(block, INLINE), block)
 
 
+def test_inline_keeps_a_throwing_initializer_before_a_field_write():
+    # If b == 0 the field must stay unwritten when the exception escapes.
+    block = block_of("int t = a / b; p.x = 1; f(t);", params="int a, int b, Point p")
+    assert structurally_equal(argument_pass(block, INLINE), block)
+
+
 def test_extract_fresh_name_avoids_collisions():
     block = block_of("int normalizedParentPath = 3; f(parentPath.normalize());",
                      params="Path parentPath")
@@ -449,7 +455,15 @@ FIELD_CLASS = """class Counter {
     (TransformRule.CODE_ORDER, "int a = count;\nint b = bump();\nreturn a + b;"),
     (TransformRule.ARGUMENT_PASS, "return sum(count, bump());"),
     (TransformRule.FUNCTION_CHAIN, "int r = sum(count, mk().length());\nreturn r;"),
-], ids=["order-write", "order-read", "extract", "split"])
+    (TransformRule.CODE_ORDER,
+     # The `continue` keeps apply_all's LoopConvert off the loop.
+     "int a = bump();\ncount = n;\nfor (int count = 0; count < 1; count = count + 1) {\n"
+     "continue;\n}\nreturn a;"),
+    (TransformRule.CODE_ORDER, "int a = bump();\ncount = n;\nint count = 2;\nreturn a + count;"),
+    (TransformRule.CODE_ORDER, "int a = 10 / n;\ncount = n;\nreturn a;"),
+    (TransformRule.ARGUMENT_PASS, "return sum(count = n, Math.abs(n));"),
+], ids=["order-write", "order-read", "extract", "split", "order-shadowed-later-in-loop",
+        "order-shadowed-later-in-block", "order-throw", "extract-throw"])
 def test_impure_call_keeps_its_place_around_fields(rule, body):
     ast = parse(FIELD_CLASS % body, "Counter.java")
     m = next(m for m in ast.types[0].methods if m.name == "subject")

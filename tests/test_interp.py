@@ -1,7 +1,11 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from vmorph.errors import UnsupportedForEvaluation
 from vmorph.interp import (
+    DEFAULT_FUEL,
     EQUIVALENT,
     DIVERGED,
     OutOfFuel,
@@ -13,8 +17,12 @@ from vmorph.interp import (
     evaluate,
     generate_args,
     is_supported,
+    outcome_to_json,
 )
 from vmorph.parser import parse
+from vmorph.transforms import apply_all
+
+from javagen import generate_method_source
 
 
 def method_named(src, name):
@@ -229,3 +237,72 @@ def test_arity_mismatch_rejected():
     f, g = ast.types[0].methods
     with pytest.raises(UnsupportedForEvaluation):
         check_equivalence(f, g, trials=5, seed=0, context1=ast, context2=ast)
+
+
+# ---------------------------------------------------------------------------
+# Oracle golden snapshot
+# ---------------------------------------------------------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN_ORACLE = FIXTURES / "golden" / "oracle_outcomes.txt"
+GOLDEN_TRIALS = 10
+GOLDEN_FUZZ_SEEDS = range(160)
+
+
+def _outcome_json(m, args, fuel, context):
+    try:
+        return outcome_to_json(evaluate(m, args, fuel, context))
+    except UnsupportedForEvaluation as exc:
+        return {"unsupported": exc.detail}
+
+
+def _least_fuel(m, args, context):
+    """The least fuel at which the outcome is not OutOfFuel, or None."""
+    if _outcome_json(m, args, DEFAULT_FUEL, context) == {"out_of_fuel": True}:
+        return None
+    lo, hi = 0, DEFAULT_FUEL
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _outcome_json(m, args, mid, context) == {"out_of_fuel": True}:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _method_outcomes(label, m, context) -> str:
+    lines = [f"// {label}\n"]
+    for trial in range(GOLDEN_TRIALS):
+        args = generate_args(m.params, 0, trial)
+        outcome = _outcome_json(m, args, DEFAULT_FUEL, context)
+        lines.append(f"{json.dumps(args)} {json.dumps(outcome, sort_keys=True)} "
+                     f"fuel={_least_fuel(m, args, context)}\n")
+    return "".join(lines)
+
+
+def oracle_outcomes_snapshot() -> str:
+    """Outcomes, least sufficient fuel and apply_all verdicts of the oracle.
+
+    Covers every corpus method and the `subject` method of the fuzz generator's
+    seeds. Regenerate the golden file (only when an outcome change is intended)
+    with `PYTHONPATH=src:tests python -c "import test_interp as t;
+    t.GOLDEN_ORACLE.write_text(t.oracle_outcomes_snapshot())"`.
+    """
+    parts = []
+    for path in sorted((FIXTURES / "corpus").glob("*.java")):
+        ast = parse(path.read_text(), path.name)
+        for cls in ast.types:
+            for m in cls.methods:
+                parts.append(_method_outcomes(f"{path.name} {cls.name}.{m.name}", m, ast))
+                variant = apply_all(m, context=ast)[0]
+                verdict = check_equivalence(m, variant, 100, 0, context1=ast, context2=ast)
+                parts.append(f"apply_all {json.dumps(verdict.to_json_dict(), sort_keys=True)}\n")
+    for seed in GOLDEN_FUZZ_SEEDS:
+        ast = parse(generate_method_source(seed), f"Fuzzed{seed}.java")
+        m = next(m for m in ast.types[0].methods if m.name == "subject")
+        parts.append(_method_outcomes(f"javagen seed {seed} subject", m, ast))
+    return "".join(parts)
+
+
+def test_oracle_outcomes_match_golden():
+    assert oracle_outcomes_snapshot().encode("utf-8") == GOLDEN_ORACLE.read_bytes()

@@ -6,57 +6,47 @@ original and transformed methods over seeded random inputs.
 
 Supported values are 32-bit ints, booleans, strings, and null. Calls are
 limited to a small builtin set (string length/substring/startsWith/equals/
-concat, Math.min/max/abs) plus static methods defined in the same file.
-Anything else raises UnsupportedForEvaluation, as do runtime conditions the
-outcome model cannot express (string index errors, type confusions). The
+concat, Math.min/max/abs) plus static methods defined in the same file. The
 outcome model knows exactly ArithmeticException and NullPointerException.
+
+"Supported" means "compiles": a method and the same-file methods it calls
+are compiled once into nested closures, names resolved to frame slots
+(Feeley & Lapalme, "Using closures for code generation", 1987). Compiling
+rejects, on every path: parameter types other than int/boolean/String,
+throw, new, field access, assignment to a non-name, names that denote no
+parameter or local (static fields among them), calls that resolve to no
+builtin or same-file method or pass the wrong number of arguments, unknown
+receivers, and break/continue outside a loop or switch. Running raises
+UnsupportedForEvaluation only for type confusions, string index errors,
+strings over MAX_STRING_LENGTH and a switch-case local whose case was
+jumped over. Fuel is charged once per statement (an if's then block and a
+loop body are not statements) and once per loop test; exhausting it, or
+nesting over MAX_CALL_DEPTH calls, gives OutOfFuel.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import UnsupportedForEvaluation
-from .nodes import (
-    Assign,
-    Binary,
-    Block,
-    Break,
-    Call,
-    Continue,
-    DEFAULT_LABEL,
-    Expr,
-    ExprStmt,
-    FieldAccess,
-    For,
-    If,
-    Literal,
-    LocalVarDecl,
-    MethodDecl,
-    Name,
-    New,
-    Return,
-    SourceFile,
-    Stmt,
-    Switch,
-    Ternary,
-    Throw,
-    Unary,
-    While,
-    walk,
-)
+from .nodes import DEFAULT_LABEL, Binary, Literal, MethodDecl, Name, SourceFile, Unary
 
 INT_MIN = -(2**31)
 INT_MAX = 2**31 - 1
 
 DEFAULT_FUEL = 10_000
 MAX_CALL_DEPTH = 200
+MAX_STRING_LENGTH = 100_000  # longer strings are outside the outcome model
 
-STRING_BUILTINS = frozenset({"length", "substring", "startsWith", "equals", "concat"})
-MATH_BUILTINS = frozenset({"min", "max", "abs"})
+# Builtin method -> the argument counts it takes.
+STRING_BUILTINS = {"length": (0,), "substring": (1, 2), "startsWith": (1,), "equals": (1,),
+                   "concat": (1,)}
+MATH_BUILTINS = {"min": (2,), "max": (2,), "abs": (1,)}
 SUPPORTED_PARAM_TYPES = frozenset({"int", "boolean", "String"})
 
 ARITHMETIC = "ArithmeticException"
@@ -70,12 +60,10 @@ class _Void:
 
 VOID = _Void()
 
-Value = Union[int, bool, str, None]
-
 
 @dataclass(frozen=True)
 class Returned:
-    value: object  # Value or VOID
+    value: object  # an int, bool, str or None, or VOID
 
 
 @dataclass(frozen=True)
@@ -133,13 +121,437 @@ class EquivalenceVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Static support scan
+# Compilation: a method is supported when it compiles
 # ---------------------------------------------------------------------------
 
 
+class _Stop(Exception):
+    """Ends an evaluation: Threw(*args), or OutOfFuel when args is empty."""
+
+
+# A compiled statement returns None to fall through, _BREAK, _CONTINUE, or a
+# 1-tuple holding the value it returns. A frame is [run state, parameters...,
+# locals...]; one evaluation's frames share the run state [fuel, call depth].
+_BREAK, _CONTINUE = object(), object()
+_UNSET = object()  # a local of a switch whose declaring case was jumped over
+
+
+def _wrap32(v: int) -> int:
+    return (v + 2**31) % 2**32 - 2**31
+
+
+def _java_div(a: int, b: int) -> int:
+    if b == 0:
+        raise _Stop(ARITHMETIC)
+    q = abs(a) // abs(b)
+    return _wrap32(-q if (a < 0) != (b < 0) else q)
+
+
+def _java_mod(a: int, b: int) -> int:
+    return _wrap32(a - _java_div(a, b) * b)
+
+
+def _to_java_string(v) -> str:
+    return ("true" if v else "false") if isinstance(v, bool) else "null" if v is None else str(v)
+
+
+_INT_OPS = {
+    "+": lambda a, b: _wrap32(a + b), "-": lambda a, b: _wrap32(a - b),
+    "*": lambda a, b: _wrap32(a * b), "/": _java_div, "%": _java_mod,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+_REJECTED = {"Throw": "throw statement", "New": "object allocation", "FieldAccess": "field access"}
+# Operators whose compiled form yields a bool or raises.
+_BOOL_OPS = frozenset({"&&", "||", "==", "!=", "<", "<=", ">", ">="})
+
+
+def _values_equal(left, right, span) -> bool:
+    if left is None or right is None:
+        if isinstance(left if right is None else right, (str, type(None))):
+            return left is right
+        raise UnsupportedForEvaluation(span, "null compared to a primitive")
+    if type(left) is not type(right):
+        raise UnsupportedForEvaluation(span, "comparison of unrelated types")
+    # String == compares values here; the subset has no aliasing to observe.
+    return left == right
+
+
+def _math(method: str, span, args: list) -> int:
+    if any(type(v) is not int for v in args):
+        raise UnsupportedForEvaluation(span, "Math builtin on non-int")
+    return _wrap32(abs(args[0])) if method == "abs" else (min if method == "min" else max)(args)
+
+
+def _bounded(s: str, span) -> str:
+    if len(s) > MAX_STRING_LENGTH:
+        raise UnsupportedForEvaluation(span, f"string longer than {MAX_STRING_LENGTH}")
+    return s
+
+
+def _string_method(method: str, span, receiver: str, args: list):
+    if method == "length":
+        return len(receiver)
+    if method == "substring":
+        begin, end = args if len(args) == 2 else (args[0], len(receiver))
+        if type(begin) is not int or type(end) is not int:
+            raise UnsupportedForEvaluation(span, "substring on non-int index")
+        if not (0 <= begin <= end <= len(receiver)):
+            raise UnsupportedForEvaluation(span, "string index out of range")
+        return receiver[begin:end]
+    if method == "equals":
+        return isinstance(args[0], str) and receiver == args[0]
+    if not isinstance(args[0], str):  # startsWith, concat
+        if args[0] is None:
+            raise _Stop(NULL_POINTER)
+        raise UnsupportedForEvaluation(span, f"{method} on non-string")
+    if method == "startsWith":
+        return receiver.startswith(args[0])
+    return _bounded(receiver + args[0], span)
+
+
+def _sequence(compiled: list):
+    """Run compiled statements in order, charging one unit of fuel each."""
+
+    def run(f):
+        fuel = f[0]
+        for s in compiled:
+            fuel[0] -= 1
+            if fuel[0] < 0:
+                raise _Stop()
+            r = s(f)
+            if r is not None:
+                return r
+    return run
+
+
+class _Method:
+    body = None  # the compiled body, set once compiled
+    locals: tuple = ()  # initial values of the slots after the parameters
+
+
+def _invoke(method: _Method, run: list, args: list):
+    run[1] += 1
+    if run[1] > MAX_CALL_DEPTH:  # exhaustion, never a Python RecursionError
+        raise _Stop()
+    returned = method.body([run, *args, *method.locals])
+    run[1] -= 1
+    return VOID if returned is None else returned[0]
+
+
+class _Compiler:
+    """Compiles a method and the same-file methods it calls into closures.
+    Scopes mirror Java blocks and map names to frame slots; a switch's locals
+    are read with a check, as their declaring case may have been jumped over."""
+
+    def __init__(self, context: SourceFile | None):
+        types = context.types if context is not None else ()
+        self.classes = {cls.name for cls in types}
+        methods = [m for cls in types for m in cls.methods if not m.is_constructor()]
+        self.methods = {m.name: m for m in reversed(methods)}  # the first of each name
+        self.compiled: dict[int, _Method] = {}
+        self.pending: list[tuple[MethodDecl, _Method]] = []
+
+    def callee(self, m: MethodDecl) -> _Method:
+        """m's compiled form; it is filled in once the caller is compiled."""
+        if id(m) not in self.compiled:
+            self.compiled[id(m)] = _Method()
+            self.pending.append((m, self.compiled[id(m)]))
+        return self.compiled[id(m)]
+
+    def compile(self, top: MethodDecl) -> _Method:
+        out = self.callee(top)
+        while self.pending:
+            m, method = self.pending.pop()
+            for p in m.params:
+                if p.type_name not in SUPPORTED_PARAM_TYPES:
+                    raise UnsupportedForEvaluation(p.span, f"parameter type {p.type_name!r}")
+            self.scopes = [({p.name: i for i, p in enumerate(m.params, 1)}, False)]
+            self.size, self.loops = 1 + len(m.params), 0
+            method.body = self.block(m.body)
+            method.locals = (None,) * (self.size - 1 - len(m.params))
+        return out
+
+    def resolve(self, node, name: str) -> tuple[int, bool]:
+        """The slot `name` denotes here, and whether it may be unset."""
+        for names, in_switch in reversed(self.scopes):
+            if name in names:
+                return names[name], in_switch
+        raise UnsupportedForEvaluation(node.span, f"unbound name {name!r}")
+
+    def reject(self, node):
+        kind = type(node).__name__
+        raise UnsupportedForEvaluation(node.span, _REJECTED.get(kind, kind))
+
+    # -- statements --
+
+    def stmt(self, s):
+        return getattr(self, "s_" + type(s).__name__, self.reject)(s)
+
+    def block(self, b):
+        self.scopes.append(({}, False))
+        body = _sequence([self.stmt(s) for s in b.stmts])
+        self.scopes.pop()
+        return body
+
+    s_Block = block
+
+    def s_LocalVarDecl(self, s):
+        names, steps = self.scopes[-1][0], []
+        for d in s.declarators:  # each initializer sees the declarators before it
+            init = self.expr(d.init) if d.init is not None else (lambda f: None)
+            if d.name not in names:  # a redeclaration in the same scope rebinds it
+                names[d.name], self.size = self.size, self.size + 1
+            steps.append((names[d.name], init))
+
+        def run(f):
+            for slot, init in steps:
+                f[slot] = init(f)
+        return run
+
+    def s_ExprStmt(self, s):
+        e = self.expr(s.expr)
+
+        def run(f):
+            e(f)
+        return run
+
+    def s_If(self, s):
+        test, then = self.truth(s.cond), self.block(s.then)
+        # The then block runs uncharged; an else branch is a charged statement.
+        orelse = _sequence([self.stmt(s.orelse)]) if s.orelse is not None else (lambda f: None)
+        return lambda f: then(f) if test(f) else orelse(f)
+
+    def loop(self, body, test, update):
+        """While and for: charge, test, body, update."""
+        self.loops += 1
+        body = self.block(body)
+        self.loops -= 1
+
+        def run(f):
+            fuel = f[0]
+            while True:
+                fuel[0] -= 1
+                if fuel[0] < 0:
+                    raise _Stop()
+                if test is not None and not test(f):
+                    return None
+                r = body(f)
+                if r is not None and r is not _CONTINUE:
+                    return None if r is _BREAK else r
+                if update is not None:
+                    update(f)
+        return run
+
+    def s_While(self, s):
+        return self.loop(s.body, self.truth(s.cond), None)
+
+    def s_For(self, s):
+        self.scopes.append(({}, False))
+        init = _sequence([self.stmt(s.init)]) if s.init is not None else (lambda f: None)
+        test = self.truth(s.cond) if s.cond is not None else None
+        loop = self.loop(s.body, test, self.expr(s.update) if s.update is not None else None)
+        self.scopes.pop()
+        return lambda f: init(f) or loop(f)
+
+    def s_Switch(self, s):
+        scrutinee, span = self.expr(s.scrutinee), s.span
+        self.scopes.append(({}, True))
+        starts: dict[object, int] = {}  # label value -> first statement of its case
+        default, stmts = None, []
+        for case in s.cases:
+            for label in case.labels:
+                if label == DEFAULT_LABEL:
+                    default = len(stmts)
+                elif isinstance(label, Literal):  # int or String, never equal across types
+                    starts.setdefault(label.value, len(stmts))
+            stmts.extend(self.stmt(c) for c in case.body)
+        tails = {i: _sequence(stmts[i:]) for i in {*starts.values(), default} if i is not None}
+        declared = tuple(self.scopes.pop()[0].values())
+
+        def run(f):
+            v = scrutinee(f)
+            if v is None:
+                raise _Stop(NULL_POINTER)
+            if type(v) is not int and type(v) is not str:
+                raise UnsupportedForEvaluation(span, "switch scrutinee type")
+            start = starts.get(v, default)
+            if start is None:
+                return None
+            for slot in declared:
+                f[slot] = _UNSET
+            r = tails[start](f)
+            return None if r is _BREAK else r
+        return run
+
+    def s_Return(self, s):
+        value = self.expr(s.value) if s.value is not None else (lambda f: VOID)
+        return lambda f: (value(f),)
+
+    def s_Break(self, s):
+        if not (self.loops or any(in_switch for _, in_switch in self.scopes)):
+            raise UnsupportedForEvaluation(s.span, "break/continue escaped the method")
+        return lambda f: _BREAK
+
+    def s_Continue(self, s):
+        if not self.loops:
+            raise UnsupportedForEvaluation(s.span, "break/continue escaped the method")
+        return lambda f: _CONTINUE
+
+    # -- expressions --
+
+    def expr(self, e):
+        return getattr(self, "e_" + type(e).__name__, self.reject)(e)
+
+    def truth(self, e):
+        ev, span = self.expr(e), e.span
+        if isinstance(e, Binary) and e.op in _BOOL_OPS or isinstance(e, Unary) and e.op == "!":
+            return ev
+
+        def test(f):
+            v = ev(f)
+            if type(v) is not bool:
+                raise UnsupportedForEvaluation(span, "condition is not boolean")
+            return v
+        return test
+
+    def e_Literal(self, e):
+        return lambda f, value=e.value: value
+
+    def e_Name(self, e):
+        slot, maybe_unset = self.resolve(e, e.id)
+        if not maybe_unset:
+            return lambda f: f[slot]
+
+        def read(f):
+            if f[slot] is _UNSET:
+                raise UnsupportedForEvaluation(e.span, f"unbound name {e.id!r}")
+            return f[slot]
+        return read
+
+    def e_Assign(self, e):
+        if not isinstance(e.target, Name):
+            raise UnsupportedForEvaluation(e.span, "compound assignment target")
+        value = self.expr(e.value)
+        slot, _ = self.resolve(e, e.target.id)
+
+        def assign(f):
+            v = value(f)
+            if f[slot] is _UNSET:
+                raise UnsupportedForEvaluation(e.span, f"unbound name {e.target.id!r}")
+            f[slot] = v
+            return v
+        return assign
+
+    def e_Unary(self, e):
+        operand, span, negate = self.expr(e.operand), e.span, e.op == "!"
+
+        def unary(f):
+            v = operand(f)
+            if type(v) is not (bool if negate else int):
+                raise UnsupportedForEvaluation(
+                    span, "! on non-boolean" if negate else "- on non-int")
+            return not v if negate else _wrap32(-v)
+        return unary
+
+    def e_Ternary(self, e):
+        test, a, b = self.truth(e.cond), self.expr(e.if_true), self.expr(e.if_false)
+        return lambda f: a(f) if test(f) else b(f)
+
+    def e_Binary(self, e):
+        op, span = e.op, e.span
+        if op in ("&&", "||"):
+            left, right = self.truth(e.left), self.truth(e.right)
+            if op == "&&":
+                return lambda f: left(f) and right(f)
+            return lambda f: left(f) or right(f)
+        left, right = self.expr(e.left), self.expr(e.right)
+        if op in ("==", "!="):
+            want = op == "=="
+            return lambda f: _values_equal(left(f), right(f), span) is want
+        fn = _INT_OPS.get(op)
+        if fn is None:
+            raise UnsupportedForEvaluation(span, f"operator {op}")
+
+        def binary(f):
+            a, b = left(f), right(f)
+            if type(a) is int and type(b) is int:
+                return fn(a, b)
+            if op == "+" and (isinstance(a, str) or isinstance(b, str)):
+                return _bounded(_to_java_string(a) + _to_java_string(b), span)
+            raise UnsupportedForEvaluation(span, f"{op} on non-int operands")
+        return binary
+
+    def e_Call(self, e):
+        recv, method, span, n = e.receiver, e.method, e.span, len(e.args)
+        args = tuple(self.expr(a) for a in e.args)
+        if isinstance(recv, Name) and not any(recv.id in names for names, _ in self.scopes):
+            if recv.id == "Math":
+                if n not in MATH_BUILTINS.get(method, ()):
+                    raise UnsupportedForEvaluation(span, f"Math.{method}/{n}")
+                return lambda f: _math(method, span, [a(f) for a in args])
+            if recv.id not in self.classes:
+                raise UnsupportedForEvaluation(span, f"unknown receiver {recv.id!r}")
+            recv = None
+        if recv is None:
+            target = self.methods.get(method)
+            if target is None:
+                raise UnsupportedForEvaluation(span, f"unresolved call {method!r}")
+            if n != len(target.params):
+                raise UnsupportedForEvaluation(target.span, "argument arity mismatch")
+            callee = self.callee(target)
+            return lambda f: _invoke(callee, f[0], [a(f) for a in args])
+        if n not in STRING_BUILTINS.get(method, ()):
+            raise UnsupportedForEvaluation(span, f"method {method!r} with {n} arguments")
+        receiver = self.expr(recv)
+
+        def call(f):
+            s = receiver(f)
+            if s is None:
+                raise _Stop(NULL_POINTER)
+            if not isinstance(s, str):
+                raise UnsupportedForEvaluation(span, f"method call on {type(s).__name__}")
+            return _string_method(method, span, s, [a(f) for a in args])
+        return call
+
+
+@contextmanager
+def _stack_room():
+    """Raise the recursion limit out of MAX_CALL_DEPTH's way while compiling
+    or running: each interpreted call costs several Python frames."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, 10_000))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+# (id(method), id(context)) -> (method, context, _Method or the rejection),
+# least recently used first; holding the keys keeps their ids from reuse.
+_COMPILED: dict[tuple[int, int], tuple] = {}
+_COMPILED_SIZE = 2  # a trial evaluates the original and then the variant
+
+
+def _compile(m: MethodDecl, context: SourceFile | None) -> _Method:
+    key = (id(m), id(context))
+    entry = _COMPILED.pop(key, None)  # put back below as the most recent
+    if entry is None:
+        try:
+            with _stack_room():
+                entry = (m, context, _Compiler(context).compile(m))
+        except UnsupportedForEvaluation as exc:
+            entry = (m, context, exc)
+        if len(_COMPILED) >= _COMPILED_SIZE:
+            del _COMPILED[next(iter(_COMPILED))]
+    _COMPILED[key] = entry
+    if isinstance(entry[2], UnsupportedForEvaluation):
+        raise UnsupportedForEvaluation(entry[2].span, entry[2].detail)
+    return entry[2]
+
+
 def ensure_supported(m: MethodDecl, context: SourceFile | None = None) -> None:
-    """Raise UnsupportedForEvaluation unless the method is oracle-evaluable."""
-    _ensure_supported(m, context, set())
+    """Raise UnsupportedForEvaluation unless the method compiles."""
+    _compile(m, context)
 
 
 def is_supported(m: MethodDecl, context: SourceFile | None = None) -> bool:
@@ -150,428 +562,6 @@ def is_supported(m: MethodDecl, context: SourceFile | None = None) -> bool:
         return False
 
 
-def _file_methods(context: SourceFile | None) -> dict[str, MethodDecl]:
-    methods: dict[str, MethodDecl] = {}
-    if context is not None:
-        for cls in context.types:
-            for method in cls.methods:
-                if not method.is_constructor():
-                    methods.setdefault(method.name, method)
-    return methods
-
-
-def _class_names(context: SourceFile | None) -> set[str]:
-    return {cls.name for cls in context.types} if context is not None else set()
-
-
-def _ensure_supported(m: MethodDecl, context: SourceFile | None, seen: set[str]) -> None:
-    if m.name in seen:
-        return
-    seen.add(m.name)
-    for p in m.params:
-        if p.type_name not in SUPPORTED_PARAM_TYPES:
-            raise UnsupportedForEvaluation(p.span, f"parameter type {p.type_name!r}")
-
-    local_names = {p.name for p in m.params}
-    for node in walk(m.body):
-        if isinstance(node, LocalVarDecl):
-            for d in node.declarators:
-                local_names.add(d.name)
-
-    methods = _file_methods(context)
-    classes = _class_names(context)
-    for node in walk(m.body):
-        if isinstance(node, Throw):
-            raise UnsupportedForEvaluation(node.span, "throw statement")
-        if isinstance(node, New):
-            raise UnsupportedForEvaluation(node.span, "object allocation")
-        if isinstance(node, FieldAccess):
-            raise UnsupportedForEvaluation(node.span, "field access")
-        if isinstance(node, Assign) and not isinstance(node.target, Name):
-            raise UnsupportedForEvaluation(node.span, "compound assignment target")
-        if isinstance(node, Call):
-            _check_call(node, local_names, methods, classes, context, seen)
-
-
-def _check_call(
-    node: Call,
-    local_names: set[str],
-    methods: dict[str, MethodDecl],
-    classes: set[str],
-    context: SourceFile | None,
-    seen: set[str],
-) -> None:
-    if node.receiver is None:
-        target = methods.get(node.method)
-        if target is None:
-            raise UnsupportedForEvaluation(node.span, f"unresolved call {node.method!r}")
-        _ensure_supported(target, context, seen)
-        return
-    recv = node.receiver
-    if isinstance(recv, Name) and recv.id not in local_names:
-        if recv.id == "Math":
-            if node.method not in MATH_BUILTINS:
-                raise UnsupportedForEvaluation(node.span, f"Math.{node.method}")
-            return
-        if recv.id in classes:
-            target = methods.get(node.method)
-            if target is None:
-                raise UnsupportedForEvaluation(node.span, f"unresolved call {node.method!r}")
-            _ensure_supported(target, context, seen)
-            return
-        raise UnsupportedForEvaluation(node.span, f"unknown receiver {recv.id!r}")
-    if node.method not in STRING_BUILTINS:
-        raise UnsupportedForEvaluation(node.span, f"method {node.method!r}")
-
-
-# ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-
-class _BreakSignal(Exception):
-    pass
-
-
-class _ContinueSignal(Exception):
-    pass
-
-
-class _ReturnSignal(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
-class _ThrowSignal(Exception):
-    def __init__(self, kind: str):
-        self.kind = kind
-
-
-class _FuelExhausted(Exception):
-    pass
-
-
-def _wrap32(v: int) -> int:
-    return (v + 2**31) % 2**32 - 2**31
-
-
-def _java_div(a: int, b: int) -> int:
-    if b == 0:
-        raise _ThrowSignal(ARITHMETIC)
-    q = abs(a) // abs(b)
-    if (a < 0) != (b < 0):
-        q = -q
-    return _wrap32(q)
-
-
-def _java_mod(a: int, b: int) -> int:
-    if b == 0:
-        raise _ThrowSignal(ARITHMETIC)
-    return _wrap32(a - _java_div(a, b) * b)
-
-
-def _to_java_string(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "null"
-    if isinstance(v, int):
-        return str(v)
-    return v
-
-
-class _Interp:
-    def __init__(self, context: SourceFile | None, fuel: int):
-        self.context = context
-        self.methods = _file_methods(context)
-        self.classes = _class_names(context)
-        self.fuel = fuel
-        self.depth = 0
-
-    def charge(self) -> None:
-        self.fuel -= 1
-        if self.fuel < 0:
-            raise _FuelExhausted()
-
-    def run_method(self, m: MethodDecl, args: list) -> object:
-        if len(args) != len(m.params):
-            raise UnsupportedForEvaluation(m.span, "argument arity mismatch")
-        self.depth += 1
-        if self.depth > MAX_CALL_DEPTH:
-            # Deep recursion is reported as exhaustion, never a Python error.
-            raise _FuelExhausted()
-        env = [dict(zip((p.name for p in m.params), args))]
-        try:
-            self.exec_block(m.body, env)
-        except _ReturnSignal as r:
-            return r.value
-        finally:
-            self.depth -= 1
-        return VOID
-
-    # -- statements --
-
-    def exec_block(self, block: Block, env: list[dict]) -> None:
-        env.append({})
-        try:
-            for s in block.stmts:
-                self.exec_stmt(s, env)
-        finally:
-            env.pop()
-
-    def exec_stmt(self, stmt: Stmt, env: list[dict]) -> None:
-        self.charge()
-        if isinstance(stmt, Block):
-            self.exec_block(stmt, env)
-        elif isinstance(stmt, LocalVarDecl):
-            for d in stmt.declarators:
-                value = self.eval(d.init, env) if d.init is not None else None
-                env[-1][d.name] = value
-        elif isinstance(stmt, ExprStmt):
-            self.eval(stmt.expr, env)
-        elif isinstance(stmt, If):
-            if self.truth(stmt.cond, env):
-                self.exec_block(stmt.then, env)
-            elif stmt.orelse is not None:
-                self.exec_stmt(stmt.orelse, env)
-        elif isinstance(stmt, While):
-            while True:
-                self.charge()
-                if not self.truth(stmt.cond, env):
-                    break
-                try:
-                    self.exec_block(stmt.body, env)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    continue
-        elif isinstance(stmt, For):
-            env.append({})
-            try:
-                if stmt.init is not None:
-                    self.exec_stmt(stmt.init, env)
-                while True:
-                    self.charge()
-                    if stmt.cond is not None and not self.truth(stmt.cond, env):
-                        break
-                    try:
-                        self.exec_block(stmt.body, env)
-                    except _BreakSignal:
-                        break
-                    except _ContinueSignal:
-                        pass
-                    if stmt.update is not None:
-                        self.eval(stmt.update, env)
-            finally:
-                env.pop()
-        elif isinstance(stmt, Switch):
-            self.exec_switch(stmt, env)
-        elif isinstance(stmt, Return):
-            value = self.eval(stmt.value, env) if stmt.value is not None else VOID
-            raise _ReturnSignal(value)
-        elif isinstance(stmt, Break):
-            raise _BreakSignal()
-        elif isinstance(stmt, Continue):
-            raise _ContinueSignal()
-        elif isinstance(stmt, Throw):
-            raise UnsupportedForEvaluation(stmt.span, "throw statement")
-        else:
-            raise UnsupportedForEvaluation(stmt.span, type(stmt).__name__)
-
-    def exec_switch(self, stmt: Switch, env: list[dict]) -> None:
-        scrutinee = self.eval(stmt.scrutinee, env)
-        if scrutinee is None:
-            raise _ThrowSignal(NULL_POINTER)
-        if not isinstance(scrutinee, (int, str)) or isinstance(scrutinee, bool):
-            raise UnsupportedForEvaluation(stmt.span, "switch scrutinee type")
-        start = None
-        default_index = None
-        for i, case in enumerate(stmt.cases):
-            for label in case.labels:
-                if label == DEFAULT_LABEL:
-                    default_index = i
-                elif isinstance(label, Literal) and label.value == scrutinee \
-                        and isinstance(label.value, type(scrutinee)):
-                    start = i
-                    break
-            if start is not None:
-                break
-        if start is None:
-            start = default_index
-        if start is None:
-            return
-        env.append({})
-        try:
-            for case in stmt.cases[start:]:
-                for s in case.body:
-                    self.exec_stmt(s, env)
-        except _BreakSignal:
-            pass
-        finally:
-            env.pop()
-
-    # -- expressions --
-
-    def truth(self, expr: Expr, env: list[dict]) -> bool:
-        v = self.eval(expr, env)
-        if not isinstance(v, bool):
-            raise UnsupportedForEvaluation(expr.span, "condition is not boolean")
-        return v
-
-    def eval(self, expr: Expr, env: list[dict]):
-        if isinstance(expr, Literal):
-            return expr.value
-        if isinstance(expr, Name):
-            for scope in reversed(env):
-                if expr.id in scope:
-                    return scope[expr.id]
-            raise UnsupportedForEvaluation(expr.span, f"unbound name {expr.id!r}")
-        if isinstance(expr, Unary):
-            v = self.eval(expr.operand, env)
-            if expr.op == "!":
-                if not isinstance(v, bool):
-                    raise UnsupportedForEvaluation(expr.span, "! on non-boolean")
-                return not v
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise UnsupportedForEvaluation(expr.span, "- on non-int")
-            return _wrap32(-v)
-        if isinstance(expr, Binary):
-            return self.eval_binary(expr, env)
-        if isinstance(expr, Ternary):
-            if self.truth(expr.cond, env):
-                return self.eval(expr.if_true, env)
-            return self.eval(expr.if_false, env)
-        if isinstance(expr, Assign):
-            if not isinstance(expr.target, Name):
-                raise UnsupportedForEvaluation(expr.span, "compound assignment target")
-            value = self.eval(expr.value, env)
-            for scope in reversed(env):
-                if expr.target.id in scope:
-                    scope[expr.target.id] = value
-                    return value
-            raise UnsupportedForEvaluation(expr.span, f"unbound name {expr.target.id!r}")
-        if isinstance(expr, Call):
-            return self.eval_call(expr, env)
-        raise UnsupportedForEvaluation(expr.span, type(expr).__name__)
-
-    def eval_binary(self, expr: Binary, env: list[dict]):
-        op = expr.op
-        if op == "&&":
-            return self.truth(expr.left, env) and self.truth(expr.right, env)
-        if op == "||":
-            return self.truth(expr.left, env) or self.truth(expr.right, env)
-        left = self.eval(expr.left, env)
-        right = self.eval(expr.right, env)
-        if op in ("==", "!="):
-            eq = self.values_equal(left, right, expr)
-            return eq if op == "==" else not eq
-        if op == "+" and (isinstance(left, str) or isinstance(right, str)):
-            return _to_java_string(left) + _to_java_string(right)
-        if isinstance(left, bool) or isinstance(right, bool) \
-                or not isinstance(left, int) or not isinstance(right, int):
-            raise UnsupportedForEvaluation(expr.span, f"{op} on non-int operands")
-        if op == "+":
-            return _wrap32(left + right)
-        if op == "-":
-            return _wrap32(left - right)
-        if op == "*":
-            return _wrap32(left * right)
-        if op == "/":
-            return _java_div(left, right)
-        if op == "%":
-            return _java_mod(left, right)
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        raise UnsupportedForEvaluation(expr.span, f"operator {op}")
-
-    def values_equal(self, left, right, expr: Binary) -> bool:
-        if left is None or right is None:
-            if left is None and right is None:
-                return True
-            other = left if right is None else right
-            if isinstance(other, str):
-                return False
-            raise UnsupportedForEvaluation(expr.span, "null compared to a primitive")
-        if isinstance(left, bool) != isinstance(right, bool) \
-                or isinstance(left, str) != isinstance(right, str):
-            raise UnsupportedForEvaluation(expr.span, "comparison of unrelated types")
-        # String == compares values here; the subset has no aliasing to observe.
-        return left == right
-
-    def eval_call(self, expr: Call, env: list[dict]):
-        if expr.receiver is None:
-            return self.call_static(expr, env)
-        if isinstance(expr.receiver, Name):
-            name = expr.receiver.id
-            bound = any(name in scope for scope in reversed(env))
-            if not bound:
-                if name == "Math":
-                    return self.call_math(expr, env)
-                if name in self.classes:
-                    return self.call_static(expr, env)
-                raise UnsupportedForEvaluation(expr.span, f"unknown receiver {name!r}")
-        receiver = self.eval(expr.receiver, env)
-        if receiver is None:
-            raise _ThrowSignal(NULL_POINTER)
-        if isinstance(receiver, str):
-            return self.call_string(receiver, expr, env)
-        raise UnsupportedForEvaluation(expr.span, f"method call on {type(receiver).__name__}")
-
-    def call_static(self, expr: Call, env: list[dict]):
-        target = self.methods.get(expr.method)
-        if target is None:
-            raise UnsupportedForEvaluation(expr.span, f"unresolved call {expr.method!r}")
-        args = [self.eval(a, env) for a in expr.args]
-        return self.run_method(target, args)
-
-    def call_math(self, expr: Call, env: list[dict]):
-        args = [self.eval(a, env) for a in expr.args]
-        if any(isinstance(a, bool) or not isinstance(a, int) for a in args):
-            raise UnsupportedForEvaluation(expr.span, "Math builtin on non-int")
-        if expr.method == "min" and len(args) == 2:
-            return min(args)
-        if expr.method == "max" and len(args) == 2:
-            return max(args)
-        if expr.method == "abs" and len(args) == 1:
-            return _wrap32(abs(args[0]))
-        raise UnsupportedForEvaluation(expr.span, f"Math.{expr.method}/{len(args)}")
-
-    def call_string(self, receiver: str, expr: Call, env: list[dict]):
-        args = [self.eval(a, env) for a in expr.args]
-        method = expr.method
-        if method == "length" and not args:
-            return len(receiver)
-        if method == "substring" and len(args) in (1, 2):
-            bounds = args + [len(receiver)] if len(args) == 1 else args
-            begin, end = bounds
-            if not all(isinstance(b, int) and not isinstance(b, bool) for b in (begin, end)):
-                raise UnsupportedForEvaluation(expr.span, "substring on non-int index")
-            if not (0 <= begin <= end <= len(receiver)):
-                raise UnsupportedForEvaluation(expr.span, "string index out of range")
-            return receiver[begin:end]
-        if method == "startsWith" and len(args) == 1:
-            if not isinstance(args[0], str):
-                if args[0] is None:
-                    raise _ThrowSignal(NULL_POINTER)
-                raise UnsupportedForEvaluation(expr.span, "startsWith on non-string")
-            return receiver.startswith(args[0])
-        if method == "equals" and len(args) == 1:
-            return isinstance(args[0], str) and receiver == args[0]
-        if method == "concat" and len(args) == 1:
-            if not isinstance(args[0], str):
-                if args[0] is None:
-                    raise _ThrowSignal(NULL_POINTER)
-                raise UnsupportedForEvaluation(expr.span, "concat on non-string")
-            return receiver + args[0]
-        raise UnsupportedForEvaluation(expr.span, f"String.{method}/{len(args)}")
-
-
 def evaluate(
     m: MethodDecl,
     args: list,
@@ -579,21 +569,14 @@ def evaluate(
     context: SourceFile | None = None,
 ) -> Outcome:
     """Run a method on concrete argument values; deterministic and total."""
-    # Each interpreted frame costs several Python frames; the MAX_CALL_DEPTH
-    # cap is the real bound, the recursion limit just needs to stay out of
-    # its way.
-    if sys.getrecursionlimit() < 10_000:
-        sys.setrecursionlimit(10_000)
-    interp = _Interp(context, fuel)
-    try:
-        value = interp.run_method(m, list(args))
-        return Returned(value)
-    except _ThrowSignal as t:
-        return Threw(t.kind)
-    except _FuelExhausted:
-        return OutOfFuel()
-    except (_BreakSignal, _ContinueSignal):
-        raise UnsupportedForEvaluation(m.span, "break/continue escaped the method")
+    method = _compile(m, context)
+    if len(args) != len(m.params):
+        raise UnsupportedForEvaluation(m.span, "argument arity mismatch")
+    with _stack_room():
+        try:
+            return Returned(_invoke(method, [fuel, 0], list(args)))
+        except _Stop as stop:
+            return Threw(*stop.args) if stop.args else OutOfFuel()
 
 
 # ---------------------------------------------------------------------------

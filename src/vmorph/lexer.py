@@ -144,9 +144,9 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
                 Span(file, start_line, start_col, start_line, start_col), "char literal"
             )
 
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j < n and (text[j].isalpha() or text[j] == "_" or text[j] == "."):
                 raise err("only decimal integer literals are supported",

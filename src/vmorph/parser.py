@@ -51,6 +51,7 @@ from .nodes import (
     Throw,
     Unary,
     While,
+    children,
 )
 
 MODIFIERS = ("public", "private", "protected", "static", "final")
@@ -63,11 +64,20 @@ PRIMITIVE_NAMES = frozenset(
 
 INT_MIN = -(2**31)
 INT_MAX = 2**31 - 1
+# Deeper expressions are rejected: printing and tree walks recurse per level.
+MAX_EXPR_DEPTH = 256
 
 
 def parse(text: str, file: str = "<input>") -> SourceFile:
     """Parse a compilation unit; see module docstring for error behavior."""
     return _Parser(tokenize(text, file), file).source_file()
+
+
+def _depth(node) -> int:
+    depth, level = 0, [node]
+    while level:  # level by level: the tree may be too deep to recurse over
+        depth, level = depth + 1, [c for n in level for c in children(n)]
+    return depth
 
 
 class _Parser:
@@ -513,7 +523,13 @@ class _Parser:
     # -- expressions ---------------------------------------------------------
 
     def expression(self) -> Expr:
-        return self.assignment()
+        start = self.pos
+        expr = self.assignment()
+        # Every node owns a token, so only a long expression can be too deep.
+        if self.pos - start > MAX_EXPR_DEPTH and _depth(expr) > MAX_EXPR_DEPTH:
+            raise self.unsupported(f"expression nested deeper than {MAX_EXPR_DEPTH}",
+                                   self.toks[start])
+        return expr
 
     def assignment(self) -> Expr:
         start = self.peek()

@@ -319,3 +319,69 @@ def test_cli_mode_filters_variants(guard_record, tmp_path, capsys):
     capsys.readouterr()
     manifest = BenchmarkManifest.load(out / "manifest.json")
     assert [e.variant for e in manifest.entries] == [VariantKind.STRUCTURE_ONLY]
+
+
+def _one_file_record(root: Path, rid: str, source: str, first: int, last: int) -> VulnRecord:
+    root.mkdir(parents=True)
+    (root / "A.java").write_text(source)
+    return VulnRecord(rid, str(root), "A.java", Span("A.java", first, 1, last, 1))
+
+
+def test_static_field_method_is_external_pending(lexicon, tmp_path):
+    source = (
+        "class A {\n"
+        "    static int count;\n"
+        "    static int run(int n) {\n"
+        "        if (n > 100) {\n"
+        "            return count;\n"
+        "        }\n"
+        "        return n;\n"
+        "    }\n"
+        "}\n"
+    )
+    record = _one_file_record(tmp_path / "field", "Field-1", source, 4, 7)
+    manifest = generate_variants([record], lexicon, tmp_path / "out", seed=1)
+    assert len(manifest.entries) == 3
+    for entry in manifest.entries:
+        assert entry.error is None
+        assert entry.equivalence == EXTERNAL_PENDING
+
+
+def test_deep_expression_record_does_not_depend_on_record_order(lexicon, tmp_path):
+    chain = " + ".join(["n"] * 500)
+    deep = _one_file_record(tmp_path / "deep", "Deep-1",
+                            f"class A {{\n    static int run(int n) {{\n        return {chain};\n"
+                            "    }\n}\n", 3, 3)
+    plain = _one_file_record(tmp_path / "plain", "Plain-1",
+                             "class A {\n    static int run(int n) {\n        return n + 1;\n"
+                             "    }\n}\n", 3, 3)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # as in a fresh process
+    try:
+        runs = []
+        for i, records in enumerate(([deep, plain], [plain, deep])):
+            manifest = generate_variants(records, lexicon, tmp_path / f"out{i}", seed=1)
+            runs.append({(e.record.id, e.variant): e.to_json_dict() for e in manifest.entries})
+    finally:
+        sys.setrecursionlimit(old)
+    assert runs[0] == runs[1]
+    assert all(entry["error"] for (rid, _), entry in runs[0].items() if rid == "Deep-1")
+    assert all(entry["equivalence"]["verdict"] == "equivalent"
+               for (rid, _), entry in runs[0].items() if rid == "Plain-1")
+
+
+def test_oracle_compiles_each_method_once_per_record(lexicon, tmp_path, monkeypatch):
+    from vmorph import interp
+
+    compiled = []
+    compile_method = interp._Compiler.compile
+    monkeypatch.setattr(interp._Compiler, "compile",
+                        lambda self, m: compiled.append(m) or compile_method(self, m))
+    record = _one_file_record(tmp_path / "mini", "Mini-2",
+                              "class A {\n    static int run(int n) {\n        return n + 1;\n"
+                              "    }\n}\n", 3, 3)
+    manifest = generate_variants([record], lexicon, tmp_path / "out", seed=1)
+    assert all(isinstance(e.equivalence, dict) for e in manifest.entries)
+    # The original and the three variants, across is_supported, check_equivalence
+    # and every trial.
+    assert len(compiled) == 4

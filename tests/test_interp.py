@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,71 @@ def test_unsupported_methods_detected(src, reason):
     with pytest.raises(UnsupportedForEvaluation) as exc:
         ensure_supported(m, ast)
     assert reason in str(exc.value)
+
+
+STATIC_FIELD_SRC = """class A {
+    static int count;
+    static int run(int n) {
+        if (n > 100) {
+            return count;
+        }
+        return n;
+    }
+}"""
+
+
+def test_static_field_read_is_unsupported_on_every_path():
+    m, ast = method_named(STATIC_FIELD_SRC, "run")
+    assert not is_supported(m, ast)
+    with pytest.raises(UnsupportedForEvaluation) as exc:
+        ensure_supported(m, ast)
+    assert "unbound name" in str(exc.value)
+
+
+def test_call_depth_bound_leaves_the_recursion_limit_alone():
+    src = "class A { static int g(int n) { if (n > 0) { return g(n - 1) + 1; } return 0; } }"
+    m, ast = method_named(src, "g")
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # as in a fresh process
+    try:
+        assert evaluate(m, [199], context=ast) == Returned(199)
+        assert evaluate(m, [200], context=ast) == OutOfFuel()
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_switch_jump_past_a_declaration_stays_a_runtime_error():
+    src = """class A {
+        static int f(int k) {
+            switch (k) {
+                case 0:
+                    int x = 1;
+                case 1:
+                    x = 2;
+                    return x;
+            }
+            return 0;
+        }
+    }"""
+    m, ast = method_named(src, "f")
+    assert is_supported(m, ast)
+    assert evaluate(m, [0], context=ast) == Returned(2)
+    assert evaluate(m, [5], context=ast) == Returned(0)
+    with pytest.raises(UnsupportedForEvaluation) as exc:
+        evaluate(m, [1], context=ast)
+    assert "unbound name 'x'" in str(exc.value)
+
+
+@pytest.mark.parametrize("grow", ["t = t.concat(t);", "t = t + t;"])
+def test_string_growth_stops_at_the_length_bound(grow):
+    src = ("class A { static int f(int n) { String t = \"a\"; "
+           f"for (int i = 0; i < n; i = i + 1) {{ {grow} }} return t.length(); }} }}")
+    m, ast = method_named(src, "f")
+    assert evaluate(m, [16], context=ast) == Returned(2**16)
+    with pytest.raises(UnsupportedForEvaluation) as exc:
+        evaluate(m, [17], context=ast)  # 131,072 characters
+    assert "string longer than" in str(exc.value)
 
 
 def test_supported_methods_pass_scan(corpus_files):

@@ -158,3 +158,17 @@ def test_dotted_type_and_expression_disambiguation():
     assert stmts[0].type_name == "java.nio.Path"
     assert not isinstance(stmts[1], LocalVarDecl)
     assert not isinstance(stmts[2], LocalVarDecl)
+
+
+@pytest.mark.parametrize("digit", ["٣", "²"])  # Arabic-Indic three, superscript two
+def test_only_ascii_digits_start_a_number(digit):
+    with pytest.raises(JavaSyntaxError):
+        parse(f"class A {{ static int f() {{ return {digit}; }} }}")
+
+
+def test_expression_deeper_than_the_bound_is_unsupported():
+    chain = " + ".join(["a"] * 500)
+    with pytest.raises(UnsupportedConstruct) as exc:
+        parse(f"class A {{ static int f(int a) {{ return {chain}; }} }}")
+    assert "nested deeper" in exc.value.construct
+    parse(f"class A {{ static int f(int a) {{ return {' + '.join(['a'] * 256)}; }} }}")

@@ -28,6 +28,7 @@ from .errors import (
     JavaSyntaxError,
     RunnerNotFound,
     UnsupportedConstruct,
+    UnsupportedForEvaluation,
     VmorphError,
 )
 from .identifiers import (
@@ -237,8 +238,11 @@ def _equivalence_json(
 ):
     if not (is_supported(original, original_ast) and is_supported(transformed, transformed_ast)):
         return EXTERNAL_PENDING
-    verdict = check_equivalence(original, transformed, trials, seed, fuel,
-                                context1=original_ast, context2=transformed_ast)
+    try:
+        verdict = check_equivalence(original, transformed, trials, seed, fuel,
+                                    context1=original_ast, context2=transformed_ast)
+    except UnsupportedForEvaluation:  # a trial reached what only running rejects
+        return EXTERNAL_PENDING
     return verdict.to_json_dict()
 
 

@@ -22,6 +22,13 @@ strings over MAX_STRING_LENGTH and a switch-case local whose case was
 jumped over. Fuel is charged once per statement (an if's then block and a
 loop body are not statements) and once per loop test; exhausting it, or
 nesting over MAX_CALL_DEPTH calls, gives OutOfFuel.
+
+Outcomes are memoised on the compiled method, keyed by fuel and by each
+argument's type and value, so a method run again on the same inputs (the
+original of a record, against each of its variants) is not re-executed; a
+run-time rejection is stored and raised again. The memo lives and dies with
+the compiled entry. check_equivalence does not run the second method on a
+trial where the first ran out of fuel, as there is nothing to compare.
 """
 
 from __future__ import annotations
@@ -227,6 +234,11 @@ def _sequence(compiled: list):
 class _Method:
     body = None  # the compiled body, set once compiled
     locals: tuple = ()  # initial values of the slots after the parameters
+
+    def __init__(self):
+        # evaluate's memo for this method as the top of a run:
+        # (fuel, (type, value) per argument) -> outcome or run-time rejection
+        self.outcomes: dict[tuple, object] = {}
 
 
 def _invoke(method: _Method, run: list, args: list):
@@ -544,9 +556,14 @@ def _compile(m: MethodDecl, context: SourceFile | None) -> _Method:
         if len(_COMPILED) >= _COMPILED_SIZE:
             del _COMPILED[next(iter(_COMPILED))]
     _COMPILED[key] = entry
-    if isinstance(entry[2], UnsupportedForEvaluation):
-        raise UnsupportedForEvaluation(entry[2].span, entry[2].detail)
-    return entry[2]
+    return _unless_rejected(entry[2])
+
+
+def _unless_rejected(result):
+    """result, or a fresh copy of it raised if it is a stored rejection."""
+    if isinstance(result, UnsupportedForEvaluation):
+        raise UnsupportedForEvaluation(result.span, result.detail)
+    return result
 
 
 def ensure_supported(m: MethodDecl, context: SourceFile | None = None) -> None:
@@ -568,15 +585,22 @@ def evaluate(
     fuel: int = DEFAULT_FUEL,
     context: SourceFile | None = None,
 ) -> Outcome:
-    """Run a method on concrete argument values; deterministic and total."""
+    """Run a method on concrete argument values; deterministic and total.
+    Each distinct (fuel, typed arguments) runs once per compiled method."""
     method = _compile(m, context)
     if len(args) != len(m.params):
         raise UnsupportedForEvaluation(m.span, "argument arity mismatch")
-    with _stack_room():
-        try:
-            return Returned(_invoke(method, [fuel, 0], list(args)))
-        except _Stop as stop:
-            return Threw(*stop.args) if stop.args else OutOfFuel()
+    key = (fuel, *((type(a), a) for a in args))  # 1 == True, but x + 1 takes only 1
+    if key not in method.outcomes:
+        with _stack_room():
+            try:
+                outcome = Returned(_invoke(method, [fuel, 0], list(args)))
+            except _Stop as stop:
+                outcome = Threw(*stop.args) if stop.args else OutOfFuel()
+            except UnsupportedForEvaluation as exc:
+                outcome = exc
+        method.outcomes[key] = outcome
+    return _unless_rejected(method.outcomes[key])
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +644,9 @@ def check_equivalence(
 
     equivalent: all trials produced equal outcomes. diverged: first mismatch
     recorded as a counterexample. inconclusive: some trial ran out of fuel in
-    either method and no mismatch was seen elsewhere.
+    either method and no mismatch was seen elsewhere. m2 is not run on a trial
+    where m1 ran out of fuel, so a run-time UnsupportedForEvaluation that m2
+    would raise only on such a trial does not surface.
     """
     if len(m1.params) != len(m2.params):
         raise UnsupportedForEvaluation(m1.span, "parameter arity mismatch")
@@ -634,8 +660,11 @@ def check_equivalence(
     for trial in range(trials):
         args = generate_args(m1.params, seed, trial)
         o1 = evaluate(m1, args, fuel, context1)
+        if isinstance(o1, OutOfFuel):  # nothing to compare m2 with
+            saw_fuel = True
+            continue
         o2 = evaluate(m2, args, fuel, context2)
-        if isinstance(o1, OutOfFuel) or isinstance(o2, OutOfFuel):
+        if isinstance(o2, OutOfFuel):
             saw_fuel = True
             continue
         if o1 != o2:

@@ -66,6 +66,10 @@ INT_MIN = -(2**31)
 INT_MAX = 2**31 - 1
 # Deeper expressions are rejected: printing and tree walks recurse per level.
 MAX_EXPR_DEPTH = 256
+# The parser itself recurses too: up to 14 Python frames per level of
+# parentheses or call arguments, 4 per nested statement. Input nested deeper
+# than this is rejected well inside Python's default recursion limit (1,000).
+MAX_NESTING = 50
 
 
 def parse(text: str, file: str = "<input>") -> SourceFile:
@@ -96,6 +100,7 @@ class _Parser:
                     pending = []
                 self.toks.append(tok)
         self.pos = 0
+        self.depth = 0  # nesting levels the parser is inside, see nested()
 
     # -- token plumbing ----------------------------------------------------
 
@@ -133,6 +138,17 @@ class _Parser:
 
     def unsupported(self, construct: str, tok: Token | None = None) -> UnsupportedConstruct:
         return UnsupportedConstruct((tok or self.peek()).span(self.file), construct)
+
+    def nested(self, parse_step):
+        """parse_step() one nesting level deeper, rejecting input that would
+        take the parser past MAX_NESTING levels. An exception abandons the
+        whole parse, so the count needs no unwinding."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.unsupported(f"nesting deeper than {MAX_NESTING}")
+        node = parse_step()
+        self.depth -= 1
+        return node
 
     def take_comments(self) -> tuple[str, ...]:
         return tuple(self.comments_before.get(self.pos, ()))
@@ -307,7 +323,7 @@ class _Parser:
         while not self.at("}"):
             if self.at_kind(EOF):
                 raise self.error("unterminated block")
-            stmts.append(self.statement())
+            stmts.append(self.nested(self.statement))
         trailing = self.take_comments()
         self.expect("}")
         return Block(tuple(stmts), trailing, self.span_from(start))
@@ -496,7 +512,7 @@ class _Parser:
             while not (self.at("case") or self.at("default") or self.at("}")):
                 if self.at_kind(EOF):
                     raise self.error("unterminated switch")
-                body.append(self.statement())
+                body.append(self.nested(self.statement))
             terminated = bool(body) and isinstance(body[-1], (Break, Return, Throw))
             cases.append(SwitchCase(tuple(labels), tuple(body), terminated,
                                     self.span_from(case_start)))
@@ -524,7 +540,7 @@ class _Parser:
 
     def expression(self) -> Expr:
         start = self.pos
-        expr = self.assignment()
+        expr = self.nested(self.assignment)
         # Every node owns a token, so only a long expression can be too deep.
         if self.pos - start > MAX_EXPR_DEPTH and _depth(expr) > MAX_EXPR_DEPTH:
             raise self.unsupported(f"expression nested deeper than {MAX_EXPR_DEPTH}",
@@ -538,7 +554,7 @@ class _Parser:
             if not isinstance(left, (Name, FieldAccess)):
                 raise self.error("invalid assignment target")
             self.next()
-            value = self.assignment()
+            value = self.nested(self.assignment)
             return Assign(left, value, self.span_from(start))
         return left
 
@@ -549,7 +565,7 @@ class _Parser:
             self.next()
             if_true = self.expression()
             self.expect(":")
-            if_false = self.ternary()
+            if_false = self.nested(self.ternary)
             return Ternary(cond, if_true, if_false, self.span_from(start))
         return cond
 
@@ -578,7 +594,7 @@ class _Parser:
         start = self.peek()
         if self.at("!"):
             self.next()
-            return Unary("!", self.unary(), self.span_from(start))
+            return Unary("!", self.nested(self.unary), self.span_from(start))
         if self.at("-"):
             # Fold `-literal` eagerly: the raw-token path admits -2147483648,
             # and folding parenthesized forms keeps print/parse a fixpoint.
@@ -589,7 +605,7 @@ class _Parser:
                 self._check_int_range(value, lit)
                 return Literal(value, "int", self.span_from(start))
             self.next()
-            operand = self.unary()
+            operand = self.nested(self.unary)
             if isinstance(operand, Literal) and operand.kind == "int":
                 value = -operand.value  # type: ignore[operator]
                 self._check_int_range(value, start)

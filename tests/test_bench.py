@@ -21,6 +21,7 @@ from vmorph.bench import (
 from vmorph.cli import main as cli_main
 from vmorph.errors import RunnerNotFound
 from vmorph.nodes import Span
+from vmorph.parser import parse
 from vmorph.rename import SynonymLexicon
 
 
@@ -385,3 +386,83 @@ def test_oracle_compiles_each_method_once_per_record(lexicon, tmp_path, monkeypa
     # The original and the three variants, across is_supported, check_equivalence
     # and every trial.
     assert len(compiled) == 4
+
+
+def test_runtime_rejection_is_external_pending(lexicon, tmp_path):
+    source = (
+        "class A {\n"
+        "    static int run(String s) {\n"
+        "        String t = s.substring(1);\n"
+        "        return t.length();\n"
+        "    }\n"
+        "}\n"
+    )
+    record = _one_file_record(tmp_path / "substring", "Sub-1", source, 3, 4)
+    manifest = generate_variants([record], lexicon, tmp_path / "out", seed=1)
+    assert len(manifest.entries) == 3
+    for entry in manifest.entries:
+        assert entry.error is None
+        assert entry.equivalence == EXTERNAL_PENDING
+
+
+def test_record_nested_past_the_parser_bound_fails_alone(lexicon, tmp_path):
+    deep = _one_file_record(tmp_path / "deep", "Parens-1",
+                            "class A {\n    static int run(int n) {\n        return "
+                            + "(" * 100 + "n" + ")" * 100 + ";\n    }\n}\n", 3, 3)
+    plain = _one_file_record(tmp_path / "plain", "Plain-2",
+                             "class A {\n    static int run(int n) {\n        return n + 1;\n"
+                             "    }\n}\n", 3, 3)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # as in a fresh process
+    try:
+        manifest = generate_variants([deep, plain], lexicon, tmp_path / "out", seed=1)
+    finally:
+        sys.setrecursionlimit(old)
+    assert (tmp_path / "out" / "manifest.json").is_file()
+    by_record = {}
+    for entry in manifest.entries:
+        by_record.setdefault(entry.record.id, []).append(entry)
+    assert all(e.error and "did not parse" in e.error for e in by_record["Parens-1"])
+    assert all(e.error is None for e in by_record["Plain-2"])
+
+
+def test_original_runs_once_per_trial_per_record(lexicon, tmp_path, monkeypatch):
+    from vmorph import interp
+
+    compiled, runs = [], {}
+    compile_method, invoke = interp._Compiler.compile, interp._invoke
+
+    def compile_and_record(self, m):
+        compiled.append(compile_method(self, m))
+        return compiled[-1]
+
+    def counting_invoke(method, run, args):
+        if run[1] == 0:  # a run's top call, not a call it makes
+            runs[method] = runs.get(method, 0) + 1
+        return invoke(method, run, args)
+
+    monkeypatch.setattr(interp._Compiler, "compile", compile_and_record)
+    monkeypatch.setattr(interp, "_invoke", counting_invoke)
+    source = (
+        "class A {\n"
+        "    static int run(int n, String s) {\n"
+        "        int total = 0;\n"
+        "        for (int i = 0; i < 5; i = i + 1) {\n"
+        "            total = total + n;\n"
+        "        }\n"
+        "        return total + s.length();\n"
+        "    }\n"
+        "}\n"
+    )
+    record = _one_file_record(tmp_path / "loop", "Loop-1", source, 3, 7)
+    trials = 12
+    params = parse(source).types[0].methods[0].params
+    vectors = {tuple((type(a), a) for a in interp.generate_args(params, 1, t))
+               for t in range(trials)}
+    assert len(vectors) == trials  # no trial repeats another's arguments
+    manifest = generate_variants([record], lexicon, tmp_path / "out", seed=1, trials=trials)
+    assert all(isinstance(e.equivalence, dict) for e in manifest.entries)
+    original, *variants = compiled
+    assert len(variants) == 3
+    assert runs[original] == trials
+    assert all(runs[v] <= trials for v in variants)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from vmorph import interp
 from vmorph.errors import UnsupportedForEvaluation
 from vmorph.interp import (
     DEFAULT_FUEL,
@@ -288,6 +289,52 @@ def test_fuel_makes_trial_inconclusive():
     m = ast.types[0].methods[0]
     verdict = check_equivalence(m, m, trials=3, seed=0, fuel=100, context1=ast, context2=ast)
     assert verdict.verdict == "inconclusive"
+
+
+@pytest.mark.parametrize("bool_first", [False, True])
+def test_outcome_memo_keeps_int_and_boolean_apart(bool_first):
+    # 1 == True and hash(1) == hash(True), but only 1 is an int operand.
+    m, ast = method_named("class A { static int f(int x) { return x + 1; } }", "f")
+    for arg in [True, 1] if bool_first else [1, True]:
+        if arg is True:
+            with pytest.raises(UnsupportedForEvaluation, match="non-int"):
+                evaluate(m, [arg], context=ast)
+        else:
+            assert evaluate(m, [arg], context=ast) == Returned(2)
+
+
+def test_memoised_runtime_rejection_raises_on_every_call():
+    src = "class A { static int f(String s) { String t = s.substring(1); return t.length(); } }"
+    m, ast = method_named(src, "f")
+    raised = []
+    for _ in range(3):
+        with pytest.raises(UnsupportedForEvaluation, match="string index out of range") as exc:
+            evaluate(m, [""], context=ast)
+        raised.append(exc.value)
+    assert len({id(e) for e in raised}) == 3  # a fresh exception each time
+    assert evaluate(m, ["ab"], context=ast) == Returned(1)
+
+
+def test_variant_not_run_where_the_original_runs_out_of_fuel(monkeypatch):
+    src = """class A {
+        static int f(int n) {
+            int i = 0;
+            while (i < n) { i = i + 1; }
+            return i;
+        }
+    }"""
+    m1, ast1 = method_named(src, "f")
+    m2, ast2 = method_named(src, "f")
+    calls, real = [], interp.evaluate
+    monkeypatch.setattr(interp, "evaluate",
+                        lambda m, args, *rest: calls.append((m, args)) or real(m, args, *rest))
+    verdict = check_equivalence(m1, m2, trials=40, seed=0, fuel=1000,
+                                context1=ast1, context2=ast2)
+    assert verdict.verdict == "inconclusive"
+    first = [args for m, args in calls if m is m1]
+    starved = [args for args in first if real(m1, args, 1000, ast1) == OutOfFuel()]
+    assert 0 < len(starved) < len(first)
+    assert [args for m, args in calls if m is m2] == [a for a in first if a not in starved]
 
 
 def test_generate_args_deterministic():

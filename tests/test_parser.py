@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from vmorph.errors import JavaSyntaxError, UnsupportedConstruct
@@ -172,3 +174,18 @@ def test_expression_deeper_than_the_bound_is_unsupported():
         parse(f"class A {{ static int f(int a) {{ return {chain}; }} }}")
     assert "nested deeper" in exc.value.construct
     parse(f"class A {{ static int f(int a) {{ return {' + '.join(['a'] * 256)}; }} }}")
+
+
+@pytest.mark.parametrize("body", [
+    "return " + "(" * 80 + "n" + ")" * 80 + ";",
+    "if (n > 0) {" * 400 + " n = 1; " + "}" * 400 + " return n;",
+], ids=["80-parentheses", "400-ifs"])
+def test_nesting_past_the_bound_is_unsupported_before_the_recursion_limit(body):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # as in a fresh process
+    try:
+        with pytest.raises(UnsupportedConstruct) as exc:
+            parse(f"class A {{ static int f(int n) {{ {body} }} }}")
+    finally:
+        sys.setrecursionlimit(old)
+    assert "nesting deeper than" in exc.value.construct

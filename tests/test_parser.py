@@ -1,10 +1,14 @@
 import sys
+from pathlib import Path
 
 import pytest
 
-from vmorph.errors import JavaSyntaxError, UnsupportedConstruct
+from vmorph.errors import JavaSyntaxError, UnsupportedConstruct, VmorphError
+from vmorph.lexer import tokenize
 from vmorph.nodes import Block, If, LocalVarDecl, Literal, Switch, walk
 from vmorph.parser import parse
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_minimal_program():
@@ -189,3 +193,87 @@ def test_nesting_past_the_bound_is_unsupported_before_the_recursion_limit(body):
     finally:
         sys.setrecursionlimit(old)
     assert "nesting deeper than" in exc.value.construct
+
+
+# ---------------------------------------------------------------------------
+# Front-end golden snapshot
+# ---------------------------------------------------------------------------
+
+GOLDEN_FRONT_END = FIXTURES / "golden" / "front_end_corpus.txt"
+
+# Inputs at the lexer's and parser's edges: non-ASCII digits and letters,
+# whitespace outside the subset, malformed literals, strings and comments.
+FRONT_END_EDGES = [
+    "return \u0663;",  # Arabic-Indic three
+    "return \u00b2;",  # superscript two
+    "int a\u00b2b = 1;",
+    "\u00e9 = 1;",
+    "int x =\f1;",
+    "int x =\u00a01;",
+    "x = \u216b;",  # roman numeral twelve: numeric, not alphabetic
+    "int y = 1.5;",
+    "int y = 12abc;",
+    "int y = 12_000;",
+    "int y = 1\u0663;",
+    "int y = 1$;",
+    "int $x = _1 + a$b;",
+    "char c = 'a';",
+    'String s = "a\\qb";',
+    'String s = "\\n\\t\\"\\\\\\0" + "\\n\\q";',
+    'String s = "unterminated;',
+    'String s = "broken\nline";',
+    'String s = "ends in a backslash\\',
+    'String s = "\\\n";',
+    "int z = 1; /* unterminated",
+    "int z = 1; /* one */ // two",
+    "int z = a / b /*/ c */ - c;",
+    "boolean b = a & c | d;",
+    "int w = 2147483648;",
+    "int w = -2147483648 - - 1;",
+    "x -> x;",
+    "\r\n\tint v = 1;\r\n",
+    "/",
+    '"',
+]
+
+
+def _front_end_lines(text: str, file: str) -> list[str]:
+    """Every token tuple, then the repr of the parse (spans included), or the
+    type, message and span of the error each raises."""
+    lines = []
+    try:
+        for t in tokenize(text, file):
+            lines.append(repr((t.kind, t.text, t.value, t.line, t.col, t.end_line,
+                               t.end_col, t.start_off, t.end_off)))
+    except VmorphError as e:
+        lines.append(f"tokenize: {type(e).__name__}: {str(e)!r} {e.span!r}")
+    try:
+        lines.append(repr(parse(text, file)))
+    except VmorphError as e:
+        lines.append(f"parse: {type(e).__name__}: {str(e)!r} {e.span!r}")
+    return lines
+
+
+def front_end_snapshot() -> str:
+    """Tokens and trees of every fixture, and of each edge above both on its
+    own and inside a method.
+
+    Regenerate the golden file (only when an output change is intended) with
+    `PYTHONPATH=src:tests python -c "import test_parser as t;
+    t.GOLDEN_FRONT_END.write_text(t.front_end_snapshot(), encoding='utf-8')"`.
+    """
+    parts = []
+    for path in sorted(FIXTURES.rglob("*.java")):
+        rel = path.relative_to(FIXTURES).as_posix()
+        parts.append(f"// {rel}")
+        parts.extend(_front_end_lines(path.read_text(), rel))
+    for i, edge in enumerate(FRONT_END_EDGES):
+        parts.append(f"// edge {i}: {edge!r}")
+        parts.extend(_front_end_lines(edge, f"E{i}.java"))
+        text = f"class E {{\n  void f() {{\n    {edge}\n  }}\n}}\n"
+        parts.extend(_front_end_lines(text, f"E{i}.java"))
+    return "\n".join(parts) + "\n"
+
+
+def test_front_end_matches_golden():
+    assert front_end_snapshot().encode("utf-8") == GOLDEN_FRONT_END.read_bytes()

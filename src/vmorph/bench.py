@@ -170,13 +170,17 @@ class BenchmarkManifest:
 class _Project:
     asts: dict[str, SourceFile]  # relpath -> AST, insertion order sorted
     verbatim: dict[str, str]  # unparseable files copied as-is
-    notes: list[str]
+    errors: dict[str, str]  # relpath -> why it did not parse
+
+    @property
+    def notes(self) -> list[str]:
+        return [f"{rel}: copied verbatim ({e})" for rel, e in self.errors.items()]
 
 
 def _load_project(root: Path) -> _Project:
     asts: dict[str, SourceFile] = {}
     verbatim: dict[str, str] = {}
-    notes: list[str] = []
+    errors: dict[str, str] = {}
     for path in sorted(root.rglob("*.java")):
         rel = path.relative_to(root).as_posix()
         text = path.read_text("utf-8")
@@ -184,15 +188,21 @@ def _load_project(root: Path) -> _Project:
             asts[rel] = parse(text, rel)
         except (JavaSyntaxError, UnsupportedConstruct) as e:
             verbatim[rel] = text
-            notes.append(f"{rel}: copied verbatim ({e})")
-    return _Project(asts, verbatim, notes)
+            errors[rel] = str(e)
+    return _Project(asts, verbatim, errors)
 
 
-def _write_project(target: Path, asts: dict[str, SourceFile], verbatim: dict[str, str]) -> None:
+def _write_project(target: Path, asts: dict[str, SourceFile], verbatim: dict[str, str],
+                   printed: dict[int, tuple[SourceFile, str]]) -> None:
+    """Write a variant's files. `printed` is the record's memo, id(tree) ->
+    (tree, text): a tree that several variants share is printed once. It
+    holds the tree, so no id is reused while the memo lives."""
     for rel, ast in asts.items():
+        if id(ast) not in printed:
+            printed[id(ast)] = (ast, print_source(ast))
         out = target / rel
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(print_source(ast), encoding="utf-8")
+        out.write_text(printed[id(ast)][1], encoding="utf-8")
     for rel, text in verbatim.items():
         out = target / rel
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -294,7 +304,9 @@ def _generate_for_record(
     try:
         project = _load_project(Path(record.project_root))
         if record.buggy_file not in project.asts:
-            raise VmorphError(f"buggy file {record.buggy_file!r} did not parse")
+            reason = project.errors.get(record.buggy_file)
+            raise VmorphError(f"buggy file {record.buggy_file!r} did not parse"
+                              + (f": {reason}" if reason else ""))
         buggy_ast = project.asts[record.buggy_file]
         method = find_method_at(buggy_ast, record.buggy_lines.start_line,
                                 record.buggy_lines.end_line)
@@ -324,7 +336,10 @@ def _generate_for_record(
 
     # The rename and both variants share one renamed project, computed by the
     # first of them to run; both is the structure change applied on top of it.
+    # Files the rename leaves alone are the original trees, so every variant
+    # shares them and `printed` prints each once.
     renamed: dict[str, SourceFile] | None = None
+    printed: dict[int, tuple[SourceFile, str]] = {}
     suggested = _suggested_filenames(project.asts, dct) if needs_dictionary else {}
     for kind in kinds:
         entry = ManifestEntry(record=record, variant=kind, notes=list(project.notes))
@@ -352,7 +367,7 @@ def _generate_for_record(
             if kind is not VariantKind.STRUCTURE_ONLY:
                 report.notes.append(RENAME_NOTE)
 
-            _write_project(variant_dir, variant_asts, project.verbatim)
+            _write_project(variant_dir, variant_asts, project.verbatim, printed)
 
             variant_buggy = variant_asts[record.buggy_file]
             entry.equivalence = _equivalence_json(

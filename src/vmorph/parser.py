@@ -2,6 +2,13 @@
 
 Grammar in docs/grammar.md. Design points:
 
+- The cursor is a flat token list (comments removed, two extra EOF tokens
+  at the end so lookahead needs no bound check) and a parallel list of keys:
+  the text of an operator or keyword token, None for every other token.
+  `at()` and `expect()` are one list lookup.
+- Binary operators are parsed by precedence climbing over one table of
+  levels (`_BINARY_LEVEL`), left-associative; a Binary's span starts at the
+  first token of its leftmost operand.
 - Bodies of if/while/for must be braced blocks; else accepts a block or a
   chained if. Unbraced bodies are a syntax error, which keeps the printer's
   output re-parseable token for token.
@@ -67,9 +74,22 @@ INT_MAX = 2**31 - 1
 # Deeper expressions are rejected: printing and tree walks recurse per level.
 MAX_EXPR_DEPTH = 256
 # The parser itself recurses too: up to 14 Python frames per level of
-# parentheses or call arguments, 4 per nested statement. Input nested deeper
-# than this is rejected well inside Python's default recursion limit (1,000).
+# parentheses or call arguments, 4 per nested statement or else-if link.
+# Input nested deeper than this is rejected well inside Python's default
+# recursion limit (1,000).
 MAX_NESTING = 50
+
+
+# Binary operators by precedence, loosest first; all are left-associative.
+_BINARY_LEVELS = [
+    ("||",),
+    ("&&",),
+    ("==", "!="),
+    ("<", "<=", ">", ">="),
+    ("+", "-"),
+    ("*", "/", "%"),
+]
+_BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
 
 def parse(text: str, file: str = "<input>") -> SourceFile:
@@ -89,43 +109,48 @@ class _Parser:
         self.file = file
         self.toks: list[Token] = []
         # Comments between the previous retained token and toks[i].
-        self.comments_before: dict[int, list[str]] = {}
+        self.comments_before: dict[int, tuple[str, ...]] = {}
         pending: list[str] = []
         for tok in raw_tokens:
             if tok.kind == COMMENT:
                 pending.append(tok.text)
             else:
                 if pending:
-                    self.comments_before[len(self.toks)] = pending
+                    self.comments_before[len(self.toks)] = tuple(pending)
                     pending = []
                 self.toks.append(tok)
+        self.eof = len(self.toks) - 1  # next() stops here
+        # Two copies of EOF past the end let peek(k) index without a bound.
+        self.toks += [self.toks[-1]] * 2
+        # The cursor's keys: the text of an operator or keyword, else None.
+        self.keys = [tok.text if tok.kind in (OP, KEYWORD) else None for tok in self.toks]
         self.pos = 0
         self.depth = 0  # nesting levels the parser is inside, see nested()
 
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, k: int = 0) -> Token:
-        j = min(self.pos + k, len(self.toks) - 1)
-        return self.toks[j]
+        return self.toks[self.pos + k]
 
     def at(self, text: str, k: int = 0) -> bool:
-        return self.peek(k).text == text and self.peek(k).kind in (OP, KEYWORD)
+        return self.keys[self.pos + k] == text
 
     def at_kind(self, kind: str, k: int = 0) -> bool:
-        return self.peek(k).kind == kind
+        return self.toks[self.pos + k].kind == kind
 
     def next(self) -> Token:
         tok = self.toks[self.pos]
-        if tok.kind != EOF:
+        if self.pos < self.eof:
             self.pos += 1
         return tok
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind not in (OP, KEYWORD):
+        tok = self.toks[self.pos]
+        if self.keys[self.pos] != text:
             raise self.error(f"expected {text!r}, found {tok.text!r}" if tok.kind != EOF
                              else f"expected {text!r}, found end of input")
-        return self.next()
+        self.pos += 1  # a token with a key is never EOF
+        return tok
 
     def expect_ident(self, what: str = "identifier") -> Token:
         tok = self.peek()
@@ -151,7 +176,7 @@ class _Parser:
         return node
 
     def take_comments(self) -> tuple[str, ...]:
-        return tuple(self.comments_before.get(self.pos, ()))
+        return self.comments_before.get(self.pos, ())
 
     def span_from(self, start: Token) -> Span:
         last = self.toks[self.pos - 1] if self.pos > 0 else start
@@ -331,45 +356,46 @@ class _Parser:
     def statement(self) -> Stmt:
         comments = self.take_comments()
         start = self.peek()
+        key = self.keys[self.pos]
 
-        if self.at("{"):
+        if key == "{":
             blk = self.block()
             # A free-standing block keeps its own comments on itself via the
             # first inner statement; leading comments belong to the block's
             # first statement already, so just return it.
             return blk
-        if self.at("if"):
+        if key == "if":
             return self.if_stmt(comments)
-        if self.at("while"):
+        if key == "while":
             self.next()
             self.expect("(")
             cond = self.expression()
             self.expect(")")
             body = self.block()
             return While(cond, body, comments, self.span_from(start))
-        if self.at("for"):
+        if key == "for":
             return self.for_stmt(comments)
-        if self.at("switch"):
+        if key == "switch":
             return self.switch_stmt(comments)
-        if self.at("return"):
+        if key == "return":
             self.next()
             value = None if self.at(";") else self.expression()
             self.expect(";")
             return Return(value, comments, self.span_from(start))
-        if self.at("break"):
+        if key == "break":
             self.next()
             self.expect(";")
             return Break(comments, self.span_from(start))
-        if self.at("continue"):
+        if key == "continue":
             self.next()
             self.expect(";")
             return Continue(comments, self.span_from(start))
-        if self.at("throw"):
+        if key == "throw":
             self.next()
             expr = self.expression()
             self.expect(";")
             return Throw(expr, comments, self.span_from(start))
-        if self.at("var"):
+        if key == "var":
             self.next()
             name = self.expect_ident("variable name").text
             if not self.at("="):
@@ -380,7 +406,7 @@ class _Parser:
                     raise self.error("'var' declarations require an initializer")
             self.expect(";")
             return LocalVarDecl("var", declarators, comments, self.span_from(start))
-        if self.at("@"):
+        if key == "@":
             raise self.unsupported("annotation")
 
         if self.at_kind(IDENT):
@@ -437,7 +463,8 @@ class _Parser:
         if self.at("else"):
             self.next()
             if self.at("if"):
-                orelse = self.if_stmt(())
+                # Each link of an else-if chain nests one level deeper.
+                orelse = self.nested(lambda: self.if_stmt(()))
             else:
                 orelse = self.block()
         return If(cond, then, orelse, comments, self.span_from(start))
@@ -560,7 +587,7 @@ class _Parser:
 
     def ternary(self) -> Expr:
         start = self.peek()
-        cond = self.binary(0)
+        cond = self.binary()
         if self.at("?"):
             self.next()
             if_true = self.expression()
@@ -569,26 +596,19 @@ class _Parser:
             return Ternary(cond, if_true, if_false, self.span_from(start))
         return cond
 
-    _BINARY_LEVELS = [
-        ("||",),
-        ("&&",),
-        ("==", "!="),
-        ("<", "<=", ">", ">="),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
-
-    def binary(self, level: int) -> Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self.unary()
+    def binary(self, min_level: int = 0) -> Expr:
+        """Precedence climbing: a left-associative chain of operators of
+        _BINARY_LEVELS level min_level or tighter."""
         start = self.peek()
-        left = self.binary(level + 1)
-        ops = self._BINARY_LEVELS[level]
-        while self.peek().kind == OP and self.peek().text in ops:
-            op = self.next().text
+        left = self.unary()
+        while True:
+            op = self.keys[self.pos]
+            level = _BINARY_LEVEL.get(op, -1)
+            if level < min_level:
+                return left
+            self.pos += 1
             right = self.binary(level + 1)
             left = Binary(op, left, right, self.span_from(start))
-        return left
 
     def unary(self) -> Expr:
         start = self.peek()
@@ -622,9 +642,10 @@ class _Parser:
         start = self.peek()
         expr = self.primary()
         while True:
-            if self.at("->"):
+            key = self.keys[self.pos]
+            if key == "->":
                 raise self.unsupported("lambda expression")
-            if self.at("."):
+            if key == ".":
                 if self.peek(1).text == "class":
                     raise self.unsupported("class literal", self.peek(1))
                 self.next()
@@ -639,25 +660,36 @@ class _Parser:
 
     def primary(self) -> Expr:
         start = self.peek()
-        if self.at("("):
+        key = self.keys[self.pos]
+        if start.kind == IDENT:
+            if start.text in PRIMITIVE_NAMES:
+                raise self.error(f"type name {start.text!r} cannot be used as an expression")
+            self.next()
+            if self.at("->"):
+                raise self.unsupported("lambda expression")
+            if self.at("("):
+                args = self.arguments()
+                return Call(None, start.text, args, self.span_from(start))
+            return Name(start.text, start.span(self.file))
+        if key == "(":
             self.next()
             expr = self.expression()
             self.expect(")")
             return expr
-        if self.at_kind(INT):
-            tok = self.next()
-            self._check_int_range(int(tok.value), tok)  # type: ignore[arg-type]
-            return Literal(int(tok.value), "int", tok.span(self.file))  # type: ignore[arg-type]
-        if self.at_kind(STRING):
-            tok = self.next()
-            return Literal(tok.value, "string", tok.span(self.file))
-        if self.at("true") or self.at("false"):
-            tok = self.next()
-            return Literal(tok.text == "true", "boolean", tok.span(self.file))
-        if self.at("null"):
-            tok = self.next()
-            return Literal(None, "null", tok.span(self.file))
-        if self.at("new"):
+        if start.kind == INT:
+            self.next()
+            self._check_int_range(int(start.value), start)  # type: ignore[arg-type]
+            return Literal(int(start.value), "int", start.span(self.file))  # type: ignore[arg-type]
+        if start.kind == STRING:
+            self.next()
+            return Literal(start.value, "string", start.span(self.file))
+        if key == "true" or key == "false":
+            self.next()
+            return Literal(key == "true", "boolean", start.span(self.file))
+        if key == "null":
+            self.next()
+            return Literal(None, "null", start.span(self.file))
+        if key == "new":
             self.next()
             type_name = self.dotted_name()
             if self.at("<"):
@@ -666,20 +698,9 @@ class _Parser:
             if self.at("{"):
                 raise self.unsupported("anonymous class")
             return New(type_name, args, self.span_from(start))
-        if self.at("@"):
+        if key == "@":
             raise self.unsupported("annotation")
-        if self.at_kind(IDENT):
-            if self.peek().text in PRIMITIVE_NAMES:
-                raise self.error(
-                    f"type name {self.peek().text!r} cannot be used as an expression")
-            tok = self.next()
-            if self.at("->"):
-                raise self.unsupported("lambda expression")
-            if self.at("("):
-                args = self.arguments()
-                return Call(None, tok.text, args, self.span_from(start))
-            return Name(tok.text, tok.span(self.file))
-        raise self.error(f"unexpected token {self.peek().text!r}")
+        raise self.error(f"unexpected token {start.text!r}")
 
     def arguments(self) -> tuple[Expr, ...]:
         self.expect("(")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from importlib import resources
+from operator import is_
 from typing import Callable, Optional
 
 from .errors import ExhaustedCandidates, StaleDictionary
@@ -229,193 +230,203 @@ def _suffixed(base: str, taken: set[str], original: str) -> str:
 def apply_rename(project: list[SourceFile], dct: RenameDictionary) -> list[SourceFile]:
     """Replace every occurrence of each forward-mapped identifier project-wide.
 
-    The tree shape is untouched; only identifier payloads change. Raises
-    StaleDictionary if a key occurs nowhere in the project.
+    The tree shape is untouched; only identifier payloads change. A subtree
+    with no mapped name in it is shared, not copied: a file that holds none
+    comes back as the same object. Raises StaleDictionary if a key occurs
+    nowhere in the project (a wildcard-import tail or a primitive type name
+    counts as an occurrence, though neither is renamed).
     """
-    if dct.forward:
-        occurring: set[str] = set()
-        for src in project:
-            _occurring_names(src, occurring)
-        for key in sorted(dct.forward):
-            if key not in occurring:
-                raise StaleDictionary(key)
-    mapping = dct.forward
-    return [_rename_file(src, mapping) for src in project]
+    renamer = _Renamer(dct.forward)
+    renamed = [renamer.file(src) for src in project]
+    for key in sorted(dct.forward):
+        if key not in renamer.hit:
+            raise StaleDictionary(key)
+    return renamed
 
 
-def _map_name(name: str, mapping: dict[str, str]) -> str:
-    return mapping.get(name, name)
+def _shared(new: list, old: tuple) -> tuple:
+    """`old` if each element of `new` is the object at its place in `old`,
+    else `new` as a tuple."""
+    return old if all(map(is_, new, old)) else tuple(new)
 
 
-def _map_type(type_name: str, mapping: dict[str, str]) -> str:
-    """Rename the class position (last segment) of a possibly dotted type."""
-    head, dot, tail = type_name.rpartition(".")
-    if tail in PRIMITIVE_TYPES:
-        return type_name
-    return head + dot + mapping.get(tail, tail)
+class _Renamer:
+    """One walk over a project: each method returns its node itself when no
+    name under it is mapped, and records in `hit` every key it met."""
 
+    def __init__(self, mapping: dict[str, str]):
+        self.mapping = mapping
+        self.hit: set[str] = set()
 
-def _occurring_names(src: SourceFile, out: set[str]) -> None:
-    from .nodes import walk
+    def name(self, name: str) -> str:
+        new = self.mapping.get(name)
+        if new is None:
+            return name
+        self.hit.add(name)
+        return new
 
-    for imp in src.imports:
-        out.add(imp.name.rsplit(".", 1)[-1])
-    for node in walk(src):
-        if isinstance(node, ClassDecl):
-            out.add(node.name)
-        elif isinstance(node, MethodDecl):
-            out.add(node.name)
-            if node.return_type:
-                out.add(node.return_type.rsplit(".", 1)[-1])
-        elif isinstance(node, Param):
-            out.add(node.name)
-            out.add(node.type_name.rsplit(".", 1)[-1])
-        elif isinstance(node, (FieldDecl, LocalVarDecl)):
-            out.add(node.type_name.rsplit(".", 1)[-1])
-        elif isinstance(node, Declarator):
-            out.add(node.name)
-        elif isinstance(node, Name):
-            out.add(node.id)
-        elif isinstance(node, Call):
-            out.add(node.method)
-        elif isinstance(node, FieldAccess):
-            out.add(node.name)
-        elif isinstance(node, New):
-            out.add(node.type_name.rsplit(".", 1)[-1])
+    def type_name(self, type_name: str) -> str:
+        """Rename the class position (last segment) of a possibly dotted type."""
+        head, dot, tail = type_name.rpartition(".")
+        new = self.name(tail)
+        if new is tail or tail in PRIMITIVE_TYPES:
+            return type_name
+        return head + dot + new
 
+    def file(self, src: SourceFile) -> SourceFile:
+        imports = _shared([self.import_(imp) for imp in src.imports], src.imports)
+        types = _shared([self.class_(cls) for cls in src.types], src.types)
+        if imports is src.imports and types is src.types:
+            return src
+        return replace(src, imports=imports, types=types)
 
-def _rename_file(src: SourceFile, mapping: dict[str, str]) -> SourceFile:
-    imports = tuple(
-        replace(
-            imp,
-            name=(lambda head, dot, tail: head + dot + _map_name(tail, mapping))(
-                *imp.name.rpartition(".")
-            ),
-        )
-        if not imp.wildcard
-        else imp
-        for imp in src.imports
-    )
-    types = tuple(_rename_class(cls, mapping) for cls in src.types)
-    return replace(src, imports=imports, types=types)
+    def import_(self, imp: Import) -> Import:
+        head, dot, tail = imp.name.rpartition(".")
+        new = self.name(tail)
+        if new is tail or imp.wildcard:
+            return imp
+        return replace(imp, name=head + dot + new)
 
+    def class_(self, cls: ClassDecl) -> ClassDecl:
+        name = self.name(cls.name)
+        members = _shared([self.method(m) if isinstance(m, MethodDecl) else self.field(m)
+                           for m in cls.members], cls.members)
+        if name is cls.name and members is cls.members:
+            return cls
+        return replace(cls, name=name, members=members)
 
-def _rename_class(cls: ClassDecl, mapping: dict[str, str]) -> ClassDecl:
-    members = []
-    for member in cls.members:
-        if isinstance(member, MethodDecl):
-            members.append(_rename_method(member, mapping))
-        else:
-            members.append(_rename_field(member, mapping))
-    return replace(cls, name=_map_name(cls.name, mapping), members=tuple(members))
+    def field(self, f: FieldDecl) -> FieldDecl:
+        type_name = self.type_name(f.type_name)
+        declarators = self.declarators(f.declarators)
+        if type_name is f.type_name and declarators is f.declarators:
+            return f
+        return replace(f, type_name=type_name, declarators=declarators)
 
+    def declarators(self, ds: tuple[Declarator, ...]) -> tuple[Declarator, ...]:
+        out = []
+        for d in ds:
+            name = self.name(d.name)
+            init = self.expr(d.init) if d.init is not None else None
+            out.append(d if name is d.name and init is d.init
+                       else replace(d, name=name, init=init))
+        return _shared(out, ds)
 
-def _rename_field(f: FieldDecl, mapping: dict[str, str]) -> FieldDecl:
-    return replace(
-        f,
-        type_name=_map_type(f.type_name, mapping),
-        declarators=tuple(_rename_declarator(d, mapping) for d in f.declarators),
-    )
+    def param(self, p: Param) -> Param:
+        type_name, name = self.type_name(p.type_name), self.name(p.name)
+        if type_name is p.type_name and name is p.name:
+            return p
+        return replace(p, type_name=type_name, name=name)
 
+    def method(self, m: MethodDecl) -> MethodDecl:
+        name = self.name(m.name)
+        params = _shared([self.param(p) for p in m.params], m.params)
+        return_type = self.type_name(m.return_type) if m.return_type else m.return_type
+        body = self.block(m.body)
+        if name is m.name and params is m.params and return_type is m.return_type \
+                and body is m.body:
+            return m
+        return replace(m, name=name, params=params, return_type=return_type, body=body)
 
-def _rename_declarator(d: Declarator, mapping: dict[str, str]) -> Declarator:
-    return replace(
-        d,
-        name=_map_name(d.name, mapping),
-        init=_rename_expr(d.init, mapping) if d.init is not None else None,
-    )
+    def block(self, b: Block) -> Block:
+        stmts = self.stmts(b.stmts)
+        return b if stmts is b.stmts else replace(b, stmts=stmts)
 
+    def stmts(self, stmts: tuple[Stmt, ...]) -> tuple[Stmt, ...]:
+        return _shared([self.stmt(s) for s in stmts], stmts)
 
-def _rename_method(m: MethodDecl, mapping: dict[str, str]) -> MethodDecl:
-    return replace(
-        m,
-        name=_map_name(m.name, mapping),
-        params=tuple(
-            replace(p, type_name=_map_type(p.type_name, mapping),
-                    name=_map_name(p.name, mapping))
-            for p in m.params
-        ),
-        return_type=_map_type(m.return_type, mapping) if m.return_type else m.return_type,
-        body=_rename_block(m.body, mapping),
-    )
+    def stmt(self, stmt: Stmt) -> Stmt:
+        if isinstance(stmt, ExprStmt):
+            expr = self.expr(stmt.expr)
+            return stmt if expr is stmt.expr else replace(stmt, expr=expr)
+        if isinstance(stmt, LocalVarDecl):
+            type_name = self.type_name(stmt.type_name)
+            declarators = self.declarators(stmt.declarators)
+            if type_name is stmt.type_name and declarators is stmt.declarators:
+                return stmt
+            return replace(stmt, type_name=type_name, declarators=declarators)
+        if isinstance(stmt, Return):
+            value = self.expr(stmt.value) if stmt.value is not None else None
+            return stmt if value is stmt.value else replace(stmt, value=value)
+        if isinstance(stmt, If):
+            cond, then = self.expr(stmt.cond), self.block(stmt.then)
+            orelse = self.stmt(stmt.orelse) if stmt.orelse is not None else None
+            if cond is stmt.cond and then is stmt.then and orelse is stmt.orelse:
+                return stmt
+            return replace(stmt, cond=cond, then=then, orelse=orelse)
+        if isinstance(stmt, Block):
+            return self.block(stmt)
+        if isinstance(stmt, While):
+            cond, body = self.expr(stmt.cond), self.block(stmt.body)
+            if cond is stmt.cond and body is stmt.body:
+                return stmt
+            return replace(stmt, cond=cond, body=body)
+        if isinstance(stmt, For):
+            init = self.stmt(stmt.init) if stmt.init is not None else None
+            cond = self.expr(stmt.cond) if stmt.cond is not None else None
+            update = self.expr(stmt.update) if stmt.update is not None else None
+            body = self.block(stmt.body)
+            if init is stmt.init and cond is stmt.cond and update is stmt.update \
+                    and body is stmt.body:
+                return stmt
+            return replace(stmt, init=init, cond=cond, update=update, body=body)
+        if isinstance(stmt, Switch):
+            scrutinee = self.expr(stmt.scrutinee)
+            cases = []
+            for c in stmt.cases:
+                body = self.stmts(c.body)
+                cases.append(c if body is c.body else replace(c, body=body))
+            cases = _shared(cases, stmt.cases)
+            if scrutinee is stmt.scrutinee and cases is stmt.cases:
+                return stmt
+            return replace(stmt, scrutinee=scrutinee, cases=cases)
+        if isinstance(stmt, Throw):
+            expr = self.expr(stmt.expr)
+            return stmt if expr is stmt.expr else replace(stmt, expr=expr)
+        return stmt  # Break / Continue
 
+    def exprs(self, exprs: tuple[Expr, ...]) -> tuple[Expr, ...]:
+        return _shared([self.expr(e) for e in exprs], exprs)
 
-def _rename_block(b: Block, mapping: dict[str, str]) -> Block:
-    return replace(b, stmts=tuple(_rename_stmt(s, mapping) for s in b.stmts))
-
-
-def _rename_stmt(stmt: Stmt, mapping: dict[str, str]) -> Stmt:
-    if isinstance(stmt, Block):
-        return _rename_block(stmt, mapping)
-    if isinstance(stmt, If):
-        orelse = stmt.orelse
-        if orelse is not None:
-            orelse = _rename_stmt(orelse, mapping)
-        return replace(stmt, cond=_rename_expr(stmt.cond, mapping),
-                       then=_rename_block(stmt.then, mapping), orelse=orelse)
-    if isinstance(stmt, While):
-        return replace(stmt, cond=_rename_expr(stmt.cond, mapping),
-                       body=_rename_block(stmt.body, mapping))
-    if isinstance(stmt, For):
-        return replace(
-            stmt,
-            init=_rename_stmt(stmt.init, mapping) if stmt.init is not None else None,
-            cond=_rename_expr(stmt.cond, mapping) if stmt.cond is not None else None,
-            update=_rename_expr(stmt.update, mapping) if stmt.update is not None else None,
-            body=_rename_block(stmt.body, mapping),
-        )
-    if isinstance(stmt, Switch):
-        cases = tuple(
-            replace(c, body=tuple(_rename_stmt(s, mapping) for s in c.body))
-            for c in stmt.cases
-        )
-        return replace(stmt, scrutinee=_rename_expr(stmt.scrutinee, mapping), cases=cases)
-    if isinstance(stmt, LocalVarDecl):
-        return replace(
-            stmt,
-            type_name=_map_type(stmt.type_name, mapping),
-            declarators=tuple(_rename_declarator(d, mapping) for d in stmt.declarators),
-        )
-    if isinstance(stmt, ExprStmt):
-        return replace(stmt, expr=_rename_expr(stmt.expr, mapping))
-    if isinstance(stmt, Return):
-        if stmt.value is None:
-            return stmt
-        return replace(stmt, value=_rename_expr(stmt.value, mapping))
-    if isinstance(stmt, Throw):
-        return replace(stmt, expr=_rename_expr(stmt.expr, mapping))
-    return stmt  # Break / Continue
-
-
-def _rename_expr(expr: Expr, mapping: dict[str, str]) -> Expr:
-    if isinstance(expr, Name):
-        return replace(expr, id=_map_name(expr.id, mapping))
-    if isinstance(expr, Unary):
-        return replace(expr, operand=_rename_expr(expr.operand, mapping))
-    if isinstance(expr, Binary):
-        return replace(expr, left=_rename_expr(expr.left, mapping),
-                       right=_rename_expr(expr.right, mapping))
-    if isinstance(expr, Ternary):
-        return replace(expr, cond=_rename_expr(expr.cond, mapping),
-                       if_true=_rename_expr(expr.if_true, mapping),
-                       if_false=_rename_expr(expr.if_false, mapping))
-    if isinstance(expr, Call):
-        return replace(
-            expr,
-            receiver=_rename_expr(expr.receiver, mapping) if expr.receiver else None,
-            method=_map_name(expr.method, mapping),
-            args=tuple(_rename_expr(a, mapping) for a in expr.args),
-        )
-    if isinstance(expr, FieldAccess):
-        return replace(expr, receiver=_rename_expr(expr.receiver, mapping),
-                       name=_map_name(expr.name, mapping))
-    if isinstance(expr, Assign):
-        return replace(expr, target=_rename_expr(expr.target, mapping),
-                       value=_rename_expr(expr.value, mapping))
-    if isinstance(expr, New):
-        return replace(expr, type_name=_map_type(expr.type_name, mapping),
-                       args=tuple(_rename_expr(a, mapping) for a in expr.args))
-    return expr  # Literal
+    def expr(self, expr: Expr) -> Expr:
+        if isinstance(expr, Name):
+            name = self.name(expr.id)
+            return expr if name is expr.id else replace(expr, id=name)
+        if isinstance(expr, Call):
+            receiver = self.expr(expr.receiver) if expr.receiver else None
+            method, args = self.name(expr.method), self.exprs(expr.args)
+            if receiver is expr.receiver and method is expr.method and args is expr.args:
+                return expr
+            return replace(expr, receiver=receiver, method=method, args=args)
+        if isinstance(expr, Binary):
+            left, right = self.expr(expr.left), self.expr(expr.right)
+            if left is expr.left and right is expr.right:
+                return expr
+            return replace(expr, left=left, right=right)
+        if isinstance(expr, FieldAccess):
+            receiver, name = self.expr(expr.receiver), self.name(expr.name)
+            if receiver is expr.receiver and name is expr.name:
+                return expr
+            return replace(expr, receiver=receiver, name=name)
+        if isinstance(expr, Assign):
+            target, value = self.expr(expr.target), self.expr(expr.value)
+            if target is expr.target and value is expr.value:
+                return expr
+            return replace(expr, target=target, value=value)
+        if isinstance(expr, Unary):
+            operand = self.expr(expr.operand)
+            return expr if operand is expr.operand else replace(expr, operand=operand)
+        if isinstance(expr, Ternary):
+            cond = self.expr(expr.cond)
+            if_true, if_false = self.expr(expr.if_true), self.expr(expr.if_false)
+            if cond is expr.cond and if_true is expr.if_true and if_false is expr.if_false:
+                return expr
+            return replace(expr, cond=cond, if_true=if_true, if_false=if_false)
+        if isinstance(expr, New):
+            type_name, args = self.type_name(expr.type_name), self.exprs(expr.args)
+            if type_name is expr.type_name and args is expr.args:
+                return expr
+            return replace(expr, type_name=type_name, args=args)
+        return expr  # Literal
 
 
 # ---------------------------------------------------------------------------

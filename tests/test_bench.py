@@ -426,6 +426,43 @@ def test_record_nested_past_the_parser_bound_fails_alone(lexicon, tmp_path):
     assert all(e.error is None for e in by_record["Plain-2"])
 
 
+def test_unparsed_buggy_file_entries_name_the_reason(lexicon, tmp_path):
+    deep = _one_file_record(tmp_path / "deep", "Parens-1",
+                            "class A {\n    static int run(int n) {\n        return "
+                            + "(" * 100 + "n" + ")" * 100 + ";\n    }\n}\n", 3, 3)
+    manifest = generate_variants([deep], lexicon, tmp_path / "out", seed=1)
+    assert len(manifest.entries) == 3
+    for entry in manifest.entries:
+        assert entry.error.startswith("Parens-1/")
+        assert "buggy file 'A.java' did not parse: A.java:3:" in entry.error
+        assert entry.error.endswith("unsupported construct: nesting deeper than 50")
+
+
+def test_each_distinct_tree_is_printed_once_per_record(lexicon, tmp_path, monkeypatch):
+    from vmorph import bench
+
+    record = _one_file_record(tmp_path / "proj", "Three-1", (
+        "class A {\n"
+        "    static int run(int count, int limit) {\n"
+        "        int total = count + limit;\n"
+        "        return total;\n"
+        "    }\n"
+        "}\n"), 3, 4)
+    (tmp_path / "proj" / "B.java").write_text("class B { static int twice(int v) { return v + v; } }\n")
+    (tmp_path / "proj" / "C.java").write_text("class C { static int zero() { return 0; } }\n")
+    printed = []
+    print_source = bench.print_source
+    monkeypatch.setattr(bench, "print_source", lambda ast: printed.append(ast) or print_source(ast))
+    manifest = generate_variants([record], lexicon, tmp_path / "out", seed=1)
+    assert [e.error for e in manifest.entries] == [None] * 3
+    # B and C are the same trees in all three variants; A differs in each.
+    assert len(printed) == len({id(ast) for ast in printed}) == 5
+    for name in ("B.java", "C.java"):
+        texts = {(tmp_path / "out" / "Three-1" / kind / name).read_text()
+                 for kind in ("rename", "structure", "both")}
+        assert len(texts) == 1
+
+
 def test_original_runs_once_per_trial_per_record(lexicon, tmp_path, monkeypatch):
     from vmorph import interp
 

@@ -2,11 +2,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vmorph.errors import JavaSyntaxError, UnsupportedConstruct, VmorphError
 from vmorph.lexer import tokenize
 from vmorph.nodes import Block, If, LocalVarDecl, Literal, Switch, walk
-from vmorph.parser import parse
+from vmorph.parser import MAX_NESTING, parse
+from vmorph.printer import print_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -183,7 +185,8 @@ def test_expression_deeper_than_the_bound_is_unsupported():
 @pytest.mark.parametrize("body", [
     "return " + "(" * 80 + "n" + ")" * 80 + ";",
     "if (n > 0) {" * 400 + " n = 1; " + "}" * 400 + " return n;",
-], ids=["80-parentheses", "400-ifs"])
+    " else ".join(f"if (n == {i}) {{ n = {i}; }}" for i in range(1000)) + " return n;",
+], ids=["80-parentheses", "400-ifs", "1000-else-ifs"])
 def test_nesting_past_the_bound_is_unsupported_before_the_recursion_limit(body):
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # as in a fresh process
@@ -193,6 +196,12 @@ def test_nesting_past_the_bound_is_unsupported_before_the_recursion_limit(body):
     finally:
         sys.setrecursionlimit(old)
     assert "nesting deeper than" in exc.value.construct
+
+
+def test_else_if_chain_within_the_bound_parses():
+    chain = " else ".join(f"if (n == {i}) {{ n = {i}; }}" for i in range(MAX_NESTING - 10))
+    tree = parse(f"class A {{ static int f(int n) {{ {chain} return n; }} }}")
+    assert parse(print_source(tree)) == tree
 
 
 # ---------------------------------------------------------------------------
@@ -277,3 +286,39 @@ def front_end_snapshot() -> str:
 
 def test_front_end_matches_golden():
     assert front_end_snapshot().encode("utf-8") == GOLDEN_FRONT_END.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Mutation fuzz
+# ---------------------------------------------------------------------------
+
+MUTATION_PIECES = ["\u0663", "\u00b2", "\f", "'", '"', "\\", "/*", "(", ")", "{", "}",
+                   ";", ".", "0", "9", "_", "$", "\u00e9"]
+FIXTURE_TEXTS = [p.read_text() for p in sorted(FIXTURES.rglob("*.java"))]
+
+
+@st.composite
+def mutated_fixture(draw) -> str:
+    """A fixture with a few characters inserted, deleted or replaced."""
+    text = draw(st.sampled_from(FIXTURE_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        piece = draw(st.sampled_from(MUTATION_PIECES))
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        if edit == "insert":
+            text = text[:i] + piece + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + piece + text[i + 1:]
+    return text
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(mutated_fixture())
+def test_mutated_fixture_parses_and_reprints_or_raises_a_vmorph_error(text):
+    try:
+        tree = parse(text, "M.java")
+    except VmorphError:
+        return
+    assert parse(print_source(tree), "M.java") == tree

@@ -153,6 +153,25 @@ def test_stale_dictionary_detected(guard_project):
         apply_rename(guard_project, ghost)
 
 
+def test_file_without_a_mapped_name_comes_back_as_the_same_object():
+    a = parse("class A { int f(int count) { return count; } int g(int v) { return v; } }",
+              "A.java")
+    b = parse("import java.util.*; class B { int h(int v) { return v + 1; } }", "B.java")
+    dct = RenameDictionary.build({"count": "tally"}, {"count": "variable"})
+    out = apply_rename([a, b], dct)
+    assert out[1] is b
+    assert "tally" in print_source(out[0]) and "count" not in print_source(out[0])
+    # Inside a changed file, a method with no mapped name is shared too.
+    assert out[0].types[0].members[1] is a.types[0].members[1]
+
+
+def test_wildcard_tail_and_primitive_type_name_are_occurrences():
+    """Neither is renamed, but neither makes the key stale."""
+    b = parse("import java.util.*; class B { int h(int v) { return v + 1; } }", "B.java")
+    for key in ("util", "int"):
+        assert apply_rename([b], RenameDictionary.build({key: "other"}, {})) == [b]
+
+
 def test_shape_preserved(guard_project):
     """Renaming changes identifier payloads only, never the tree shape."""
     from vmorph.nodes import walk

@@ -12,49 +12,26 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from .errors import UnresolvedIdentifier
-from .nodes import (
-    Assign,
-    Binary,
-    Block,
-    Call,
-    ClassDecl,
-    ExprStmt,
-    Expr,
-    FieldAccess,
-    FieldDecl,
-    For,
-    If,
-    Literal,
-    LocalVarDecl,
+# The kinds and the primitive type names are the node schema's; this module
+# re-exports them.
+from .nodes import (  # noqa: F401
+    CLASS,
+    DECL,
+    FUNCTION,
+    PRIMITIVE_TYPES,
+    VARIABLE,
     MethodDecl,
-    Name,
-    New,
-    Return,
     SourceFile,
     Span,
-    Stmt,
-    Switch,
-    Ternary,
-    Throw,
-    Unary,
-    While,
+    identifier_sites,
 )
-
-VARIABLE = "variable"
-FUNCTION = "function"
-CLASS = "class"
 
 PROJECT = "project"
 EXTERNAL = "external"
-
-# Primitive and pseudo type names: never collected, never renamed.
-PRIMITIVE_TYPES = frozenset(
-    {"int", "boolean", "void", "var", "long", "short", "byte", "char", "double", "float"}
-)
 
 
 @dataclass(frozen=True)
@@ -76,12 +53,6 @@ class IdentifierTable:
         return sorted(n for n, e in self.entries.items() if e.origin == PROJECT)
 
 
-@dataclass
-class _Occurrences:
-    decls: list[tuple[str, str, Span]] = field(default_factory=list)  # (name, kind, span)
-    uses: list[tuple[str, str, Span]] = field(default_factory=list)
-
-
 def collect_identifiers(
     project: list[SourceFile], focus: MethodDecl | None = None
 ) -> IdentifierTable:
@@ -90,40 +61,31 @@ def collect_identifiers(
     With `focus`, the table is restricted to names occurring in that method,
     but decl/use sites are still resolved project-wide.
     """
-    occ = _Occurrences()
+    wanted = None if focus is None else {site[0] for site in identifier_sites(focus)}
+    decls: list[tuple[str, str, Span]] = []
+    uses: list[tuple[str, str, Span]] = []
     for src in project:
-        _collect_file(src, occ)
+        for name, role, kind, node in identifier_sites(src):
+            if wanted is None or name in wanted:
+                (decls if role == DECL else uses).append((name, kind, node.span))
 
-    entries: dict[str, IdentifierEntry] = {}
     order: list[str] = []
     kinds: dict[str, str] = {}
     decl_sites: dict[str, list[Span]] = {}
     use_sites: dict[str, list[Span]] = {}
-
-    for name, kind, span in occ.decls:
-        if name not in kinds:
-            kinds[name] = kind
-            order.append(name)
-        decl_sites.setdefault(name, []).append(span)
-    for name, kind, span in occ.uses:
-        if name not in kinds:
-            kinds[name] = kind
-            order.append(name)
-        use_sites.setdefault(name, []).append(span)
-
-    wanted: set[str] | None = None
-    if focus is not None:
-        focus_occ = _Occurrences()
-        _collect_method(focus, focus_occ)
-        wanted = {n for n, _, _ in focus_occ.decls} | {n for n, _, _ in focus_occ.uses}
+    for sites, occurrences in ((decl_sites, decls), (use_sites, uses)):
+        for name, kind, span in occurrences:
+            if name not in kinds:
+                kinds[name] = kind
+                order.append(name)
+            sites.setdefault(name, []).append(span)
 
     diagnostics: list[UnresolvedIdentifier] = []
     import_tails = {
         imp.name.rsplit(".", 1)[-1] for src in project for imp in src.imports
     }
+    entries: dict[str, IdentifierEntry] = {}
     for name in order:
-        if wanted is not None and name not in wanted:
-            continue
         decls = tuple(decl_sites.get(name, ()))
         uses = tuple(use_sites.get(name, ()))
         origin = PROJECT if decls else EXTERNAL
@@ -226,11 +188,6 @@ def project_imports(project: list[SourceFile]) -> list[str]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# AST walkers
-# ---------------------------------------------------------------------------
-
-
 def _common_root(project: list[SourceFile]) -> str:
     files = [src.span.file for src in project if not src.span.is_synthetic()]
     if not files:
@@ -238,120 +195,3 @@ def _common_root(project: list[SourceFile]) -> str:
     if len(files) == 1:
         return os.path.dirname(files[0])
     return os.path.commonpath(files) if all(files) else ""
-
-
-def _type_use(type_name: str, span: Span, occ: _Occurrences) -> None:
-    tail = type_name.rsplit(".", 1)[-1]
-    if tail not in PRIMITIVE_TYPES:
-        occ.uses.append((tail, CLASS, span))
-
-
-def _collect_file(src: SourceFile, occ: _Occurrences) -> None:
-    for imp in src.imports:
-        if not imp.wildcard:
-            occ.uses.append((imp.name.rsplit(".", 1)[-1], CLASS, imp.span))
-    for cls in src.types:
-        occ.decls.append((cls.name, CLASS, cls.span))
-        for member in cls.members:
-            if isinstance(member, FieldDecl):
-                _type_use(member.type_name, member.span, occ)
-                for d in member.declarators:
-                    occ.decls.append((d.name, VARIABLE, d.span))
-                    if d.init is not None:
-                        _collect_expr(d.init, occ)
-            elif isinstance(member, MethodDecl):
-                if member.is_constructor():
-                    # The constructor name is an occurrence of the class name.
-                    occ.uses.append((member.name, CLASS, member.span))
-                else:
-                    occ.decls.append((member.name, FUNCTION, member.span))
-                _collect_method(member, occ, include_name=False)
-
-
-def _collect_method(m: MethodDecl, occ: _Occurrences, include_name: bool = True) -> None:
-    if include_name:
-        if m.is_constructor():
-            occ.uses.append((m.name, CLASS, m.span))
-        else:
-            occ.decls.append((m.name, FUNCTION, m.span))
-    if m.return_type is not None:
-        _type_use(m.return_type, m.span, occ)
-    for p in m.params:
-        _type_use(p.type_name, p.span, occ)
-        occ.decls.append((p.name, VARIABLE, p.span))
-    _collect_stmt(m.body, occ)
-
-
-def _collect_stmt(stmt: Stmt, occ: _Occurrences) -> None:
-    if isinstance(stmt, Block):
-        for s in stmt.stmts:
-            _collect_stmt(s, occ)
-    elif isinstance(stmt, If):
-        _collect_expr(stmt.cond, occ)
-        _collect_stmt(stmt.then, occ)
-        if stmt.orelse is not None:
-            _collect_stmt(stmt.orelse, occ)
-    elif isinstance(stmt, While):
-        _collect_expr(stmt.cond, occ)
-        _collect_stmt(stmt.body, occ)
-    elif isinstance(stmt, For):
-        if stmt.init is not None:
-            _collect_stmt(stmt.init, occ)
-        if stmt.cond is not None:
-            _collect_expr(stmt.cond, occ)
-        if stmt.update is not None:
-            _collect_expr(stmt.update, occ)
-        _collect_stmt(stmt.body, occ)
-    elif isinstance(stmt, Switch):
-        _collect_expr(stmt.scrutinee, occ)
-        for case in stmt.cases:
-            for s in case.body:
-                _collect_stmt(s, occ)
-    elif isinstance(stmt, LocalVarDecl):
-        _type_use(stmt.type_name, stmt.span, occ)
-        for d in stmt.declarators:
-            occ.decls.append((d.name, VARIABLE, d.span))
-            if d.init is not None:
-                _collect_expr(d.init, occ)
-    elif isinstance(stmt, ExprStmt):
-        _collect_expr(stmt.expr, occ)
-    elif isinstance(stmt, Return):
-        if stmt.value is not None:
-            _collect_expr(stmt.value, occ)
-    elif isinstance(stmt, Throw):
-        _collect_expr(stmt.expr, occ)
-    # Break/Continue carry no identifiers.
-
-
-def _collect_expr(expr: Expr, occ: _Occurrences) -> None:
-    if isinstance(expr, Name):
-        occ.uses.append((expr.id, VARIABLE, expr.span))
-    elif isinstance(expr, Literal):
-        pass
-    elif isinstance(expr, Unary):
-        _collect_expr(expr.operand, occ)
-    elif isinstance(expr, Binary):
-        _collect_expr(expr.left, occ)
-        _collect_expr(expr.right, occ)
-    elif isinstance(expr, Ternary):
-        _collect_expr(expr.cond, occ)
-        _collect_expr(expr.if_true, occ)
-        _collect_expr(expr.if_false, occ)
-    elif isinstance(expr, Call):
-        occ.uses.append((expr.method, FUNCTION, expr.span))
-        if expr.receiver is not None:
-            _collect_expr(expr.receiver, occ)
-        for a in expr.args:
-            _collect_expr(a, occ)
-    elif isinstance(expr, FieldAccess):
-        occ.uses.append((expr.name, VARIABLE, expr.span))
-        _collect_expr(expr.receiver, occ)
-    elif isinstance(expr, Assign):
-        _collect_expr(expr.target, occ)
-        _collect_expr(expr.value, occ)
-    elif isinstance(expr, New):
-        _type_use(expr.type_name, expr.span, occ)
-        for a in expr.args:
-            _collect_expr(a, occ)
-    else:
-        raise TypeError(f"unknown expression {type(expr).__name__}")

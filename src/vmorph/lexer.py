@@ -118,6 +118,9 @@ def tokenize(text: str, file: str = "<input>") -> list[Token]:
         elif kind == _INT:
             if e < n and (text[e].isalpha() or text[e] in "_."):
                 raise err("only decimal integer literals are supported", col)
+            if len(raw.lstrip("0")) > 10:
+                # Out of range for any int; int() of a long one raises ValueError.
+                raise err("integer literal out of 32-bit range", col)
             append(new(Token, (INT, raw, int(raw), line, col, line, e - line_start, s, e)))
         elif kind == _COMMENT:
             if raw == "/*":

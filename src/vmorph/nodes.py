@@ -12,12 +12,22 @@ Call/FieldAccess/Assign/New. Anything else is rejected at parse time.
 
 Comments are attached to the statement or member that follows them so they
 survive printing (buggy-line hint comments must round-trip).
+
+Schema: each field of a node class declares, once, through its default,
+what it holds: `_child()` a child node, an optional one or a tuple of them;
+`_name(role, kind)` an identifier (`_type_name()` a possibly dotted type
+name); `_payload()` or `_span_field()` anything else. A new node class or
+field declares its children and names there and nowhere else; importing this
+module fails for a field that declares nothing. `children`, `walk`,
+`rebuild`, `identifier_sites` and `rename_identifiers` read only these
+declarations, and identifier collection, renaming and the rewrites' tree
+surgery are built on them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional, Union
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Callable, Iterator, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -49,8 +59,46 @@ class Span:
         return True
 
 
+# Identifier roles and kinds.
+DECL = "decl"
+USE = "use"
+VARIABLE = "variable"
+FUNCTION = "function"
+CLASS = "class"
+
+# Primitive and pseudo type names: never collected, never renamed.
+PRIMITIVE_TYPES = frozenset(
+    {"int", "boolean", "void", "var", "long", "short", "byte", "char", "double", "float"}
+)
+
+# How an identifier field holds its name: the whole string; the last segment
+# of a dotted type (a class use, unless primitive); the last segment of an
+# import (not a name for a wildcard import); a method name (a class use for
+# a constructor).
+_PLAIN, _TYPE, _IMPORT, _METHOD = "plain", "type", "import", "method"
+_SCHEMA = "schema"  # the field metadata key
+_CHILD, _PAYLOAD = "child", "payload"
+
+
+def _child():
+    return field(metadata={_SCHEMA: _CHILD})
+
+
+def _payload(default=MISSING):
+    return field(default=default, metadata={_SCHEMA: _PAYLOAD})
+
+
+def _name(role: str, kind: str, form: str = _PLAIN):
+    return field(metadata={_SCHEMA: (role, kind, form)})
+
+
+def _type_name():
+    return _name(USE, CLASS, _TYPE)
+
+
 def _span_field() -> Span:
-    return field(default_factory=Span.synthetic, compare=False)  # type: ignore[return-value]
+    return field(default_factory=Span.synthetic, compare=False,  # type: ignore[return-value]
+                 metadata={_SCHEMA: _PAYLOAD})
 
 
 @dataclass(frozen=True)
@@ -70,7 +118,7 @@ class Expr(Node):
 
 @dataclass(frozen=True)
 class Name(Expr):
-    id: str
+    id: str = _name(USE, VARIABLE)
     span: Span = _span_field()
 
 
@@ -78,31 +126,31 @@ class Name(Expr):
 class Literal(Expr):
     """value is a Python int, bool, str, or None; kind disambiguates."""
 
-    value: Union[int, bool, str, None]
-    kind: str  # "int" | "boolean" | "string" | "null"
+    value: Union[int, bool, str, None] = _payload()
+    kind: str = _payload()  # "int" | "boolean" | "string" | "null"
     span: Span = _span_field()
 
 
 @dataclass(frozen=True)
 class Unary(Expr):
-    op: str  # "!" | "-"
-    operand: Expr
+    op: str = _payload()  # "!" | "-"
+    operand: Expr = _child()
     span: Span = _span_field()
 
 
 @dataclass(frozen=True)
 class Binary(Expr):
-    op: str  # + - * / % < <= > >= == != && ||
-    left: Expr
-    right: Expr
+    op: str = _payload()  # + - * / % < <= > >= == != && ||
+    left: Expr = _child()
+    right: Expr = _child()
     span: Span = _span_field()
 
 
 @dataclass(frozen=True)
 class Ternary(Expr):
-    cond: Expr
-    if_true: Expr
-    if_false: Expr
+    cond: Expr = _child()
+    if_true: Expr = _child()
+    if_false: Expr = _child()
     span: Span = _span_field()
 
 
@@ -110,30 +158,30 @@ class Ternary(Expr):
 class Call(Expr):
     """receiver is None for unqualified calls; chains nest through receiver."""
 
-    receiver: Optional[Expr]
-    method: str
-    args: tuple[Expr, ...]
+    receiver: Optional[Expr] = _child()
+    method: str = _name(USE, FUNCTION)
+    args: tuple[Expr, ...] = _child()
     span: Span = _span_field()
 
 
 @dataclass(frozen=True)
 class FieldAccess(Expr):
-    receiver: Expr
-    name: str
+    receiver: Expr = _child()
+    name: str = _name(USE, VARIABLE)
     span: Span = _span_field()
 
 
 @dataclass(frozen=True)
 class Assign(Expr):
-    target: Expr  # Name or FieldAccess, enforced by the parser
-    value: Expr
+    target: Expr = _child()  # Name or FieldAccess, enforced by the parser
+    value: Expr = _child()
     span: Span = _span_field()
 
 
 @dataclass(frozen=True)
 class New(Expr):
-    type_name: str
-    args: tuple[Expr, ...]
+    type_name: str = _type_name()
+    args: tuple[Expr, ...] = _child()
     span: Span = _span_field()
 
 
@@ -149,37 +197,37 @@ class Stmt(Node):
 
 @dataclass(frozen=True)
 class Block(Stmt):
-    stmts: tuple[Stmt, ...]
+    stmts: tuple[Stmt, ...] = _child()
     # Comments sitting at the end of the block, after the last statement.
-    trailing_comments: tuple[str, ...] = ()
+    trailing_comments: tuple[str, ...] = _payload(())
     span: Span = _span_field()
 
 
 @dataclass(frozen=True)
 class If(Stmt):
-    cond: Expr
-    then: Block
+    cond: Expr = _child()
+    then: Block = _child()
     # A Block for a plain else, an If for an else-if link, or None.
-    orelse: Optional[Stmt]
-    comments: tuple[str, ...] = ()
+    orelse: Optional[Stmt] = _child()
+    comments: tuple[str, ...] = _payload(())
     span: Span = _span_field()
 
 
 @dataclass(frozen=True)
 class While(Stmt):
-    cond: Expr
-    body: Block
-    comments: tuple[str, ...] = ()
+    cond: Expr = _child()
+    body: Block = _child()
+    comments: tuple[str, ...] = _payload(())
     span: Span = _span_field()
 
 
 @dataclass(frozen=True)
 class For(Stmt):
-    init: Optional[Stmt]  # LocalVarDecl or ExprStmt
-    cond: Optional[Expr]
-    update: Optional[Expr]
-    body: Block
-    comments: tuple[str, ...] = ()
+    init: Optional[Stmt] = _child()  # LocalVarDecl or ExprStmt
+    cond: Optional[Expr] = _child()
+    update: Optional[Expr] = _child()
+    body: Block = _child()
+    comments: tuple[str, ...] = _payload(())
     span: Span = _span_field()
 
 
@@ -191,9 +239,9 @@ class SwitchCase(Node):
     break, return, or throw, so control cannot fall through to the next case.
     """
 
-    labels: tuple[object, ...]
-    body: tuple[Stmt, ...]
-    terminated: bool
+    labels: tuple[object, ...] = _child()
+    body: tuple[Stmt, ...] = _child()
+    terminated: bool = _payload()
     span: Span = _span_field()
 
 
@@ -202,16 +250,16 @@ DEFAULT_LABEL = "default"
 
 @dataclass(frozen=True)
 class Switch(Stmt):
-    scrutinee: Expr
-    cases: tuple[SwitchCase, ...]
-    comments: tuple[str, ...] = ()
+    scrutinee: Expr = _child()
+    cases: tuple[SwitchCase, ...] = _child()
+    comments: tuple[str, ...] = _payload(())
     span: Span = _span_field()
 
 
 @dataclass(frozen=True)
 class Declarator(Node):
-    name: str
-    init: Optional[Expr]
+    name: str = _name(DECL, VARIABLE)
+    init: Optional[Expr] = _child()
     span: Span = _span_field()
 
 
@@ -222,9 +270,9 @@ class LocalVarDecl(Stmt):
     declarators usually has one element; `int i = 0, j = 1;` produces two.
     """
 
-    type_name: str
-    declarators: tuple[Declarator, ...]
-    comments: tuple[str, ...] = ()
+    type_name: str = _type_name()
+    declarators: tuple[Declarator, ...] = _child()
+    comments: tuple[str, ...] = _payload(())
     span: Span = _span_field()
 
     @property
@@ -238,34 +286,34 @@ class LocalVarDecl(Stmt):
 
 @dataclass(frozen=True)
 class ExprStmt(Stmt):
-    expr: Expr
-    comments: tuple[str, ...] = ()
+    expr: Expr = _child()
+    comments: tuple[str, ...] = _payload(())
     span: Span = _span_field()
 
 
 @dataclass(frozen=True)
 class Return(Stmt):
-    value: Optional[Expr]
-    comments: tuple[str, ...] = ()
+    value: Optional[Expr] = _child()
+    comments: tuple[str, ...] = _payload(())
     span: Span = _span_field()
 
 
 @dataclass(frozen=True)
 class Break(Stmt):
-    comments: tuple[str, ...] = ()
+    comments: tuple[str, ...] = _payload(())
     span: Span = _span_field()
 
 
 @dataclass(frozen=True)
 class Continue(Stmt):
-    comments: tuple[str, ...] = ()
+    comments: tuple[str, ...] = _payload(())
     span: Span = _span_field()
 
 
 @dataclass(frozen=True)
 class Throw(Stmt):
-    expr: Expr
-    comments: tuple[str, ...] = ()
+    expr: Expr = _child()
+    comments: tuple[str, ...] = _payload(())
     span: Span = _span_field()
 
 
@@ -276,9 +324,9 @@ class Throw(Stmt):
 
 @dataclass(frozen=True)
 class Param(Node):
-    type_name: str
-    name: str
-    is_final: bool = False
+    type_name: str = _type_name()
+    name: str = _name(DECL, VARIABLE)
+    is_final: bool = _payload(False)
     span: Span = _span_field()
 
 
@@ -286,12 +334,12 @@ class Param(Node):
 class MethodDecl(Node):
     """return_type is None for constructors, "void" for void methods."""
 
-    name: str
-    modifiers: frozenset[str]
-    params: tuple[Param, ...]
-    return_type: Optional[str]
-    body: Block
-    comments: tuple[str, ...] = ()
+    name: str = _name(DECL, FUNCTION, _METHOD)
+    modifiers: frozenset[str] = _payload()
+    params: tuple[Param, ...] = _child()
+    return_type: Optional[str] = _type_name()
+    body: Block = _child()
+    comments: tuple[str, ...] = _payload(())
     span: Span = _span_field()
 
     def is_constructor(self) -> bool:
@@ -300,20 +348,20 @@ class MethodDecl(Node):
 
 @dataclass(frozen=True)
 class FieldDecl(Node):
-    modifiers: frozenset[str]
-    type_name: str
-    declarators: tuple[Declarator, ...]
-    comments: tuple[str, ...] = ()
+    modifiers: frozenset[str] = _payload()
+    type_name: str = _type_name()
+    declarators: tuple[Declarator, ...] = _child()
+    comments: tuple[str, ...] = _payload(())
     span: Span = _span_field()
 
 
 @dataclass(frozen=True)
 class ClassDecl(Node):
-    name: str
-    modifiers: frozenset[str]
+    name: str = _name(DECL, CLASS)
+    modifiers: frozenset[str] = _payload()
     # Members in source order; each is a FieldDecl or MethodDecl.
-    members: tuple[Node, ...]
-    comments: tuple[str, ...] = ()
+    members: tuple[Node, ...] = _child()
+    comments: tuple[str, ...] = _payload(())
     span: Span = _span_field()
 
     @property
@@ -327,16 +375,16 @@ class ClassDecl(Node):
 
 @dataclass(frozen=True)
 class Import(Node):
-    name: str  # dotted
-    wildcard: bool
+    name: str = _name(USE, CLASS, _IMPORT)  # dotted
+    wildcard: bool = _payload()
     span: Span = _span_field()
 
 
 @dataclass(frozen=True)
 class SourceFile(Node):
-    package: Optional[str]
-    imports: tuple[Import, ...]
-    types: tuple[ClassDecl, ...]
+    package: Optional[str] = _payload()
+    imports: tuple[Import, ...] = _child()
+    types: tuple[ClassDecl, ...] = _child()
     span: Span = _span_field()
 
 
@@ -350,20 +398,142 @@ def structurally_equal(a: Node, b: Node) -> bool:
     return a == b
 
 
+def _bind_schema(cls: type) -> None:
+    """Store `cls`'s child fields and identifier fields on the class, so no
+    traversal reads the dataclass fields of a node."""
+    child_fields, name_fields = [], []
+    for f in fields(cls):
+        tag = f.metadata.get(_SCHEMA)
+        if tag == _CHILD:
+            child_fields.append(f.name)
+        elif isinstance(tag, tuple):
+            name_fields.append((f.name, *tag))
+        elif tag != _PAYLOAD:
+            raise TypeError(f"{cls.__name__}.{f.name} declares no schema")
+    cls._child_fields = tuple(child_fields)
+    cls._name_fields = tuple(name_fields)
+    for sub in cls.__subclasses__():
+        _bind_schema(sub)
+
+
+_bind_schema(Node)
+
+
 def children(node: Node) -> Iterator[Node]:
     """Yield direct child nodes, in field order."""
-    for f in fields(node):
-        value = getattr(node, f.name)
-        if isinstance(value, Node):
-            yield value
-        elif isinstance(value, tuple):
+    for name in node._child_fields:
+        value = getattr(node, name)
+        # SwitchCase.labels also holds the DEFAULT_LABEL string.
+        for item in value if value.__class__ is tuple else (value,):
+            if isinstance(item, Node):
+                yield item
+
+
+def _preorder(node: Node, out: list[Node]) -> None:
+    # `children` inlined, and recursion, not a stack: identifier collection
+    # walks every project file. The parser bounds a tree's depth well inside
+    # the default recursion limit.
+    out.append(node)
+    for name in node._child_fields:
+        value = getattr(node, name)
+        if value.__class__ is tuple:
             for item in value:
                 if isinstance(item, Node):
-                    yield item
+                    _preorder(item, out)
+        elif value is not None:
+            _preorder(value, out)
 
 
 def walk(node: Node) -> Iterator[Node]:
     """Yield node and all descendants, pre-order."""
-    yield node
-    for child in children(node):
-        yield from walk(child)
+    out: list[Node] = []
+    _preorder(node, out)
+    return iter(out)
+
+
+def rebuild(node: Node, f: Callable[[Node], Node]) -> Node:
+    """`node` with each child `c` replaced by `f(c)`, or `node` itself when
+    every `f(c)` is `c`; a tuple field is copied only when one of its items
+    changed. `f` decides how deep to go: calling `rebuild` from `f` gives a
+    whole-tree rebuild that shares every unchanged subtree."""
+    changes = None
+    for name in node._child_fields:
+        old = getattr(node, name)
+        if old.__class__ is tuple:
+            new = None
+            for i, item in enumerate(old):
+                if isinstance(item, Node):
+                    out = f(item)
+                    if out is not item:
+                        if new is None:
+                            new = list(old)
+                        new[i] = out
+            if new is None:
+                continue
+            new = tuple(new)
+        elif old is None:
+            continue
+        else:
+            new = f(old)
+            if new is old:
+                continue
+        if changes is None:
+            changes = {}
+        changes[name] = new
+    return node if changes is None else replace(node, **changes)
+
+
+def _site(node: Node, value: str, role: str, kind: str,
+          form: str) -> tuple[str, Optional[str], str]:
+    """(name, role, kind) for the string of an identifier field that is not
+    plain. A dotted field's name is its last segment, and a constructor's
+    name is a use of its class. A primitive type name or a wildcard import's
+    tail gets role None: an occurrence, never collected, never renamed."""
+    if form == _METHOD:
+        return (value, USE, CLASS) if node.return_type is None else (value, role, kind)
+    name = value.rpartition(".")[2]
+    occurrence_only = name in PRIMITIVE_TYPES if form == _TYPE else node.wildcard
+    return name, (None if occurrence_only else role), kind
+
+
+def identifier_sites(node: Node) -> Iterator[tuple[str, str, str, Node]]:
+    """Yield (name, role, kind, node) for every identifier site under `node`,
+    pre-order: a node's own sites, in field order, before its children's."""
+    for node in walk(node):
+        for fname, role, kind, form in node._name_fields:
+            name = getattr(node, fname)
+            if name is None:  # a constructor's return type
+                continue
+            if form != _PLAIN:
+                name, role, kind = _site(node, name, role, kind, form)
+                if role is None:
+                    continue
+            yield name, role, kind, node
+
+
+def rename_identifiers(node: Node, mapping: dict[str, str], met: set[str]) -> Node:
+    """`node` with each identifier site's name renamed by `mapping`; a dotted
+    field keeps its head. Every key of `mapping` that occurs under `node` is
+    added to `met`, also where no name is renamed: as a primitive type name
+    or a wildcard import's tail. Every unchanged subtree is shared."""
+    lookup, meet = mapping.get, met.add
+
+    def visit(node: Node) -> Node:
+        if node._child_fields:
+            node = rebuild(node, visit)
+        changes = None
+        for fname, role, kind, form in node._name_fields:
+            value = name = getattr(node, fname)
+            if value is None:
+                continue
+            if form == _TYPE or form == _IMPORT:  # a method name renames as is
+                name, role, _ = _site(node, value, role, kind, form)
+            new = lookup(name)
+            if new is not None:
+                meet(name)
+                if role is not None:
+                    changes = changes or {}
+                    changes[fname] = value[: len(value) - len(name)] + new
+        return node if changes is None else replace(node, **changes)
+
+    return visit(node)

@@ -61,8 +61,11 @@ from .nodes import (
     Throw,
     Unary,
     While,
+    identifier_sites,
+    rebuild,
     walk,
 )
+from .rename import RESERVED_WORDS
 
 MERGE = "merge"
 SPLIT = "split"
@@ -620,7 +623,7 @@ _DEFAULT_SCOPE = _Scope({}, _DEFAULT_WHITELIST)
 
 class _FreshNames:
     def __init__(self, taken: set[str]):
-        self.taken = set(taken)
+        self.taken = set(taken) | RESERVED_WORDS
 
     def claim(self, base: str) -> str:
         if base not in self.taken:
@@ -636,27 +639,7 @@ class _FreshNames:
 
 def _names_in(node) -> set[str]:
     """Every identifier visible anywhere under `node` (fresh names must avoid all)."""
-    from .nodes import ClassDecl, Param
-
-    out: set[str] = set()
-    for n in walk(node):
-        if isinstance(n, Name):
-            out.add(n.id)
-        elif isinstance(n, Call):
-            out.add(n.method)
-        elif isinstance(n, FieldAccess):
-            out.add(n.name)
-        elif isinstance(n, Declarator):
-            out.add(n.name)
-        elif isinstance(n, (New, LocalVarDecl)):
-            out.add(n.type_name.rsplit(".", 1)[-1])
-        elif isinstance(n, Param):
-            out.add(n.name)
-        elif isinstance(n, MethodDecl):
-            out.add(n.name)
-        elif isinstance(n, ClassDecl):
-            out.add(n.name)
-    return out
+    return {site[0] for site in identifier_sites(node)}
 
 
 def _decl_type_for(call_or_new: Expr) -> str:
@@ -765,44 +748,9 @@ def _split_stmt(stmt: Stmt, fresh: _FreshNames, scope: _Scope) -> tuple[list[Stm
 
 def _substitute(node, subst: dict[int, Expr]):
     """Rebuild `node` with each node whose id is a key of `subst` replaced."""
-    if id(node) in subst:
-        return subst[id(node)]
-    if isinstance(node, (Name, Literal)) or node is None:
-        return node
-    if isinstance(node, ExprStmt):
-        return replace(node, expr=_substitute(node.expr, subst))
-    if isinstance(node, LocalVarDecl):
-        return replace(node, declarators=tuple(
-            replace(d, init=_substitute(d.init, subst) if d.init is not None else None)
-            for d in node.declarators
-        ))
-    if isinstance(node, Return):
-        return replace(node, value=_substitute(node.value, subst))
-    if isinstance(node, Throw):
-        return replace(node, expr=_substitute(node.expr, subst))
-    if isinstance(node, Unary):
-        return replace(node, operand=_substitute(node.operand, subst))
-    if isinstance(node, Binary):
-        return replace(node, left=_substitute(node.left, subst),
-                       right=_substitute(node.right, subst))
-    if isinstance(node, Ternary):
-        return replace(node, cond=_substitute(node.cond, subst),
-                       if_true=_substitute(node.if_true, subst),
-                       if_false=_substitute(node.if_false, subst))
-    if isinstance(node, Call):
-        return replace(
-            node,
-            receiver=_substitute(node.receiver, subst) if node.receiver else None,
-            args=tuple(_substitute(a, subst) for a in node.args),
-        )
-    if isinstance(node, FieldAccess):
-        return replace(node, receiver=_substitute(node.receiver, subst))
-    if isinstance(node, Assign):
-        return replace(node, target=_substitute(node.target, subst),
-                       value=_substitute(node.value, subst))
-    if isinstance(node, New):
-        return replace(node, args=tuple(_substitute(a, subst) for a in node.args))
-    return node
+    def visit(n):
+        return subst[id(n)] if id(n) in subst else rebuild(n, visit)
+    return visit(node)
 
 
 def _count_name_uses(stmts, name: str) -> int:
@@ -1100,36 +1048,37 @@ def _run_rule(
     raise ValueError(f"unknown rule {rule!r}")
 
 
-def _map_nested_blocks(stmt: Stmt, f) -> Stmt:
-    """Apply `f` to every block directly nested in this statement."""
-    if isinstance(stmt, Block):
-        return f(stmt)
-    if isinstance(stmt, If):
-        orelse = stmt.orelse
-        if orelse is not None:
-            orelse = _map_nested_blocks(orelse, f)
-        return replace(stmt, then=f(stmt.then), orelse=orelse)
-    if isinstance(stmt, While):
-        return replace(stmt, body=f(stmt.body))
-    if isinstance(stmt, For):
-        return replace(stmt, body=f(stmt.body))
-    if isinstance(stmt, Switch):
-        new_cases = []
-        for c in stmt.cases:
-            body = f(Block(c.body, (), c.span)).stmts
+def _each_block(block: Block, rewrite) -> Block:
+    """`rewrite(block, nested)`, where `nested(stmt)` is `stmt` with every
+    block directly inside it passed through `_each_block` in turn: branches
+    (else-if links' too), loop bodies, and switch-case bodies, whose
+    `terminated` is recomputed. A rewrite that changes a statement before
+    calling `nested` on it works outer-first; one that calls `nested` first
+    works inner-first."""
+    def nested(node):
+        if isinstance(node, Block):
+            return _each_block(node, rewrite)
+        if isinstance(node, If):
+            # The else branch first: the order of fresh names and of report
+            # entries depends on it.
+            orelse = nested(node.orelse) if node.orelse is not None else None
+            return replace(node, then=_each_block(node.then, rewrite), orelse=orelse)
+        if isinstance(node, SwitchCase):
+            body = _each_block(Block(node.body, (), node.span), rewrite).stmts
             terminated = bool(body) and isinstance(body[-1], (Break, Return, Throw))
-            new_cases.append(replace(c, body=body, terminated=terminated))
-        return replace(stmt, cases=tuple(new_cases))
-    return stmt
+            return replace(node, body=body, terminated=terminated)
+        return rebuild(node, nested) if isinstance(node, Stmt) else node
+
+    return rewrite(block, nested)
 
 
 def _pass_blockwise(block: Block, f) -> Block:
-    """Outermost-first: transform this block, then recurse into nested blocks."""
-    transformed = f(block)
-    new_stmts = tuple(
-        _map_nested_blocks(s, lambda b: _pass_blockwise(b, f)) for s in transformed.stmts
-    )
-    return replace(transformed, stmts=new_stmts)
+    """Outermost-first: transform each block, then the blocks nested in it."""
+    def rewrite(b: Block, nested) -> Block:
+        b = f(b)
+        return replace(b, stmts=tuple(map(nested, b.stmts)))
+
+    return _each_block(block, rewrite)
 
 
 def _pass_if_flip(block: Block, report: TransformReport) -> Block:
@@ -1141,38 +1090,30 @@ def _pass_if_flip(block: Block, report: TransformReport) -> Block:
                 stmt = flipped
             except NotApplicable as e:
                 report.skipped.append((TransformRule.IF_FLIP, stmt.span, e.reason))
-        return _map_nested_blocks(stmt, recurse)
+        return stmt
 
-    def recurse(block: Block) -> Block:
-        return replace(block, stmts=tuple(on_stmt(s) for s in block.stmts))
-
-    return recurse(block)
+    return _each_block(block, lambda b, nested: replace(
+        b, stmts=tuple(nested(on_stmt(s)) for s in b.stmts)))
 
 
 def _pass_loop_convert(block: Block, report: TransformReport) -> Block:
     def on_stmt(stmt: Stmt) -> Stmt:
         if isinstance(stmt, (For, While)):
-            original_span = stmt.span
             direction = "for-to-while" if isinstance(stmt, For) else "while-to-for"
-            inner = _map_nested_blocks(stmt, recurse)
             try:
-                converted = convert_loop(inner)
-                report.applied.append((TransformRule.LOOP_CONVERT, original_span, direction))
+                converted = convert_loop(stmt)
+                report.applied.append((TransformRule.LOOP_CONVERT, stmt.span, direction))
                 return converted
             except NotApplicable as e:
-                report.skipped.append((TransformRule.LOOP_CONVERT, original_span, e.reason))
-                return inner
-        return _map_nested_blocks(stmt, recurse)
+                report.skipped.append((TransformRule.LOOP_CONVERT, stmt.span, e.reason))
+        return stmt
 
-    def recurse(block: Block) -> Block:
-        return replace(block, stmts=tuple(on_stmt(s) for s in block.stmts))
-
-    return recurse(block)
+    return _each_block(block, lambda b, nested: replace(
+        b, stmts=tuple(on_stmt(nested(s)) for s in b.stmts)))
 
 
 def _pass_cond_convert(block: Block, report: TransformReport) -> Block:
     def on_stmt(stmt: Stmt) -> list[Stmt]:
-        stmt = _map_nested_blocks(stmt, recurse)
         converted: list[Stmt] | None = None
         is_site = (
             isinstance(stmt, Switch)
@@ -1199,13 +1140,8 @@ def _pass_cond_convert(block: Block, report: TransformReport) -> Block:
             _record_misplaced_ternaries(out_stmt, report)
         return result
 
-    def recurse(block: Block) -> Block:
-        new_stmts: list[Stmt] = []
-        for s in block.stmts:
-            new_stmts.extend(on_stmt(s))
-        return replace(block, stmts=tuple(new_stmts))
-
-    return recurse(block)
+    return _each_block(block, lambda b, nested: replace(
+        b, stmts=tuple(out for s in b.stmts for out in on_stmt(nested(s)))))
 
 
 def _is_equality_chain(stmt: If) -> bool:

@@ -4,9 +4,11 @@ import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vmorph.bench import (
     ALL_VARIANTS,
@@ -503,3 +505,50 @@ def test_original_runs_once_per_trial_per_record(lexicon, tmp_path, monkeypatch)
     assert len(variants) == 3
     assert runs[original] == trials
     assert all(runs[v] <= trials for v in variants)
+
+
+@pytest.fixture(scope="module")
+def mixed_records(tmp_path_factory):
+    """Two records that generate and two that fail, each in its own way."""
+    root = tmp_path_factory.mktemp("mixed")
+    method = "class A {\n    static int run(int n) {\n        %s\n    }\n}\n"
+    return [
+        _one_file_record(root / "plain", "Plain-3", method % "return n + 1;", 3, 3),
+        _one_file_record(root / "loop", "Loop-2", method % (
+            "int t = 0; for (int i = 0; i < 3; i = i + 1) { t = t + n; } return t;"), 3, 3),
+        _one_file_record(root / "parens", "Parens-2",
+                         method % ("return " + "(" * 100 + "n" + ")" * 100 + ";"), 3, 3),
+        _one_file_record(root / "huge", "Huge-1", method % ("return " + "7" * 5000 + ";"), 3, 3),
+    ]
+
+
+def _entry_bytes(manifest, out: Path) -> dict:
+    """Each entry's JSON and the bytes of every file it wrote, by (record, variant)."""
+    found = {}
+    for e in manifest.entries:
+        written = {}
+        if e.output_root:
+            for path in sorted((out / e.output_root).rglob("*")):
+                if path.is_file():
+                    written[str(path.relative_to(out))] = path.read_bytes()
+        found[(e.record.id, e.variant)] = (json.dumps(e.to_json_dict(), sort_keys=True), written)
+    return found
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(order=st.permutations(range(4)), size=st.integers(3, 4))
+def test_entries_do_not_depend_on_record_order(mixed_records, lexicon, order, size):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # as in a fresh process
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            runs = []
+            for i, records in enumerate((mixed_records, [mixed_records[k] for k in order[:size]])):
+                out = Path(tmp) / f"out{i}"
+                runs.append(_entry_bytes(generate_variants(records, lexicon, out, seed=1), out))
+    finally:
+        sys.setrecursionlimit(old)
+    reference, permuted = runs
+    assert permuted and all(permuted[key] == reference[key] for key in permuted)
+    failed = {rid for (rid, _), (entry, _) in reference.items() if json.loads(entry)["error"]}
+    assert failed == {"Parens-2", "Huge-1"}

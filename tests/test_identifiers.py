@@ -181,3 +181,18 @@ def test_stdlib_index_env_override(tmp_path, monkeypatch):
     custom.write_text("# comment\nonlyName\n")
     monkeypatch.setenv("VMORPH_STDLIB_INDEX", str(custom))
     assert load_stdlib_index() == frozenset({"onlyName"})
+
+
+def test_focus_table_is_the_full_table_filtered_to_the_focus_names(guard_project):
+    full = collect_identifiers(guard_project)
+    for focus in (m for src in guard_project for cls in src.types for m in cls.methods):
+        # The focus names, found independently of the walk: every entry with
+        # a site inside the method's span.
+        names = {name for name, e in full.entries.items()
+                 if any(focus.span.contains(s) for s in e.decl_sites + e.use_sites)}
+        table = collect_identifiers(guard_project, focus=focus)
+        assert list(table.entries.items()) == [
+            (name, e) for name, e in full.entries.items() if name in names]
+        assert [(d.name, d.span) for d in table.diagnostics] == [
+            (d.name, d.span) for d in full.diagnostics if d.name in names]
+        assert table.scope == full.scope

@@ -87,6 +87,20 @@ def test_int_literal_boundaries():
     assert hi.init.value == 2**31 - 1
 
 
+@pytest.mark.parametrize("digits", ["1" * 11, "1" * 5000, "0" * 30 + "1" * 11],
+                         ids=["11-digits", "5000-digits", "zeros-then-11-digits"])
+def test_huge_int_literal_is_a_syntax_error(digits):
+    # Past 4,300 digits int() itself raises a plain ValueError.
+    with pytest.raises(JavaSyntaxError, match="integer literal out of 32-bit range") as exc:
+        parse("class A { int f() { return " + digits + "; } }")
+    assert len(str(exc.value)) < 200
+
+
+def test_leading_zeros_do_not_count_against_an_int_literal():
+    ast = parse("class A { int f() { return " + "0" * 20 + "7; } }")
+    assert ast.types[0].methods[0].body.stmts[0].value.value == 7
+
+
 def test_switch_labels_distinct():
     with pytest.raises(JavaSyntaxError):
         parse("class A { void f(int k) { switch (k) { case 1: break; case 1: break; } } }")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vmorph.errors import StaleDictionary
+from vmorph.errors import JavaSyntaxError, StaleDictionary
 from vmorph.identifiers import (
     classify_origin,
     collect_identifiers,
@@ -214,6 +214,12 @@ def test_recover_patch_leaves_strings_and_comments():
     dct = RenameDictionary.build({"alpha": "beta"}, {"alpha": "variable"})
     patch = 'beta = beta + "beta"; // beta'
     assert recover_patch(patch, dct) == 'alpha = alpha + "beta"; // beta'
+
+
+def test_recover_patch_rejects_a_huge_int_literal_as_a_syntax_error():
+    dct = RenameDictionary.build({"alpha": "beta"}, {"alpha": "variable"})
+    with pytest.raises(JavaSyntaxError, match="integer literal out of 32-bit range"):
+        recover_patch("beta = " + "9" * 5000 + ";", dct)
 
 
 def test_class_rename_includes_constructor():

@@ -310,6 +310,20 @@ def test_extract_fresh_name_avoids_collisions():
     assert "normalizedParentPath2" in names
 
 
+@pytest.mark.parametrize("source", [
+    "class A { void f(int n) { getInt().foo(); } }",
+    "class A { void f() { int k = 0; getInt().foo(); } }",
+    "class A { void f() { getTrue().foo(); } }",
+])
+def test_split_fresh_name_is_never_a_reserved_word(source):
+    ast = parse(source)
+    out, report = apply_rule(ast.types[0].methods[0], TransformRule.FUNCTION_CHAIN, context=ast)
+    assert report.applied
+    decl = out.body.stmts[-2]
+    assert decl.name in ("int2", "true2")
+    parse("class W {\n" + print_method(out, 1) + "}\n")
+
+
 def test_extract_keeps_argument_order():
     block = block_of("f(g(x), h(n));")
     out = argument_pass(block, EXTRACT)

@@ -221,12 +221,10 @@ def _suggested_filenames(asts: dict[str, SourceFile], dct: RenameDictionary) -> 
     return out
 
 
-def _find_method(ast: SourceFile, name: str) -> MethodDecl | None:
-    for cls in ast.types:
-        for m in cls.methods:
-            if m.name == name and not m.is_constructor():
-                return m
-    return None
+def _position(ast: SourceFile, m: MethodDecl) -> tuple[int, int]:
+    """m's class and member index in ast; renaming keeps both."""
+    return next((i, j) for i, cls in enumerate(ast.types)
+                for j, member in enumerate(cls.members) if member is m)
 
 
 def _replace_method(ast: SourceFile, old: MethodDecl, new: MethodDecl) -> SourceFile:
@@ -339,6 +337,7 @@ def _generate_for_record(
     # Files the rename leaves alone are the original trees, so every variant
     # shares them and `printed` prints each once.
     renamed: dict[str, SourceFile] | None = None
+    class_index, member_index = _position(buggy_ast, method)
     printed: dict[int, tuple[SourceFile, str]] = {}
     suggested = _suggested_filenames(project.asts, dct) if needs_dictionary else {}
     for kind in kinds:
@@ -353,10 +352,8 @@ def _generate_for_record(
                     renamed = dict(zip(project.asts.keys(), apply_rename(
                         list(project.asts.values()), dct)))
                 variant_asts = dict(renamed)
-                renamed_name = dct.forward.get(method.name, method.name)
-                variant_method = _find_method(variant_asts[record.buggy_file], renamed_name)
-                if variant_method is None:
-                    raise VmorphError(f"renamed method {renamed_name!r} not found")
+                variant_method = variant_asts[record.buggy_file].types[class_index].members[
+                    member_index]
                 entry.suggested_filenames = dict(suggested)
             if kind is not VariantKind.RENAME_ONLY:
                 buggy = variant_asts[record.buggy_file]

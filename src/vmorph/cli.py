@@ -42,6 +42,13 @@ _MODE_KINDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1, got {value}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vmorph", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -54,7 +61,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--lexicon", help="synonym lexicon TSV (bundled by default)")
     p_tr.add_argument("--seed", type=int, default=0)
     p_tr.add_argument("--manifest", help="manifest path (default OUT/manifest.json)")
-    p_tr.add_argument("--trials", type=int, default=100, help="equivalence trials per variant")
+    p_tr.add_argument("--trials", type=_positive_int, default=100,
+                      help="equivalence trials per variant, at least 1")
     p_tr.add_argument("--fuel", type=int, default=10_000)
 
     p_pr = sub.add_parser("prompt", help="build a model prompt for a buggy method")
@@ -95,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_validate(args)
         if args.command == "stats":
             return _cmd_stats(args)
-    except VmorphError as e:
+    except (VmorphError, OSError) as e:
         print(f"vmorph: error: {e}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

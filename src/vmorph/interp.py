@@ -29,6 +29,23 @@ original of a record, against each of its variants) is not re-executed; a
 run-time rejection is stored and raised again. The memo lives and dies with
 the compiled entry. check_equivalence does not run the second method on a
 trial where the first ran out of fuel, as there is nothing to compare.
+
+Compiling also builds a structural key of the whole program, after name
+resolution: every compiled method in compile order, its parameter types,
+then each statement and expression in prefix order with its kind and the
+counts and flags that shape its closure. Locals and parameters appear as
+frame slots (with a switch local's "may be unset" flag), same-file callees
+by the order the compiler first meets them, Math and String builtins by name
+and arity, literals as (type, value), and operators as themselves; no name
+and no span appears (de Bruijn's nameless terms, used as a hash-consing key).
+The compiler is deterministic, so equal keys give equal closures up to the
+spans and names in rejection messages, and so equal outcomes on every input:
+a consistently renamed method, such as a record's rename variant, gets the
+original's key. A renaming that captured a name would resolve to other slots
+and get another key. When a newly compiled method's key equals that of a
+live compiled entry, it adopts that entry's outcome memo. Only outcomes are
+shared: a memoised run-time rejection names its own method's spans, so
+another method sharing the memo runs its own closures to raise its own.
 """
 
 from __future__ import annotations
@@ -234,10 +251,11 @@ def _sequence(compiled: list):
 class _Method:
     body = None  # the compiled body, set once compiled
     locals: tuple = ()  # initial values of the slots after the parameters
+    key: tuple = ()  # the structural key of the program it tops, see _Compiler
 
     def __init__(self):
-        # evaluate's memo for this method as the top of a run:
-        # (fuel, (type, value) per argument) -> outcome or run-time rejection
+        # evaluate's memo for this method as the top of a run: (fuel, (type,
+        # value) per argument) -> outcome, or (_Method, run-time rejection)
         self.outcomes: dict[tuple, object] = {}
 
 
@@ -253,34 +271,46 @@ def _invoke(method: _Method, run: list, args: list):
 class _Compiler:
     """Compiles a method and the same-file methods it calls into closures.
     Scopes mirror Java blocks and map names to frame slots; a switch's locals
-    are read with a check, as their declaring case may have been jumped over."""
+    are read with a check, as their declaring case may have been jumped over.
+
+    Alongside the closures it builds the program's structural key: for each
+    method in compile order its parameter types, then one token per statement
+    and expression, in prefix order, holding the node's kind and whatever
+    else shapes its closure (counts, flags, slots, callee numbers, builtin
+    names, literals, operators), never a name or a span."""
 
     def __init__(self, context: SourceFile | None):
         types = context.types if context is not None else ()
         self.classes = {cls.name for cls in types}
         methods = [m for cls in types for m in cls.methods if not m.is_constructor()]
         self.methods = {m.name: m for m in reversed(methods)}  # the first of each name
-        self.compiled: dict[int, _Method] = {}
+        # id(method) -> (number in the order first met, compiled form)
+        self.compiled: dict[int, tuple[int, _Method]] = {}
         self.pending: list[tuple[MethodDecl, _Method]] = []
+        self.key: list[tuple] = []
+        self.emit = self.key.append
 
-    def callee(self, m: MethodDecl) -> _Method:
-        """m's compiled form; it is filled in once the caller is compiled."""
+    def callee(self, m: MethodDecl) -> tuple[int, _Method]:
+        """m's number and compiled form; the form is filled in once the
+        caller is compiled."""
         if id(m) not in self.compiled:
-            self.compiled[id(m)] = _Method()
-            self.pending.append((m, self.compiled[id(m)]))
+            self.compiled[id(m)] = (len(self.compiled), _Method())
+            self.pending.append((m, self.compiled[id(m)][1]))
         return self.compiled[id(m)]
 
     def compile(self, top: MethodDecl) -> _Method:
-        out = self.callee(top)
+        out = self.callee(top)[1]
         while self.pending:
             m, method = self.pending.pop()
             for p in m.params:
                 if p.type_name not in SUPPORTED_PARAM_TYPES:
                     raise UnsupportedForEvaluation(p.span, f"parameter type {p.type_name!r}")
+            self.emit(("method", *(p.type_name for p in m.params)))
             self.scopes = [({p.name: i for i, p in enumerate(m.params, 1)}, False)]
             self.size, self.loops = 1 + len(m.params), 0
             method.body = self.block(m.body)
             method.locals = (None,) * (self.size - 1 - len(m.params))
+        out.key = tuple(self.key)
         return out
 
     def resolve(self, node, name: str) -> tuple[int, bool]:
@@ -300,6 +330,7 @@ class _Compiler:
         return getattr(self, "s_" + type(s).__name__, self.reject)(s)
 
     def block(self, b):
+        self.emit(("block", len(b.stmts)))
         self.scopes.append(({}, False))
         body = _sequence([self.stmt(s) for s in b.stmts])
         self.scopes.pop()
@@ -309,11 +340,14 @@ class _Compiler:
 
     def s_LocalVarDecl(self, s):
         names, steps = self.scopes[-1][0], []
+        self.emit(("local", len(s.declarators)))
         for d in s.declarators:  # each initializer sees the declarators before it
+            self.emit(("declarator", d.init is not None))
             init = self.expr(d.init) if d.init is not None else (lambda f: None)
             if d.name not in names:  # a redeclaration in the same scope rebinds it
                 names[d.name], self.size = self.size, self.size + 1
             steps.append((names[d.name], init))
+            self.emit(("slot", names[d.name]))
 
         def run(f):
             for slot, init in steps:
@@ -321,6 +355,7 @@ class _Compiler:
         return run
 
     def s_ExprStmt(self, s):
+        self.emit(("expr",))
         e = self.expr(s.expr)
 
         def run(f):
@@ -328,6 +363,7 @@ class _Compiler:
         return run
 
     def s_If(self, s):
+        self.emit(("if", s.orelse is not None))
         test, then = self.truth(s.cond), self.block(s.then)
         # The then block runs uncharged; an else branch is a charged statement.
         orelse = _sequence([self.stmt(s.orelse)]) if s.orelse is not None else (lambda f: None)
@@ -355,9 +391,11 @@ class _Compiler:
         return run
 
     def s_While(self, s):
+        self.emit(("while",))
         return self.loop(s.body, self.truth(s.cond), None)
 
     def s_For(self, s):
+        self.emit(("for", s.init is not None, s.cond is not None, s.update is not None))
         self.scopes.append(({}, False))
         init = _sequence([self.stmt(s.init)]) if s.init is not None else (lambda f: None)
         test = self.truth(s.cond) if s.cond is not None else None
@@ -366,19 +404,25 @@ class _Compiler:
         return lambda f: init(f) or loop(f)
 
     def s_Switch(self, s):
+        self.emit(("switch", len(s.cases)))
         scrutinee, span = self.expr(s.scrutinee), s.span
         self.scopes.append(({}, True))
         starts: dict[object, int] = {}  # label value -> first statement of its case
         default, stmts = None, []
         for case in s.cases:
+            labels = []
             for label in case.labels:
                 if label == DEFAULT_LABEL:
                     default = len(stmts)
+                    labels.append(DEFAULT_LABEL)
                 elif isinstance(label, Literal):  # int or String, never equal across types
                     starts.setdefault(label.value, len(stmts))
+                    labels.append((type(label.value), label.value))
+            self.emit(("case", *labels, len(case.body)))
             stmts.extend(self.stmt(c) for c in case.body)
         tails = {i: _sequence(stmts[i:]) for i in {*starts.values(), default} if i is not None}
         declared = tuple(self.scopes.pop()[0].values())
+        self.emit(("declared", *declared))
 
         def run(f):
             v = scrutinee(f)
@@ -396,17 +440,20 @@ class _Compiler:
         return run
 
     def s_Return(self, s):
+        self.emit(("return", s.value is not None))
         value = self.expr(s.value) if s.value is not None else (lambda f: VOID)
         return lambda f: (value(f),)
 
     def s_Break(self, s):
         if not (self.loops or any(in_switch for _, in_switch in self.scopes)):
             raise UnsupportedForEvaluation(s.span, "break/continue escaped the method")
+        self.emit(("break",))
         return lambda f: _BREAK
 
     def s_Continue(self, s):
         if not self.loops:
             raise UnsupportedForEvaluation(s.span, "break/continue escaped the method")
+        self.emit(("continue",))
         return lambda f: _CONTINUE
 
     # -- expressions --
@@ -427,10 +474,12 @@ class _Compiler:
         return test
 
     def e_Literal(self, e):
+        self.emit(("literal", type(e.value), e.value))  # 1 == True, but not as keys
         return lambda f, value=e.value: value
 
     def e_Name(self, e):
         slot, maybe_unset = self.resolve(e, e.id)
+        self.emit(("name", slot, maybe_unset))
         if not maybe_unset:
             return lambda f: f[slot]
 
@@ -443,8 +492,10 @@ class _Compiler:
     def e_Assign(self, e):
         if not isinstance(e.target, Name):
             raise UnsupportedForEvaluation(e.span, "compound assignment target")
+        self.emit(("assign",))
         value = self.expr(e.value)
         slot, _ = self.resolve(e, e.target.id)
+        self.emit(("slot", slot))
 
         def assign(f):
             v = value(f)
@@ -455,6 +506,7 @@ class _Compiler:
         return assign
 
     def e_Unary(self, e):
+        self.emit(("unary", e.op))
         operand, span, negate = self.expr(e.operand), e.span, e.op == "!"
 
         def unary(f):
@@ -466,11 +518,13 @@ class _Compiler:
         return unary
 
     def e_Ternary(self, e):
+        self.emit(("ternary",))
         test, a, b = self.truth(e.cond), self.expr(e.if_true), self.expr(e.if_false)
         return lambda f: a(f) if test(f) else b(f)
 
     def e_Binary(self, e):
         op, span = e.op, e.span
+        self.emit(("binary", op))
         if op in ("&&", "||"):
             left, right = self.truth(e.left), self.truth(e.right)
             if op == "&&":
@@ -495,11 +549,13 @@ class _Compiler:
 
     def e_Call(self, e):
         recv, method, span, n = e.receiver, e.method, e.span, len(e.args)
+        self.emit(("call", n))
         args = tuple(self.expr(a) for a in e.args)
         if isinstance(recv, Name) and not any(recv.id in names for names, _ in self.scopes):
             if recv.id == "Math":
                 if n not in MATH_BUILTINS.get(method, ()):
                     raise UnsupportedForEvaluation(span, f"Math.{method}/{n}")
+                self.emit(("Math", method))
                 return lambda f: _math(method, span, [a(f) for a in args])
             if recv.id not in self.classes:
                 raise UnsupportedForEvaluation(span, f"unknown receiver {recv.id!r}")
@@ -510,10 +566,12 @@ class _Compiler:
                 raise UnsupportedForEvaluation(span, f"unresolved call {method!r}")
             if n != len(target.params):
                 raise UnsupportedForEvaluation(target.span, "argument arity mismatch")
-            callee = self.callee(target)
+            number, callee = self.callee(target)
+            self.emit(("static", number))
             return lambda f: _invoke(callee, f[0], [a(f) for a in args])
         if n not in STRING_BUILTINS.get(method, ()):
             raise UnsupportedForEvaluation(span, f"method {method!r} with {n} arguments")
+        self.emit(("String", method))
         receiver = self.expr(recv)
 
         def call(f):
@@ -529,7 +587,10 @@ class _Compiler:
 @contextmanager
 def _stack_room():
     """Raise the recursion limit out of MAX_CALL_DEPTH's way while compiling
-    or running: each interpreted call costs several Python frames."""
+    or running: each interpreted call costs several Python frames (about
+    eight for a one-statement recursive method, more under nested blocks),
+    so 200 nested calls pass the default limit of 1,000. The old limit is
+    restored on the way out."""
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old, 10_000))
     try:
@@ -553,6 +614,11 @@ def _compile(m: MethodDecl, context: SourceFile | None) -> _Method:
                 entry = (m, context, _Compiler(context).compile(m))
         except UnsupportedForEvaluation as exc:
             entry = (m, context, exc)
+        else:  # a program equal up to names runs as this one: share its outcomes
+            for *_, live in _COMPILED.values():
+                if isinstance(live, _Method) and live.key == entry[2].key:
+                    entry[2].outcomes = live.outcomes
+                    break
         if len(_COMPILED) >= _COMPILED_SIZE:
             del _COMPILED[next(iter(_COMPILED))]
     _COMPILED[key] = entry
@@ -591,16 +657,19 @@ def evaluate(
     if len(args) != len(m.params):
         raise UnsupportedForEvaluation(m.span, "argument arity mismatch")
     key = (fuel, *((type(a), a) for a in args))  # 1 == True, but x + 1 takes only 1
-    if key not in method.outcomes:
+    outcome = method.outcomes.get(key)
+    # A rejection names the spans of the method that raised it, so a method
+    # that shares the memo runs its own closures to raise its own.
+    if outcome is None or type(outcome) is tuple and outcome[0] is not method:
         with _stack_room():
             try:
                 outcome = Returned(_invoke(method, [fuel, 0], list(args)))
             except _Stop as stop:
                 outcome = Threw(*stop.args) if stop.args else OutOfFuel()
             except UnsupportedForEvaluation as exc:
-                outcome = exc
+                outcome = (method, exc)
         method.outcomes[key] = outcome
-    return _unless_rejected(method.outcomes[key])
+    return _unless_rejected(outcome[1] if type(outcome) is tuple else outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -642,9 +711,10 @@ def check_equivalence(
 ) -> EquivalenceVerdict:
     """Differentially test two methods over seeded random argument vectors.
 
-    equivalent: all trials produced equal outcomes. diverged: first mismatch
-    recorded as a counterexample. inconclusive: some trial ran out of fuel in
-    either method and no mismatch was seen elsewhere. m2 is not run on a trial
+    equivalent: at least one trial, and every trial produced equal outcomes.
+    diverged: first mismatch recorded as a counterexample. inconclusive: no
+    trial was asked for, or some trial ran out of fuel in either method and
+    no mismatch was seen elsewhere. m2 is not run on a trial
     where m1 ran out of fuel, so a run-time UnsupportedForEvaluation that m2
     would raise only on such a trial does not surface.
     """
@@ -669,4 +739,4 @@ def check_equivalence(
             continue
         if o1 != o2:
             return EquivalenceVerdict(DIVERGED, trials, Counterexample(tuple(args), o1, o2))
-    return EquivalenceVerdict(INCONCLUSIVE if saw_fuel else EQUIVALENT, trials)
+    return EquivalenceVerdict(EQUIVALENT if trials > 0 and not saw_fuel else INCONCLUSIVE, trials)

@@ -280,6 +280,40 @@ def test_cli_transform_names_a_failed_entry_once(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == error
 
 
+def test_cli_reports_a_missing_project_descriptor(tmp_path, capsys):
+    root = tmp_path / "empty"
+    root.mkdir()
+    rc = cli_main(["transform", "--mode", "all", "--project", str(root),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vmorph: error: ") and "vuln.json" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("missing", ["dict", "patch"])
+def test_cli_recover_reports_a_missing_file(tmp_path, capsys, missing):
+    files = {"dict": tmp_path / "dictionary.json", "patch": tmp_path / "patch.java"}
+    files["dict"].write_text(json.dumps({"forward": {}, "kinds": {}}))
+    files["patch"].write_text("return x;")
+    files[missing] = tmp_path / "absent"
+    rc = cli_main(["recover", "--dict", str(files["dict"]), "--patch", str(files["patch"])])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vmorph: error: ") and "absent" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_cli_rejects_fewer_than_one_trial(guard_record, tmp_path, capsys, trials):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["transform", "--mode", "all", "--project", guard_record.project_root,
+                  "--out", str(out), "--trials", trials])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_prompt(fixtures_dir, capsys):
     sample = fixtures_dir / "golden" / "Sample.java"
     rc = cli_main(["prompt", "--format", "codet5-mask", "--file", str(sample),
@@ -388,6 +422,46 @@ def test_oracle_compiles_each_method_once_per_record(lexicon, tmp_path, monkeypa
     # The original and the three variants, across is_supported, check_equivalence
     # and every trial.
     assert len(compiled) == 4
+
+
+def test_overloaded_target_method_is_found_by_position(lexicon, tmp_path):
+    source = (
+        "class A {\n"
+        "    static int run(int n) {\n"
+        "        return n;\n"
+        "    }\n"
+        "    static int run(int n, int m) {\n"
+        "        int total = 0;\n"
+        "        for (int i = 0; i < 3; i = i + 1) {\n"
+        "            total = total + n;\n"
+        "        }\n"
+        "        return total + m;\n"
+        "    }\n"
+        "}\n"
+    )
+    record = _one_file_record(tmp_path / "overload", "Over-1", source, 6, 10)
+    out = tmp_path / "out"
+    manifest = generate_variants([record], lexicon, out, seed=1)
+    assert [e.equivalence["verdict"] for e in manifest.entries] == ["equivalent"] * 3
+    applied = {e.variant: [row["rule"] for row in
+                           json.loads((out / e.report).read_text())["applied"]]
+               for e in manifest.entries}
+    assert applied[VariantKind.STRUCTURE_ONLY]
+    assert applied[VariantKind.BOTH] == applied[VariantKind.STRUCTURE_ONLY]
+
+
+def test_constructor_target_gets_every_variant(lexicon, tmp_path):
+    source = (
+        "class A {\n"
+        "    int total;\n"
+        "    A(int n) {\n"
+        "        total = n;\n"
+        "    }\n"
+        "}\n"
+    )
+    record = _one_file_record(tmp_path / "ctor", "Ctor-1", source, 4, 4)
+    manifest = generate_variants([record], lexicon, tmp_path / "out", seed=1)
+    assert [e.error for e in manifest.entries] == [None] * 3
 
 
 def test_runtime_rejection_is_external_pending(lexicon, tmp_path):
@@ -501,10 +575,13 @@ def test_original_runs_once_per_trial_per_record(lexicon, tmp_path, monkeypatch)
     assert len(vectors) == trials  # no trial repeats another's arguments
     manifest = generate_variants([record], lexicon, tmp_path / "out", seed=1, trials=trials)
     assert all(isinstance(e.equivalence, dict) for e in manifest.entries)
-    original, *variants = compiled
-    assert len(variants) == 3
+    original, rename, structure, both = compiled
     assert runs[original] == trials
-    assert all(runs[v] <= trials for v in variants)
+    # The rename variant is the original up to names, and both is structure up
+    # to names: each reuses the outcomes of the program it renames.
+    assert runs.get(rename, 0) == 0
+    assert runs.get(both, 0) == 0
+    assert runs.get(structure, 0) <= trials
 
 
 @pytest.fixture(scope="module")

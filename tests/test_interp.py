@@ -337,6 +337,101 @@ def test_variant_not_run_where_the_original_runs_out_of_fuel(monkeypatch):
     assert [args for m, args in calls if m is m2] == [a for a in first if a not in starved]
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_no_compared_trial_is_inconclusive(trials):
+    f, ast1 = method_named("class A { static int f(int n) { return n; } }", "f")
+    g, ast2 = method_named("class A { static int f(int n) { return n + 1; } }", "f")
+    verdict = check_equivalence(f, g, trials=trials, context1=ast1, context2=ast2)
+    assert verdict.verdict == "inconclusive"
+
+
+def _top_runs(monkeypatch):
+    """Counts the runs each compiled method starts, not the calls it makes,
+    from an empty compile cache, so no earlier test's memo is shared."""
+    runs, invoke = {}, interp._invoke
+    monkeypatch.setattr(interp, "_COMPILED", {})
+
+    def counting_invoke(method, run, args):
+        if run[1] == 0:
+            runs[method] = runs.get(method, 0) + 1
+        return invoke(method, run, args)
+    monkeypatch.setattr(interp, "_invoke", counting_invoke)
+    return runs
+
+
+ALPHA_ORIGINAL = """class A {
+    static int f(int a, int b) {
+        int c = a - b;
+        for (int i = 0; i < 3; i = i + 1) { c = c + twice(i); }
+        return c;
+    }
+    static int twice(int x) { return x * 2; }
+}"""
+
+
+def test_consistently_renamed_method_shares_outcomes(monkeypatch):
+    renamed = """class Z {
+
+      static int go(int left, int right) {
+          int gap = left - right;
+          for (int k = 0; k < 3; k = k + 1) { gap = gap + dbl(k); }
+          return gap;
+      }
+      static int dbl(int y) { return y * 2; }
+    }"""
+    m1, ast1 = method_named(ALPHA_ORIGINAL, "f")
+    m2, ast2 = method_named(renamed, "go")
+    runs = _top_runs(monkeypatch)
+    verdict = check_equivalence(m1, m2, trials=20, context1=ast1, context2=ast2)
+    assert verdict.verdict == EQUIVALENT
+    first, second = interp._compile(m1, ast1), interp._compile(m2, ast2)
+    assert first.key == second.key
+    assert first.outcomes is second.outcomes
+    assert runs[first] == 20 and second not in runs
+
+
+@pytest.mark.parametrize("variant", [
+    # a use swap: b - a reads the parameters in the other order
+    ALPHA_ORIGINAL.replace("int c = a - b;", "int c = b - a;")
+    .replace("c = c + twice(i);", "c = c + twice(i) + a;"),
+    # a capture: renamed i to a, the loop variable shadows the parameter a
+    ALPHA_ORIGINAL.replace("for (int i = 0; i < 3; i = i + 1) { c = c + twice(i); }",
+                           "for (int a = 0; a < 3; a = a + 1) { c = c + twice(a) + a; }"),
+])
+def test_methods_equal_up_to_names_with_other_slots_run_alone(monkeypatch, variant):
+    original = ALPHA_ORIGINAL.replace("c = c + twice(i);", "c = c + twice(i) + a;")
+    m1, ast1 = method_named(original, "f")
+    m2, ast2 = method_named(variant, "f")
+    runs = _top_runs(monkeypatch)
+    verdict = check_equivalence(m1, m2, trials=20, context1=ast1, context2=ast2)
+    assert verdict.verdict == DIVERGED
+    first, second = interp._compile(m1, ast1), interp._compile(m2, ast2)
+    assert first.key != second.key
+    assert first.outcomes is not second.outcomes
+    assert runs[first] > 0 and runs[second] > 0
+
+
+def test_runtime_rejection_names_the_variant_not_the_original():
+    m1, ast1 = method_named(
+        "class A { static int f(String s) { String t = s.substring(1); return t.length(); } }",
+        "f")
+    ast2 = parse("class B {\n"
+                 "    static int g(String word) {\n"
+                 "        String rest = word.substring(1);\n"
+                 "        return rest.length();\n"
+                 "    }\n"
+                 "}\n", "B.java")
+    m2 = ast2.types[0].methods[0]
+    assert interp._compile(m1, ast1).key == interp._compile(m2, ast2).key
+    with pytest.raises(UnsupportedForEvaluation) as first:
+        evaluate(m1, [""], context=ast1)
+    with pytest.raises(UnsupportedForEvaluation) as second:
+        evaluate(m2, [""], context=ast2)
+    assert first.value.span.file != "B.java"
+    assert (second.value.span.file, second.value.span.start_line) == ("B.java", 3)
+    assert second.value.detail == first.value.detail == "string index out of range"
+
+
 def test_generate_args_deterministic():
     src = "class A { static int f(int a, boolean b, String s) { return a; } }"
     m = parse(src).types[0].methods[0]

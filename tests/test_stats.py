@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vmorph
 from vmorph.errors import InsufficientSamples
 from vmorph.stats import margin_of_error
 
@@ -49,3 +54,14 @@ def test_confidence_bounds():
         margin_of_error([1.0, 2.0], 1.0)
     with pytest.raises(ValueError):
         margin_of_error([1.0, 2.0], 0.0)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.stats costs about a second to import; only margin_of_error needs it.
+    src = str(Path(vmorph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = ("import sys, vmorph, vmorph.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

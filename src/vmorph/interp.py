@@ -15,8 +15,10 @@ are compiled once into nested closures, names resolved to frame slots
 rejects, on every path: parameter types other than int/boolean/String,
 throw, new, field access, assignment to a non-name, names that denote no
 parameter or local (static fields among them), calls that resolve to no
-builtin or same-file method or pass the wrong number of arguments, unknown
-receivers, and break/continue outside a loop or switch. Running raises
+builtin or same-file method, unknown receivers, and break/continue outside a
+loop or switch. `C.f(...)` resolves in class C and an unqualified `f(...)`
+in the caller's class, to the overload taking that many arguments; two such
+overloads are rejected, never guessed between. Running raises
 UnsupportedForEvaluation only for type confusions, string index errors,
 strings over MAX_STRING_LENGTH and a switch-case local whose case was
 jumped over. Fuel is charged once per statement (an if's then block and a
@@ -282,8 +284,14 @@ class _Compiler:
     def __init__(self, context: SourceFile | None):
         types = context.types if context is not None else ()
         self.classes = {cls.name for cls in types}
-        methods = [m for cls in types for m in cls.methods if not m.is_constructor()]
-        self.methods = {m.name: m for m in reversed(methods)}  # the first of each name
+        # (class name, method name) -> its overloads; id(method) -> class name
+        self.methods: dict[tuple[str, str], list[MethodDecl]] = {}
+        self.owner: dict[int, str] = {}
+        for cls in types:
+            for m in cls.methods:
+                if not m.is_constructor():
+                    self.methods.setdefault((cls.name, m.name), []).append(m)
+                    self.owner[id(m)] = cls.name
         # id(method) -> (number in the order first met, compiled form)
         self.compiled: dict[int, tuple[int, _Method]] = {}
         self.pending: list[tuple[MethodDecl, _Method]] = []
@@ -302,6 +310,7 @@ class _Compiler:
         out = self.callee(top)[1]
         while self.pending:
             m, method = self.pending.pop()
+            self.cls = self.owner.get(id(m)) or self.home(m)
             for p in m.params:
                 if p.type_name not in SUPPORTED_PARAM_TYPES:
                     raise UnsupportedForEvaluation(p.span, f"parameter type {p.type_name!r}")
@@ -312,6 +321,27 @@ class _Compiler:
             method.locals = (None,) * (self.size - 1 - len(m.params))
         out.key = tuple(self.key)
         return out
+
+    def home(self, m: MethodDecl) -> str | None:
+        """The class of a method that is not itself in the context (such as
+        a rewritten variant checked against its original's file): the one
+        class declaring a method of its name and parameter types, if any."""
+        signature = [p.type_name for p in m.params]
+        homes = {cls for (cls, name), overloads in self.methods.items() if name == m.name
+                 and any([p.type_name for p in o.params] == signature for o in overloads)}
+        return homes.pop() if len(homes) == 1 else None
+
+    def target(self, cls: str | None, method: str, n: int, span) -> MethodDecl:
+        """The method of `cls` named `method` that takes `n` arguments."""
+        overloads = self.methods.get((cls, method))
+        if overloads is None:
+            raise UnsupportedForEvaluation(span, f"unresolved call {method!r}")
+        fitting = [m for m in overloads if len(m.params) == n]
+        if not fitting:
+            raise UnsupportedForEvaluation(overloads[0].span, "argument arity mismatch")
+        if len(fitting) > 1:
+            raise UnsupportedForEvaluation(span, f"ambiguous call {method!r} with {n} arguments")
+        return fitting[0]
 
     def resolve(self, node, name: str) -> tuple[int, bool]:
         """The slot `name` denotes here, and whether it may be unset."""
@@ -551,6 +581,7 @@ class _Compiler:
         recv, method, span, n = e.receiver, e.method, e.span, len(e.args)
         self.emit(("call", n))
         args = tuple(self.expr(a) for a in e.args)
+        cls = self.cls  # an unqualified call names a method of the caller's class
         if isinstance(recv, Name) and not any(recv.id in names for names, _ in self.scopes):
             if recv.id == "Math":
                 if n not in MATH_BUILTINS.get(method, ()):
@@ -559,14 +590,9 @@ class _Compiler:
                 return lambda f: _math(method, span, [a(f) for a in args])
             if recv.id not in self.classes:
                 raise UnsupportedForEvaluation(span, f"unknown receiver {recv.id!r}")
-            recv = None
+            cls, recv = recv.id, None
         if recv is None:
-            target = self.methods.get(method)
-            if target is None:
-                raise UnsupportedForEvaluation(span, f"unresolved call {method!r}")
-            if n != len(target.params):
-                raise UnsupportedForEvaluation(target.span, "argument arity mismatch")
-            number, callee = self.callee(target)
+            number, callee = self.callee(self.target(cls, method, n, span))
             self.emit(("static", number))
             return lambda f: _invoke(callee, f[0], [a(f) for a in args])
         if n not in STRING_BUILTINS.get(method, ()):

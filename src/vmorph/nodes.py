@@ -4,6 +4,16 @@ Every node is an immutable (frozen) dataclass carrying a source Span. Spans
 are excluded from equality so that two parses of the same program compare
 equal regardless of layout; `structurally_equal` is therefore plain `==`.
 
+Trees stay immutable but are made cheap to build and hold, since on a whole
+project building them takes most of the time. Node classes are slotted (no
+per-instance `__dict__`) and get an `__init__` that fills the slots without
+`object.__setattr__`; assigning a field still raises FrozenInstanceError,
+and `dataclasses.replace` works as before. `Span` is a NamedTuple, one small
+tuple with no dict, so the collector's passes over a tree cost less; it
+still counts as one tracked object, as CPython untracks only exact tuples.
+Nodes without a position share one synthetic span. NODE_CLASSES lists every
+node class once.
+
 The node family deliberately covers only the subset documented in
 docs/grammar.md: top-level classes with fields, methods, and constructors;
 statement forms Block/If/While/For/Switch/LocalVarDecl/ExprStmt/Return/
@@ -27,11 +37,10 @@ surgery are built on them.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """Half-open-free source range, 1-based lines and columns, inclusive ends."""
 
     file: str
@@ -57,6 +66,9 @@ class Span:
         if (other.end_line, other.end_col) > (self.end_line, self.end_col):
             return False
         return True
+
+
+_SYNTHETIC = Span.synthetic()  # every node's default span, shared
 
 
 # Identifier roles and kinds.
@@ -97,11 +109,55 @@ def _type_name():
 
 
 def _span_field() -> Span:
-    return field(default_factory=Span.synthetic, compare=False,  # type: ignore[return-value]
-                 metadata={_SCHEMA: _PAYLOAD})
+    return field(default=_SYNTHETIC, compare=False, metadata={_SCHEMA: _PAYLOAD})
 
 
-@dataclass(frozen=True)
+NODE_CLASSES: list[type] = []  # every node class, once each, in definition order
+
+
+def _node(cls: type) -> type:
+    """Make `cls` a frozen, slotted dataclass built by `_slot_init`, store
+    its child fields and identifier fields on it, so no traversal reads the
+    dataclass fields of a node, and register it in NODE_CLASSES."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    child_fields, name_fields = [], []
+    for f in fields(cls):
+        tag = f.metadata.get(_SCHEMA)
+        if tag == _CHILD:
+            child_fields.append(f.name)
+        elif isinstance(tag, tuple):
+            name_fields.append((f.name, *tag))
+        elif tag != _PAYLOAD:
+            raise TypeError(f"{cls.__name__}.{f.name} declares no schema")
+    cls._child_fields = tuple(child_fields)
+    cls._name_fields = tuple(name_fields)
+    if fields(cls):
+        cls.__init__ = _slot_init(cls)
+    NODE_CLASSES.append(cls)
+    return cls
+
+
+def _slot_init(cls: type) -> Callable[..., None]:
+    """The `__init__` a dataclass would get, but setting each slot through
+    its descriptor: the dataclass's goes through `object.__setattr__` to get
+    past the frozen `__setattr__`, which makes building a node about 1.7x
+    slower. Assignment after `__init__` still raises FrozenInstanceError."""
+    env, params, body = {}, [], []
+    for f in fields(cls):
+        env[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            env[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body.append(f"    _set_{f.name}(self, {f.name})\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+@_node
 class Node:
     """Base for all AST nodes."""
 
@@ -111,18 +167,18 @@ class Node:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class Expr(Node):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Name(Expr):
     id: str = _name(USE, VARIABLE)
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Literal(Expr):
     """value is a Python int, bool, str, or None; kind disambiguates."""
 
@@ -131,14 +187,14 @@ class Literal(Expr):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Unary(Expr):
     op: str = _payload()  # "!" | "-"
     operand: Expr = _child()
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Binary(Expr):
     op: str = _payload()  # + - * / % < <= > >= == != && ||
     left: Expr = _child()
@@ -146,7 +202,7 @@ class Binary(Expr):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Ternary(Expr):
     cond: Expr = _child()
     if_true: Expr = _child()
@@ -154,7 +210,7 @@ class Ternary(Expr):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Call(Expr):
     """receiver is None for unqualified calls; chains nest through receiver."""
 
@@ -164,21 +220,21 @@ class Call(Expr):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class FieldAccess(Expr):
     receiver: Expr = _child()
     name: str = _name(USE, VARIABLE)
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Assign(Expr):
     target: Expr = _child()  # Name or FieldAccess, enforced by the parser
     value: Expr = _child()
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class New(Expr):
     type_name: str = _type_name()
     args: tuple[Expr, ...] = _child()
@@ -190,12 +246,12 @@ class New(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class Stmt(Node):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Block(Stmt):
     stmts: tuple[Stmt, ...] = _child()
     # Comments sitting at the end of the block, after the last statement.
@@ -203,7 +259,7 @@ class Block(Stmt):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class If(Stmt):
     cond: Expr = _child()
     then: Block = _child()
@@ -213,7 +269,7 @@ class If(Stmt):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class While(Stmt):
     cond: Expr = _child()
     body: Block = _child()
@@ -221,7 +277,7 @@ class While(Stmt):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class For(Stmt):
     init: Optional[Stmt] = _child()  # LocalVarDecl or ExprStmt
     cond: Optional[Expr] = _child()
@@ -231,7 +287,7 @@ class For(Stmt):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class SwitchCase(Node):
     """labels holds Literal nodes and/or the DEFAULT_LABEL sentinel.
 
@@ -248,7 +304,7 @@ class SwitchCase(Node):
 DEFAULT_LABEL = "default"
 
 
-@dataclass(frozen=True)
+@_node
 class Switch(Stmt):
     scrutinee: Expr = _child()
     cases: tuple[SwitchCase, ...] = _child()
@@ -256,14 +312,14 @@ class Switch(Stmt):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Declarator(Node):
     name: str = _name(DECL, VARIABLE)
     init: Optional[Expr] = _child()
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class LocalVarDecl(Stmt):
     """type_name is "var" for inferred declarations.
 
@@ -284,33 +340,33 @@ class LocalVarDecl(Stmt):
         return self.declarators[0].init
 
 
-@dataclass(frozen=True)
+@_node
 class ExprStmt(Stmt):
     expr: Expr = _child()
     comments: tuple[str, ...] = _payload(())
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Return(Stmt):
     value: Optional[Expr] = _child()
     comments: tuple[str, ...] = _payload(())
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Break(Stmt):
     comments: tuple[str, ...] = _payload(())
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Continue(Stmt):
     comments: tuple[str, ...] = _payload(())
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Throw(Stmt):
     expr: Expr = _child()
     comments: tuple[str, ...] = _payload(())
@@ -322,7 +378,7 @@ class Throw(Stmt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class Param(Node):
     type_name: str = _type_name()
     name: str = _name(DECL, VARIABLE)
@@ -330,7 +386,7 @@ class Param(Node):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class MethodDecl(Node):
     """return_type is None for constructors, "void" for void methods."""
 
@@ -346,7 +402,7 @@ class MethodDecl(Node):
         return self.return_type is None
 
 
-@dataclass(frozen=True)
+@_node
 class FieldDecl(Node):
     modifiers: frozenset[str] = _payload()
     type_name: str = _type_name()
@@ -355,7 +411,7 @@ class FieldDecl(Node):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class ClassDecl(Node):
     name: str = _name(DECL, CLASS)
     modifiers: frozenset[str] = _payload()
@@ -373,14 +429,14 @@ class ClassDecl(Node):
         return tuple(m for m in self.members if isinstance(m, FieldDecl))
 
 
-@dataclass(frozen=True)
+@_node
 class Import(Node):
     name: str = _name(USE, CLASS, _IMPORT)  # dotted
     wildcard: bool = _payload()
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class SourceFile(Node):
     package: Optional[str] = _payload()
     imports: tuple[Import, ...] = _child()
@@ -396,27 +452,6 @@ class SourceFile(Node):
 def structurally_equal(a: Node, b: Node) -> bool:
     """True iff the trees are equal ignoring spans (and hence whitespace)."""
     return a == b
-
-
-def _bind_schema(cls: type) -> None:
-    """Store `cls`'s child fields and identifier fields on the class, so no
-    traversal reads the dataclass fields of a node."""
-    child_fields, name_fields = [], []
-    for f in fields(cls):
-        tag = f.metadata.get(_SCHEMA)
-        if tag == _CHILD:
-            child_fields.append(f.name)
-        elif isinstance(tag, tuple):
-            name_fields.append((f.name, *tag))
-        elif tag != _PAYLOAD:
-            raise TypeError(f"{cls.__name__}.{f.name} declares no schema")
-    cls._child_fields = tuple(child_fields)
-    cls._name_fields = tuple(name_fields)
-    for sub in cls.__subclasses__():
-        _bind_schema(sub)
-
-
-_bind_schema(Node)
 
 
 def children(node: Node) -> Iterator[Node]:

@@ -450,6 +450,26 @@ def test_overloaded_target_method_is_found_by_position(lexicon, tmp_path):
     assert applied[VariantKind.BOTH] == applied[VariantKind.STRUCTURE_ONLY]
 
 
+def test_target_calling_a_later_overload_gets_a_verdict(lexicon, tmp_path):
+    source = (
+        "class A {\n"
+        "    static int run(int n) {\n"
+        "        return n;\n"
+        "    }\n"
+        "    static int run(int n, int m) {\n"
+        "        return n + m;\n"
+        "    }\n"
+        "    static int go(int a) {\n"
+        "        int b = a + 1;\n"
+        "        return run(b, 1);\n"
+        "    }\n"
+        "}\n"
+    )
+    record = _one_file_record(tmp_path / "later", "Later-1", source, 9, 10)
+    manifest = generate_variants([record], lexicon, tmp_path / "out", seed=1)
+    assert [e.equivalence["verdict"] for e in manifest.entries] == ["equivalent"] * 3
+
+
 def test_constructor_target_gets_every_variant(lexicon, tmp_path):
     source = (
         "class A {\n"
@@ -512,6 +532,22 @@ def test_unparsed_buggy_file_entries_name_the_reason(lexicon, tmp_path):
         assert entry.error.startswith("Parens-1/")
         assert "buggy file 'A.java' did not parse: A.java:3:" in entry.error
         assert entry.error.endswith("unsupported construct: nesting deeper than 50")
+
+
+def test_generate_variants_leaves_process_global_state_alone(lexicon, tmp_path):
+    import gc
+
+    good = _one_file_record(tmp_path / "good", "Good-1", (
+        "class A {\n    static int run(int n) {\n        int k = n + 1;\n"
+        "        return k * 2;\n    }\n}\n"), 3, 4)
+    bad = _one_file_record(tmp_path / "bad", "Bad-2",
+                           "class A {\n    static int run(int n) {\n        return n +;\n"
+                           "    }\n}\n", 3, 3)
+    before = (gc.isenabled(), gc.get_threshold(), sys.getrecursionlimit())
+    manifest = generate_variants([good, bad], lexicon, tmp_path / "out", seed=1)
+    assert (gc.isenabled(), gc.get_threshold(), sys.getrecursionlimit()) == before
+    errors = {e.record.id: e.error for e in manifest.entries}
+    assert errors["Good-1"] is None and "did not parse" in errors["Bad-2"]
 
 
 def test_each_distinct_tree_is_printed_once_per_record(lexicon, tmp_path, monkeypatch):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vmorph.identifiers import (
     CLASS,
@@ -167,6 +167,7 @@ _WORDS = st.lists(
 )
 
 
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(words=_WORDS, conv=st.sampled_from(["camel", "snake", "pascal"]))
 def test_tokenize_assemble_inverse(words, conv):
     """assemble(tokenize(n), convention(n)) == n for convention-regular names."""

@@ -105,6 +105,46 @@ def test_same_file_static_call():
     assert evaluate(m, [-5], context=ast) == Returned(6)
 
 
+TWO_CLASSES_SRC = """class A {
+    static int f() { return 1; }
+}
+class B {
+    static int f() { return 2; }
+    static int qualified() { return B.f(); }
+    static int unqualified() { return f(); }
+    static int other() { return A.f(); }
+}"""
+
+
+@pytest.mark.parametrize("name, value", [("qualified", 2), ("unqualified", 2), ("other", 1)])
+def test_static_call_resolves_in_its_class(name, value):
+    ast = parse(TWO_CLASSES_SRC)
+    m = next(m for m in ast.types[1].methods if m.name == name)
+    assert evaluate(m, [], context=ast) == Returned(value)
+
+
+def test_static_call_chooses_the_overload_by_arity():
+    src = """class A {
+        static int run(int n) { return n; }
+        static int run(int n, int m) { return n * m; }
+        static int go(int a) { return run(a, 3) + run(a); }
+    }"""
+    m, ast = method_named(src, "go")
+    assert evaluate(m, [5], context=ast) == Returned(20)
+
+
+def test_overloads_of_one_arity_are_rejected_not_guessed():
+    src = """class A {
+        static int run(int n) { return n; }
+        static int run(String s) { return 0; }
+        static int go(int a) { return run(a); }
+    }"""
+    m, ast = method_named(src, "go")
+    with pytest.raises(UnsupportedForEvaluation) as exc:
+        ensure_supported(m, ast)
+    assert "ambiguous call 'run'" in str(exc.value)
+
+
 def test_null_receiver_throws():
     m, ast = method_named(SRC, "lengthOf")
     assert evaluate(m, [None]) == Threw("NullPointerException")

@@ -1,7 +1,8 @@
 """The node schema: every field declares what it holds, and the table-driven
-traversals agree with a scan of the dataclass fields."""
+traversals agree with a scan of the dataclass fields. Nodes are slotted and
+frozen, and spans are tuples."""
 
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -18,15 +19,6 @@ from vmorph.nodes import (
 from vmorph.parser import parse
 
 from javagen import generate_method_source
-
-
-def _node_classes():
-    out, todo = [], [Node]
-    while todo:
-        cls = todo.pop()
-        out.append(cls)
-        todo += cls.__subclasses__()
-    return out
 
 
 def _reference_children(node):
@@ -53,7 +45,7 @@ def _sources(all_fixture_sources):
         yield f"Fuzzed{seed}.java", generate_method_source(seed)
 
 
-@pytest.mark.parametrize("cls", _node_classes(), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", nodes.NODE_CLASSES, ids=lambda cls: cls.__name__)
 def test_every_field_is_declared_exactly_once(cls):
     declared = list(cls._child_fields) + [spec[0] for spec in cls._name_fields]
     declared += [f.name for f in fields(cls) if f.metadata.get(nodes._SCHEMA) == nodes._PAYLOAD]
@@ -109,3 +101,42 @@ def test_rebuild_shares_what_f_leaves_alone():
     renamed = rebuild(tree, lambda n: Name("c") if n.id == "b" else n)
     assert renamed == Binary("+", Name("a"), Name("c"))
     assert renamed.left is tree.left
+
+
+def test_registry_lists_every_node_class_once():
+    defined = [v for v in vars(nodes).values() if isinstance(v, type) and issubclass(v, Node)]
+    assert len(defined) == 31
+    assert sorted(nodes.NODE_CLASSES, key=id) == sorted(defined, key=id)
+
+
+def test_node_has_no_dict_and_rejects_assignment():
+    node = Binary("+", Name("a"), Name("b"))
+    assert not hasattr(node, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        node.op = "-"
+    with pytest.raises(FrozenInstanceError):
+        node.span = nodes.Span.synthetic()
+
+
+@pytest.mark.parametrize("cls", nodes.NODE_CLASSES, ids=lambda cls: cls.__name__)
+def test_replace_works_on_every_node_class(cls):
+    node = cls(**{f.name: f"v{i}" for i, f in enumerate(fields(cls)) if f.name != "span"})
+    assert replace(node) == node
+    if cls in (Node, nodes.Expr, nodes.Stmt):  # the bases hold no field
+        return
+    spanned = replace(node, span=nodes.Span("X.java", 1, 2, 3, 4))
+    assert spanned == node and spanned.span == ("X.java", 1, 2, 3, 4)
+    assert node.span == nodes.Span.synthetic()
+    for f in fields(cls):
+        if f.name != "span":
+            assert replace(node, **{f.name: "other"}) != node
+
+
+def test_span_is_a_tuple_of_atoms_without_a_dict():
+    tree = parse("class A { static int f(int n) { return n + 1; } }", "A.java")
+    for node in walk(tree):
+        span = node.span
+        assert isinstance(span, tuple) and not hasattr(span, "__dict__")
+        assert [type(v) for v in span] == [str, int, int, int, int]
+    # Every node left at the default span shares one.
+    assert Name("a").span is Name("b").span

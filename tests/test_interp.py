@@ -488,6 +488,84 @@ def test_arity_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
+# Every compiled form of an operator, call and assignment agrees
+# ---------------------------------------------------------------------------
+
+BINARY_OPS = ("+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=")
+OPERAND_POOL = (0, 1, -1, 7, interp.INT_MAX, interp.INT_MIN, True, "ab", None)
+
+
+def _java_literal(value) -> str:
+    return "null" if value is None else json.dumps(value)  # true, "ab", -1
+
+
+def _shape_outcome(m, args, ast) -> str:
+    """The outcome's repr (so 1 and true differ), or the rejection's detail."""
+    try:
+        return repr(evaluate(m, list(args), context=ast))
+    except UnsupportedForEvaluation as exc:
+        return f"rejected: {exc.detail}"
+
+
+@pytest.mark.parametrize("op", BINARY_OPS)
+def test_every_operand_shape_gives_the_same_outcome(op):
+    """x OP y with parameters, with an int, boolean, String or null literal
+    on either side, as an assignment statement, and through ternaries that
+    no compiled form special-cases: on every pair of pool values the outcome
+    or the rejection's detail is the same."""
+    literals = [_java_literal(v) for v in OPERAND_POOL]
+    methods = [f"static int p(int x, int y) {{ return x {op} y; }}",
+               f"static int g(int x, int y) {{ return (true ? x : x) {op} (true ? y : y); }}"]
+    for j, lit in enumerate(literals):
+        methods += [f"static int r{j}(int x, int y) {{ return x {op} {lit}; }}",
+                    f"static int l{j}(int x, int y) {{ return {lit} {op} y; }}",
+                    f"static int s{j}(int x, int y) {{ int r = 0; r = x {op} {lit}; return r; }}"]
+    ast = parse("class Ops {\n" + "\n".join(methods) + "\n}\n")
+    by_name = {m.name: m for m in ast.types[0].methods}
+    for i, a in enumerate(OPERAND_POOL):
+        for j, b in enumerate(OPERAND_POOL):
+            shapes = {name: _shape_outcome(by_name[name], (a, b), ast)
+                      for name in ("p", "g", f"r{j}", f"l{i}", f"s{j}")}
+            assert len(set(shapes.values())) == 1, (a, b, shapes)
+
+
+@pytest.mark.parametrize("tail", ["x = 2; return x;", "return x = 2;"])
+def test_assigning_a_switch_local_whose_case_was_jumped_over_is_rejected(tail):
+    src = f"""class A {{
+        static int f(int k) {{
+            switch (k) {{
+                case 0:
+                    int x = 1;
+                case 1:
+                    {tail}
+            }}
+            return 0;
+        }}
+    }}"""
+    m, ast = method_named(src, "f")
+    assert evaluate(m, [0], context=ast) == Returned(2)
+    with pytest.raises(UnsupportedForEvaluation) as exc:
+        evaluate(m, [1], context=ast)
+    assert exc.value.detail == "unbound name 'x'"
+
+
+NESTED_CALLS_SRC = """class A {
+    static int id(int v) { return v; }
+    static int outer(int n) { if (n > 0) { return outer(id(n - 1)) + 1; } return 0; }
+    static int inner(int n) { if (n > 0) { return id(inner(n - 1)) + 1; } return 0; }
+}"""
+
+
+@pytest.mark.parametrize("name", ["outer", "inner"])
+def test_a_call_argument_runs_before_the_call_depth_rises(name):
+    """outer(199) nests 200 calls of outer, and its innermost id(0) runs at
+    depth 200 too: the arguments are evaluated at the caller's depth."""
+    m, ast = method_named(NESTED_CALLS_SRC, name)
+    assert evaluate(m, [199], context=ast) == Returned(199)
+    assert evaluate(m, [200], context=ast) == OutOfFuel()
+
+
+# ---------------------------------------------------------------------------
 # Oracle golden snapshot
 # ---------------------------------------------------------------------------
 

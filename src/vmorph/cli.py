@@ -63,13 +63,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--manifest", help="manifest path (default OUT/manifest.json)")
     p_tr.add_argument("--trials", type=_positive_int, default=100,
                       help="equivalence trials per variant, at least 1")
-    p_tr.add_argument("--fuel", type=int, default=10_000)
+    p_tr.add_argument("--fuel", type=_positive_int, default=10_000,
+                      help="oracle fuel per run, at least 1")
 
     p_pr = sub.add_parser("prompt", help="build a model prompt for a buggy method")
     p_pr.add_argument("--format", choices=FORMATS, required=True)
     p_pr.add_argument("--file", required=True)
     p_pr.add_argument("--lines", required=True, metavar="A:B", help="buggy line range, 1-based")
-    p_pr.add_argument("--max-window", type=int, default=None)
+    p_pr.add_argument("--max-window", type=_positive_int, default=None,
+                      help="line budget of the prompt, at least 1")
 
     p_re = sub.add_parser("recover", help="map a patch on renamed code back to original names")
     p_re.add_argument("--dict", dest="dict_path", required=True)
@@ -175,8 +177,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_stats(args) -> int:
     if args.stats_command == "moe":
-        samples = [float(tok) for tok in sys.stdin.read().split()]
-        print(repr(margin_of_error(samples, args.confidence)))
+        try:
+            samples = [float(tok) for tok in sys.stdin.read().split()]
+            moe = margin_of_error(samples, args.confidence)
+        except ValueError as e:  # a sample that is not a number, or a bad confidence
+            raise VmorphError(f"stats moe: {e}") from e
+        print(repr(moe))
         return 0
     raise AssertionError("unreachable")
 

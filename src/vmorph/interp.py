@@ -25,12 +25,29 @@ jumped over. Fuel is charged once per statement (an if's then block and a
 loop body are not statements) and once per loop test; exhausting it, or
 nesting over MAX_CALL_DEPTH calls, gives OutOfFuel.
 
+The closures are specialised to the shape of their node, as superinstructions
+are (Ertl & Gregg, "The Structure and Performance of Efficient Interpreters",
+2003). Each kind of binary operator has its own closure: a comparison calls
+operator.lt and the like, + - * wrap to 32 bits only when the result leaves
+the int range, and / % call the Java division helpers. An int literal on the
+right of an operator is captured as a constant rather than called. A non-int
+operand takes one path per node, to string concatenation or to rejection.
+An assignment to a slot that no switch declares skips the "may be unset"
+check, and an assignment statement is a single closure. A static call of one
+or two arguments evaluates them at the caller's depth and builds the
+callee's frame itself. None of this changes an outcome, a fuel count, a
+rejection or the structural key below.
+
 Outcomes are memoised on the compiled method, keyed by fuel and by each
 argument's type and value, so a method run again on the same inputs (the
 original of a record, against each of its variants) is not re-executed; a
 run-time rejection is stored and raised again. The memo lives and dies with
 the compiled entry. check_equivalence does not run the second method on a
-trial where the first ran out of fuel, as there is nothing to compare.
+trial where the first ran out of fuel, as there is nothing to compare. It
+takes each trial's arguments from a small module cache keyed by (parameter
+types, seed, trials), filled from generate_args, so the checks of a record's
+variants, which share the original's parameter types, share one draw. The
+vectors are tuples, so no caller can alter a later check's arguments.
 
 Compiling also builds a structural key of the whole program, after name
 resolution: every compiled method in compile order, its parameter types,
@@ -60,7 +77,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import UnsupportedForEvaluation
-from .nodes import DEFAULT_LABEL, Binary, Literal, MethodDecl, Name, SourceFile, Unary
+from .nodes import (DEFAULT_LABEL, Assign, Binary, Literal, MethodDecl, Name, SourceFile,
+                    Unary)
 
 INT_MIN = -(2**31)
 INT_MAX = 2**31 - 1
@@ -181,11 +199,12 @@ def _to_java_string(v) -> str:
     return ("true" if v else "false") if isinstance(v, bool) else "null" if v is None else str(v)
 
 
+# Operators on two ints; a compiled + - * wraps the result to 32 bits.
 _INT_OPS = {
-    "+": lambda a, b: _wrap32(a + b), "-": lambda a, b: _wrap32(a - b),
-    "*": lambda a, b: _wrap32(a * b), "/": _java_div, "%": _java_mod,
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _java_div, "%": _java_mod,
     "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
 }
+_WRAPPED_OPS = frozenset({"+", "-", "*"})
 _REJECTED = {"Throw": "throw statement", "New": "object allocation", "FieldAccess": "field access"}
 # Operators whose compiled form yields a bool or raises.
 _BOOL_OPS = frozenset({"&&", "||", "==", "!=", "<", "<=", ">", ">="})
@@ -268,6 +287,40 @@ def _invoke(method: _Method, run: list, args: list):
     returned = method.body([run, *args, *method.locals])
     run[1] -= 1
     return VOID if returned is None else returned[0]
+
+
+def _static_call(callee: _Method, args: tuple):
+    """A same-file static call: the arguments are evaluated at the caller's
+    depth, then the callee runs one call deeper. Calls of one or two
+    arguments build the callee's frame inline."""
+    if len(args) == 1:
+        (a,) = args
+
+        def call(f):
+            run = f[0]
+            frame = [run, a(f), *callee.locals]
+            run[1] += 1
+            if run[1] > MAX_CALL_DEPTH:
+                raise _Stop()
+            returned = callee.body(frame)
+            run[1] -= 1
+            return VOID if returned is None else returned[0]
+    elif len(args) == 2:
+        a, b = args
+
+        def call(f):
+            run = f[0]
+            frame = [run, a(f), b(f), *callee.locals]
+            run[1] += 1
+            if run[1] > MAX_CALL_DEPTH:
+                raise _Stop()
+            returned = callee.body(frame)
+            run[1] -= 1
+            return VOID if returned is None else returned[0]
+    else:
+        def call(f):
+            return _invoke(callee, f[0], [a(f) for a in args])
+    return call
 
 
 class _Compiler:
@@ -386,6 +439,8 @@ class _Compiler:
 
     def s_ExprStmt(self, s):
         self.emit(("expr",))
+        if isinstance(s.expr, Assign):
+            return self.e_Assign(s.expr, statement=True)
         e = self.expr(s.expr)
 
         def run(f):
@@ -519,20 +574,28 @@ class _Compiler:
             return f[slot]
         return read
 
-    def e_Assign(self, e):
+    def e_Assign(self, e, statement=False):
+        """An assignment's closure; as a statement, it returns None."""
         if not isinstance(e.target, Name):
             raise UnsupportedForEvaluation(e.span, "compound assignment target")
         self.emit(("assign",))
         value = self.expr(e.value)
-        slot, _ = self.resolve(e, e.target.id)
+        slot, maybe_unset = self.resolve(e, e.target.id)
         self.emit(("slot", slot))
-
-        def assign(f):
-            v = value(f)
-            if f[slot] is _UNSET:
-                raise UnsupportedForEvaluation(e.span, f"unbound name {e.target.id!r}")
-            f[slot] = v
-            return v
+        if maybe_unset:
+            def assign(f):
+                v = value(f)
+                if f[slot] is _UNSET:
+                    raise UnsupportedForEvaluation(e.span, f"unbound name {e.target.id!r}")
+                f[slot] = v
+                return None if statement else v
+        elif statement:
+            def assign(f):
+                f[slot] = value(f)
+        else:
+            def assign(f):
+                f[slot] = v = value(f)
+                return v
         return assign
 
     def e_Unary(self, e):
@@ -568,13 +631,35 @@ class _Compiler:
         if fn is None:
             raise UnsupportedForEvaluation(span, f"operator {op}")
 
-        def binary(f):
-            a, b = left(f), right(f)
-            if type(a) is int and type(b) is int:
-                return fn(a, b)
+        def other(a, b):  # an operand is not an int
             if op == "+" and (isinstance(a, str) or isinstance(b, str)):
                 return _bounded(_to_java_string(a) + _to_java_string(b), span)
             raise UnsupportedForEvaluation(span, f"{op} on non-int operands")
+
+        if isinstance(e.right, Literal) and type(e.right.value) is int:
+            c = e.right.value
+            if op in _WRAPPED_OPS:
+                def binary(f):
+                    a = left(f)
+                    if type(a) is not int:
+                        return other(a, c)
+                    r = fn(a, c)
+                    return r if INT_MIN <= r <= INT_MAX else _wrap32(r)
+            else:
+                def binary(f):
+                    a = left(f)
+                    return fn(a, c) if type(a) is int else other(a, c)
+        elif op in _WRAPPED_OPS:
+            def binary(f):
+                a, b = left(f), right(f)
+                if type(a) is not int or type(b) is not int:
+                    return other(a, b)
+                r = fn(a, b)
+                return r if INT_MIN <= r <= INT_MAX else _wrap32(r)
+        else:
+            def binary(f):
+                a, b = left(f), right(f)
+                return fn(a, b) if type(a) is int and type(b) is int else other(a, b)
         return binary
 
     def e_Call(self, e):
@@ -594,7 +679,7 @@ class _Compiler:
         if recv is None:
             number, callee = self.callee(self.target(cls, method, n, span))
             self.emit(("static", number))
-            return lambda f: _invoke(callee, f[0], [a(f) for a in args])
+            return _static_call(callee, args)
         if n not in STRING_BUILTINS.get(method, ()):
             raise UnsupportedForEvaluation(span, f"method {method!r} with {n} arguments")
         self.emit(("String", method))
@@ -613,10 +698,10 @@ class _Compiler:
 @contextmanager
 def _stack_room():
     """Raise the recursion limit out of MAX_CALL_DEPTH's way while compiling
-    or running: each interpreted call costs several Python frames (about
-    eight for a one-statement recursive method, more under nested blocks),
-    so 200 nested calls pass the default limit of 1,000. The old limit is
-    restored on the way out."""
+    or running: each interpreted call costs several Python frames (five for
+    a one-statement recursive method, six when the call sits in an if block,
+    nine in an if inside a loop), so 200 nested calls pass the default limit
+    of 1,000. The old limit is restored on the way out."""
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old, 10_000))
     try:
@@ -726,6 +811,24 @@ def generate_args(params, seed: int, trial: int) -> list:
     return [_gen_value(p.type_name, rng) for p in params]
 
 
+# (parameter type names, seed, trials) -> each trial's arguments as a tuple,
+# least recently used first. The methods of a record share their parameter
+# types, so its checks draw the arguments once.
+_TRIAL_ARGS: dict[tuple, tuple] = {}
+_TRIAL_ARGS_SIZE = 4
+
+
+def _trial_args(params, seed: int, trials: int) -> tuple:
+    key = (tuple(p.type_name for p in params), seed, trials)
+    vectors = _TRIAL_ARGS.pop(key, None)  # put back below as the most recent
+    if vectors is None:
+        vectors = tuple(tuple(generate_args(params, seed, t)) for t in range(trials))
+        if len(_TRIAL_ARGS) >= _TRIAL_ARGS_SIZE:
+            del _TRIAL_ARGS[next(iter(_TRIAL_ARGS))]
+    _TRIAL_ARGS[key] = vectors
+    return vectors
+
+
 def check_equivalence(
     m1: MethodDecl,
     m2: MethodDecl,
@@ -753,8 +856,7 @@ def check_equivalence(
     ensure_supported(m2, context2)
 
     saw_fuel = False
-    for trial in range(trials):
-        args = generate_args(m1.params, seed, trial)
+    for args in _trial_args(m1.params, seed, trials):
         o1 = evaluate(m1, args, fuel, context1)
         if isinstance(o1, OutOfFuel):  # nothing to compare m2 with
             saw_fuel = True
@@ -764,5 +866,5 @@ def check_equivalence(
             saw_fuel = True
             continue
         if o1 != o2:
-            return EquivalenceVerdict(DIVERGED, trials, Counterexample(tuple(args), o1, o2))
+            return EquivalenceVerdict(DIVERGED, trials, Counterexample(args, o1, o2))
     return EquivalenceVerdict(EQUIVALENT if trials > 0 and not saw_fuel else INCONCLUSIVE, trials)

@@ -15,6 +15,8 @@ def margin_of_error(samples: list[float], confidence: float = 0.95) -> float:
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly between 0 and 1")
+    if not all(math.isfinite(x) for x in samples):
+        raise ValueError("samples must be finite numbers")
     n = len(samples)
     if n < 2:
         raise InsufficientSamples(f"need at least 2 samples, got {n}")

@@ -314,6 +314,40 @@ def test_cli_rejects_fewer_than_one_trial(guard_record, tmp_path, capsys, trials
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("transform", "--fuel", "0"), ("transform", "--fuel", "-5"), ("prompt", "--max-window", "0"),
+])
+def test_cli_rejects_a_budget_below_one(guard_record, fixtures_dir, tmp_path, capsys,
+                                        command, flag, value):
+    out = tmp_path / "out"
+    argv = {"transform": ["transform", "--mode", "all", "--project", guard_record.project_root,
+                          "--out", str(out)],
+            "prompt": ["prompt", "--format", "codet5-mask", "--lines", "6:6",
+                       "--file", str(fixtures_dir / "golden" / "Sample.java")]}[command]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv + [flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected at least 1, got {value}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("confidence, stdin, detail", [
+    ("1.5", "9 10 11", "confidence must lie strictly between 0 and 1"),
+    ("0.95", "9 ten 11", "could not convert string to float: 'ten'"),
+    ("0.95", "9 inf 11", "samples must be finite numbers"),
+], ids=["confidence", "sample", "infinite-sample"])
+def test_cli_stats_moe_reports_bad_input(monkeypatch, capsys, confidence, stdin, detail):
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    rc = cli_main(["stats", "moe", "--confidence", confidence])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"vmorph: error: stats moe: {detail}\n"
+    assert captured.out == ""
+
+
 def test_cli_prompt(fixtures_dir, capsys):
     sample = fixtures_dir / "golden" / "Sample.java"
     rc = cli_main(["prompt", "--format", "codet5-mask", "--file", str(sample),

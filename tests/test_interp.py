@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -355,6 +356,15 @@ def test_memoised_runtime_rejection_raises_on_every_call():
     assert evaluate(m, ["ab"], context=ast) == Returned(1)
 
 
+def _spy_on_evaluate(monkeypatch) -> list:
+    """Wrap interp.evaluate, as perfbench's tracer does; returns the
+    (method, arguments) of every call made through the module attribute."""
+    calls, real = [], interp.evaluate
+    monkeypatch.setattr(interp, "evaluate",
+                        lambda m, args, *rest: calls.append((m, args)) or real(m, args, *rest))
+    return calls
+
+
 def test_variant_not_run_where_the_original_runs_out_of_fuel(monkeypatch):
     src = """class A {
         static int f(int n) {
@@ -365,9 +375,8 @@ def test_variant_not_run_where_the_original_runs_out_of_fuel(monkeypatch):
     }"""
     m1, ast1 = method_named(src, "f")
     m2, ast2 = method_named(src, "f")
-    calls, real = [], interp.evaluate
-    monkeypatch.setattr(interp, "evaluate",
-                        lambda m, args, *rest: calls.append((m, args)) or real(m, args, *rest))
+    real = interp.evaluate
+    calls = _spy_on_evaluate(monkeypatch)
     verdict = check_equivalence(m1, m2, trials=40, seed=0, fuel=1000,
                                 context1=ast1, context2=ast2)
     assert verdict.verdict == "inconclusive"
@@ -479,6 +488,70 @@ def test_generate_args_deterministic():
     assert generate_args(m.params, 5, 3) != generate_args(m.params, 5, 4)
 
 
+def test_a_wrapped_evaluate_sees_every_trial(monkeypatch):
+    m1, ast1 = method_named(ALPHA_ORIGINAL, "f")
+    m2, ast2 = method_named(ALPHA_ORIGINAL, "f")
+    calls = _spy_on_evaluate(monkeypatch)
+    verdict = check_equivalence(m1, m2, trials=10, seed=3, context1=ast1, context2=ast2)
+    assert verdict.verdict == EQUIVALENT
+    expected = [tuple(generate_args(m1.params, 3, t)) for t in range(10)]
+    assert [m for m, _ in calls] == [m1, m2] * 10
+    assert [args for _, args in calls] == [a for a in expected for _ in (m1, m2)]
+
+
+def test_trial_arguments_are_the_draws_of_generate_args(monkeypatch):
+    monkeypatch.setattr(interp, "_TRIAL_ARGS", {})
+    m, ast = method_named(
+        "class A { static int f(int a, boolean b, String s) { return a; } }", "f")
+    calls = _spy_on_evaluate(monkeypatch)
+    check_equivalence(m, m, trials=60, seed=9, context1=ast, context2=ast)
+    drawn = [args for _, args in calls[::2]]
+    assert len(drawn) == 60
+    for t, args in enumerate(drawn):
+        assert type(args) is tuple
+        assert [(type(v), v) for v in args] == [(type(v), v) for v in generate_args(m.params, 9, t)]
+
+
+COUNT_UP = "int i = 0; while (i < a && i < 1000) { i = i + 1; }"
+ORDER_SRC = f"""class A {{
+    static int f(int a, int b) {{ {COUNT_UP} return i + b; }}
+    static int same(int a, int b) {{ {COUNT_UP} return b + i; }}
+    static int off(int a, int b) {{ {COUNT_UP} return i + b + a / 7; }}
+}}"""
+
+
+def test_verdicts_do_not_depend_on_check_order_or_the_argument_cache(monkeypatch):
+    """Checks sharing one draw (equivalent, diverged, inconclusive under a
+    small fuel) give the same verdicts in every order, from a cold or a warm
+    argument cache; a counterexample handed out does not alter a later check."""
+    ast = parse(ORDER_SRC)
+    f, same, off = ast.types[0].methods
+    checks = {"equivalent": (f, same, 40, 0, DEFAULT_FUEL),
+              "diverged": (f, off, 40, 0, DEFAULT_FUEL),
+              "inconclusive": (f, same, 40, 0, 300),
+              "other seed": (f, off, 40, 1, DEFAULT_FUEL)}
+
+    def verdicts(order) -> dict:
+        out = {}
+        for name in order:
+            m1, m2, trials, seed, fuel = checks[name]
+            verdict = check_equivalence(m1, m2, trials, seed, fuel, context1=ast, context2=ast)
+            if verdict.counterexample is not None:
+                assert type(verdict.counterexample.args) is tuple
+                verdict.counterexample.to_json_dict()["args"].append("junk")
+            out[name] = verdict.to_json_dict()
+        return out
+
+    monkeypatch.setattr(interp, "_TRIAL_ARGS", {})
+    reference = verdicts(list(checks))
+    assert [v["verdict"] for v in reference.values()] == [
+        "equivalent", "diverged", "inconclusive", "diverged"]
+    for order in itertools.permutations(checks):
+        monkeypatch.setattr(interp, "_TRIAL_ARGS", {})
+        assert verdicts(order) == reference  # cold
+        assert verdicts(order) == reference  # warm
+
+
 def test_arity_mismatch_rejected():
     src = "class A { static int f(int a) { return a; } static int g(int a, int b) { return a; } }"
     ast = parse(src)
@@ -553,16 +626,18 @@ NESTED_CALLS_SRC = """class A {
     static int id(int v) { return v; }
     static int outer(int n) { if (n > 0) { return outer(id(n - 1)) + 1; } return 0; }
     static int inner(int n) { if (n > 0) { return id(inner(n - 1)) + 1; } return 0; }
+    static int pair(int n, int k) { if (n > 0) { return pair(id(n - 1), k) + 1; } return 0; }
 }"""
 
 
-@pytest.mark.parametrize("name", ["outer", "inner"])
+@pytest.mark.parametrize("name", ["outer", "inner", "pair"])
 def test_a_call_argument_runs_before_the_call_depth_rises(name):
     """outer(199) nests 200 calls of outer, and its innermost id(0) runs at
     depth 200 too: the arguments are evaluated at the caller's depth."""
     m, ast = method_named(NESTED_CALLS_SRC, name)
-    assert evaluate(m, [199], context=ast) == Returned(199)
-    assert evaluate(m, [200], context=ast) == OutOfFuel()
+    rest = [0] * (len(m.params) - 1)
+    assert evaluate(m, [199, *rest], context=ast) == Returned(199)
+    assert evaluate(m, [200, *rest], context=ast) == OutOfFuel()
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,12 @@ def test_confidence_bounds():
         margin_of_error([1.0, 2.0], 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_samples_rejected(bad):
+    with pytest.raises(ValueError, match="samples must be finite numbers"):
+        margin_of_error([1.0, bad, 2.0])
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy.stats costs about a second to import; only margin_of_error needs it.
     src = str(Path(vmorph.__file__).resolve().parents[1])

@@ -699,3 +699,27 @@ def test_entries_do_not_depend_on_record_order(mixed_records, lexicon, order, si
     assert permuted and all(permuted[key] == reference[key] for key in permuted)
     failed = {rid for (rid, _), (entry, _) in reference.items() if json.loads(entry)["error"]}
     assert failed == {"Parens-2", "Huge-1"}
+
+
+def test_perfbench_tracer_finds_a_span_for_every_wrapped_attribute(lexicon, tmp_path,
+                                                                  monkeypatch):
+    """perfbench's traced run (`perfbench/run.py --trace 1`) wraps the module
+    attributes in its `tracing.WRAPPED` and fails when one of them is never
+    called. The pipeline must keep calling each through its module."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import gen
+    import tracing
+
+    record = load_record(gen.WORKLOADS["small-records"](1)[0].write(tmp_path / "in"))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_record(record.id)
+        generate_variants([record], lexicon, tmp_path / "out", seed=0, trials=10)
+        tracer.end_record()
+        tracer.set_bytes_written(0)
+    finally:
+        tracer.uninstall()
+    tracing.layer_metrics(tracer.spans, 10_000)  # raises for an attribute without a span
+    called = {span[0] for span in tracer.spans}
+    assert [a for attrs in tracing.WRAPPED.values() for a in attrs if a not in called] == []

@@ -441,6 +441,118 @@ def test_report_spans_inside_method(corpus_files):
 
 
 # ---------------------------------------------------------------------------
+# The driver's traversal orders: they decide fresh names and report order
+# ---------------------------------------------------------------------------
+
+NESTED_SITES = """class W {
+    static int order(int k, String s) {
+        int r = 0;
+        if (k > 0) {
+            if (k > 1) {
+                r = s.trim().length();
+                r = mix(pick(r), 1);
+            } else {
+                r = k < 3 ? 1 : 2;
+            }
+            for (int i = 0; i < k; i = i + 1) {
+                while (r > 9) {
+                    r = r - 1;
+                }
+            }
+        } else {
+            switch (k) {
+                case 1:
+                    r = k > 5 ? 3 : 4;
+                    break;
+                default:
+                    r = 5;
+            }
+        }
+        if (k > 5) {
+            r = s.trim().length();
+            r = mix(pick(k), 1);
+            int a = k;
+            int b = k;
+        } else {
+            r = 2;
+        }
+        r = mix(pick(r), s.trim().length());
+        r = mix(pick(r), k > 2 && flag(pick(k)));
+        r = r + s.trim().length();
+        int u = k;
+        int v = k;
+        return r;
+    }
+}
+"""
+
+APPLIED, SKIPPED = "applied", "skipped"
+
+# Per rule: every report entry as (list, line, detail), in the order written,
+# and the line of each introduced local -> its fresh name.
+NESTED_SITES_ORDER = {
+    # Outer-first, per statement; the flipped if's else (its old then) first.
+    TransformRule.IF_FLIP: ([(APPLIED, 4, "condition negated, branches swapped"),
+                             (APPLIED, 5, "condition negated, branches swapped"),
+                             (APPLIED, 25, "condition negated, branches swapped")], {}),
+    # Inner-first.
+    TransformRule.LOOP_CONVERT: ([(APPLIED, 12, "while-to-for"),
+                                  (APPLIED, 11, "for-to-while")], {}),
+    TransformRule.COND_CONVERT: ([(APPLIED, 19, "ternary-to-if-else"),
+                                  (APPLIED, 17, "switch-to-if-chain"),
+                                  (APPLIED, 9, "ternary-to-if-else")], {}),
+    # Block by block: all of a block's sites, then the blocks nested in it.
+    TransformRule.FUNCTION_CHAIN: ([(SKIPPED, 33, "interference"),
+                                    (APPLIED, 35, "chain link hoisted into local"),
+                                    (APPLIED, 6, "chain link hoisted into local"),
+                                    (APPLIED, 26, "chain link hoisted into local")],
+                                   {35: "s_trim", 6: "s_trim2", 26: "s_trim3"}),
+    # A statement's per-argument skips come before its applied entry.
+    TransformRule.ARGUMENT_PASS: ([(SKIPPED, 33, "interference"),
+                                   (APPLIED, 33, "1 argument(s) extracted into locals"),
+                                   (SKIPPED, 34, "conditional-context"),
+                                   (APPLIED, 34, "1 argument(s) extracted into locals"),
+                                   (APPLIED, 7, "1 argument(s) extracted into locals"),
+                                   (APPLIED, 27, "1 argument(s) extracted into locals")],
+                                  {33: "tmp", 34: "tmp2", 7: "tmp3", 27: "tmp4"}),
+    TransformRule.CODE_ORDER: ([(APPLIED, 35, "independent adjacent statements swapped"),
+                                (APPLIED, 27, "independent adjacent statements swapped")], {}),
+}
+
+
+class _Logged(list):
+    """A report list that also logs each entry into one shared list, so the
+    order of applied and skipped entries relative to each other shows."""
+
+    def __init__(self, log, kind):
+        super().__init__()
+        self.log, self.kind = log, kind
+
+    def append(self, entry):
+        super().append(entry)
+        rule, span, detail = entry
+        self.log.append((rule, self.kind, span.start_line, detail))
+
+
+@pytest.mark.parametrize("rule", list(TransformRule), ids=lambda r: r.value)
+def test_driver_order_over_nested_blocks(rule, monkeypatch):
+    import vmorph.transforms as transforms
+
+    log = []
+    report = transforms.TransformReport
+    monkeypatch.setattr(transforms, "TransformReport", lambda: report(
+        applied=_Logged(log, APPLIED), skipped=_Logged(log, SKIPPED)))
+    ast = parse(NESTED_SITES)
+    m = ast.types[0].methods[0]
+    out, _ = apply_rule(m, rule)
+    entries, fresh = NESTED_SITES_ORDER[rule]
+    assert log == [(rule, *e) for e in entries]
+    assert {n.declarators[0].span.start_line: n.declarators[0].name
+            for n in walk(out.body) if isinstance(n, LocalVarDecl)
+            and n.declarators[0].name not in {"r", "i", "a", "b", "u", "v"}} == fresh
+
+
+# ---------------------------------------------------------------------------
 # Fields: an impure call may read or write any field
 # ---------------------------------------------------------------------------
 

@@ -291,14 +291,19 @@ class For(Stmt):
 class SwitchCase(Node):
     """labels holds Literal nodes and/or the DEFAULT_LABEL sentinel.
 
-    terminated is derived at construction: the body's last statement is a
-    break, return, or throw, so control cannot fall through to the next case.
+    terminated is derived at construction, as `ends_case(body)`.
     """
 
     labels: tuple[object, ...] = _child()
     body: tuple[Stmt, ...] = _child()
     terminated: bool = _payload()
     span: Span = _span_field()
+
+
+def ends_case(body) -> bool:
+    """Whether a case body's last statement is a break, return or throw, so
+    control cannot fall through to the next case."""
+    return bool(body) and isinstance(body[-1], (Break, Return, Throw))
 
 
 DEFAULT_LABEL = "default"

@@ -59,6 +59,7 @@ from .nodes import (
     Unary,
     While,
     children,
+    ends_case,
 )
 
 MODIFIERS = ("public", "private", "protected", "static", "final")
@@ -395,7 +396,23 @@ class _Parser:
             expr = self.expression()
             self.expect(";")
             return Throw(expr, comments, self.span_from(start))
-        if key == "var":
+        if key == "@":
+            raise self.unsupported("annotation")
+        if self.at_kind(IDENT) and self.at(":", 1):
+            raise self.unsupported("labeled statement", self.peek())
+
+        decl = self.local_decl()
+        if decl is not None:
+            self.expect(";")
+            return LocalVarDecl(*decl, comments, self.span_from(start))
+        expr = self.expression()
+        self.expect(";")
+        return ExprStmt(expr, comments, self.span_from(start))
+
+    def local_decl(self) -> tuple[str, tuple[Declarator, ...]] | None:
+        """The type and declarators of a local declaration, up to its `;`;
+        None, with the cursor back where it was, when none starts here."""
+        if self.keys[self.pos] == "var":
             self.next()
             name = self.expect_ident("variable name").text
             if not self.at("="):
@@ -404,34 +421,17 @@ class _Parser:
             for d in declarators:
                 if d.init is None:
                     raise self.error("'var' declarations require an initializer")
-            self.expect(";")
-            return LocalVarDecl("var", declarators, comments, self.span_from(start))
-        if key == "@":
-            raise self.unsupported("annotation")
-
-        if self.at_kind(IDENT):
-            if self.at(":", 1):
-                raise self.unsupported("labeled statement", self.peek())
-            decl = self.try_local_decl(comments, start)
-            if decl is not None:
-                return decl
-
-        expr = self.expression()
-        self.expect(";")
-        return ExprStmt(expr, comments, self.span_from(start))
-
-    def try_local_decl(self, comments, start) -> LocalVarDecl | None:
+            return "var", declarators
         saved = self.pos
-        name = self.dotted_name()
+        if self.toks[saved].kind != IDENT:
+            return None
+        type_name = self.dotted_name()
         if self.at("<") and self._looks_like_generic_decl():
             raise self.unsupported("generic type", self.toks[saved])
         if not self.at_kind(IDENT):
             self.pos = saved
             return None
-        var_name = self.next().text
-        declarators = self.declarators(var_name)
-        self.expect(";")
-        return LocalVarDecl(name, declarators, comments, self.span_from(start))
+        return type_name, self.declarators(self.next().text)
 
     def _looks_like_generic_decl(self) -> bool:
         """Scan past a balanced <...> of type-ish tokens followed by a name."""
@@ -485,21 +485,9 @@ class _Parser:
         return For(init, cond, update, body, comments, self.span_from(start))
 
     def for_init(self, start: Token) -> Stmt:
-        if self.at("var"):
-            self.next()
-            name = self.expect_ident("variable name").text
-            declarators = self.declarators(name)
-            return LocalVarDecl("var", declarators, (), self.span_from(start))
-        if self.at_kind(IDENT):
-            saved = self.pos
-            type_name = self.dotted_name()
-            if self.at("<") and self._looks_like_generic_decl():
-                raise self.unsupported("generic type", self.toks[saved])
-            if self.at_kind(IDENT):
-                var_name = self.next().text
-                declarators = self.declarators(var_name)
-                return LocalVarDecl(type_name, declarators, (), self.span_from(start))
-            self.pos = saved
+        decl = self.local_decl()
+        if decl is not None:
+            return LocalVarDecl(*decl, (), self.span_from(start))
         expr = self.expression()
         return ExprStmt(expr, (), self.span_from(start))
 
@@ -540,8 +528,7 @@ class _Parser:
                 if self.at_kind(EOF):
                     raise self.error("unterminated switch")
                 body.append(self.nested(self.statement))
-            terminated = bool(body) and isinstance(body[-1], (Break, Return, Throw))
-            cases.append(SwitchCase(tuple(labels), tuple(body), terminated,
+            cases.append(SwitchCase(tuple(labels), tuple(body), ends_case(body),
                                     self.span_from(case_start)))
         self.expect("}")
         return Switch(scrutinee, tuple(cases), comments, self.span_from(start))

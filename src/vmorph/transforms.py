@@ -4,8 +4,15 @@ Rules: if-condition flipping, for/while conversion, conditional-statement
 conversion (ternary/if-else and switch/if-chain), function-chain split/merge,
 argument-pass extract/inline, and adjacent-statement reordering.
 
-Every rule is total over its precondition and raises NotApplicable otherwise;
-the driver turns per-site NotApplicable into skipped-report entries.
+Every rule is total over its precondition and raises NotApplicable otherwise.
+`_run_rule` applies a rule through its site function, `stmt -> (statements,
+detail) | None`: None means `stmt` is not a site, NotApplicable refuses it.
+One shell there writes every applied and skipped report entry. The order a
+rule visits its sites in decides the order of report entries and of fresh
+names: IfFlip goes outer-first (a statement, then the blocks inside what it
+became), LoopConvert and CondConvert inner-first, and FunctionChain,
+ArgumentPass and CodeOrder block by block (every statement of a block, then
+the blocks nested in the results).
 
 Reordering, split/extract (hoisting code before the statement) and
 merge/inline (sinking a declaration into its use) ask one question: may these
@@ -61,6 +68,7 @@ from .nodes import (
     Throw,
     Unary,
     While,
+    ends_case,
     identifier_sites,
     rebuild,
     walk,
@@ -71,6 +79,9 @@ MERGE = "merge"
 SPLIT = "split"
 INLINE = "inline"
 EXTRACT = "extract"
+
+
+_Site = tuple[list[Stmt], str] | None  # a site function's result
 
 
 class TransformRule(enum.Enum):
@@ -161,13 +172,9 @@ PARTICIPLES = {
 }
 
 
-def load_purity_whitelist(path: str | None = None) -> frozenset[str]:
+def load_purity_whitelist() -> frozenset[str]:
     """Load pure-method names; entries are qualified, matching is by suffix."""
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = resources.files("vmorph.data").joinpath("purity_whitelist.txt").read_text("utf-8")
+    text = resources.files("vmorph.data").joinpath("purity_whitelist.txt").read_text("utf-8")
     names = set()
     for line in text.splitlines():
         line = line.strip()
@@ -176,7 +183,7 @@ def load_purity_whitelist(path: str | None = None) -> frozenset[str]:
     return frozenset(names)
 
 
-_DEFAULT_WHITELIST = load_purity_whitelist()
+_PURE_METHODS = load_purity_whitelist()
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +207,12 @@ def flip_if(s: If) -> If:
     if not s.orelse.stmts:
         raise NotApplicable("no-else")
     return replace(s, cond=negate(s.cond), then=s.orelse, orelse=s.then)
+
+
+def _flip_site(stmt: Stmt) -> _Site:
+    if not isinstance(stmt, If):
+        return None
+    return [flip_if(stmt)], "condition negated, branches swapped"
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +243,12 @@ def convert_loop(s: Stmt) -> Stmt:
     return Block((init, loop), (), s.span)
 
 
+def _loop_site(stmt: Stmt) -> _Site:
+    if not isinstance(stmt, (For, While)):
+        return None
+    return [convert_loop(stmt)], "for-to-while" if isinstance(stmt, For) else "while-to-for"
+
+
 # ---------------------------------------------------------------------------
 # Rule 3: conditional-statement conversion
 # ---------------------------------------------------------------------------
@@ -241,38 +260,61 @@ def convert_conditional(stmt: Stmt) -> list[Stmt]:
     Handles: `v = c ? a : b;` and `T v = c ? a : b;` to if-else, switch to an
     if/else-if chain, and an equality-guarded if/else-if chain to a switch.
     """
+    if isinstance(stmt, If):  # refused with its reason even where it starts no chain
+        return [_if_chain_to_switch(stmt)]
+    site = _cond_site(stmt)
+    if site is None:
+        raise NotApplicable("not-a-conditional-site")
+    return site[0]
+
+
+def _cond_site(stmt: Stmt) -> _Site:
+    """CondConvert's site function; the detail is the direction. An if
+    statement is a site when it has an else-if link and an equality-on-literal
+    first condition."""
     if isinstance(stmt, ExprStmt) and isinstance(stmt.expr, Assign) \
             and isinstance(stmt.expr.value, Ternary):
-        t = stmt.expr.value
-        target = stmt.expr.target
-        then = Block((ExprStmt(Assign(target, t.if_true, t.span), (), t.if_true.span),),
-                     (), t.if_true.span)
-        orelse = Block((ExprStmt(Assign(target, t.if_false, t.span), (), t.if_false.span),),
-                       (), t.if_false.span)
-        return [If(t.cond, then, orelse, stmt.comments, stmt.span)]
+        return ([_if_else(stmt.expr.target, stmt.expr.value, stmt.comments, stmt.span)],
+                "ternary-to-if-else")
 
     if isinstance(stmt, LocalVarDecl) and len(stmt.declarators) == 1 \
             and isinstance(stmt.declarators[0].init, Ternary):
         if stmt.type_name == "var":
             raise NotApplicable("var-requires-initializer")
         d = stmt.declarators[0]
-        t = d.init
-        assert isinstance(t, Ternary)
         decl = replace(stmt, declarators=(Declarator(d.name, None, d.span),))
-        target = Name(d.name, d.span)
-        then = Block((ExprStmt(Assign(target, t.if_true, t.span), (), t.if_true.span),),
-                     (), t.if_true.span)
-        orelse = Block((ExprStmt(Assign(target, t.if_false, t.span), (), t.if_false.span),),
-                       (), t.if_false.span)
-        return [decl, If(t.cond, then, orelse, (), stmt.span)]
+        return [decl, _if_else(Name(d.name, d.span), d.init, (), stmt.span)], "ternary-to-if-else"
 
     if isinstance(stmt, Switch):
-        return [_switch_to_if_chain(stmt)]
+        return [_switch_to_if_chain(stmt)], "switch-to-if-chain"
 
-    if isinstance(stmt, If):
-        return [_if_chain_to_switch(stmt)]
+    if isinstance(stmt, If) and isinstance(stmt.orelse, If) \
+            and _equality_labels(stmt.cond, []) is not None:
+        return [_if_chain_to_switch(stmt)], "if-chain-to-switch"
 
-    raise NotApplicable("not-a-conditional-site")
+    return None
+
+
+def _if_else(target: Expr, t: Ternary, comments: tuple[str, ...], span: Span) -> If:
+    """`target = t;` as an if-else that assigns `target` in each branch."""
+    def branch(value: Expr) -> Block:
+        return Block((ExprStmt(Assign(target, value, t.span), (), value.span),), (), value.span)
+    return If(t.cond, branch(t.if_true), branch(t.if_false), comments, span)
+
+
+def _record_misplaced_ternaries(stmt: Stmt, skip) -> None:
+    """Ternaries anywhere but as a whole assignment/initializer RHS are skipped."""
+    holder_exempt: set[int] = set()
+    if isinstance(stmt, ExprStmt) and isinstance(stmt.expr, Assign) \
+            and isinstance(stmt.expr.value, Ternary):
+        holder_exempt.add(id(stmt.expr.value))
+    if isinstance(stmt, LocalVarDecl):
+        for d in stmt.declarators:
+            if isinstance(d.init, Ternary):
+                holder_exempt.add(id(d.init))
+    for n in walk(stmt):
+        if isinstance(n, Ternary) and id(n) not in holder_exempt:
+            skip(n.span, "nested-ternary-position")
 
 
 def _effect_free_scrutinee(expr: Expr) -> bool:
@@ -332,21 +374,20 @@ def _switch_to_if_chain(stmt: Switch) -> Stmt:
     if len(label_kinds) > 1:
         raise NotApplicable("mixed-label-types")
 
-    for i, case in enumerate(stmt.cases):
-        is_last = i == len(stmt.cases) - 1
-        if not is_last and not case.terminated:
-            raise NotApplicable("fallthrough")
-        body = case.body
-        if body and isinstance(body[-1], Break):
-            body = body[:-1]
-        if _free_breaks(body):
-            raise NotApplicable("inner-break")
-
     def case_block(case: SwitchCase) -> Block:
         body = case.body
         if body and isinstance(body[-1], Break):
             body = body[:-1]
         return Block(tuple(body), (), case.span)
+
+    for i, case in enumerate(stmt.cases):
+        is_last = i == len(stmt.cases) - 1
+        if not is_last and not case.terminated:
+            raise NotApplicable("fallthrough")
+        if _free_breaks(case_block(case).stmts):
+            raise NotApplicable("inner-break")
+    if _shares_a_local([case.body for case in stmt.cases]):
+        raise NotApplicable("case-scoped-local")
 
     def case_cond(case: SwitchCase) -> Expr:
         conds: list[Expr] = []
@@ -404,21 +445,32 @@ def _if_chain_to_switch(stmt: If) -> Stmt:
             raise NotApplicable("inner-break")
     if final_else is not None and _free_breaks(final_else.stmts):
         raise NotApplicable("inner-break")
+    bodies = [body.stmts for _, body in links]
+    if _shares_a_local(bodies + ([final_else.stmts] if final_else is not None else [])):
+        raise NotApplicable("case-scoped-local")
 
     cases: list[SwitchCase] = []
     for labels, body in links:
-        stmts = body.stmts
-        terminated = bool(stmts) and isinstance(stmts[-1], (Break, Return, Throw))
-        if not terminated:
-            stmts = stmts + (Break((), body.span),)
-            terminated = True
-        cases.append(SwitchCase(tuple(labels), stmts, terminated, body.span))
+        stmts = body.stmts if ends_case(body.stmts) else body.stmts + (Break((), body.span),)
+        cases.append(SwitchCase(tuple(labels), stmts, True, body.span))
     if final_else is not None:
-        stmts = final_else.stmts
-        terminated = bool(stmts) and isinstance(stmts[-1], (Break, Return, Throw))
-        cases.append(SwitchCase((DEFAULT_LABEL,), stmts, terminated, final_else.span))
+        cases.append(SwitchCase((DEFAULT_LABEL,), final_else.stmts,
+                                ends_case(final_else.stmts), final_else.span))
     assert scrutinee is not None
     return Switch(scrutinee, tuple(cases), stmt.comments, stmt.span)
+
+
+def _shares_a_local(bodies: list[tuple[Stmt, ...]]) -> bool:
+    """Whether a name declared at the top level of one body occurs in another:
+    a switch block is one scope and each if branch its own, so converting
+    would redeclare the name in one scope or leave a use undeclared."""
+    for i, body in enumerate(bodies):
+        declared = {d.name for s in body if isinstance(s, LocalVarDecl) for d in s.declarators}
+        if declared and any((n.id if isinstance(n, Name) else n.name) in declared
+                            for j, other in enumerate(bodies) if j != i
+                            for s in other for n in walk(s) if isinstance(n, (Name, Declarator))):
+            return True
+    return False
 
 
 def _equality_labels(cond: Expr, out: list[Literal]) -> Name | None:
@@ -555,12 +607,11 @@ def _may_be_null(receiver: Expr) -> bool:
 
 @dataclass(frozen=True)
 class _Scope:
-    """How the names and calls of one method map to effects."""
+    """How the names of one method map to effects."""
 
     # The locations each bare field name may denote: HEAP, plus the name
     # itself when a local of that name is declared somewhere in the method.
     fields: dict[str, frozenset[str]]
-    pure: frozenset[str]  # method names of the purity whitelist
 
     def bare(self, name: str) -> frozenset[str]:
         return self.fields.get(name) or frozenset({name})
@@ -578,7 +629,7 @@ class _Scope:
             return Effects(writes=_HEAP, throws=_may_be_null(target.receiver))
         if isinstance(node, Declarator):
             return Effects(writes=frozenset({node.name}))
-        if isinstance(node, Call) and node.method in self.pure:
+        if isinstance(node, Call) and node.method in _PURE_METHODS:
             return _THROWS
         if isinstance(node, (Call, New)):
             return _IMPURE
@@ -602,8 +653,7 @@ class _Scope:
         raise ValueError("target is not evaluated by holder")
 
 
-def _scope_for(m: MethodDecl, context: SourceFile | None,
-               whitelist: frozenset[str] | None) -> _Scope:
+def _scope_for(m: MethodDecl, context: SourceFile | None) -> _Scope:
     """Fields are the names `context` declares as fields that no parameter
     of `m` shadows; without `context` every free name is local. A local
     shadows a field only from its declaration on, so a bare name that is
@@ -615,10 +665,10 @@ def _scope_for(m: MethodDecl, context: SourceFile | None,
         fields = {d.name: _HEAP | ({d.name} & locals_)
                   for cls in context.types for f in cls.fields for d in f.declarators
                   if d.name not in params}
-    return _Scope(fields, whitelist if whitelist is not None else _DEFAULT_WHITELIST)
+    return _Scope(fields)
 
 
-_DEFAULT_SCOPE = _Scope({}, _DEFAULT_WHITELIST)
+_DEFAULT_SCOPE = _Scope({})
 
 
 class _FreshNames:
@@ -649,16 +699,19 @@ def _decl_type_for(call_or_new: Expr) -> str:
     return KNOWN_RETURN_TYPES.get(call_or_new.method, "var")
 
 
+def _receiver_tokens(call: Call) -> list[str]:
+    if isinstance(call.receiver, Name):
+        return tokenize_identifier(call.receiver.id)
+    if isinstance(call.receiver, FieldAccess):
+        return tokenize_identifier(call.receiver.name)
+    return []
+
+
 def _split_base_name(inner: Call) -> str:
-    recv_tokens: list[str] = []
-    if isinstance(inner.receiver, Name):
-        recv_tokens = tokenize_identifier(inner.receiver.id)
-    elif isinstance(inner.receiver, FieldAccess):
-        recv_tokens = tokenize_identifier(inner.receiver.name)
     meth_tokens = tokenize_identifier(inner.method)
     if len(meth_tokens) > 1 and meth_tokens[0] in ("get", "to"):
         meth_tokens = meth_tokens[1:]
-    tokens = recv_tokens + meth_tokens
+    tokens = _receiver_tokens(inner) + meth_tokens
     return "_".join(tokens) if tokens else "tmp"
 
 
@@ -671,11 +724,7 @@ def _extract_base_name(arg: Expr) -> str | None:
     meth_tokens = tokenize_identifier(arg.method)
     if meth_tokens[0] not in PARTICIPLES:
         return None
-    tokens = [PARTICIPLES[meth_tokens[0]]] + meth_tokens[1:]
-    if isinstance(arg.receiver, Name):
-        tokens += tokenize_identifier(arg.receiver.id)
-    elif isinstance(arg.receiver, FieldAccess):
-        tokens += tokenize_identifier(arg.receiver.name)
+    tokens = [PARTICIPLES[meth_tokens[0]]] + meth_tokens[1:] + _receiver_tokens(arg)
     return tokens[0] + "".join(t.capitalize() for t in tokens[1:])
 
 
@@ -687,11 +736,7 @@ def _extract_base_name(arg: Expr) -> str | None:
 def chain_functions(block: Block, direction: str, taken: set[str] | None = None) -> Block:
     """Split one chain link per statement, or merge single-use receiver decls."""
     if direction == SPLIT:
-        fresh = _FreshNames(taken if taken is not None else _names_in(block))
-        new_stmts: list[Stmt] = []
-        for stmt in block.stmts:
-            new_stmts.extend(_split_stmt(stmt, fresh, _DEFAULT_SCOPE)[0])
-        return replace(block, stmts=tuple(new_stmts))
+        return _each_site(block, taken, lambda s, fresh: _split_site(s, fresh, _DEFAULT_SCOPE))
     if direction == MERGE:
         return _merge_block(block, _DEFAULT_SCOPE)
     raise ValueError(f"unknown direction {direction!r}")
@@ -710,8 +755,8 @@ def _find_chain_link(expr: Expr) -> Call | None:
     return None
 
 
-def _split_stmt(stmt: Stmt, fresh: _FreshNames, scope: _Scope) -> tuple[list[Stmt], bool]:
-    """Returns (replacement statements, whether a split happened).
+def _split_site(stmt: Stmt, fresh: _FreshNames, scope: _Scope) -> _Site:
+    """Hoist the call at the bottom of the statement's chain into a local.
 
     The hoisted link must not conflict with anything the statement evaluates
     before it, its own operands included.
@@ -722,11 +767,11 @@ def _split_stmt(stmt: Stmt, fresh: _FreshNames, scope: _Scope) -> tuple[list[Stm
             and stmt.declarators[0].init is not None:
         holder = stmt.declarators[0].init
     else:
-        return [stmt], False
+        return None
 
     link = _find_chain_link(holder)
     if link is None:
-        return [stmt], False
+        return None
     inner = link.receiver
     assert isinstance(inner, Call)
     prefix, conditional = scope.before(holder, inner)
@@ -743,7 +788,7 @@ def _split_stmt(stmt: Stmt, fresh: _FreshNames, scope: _Scope) -> tuple[list[Stm
     )
     rewritten = _substitute(stmt, {id(inner): Name(var_name, inner.span)})
     rewritten = replace(rewritten, comments=())
-    return [decl, rewritten], True
+    return [decl, rewritten], "chain link hoisted into local"
 
 
 def _substitute(node, subst: dict[int, Expr]):
@@ -825,31 +870,25 @@ def _stmt_expr(stmt: Stmt) -> Expr | None:
 def argument_pass(block: Block, direction: str, taken: set[str] | None = None) -> Block:
     """Extract call/new arguments into locals, or inline single-use locals back."""
     if direction == EXTRACT:
-        fresh = _FreshNames(taken if taken is not None else _names_in(block))
-        new_stmts: list[Stmt] = []
-        for stmt in block.stmts:
-            decls, rewritten, _ = _extract_stmt(stmt, fresh, _DEFAULT_SCOPE)
-            new_stmts.extend(decls)
-            new_stmts.append(rewritten)
-        return replace(block, stmts=tuple(new_stmts))
+        return _each_site(block, taken, lambda s, fresh: _extract_site(
+            s, fresh, _DEFAULT_SCOPE, lambda span, reason: None))
     if direction == INLINE:
         return _inline_block(block, _DEFAULT_SCOPE)
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _extract_stmt(stmt: Stmt, fresh: _FreshNames, scope: _Scope):
-    """Hoist every safely extractable argument of one statement.
+def _extract_site(stmt: Stmt, fresh: _FreshNames, scope: _Scope, skip) -> _Site:
+    """Hoist every safely extractable argument of one statement into a local;
+    `skip(span, reason)` is told of each argument left in place.
 
-    Returns (hoisted declarations, rewritten statement, skip reasons).
     Arguments are taken in evaluation order, so the hoisted declarations
     keep their order. One is hoisted when it runs unconditionally and does
     not conflict with anything that stays in place and is evaluated before
     it, its own operands included.
     """
     holder = _stmt_expr(stmt)
-    skips: list[tuple[Span, str]] = []
     if holder is None:
-        return [], stmt, skips
+        return None
 
     events = list(_evaluation_order(holder))
     args = {id(a) for n, _ in events if isinstance(n, (Call, New)) for a in n.args}
@@ -870,16 +909,16 @@ def _extract_stmt(stmt: Stmt, fresh: _FreshNames, scope: _Scope):
                     (), node.span))
                 hoisted[id(node)] = Name(var_name, node.span)
                 continue
-            skips.append((node.span, reason))
+            skip(node.span, reason)
         kept.append((node, scope.effect(node)))
 
     if not decls:
-        return [], stmt, skips
+        return None
     rewritten = _substitute(stmt, hoisted)
     if getattr(stmt, "comments", ()):
         decls[0] = replace(decls[0], comments=stmt.comments)
         rewritten = replace(rewritten, comments=())
-    return decls, rewritten, skips
+    return decls + [rewritten], f"{len(decls)} argument(s) extracted into locals"
 
 
 _STRAIGHT_LINE = (LocalVarDecl, ExprStmt)
@@ -943,15 +982,14 @@ def _try_inline(stmts: list[Stmt], i: int, scope: _Scope) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def reorder_statements(block: Block, whitelist: frozenset[str] | None = None) -> Block:
+def reorder_statements(block: Block) -> Block:
     """Swap independent adjacent statement pairs; identity when none qualify.
 
     A pair swaps only when both are declarations or expression statements
     (control flow never moves) and the two do not conflict (see
     `conflicts`); no name is a field here.
     """
-    wl = whitelist if whitelist is not None else _DEFAULT_WHITELIST
-    return _reorder(block, _Scope({}, wl), TransformReport())
+    return _reorder(block, _DEFAULT_SCOPE, TransformReport())
 
 
 def _reorder(block: Block, scope: _Scope, report: TransformReport) -> Block:
@@ -992,37 +1030,42 @@ APPLY_ORDER = (
     TransformRule.CODE_ORDER,
 )
 
+# Site functions without fresh names or scope; CodeOrder works on pairs (_reorder).
+_SITES = {
+    TransformRule.IF_FLIP: _flip_site,
+    TransformRule.LOOP_CONVERT: _loop_site,
+    TransformRule.COND_CONVERT: _cond_site,
+    TransformRule.CODE_ORDER: None,
+}
+
 
 def apply_all(
     m: MethodDecl,
     context: SourceFile | None = None,
-    whitelist: frozenset[str] | None = None,
 ) -> tuple[MethodDecl, TransformReport]:
     """Apply every applicable rule once, in the fixed order
     IfFlip, LoopConvert, CondConvert, FunctionChain(split),
     ArgumentPass(extract), CodeOrder.
     """
-    report = TransformReport()
-    body = m.body
-    taken = _names_in(context) if context is not None else _names_in(m)
-    fresh = _FreshNames(taken)
-    scope = _scope_for(m, context, whitelist)
-    for rule in APPLY_ORDER:
-        body = _run_rule(body, rule, fresh, scope, report)
-    return replace(m, body=body), report
+    return _apply(m, APPLY_ORDER, context)
 
 
 def apply_rule(
     m: MethodDecl,
     rule: TransformRule,
     context: SourceFile | None = None,
-    whitelist: frozenset[str] | None = None,
 ) -> tuple[MethodDecl, TransformReport]:
     """Apply a single rule across a whole method, as apply_all would."""
+    return _apply(m, (rule,), context)
+
+
+def _apply(m: MethodDecl, rules, context: SourceFile | None) -> tuple[MethodDecl, TransformReport]:
     report = TransformReport()
-    taken = _names_in(context) if context is not None else _names_in(m)
-    fresh = _FreshNames(taken)
-    body = _run_rule(m.body, rule, fresh, _scope_for(m, context, whitelist), report)
+    fresh = _FreshNames(_names_in(context) if context is not None else _names_in(m))
+    scope = _scope_for(m, context)
+    body = m.body
+    for rule in rules:
+        body = _run_rule(body, rule, fresh, scope, report)
     return replace(m, body=body), report
 
 
@@ -1033,19 +1076,59 @@ def _run_rule(
     scope: _Scope,
     report: TransformReport,
 ) -> Block:
-    if rule is TransformRule.IF_FLIP:
-        return _pass_if_flip(body, report)
-    if rule is TransformRule.LOOP_CONVERT:
-        return _pass_loop_convert(body, report)
-    if rule is TransformRule.COND_CONVERT:
-        return _pass_cond_convert(body, report)
+    """`rule` at every site of `body`, in the rule's traversal order."""
+    def skip(span: Span, reason: str) -> None:
+        report.skipped.append((rule, span, reason))
+
     if rule is TransformRule.FUNCTION_CHAIN:
-        return _pass_blockwise(body, lambda b: _pass_chain_split(b, fresh, scope, report))
-    if rule is TransformRule.ARGUMENT_PASS:
-        return _pass_blockwise(body, lambda b: _pass_extract(b, fresh, scope, report))
-    if rule is TransformRule.CODE_ORDER:
-        return _pass_blockwise(body, lambda b: _reorder(b, scope, report))
-    raise ValueError(f"unknown rule {rule!r}")
+        site = lambda stmt: _split_site(stmt, fresh, scope)  # noqa: E731
+    elif rule is TransformRule.ARGUMENT_PASS:
+        site = lambda stmt: _extract_site(stmt, fresh, scope, skip)  # noqa: E731
+    else:
+        site = _SITES[rule]
+
+    def at_site(stmt: Stmt):
+        """The one shell: writes `stmt`'s report entries, returns what replaces it."""
+        try:
+            done = site(stmt)
+        except NotApplicable as e:
+            skip(stmt.span, e.reason)
+            done = None
+        if done is None:
+            out = (stmt,)
+        else:
+            out, detail = done
+            report.applied.append((rule, stmt.span, detail))
+        if site is _cond_site:
+            for out_stmt in out:
+                _record_misplaced_ternaries(out_stmt, skip)
+        return out
+
+    if site is _flip_site:  # outer-first
+        return _each_block(body, lambda b, nested: replace(
+            b, stmts=tuple([nested(out) for s in b.stmts for out in at_site(s)])))
+    if site is _loop_site or site is _cond_site:  # inner-first
+        return _each_block(body, lambda b, nested: replace(
+            b, stmts=tuple([out for s in b.stmts for out in at_site(nested(s))])))
+
+    def block_by_block(b: Block, nested) -> Block:
+        if site is None:
+            b = _reorder(b, scope, report)
+        else:
+            b = replace(b, stmts=tuple([out for s in b.stmts for out in at_site(s)]))
+        return replace(b, stmts=tuple(map(nested, b.stmts)))
+
+    return _each_block(body, block_by_block)
+
+
+def _each_site(block: Block, taken: set[str] | None, site) -> Block:
+    """`block` with each statement that `site(stmt, fresh)` rewrites replaced."""
+    fresh = _FreshNames(taken if taken is not None else _names_in(block))
+    stmts: list[Stmt] = []
+    for stmt in block.stmts:
+        done = site(stmt, fresh)
+        stmts.extend(done[0] if done is not None else (stmt,))
+    return replace(block, stmts=tuple(stmts))
 
 
 def _each_block(block: Block, rewrite) -> Block:
@@ -1065,136 +1148,7 @@ def _each_block(block: Block, rewrite) -> Block:
             return replace(node, then=_each_block(node.then, rewrite), orelse=orelse)
         if isinstance(node, SwitchCase):
             body = _each_block(Block(node.body, (), node.span), rewrite).stmts
-            terminated = bool(body) and isinstance(body[-1], (Break, Return, Throw))
-            return replace(node, body=body, terminated=terminated)
+            return replace(node, body=body, terminated=ends_case(body))
         return rebuild(node, nested) if isinstance(node, Stmt) else node
 
     return rewrite(block, nested)
-
-
-def _pass_blockwise(block: Block, f) -> Block:
-    """Outermost-first: transform each block, then the blocks nested in it."""
-    def rewrite(b: Block, nested) -> Block:
-        b = f(b)
-        return replace(b, stmts=tuple(map(nested, b.stmts)))
-
-    return _each_block(block, rewrite)
-
-
-def _pass_if_flip(block: Block, report: TransformReport) -> Block:
-    def on_stmt(stmt: Stmt) -> Stmt:
-        if isinstance(stmt, If):
-            try:
-                flipped = flip_if(stmt)
-                report.applied.append((TransformRule.IF_FLIP, stmt.span, "condition negated, branches swapped"))
-                stmt = flipped
-            except NotApplicable as e:
-                report.skipped.append((TransformRule.IF_FLIP, stmt.span, e.reason))
-        return stmt
-
-    return _each_block(block, lambda b, nested: replace(
-        b, stmts=tuple(nested(on_stmt(s)) for s in b.stmts)))
-
-
-def _pass_loop_convert(block: Block, report: TransformReport) -> Block:
-    def on_stmt(stmt: Stmt) -> Stmt:
-        if isinstance(stmt, (For, While)):
-            direction = "for-to-while" if isinstance(stmt, For) else "while-to-for"
-            try:
-                converted = convert_loop(stmt)
-                report.applied.append((TransformRule.LOOP_CONVERT, stmt.span, direction))
-                return converted
-            except NotApplicable as e:
-                report.skipped.append((TransformRule.LOOP_CONVERT, stmt.span, e.reason))
-        return stmt
-
-    return _each_block(block, lambda b, nested: replace(
-        b, stmts=tuple(on_stmt(nested(s)) for s in b.stmts)))
-
-
-def _pass_cond_convert(block: Block, report: TransformReport) -> Block:
-    def on_stmt(stmt: Stmt) -> list[Stmt]:
-        converted: list[Stmt] | None = None
-        is_site = (
-            isinstance(stmt, Switch)
-            or (isinstance(stmt, If) and _is_equality_chain(stmt))
-            or (isinstance(stmt, ExprStmt) and isinstance(stmt.expr, Assign)
-                and isinstance(stmt.expr.value, Ternary))
-            or (isinstance(stmt, LocalVarDecl) and len(stmt.declarators) == 1
-                and isinstance(stmt.declarators[0].init, Ternary))
-        )
-        if is_site:
-            if isinstance(stmt, Switch):
-                direction = "switch-to-if-chain"
-            elif isinstance(stmt, If):
-                direction = "if-chain-to-switch"
-            else:
-                direction = "ternary-to-if-else"
-            try:
-                converted = convert_conditional(stmt)
-                report.applied.append((TransformRule.COND_CONVERT, stmt.span, direction))
-            except NotApplicable as e:
-                report.skipped.append((TransformRule.COND_CONVERT, stmt.span, e.reason))
-        result = converted if converted is not None else [stmt]
-        for out_stmt in result:
-            _record_misplaced_ternaries(out_stmt, report)
-        return result
-
-    return _each_block(block, lambda b, nested: replace(
-        b, stmts=tuple(out for s in b.stmts for out in on_stmt(nested(s)))))
-
-
-def _is_equality_chain(stmt: If) -> bool:
-    """At least one else-if link and an equality-on-literal first condition."""
-    if not isinstance(stmt.orelse, If):
-        return False
-    labels: list[Literal] = []
-    return _equality_labels(stmt.cond, labels) is not None
-
-
-def _record_misplaced_ternaries(stmt: Stmt, report: TransformReport) -> None:
-    """Ternaries anywhere but as a whole assignment/initializer RHS are skipped."""
-    holder_exempt: set[int] = set()
-    if isinstance(stmt, ExprStmt) and isinstance(stmt.expr, Assign) \
-            and isinstance(stmt.expr.value, Ternary):
-        holder_exempt.add(id(stmt.expr.value))
-    if isinstance(stmt, LocalVarDecl):
-        for d in stmt.declarators:
-            if isinstance(d.init, Ternary):
-                holder_exempt.add(id(d.init))
-    for n in walk(stmt):
-        if isinstance(n, Ternary) and id(n) not in holder_exempt:
-            report.skipped.append(
-                (TransformRule.COND_CONVERT, n.span, "nested-ternary-position"))
-
-
-def _pass_chain_split(block: Block, fresh: _FreshNames, scope: _Scope,
-                      report: TransformReport) -> Block:
-    new_stmts: list[Stmt] = []
-    for stmt in block.stmts:
-        try:
-            result, did = _split_stmt(stmt, fresh, scope)
-        except NotApplicable as e:
-            report.skipped.append((TransformRule.FUNCTION_CHAIN, stmt.span, e.reason))
-            result, did = [stmt], False
-        if did:
-            report.applied.append(
-                (TransformRule.FUNCTION_CHAIN, stmt.span, "chain link hoisted into local"))
-        new_stmts.extend(result)
-    return replace(block, stmts=tuple(new_stmts))
-
-
-def _pass_extract(block: Block, fresh: _FreshNames, scope: _Scope,
-                  report: TransformReport) -> Block:
-    new_stmts: list[Stmt] = []
-    for stmt in block.stmts:
-        decls, rewritten, skips = _extract_stmt(stmt, fresh, scope)
-        for span, reason in skips:
-            report.skipped.append((TransformRule.ARGUMENT_PASS, span, reason))
-        if decls:
-            report.applied.append(
-                (TransformRule.ARGUMENT_PASS, stmt.span,
-                 f"{len(decls)} argument(s) extracted into locals"))
-        new_stmts.extend(decls)
-        new_stmts.append(rewritten)
-    return replace(block, stmts=tuple(new_stmts))

@@ -74,6 +74,14 @@ def test_syntax_errors(source):
         parse(source)
 
 
+@pytest.mark.parametrize("init", ["var i", "var i = 0, j"], ids=["bare", "second-declarator"])
+def test_for_init_var_needs_an_initializer(init):
+    # The loop's `var` would print as a statement that no longer parses.
+    source = f"class A {{ int f(int n) {{ for ({init}; n > 0; n = n - 1) {{ }} return n; }} }}"
+    with pytest.raises(JavaSyntaxError, match="'var' declarations require an initializer"):
+        parse(source)
+
+
 def test_syntax_error_carries_span():
     with pytest.raises(JavaSyntaxError) as exc:
         parse("class A {\n  void f() {\n    if (x) a();\n  }\n}")

@@ -205,6 +205,38 @@ def test_effectful_scrutinee_refused():
     assert exc.value.reason == "effectful-scrutinee"
 
 
+SCOPED_SWITCH = ("switch (k) { case 1: int x = 1; r = x; break; "
+                 "case 2: x = 2; r = x + 1; break; default: r = 0; }")
+SCOPED_CHAIN = ("if (k == 1) { int x = 1; r = x; } else if (k == 2) { int x = 2; r = x + 1; } "
+                "else { r = 0; }")
+
+
+# A switch block is one scope and each if branch its own: the switch's case 2
+# would use an undeclared `x` as an if branch, and the chain's two `int x`
+# would be declared twice in one switch block.
+@pytest.mark.parametrize("code", [SCOPED_SWITCH, SCOPED_CHAIN], ids=["switch", "if-chain"])
+def test_a_local_shared_between_cases_blocks_conversion(code):
+    source = f"class W {{ static int f(int k) {{ int r = 0; {code} return r; }} }}"
+    m = parse(source).types[0].methods[0]
+    site = m.body.stmts[1]
+    with pytest.raises(NotApplicable) as exc:
+        convert_conditional(site)
+    assert exc.value.reason == "case-scoped-local"
+    out, report = apply_rule(m, TransformRule.COND_CONVERT)
+    assert structurally_equal(out, m)
+    assert report.applied == []
+    assert report.skipped == [(TransformRule.COND_CONVERT, site.span, "case-scoped-local")]
+
+
+@pytest.mark.parametrize("code", [
+    "switch (k) { case 1: int x = 1; r = x; break; default: int y = 2; r = y; }",
+    "if (k == 1) { int x = 1; r = x; } else if (k == 2) { { int y = 2; r = y; } } else { r = 0; }",
+], ids=["switch", "if-chain"])
+def test_a_local_kept_to_one_case_converts(code):
+    out = convert_conditional(stmt_of(code, params="int k, int r"))
+    assert len(out) == 1
+
+
 def test_inner_break_refused():
     sw = stmt_of(
         "switch (k) { case 1: if (x > 0) { break; } a(); break; default: b(); }",
@@ -441,7 +473,7 @@ def test_report_spans_inside_method(corpus_files):
 
 
 # ---------------------------------------------------------------------------
-# The driver's traversal orders: they decide fresh names and report order
+# The order each rule visits its sites in: it decides fresh names and report order
 # ---------------------------------------------------------------------------
 
 NESTED_SITES = """class W {
@@ -535,7 +567,7 @@ class _Logged(list):
 
 
 @pytest.mark.parametrize("rule", list(TransformRule), ids=lambda r: r.value)
-def test_driver_order_over_nested_blocks(rule, monkeypatch):
+def test_site_order_over_nested_blocks(rule, monkeypatch):
     import vmorph.transforms as transforms
 
     log = []

@@ -641,6 +641,63 @@ def test_a_call_argument_runs_before_the_call_depth_rises(name):
 
 
 # ---------------------------------------------------------------------------
+# Programs nested deeper than CPython compiles in one function: more than 200
+# nested parentheses, 100 indentation levels or 20 nested loops
+# ---------------------------------------------------------------------------
+
+
+def _nest(depth: int, wrap) -> str:
+    body = "r = r + 1;"
+    for i in reversed(range(depth)):
+        body = wrap(i, body)
+    return f"int r = 0; {body} return r;"
+
+
+def _switch_level(i, body):
+    return (f"switch (n % 4) {{ case 1: r = r - 1; case 0: r = r + {i}; {body} break; "
+            "default: r = r + 2; }")
+
+
+def _while_level(i, body):
+    return (f"int i{i} = 0; while (i{i} < 2) {{ i{i} = i{i} + 1; "
+            f"if (i{i} + n == 1) {{ continue; }} {body} }}")
+
+
+DEEP_ARGS = (0, 1, 2, 5, -1, -3, interp.INT_MAX)
+STARVED = ({"out_of_fuel": True}, None)
+# Each program's outcome and least fuel on DEEP_ARGS.
+DEEP_PROGRAMS = {
+    "250-term chain": (
+        "return n" + "".join(f" + {i}" for i in range(1, 250)) + ";",
+        [({"returned": 31125 + n if n < 100 else -2147452524}, 1) for n in DEEP_ARGS]),
+    "45 nested ifs": (
+        _nest(45, lambda i, body: f"r = r + {i}; if (n > {i}) {{ {body} }}"),
+        [({"returned": r}, fuel) for r, fuel in
+         [(0, 4), (1, 6), (3, 8), (15, 14), (0, 4), (0, 4), (991, 93)]]),
+    "30 nested switches": (
+        _nest(30, _switch_level),
+        [({"returned": r}, fuel) for r, fuel in
+         [(436, 93), (406, 123), (2, 4), (406, 123), (2, 4), (2, 4), (2, 4)]]),
+    "45 nested switches": (
+        _nest(45, _switch_level),
+        [({"returned": r}, fuel) for r, fuel in
+         [(991, 138), (946, 183), (2, 4), (946, 183), (2, 4), (2, 4), (2, 4)]]),
+    "25 nested whiles with continue": (
+        _nest(25, _while_level),
+        [({"returned": 1}, 253), STARVED, STARVED, STARVED, ({"returned": 1}, 253), STARVED,
+         STARVED]),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_PROGRAMS)
+def test_deep_programs_keep_their_outcomes_and_fuel(name):
+    body, expected = DEEP_PROGRAMS[name]
+    m, ast = method_named(f"class A {{ static int f(int n) {{ {body} }} }}", "f")
+    assert [(_outcome_json(m, [n], DEFAULT_FUEL, ast), _least_fuel(m, [n], ast))
+            for n in DEEP_ARGS] == expected
+
+
+# ---------------------------------------------------------------------------
 # Oracle golden snapshot
 # ---------------------------------------------------------------------------
 

@@ -10,75 +10,72 @@ concat, Math.min/max/abs) plus static methods defined in the same file. The
 outcome model knows exactly ArithmeticException and NullPointerException.
 
 "Supported" means "compiles": a method and the same-file methods it calls
-are compiled once into nested closures, names resolved to frame slots
-(Feeley & Lapalme, "Using closures for code generation", 1987). Compiling
-rejects, on every path: parameter types other than int/boolean/String,
-throw, new, field access, assignment to a non-name, names that denote no
-parameter or local (static fields among them), calls that resolve to no
-builtin or same-file method, unknown receivers, and break/continue outside a
-loop or switch. `C.f(...)` resolves in class C and an unqualified `f(...)`
-in the caller's class, to the overload taking that many arguments; two such
-overloads are rejected, never guessed between. Running raises
-UnsupportedForEvaluation only for type confusions, string index errors,
-strings over MAX_STRING_LENGTH and a switch-case local whose case was
-jumped over. Fuel is charged once per statement (an if's then block and a
-loop body are not statements) and once per loop test; exhausting it, or
-nesting over MAX_CALL_DEPTH calls, gives OutOfFuel.
+are compiled once into Python source, one function per method, which is the
+interpreter partially evaluated on the program (Futamura, "Partial Evaluation
+of Computation Process", 1971). Compiling rejects, on every path: parameter
+types other than int/boolean/String, throw, new, field access, assignment to
+a non-name, names that denote no parameter or local (static fields among
+them), calls that resolve to no builtin or same-file method, unknown
+receivers, and break/continue outside a loop or switch. `C.f(...)` resolves
+in class C and an unqualified `f(...)` in the caller's class, to the overload
+taking that many arguments; two such overloads are rejected, never guessed
+between. Running raises UnsupportedForEvaluation only for type confusions,
+string index errors, strings over MAX_STRING_LENGTH and a switch-case local
+whose case was jumped over. Fuel is charged once per statement (an if's then
+block and a loop body are not statements) and once per loop test; exhausting
+it, or nesting over MAX_CALL_DEPTH calls, gives OutOfFuel.
 
-The closures are specialised to the shape of their node, as superinstructions
-are (Ertl & Gregg, "The Structure and Performance of Efficient Interpreters",
-2003). Each kind of binary operator has its own closure: a comparison calls
-operator.lt and the like, + - * wrap to 32 bits only when the result leaves
-the int range, and / % call the Java division helpers. An int literal on the
-right of an operator is captured as a constant rather than called. A non-int
-operand takes one path per node, to string concatenation or to rejection.
-An assignment to a slot that no switch declares skips the "may be unset"
-check, and an assignment statement is a single closure. A static call of one
-or two arguments evaluates them at the caller's depth and builds the
-callee's frame itself. None of this changes an outcome, a fuel count, a
-rejection or the structural key below.
+Method k of a program becomes `def m<k>(v1, ..., F, D)`: parameters and
+locals are slot variables numbered in the order the compiler meets them, F
+is the fuel left and D the call depth. Each statement is preceded by
+`if (F := F - 1) < 0: _oof()`, and a loop charges in its `while` test. A Java
+call is one Python call, `m<j>(a, b, F, D + 1)`, which checks D on entry and
+returns (value, F), so 200 nested calls run inside Python's default
+recursion limit. An operator evaluates each operand once, in Java order,
+through walrus temporaries; two ints take an inline path, and any other
+operands go to a helper that concatenates strings, wraps, or rejects. A
+switch is a one-pass `while True:` whose cases are `if start <= i:` blocks,
+so fall-through and break need nothing more; a continue that leaves a switch
+sets a flag tested after it. A for loop's update is repeated before each
+continue that targets it.
 
-Outcomes are memoised on the compiled method, keyed by fuel and by each
-argument's type and value, so a method run again on the same inputs (the
-original of a record, against each of its variants) is not re-executed; a
-run-time rejection is stored and raised again. The memo lives and dies with
-the compiled entry. check_equivalence does not run the second method on a
-trial where the first ran out of fuel, as there is nothing to compare. It
-takes each trial's arguments from a small module cache keyed by (parameter
-types, seed, trials), filled from generate_args, so the checks of a record's
-variants, which share the original's parameter types, share one draw. The
-vectors are tuples, so no caller can alter a later check's arguments.
+CPython compiles at most 200 nested parentheses, 100 indentation levels and
+20 nested loops in one function. The compiler stays inside them by
+construction: an expression or statement nested past a budget moves into a
+helper defined at the top of its method, which shares the method's
+variables through `nonlocal` and hands a Java return, break or continue back
+to its caller as its return value.
 
-Compiling also builds a structural key of the whole program, after name
-resolution: every compiled method in compile order, its parameter types,
-then each statement and expression in prefix order with its kind and the
-counts and flags that shape its closure. Locals and parameters appear as
-frame slots (with a switch local's "may be unset" flag), same-file callees
-by the order the compiler first meets them, Math and String builtins by name
-and arity, literals as (type, value), and operators as themselves; no name
-and no span appears (de Bruijn's nameless terms, used as a hash-consing key).
-The compiler is deterministic, so equal keys give equal closures up to the
-spans and names in rejection messages, and so equal outcomes on every input:
-a consistently renamed method, such as a record's rename variant, gets the
-original's key. A renaming that captured a name would resolve to other slots
-and get another key. When a newly compiled method's key equals that of a
-live compiled entry, it adopts that entry's outcome memo. Only outcomes are
-shared: a memoised run-time rejection names its own method's spans, so
-another method sharing the memo runs its own closures to raise its own.
+No Java name, span or comment enters the text. Callees are numbers, literals
+the repr of an int, bool, str or None, and a switch's label table a dict
+literal. Where running can reject, the text holds a site number that indexes
+the program's own (span, detail) table. So the text is a nameless key
+(de Bruijn's nameless terms, used for hash-consing): a consistently renamed
+program, such as a record's rename variant, gets its original's text, while
+a renaming that captured a name resolves to other slots and gets another.
+Each distinct text is compiled once and kept, with the outcome memo of every
+program of that text, in a small LRU cache. The memo is keyed by fuel and
+by each argument's type and value, so a method run again on the same inputs
+(the original of a record, against each of its variants) is not
+re-executed. A run-time rejection is memoised as its site number and raised
+with the spans and names of the program that asks. check_equivalence does
+not run the second method on a trial where the first ran out of fuel, as
+there is nothing to compare. It takes each trial's arguments from a small
+module cache keyed by (parameter types, seed, trials), filled from
+generate_args, so the checks of a record's variants, which share the
+original's parameter types, share one draw. The vectors are tuples, so no
+caller can alter a later check's arguments.
 """
 
 from __future__ import annotations
 
-import operator
 import random
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import UnsupportedForEvaluation
-from .nodes import (DEFAULT_LABEL, Assign, Binary, Literal, MethodDecl, Name, SourceFile,
-                    Unary)
+from .nodes import (DEFAULT_LABEL, Assign, For, Literal, MethodDecl, Name, SourceFile, Switch,
+                    While)
 
 INT_MIN = -(2**31)
 INT_MAX = 2**31 - 1
@@ -165,7 +162,7 @@ class EquivalenceVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Compilation: a method is supported when it compiles
+# What the generated code calls
 # ---------------------------------------------------------------------------
 
 
@@ -173,15 +170,59 @@ class _Stop(Exception):
     """Ends an evaluation: Threw(*args), or OutOfFuel when args is empty."""
 
 
-# A compiled statement returns None to fall through, _BREAK, _CONTINUE, or a
-# 1-tuple holding the value it returns. A frame is [run state, parameters...,
-# locals...]; one evaluation's frames share the run state [fuel, call depth].
-_BREAK, _CONTINUE = object(), object()
+class _Reject(Exception):
+    """Ends an evaluation with a run-time rejection. args: the site number and
+    a detail, or None for the detail the site's table entry holds."""
+
+
 _UNSET = object()  # a local of a switch whose declaring case was jumped over
+# What a helper returns for a Java break or continue that leaves it.
+_BREAK, _CONTINUE = object(), object()
+
+
+def _oof():
+    raise _Stop()
+
+
+def _fail(site):
+    raise _Reject(site, None)
 
 
 def _wrap32(v: int) -> int:
     return (v + 2**31) % 2**32 - 2**31
+
+
+def _to_java_string(v) -> str:
+    return ("true" if v else "false") if isinstance(v, bool) else "null" if v is None else str(v)
+
+
+def _bounded(s: str, site) -> str:
+    if len(s) > MAX_STRING_LENGTH:
+        raise _Reject(site, f"string longer than {MAX_STRING_LENGTH}")
+    return s
+
+
+def _ints(a, b, site) -> None:
+    if type(a) is not int or type(b) is not int:
+        raise _Reject(site, None)
+
+
+def _on_ints(fn):
+    """fn, once its two operands are checked to be ints."""
+    def checked(a, b, site):
+        _ints(a, b, site)
+        return fn(a, b)
+    return checked
+
+
+# The paths an operator's inline code leaves for: an operand that is not an
+# int, or a result outside the int range.
+
+def _add(a, b, site):
+    if type(a) is str or type(b) is str:
+        return _bounded(_to_java_string(a) + _to_java_string(b), site)
+    _ints(a, b, site)
+    return _wrap32(a + b)
 
 
 def _java_div(a: int, b: int) -> int:
@@ -191,148 +232,161 @@ def _java_div(a: int, b: int) -> int:
     return _wrap32(-q if (a < 0) != (b < 0) else q)
 
 
-def _java_mod(a: int, b: int) -> int:
-    return _wrap32(a - _java_div(a, b) * b)
+_sub = _on_ints(lambda a, b: _wrap32(a - b))
+_mul = _on_ints(lambda a, b: _wrap32(a * b))
+_div = _on_ints(_java_div)
+_mod = _on_ints(lambda a, b: _wrap32(a - _java_div(a, b) * b))
+_min, _max = _on_ints(min), _on_ints(max)
 
 
-def _to_java_string(v) -> str:
-    return ("true" if v else "false") if isinstance(v, bool) else "null" if v is None else str(v)
-
-
-# Operators on two ints; a compiled + - * wraps the result to 32 bits.
-_INT_OPS = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _java_div, "%": _java_mod,
-    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-}
-_WRAPPED_OPS = frozenset({"+", "-", "*"})
-_REJECTED = {"Throw": "throw statement", "New": "object allocation", "FieldAccess": "field access"}
-# Operators whose compiled form yields a bool or raises.
-_BOOL_OPS = frozenset({"&&", "||", "==", "!=", "<", "<=", ">", ">="})
-
-
-def _values_equal(left, right, span) -> bool:
+def _eq(left, right, site) -> bool:
     if left is None or right is None:
         if isinstance(left if right is None else right, (str, type(None))):
             return left is right
-        raise UnsupportedForEvaluation(span, "null compared to a primitive")
+        raise _Reject(site, "null compared to a primitive")
     if type(left) is not type(right):
-        raise UnsupportedForEvaluation(span, "comparison of unrelated types")
+        raise _Reject(site, "comparison of unrelated types")
     # String == compares values here; the subset has no aliasing to observe.
     return left == right
 
 
-def _math(method: str, span, args: list) -> int:
-    if any(type(v) is not int for v in args):
-        raise UnsupportedForEvaluation(span, "Math builtin on non-int")
-    return _wrap32(abs(args[0])) if method == "abs" else (min if method == "min" else max)(args)
+def _set(value, current, site):
+    """value, to be assigned to a switch local unless its case was jumped over."""
+    if current is _UNSET:
+        raise _Reject(site, None)
+    return value
 
 
-def _bounded(s: str, span) -> str:
-    if len(s) > MAX_STRING_LENGTH:
-        raise UnsupportedForEvaluation(span, f"string longer than {MAX_STRING_LENGTH}")
-    return s
+def _switch(scrutinee, site):
+    """Raises for a switch scrutinee that is not an int or a string."""
+    if scrutinee is None:
+        raise _Stop(NULL_POINTER)
+    raise _Reject(site, None)
 
 
-def _string_method(method: str, span, receiver: str, args: list):
-    if method == "length":
-        return len(receiver)
-    if method == "substring":
-        begin, end = args if len(args) == 2 else (args[0], len(receiver))
-        if type(begin) is not int or type(end) is not int:
-            raise UnsupportedForEvaluation(span, "substring on non-int index")
-        if not (0 <= begin <= end <= len(receiver)):
-            raise UnsupportedForEvaluation(span, "string index out of range")
-        return receiver[begin:end]
-    if method == "equals":
-        return isinstance(args[0], str) and receiver == args[0]
-    if not isinstance(args[0], str):  # startsWith, concat
-        if args[0] is None:
+def _abs(a, site):
+    _ints(a, 0, site)
+    return _wrap32(abs(a))
+
+
+def _receiver(s, site) -> str:
+    """s, once it is checked to be a string a method can be called on."""
+    if type(s) is str:
+        return s
+    if s is None:
+        raise _Stop(NULL_POINTER)
+    raise _Reject(site, f"method call on {type(s).__name__}")
+
+
+def _substring(s: str, site, begin, *end):
+    end = end[0] if end else len(s)
+    if type(begin) is not int or type(end) is not int:
+        raise _Reject(site, "substring on non-int index")
+    if not (0 <= begin <= end <= len(s)):
+        raise _Reject(site, "string index out of range")
+    return s[begin:end]
+
+
+def _equals(s: str, other) -> bool:
+    return isinstance(other, str) and s == other
+
+
+def _string_argument(method: str, other, site) -> str:
+    if not isinstance(other, str):
+        if other is None:
             raise _Stop(NULL_POINTER)
-        raise UnsupportedForEvaluation(span, f"{method} on non-string")
-    if method == "startsWith":
-        return receiver.startswith(args[0])
-    return _bounded(receiver + args[0], span)
+        raise _Reject(site, f"{method} on non-string")
+    return other
 
 
-def _sequence(compiled: list):
-    """Run compiled statements in order, charging one unit of fuel each."""
-
-    def run(f):
-        fuel = f[0]
-        for s in compiled:
-            fuel[0] -= 1
-            if fuel[0] < 0:
-                raise _Stop()
-            r = s(f)
-            if r is not None:
-                return r
-    return run
+def _startsWith(s: str, site, other) -> bool:
+    return s.startswith(_string_argument("startsWith", other, site))
 
 
-class _Method:
-    body = None  # the compiled body, set once compiled
-    locals: tuple = ()  # initial values of the slots after the parameters
-    key: tuple = ()  # the structural key of the program it tops, see _Compiler
+def _concat(s: str, site, other) -> str:
+    return _bounded(s + _string_argument("concat", other, site), site)
 
-    def __init__(self):
-        # evaluate's memo for this method as the top of a run: (fuel, (type,
-        # value) per argument) -> outcome, or (_Method, run-time rejection)
+
+# The names the generated code finds in its globals, besides its methods
+# (m0, m1, ...) and switch tables (T0, T1, ...). They are looked up when a
+# text is first compiled.
+_RUNTIME = ("VOID", "_UNSET", "_BREAK", "_CONTINUE", "_oof", "_fail", "_add", "_sub", "_mul",
+            "_div", "_mod", "_eq", "_set", "_switch", "_min", "_max", "_abs",
+            "_receiver", "_substring", "_equals", "_startsWith", "_concat")
+_ARITHMETIC_PATHS = {"+": "_add", "-": "_sub", "*": "_mul"}
+_DIVISION_PATHS = {"/": ("//", "_div"), "%": ("%", "_mod")}
+_COMPARISONS = frozenset({"<", "<=", ">", ">=", "==", "!="})
+_STRING_PATHS = {"substring": "_substring", "startsWith": "_startsWith", "concat": "_concat"}
+_MATH_PATHS = {"min": "_min", "max": "_max", "abs": "_abs"}
+_REJECTED = {"Throw": "throw statement", "New": "object allocation", "FieldAccess": "field access"}
+
+# How deep the compiler nests one function's text before it moves the rest
+# into a helper: CPython allows 200 nested parentheses, 100 indentation
+# levels and 20 nested loops. An expression adds at most _EXPR_STEP
+# parentheses around its operands.
+_EXPR_BUDGET = 100
+_EXPR_STEP = 4
+_INDENT_BUDGET = 48
+_LOOP_BUDGET = 16
+
+
+# ---------------------------------------------------------------------------
+# Compilation: a method is supported when it compiles
+# ---------------------------------------------------------------------------
+
+
+class _Program:
+    """A compiled method and the same-file methods it calls: the text, the
+    (span, detail) of each rejection site the text numbers and, once loaded,
+    the text's top function and outcome memo, which every program of the
+    same text shares. The memo maps (fuel, (type, value) per argument) to an
+    outcome or to a rejection's (site, detail)."""
+
+    def __init__(self, text: str, sites: list):
+        self.text, self.sites = text, sites
+        self.top = None
         self.outcomes: dict[tuple, object] = {}
 
 
-def _invoke(method: _Method, run: list, args: list):
-    run[1] += 1
-    if run[1] > MAX_CALL_DEPTH:  # exhaustion, never a Python RecursionError
-        raise _Stop()
-    returned = method.body([run, *args, *method.locals])
-    run[1] -= 1
-    return VOID if returned is None else returned[0]
+class _E(NamedTuple):
+    """An expression's Python text, and what its users need to know of it."""
+    text: str
+    depth: int = 0  # parentheses nested in the text
+    pure: bool = False  # a literal, or a slot that cannot be unset: no effect, cannot raise
+    writes: bool = False  # assigns a slot
+    boolean: bool = False  # gives a bool or raises
+    is_int: bool = False  # gives an int or raises
+    literal: tuple = ()  # (value,) for a literal
+    call: str = ""  # a same-file call, `m<j>(..., F, D + 1)`, which gives (value, F)
 
 
-def _static_call(callee: _Method, args: tuple):
-    """A same-file static call: the arguments are evaluated at the caller's
-    depth, then the callee runs one call deeper. Calls of one or two
-    arguments build the callee's frame inline."""
-    if len(args) == 1:
-        (a,) = args
+_TRUE = _E("True", pure=True, boolean=True, literal=(True,))
+_ZERO = _E("0", pure=True, is_int=True, literal=(0,))
 
-        def call(f):
-            run = f[0]
-            frame = [run, a(f), *callee.locals]
-            run[1] += 1
-            if run[1] > MAX_CALL_DEPTH:
-                raise _Stop()
-            returned = callee.body(frame)
-            run[1] -= 1
-            return VOID if returned is None else returned[0]
-    elif len(args) == 2:
-        a, b = args
 
-        def call(f):
-            run = f[0]
-            frame = [run, a(f), b(f), *callee.locals]
-            run[1] += 1
-            if run[1] > MAX_CALL_DEPTH:
-                raise _Stop()
-            returned = callee.body(frame)
-            run[1] -= 1
-            return VOID if returned is None else returned[0]
-    else:
-        def call(f):
-            return _invoke(callee, f[0], [a(f) for a in args])
-    return call
+class _Target:
+    """A Java loop or switch open in the function being written: a Python
+    loop. A loop repeats its update before a continue; a switch sets its
+    flag when a continue leaves it."""
+
+    def __init__(self, update: str | None = None, flag: str | None = None):
+        self.update, self.flag, self.crossed = update, flag, False
+
+
+class _Function:
+    """The Python function being written: a method's, or a helper's."""
+
+    def __init__(self, helper: bool):
+        self.helper = helper
+        self.targets: list[_Target] = []  # innermost last
+        self.escapes: set[str] = set()  # "break", "continue", "return" out of a helper
 
 
 class _Compiler:
-    """Compiles a method and the same-file methods it calls into closures.
-    Scopes mirror Java blocks and map names to frame slots; a switch's locals
-    are read with a check, as their declaring case may have been jumped over.
-
-    Alongside the closures it builds the program's structural key: for each
-    method in compile order its parameter types, then one token per statement
-    and expression, in prefix order, holding the node's kind and whatever
-    else shapes its closure (counts, flags, slots, callee numbers, builtin
-    names, literals, operators), never a name or a span."""
+    """Compiles a method and the same-file methods it calls into the text of
+    one Python function each. Scopes mirror Java blocks and map names to
+    slots; a switch's locals are read with a check, as their declaring case
+    may have been jumped over."""
 
     def __init__(self, context: SourceFile | None):
         types = context.types if context is not None else ()
@@ -345,35 +399,46 @@ class _Compiler:
                 if not m.is_constructor():
                     self.methods.setdefault((cls.name, m.name), []).append(m)
                     self.owner[id(m)] = cls.name
-        # id(method) -> (number in the order first met, compiled form)
-        self.compiled: dict[int, tuple[int, _Method]] = {}
-        self.pending: list[tuple[MethodDecl, _Method]] = []
-        self.key: list[tuple] = []
-        self.emit = self.key.append
+        self.numbers: dict[int, int] = {}  # id(method) -> its number, in the order first met
+        self.pending: list[tuple[MethodDecl, int]] = []
+        self.texts: dict[int, str] = {}
+        self.tables: list[str] = []
+        self.sites: list[tuple] = []
 
-    def callee(self, m: MethodDecl) -> tuple[int, _Method]:
-        """m's number and compiled form; the form is filled in once the
-        caller is compiled."""
-        if id(m) not in self.compiled:
-            self.compiled[id(m)] = (len(self.compiled), _Method())
-            self.pending.append((m, self.compiled[id(m)][1]))
-        return self.compiled[id(m)]
+    def callee(self, m: MethodDecl) -> int:
+        """m's number; m is compiled once the caller is."""
+        if id(m) not in self.numbers:
+            self.numbers[id(m)] = len(self.numbers)
+            self.pending.append((m, self.numbers[id(m)]))
+        return self.numbers[id(m)]
 
-    def compile(self, top: MethodDecl) -> _Method:
-        out = self.callee(top)[1]
+    def compile(self, top: MethodDecl) -> _Program:
+        self.callee(top)
         while self.pending:
-            m, method = self.pending.pop()
+            m, number = self.pending.pop()
             self.cls = self.owner.get(id(m)) or self.home(m)
             for p in m.params:
                 if p.type_name not in SUPPORTED_PARAM_TYPES:
                     raise UnsupportedForEvaluation(p.span, f"parameter type {p.type_name!r}")
-            self.emit(("method", *(p.type_name for p in m.params)))
-            self.scopes = [({p.name: i for i, p in enumerate(m.params, 1)}, False)]
-            self.size, self.loops = 1 + len(m.params), 0
-            method.body = self.block(m.body)
-            method.locals = (None,) * (self.size - 1 - len(m.params))
-        out.key = tuple(self.key)
-        return out
+            self.texts[number] = self.method(m, number)
+        return _Program("".join(self.tables + [self.texts[n] for n in sorted(self.texts)]),
+                        self.sites)
+
+    def method(self, m: MethodDecl, number: int) -> str:
+        self.scopes = [({p.name: i for i, p in enumerate(m.params, 1)}, False)]
+        self.size, self.loops, self.temps = 1 + len(m.params), 0, 0
+        self.out, self.indent, self.fn = [], 1, _Function(helper=False)
+        self.helpers: list[tuple[str, list[str]]] = []
+        self.block(m.body)
+        slots = [f"v{i}" for i in range(1, self.size)]
+        head = [f"def m{number}({', '.join([*slots[:len(m.params)], 'F', 'D'])}):",
+                f" if D > {MAX_CALL_DEPTH}: _oof()"]
+        if self.helpers:  # nonlocal needs every slot bound in the method
+            if len(slots) > len(m.params):
+                head.append(" " + " = ".join(slots[len(m.params):]) + " = None")
+            for name, body in self.helpers:
+                head += [f" def {name}():", f"  nonlocal {', '.join([*slots, 'F'])}", *body]
+        return "\n".join([*head, *self.out, " return VOID, F\n"])
 
     def home(self, m: MethodDecl) -> str | None:
         """The class of a method that is not itself in the context (such as
@@ -407,340 +472,459 @@ class _Compiler:
         kind = type(node).__name__
         raise UnsupportedForEvaluation(node.span, _REJECTED.get(kind, kind))
 
+    def site(self, span, detail: str | None) -> int:
+        """A number for a place that may reject at run time."""
+        self.sites.append((span, detail))
+        return len(self.sites) - 1
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
+
+    def line(self, text: str) -> None:
+        self.out.append(" " * self.indent + text)
+
+    def helper(self, body: list[str]) -> str:
+        """The name of a new helper of the method, with body at indent 2."""
+        self.helpers.append((f"h{len(self.helpers)}", body))
+        return self.helpers[-1][0]
+
     # -- statements --
 
     def stmt(self, s):
-        return getattr(self, "s_" + type(s).__name__, self.reject)(s)
+        emit = getattr(self, "s_" + type(s).__name__, None)
+        if emit is None:
+            self.reject(s)
+        if self.indent > _INDENT_BUDGET or (
+                isinstance(s, (While, For, Switch)) and len(self.fn.targets) >= _LOOP_BUDGET):
+            self.hoist(emit, s)
+        else:
+            emit(s)
+
+    def hoist(self, emit, s) -> None:
+        """Write s as a helper of its own, and call it here."""
+        outer = self.out, self.indent, self.fn
+        self.out, self.indent, self.fn = [], 2, _Function(helper=True)
+        emit(s)
+        body, escapes = self.out or ["  pass"], self.fn.escapes
+        self.out, self.indent, self.fn = outer
+        name = self.helper(body)
+        if not escapes:
+            self.line(f"{name}()")
+            return
+        t = self.temp()
+        self.line(f"if ({t} := {name}()) is not None:")
+        self.indent += 1
+        # A break or continue ends in a jump, so each case stands alone.
+        for kind, write in (("break", self.emit_break), ("continue", self.emit_continue)):
+            if kind in escapes:
+                self.line(f"if {t} is _{kind.upper()}:")
+                self.nested(write)
+        if "return" in escapes:
+            self.emit_return(f"{t}[0]")
+        self.indent -= 1
+
+    def emit_break(self) -> None:
+        if self.fn.targets:
+            self.line("break")
+        else:
+            self.fn.escapes.add("break")
+            self.line("return _BREAK")
+
+    def emit_continue(self) -> None:
+        if not self.fn.targets:
+            self.fn.escapes.add("continue")
+            self.line("return _CONTINUE")
+            return
+        target = self.fn.targets[-1]
+        if target.flag is not None:  # leave the switch, then continue after it
+            target.crossed = True
+            self.line(f"{target.flag} = True")
+            self.line("break")
+            return
+        if target.update is not None:
+            self.line(target.update)
+        self.line("continue")
+
+    def emit_return(self, value: str) -> None:
+        if self.fn.helper:
+            self.fn.escapes.add("return")
+            self.line(f"return ({value},)")
+        else:
+            self.line(f"return {value}, F")
+
+    def charged(self, stmts) -> None:
+        """Statements in order, each charged one unit of fuel."""
+        for s in stmts:
+            self.line("if (F := F - 1) < 0: _oof()")
+            self.stmt(s)
+
+    def nested(self, emit, *args) -> None:
+        """What emit(*args) writes, one level deeper; `pass` if nothing."""
+        self.indent += 1
+        written = len(self.out)
+        emit(*args)
+        if len(self.out) == written:
+            self.line("pass")
+        self.indent -= 1
 
     def block(self, b):
-        self.emit(("block", len(b.stmts)))
         self.scopes.append(({}, False))
-        body = _sequence([self.stmt(s) for s in b.stmts])
+        self.charged(b.stmts)
         self.scopes.pop()
-        return body
 
     s_Block = block
 
     def s_LocalVarDecl(self, s):
-        names, steps = self.scopes[-1][0], []
-        self.emit(("local", len(s.declarators)))
+        names = self.scopes[-1][0]
         for d in s.declarators:  # each initializer sees the declarators before it
-            self.emit(("declarator", d.init is not None))
-            init = self.expr(d.init) if d.init is not None else (lambda f: None)
+            init = self.expr(d.init) if d.init is not None else _E("None")
             if d.name not in names:  # a redeclaration in the same scope rebinds it
                 names[d.name], self.size = self.size, self.size + 1
-            steps.append((names[d.name], init))
-            self.emit(("slot", names[d.name]))
+            self.line(self.store(names[d.name], init))
 
-        def run(f):
-            for slot, init in steps:
-                f[slot] = init(f)
-        return run
+    def store(self, slot: int, value: _E) -> str:
+        return f"v{slot}, F = {value.call}" if value.call else f"v{slot} = {value.text}"
 
     def s_ExprStmt(self, s):
-        self.emit(("expr",))
-        if isinstance(s.expr, Assign):
-            return self.e_Assign(s.expr, statement=True)
-        e = self.expr(s.expr)
+        self.line(self.effect(s.expr))
 
-        def run(f):
-            e(f)
-        return run
+    def effect(self, e) -> str:
+        """A statement evaluating e for its effect."""
+        if isinstance(e, Assign):
+            slot, value, site = self.assignment(e)
+            if site is not None:
+                return f"v{slot} = _set({value.text}, v{slot}, {site})"
+            return self.store(slot, value)
+        x = self.expr(e)
+        return f"F = {x.call}[1]" if x.call else x.text
 
     def s_If(self, s):
-        self.emit(("if", s.orelse is not None))
-        test, then = self.truth(s.cond), self.block(s.then)
+        test = self.truth(s.cond)
+        self.line(f"if {test.text}:")
+        self.nested(self.block, s.then)
         # The then block runs uncharged; an else branch is a charged statement.
-        orelse = _sequence([self.stmt(s.orelse)]) if s.orelse is not None else (lambda f: None)
-        return lambda f: then(f) if test(f) else orelse(f)
+        if s.orelse is not None:
+            self.line("else:")
+            self.nested(self.charged, (s.orelse,))
 
-    def loop(self, body, test, update):
+    def loop(self, test: _E, body, update: str | None) -> None:
         """While and for: charge, test, body, update."""
+        charge = "(F := F - 1) >= 0 or _oof()"
+        self.line(f"while {charge}:" if test.literal == (True,) else
+                  f"while ({charge}) and {test.text}:")
+        self.fn.targets.append(_Target(update=update))
         self.loops += 1
-        body = self.block(body)
+        def each_pass():
+            self.block(body)
+            if update is not None:
+                self.line(update)
+        self.nested(each_pass)
         self.loops -= 1
-
-        def run(f):
-            fuel = f[0]
-            while True:
-                fuel[0] -= 1
-                if fuel[0] < 0:
-                    raise _Stop()
-                if test is not None and not test(f):
-                    return None
-                r = body(f)
-                if r is not None and r is not _CONTINUE:
-                    return None if r is _BREAK else r
-                if update is not None:
-                    update(f)
-        return run
+        self.fn.targets.pop()
 
     def s_While(self, s):
-        self.emit(("while",))
-        return self.loop(s.body, self.truth(s.cond), None)
+        self.loop(self.truth(s.cond), s.body, None)
 
     def s_For(self, s):
-        self.emit(("for", s.init is not None, s.cond is not None, s.update is not None))
         self.scopes.append(({}, False))
-        init = _sequence([self.stmt(s.init)]) if s.init is not None else (lambda f: None)
-        test = self.truth(s.cond) if s.cond is not None else None
-        loop = self.loop(s.body, test, self.expr(s.update) if s.update is not None else None)
+        if s.init is not None:
+            self.charged((s.init,))
+        test = self.truth(s.cond) if s.cond is not None else _TRUE
+        self.loop(test, s.body, self.effect(s.update) if s.update is not None else None)
         self.scopes.pop()
-        return lambda f: init(f) or loop(f)
 
     def s_Switch(self, s):
-        self.emit(("switch", len(s.cases)))
-        scrutinee, span = self.expr(s.scrutinee), s.span
-        self.scopes.append(({}, True))
-        starts: dict[object, int] = {}  # label value -> first statement of its case
-        default, stmts = None, []
+        scrutinee = self.expr(s.scrutinee)
+        site = self.site(s.span, "switch scrutinee type")
+        # label value -> the index of its case's first statement among the
+        # switch's statements; where the default starts, else past the last
+        starts: dict[object, int] = {}
+        stmts, default = [], None
         for case in s.cases:
-            labels = []
             for label in case.labels:
                 if label == DEFAULT_LABEL:
                     default = len(stmts)
-                    labels.append(DEFAULT_LABEL)
                 elif isinstance(label, Literal):  # int or String, never equal across types
                     starts.setdefault(label.value, len(stmts))
-                    labels.append((type(label.value), label.value))
-            self.emit(("case", *labels, len(case.body)))
-            stmts.extend(self.stmt(c) for c in case.body)
-        tails = {i: _sequence(stmts[i:]) for i in {*starts.values(), default} if i is not None}
-        declared = tuple(self.scopes.pop()[0].values())
-        self.emit(("declared", *declared))
-
-        def run(f):
-            v = scrutinee(f)
-            if v is None:
-                raise _Stop(NULL_POINTER)
-            if type(v) is not int and type(v) is not str:
-                raise UnsupportedForEvaluation(span, "switch scrutinee type")
-            start = starts.get(v, default)
-            if start is None:
-                return None
-            for slot in declared:
-                f[slot] = _UNSET
-            r = tails[start](f)
-            return None if r is _BREAK else r
-        return run
+            stmts += case.body
+        default = len(stmts) if default is None else default
+        table = f"T{len(self.tables)}"
+        self.tables.append(f"{table} = {starts!r}\n")
+        start, (first, again) = self.temp(), self.operand(scrutinee)
+        self.line(f"{start} = {table}.get({again}, {default}) if type({first}) is int "
+                  f"or type({again}) is str else _switch({again}, {site})")
+        # A statement runs when the switch starts at its case or an earlier
+        # one: `if start <= i:` from each place a case can start.
+        entries, base = {0, default, *starts.values()}, self.indent
+        self.scopes.append(({}, True))
+        target = _Target(flag=self.temp())
+        self.fn.targets.append(target)
+        outer, self.out = self.out, []
+        for i, stmt in enumerate(stmts):
+            if i in entries:
+                self.indent = base + 1
+                self.line(f"if {start} <= {i}:")
+                self.indent += 1
+            self.charged((stmt,))
+        self.indent = base + 1
+        self.line("break")
+        self.indent = base
+        self.fn.targets.pop()
+        body, self.out = self.out, outer
+        declared = [f"v{slot}" for slot in self.scopes.pop()[0].values()]
+        if declared:
+            self.line(" = ".join(declared) + " = _UNSET")
+        if target.crossed:
+            self.line(f"{target.flag} = False")
+        self.line("while True:")
+        self.out += body
+        if target.crossed:
+            self.line(f"if {target.flag}:")
+            self.nested(self.emit_continue)
 
     def s_Return(self, s):
-        self.emit(("return", s.value is not None))
-        value = self.expr(s.value) if s.value is not None else (lambda f: VOID)
-        return lambda f: (value(f),)
+        if s.value is None:
+            self.emit_return("VOID")
+            return
+        value = self.expr(s.value)
+        if value.call and not self.fn.helper:
+            self.line(f"return {value.call}")
+        else:
+            self.emit_return(value.text)
 
     def s_Break(self, s):
         if not (self.loops or any(in_switch for _, in_switch in self.scopes)):
             raise UnsupportedForEvaluation(s.span, "break/continue escaped the method")
-        self.emit(("break",))
-        return lambda f: _BREAK
+        self.emit_break()
 
     def s_Continue(self, s):
         if not self.loops:
             raise UnsupportedForEvaluation(s.span, "break/continue escaped the method")
-        self.emit(("continue",))
-        return lambda f: _CONTINUE
+        self.emit_continue()
 
     # -- expressions --
 
-    def expr(self, e):
-        return getattr(self, "e_" + type(e).__name__, self.reject)(e)
+    def expr(self, e) -> _E:
+        x = getattr(self, "e_" + type(e).__name__, self.reject)(e)
+        if x.depth <= _EXPR_BUDGET:
+            return x
+        # Too deep to nest in another expression: a helper returns it.
+        return _E(f"{self.helper([f'  return {x.text}'])}()", 1, writes=x.writes,
+                  boolean=x.boolean, is_int=x.is_int)
 
-    def truth(self, e):
-        ev, span = self.expr(e), e.span
-        if isinstance(e, Binary) and e.op in _BOOL_OPS or isinstance(e, Unary) and e.op == "!":
-            return ev
+    def operand(self, x: _E, later_writes: bool = False) -> tuple[str, str]:
+        """The text that evaluates x where Java does, and the text that reads
+        its value afterwards. A slot read is repeated unless something
+        evaluated in between may assign a slot."""
+        if x.pure and (x.literal or not later_writes):
+            return x.text, x.text
+        t = self.temp()
+        return f"({t} := {x.text})", t
 
-        def test(f):
-            v = ev(f)
-            if type(v) is not bool:
-                raise UnsupportedForEvaluation(span, "condition is not boolean")
-            return v
-        return test
+    def truth(self, e) -> _E:
+        x = self.expr(e)
+        if x.boolean:
+            return x
+        site = self.site(e.span, "condition is not boolean")
+        first, again = self.operand(x)
+        return _E(f"({again} if type({first}) is bool else _fail({site}))", x.depth + 3,
+                  writes=x.writes, boolean=True)
 
     def e_Literal(self, e):
-        self.emit(("literal", type(e.value), e.value))  # 1 == True, but not as keys
-        return lambda f, value=e.value: value
+        v = e.value
+        text = f"({v})" if type(v) is int and v < 0 else repr(v)
+        return _E(text, 1, pure=True, boolean=type(v) is bool, is_int=type(v) is int,
+                  literal=(v,))
 
     def e_Name(self, e):
         slot, maybe_unset = self.resolve(e, e.id)
-        self.emit(("name", slot, maybe_unset))
         if not maybe_unset:
-            return lambda f: f[slot]
+            return _E(f"v{slot}", pure=True)
+        site = self.site(e.span, f"unbound name {e.id!r}")
+        return _E(f"(v{slot} if v{slot} is not _UNSET else _fail({site}))", 1)
 
-        def read(f):
-            if f[slot] is _UNSET:
-                raise UnsupportedForEvaluation(e.span, f"unbound name {e.id!r}")
-            return f[slot]
-        return read
-
-    def e_Assign(self, e, statement=False):
-        """An assignment's closure; as a statement, it returns None."""
+    def assignment(self, e) -> tuple[int, _E, int | None]:
+        """The slot an assignment sets, its value, and the site that rejects
+        it, if its slot may be unset."""
         if not isinstance(e.target, Name):
             raise UnsupportedForEvaluation(e.span, "compound assignment target")
-        self.emit(("assign",))
         value = self.expr(e.value)
         slot, maybe_unset = self.resolve(e, e.target.id)
-        self.emit(("slot", slot))
-        if maybe_unset:
-            def assign(f):
-                v = value(f)
-                if f[slot] is _UNSET:
-                    raise UnsupportedForEvaluation(e.span, f"unbound name {e.target.id!r}")
-                f[slot] = v
-                return None if statement else v
-        elif statement:
-            def assign(f):
-                f[slot] = value(f)
-        else:
-            def assign(f):
-                f[slot] = v = value(f)
-                return v
-        return assign
+        if not maybe_unset:
+            return slot, value, None
+        return slot, value, self.site(e.span, f"unbound name {e.target.id!r}")
+
+    def e_Assign(self, e):
+        slot, value, site = self.assignment(e)
+        text = value.text if site is None else f"_set({value.text}, v{slot}, {site})"
+        return _E(f"(v{slot} := {text})", value.depth + 2, writes=True, is_int=value.is_int)
 
     def e_Unary(self, e):
-        self.emit(("unary", e.op))
-        operand, span, negate = self.expr(e.operand), e.span, e.op == "!"
-
-        def unary(f):
-            v = operand(f)
-            if type(v) is not (bool if negate else int):
-                raise UnsupportedForEvaluation(
-                    span, "! on non-boolean" if negate else "- on non-int")
-            return not v if negate else _wrap32(-v)
-        return unary
+        x = self.expr(e.operand)
+        if e.op == "-":  # wraps as 0 - x does
+            return self.binary("-", _ZERO, x, self.site(e.span, "- on non-int"))
+        if x.boolean:
+            return _E(f"(not {x.text})", x.depth + 1, writes=x.writes, boolean=True)
+        first, again = self.operand(x)
+        site = self.site(e.span, "! on non-boolean")
+        return _E(f"(not {again} if type({first}) is bool else _fail({site}))", x.depth + 3,
+                  writes=x.writes, boolean=True)
 
     def e_Ternary(self, e):
-        self.emit(("ternary",))
         test, a, b = self.truth(e.cond), self.expr(e.if_true), self.expr(e.if_false)
-        return lambda f: a(f) if test(f) else b(f)
+        return _E(f"({a.text} if {test.text} else {b.text})",
+                  max(test.depth, a.depth, b.depth) + 1, writes=test.writes or a.writes or b.writes,
+                  is_int=a.is_int and b.is_int)
 
     def e_Binary(self, e):
-        op, span = e.op, e.span
-        self.emit(("binary", op))
+        op = e.op
         if op in ("&&", "||"):
             left, right = self.truth(e.left), self.truth(e.right)
-            if op == "&&":
-                return lambda f: left(f) and right(f)
-            return lambda f: left(f) or right(f)
+            return _E(f"({left.text} {'and' if op == '&&' else 'or'} {right.text})",
+                      max(left.depth, right.depth) + 1, writes=left.writes or right.writes,
+                      boolean=True)
         left, right = self.expr(e.left), self.expr(e.right)
-        if op in ("==", "!="):
-            want = op == "=="
-            return lambda f: _values_equal(left(f), right(f), span) is want
-        fn = _INT_OPS.get(op)
-        if fn is None:
-            raise UnsupportedForEvaluation(span, f"operator {op}")
+        if op not in _ARITHMETIC_PATHS and op not in _DIVISION_PATHS and op not in _COMPARISONS:
+            raise UnsupportedForEvaluation(e.span, f"operator {op}")
+        return self.binary(op, left, right, self.site(e.span, f"{op} on non-int operands"))
 
-        def other(a, b):  # an operand is not an int
-            if op == "+" and (isinstance(a, str) or isinstance(b, str)):
-                return _bounded(_to_java_string(a) + _to_java_string(b), span)
-            raise UnsupportedForEvaluation(span, f"{op} on non-int operands")
-
-        if isinstance(e.right, Literal) and type(e.right.value) is int:
-            c = e.right.value
-            if op in _WRAPPED_OPS:
-                def binary(f):
-                    a = left(f)
-                    if type(a) is not int:
-                        return other(a, c)
-                    r = fn(a, c)
-                    return r if INT_MIN <= r <= INT_MAX else _wrap32(r)
-            else:
-                def binary(f):
-                    a = left(f)
-                    return fn(a, c) if type(a) is int else other(a, c)
-        elif op in _WRAPPED_OPS:
-            def binary(f):
-                a, b = left(f), right(f)
-                if type(a) is not int or type(b) is not int:
-                    return other(a, b)
-                r = fn(a, b)
-                return r if INT_MIN <= r <= INT_MAX else _wrap32(r)
+    def binary(self, op: str, left: _E, right: _E, site: int) -> _E:
+        lf, la = self.operand(left, right.writes)
+        rf, ra = self.operand(right)
+        tests = [_int_test(left, lf), _int_test(right, rf)]
+        writes, depth = left.writes or right.writes, max(left.depth, right.depth) + _EXPR_STEP
+        if op in _ARITHMETIC_PATHS:
+            r, c = self.temp(), _is_int(right)
+            low, high = f"{INT_MIN} <= ", f" <= {INT_MAX}"
+            if c is not None and op != "*":  # the sum moves one way only
+                low, high = ("", high) if (op == "+") == (c >= 0) else (low, "")
+            tests.append(f"{low}({r} := {la} {op} {ra}){high}")
+            return _E(f"({r} if {_all(tests, left, right)} else "
+                      f"{_ARITHMETIC_PATHS[op]}({la}, {ra}, {site}))", depth, writes=writes,
+                      is_int=op != "+" or left.is_int and right.is_int)
+        if op in _DIVISION_PATHS:
+            py_op, path = _DIVISION_PATHS[op]
+            # Python's // and % are Java's on a dividend >= 0 and a divisor > 0.
+            signs = [(left, f"{la} >= 0", 0), (right, f"{ra} > 0", 1)]
+            if any(_is_int(x) is not None and _is_int(x) < low for x, _, low in signs):
+                return _E(f"{path}({lf}, {rf}, {site})", depth, writes=writes, is_int=True)
+            tests += [test for x, test, _ in signs if _is_int(x) is None]
+            return _E(f"({la} {py_op} {ra} if {_all(tests, left, right)} else "
+                      f"{path}({la}, {ra}, {site}))", depth, writes=writes, is_int=True)
+        if op in ("==", "!="):  # these compare any two values
+            slow = f"{'' if op == '==' else 'not '}_eq({la}, {ra}, {site})"
         else:
-            def binary(f):
-                a, b = left(f), right(f)
-                return fn(a, b) if type(a) is int and type(b) is int else other(a, b)
-        return binary
+            slow = f"_fail({site})"
+        return _E(f"({la} {op} {ra} if {_all(tests, left, right)} else {slow})", depth,
+                  writes=writes, boolean=True)
 
     def e_Call(self, e):
         recv, method, span, n = e.receiver, e.method, e.span, len(e.args)
-        self.emit(("call", n))
-        args = tuple(self.expr(a) for a in e.args)
+        args = [self.expr(a) for a in e.args]
+        writes = any(a.writes for a in args)
+        depth = max((a.depth for a in args), default=0) + _EXPR_STEP
         cls = self.cls  # an unqualified call names a method of the caller's class
         if isinstance(recv, Name) and not any(recv.id in names for names, _ in self.scopes):
             if recv.id == "Math":
                 if n not in MATH_BUILTINS.get(method, ()):
                     raise UnsupportedForEvaluation(span, f"Math.{method}/{n}")
-                self.emit(("Math", method))
-                return lambda f: _math(method, span, [a(f) for a in args])
+                site = self.site(span, "Math builtin on non-int")
+                return _E(f"{_MATH_PATHS[method]}({', '.join(a.text for a in args)}, {site})",
+                          depth, writes=writes, is_int=True)
             if recv.id not in self.classes:
                 raise UnsupportedForEvaluation(span, f"unknown receiver {recv.id!r}")
             cls, recv = recv.id, None
         if recv is None:
-            number, callee = self.callee(self.target(cls, method, n, span))
-            self.emit(("static", number))
-            return _static_call(callee, args)
+            number = self.callee(self.target(cls, method, n, span))
+            call = f"m{number}({''.join(a.text + ', ' for a in args)}F, D + 1)"
+            t = self.temp()
+            return _E(f"((F := ({t} := {call})[1]) is None or {t}[0])", depth, writes=writes,
+                      call=call)
         if n not in STRING_BUILTINS.get(method, ()):
             raise UnsupportedForEvaluation(span, f"method {method!r} with {n} arguments")
-        self.emit(("String", method))
+        site = self.site(span, None)
         receiver = self.expr(recv)
-
-        def call(f):
-            s = receiver(f)
-            if s is None:
-                raise _Stop(NULL_POINTER)
-            if not isinstance(s, str):
-                raise UnsupportedForEvaluation(span, f"method call on {type(s).__name__}")
-            return _string_method(method, span, s, [a(f) for a in args])
-        return call
-
-
-@contextmanager
-def _stack_room():
-    """Raise the recursion limit out of MAX_CALL_DEPTH's way while compiling
-    or running: each interpreted call costs several Python frames (five for
-    a one-statement recursive method, six when the call sits in an if block,
-    nine in an if inside a loop), so 200 nested calls pass the default limit
-    of 1,000. The old limit is restored on the way out."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 10_000))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
+        depth, writes = max(depth, receiver.depth + _EXPR_STEP), writes or receiver.writes
+        if method == "length":
+            first, again = self.operand(receiver)
+            return _E(f"(len({again}) if type({first}) is str else _receiver({again}, {site}))",
+                      depth, writes=writes, is_int=True)
+        checked = f"_receiver({receiver.text}, {site})"
+        if method == "equals":
+            return _E(f"_equals({checked}, {args[0].text})", depth, writes=writes)
+        return _E(f"{_STRING_PATHS[method]}({checked}, {site}, "
+                  f"{', '.join(a.text for a in args)})", depth, writes=writes)
 
 
-# (id(method), id(context)) -> (method, context, _Method or the rejection),
+def _is_int(x: _E) -> int | None:
+    """The value of an int literal."""
+    return x.literal[0] if x.literal and type(x.literal[0]) is int else None
+
+
+def _int_test(x: _E, first: str) -> str:
+    """A test that an operand is an int, which evaluates it if it has effects."""
+    if not x.is_int:
+        return f"type({first}) is int"
+    return "" if x.pure else f"{first} is not None"
+
+
+def _all(tests: list[str], left: _E, right: _E) -> str:
+    """The conjunction of an operator's tests, which evaluates both operands
+    in Java order even when the left one is no int. The first two test the
+    left and the right operand (see _int_test)."""
+    left_test, right_test, *rest = tests
+    if left_test and right_test and not right.pure:
+        if left.pure and not right.writes:  # the left slot reads the same after the right
+            tests = [right_test, left_test, *rest]
+        else:  # `&` does not short-circuit past the right operand
+            tests = [f"({left_test}) & ({right_test})", *rest]
+    return " and ".join(t for t in tests if t) or "True"
+
+
+# text -> (its top function, the outcome memo of its programs), least
+# recently used first. A record compiles two texts, as its rename variant
+# has the original's and its both variant the structure variant's; a larger
+# cache would hit only across records, and costs memory.
+_CODE: dict[str, tuple] = {}
+_CODE_SIZE = 2
+
+
+def _load(text: str) -> tuple:
+    entry = _CODE.pop(text, None)  # put back below as the most recent
+    if entry is None:
+        namespace = {name: globals()[name] for name in _RUNTIME}
+        exec(compile(text, "<vmorph oracle>", "exec"), namespace)
+        entry = (namespace["m0"], {})
+        if len(_CODE) >= _CODE_SIZE:
+            del _CODE[next(iter(_CODE))]
+    _CODE[text] = entry
+    return entry
+
+
+# (id(method), id(context)) -> (method, context, _Program or the rejection),
 # least recently used first; holding the keys keeps their ids from reuse.
 _COMPILED: dict[tuple[int, int], tuple] = {}
 _COMPILED_SIZE = 2  # a trial evaluates the original and then the variant
 
 
-def _compile(m: MethodDecl, context: SourceFile | None) -> _Method:
+def _compile(m: MethodDecl, context: SourceFile | None) -> _Program:
     key = (id(m), id(context))
     entry = _COMPILED.pop(key, None)  # put back below as the most recent
     if entry is None:
         try:
-            with _stack_room():
-                entry = (m, context, _Compiler(context).compile(m))
+            program = _Compiler(context).compile(m)
         except UnsupportedForEvaluation as exc:
             entry = (m, context, exc)
-        else:  # a program equal up to names runs as this one: share its outcomes
-            for *_, live in _COMPILED.values():
-                if isinstance(live, _Method) and live.key == entry[2].key:
-                    entry[2].outcomes = live.outcomes
-                    break
+        else:
+            program.top, program.outcomes = _load(program.text)
+            entry = (m, context, program)
         if len(_COMPILED) >= _COMPILED_SIZE:
             del _COMPILED[next(iter(_COMPILED))]
     _COMPILED[key] = entry
-    return _unless_rejected(entry[2])
-
-
-def _unless_rejected(result):
-    """result, or a fresh copy of it raised if it is a stored rejection."""
-    if isinstance(result, UnsupportedForEvaluation):
-        raise UnsupportedForEvaluation(result.span, result.detail)
-    return result
+    if isinstance(entry[2], UnsupportedForEvaluation):
+        raise UnsupportedForEvaluation(entry[2].span, entry[2].detail)  # a fresh copy
+    return entry[2]
 
 
 def ensure_supported(m: MethodDecl, context: SourceFile | None = None) -> None:
@@ -756,6 +940,16 @@ def is_supported(m: MethodDecl, context: SourceFile | None = None) -> bool:
         return False
 
 
+def _run(program: _Program, args, fuel: int):
+    """One run of the program: an outcome, or a rejection's (site, detail)."""
+    try:
+        return Returned(program.top(*args, fuel, 1)[0])
+    except _Stop as stop:
+        return Threw(*stop.args) if stop.args else OutOfFuel()
+    except _Reject as reject:
+        return reject.args
+
+
 def evaluate(
     m: MethodDecl,
     args: list,
@@ -763,25 +957,19 @@ def evaluate(
     context: SourceFile | None = None,
 ) -> Outcome:
     """Run a method on concrete argument values; deterministic and total.
-    Each distinct (fuel, typed arguments) runs once per compiled method."""
-    method = _compile(m, context)
+    Each distinct (fuel, typed arguments) runs once per compiled text."""
+    program = _compile(m, context)
     if len(args) != len(m.params):
         raise UnsupportedForEvaluation(m.span, "argument arity mismatch")
     key = (fuel, *((type(a), a) for a in args))  # 1 == True, but x + 1 takes only 1
-    outcome = method.outcomes.get(key)
-    # A rejection names the spans of the method that raised it, so a method
-    # that shares the memo runs its own closures to raise its own.
-    if outcome is None or type(outcome) is tuple and outcome[0] is not method:
-        with _stack_room():
-            try:
-                outcome = Returned(_invoke(method, [fuel, 0], list(args)))
-            except _Stop as stop:
-                outcome = Threw(*stop.args) if stop.args else OutOfFuel()
-            except UnsupportedForEvaluation as exc:
-                outcome = (method, exc)
-        method.outcomes[key] = outcome
-    return _unless_rejected(outcome[1] if type(outcome) is tuple else outcome)
-
+    outcome = program.outcomes.get(key)
+    if outcome is None:
+        outcome = program.outcomes[key] = _run(program, args, fuel)
+    if type(outcome) is tuple:  # a rejection, raised with this program's span and names
+        site, detail = outcome
+        span, own = program.sites[site]
+        raise UnsupportedForEvaluation(span, detail or own)
+    return outcome
 
 # ---------------------------------------------------------------------------
 # Differential checking

@@ -302,8 +302,11 @@ def _if_else(target: Expr, t: Ternary, comments: tuple[str, ...], span: Span) ->
     return If(t.cond, branch(t.if_true), branch(t.if_false), comments, span)
 
 
-def _record_misplaced_ternaries(stmt: Stmt, skip) -> None:
-    """Ternaries anywhere but as a whole assignment/initializer RHS are skipped."""
+def _record_misplaced_ternaries(stmt: Stmt, skip, reported: dict[int, Ternary]) -> None:
+    """Ternaries anywhere but as a whole assignment/initializer RHS are skipped,
+    each once: statements are visited inner-first, so `reported` (id -> node,
+    which keeps the id from reuse) holds those the statements inside `stmt`
+    already reported."""
     holder_exempt: set[int] = set()
     if isinstance(stmt, ExprStmt) and isinstance(stmt.expr, Assign) \
             and isinstance(stmt.expr.value, Ternary):
@@ -313,7 +316,8 @@ def _record_misplaced_ternaries(stmt: Stmt, skip) -> None:
             if isinstance(d.init, Ternary):
                 holder_exempt.add(id(d.init))
     for n in walk(stmt):
-        if isinstance(n, Ternary) and id(n) not in holder_exempt:
+        if isinstance(n, Ternary) and id(n) not in holder_exempt and id(n) not in reported:
+            reported[id(n)] = n
             skip(n.span, "nested-ternary-position")
 
 
@@ -1080,6 +1084,8 @@ def _run_rule(
     def skip(span: Span, reason: str) -> None:
         report.skipped.append((rule, span, reason))
 
+    ternaries: dict[int, Ternary] = {}
+
     if rule is TransformRule.FUNCTION_CHAIN:
         site = lambda stmt: _split_site(stmt, fresh, scope)  # noqa: E731
     elif rule is TransformRule.ARGUMENT_PASS:
@@ -1101,7 +1107,7 @@ def _run_rule(
             report.applied.append((rule, stmt.span, detail))
         if site is _cond_site:
             for out_stmt in out:
-                _record_misplaced_ternaries(out_stmt, skip)
+                _record_misplaced_ternaries(out_stmt, skip, ternaries)
         return out
 
     if site is _flip_site:  # outer-first

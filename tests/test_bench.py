@@ -613,19 +613,18 @@ def test_original_runs_once_per_trial_per_record(lexicon, tmp_path, monkeypatch)
     from vmorph import interp
 
     compiled, runs = [], {}
-    compile_method, invoke = interp._Compiler.compile, interp._invoke
+    compile_method, run = interp._Compiler.compile, interp._run
 
     def compile_and_record(self, m):
         compiled.append(compile_method(self, m))
         return compiled[-1]
 
-    def counting_invoke(method, run, args):
-        if run[1] == 0:  # a run's top call, not a call it makes
-            runs[method] = runs.get(method, 0) + 1
-        return invoke(method, run, args)
+    def counting_run(program, args, fuel):
+        runs[program] = runs.get(program, 0) + 1
+        return run(program, args, fuel)
 
     monkeypatch.setattr(interp._Compiler, "compile", compile_and_record)
-    monkeypatch.setattr(interp, "_invoke", counting_invoke)
+    monkeypatch.setattr(interp, "_run", counting_run)
     source = (
         "class A {\n"
         "    static int run(int n, String s) {\n"

@@ -1,6 +1,8 @@
+import io
 import itertools
 import json
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -227,6 +229,49 @@ def test_call_depth_bound_leaves_the_recursion_limit_alone():
         sys.setrecursionlimit(old)
 
 
+def test_deep_recursion_runs_at_the_default_recursion_limit(monkeypatch):
+    src = ("class A { static int g(int n) { if (n > 0) { return g(n - 1) + 1; } "
+           "return Math.abs(n); } }")
+    m, ast = method_named(src, "g")
+    limits, math_abs = [], interp._abs
+    monkeypatch.setattr(interp, "_abs", lambda a, site: limits.append(sys.getrecursionlimit())
+                        or math_abs(a, site))
+    monkeypatch.setattr(interp, "_COMPILED", {})  # compile against the patched _abs
+    monkeypatch.setattr(interp, "_CODE", {})
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # as in a fresh process
+    try:
+        assert evaluate(m, [199], context=ast) == Returned(199)
+    finally:
+        sys.setrecursionlimit(old)
+    assert limits == [1000]  # read 200 calls deep
+
+
+SAFETY_SRC = r"""class exec {
+    static String __import__(String os, int exec) {
+        String s = "\"); import os; (\"";
+        if (exec > 0) {
+            return __import__(os.concat(s), exec - 1);
+        }
+        return os + exec;
+    }
+}"""
+
+
+def test_emitted_text_holds_no_java_name_and_literals_only_as_repr():
+    m, ast = method_named(SAFETY_SRC, "__import__")
+    text = interp._compile(m, ast).text
+    tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
+    names = {t.string for t in tokens if t.type == tokenize.NAME}
+    assert not names & {"os", "__import__", "exec", "s"}
+    literal = '"); import os; ("'
+    assert [t.string for t in tokens if t.type == tokenize.STRING] == [repr(literal)]
+    assert text.count(literal) == text.count(repr(literal)) == 1
+    assert evaluate(m, ["a", 2], context=ast) == Returned(f"a{literal}{literal}0")
+    assert evaluate(m, ["x", -1], context=ast) == Returned("x-1")
+    assert evaluate(m, [None, 1], context=ast) == Threw("NullPointerException")
+
+
 def test_switch_jump_past_a_declaration_stays_a_runtime_error():
     src = """class A {
         static int f(int k) {
@@ -395,16 +440,16 @@ def test_no_compared_trial_is_inconclusive(trials):
 
 
 def _top_runs(monkeypatch):
-    """Counts the runs each compiled method starts, not the calls it makes,
-    from an empty compile cache, so no earlier test's memo is shared."""
-    runs, invoke = {}, interp._invoke
+    """Counts the runs of each compiled program, from empty compile caches,
+    so no earlier test's memo is shared."""
+    runs, run = {}, interp._run
     monkeypatch.setattr(interp, "_COMPILED", {})
+    monkeypatch.setattr(interp, "_CODE", {})
 
-    def counting_invoke(method, run, args):
-        if run[1] == 0:
-            runs[method] = runs.get(method, 0) + 1
-        return invoke(method, run, args)
-    monkeypatch.setattr(interp, "_invoke", counting_invoke)
+    def counting_run(program, args, fuel):
+        runs[program] = runs.get(program, 0) + 1
+        return run(program, args, fuel)
+    monkeypatch.setattr(interp, "_run", counting_run)
     return runs
 
 
@@ -434,7 +479,7 @@ def test_consistently_renamed_method_shares_outcomes(monkeypatch):
     verdict = check_equivalence(m1, m2, trials=20, context1=ast1, context2=ast2)
     assert verdict.verdict == EQUIVALENT
     first, second = interp._compile(m1, ast1), interp._compile(m2, ast2)
-    assert first.key == second.key
+    assert first.text == second.text
     assert first.outcomes is second.outcomes
     assert runs[first] == 20 and second not in runs
 
@@ -455,7 +500,7 @@ def test_methods_equal_up_to_names_with_other_slots_run_alone(monkeypatch, varia
     verdict = check_equivalence(m1, m2, trials=20, context1=ast1, context2=ast2)
     assert verdict.verdict == DIVERGED
     first, second = interp._compile(m1, ast1), interp._compile(m2, ast2)
-    assert first.key != second.key
+    assert first.text != second.text
     assert first.outcomes is not second.outcomes
     assert runs[first] > 0 and runs[second] > 0
 
@@ -471,7 +516,7 @@ def test_runtime_rejection_names_the_variant_not_the_original():
                  "    }\n"
                  "}\n", "B.java")
     m2 = ast2.types[0].methods[0]
-    assert interp._compile(m1, ast1).key == interp._compile(m2, ast2).key
+    assert interp._compile(m1, ast1).text == interp._compile(m2, ast2).text
     with pytest.raises(UnsupportedForEvaluation) as first:
         evaluate(m1, [""], context=ast1)
     with pytest.raises(UnsupportedForEvaluation) as second:

@@ -5,7 +5,8 @@ from dataclasses import replace
 import pytest
 
 from vmorph.errors import NotApplicable
-from vmorph.nodes import Block, Break, If, LocalVarDecl, Switch, structurally_equal, walk
+from vmorph.nodes import (Block, Break, If, LocalVarDecl, Switch, Ternary, structurally_equal,
+                          walk)
 from vmorph.parser import parse
 from vmorph.printer import print_method, print_stmt
 from vmorph.transforms import (
@@ -226,6 +227,17 @@ def test_a_local_shared_between_cases_blocks_conversion(code):
     assert structurally_equal(out, m)
     assert report.applied == []
     assert report.skipped == [(TransformRule.COND_CONVERT, site.span, "case-scoped-local")]
+
+
+def test_a_misplaced_ternary_is_reported_once():
+    source = ("class W { static int f(int k) { int r = 0; "
+              "if (k > 0) { if (k > 3) { r = mix(k > 1 ? 1 : 2); } } return r; } "
+              "static int mix(int v) { return v; } }")
+    m = parse(source).types[0].methods[0]
+    ternary = next(n for n in walk(m) if isinstance(n, Ternary))
+    _, report = apply_rule(m, TransformRule.COND_CONVERT)
+    assert report.skipped == [
+        (TransformRule.COND_CONVERT, ternary.span, "nested-ternary-position")]
 
 
 @pytest.mark.parametrize("code", [

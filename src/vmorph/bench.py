@@ -80,6 +80,17 @@ class VulnRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict, project_root: str | None = None) -> "VulnRecord":
+        """The record `data` describes; a VmorphError naming the first field
+        that is missing or malformed."""
+        if not isinstance(data, dict):
+            raise VmorphError("expected a JSON object")
+        for key, ok, want in _RECORD_FIELDS:
+            if key == "project_root" and project_root is not None:
+                continue
+            if key not in data:
+                raise VmorphError(f"missing field {key!r}")
+            if not ok(data[key]):
+                raise VmorphError(f"field {key!r} must be {want}, not {data[key]!r}")
         root = project_root if project_root is not None else data["project_root"]
         lines = data["buggy_lines"]
         span = Span(data["buggy_file"], lines[0], 1, lines[-1], 1)
@@ -87,11 +98,27 @@ class VulnRecord:
                    data.get("cwe"), data.get("developer_patch"))
 
 
+# The required fields of a record's JSON: key, check, what the check wants.
+_RECORD_FIELDS = (
+    ("id", lambda v: isinstance(v, str), "a string"),
+    ("project_root", lambda v: isinstance(v, str), "a string"),
+    ("buggy_file", lambda v: isinstance(v, str), "a string"),
+    ("buggy_lines", lambda v: isinstance(v, list) and len(v) > 0
+     and all(type(n) is int for n in v), "a non-empty list of line numbers"),
+)
+
+
 def load_record(project_root: str | Path) -> VulnRecord:
     """Read a project's vuln.json descriptor (see README for the schema)."""
     root = Path(project_root)
-    data = json.loads((root / "vuln.json").read_text("utf-8"))
-    return VulnRecord.from_json_dict(data, project_root=str(root))
+    path = root / "vuln.json"
+    text = read_utf8(path)
+    try:
+        return VulnRecord.from_json_dict(json.loads(text), project_root=str(root))
+    except json.JSONDecodeError as e:
+        raise VmorphError(f"{path}: not JSON: {e}") from e
+    except VmorphError as e:
+        raise VmorphError(f"{path}: {e}") from e
 
 
 @dataclass
@@ -169,7 +196,8 @@ class BenchmarkManifest:
 @dataclass
 class _Project:
     asts: dict[str, SourceFile]  # relpath -> AST, insertion order sorted
-    verbatim: dict[str, str]  # unparseable files copied as-is
+    sources: dict[str, str]  # relpath -> its parsed text, until the rename plan is made
+    verbatim: dict[str, bytes]  # files that did not parse, copied as they are
     errors: dict[str, str]  # relpath -> why it did not parse
 
     @property
@@ -177,22 +205,56 @@ class _Project:
         return [f"{rel}: copied verbatim ({e})" for rel, e in self.errors.items()]
 
 
+def _not_utf8(e: UnicodeDecodeError) -> str:
+    return f"not UTF-8: {e.reason} at byte {e.start}"
+
+
+def read_utf8(path: Path) -> str:
+    """The text of a UTF-8 file; a VmorphError naming the file if it is not
+    UTF-8."""
+    try:
+        return path.read_text("utf-8")
+    except UnicodeDecodeError as e:
+        raise VmorphError(f"{path}: {_not_utf8(e)}") from e
+
+
 def _load_project(root: Path) -> _Project:
-    asts: dict[str, SourceFile] = {}
-    verbatim: dict[str, str] = {}
-    errors: dict[str, str] = {}
+    project = _Project({}, {}, {}, {})
     for path in sorted(root.rglob("*.java")):
         rel = path.relative_to(root).as_posix()
-        text = path.read_text("utf-8")
         try:
-            asts[rel] = parse(text, rel)
+            text = path.read_text("utf-8")
+        except UnicodeDecodeError as e:
+            project.verbatim[rel] = path.read_bytes()
+            project.errors[rel] = _not_utf8(e)
+            continue
+        try:
+            project.asts[rel] = parse(text, rel)
         except (JavaSyntaxError, UnsupportedConstruct) as e:
-            verbatim[rel] = text
-            errors[rel] = str(e)
-    return _Project(asts, verbatim, errors)
+            project.verbatim[rel] = text.encode("utf-8")
+            project.errors[rel] = str(e)
+        else:
+            project.sources[rel] = text
+    return project
 
 
-def _write_project(target: Path, asts: dict[str, SourceFile], verbatim: dict[str, str],
+def _files_with_a_key(sources: dict[str, str], dct: RenameDictionary) -> list[str]:
+    """The files whose text holds some key of `dct` as a substring. Each name
+    in a tree is a substring of its file's text, so no other file can change
+    under the rename."""
+    return [rel for rel, text in sources.items() if any(key in text for key in dct.forward)]
+
+
+def _rename_project(asts: dict[str, SourceFile], keyed: list[str],
+                    dct: RenameDictionary) -> dict[str, SourceFile]:
+    """`asts` renamed by `dct`. Only the files in `keyed` go through
+    apply_rename; every other file keeps its tree, which all variants share."""
+    renamed = dict(asts)
+    renamed.update(zip(keyed, apply_rename([asts[rel] for rel in keyed], dct)))
+    return renamed
+
+
+def _write_project(target: Path, asts: dict[str, SourceFile], verbatim: dict[str, bytes],
                    printed: dict[int, tuple[SourceFile, str]]) -> None:
     """Write a variant's files. `printed` is the record's memo, id(tree) ->
     (tree, text): a tree that several variants share is printed once. It
@@ -203,10 +265,10 @@ def _write_project(target: Path, asts: dict[str, SourceFile], verbatim: dict[str
         out = target / rel
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(printed[id(ast)][1], encoding="utf-8")
-    for rel, text in verbatim.items():
+    for rel, data in verbatim.items():
         out = target / rel
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
+        out.write_bytes(data)
 
 
 def _suggested_filenames(asts: dict[str, SourceFile], dct: RenameDictionary) -> dict[str, str]:
@@ -313,6 +375,10 @@ def _generate_for_record(
             collect_identifiers(asts, focus=method), project_imports(asts), stdlib_index
         )
         dct = build_rename_plan(table, lexicon)
+        keyed = _files_with_a_key(project.sources, dct)
+        # Nothing reads the texts again; kept for the whole record, a large
+        # project's text would raise its peak memory.
+        project.sources.clear()
     except (VmorphError, OSError) as e:
         return [
             ManifestEntry(record=record, variant=kind,
@@ -349,8 +415,7 @@ def _generate_for_record(
             variant_method = method
             if kind is not VariantKind.STRUCTURE_ONLY:
                 if renamed is None:
-                    renamed = dict(zip(project.asts.keys(), apply_rename(
-                        list(project.asts.values()), dct)))
+                    renamed = _rename_project(project.asts, keyed, dct)
                 variant_asts = dict(renamed)
                 variant_method = variant_asts[record.buggy_file].types[class_index].members[
                     member_index]

@@ -26,6 +26,7 @@ from .bench import (
     external_validate,
     generate_variants,
     load_record,
+    read_utf8,
 )
 from .errors import VmorphError
 from .nodes import Span
@@ -134,7 +135,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_prompt(args) -> int:
-    text = Path(args.file).read_text("utf-8")
+    text = read_utf8(Path(args.file))
     try:
         start_s, _, end_s = args.lines.partition(":")
         start, end = int(start_s), int(end_s or start_s)
@@ -151,8 +152,8 @@ def _cmd_prompt(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    dct = RenameDictionary.loads(Path(args.dict_path).read_text("utf-8"))
-    patch = Path(args.patch).read_text("utf-8")
+    dct = RenameDictionary.loads(read_utf8(Path(args.dict_path)))
+    patch = read_utf8(Path(args.patch))
     sys.stdout.write(recover_patch(patch, dct))
     return 0
 

@@ -2,10 +2,13 @@
 
 Grammar in docs/grammar.md. Design points:
 
-- The cursor is a flat token list (comments removed, two extra EOF tokens
-  at the end so lookahead needs no bound check) and a parallel list of keys:
-  the text of an operator or keyword token, None for every other token.
-  `at()` and `expect()` are one list lookup.
+- The cursor is an index into the lexer's arrays of code tokens (kinds,
+  texts, start offsets; the lexer has already set comments apart), with two
+  extra EOF entries at the end so lookahead needs no bound check. No
+  identifier, literal or EOF has the text of an operator or keyword, so
+  `at()` and `expect()` compare texts alone: one list lookup.
+- Line and column are computed only when a Span is built, by bisecting the
+  file's line-start offsets; a code token never spans lines.
 - Binary operators are parsed by precedence climbing over one table of
   levels (`_BINARY_LEVEL`), left-associative; a Binary's span starts at the
   first token of its leftmost operand.
@@ -23,8 +26,10 @@ Grammar in docs/grammar.md. Design points:
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .errors import JavaSyntaxError, UnsupportedConstruct
-from .lexer import COMMENT, EOF, IDENT, INT, KEYWORD, OP, STRING, Token, tokenize
+from .lexer import EOF, IDENT, INT, STRING, Tokens, position, tokenize
 from .nodes import (
     Assign,
     Binary,
@@ -93,6 +98,10 @@ _BINARY_LEVELS = [
 _BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
 
+# Span(...) without the argument handling of its __new__.
+_new_span = tuple.__new__
+
+
 def parse(text: str, file: str = "<input>") -> SourceFile:
     """Parse a compilation unit; see module docstring for error behavior."""
     return _Parser(tokenize(text, file), file).source_file()
@@ -106,64 +115,63 @@ def _depth(node) -> int:
 
 
 class _Parser:
-    def __init__(self, raw_tokens: list[Token], file: str):
+    def __init__(self, tokens: Tokens, file: str):
         self.file = file
-        self.toks: list[Token] = []
-        # Comments between the previous retained token and toks[i].
+        # Two copies of EOF past the end let lookahead index without a bound.
+        self.kinds = tokens.kinds + [EOF] * 2
+        self.texts = tokens.texts + [""] * 2
+        self.starts = tokens.starts
+        self.values = tokens.values
+        # A sentinel past the text: the line after any token's line starts.
+        self.line_starts = tokens.line_starts + [tokens.starts[-1] + 1]
+        self.eof = len(tokens.kinds) - 1  # next() stops here
+        # Comments between the previous code token and token i.
         self.comments_before: dict[int, tuple[str, ...]] = {}
-        pending: list[str] = []
-        for tok in raw_tokens:
-            if tok.kind == COMMENT:
-                pending.append(tok.text)
-            else:
-                if pending:
-                    self.comments_before[len(self.toks)] = tuple(pending)
-                    pending = []
-                self.toks.append(tok)
-        self.eof = len(self.toks) - 1  # next() stops here
-        # Two copies of EOF past the end let peek(k) index without a bound.
-        self.toks += [self.toks[-1]] * 2
-        # The cursor's keys: the text of an operator or keyword, else None.
-        self.keys = [tok.text if tok.kind in (OP, KEYWORD) else None for tok in self.toks]
+        for i, _, text in tokens.comments:
+            self.comments_before[i] = self.comments_before.get(i, ()) + (text,)
         self.pos = 0
         self.depth = 0  # nesting levels the parser is inside, see nested()
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[self.pos + k]
-
     def at(self, text: str, k: int = 0) -> bool:
-        return self.keys[self.pos + k] == text
+        return self.texts[self.pos + k] == text
 
     def at_kind(self, kind: str, k: int = 0) -> bool:
-        return self.toks[self.pos + k].kind == kind
+        return self.kinds[self.pos + k] == kind
 
-    def next(self) -> Token:
-        tok = self.toks[self.pos]
-        if self.pos < self.eof:
-            self.pos += 1
-        return tok
+    def next(self) -> int:
+        """Consume the current token, unless it is EOF; its index."""
+        i = self.pos
+        if i < self.eof:
+            self.pos = i + 1
+        return i
 
-    def expect(self, text: str) -> Token:
-        tok = self.toks[self.pos]
-        if self.keys[self.pos] != text:
-            raise self.error(f"expected {text!r}, found {tok.text!r}" if tok.kind != EOF
-                             else f"expected {text!r}, found end of input")
-        self.pos += 1  # a token with a key is never EOF
-        return tok
+    def found(self) -> str:
+        """The current token as an error message names it."""
+        if self.kinds[self.pos] == EOF:
+            return "end of input"
+        return repr(self.texts[self.pos])
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != IDENT:
-            raise self.error(f"expected {what}, found {tok.text!r}")
-        return self.next()
+    def expect(self, text: str) -> int:
+        i = self.pos
+        if self.texts[i] != text:
+            raise self.error(f"expected {text!r}, found {self.found()}")
+        self.pos = i + 1  # a token with that text is never EOF
+        return i
+
+    def expect_ident(self, what: str = "identifier") -> str:
+        i = self.pos
+        if self.kinds[i] != IDENT:
+            raise self.error(f"expected {what}, found {self.found()}")
+        self.pos = i + 1
+        return self.texts[i]
 
     def error(self, message: str) -> JavaSyntaxError:
-        return JavaSyntaxError(self.peek().span(self.file), message)
+        return JavaSyntaxError(self.token_span(self.pos), message)
 
-    def unsupported(self, construct: str, tok: Token | None = None) -> UnsupportedConstruct:
-        return UnsupportedConstruct((tok or self.peek()).span(self.file), construct)
+    def unsupported(self, construct: str, i: int | None = None) -> UnsupportedConstruct:
+        return UnsupportedConstruct(self.token_span(self.pos if i is None else i), construct)
 
     def nested(self, parse_step):
         """parse_step() one nesting level deeper, rejecting input that would
@@ -179,14 +187,26 @@ class _Parser:
     def take_comments(self) -> tuple[str, ...]:
         return self.comments_before.get(self.pos, ())
 
-    def span_from(self, start: Token) -> Span:
-        last = self.toks[self.pos - 1] if self.pos > 0 else start
-        return Span(self.file, start.line, start.col, last.end_line, last.end_col)
+    def token_span(self, i: int) -> Span:
+        """Token i's span. A code token lies on one line; EOF is empty."""
+        line, col = position(self.line_starts, self.starts[i])
+        end_col = col + (len(self.texts[i]) or 1) - 1
+        return _new_span(Span, (self.file, line, col, line, end_col))
+
+    def span_from(self, start: int) -> Span:
+        """From token `start` to the last token consumed, which is not EOF."""
+        line_starts = self.line_starts
+        begin = self.starts[start]
+        line = bisect_right(line_starts, begin)
+        last = self.pos - 1
+        end = self.starts[last] + len(self.texts[last]) - 1
+        end_line = line if end < line_starts[line] else bisect_right(line_starts, end)
+        return _new_span(Span, (self.file, line, begin - line_starts[line - 1] + 1,
+                                end_line, end - line_starts[end_line - 1] + 1))
 
     # -- compilation unit ---------------------------------------------------
 
     def source_file(self) -> SourceFile:
-        start = self.peek()
         package = None
         if self.at("package"):
             self.next()
@@ -194,8 +214,8 @@ class _Parser:
             self.expect(";")
         imports = []
         while self.at("import"):
-            tok = self.next()
-            name = self.expect_ident().text
+            start = self.next()
+            name = self.expect_ident()
             wildcard = False
             while self.at("."):
                 self.next()
@@ -203,21 +223,21 @@ class _Parser:
                     self.next()
                     wildcard = True
                     break
-                name += "." + self.expect_ident().text
+                name += "." + self.expect_ident()
             self.expect(";")
-            imports.append(Import(name, wildcard, self.span_from(tok)))
+            imports.append(Import(name, wildcard, self.span_from(start)))
         types = []
         while not self.at_kind(EOF):
             types.append(self.class_decl())
-        span = Span(self.file, start.line, start.col,
-                    self.peek().end_line, self.peek().end_col)
+        first, eof = self.token_span(0), self.token_span(self.pos)
+        span = Span(self.file, first.start_line, first.start_col, eof.end_line, eof.end_col)
         return SourceFile(package, tuple(imports), tuple(types), span)
 
     def dotted_name(self) -> str:
-        name = self.expect_ident().text
-        while self.at("."):
+        name = self.expect_ident()
+        while self.texts[self.pos] == ".":
             self.next()
-            name += "." + self.expect_ident().text
+            name += "." + self.expect_ident()
         return name
 
     def modifiers(self) -> frozenset[str]:
@@ -225,28 +245,30 @@ class _Parser:
         while True:
             if self.at("@"):
                 raise self.unsupported("annotation")
-            tok = self.peek()
-            if tok.kind == KEYWORD and tok.text in MODIFIERS:
-                if tok.text in mods:
-                    raise self.error(f"duplicate modifier {tok.text!r}")
-                mods.add(self.next().text)
+            text = self.texts[self.pos]
+            if text in MODIFIERS:  # only a keyword has such a text
+                if text in mods:
+                    raise self.error(f"duplicate modifier {text!r}")
+                mods.add(text)
+                self.next()
             else:
                 return frozenset(mods)
 
     def class_decl(self, nested: bool = False) -> ClassDecl:
         comments = self.take_comments()
-        start = self.peek()
+        start = self.pos
         mods = self.modifiers()
-        if not self.at("class"):
-            if self.peek().text in ("interface", "enum"):
-                raise self.unsupported(f"{self.peek().text} declaration")
-            raise self.error(f"expected 'class', found {self.peek().text!r}")
+        text = self.texts[self.pos]
+        if text != "class":
+            if text in ("interface", "enum"):
+                raise self.unsupported(f"{text} declaration")
+            raise self.error(f"expected 'class', found {self.found()}")
         self.next()
-        name = self.expect_ident("class name").text
+        name = self.expect_ident("class name")
         if self.at("<"):
             raise self.unsupported("generic type declaration")
-        if self.peek().text in ("extends", "implements"):
-            raise self.unsupported(f"'{self.peek().text}' clause")
+        if self.texts[self.pos] in ("extends", "implements"):
+            raise self.unsupported(f"'{self.texts[self.pos]}' clause")
         self.expect("{")
         members = []
         while not self.at("}"):
@@ -258,19 +280,19 @@ class _Parser:
 
     def member(self, class_name: str):
         comments = self.take_comments()
-        start = self.peek()
+        start = self.pos
         mods = self.modifiers()
         if self.at("class"):
             raise self.unsupported("inner class")
         # Constructor: the class name followed directly by a parameter list.
-        if self.at_kind(IDENT) and self.peek().text == class_name and self.at("(", 1):
-            name = self.next().text
+        if self.at_kind(IDENT) and self.at(class_name) and self.at("(", 1):
+            self.next()
             params = self.param_list()
             body = self.block()
-            return MethodDecl(name, mods, params, None, body, comments,
+            return MethodDecl(class_name, mods, params, None, body, comments,
                               self.span_from(start))
         return_type = self.type_ref(allow_void=True)
-        name = self.expect_ident("member name").text
+        name = self.expect_ident("member name")
         if self.at("("):
             params = self.param_list()
             body = self.block()
@@ -300,13 +322,13 @@ class _Parser:
         params = []
         if not self.at(")"):
             while True:
-                start = self.peek()
+                start = self.pos
                 is_final = False
                 if self.at("final"):
                     self.next()
                     is_final = True
                 type_name = self.type_ref()
-                pname = self.expect_ident("parameter name").text
+                pname = self.expect_ident("parameter name")
                 params.append(Param(type_name, pname, is_final, self.span_from(start)))
                 if self.at(","):
                     self.next()
@@ -322,31 +344,31 @@ class _Parser:
 
     def declarators(self, first_name: str) -> tuple[Declarator, ...]:
         """Parse `= init (, name = init)*`, first identifier already consumed."""
-        start = self.toks[self.pos - 1]
+        start = self.pos - 1
         out = []
         name = first_name
         while True:
             init = None
-            if self.at("="):
+            if self.texts[self.pos] == "=":
                 self.next()
                 init = self.expression()
             out.append(Declarator(name, init, self.span_from(start)))
-            if self.at(","):
+            if self.texts[self.pos] == ",":
                 self.next()
-                start = self.peek()
-                name = self.expect_ident("variable name").text
+                start = self.pos
+                name = self.expect_ident("variable name")
                 continue
             return tuple(out)
 
     # -- statements ----------------------------------------------------------
 
     def block(self) -> Block:
-        start = self.peek()
+        start = self.pos
         if not self.at("{"):
             raise self.error("expected '{' (bodies must be braced in the subset)")
         self.next()
         stmts = []
-        while not self.at("}"):
+        while self.texts[self.pos] != "}":
             if self.at_kind(EOF):
                 raise self.error("unterminated block")
             stmts.append(self.nested(self.statement))
@@ -356,8 +378,8 @@ class _Parser:
 
     def statement(self) -> Stmt:
         comments = self.take_comments()
-        start = self.peek()
-        key = self.keys[self.pos]
+        start = self.pos
+        key = self.texts[start]
 
         if key == "{":
             blk = self.block()
@@ -399,7 +421,7 @@ class _Parser:
         if key == "@":
             raise self.unsupported("annotation")
         if self.at_kind(IDENT) and self.at(":", 1):
-            raise self.unsupported("labeled statement", self.peek())
+            raise self.unsupported("labeled statement")
 
         decl = self.local_decl()
         if decl is not None:
@@ -412,9 +434,9 @@ class _Parser:
     def local_decl(self) -> tuple[str, tuple[Declarator, ...]] | None:
         """The type and declarators of a local declaration, up to its `;`;
         None, with the cursor back where it was, when none starts here."""
-        if self.keys[self.pos] == "var":
+        if self.at("var"):
             self.next()
-            name = self.expect_ident("variable name").text
+            name = self.expect_ident("variable name")
             if not self.at("="):
                 raise self.error("'var' declarations require an initializer")
             declarators = self.declarators(name)
@@ -423,34 +445,29 @@ class _Parser:
                     raise self.error("'var' declarations require an initializer")
             return "var", declarators
         saved = self.pos
-        if self.toks[saved].kind != IDENT:
+        if self.kinds[saved] != IDENT:
             return None
         type_name = self.dotted_name()
         if self.at("<") and self._looks_like_generic_decl():
-            raise self.unsupported("generic type", self.toks[saved])
+            raise self.unsupported("generic type", saved)
         if not self.at_kind(IDENT):
             self.pos = saved
             return None
-        return type_name, self.declarators(self.next().text)
+        return type_name, self.declarators(self.expect_ident())
 
     def _looks_like_generic_decl(self) -> bool:
         """Scan past a balanced <...> of type-ish tokens followed by a name."""
-        j = self.pos  # at '<'
         depth = 0
-        while j < len(self.toks):
-            t = self.toks[j]
-            if t.text == "<":
+        for j in range(self.pos, self.eof + 1):  # from the '<'
+            text = self.texts[j]
+            if text == "<":
                 depth += 1
-            elif t.text == ">":
+            elif text == ">":
                 depth -= 1
                 if depth == 0:
-                    nxt = self.toks[j + 1] if j + 1 < len(self.toks) else None
-                    return nxt is not None and nxt.kind == IDENT
-            elif t.kind == IDENT or t.text in (".", ",", "?"):
-                pass
-            else:
+                    return self.kinds[j + 1] == IDENT
+            elif not (self.kinds[j] == IDENT or text in (".", ",", "?")):
                 return False
-            j += 1
         return False
 
     def if_stmt(self, comments) -> If:
@@ -474,8 +491,7 @@ class _Parser:
         self.expect("(")
         init: Stmt | None = None
         if not self.at(";"):
-            init_start = self.peek()
-            init = self.for_init(init_start)
+            init = self.for_init()
         self.expect(";")
         cond = None if self.at(";") else self.expression()
         self.expect(";")
@@ -484,7 +500,8 @@ class _Parser:
         body = self.block()
         return For(init, cond, update, body, comments, self.span_from(start))
 
-    def for_init(self, start: Token) -> Stmt:
+    def for_init(self) -> Stmt:
+        start = self.pos
         decl = self.local_decl()
         if decl is not None:
             return LocalVarDecl(*decl, (), self.span_from(start))
@@ -502,7 +519,7 @@ class _Parser:
         while not self.at("}"):
             if self.at_kind(EOF):
                 raise self.error("unterminated switch")
-            case_start = self.peek()
+            case_start = self.pos
             labels: list[object] = []
             while self.at("case") or self.at("default"):
                 if self.at("default"):
@@ -534,20 +551,14 @@ class _Parser:
         return Switch(scrutinee, tuple(cases), comments, self.span_from(start))
 
     def case_label(self) -> Literal:
-        tok = self.peek()
-        if self.at("-") and self.peek(1).kind == INT:
+        start = self.pos
+        if self.at("-") and self.at_kind(INT, 1):
+            return self.negative_literal()
+        if self.at_kind(INT):
+            return self.int_literal()
+        if self.at_kind(STRING):
             self.next()
-            lit = self.next()
-            value = -int(lit.value)  # type: ignore[arg-type]
-            self._check_int_range(value, lit)
-            return Literal(value, "int", self.span_from(tok))
-        if tok.kind == INT:
-            self.next()
-            self._check_int_range(int(tok.value), tok)  # type: ignore[arg-type]
-            return Literal(int(tok.value), "int", tok.span(self.file))  # type: ignore[arg-type]
-        if tok.kind == STRING:
-            self.next()
-            return Literal(tok.value, "string", tok.span(self.file))
+            return Literal(self.values[start], "string", self.token_span(start))
         raise self.error("case labels must be integer or string literals")
 
     # -- expressions ---------------------------------------------------------
@@ -557,14 +568,13 @@ class _Parser:
         expr = self.nested(self.assignment)
         # Every node owns a token, so only a long expression can be too deep.
         if self.pos - start > MAX_EXPR_DEPTH and _depth(expr) > MAX_EXPR_DEPTH:
-            raise self.unsupported(f"expression nested deeper than {MAX_EXPR_DEPTH}",
-                                   self.toks[start])
+            raise self.unsupported(f"expression nested deeper than {MAX_EXPR_DEPTH}", start)
         return expr
 
     def assignment(self) -> Expr:
-        start = self.peek()
+        start = self.pos
         left = self.ternary()
-        if self.at("="):
+        if self.texts[self.pos] == "=":
             if not isinstance(left, (Name, FieldAccess)):
                 raise self.error("invalid assignment target")
             self.next()
@@ -573,9 +583,9 @@ class _Parser:
         return left
 
     def ternary(self) -> Expr:
-        start = self.peek()
+        start = self.pos
         cond = self.binary()
-        if self.at("?"):
+        if self.texts[self.pos] == "?":
             self.next()
             if_true = self.expression()
             self.expect(":")
@@ -586,10 +596,10 @@ class _Parser:
     def binary(self, min_level: int = 0) -> Expr:
         """Precedence climbing: a left-associative chain of operators of
         _BINARY_LEVELS level min_level or tighter."""
-        start = self.peek()
+        start = self.pos
         left = self.unary()
         while True:
-            op = self.keys[self.pos]
+            op = self.texts[self.pos]
             level = _BINARY_LEVEL.get(op, -1)
             if level < min_level:
                 return left
@@ -598,19 +608,16 @@ class _Parser:
             left = Binary(op, left, right, self.span_from(start))
 
     def unary(self) -> Expr:
-        start = self.peek()
-        if self.at("!"):
+        start = self.pos
+        key = self.texts[start]
+        if key == "!":
             self.next()
             return Unary("!", self.nested(self.unary), self.span_from(start))
-        if self.at("-"):
+        if key == "-":
             # Fold `-literal` eagerly: the raw-token path admits -2147483648,
             # and folding parenthesized forms keeps print/parse a fixpoint.
-            if self.peek(1).kind == INT:
-                self.next()
-                lit = self.next()
-                value = -int(lit.value)  # type: ignore[arg-type]
-                self._check_int_range(value, lit)
-                return Literal(value, "int", self.span_from(start))
+            if self.at_kind(INT, 1):
+                return self.negative_literal()
             self.next()
             operand = self.nested(self.unary)
             if isinstance(operand, Literal) and operand.kind == "int":
@@ -620,23 +627,37 @@ class _Parser:
             return Unary("-", operand, self.span_from(start))
         return self.postfix()
 
-    def _check_int_range(self, value: int, tok: Token) -> None:
+    def int_literal(self) -> Literal:
+        i = self.next()
+        value = self.values[i]
+        self._check_int_range(value, i)  # type: ignore[arg-type]
+        return Literal(value, "int", self.token_span(i))
+
+    def negative_literal(self) -> Literal:
+        """`-` and an INT token: one negative literal."""
+        start = self.next()
+        lit = self.next()
+        value = -self.values[lit]  # type: ignore[operator]
+        self._check_int_range(value, lit)
+        return Literal(value, "int", self.span_from(start))
+
+    def _check_int_range(self, value: int, i: int) -> None:
         if not (INT_MIN <= value <= INT_MAX):
-            raise JavaSyntaxError(tok.span(self.file),
+            raise JavaSyntaxError(self.token_span(i),
                                   f"integer literal out of 32-bit range: {value}")
 
     def postfix(self) -> Expr:
-        start = self.peek()
+        start = self.pos
         expr = self.primary()
         while True:
-            key = self.keys[self.pos]
+            key = self.texts[self.pos]
             if key == "->":
                 raise self.unsupported("lambda expression")
             if key == ".":
-                if self.peek(1).text == "class":
-                    raise self.unsupported("class literal", self.peek(1))
+                if self.at("class", 1):
+                    raise self.unsupported("class literal", self.pos + 1)
                 self.next()
-                name = self.expect_ident("member name").text
+                name = self.expect_ident("member name")
                 if self.at("("):
                     args = self.arguments()
                     expr = Call(expr, name, args, self.span_from(start))
@@ -646,36 +667,36 @@ class _Parser:
             return expr
 
     def primary(self) -> Expr:
-        start = self.peek()
-        key = self.keys[self.pos]
-        if start.kind == IDENT:
-            if start.text in PRIMITIVE_NAMES:
-                raise self.error(f"type name {start.text!r} cannot be used as an expression")
-            self.next()
-            if self.at("->"):
+        start = self.pos
+        kind = self.kinds[start]
+        key = self.texts[start]
+        if kind == IDENT:
+            if key in PRIMITIVE_NAMES:
+                raise self.error(f"type name {key!r} cannot be used as an expression")
+            self.pos = start + 1  # not EOF
+            after = self.texts[start + 1]
+            if after == "->":
                 raise self.unsupported("lambda expression")
-            if self.at("("):
+            if after == "(":
                 args = self.arguments()
-                return Call(None, start.text, args, self.span_from(start))
-            return Name(start.text, start.span(self.file))
+                return Call(None, key, args, self.span_from(start))
+            return Name(key, self.token_span(start))
         if key == "(":
             self.next()
             expr = self.expression()
             self.expect(")")
             return expr
-        if start.kind == INT:
+        if kind == INT:
+            return self.int_literal()
+        if kind == STRING:
             self.next()
-            self._check_int_range(int(start.value), start)  # type: ignore[arg-type]
-            return Literal(int(start.value), "int", start.span(self.file))  # type: ignore[arg-type]
-        if start.kind == STRING:
-            self.next()
-            return Literal(start.value, "string", start.span(self.file))
+            return Literal(self.values[start], "string", self.token_span(start))
         if key == "true" or key == "false":
             self.next()
-            return Literal(key == "true", "boolean", start.span(self.file))
+            return Literal(key == "true", "boolean", self.token_span(start))
         if key == "null":
             self.next()
-            return Literal(None, "null", start.span(self.file))
+            return Literal(None, "null", self.token_span(start))
         if key == "new":
             self.next()
             type_name = self.dotted_name()
@@ -687,7 +708,9 @@ class _Parser:
             return New(type_name, args, self.span_from(start))
         if key == "@":
             raise self.unsupported("annotation")
-        raise self.error(f"unexpected token {start.text!r}")
+        if kind == EOF:
+            raise self.error("unexpected end of input")
+        raise self.error(f"unexpected token {key!r}")
 
     def arguments(self) -> tuple[Expr, ...]:
         self.expect("(")

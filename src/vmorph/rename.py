@@ -225,10 +225,11 @@ def recover_patch(patch_text: str, dct: RenameDictionary) -> str:
     """
     out: list[str] = []
     last = 0
-    for tok in tokenize(patch_text, "<patch>"):
-        if tok.kind == IDENT and tok.text in dct.backward:
-            out.append(patch_text[last : tok.start_off])
-            out.append(dct.backward[tok.text])
-            last = tok.end_off
+    tokens = tokenize(patch_text, "<patch>")
+    for kind, text, start in zip(tokens.kinds, tokens.texts, tokens.starts):
+        if kind == IDENT and text in dct.backward:
+            out.append(patch_text[last:start])
+            out.append(dct.backward[text])
+            last = start + len(text)
     out.append(patch_text[last:])
     return "".join(out)

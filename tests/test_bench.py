@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -20,11 +21,13 @@ from vmorph.bench import (
     generate_variants,
     load_record,
 )
+from vmorph import bench
 from vmorph.cli import main as cli_main
-from vmorph.errors import RunnerNotFound
+from vmorph.errors import RunnerNotFound, StaleDictionary
 from vmorph.nodes import Span
 from vmorph.parser import parse
-from vmorph.rename import SynonymLexicon
+from vmorph.printer import print_source
+from vmorph.rename import RenameDictionary, SynonymLexicon
 
 
 @pytest.fixture(scope="module")
@@ -722,3 +725,153 @@ def test_perfbench_tracer_finds_a_span_for_every_wrapped_attribute(lexicon, tmp_
     tracing.layer_metrics(tracer.spans, 10_000)  # raises for an attribute without a span
     called = {span[0] for span in tracer.spans}
     assert [a for attrs in tracing.WRAPPED.values() for a in attrs if a not in called] == []
+
+
+# ---------------------------------------------------------------------------
+# Input that is not UTF-8, and malformed descriptors
+# ---------------------------------------------------------------------------
+
+LATIN_1 = b"class Latin { // caf\xe9\n}\n"
+
+
+def test_a_file_that_is_not_utf8_is_copied_and_stays_in_its_record(fixtures_dir, lexicon,
+                                                                    tmp_path):
+    shutil.copytree(fixtures_dir / "project2", tmp_path / "latin")
+    (tmp_path / "latin" / "Latin.java").write_bytes(LATIN_1)
+    shutil.copytree(fixtures_dir / "project2", tmp_path / "plain")
+    latin = load_record(tmp_path / "latin")
+    plain = dataclasses.replace(load_record(tmp_path / "plain"), id="Halo-2")
+    alone = _entry_bytes(generate_variants([plain], lexicon, tmp_path / "alone", seed=1),
+                         tmp_path / "alone")
+    out = tmp_path / "out"
+    manifest = generate_variants([latin, plain], lexicon, out, seed=1)
+    entries = [e for e in manifest.entries if e.record.id == "Halo-1"]
+    assert len(entries) == 3
+    for entry in entries:
+        assert entry.error is None
+        assert ("Latin.java: copied verbatim (not UTF-8: invalid continuation byte at byte 20)"
+                in entry.notes)
+        assert (out / entry.output_root / "Latin.java").read_bytes() == LATIN_1
+    both = _entry_bytes(manifest, out)
+    assert {key: both[key] for key in alone} == alone
+
+
+def test_a_buggy_file_that_is_not_utf8_fails_only_its_record(lexicon, tmp_path):
+    source = "class A {\n    static int run(int n) {\n        return n + 1;\n    }\n}\n"
+    latin = _one_file_record(tmp_path / "latin", "Latin-1", source, 3, 3)
+    (tmp_path / "latin" / "A.java").write_bytes(source.replace("n + 1", "n /* \xe9 */")
+                                                .encode("latin-1"))
+    plain = _one_file_record(tmp_path / "plain", "Plain-1", source, 3, 3)
+    manifest = generate_variants([latin, plain], lexicon, tmp_path / "out", seed=1)
+    errors = [(e.record.id, e.error) for e in manifest.entries]
+    assert errors == [
+        ("Latin-1", f"Latin-1/{kind.value}: buggy file 'A.java' did not parse: "
+                    "not UTF-8: invalid continuation byte at byte 58")
+        for kind in ALL_VARIANTS] + [("Plain-1", None)] * 3
+
+
+@pytest.mark.parametrize("content, detail", [
+    (b"{\"id\": \"X-1\",", "not JSON: Expecting property name enclosed in double quotes"),
+    (b"[1, 2]", "expected a JSON object"),
+    (json.dumps({"id": "X-1", "buggy_file": "A.java"}).encode(),
+     "missing field 'buggy_lines'"),
+    (json.dumps({"id": "X-1", "buggy_file": "A.java", "buggy_lines": "3"}).encode(),
+     "field 'buggy_lines' must be a non-empty list of line numbers, not '3'"),
+    (json.dumps({"id": 7, "buggy_file": "A.java", "buggy_lines": [3]}).encode(),
+     "field 'id' must be a string, not 7"),
+    (b"{\"id\": \"caf\xe9\"}", "not UTF-8: invalid continuation byte at byte 11"),
+], ids=["not-json", "not-an-object", "missing-lines", "bad-lines", "bad-id", "not-utf8"])
+def test_cli_transform_reports_a_malformed_descriptor(tmp_path, capsys, content, detail):
+    root = tmp_path / "project"
+    root.mkdir()
+    (root / "vuln.json").write_bytes(content)
+    rc = cli_main(["transform", "--mode", "all", "--project", str(root),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"vmorph: error: {root / 'vuln.json'}: {detail}")
+    assert "Traceback" not in err
+
+
+def test_cli_recover_reports_a_patch_that_is_not_utf8(tmp_path, capsys):
+    dictionary = tmp_path / "dictionary.json"
+    dictionary.write_text(json.dumps({"forward": {}, "kinds": {}}))
+    patch = tmp_path / "patch.java"
+    patch.write_bytes(b"return caf\xe9;")
+    rc = cli_main(["recover", "--dict", str(dictionary), "--patch", str(patch)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"vmorph: error: {patch}: not UTF-8: invalid continuation byte at byte 10\n")
+
+
+# ---------------------------------------------------------------------------
+# Renaming only the files that can hold a key
+# ---------------------------------------------------------------------------
+
+RENAME_FILES = {
+    "A.java": "class A {\n    static int run(int count) {\n        return count + 1;\n    }\n}\n",
+    "B.java": "import java.util.*;\nclass B {\n    int total;\n    int counter;\n}\n",
+    "C.java": "class C {\n    static String twice(String v) {\n        return v + v;\n    }\n}\n",
+}
+
+
+@pytest.fixture()
+def rename_project(tmp_path):
+    root = tmp_path / "project"
+    root.mkdir()
+    for rel, text in RENAME_FILES.items():
+        (root / rel).write_text(text)
+    return bench._load_project(root)
+
+
+def _renamed(project, forward):
+    dct = RenameDictionary.build(forward, {})
+    return bench._rename_project(project.asts, bench._files_with_a_key(project.sources, dct),
+                                 dct)
+
+
+def test_a_key_only_in_another_file_renames_that_file_alone(rename_project):
+    renamed = _renamed(rename_project, {"total": "sum"})
+    assert "int sum;" in print_source(renamed["B.java"])
+    assert renamed["A.java"] is rename_project.asts["A.java"]
+    assert renamed["C.java"] is rename_project.asts["C.java"]
+
+
+@pytest.mark.parametrize("key", ["int", "util"], ids=["primitive", "wildcard-import-tail"])
+def test_a_key_met_but_never_renamed_is_not_stale(rename_project, key):
+    renamed = _renamed(rename_project, {key: "renamedKey"})
+    assert renamed == rename_project.asts
+    assert renamed["C.java"] is rename_project.asts["C.java"]
+
+
+def test_a_key_found_only_inside_a_longer_name_changes_nothing_there(rename_project):
+    renamed = _renamed(rename_project, {"count": "tally"})
+    assert "tally + 1" in print_source(renamed["A.java"])
+    assert renamed["B.java"] == rename_project.asts["B.java"]  # holds `counter` only
+    assert renamed["C.java"] is rename_project.asts["C.java"]
+
+
+def test_a_key_in_no_tree_is_still_stale(rename_project):
+    with pytest.raises(StaleDictionary):
+        _renamed(rename_project, {"java": "jvm"})  # a substring of B, in no identifier
+    with pytest.raises(StaleDictionary):
+        _renamed(rename_project, {"absent": "present"})
+
+
+def test_files_without_a_key_keep_their_trees_across_variants(rename_project, lexicon,
+                                                               tmp_path):
+    record = VulnRecord("Keys-1", str(tmp_path / "project"), "A.java", Span("A.java", 3, 1, 3, 1))
+    renamed = []
+    apply_rename = bench.apply_rename
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "apply_rename",
+                   lambda project, dct: renamed.append(project) or apply_rename(project, dct))
+        manifest = generate_variants([record], lexicon, tmp_path / "out", seed=1)
+    assert [e.error for e in manifest.entries] == [None] * 3
+    dictionary = json.loads((tmp_path / "out" / manifest.entries[0].dictionary).read_text())
+    assert "count" in dictionary["forward"]
+    # B holds `counter`, which contains the key `count`; C holds no key.
+    assert [len(project) for project in renamed] == [2]
+    for kind in ("rename", "structure", "both"):
+        assert ((tmp_path / "out" / "Keys-1" / kind / "C.java").read_text()
+                == print_source(rename_project.asts["C.java"]))

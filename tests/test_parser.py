@@ -82,6 +82,23 @@ def test_for_init_var_needs_an_initializer(init):
         parse(source)
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("class A { int", "<input>:1:14: expected member name, found end of input"),
+        ("import", "<input>:1:7: expected identifier, found end of input"),
+        ("class", "<input>:1:6: expected class name, found end of input"),
+        ("public", "<input>:1:7: expected 'class', found end of input"),
+        ("class A { int f() { return", "<input>:1:27: unexpected end of input"),
+        ("class A { int f() { return 1", "<input>:1:29: expected ';', found end of input"),
+    ],
+)
+def test_an_error_at_the_end_names_the_end_of_input(source, message):
+    with pytest.raises(JavaSyntaxError) as exc:
+        parse(source)
+    assert str(exc.value) == message
+
+
 def test_syntax_error_carries_span():
     with pytest.raises(JavaSyntaxError) as exc:
         parse("class A {\n  void f() {\n    if (x) a();\n  }\n}")

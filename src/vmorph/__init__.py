@@ -16,7 +16,6 @@ from .bench import (
     load_record,
 )
 from .errors import (
-    ExhaustedCandidates,
     GenerationFailure,
     InsufficientSamples,
     JavaSyntaxError,

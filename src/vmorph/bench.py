@@ -32,6 +32,7 @@ from .errors import (
     VmorphError,
 )
 from .identifiers import (
+    IdentifierTable,
     classify_origin,
     collect_identifiers,
     load_stdlib_index,
@@ -82,20 +83,37 @@ class VulnRecord:
     def from_json_dict(cls, data: dict, project_root: str | None = None) -> "VulnRecord":
         """The record `data` describes; a VmorphError naming the first field
         that is missing or malformed."""
-        if not isinstance(data, dict):
-            raise VmorphError("expected a JSON object")
-        for key, ok, want in _RECORD_FIELDS:
-            if key == "project_root" and project_root is not None:
-                continue
-            if key not in data:
-                raise VmorphError(f"missing field {key!r}")
-            if not ok(data[key]):
-                raise VmorphError(f"field {key!r} must be {want}, not {data[key]!r}")
+        _check_fields(data, [f for f in _RECORD_FIELDS
+                             if f[0] != "project_root" or project_root is None])
         root = project_root if project_root is not None else data["project_root"]
         lines = data["buggy_lines"]
         span = Span(data["buggy_file"], lines[0], 1, lines[-1], 1)
         return cls(data["id"], root, data["buggy_file"], span,
                    data.get("cwe"), data.get("developer_patch"))
+
+
+def _check_fields(data, fields) -> None:
+    """A VmorphError naming the first of `fields` (key, check, what the check
+    wants) that the JSON object `data` lacks or fails."""
+    if not isinstance(data, dict):
+        raise VmorphError("expected a JSON object")
+    for key, ok, want in fields:
+        if key not in data:
+            raise VmorphError(f"missing field {key!r}")
+        if not ok(data[key]):
+            raise VmorphError(f"field {key!r} must be {want}, not {data[key]!r}")
+
+
+def _load_json(path: Path, build):
+    """`build` of the JSON value in `path`; a VmorphError naming the file if
+    it is not UTF-8 JSON or `build` rejects it."""
+    text = read_utf8(path)
+    try:
+        return build(json.loads(text))
+    except json.JSONDecodeError as e:
+        raise VmorphError(f"{path}: not JSON: {e}") from e
+    except VmorphError as e:
+        raise VmorphError(f"{path}: {e}") from e
 
 
 # The required fields of a record's JSON: key, check, what the check wants.
@@ -111,14 +129,8 @@ _RECORD_FIELDS = (
 def load_record(project_root: str | Path) -> VulnRecord:
     """Read a project's vuln.json descriptor (see README for the schema)."""
     root = Path(project_root)
-    path = root / "vuln.json"
-    text = read_utf8(path)
-    try:
-        return VulnRecord.from_json_dict(json.loads(text), project_root=str(root))
-    except json.JSONDecodeError as e:
-        raise VmorphError(f"{path}: not JSON: {e}") from e
-    except VmorphError as e:
-        raise VmorphError(f"{path}: {e}") from e
+    return _load_json(root / "vuln.json",
+                      lambda data: VulnRecord.from_json_dict(data, project_root=str(root)))
 
 
 @dataclass
@@ -168,24 +180,46 @@ class BenchmarkManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "BenchmarkManifest":
+        """The manifest at `path`; a VmorphError naming the file and the first
+        field that is missing or malformed."""
         p = Path(path)
-        data = json.loads(p.read_text("utf-8"))
-        entries = []
-        for raw in data["entries"]:
-            record = VulnRecord.from_json_dict(raw["record"])
-            entry = ManifestEntry(
-                record=record,
-                variant=VariantKind(raw["variant"]),
-                output_root=raw.get("output_root"),
-                dictionary=raw.get("dictionary"),
-                report=raw.get("report"),
-                equivalence=raw.get("equivalence", EXTERNAL_PENDING),
-                suggested_filenames=raw.get("suggested_filenames", {}),
-                notes=raw.get("notes", []),
-                error=raw.get("error"),
-            )
-            entries.append(entry)
-        return cls(data["source_benchmark"], entries, p)
+
+        def build(data) -> "BenchmarkManifest":
+            _check_fields(data, _MANIFEST_FIELDS)
+            entries = [_load_entry(raw, i) for i, raw in enumerate(data["entries"])]
+            return cls(data["source_benchmark"], entries, p)
+
+        return _load_json(p, build)
+
+
+_MANIFEST_FIELDS = (
+    ("source_benchmark", lambda v: isinstance(v, str), "a string"),
+    ("entries", lambda v: isinstance(v, list), "a list"),
+)
+_VARIANT_NAMES = tuple(kind.value for kind in VariantKind)
+_ENTRY_FIELDS = (
+    ("record", lambda v: isinstance(v, dict), "an object"),
+    ("variant", lambda v: v in _VARIANT_NAMES, f"one of {', '.join(_VARIANT_NAMES)}"),
+)
+
+
+def _load_entry(raw, i: int) -> ManifestEntry:
+    try:
+        _check_fields(raw, _ENTRY_FIELDS)
+        record = VulnRecord.from_json_dict(raw["record"])
+    except VmorphError as e:
+        raise VmorphError(f"entries[{i}]: {e}") from e
+    return ManifestEntry(
+        record=record,
+        variant=VariantKind(raw["variant"]),
+        output_root=raw.get("output_root"),
+        dictionary=raw.get("dictionary"),
+        report=raw.get("report"),
+        equivalence=raw.get("equivalence", EXTERNAL_PENDING),
+        suggested_filenames=raw.get("suggested_filenames", {}),
+        notes=raw.get("notes", []),
+        error=raw.get("error"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +230,6 @@ class BenchmarkManifest:
 @dataclass
 class _Project:
     asts: dict[str, SourceFile]  # relpath -> AST, insertion order sorted
-    sources: dict[str, str]  # relpath -> its parsed text, until the rename plan is made
     verbatim: dict[str, bytes]  # files that did not parse, copied as they are
     errors: dict[str, str]  # relpath -> why it did not parse
 
@@ -219,7 +252,7 @@ def read_utf8(path: Path) -> str:
 
 
 def _load_project(root: Path) -> _Project:
-    project = _Project({}, {}, {}, {})
+    project = _Project({}, {}, {})
     for path in sorted(root.rglob("*.java")):
         rel = path.relative_to(root).as_posix()
         try:
@@ -233,22 +266,20 @@ def _load_project(root: Path) -> _Project:
         except (JavaSyntaxError, UnsupportedConstruct) as e:
             project.verbatim[rel] = text.encode("utf-8")
             project.errors[rel] = str(e)
-        else:
-            project.sources[rel] = text
     return project
 
 
-def _files_with_a_key(sources: dict[str, str], dct: RenameDictionary) -> list[str]:
-    """The files whose text holds some key of `dct` as a substring. Each name
-    in a tree is a substring of its file's text, so no other file can change
-    under the rename."""
-    return [rel for rel, text in sources.items() if any(key in text for key in dct.forward)]
-
-
-def _rename_project(asts: dict[str, SourceFile], keyed: list[str],
+def _rename_project(asts: dict[str, SourceFile], table: IdentifierTable,
                     dct: RenameDictionary) -> dict[str, SourceFile]:
-    """`asts` renamed by `dct`. Only the files in `keyed` go through
-    apply_rename; every other file keeps its tree, which all variants share."""
+    """`asts` renamed by `dct`. Only the files that hold a site of some key
+    in `table` go through apply_rename (every file, if some key is not in
+    `table`); every other file keeps its tree, which all variants share."""
+    entries = [table.entries.get(key) for key in dct.forward]
+    if None in entries:  # a key the table does not know may be in any file
+        keyed = list(asts)
+    else:
+        files = {s.file for e in entries for s in e.decl_sites + e.use_sites}
+        keyed = [rel for rel in asts if rel in files]
     renamed = dict(asts)
     renamed.update(zip(keyed, apply_rename([asts[rel] for rel in keyed], dct)))
     return renamed
@@ -375,10 +406,6 @@ def _generate_for_record(
             collect_identifiers(asts, focus=method), project_imports(asts), stdlib_index
         )
         dct = build_rename_plan(table, lexicon)
-        keyed = _files_with_a_key(project.sources, dct)
-        # Nothing reads the texts again; kept for the whole record, a large
-        # project's text would raise its peak memory.
-        project.sources.clear()
     except (VmorphError, OSError) as e:
         return [
             ManifestEntry(record=record, variant=kind,
@@ -415,7 +442,7 @@ def _generate_for_record(
             variant_method = method
             if kind is not VariantKind.STRUCTURE_ONLY:
                 if renamed is None:
-                    renamed = _rename_project(project.asts, keyed, dct)
+                    renamed = _rename_project(project.asts, table, dct)
                 variant_asts = dict(renamed)
                 variant_method = variant_asts[record.buggy_file].types[class_index].members[
                     member_index]

@@ -152,7 +152,12 @@ def _cmd_prompt(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    dct = RenameDictionary.loads(read_utf8(Path(args.dict_path)))
+    dict_path = Path(args.dict_path)
+    text = read_utf8(dict_path)
+    try:
+        dct = RenameDictionary.loads(text)
+    except VmorphError as e:
+        raise VmorphError(f"{dict_path}: {e}") from e
     patch = read_utf8(Path(args.patch))
     sys.stdout.write(recover_patch(patch, dct))
     return 0

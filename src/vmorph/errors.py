@@ -42,12 +42,6 @@ class UnresolvedIdentifier(VmorphError):
         super().__init__(f"{span.file}:{span.start_line}: unresolved identifier {name!r}")
 
 
-class ExhaustedCandidates(VmorphError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"no usable rename candidate for {name!r}")
-
-
 class StaleDictionary(VmorphError):
     def __init__(self, name: str):
         self.name = name

@@ -1,7 +1,13 @@
 """Identifier collection, origin classification, and tokenization.
 
 The renamer needs to know what may be renamed (names declared inside the
-project) and what must stay intact (standard-library and imported names).
+project), what must stay intact (standard-library and imported names), and
+which names a new name must not take. One walk over every project file gives
+all three: the entries, each with its declaration and use sites in every
+file, and the set of every identifier in the project, which a rename plan
+checks its new names against. `classify_origin` alone decides each entry's
+origin and which undeclared names to report.
+
 Resolution is name-based: a use is attributed to the project entry of the
 same name regardless of scope, which is exactly the granularity the rename
 dictionary operates at. Multiple declarations of one name (shadowing,
@@ -40,13 +46,13 @@ class IdentifierEntry:
     kind: str  # variable | function | class
     decl_sites: tuple[Span, ...]
     use_sites: tuple[Span, ...]
-    origin: str  # project | external
+    origin: str = ""  # project | external; "" until classify_origin
 
 
 @dataclass(frozen=True)
 class IdentifierTable:
     entries: dict[str, IdentifierEntry]
-    scope: str  # project root path ("" when unknown)
+    names: frozenset[str]  # every identifier in the project, not only the entries'
     diagnostics: tuple[UnresolvedIdentifier, ...] = ()
 
     def project_names(self) -> list[str]:
@@ -56,45 +62,34 @@ class IdentifierTable:
 def collect_identifiers(
     project: list[SourceFile], focus: MethodDecl | None = None
 ) -> IdentifierTable:
-    """Build the identifier table for a parsed project.
+    """Build the unclassified identifier table for a parsed project.
 
-    With `focus`, the table is restricted to names occurring in that method,
-    but decl/use sites are still resolved project-wide.
+    With `focus`, the entries are restricted to names occurring in that
+    method, but decl/use sites are still resolved project-wide, and `names`
+    still holds every identifier of the project.
     """
     wanted = None if focus is None else {site[0] for site in identifier_sites(focus)}
-    decls: list[tuple[str, str, Span]] = []
-    uses: list[tuple[str, str, Span]] = []
-    for src in project:
-        for name, role, kind, node in identifier_sites(src):
-            if wanted is None or name in wanted:
-                (decls if role == DECL else uses).append((name, kind, node.span))
-
-    order: list[str] = []
+    names: set[str] = set()
     kinds: dict[str, str] = {}
     decl_sites: dict[str, list[Span]] = {}
     use_sites: dict[str, list[Span]] = {}
-    for sites, occurrences in ((decl_sites, decls), (use_sites, uses)):
-        for name, kind, span in occurrences:
-            if name not in kinds:
-                kinds[name] = kind
-                order.append(name)
-            sites.setdefault(name, []).append(span)
-
-    diagnostics: list[UnresolvedIdentifier] = []
-    import_tails = {
-        imp.name.rsplit(".", 1)[-1] for src in project for imp in src.imports
-    }
-    entries: dict[str, IdentifierEntry] = {}
-    for name in order:
-        decls = tuple(decl_sites.get(name, ()))
-        uses = tuple(use_sites.get(name, ()))
-        origin = PROJECT if decls else EXTERNAL
-        entries[name] = IdentifierEntry(name, kinds[name], decls, uses, origin)
-        if not decls and name not in import_tails and uses:
-            diagnostics.append(UnresolvedIdentifier(name, uses[0]))
-
-    scope = _common_root(project)
-    return IdentifierTable(entries, scope, tuple(diagnostics))
+    uses: list[tuple[str, str, Span]] = []
+    for src in project:
+        for name, role, kind, node in identifier_sites(src):
+            names.add(name)
+            if wanted is None or name in wanted:
+                if role == DECL:
+                    kinds.setdefault(name, kind)
+                    decl_sites.setdefault(name, []).append(node.span)
+                else:
+                    uses.append((name, kind, node.span))
+    for name, kind, span in uses:  # a kind is the first declaration's, else the first use's
+        kinds.setdefault(name, kind)
+        use_sites.setdefault(name, []).append(span)
+    entries = {name: IdentifierEntry(name, kind, tuple(decl_sites.get(name, ())),
+                                     tuple(use_sites.get(name, ())))
+               for name, kind in kinds.items()}
+    return IdentifierTable(entries, frozenset(names))
 
 
 def classify_origin(
@@ -119,7 +114,7 @@ def classify_origin(
             and entry.use_sites
         ):
             diagnostics.append(UnresolvedIdentifier(name, entry.use_sites[0]))
-    return IdentifierTable(entries, table.scope, tuple(diagnostics))
+    return IdentifierTable(entries, table.names, tuple(diagnostics))
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +182,3 @@ def project_imports(project: list[SourceFile]) -> list[str]:
             out.append(imp.name + (".*" if imp.wildcard else ""))
     return out
 
-
-def _common_root(project: list[SourceFile]) -> str:
-    files = [src.span.file for src in project if not src.span.is_synthetic()]
-    if not files:
-        return ""
-    if len(files) == 1:
-        return os.path.dirname(files[0])
-    return os.path.commonpath(files) if all(files) else ""

@@ -74,11 +74,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .errors import UnsupportedForEvaluation
-from .nodes import (DEFAULT_LABEL, Assign, For, Literal, MethodDecl, Name, SourceFile, Switch,
-                    While)
-
-INT_MIN = -(2**31)
-INT_MAX = 2**31 - 1
+from .nodes import (DEFAULT_LABEL, INT_MAX, INT_MIN, Assign, For, Literal, MethodDecl, Name,
+                    SourceFile, Switch, While)
 
 DEFAULT_FUEL = 10_000
 MAX_CALL_DEPTH = 200

@@ -78,10 +78,26 @@ VARIABLE = "variable"
 FUNCTION = "function"
 CLASS = "class"
 
+# Primitive type names lex as identifiers (they only matter in type
+# position) but can never stand alone in an expression.
+PRIMITIVE_NAMES = frozenset({"int", "boolean", "long", "short", "byte", "char", "double", "float"})
 # Primitive and pseudo type names: never collected, never renamed.
-PRIMITIVE_TYPES = frozenset(
-    {"int", "boolean", "void", "var", "long", "short", "byte", "char", "double", "float"}
+PRIMITIVE_TYPES = PRIMITIVE_NAMES | {"void", "var"}
+
+# The range of a Java int.
+INT_MIN = -(2**31)
+INT_MAX = 2**31 - 1
+
+# Binary operators by precedence, loosest first; all are left-associative.
+BINARY_LEVELS = (
+    ("||",),
+    ("&&",),
+    ("==", "!="),
+    ("<", "<=", ">", ">="),
+    ("+", "-"),
+    ("*", "/", "%"),
 )
+BINARY_LEVEL = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
 
 # How an identifier field holds its name: the whole string; the last segment
 # of a dotted type (a class use, unless primitive); the last segment of an

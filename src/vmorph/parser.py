@@ -10,8 +10,8 @@ Grammar in docs/grammar.md. Design points:
 - Line and column are computed only when a Span is built, by bisecting the
   file's line-start offsets; a code token never spans lines.
 - Binary operators are parsed by precedence climbing over one table of
-  levels (`_BINARY_LEVEL`), left-associative; a Binary's span starts at the
-  first token of its leftmost operand.
+  levels (`nodes.BINARY_LEVELS`), left-associative; a Binary's span starts
+  at the first token of its leftmost operand.
 - Bodies of if/while/for must be braced blocks; else accepts a block or a
   chained if. Unbraced bodies are a syntax error, which keeps the printer's
   output re-parseable token for token.
@@ -31,6 +31,10 @@ from bisect import bisect_right
 from .errors import JavaSyntaxError, UnsupportedConstruct
 from .lexer import EOF, IDENT, INT, STRING, Tokens, position, tokenize
 from .nodes import (
+    BINARY_LEVEL,
+    INT_MAX,
+    INT_MIN,
+    PRIMITIVE_NAMES,
     Assign,
     Binary,
     Block,
@@ -69,14 +73,6 @@ from .nodes import (
 
 MODIFIERS = ("public", "private", "protected", "static", "final")
 
-# Primitive type names lex as identifiers (they only matter in type
-# position) but can never stand alone in an expression.
-PRIMITIVE_NAMES = frozenset(
-    {"int", "boolean", "long", "short", "byte", "char", "double", "float"}
-)
-
-INT_MIN = -(2**31)
-INT_MAX = 2**31 - 1
 # Deeper expressions are rejected: printing and tree walks recurse per level.
 MAX_EXPR_DEPTH = 256
 # The parser itself recurses too: up to 14 Python frames per level of
@@ -84,18 +80,6 @@ MAX_EXPR_DEPTH = 256
 # Input nested deeper than this is rejected well inside Python's default
 # recursion limit (1,000).
 MAX_NESTING = 50
-
-
-# Binary operators by precedence, loosest first; all are left-associative.
-_BINARY_LEVELS = [
-    ("||",),
-    ("&&",),
-    ("==", "!="),
-    ("<", "<=", ">", ">="),
-    ("+", "-"),
-    ("*", "/", "%"),
-]
-_BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
 
 # Span(...) without the argument handling of its __new__.
@@ -595,12 +579,12 @@ class _Parser:
 
     def binary(self, min_level: int = 0) -> Expr:
         """Precedence climbing: a left-associative chain of operators of
-        _BINARY_LEVELS level min_level or tighter."""
+        BINARY_LEVELS level min_level or tighter."""
         start = self.pos
         left = self.unary()
         while True:
             op = self.texts[self.pos]
-            level = _BINARY_LEVEL.get(op, -1)
+            level = BINARY_LEVEL.get(op, -1)
             if level < min_level:
                 return left
             self.pos += 1

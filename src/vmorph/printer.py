@@ -9,6 +9,7 @@ already in printer style the round trip is byte-identical.
 from __future__ import annotations
 
 from .nodes import (
+    BINARY_LEVEL,
     Assign,
     Binary,
     Block,
@@ -42,14 +43,11 @@ INDENT = "    "
 
 _MODIFIER_ORDER = ("public", "protected", "private", "static", "final")
 
-# Precedence: higher binds tighter.
+# Precedence: higher binds tighter. The binary operators take the six levels
+# from _OR to _MUL, in the order of nodes.BINARY_LEVELS.
 _ASSIGN, _TERNARY, _OR, _AND, _EQ, _REL, _ADD, _MUL, _UNARY, _POSTFIX, _PRIMARY = range(1, 12)
 
-_BINOP_PREC = {
-    "||": _OR, "&&": _AND, "==": _EQ, "!=": _EQ,
-    "<": _REL, "<=": _REL, ">": _REL, ">=": _REL,
-    "+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL, "%": _MUL,
-}
+_BINOP_PREC = {op: _OR + level for op, level in BINARY_LEVEL.items()}
 
 _STRING_ESCAPES = {
     "\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t",

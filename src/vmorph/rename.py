@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Optional
 
-from .errors import ExhaustedCandidates, StaleDictionary
+from .errors import StaleDictionary, VmorphError
 from .identifiers import (
     CAMEL,
     PASCAL,
@@ -118,8 +118,25 @@ class RenameDictionary:
 
     @classmethod
     def loads(cls, text: str) -> "RenameDictionary":
-        data = json.loads(text)
-        return cls.build(data["forward"], data.get("kinds", {}))
+        """The dictionary `text` holds; a VmorphError naming the first field
+        that is missing or malformed."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise VmorphError(f"not JSON: {e}") from e
+        if not isinstance(data, dict):
+            raise VmorphError("expected a JSON object")
+        if "forward" not in data:
+            raise VmorphError("missing field 'forward'")
+        for key in ("forward", "kinds"):
+            value = data.get(key, {})
+            if not (isinstance(value, dict)
+                    and all(isinstance(v, str) for item in value.items() for v in item)):
+                raise VmorphError(f"field {key!r} must map names to names, not {value!r}")
+        try:
+            return cls.build(data["forward"], data.get("kinds", {}))
+        except ValueError as e:
+            raise VmorphError(f"field 'forward': {e}") from e
 
     def inverted(self) -> "RenameDictionary":
         kinds = {new: self.kinds.get(orig, "variable") for orig, new in self.forward.items()}
@@ -136,57 +153,47 @@ def build_rename_plan(
 ) -> RenameDictionary:
     """Assign a fresh synonym-derived name to every project-origin entry.
 
-    Collisions (against every name in the table, reserved words, and names
+    Collisions (against every name in the project, reserved words, and names
     already assigned) are resolved by advancing to the next-ranked synonym of
     the last token, then by numeric suffixing. A review hook may accept, edit,
     or skip each proposal.
     """
-    taken: set[str] = set(table.entries) | set(RESERVED_WORDS)
+    taken: set[str] = set(table.names).union(table.entries, RESERVED_WORDS)
     forward: dict[str, str] = {}
     kinds: dict[str, str] = {}
 
     for name in table.project_names():
-        entry = table.entries[name]
-        tokens = tokenize_identifier(name)
         conv = convention(name)
-        candidates = propose_synonyms(tokens, lexicon)
-
-        attempts: list[list[str]] = []
+        candidates = propose_synonyms(tokenize_identifier(name), lexicon)
         first_choice = [c[0] for c in candidates]
-        attempts.append(first_choice)
-        for alt in candidates[-1][1:]:
-            attempts.append(first_choice[:-1] + [alt])
-
-        chosen: str | None = None
-        for words in attempts:
-            candidate = assemble_identifier(words, conv)
-            if candidate not in taken:
-                chosen = candidate
-                break
-        if chosen is None:
-            base = assemble_identifier(first_choice, conv)
-            chosen = _suffixed(base, taken, name)
+        attempts = [assemble_identifier(first_choice[:-1] + [last], conv)
+                    for last in candidates[-1]]
+        chosen = next((a for a in attempts if a not in taken), None) \
+            or fresh_name(attempts[0], taken)
 
         if review is not None:
             decision = review(name, chosen)
             if decision is None:
                 continue
             if decision != chosen:
-                chosen = decision if decision not in taken else _suffixed(decision, taken, name)
+                chosen = fresh_name(decision, taken)
 
         forward[name] = chosen
-        kinds[name] = entry.kind
+        kinds[name] = table.entries[name].kind
         taken.add(chosen)
 
     return RenameDictionary.build(forward, kinds)
 
 
-def _suffixed(base: str, taken: set[str], original: str) -> str:
-    for i in range(2, 10_000):
-        candidate = f"{base}{i}"
-        if candidate not in taken:
-            return candidate
-    raise ExhaustedCandidates(original)
+def fresh_name(base: str, taken) -> str:
+    """`base` if it is not in `taken`, else `base` with the least numeric
+    suffix from 2 up that is not."""
+    if base not in taken:
+        return base
+    i = 2
+    while f"{base}{i}" in taken:
+        i += 1
+    return f"{base}{i}"
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ from .nodes import (
     rebuild,
     walk,
 )
-from .rename import RESERVED_WORDS
+from .rename import RESERVED_WORDS, fresh_name
 
 MERGE = "merge"
 SPLIT = "split"
@@ -675,22 +675,6 @@ def _scope_for(m: MethodDecl, context: SourceFile | None) -> _Scope:
 _DEFAULT_SCOPE = _Scope({})
 
 
-class _FreshNames:
-    def __init__(self, taken: set[str]):
-        self.taken = set(taken) | RESERVED_WORDS
-
-    def claim(self, base: str) -> str:
-        if base not in self.taken:
-            self.taken.add(base)
-            return base
-        i = 2
-        while f"{base}{i}" in self.taken:
-            i += 1
-        name = f"{base}{i}"
-        self.taken.add(name)
-        return name
-
-
 def _names_in(node) -> set[str]:
     """Every identifier visible anywhere under `node` (fresh names must avoid all)."""
     return {site[0] for site in identifier_sites(node)}
@@ -740,7 +724,7 @@ def _extract_base_name(arg: Expr) -> str | None:
 def chain_functions(block: Block, direction: str, taken: set[str] | None = None) -> Block:
     """Split one chain link per statement, or merge single-use receiver decls."""
     if direction == SPLIT:
-        return _each_site(block, taken, lambda s, fresh: _split_site(s, fresh, _DEFAULT_SCOPE))
+        return _each_site(block, taken, lambda s, names: _split_site(s, names, _DEFAULT_SCOPE))
     if direction == MERGE:
         return _merge_block(block, _DEFAULT_SCOPE)
     raise ValueError(f"unknown direction {direction!r}")
@@ -759,7 +743,7 @@ def _find_chain_link(expr: Expr) -> Call | None:
     return None
 
 
-def _split_site(stmt: Stmt, fresh: _FreshNames, scope: _Scope) -> _Site:
+def _split_site(stmt: Stmt, taken: set[str], scope: _Scope) -> _Site:
     """Hoist the call at the bottom of the statement's chain into a local.
 
     The hoisted link must not conflict with anything the statement evaluates
@@ -783,7 +767,8 @@ def _split_site(stmt: Stmt, fresh: _FreshNames, scope: _Scope) -> _Site:
     if reason:
         raise NotApplicable(reason)
 
-    var_name = fresh.claim(_split_base_name(inner))
+    var_name = fresh_name(_split_base_name(inner), taken)
+    taken.add(var_name)
     decl = LocalVarDecl(
         _decl_type_for(inner),
         (Declarator(var_name, inner, inner.span),),
@@ -874,14 +859,14 @@ def _stmt_expr(stmt: Stmt) -> Expr | None:
 def argument_pass(block: Block, direction: str, taken: set[str] | None = None) -> Block:
     """Extract call/new arguments into locals, or inline single-use locals back."""
     if direction == EXTRACT:
-        return _each_site(block, taken, lambda s, fresh: _extract_site(
-            s, fresh, _DEFAULT_SCOPE, lambda span, reason: None))
+        return _each_site(block, taken, lambda s, names: _extract_site(
+            s, names, _DEFAULT_SCOPE, lambda span, reason: None))
     if direction == INLINE:
         return _inline_block(block, _DEFAULT_SCOPE)
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _extract_site(stmt: Stmt, fresh: _FreshNames, scope: _Scope, skip) -> _Site:
+def _extract_site(stmt: Stmt, taken: set[str], scope: _Scope, skip) -> _Site:
     """Hoist every safely extractable argument of one statement into a local;
     `skip(span, reason)` is told of each argument left in place.
 
@@ -906,7 +891,8 @@ def _extract_site(stmt: Stmt, fresh: _FreshNames, scope: _Scope, skip) -> _Site:
             if reason is None:
                 inside = {id(n) for n in walk(node)}
                 kept = [k for k in kept if id(k[0]) not in inside]
-                var_name = fresh.claim(_extract_base_name(node) or "tmp")
+                var_name = fresh_name(_extract_base_name(node) or "tmp", taken)
+                taken.add(var_name)
                 decls.append(LocalVarDecl(
                     _decl_type_for(node),
                     (Declarator(var_name, _substitute(node, hoisted), node.span),),
@@ -1065,18 +1051,18 @@ def apply_rule(
 
 def _apply(m: MethodDecl, rules, context: SourceFile | None) -> tuple[MethodDecl, TransformReport]:
     report = TransformReport()
-    fresh = _FreshNames(_names_in(context) if context is not None else _names_in(m))
+    taken = _names_in(context if context is not None else m) | RESERVED_WORDS
     scope = _scope_for(m, context)
     body = m.body
     for rule in rules:
-        body = _run_rule(body, rule, fresh, scope, report)
+        body = _run_rule(body, rule, taken, scope, report)
     return replace(m, body=body), report
 
 
 def _run_rule(
     body: Block,
     rule: TransformRule,
-    fresh: _FreshNames,
+    taken: set[str],
     scope: _Scope,
     report: TransformReport,
 ) -> Block:
@@ -1087,9 +1073,9 @@ def _run_rule(
     ternaries: dict[int, Ternary] = {}
 
     if rule is TransformRule.FUNCTION_CHAIN:
-        site = lambda stmt: _split_site(stmt, fresh, scope)  # noqa: E731
+        site = lambda stmt: _split_site(stmt, taken, scope)  # noqa: E731
     elif rule is TransformRule.ARGUMENT_PASS:
-        site = lambda stmt: _extract_site(stmt, fresh, scope, skip)  # noqa: E731
+        site = lambda stmt: _extract_site(stmt, taken, scope, skip)  # noqa: E731
     else:
         site = _SITES[rule]
 
@@ -1128,11 +1114,12 @@ def _run_rule(
 
 
 def _each_site(block: Block, taken: set[str] | None, site) -> Block:
-    """`block` with each statement that `site(stmt, fresh)` rewrites replaced."""
-    fresh = _FreshNames(taken if taken is not None else _names_in(block))
+    """`block` with each statement that `site(stmt, taken)` rewrites replaced;
+    the fresh names it claims are added to a copy of `taken`."""
+    taken = set(RESERVED_WORDS).union(taken if taken is not None else _names_in(block))
     stmts: list[Stmt] = []
     for stmt in block.stmts:
-        done = site(stmt, fresh)
+        done = site(stmt, taken)
         stmts.extend(done[0] if done is not None else (stmt,))
     return replace(block, stmts=tuple(stmts))
 

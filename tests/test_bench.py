@@ -24,10 +24,12 @@ from vmorph.bench import (
 from vmorph import bench
 from vmorph.cli import main as cli_main
 from vmorph.errors import RunnerNotFound, StaleDictionary
-from vmorph.nodes import Span
+from vmorph.identifiers import collect_identifiers
+from vmorph.lexer import IDENT, tokenize
+from vmorph.nodes import Declarator, Name, Span, walk
 from vmorph.parser import parse
 from vmorph.printer import print_source
-from vmorph.rename import RenameDictionary, SynonymLexicon
+from vmorph.rename import RenameDictionary, SynonymLexicon, recover_patch
 
 
 @pytest.fixture(scope="module")
@@ -805,7 +807,7 @@ def test_cli_recover_reports_a_patch_that_is_not_utf8(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Renaming only the files that can hold a key
+# Renaming only the files that hold a site of a key
 # ---------------------------------------------------------------------------
 
 RENAME_FILES = {
@@ -825,9 +827,8 @@ def rename_project(tmp_path):
 
 
 def _renamed(project, forward):
-    dct = RenameDictionary.build(forward, {})
-    return bench._rename_project(project.asts, bench._files_with_a_key(project.sources, dct),
-                                 dct)
+    table = collect_identifiers(list(project.asts.values()))
+    return bench._rename_project(project.asts, table, RenameDictionary.build(forward, {}))
 
 
 def test_a_key_only_in_another_file_renames_that_file_alone(rename_project):
@@ -870,8 +871,148 @@ def test_files_without_a_key_keep_their_trees_across_variants(rename_project, le
     assert [e.error for e in manifest.entries] == [None] * 3
     dictionary = json.loads((tmp_path / "out" / manifest.entries[0].dictionary).read_text())
     assert "count" in dictionary["forward"]
-    # B holds `counter`, which contains the key `count`; C holds no key.
-    assert [len(project) for project in renamed] == [2]
+    # Only A holds a site of `count`; B's `counter` merely contains it.
+    assert [len(project) for project in renamed] == [1]
     for kind in ("rename", "structure", "both"):
         assert ((tmp_path / "out" / "Keys-1" / kind / "C.java").read_text()
                 == print_source(rename_project.asts["C.java"]))
+
+
+# ---------------------------------------------------------------------------
+# A rename must not capture a name the focus method does not hold
+# ---------------------------------------------------------------------------
+
+# `f` is the buggy method; the lexicon's first synonym of `count` is `tally`,
+# a name that only `g` holds: a field read in one project, a parameter in the
+# other.
+CAPTURE_PROJECTS = {
+    "field-shadowing": {
+        "A.java": "class A {\n    static int tally = 5;\n"
+                  "    static int f(int count) {\n        return count + 1;\n    }\n"
+                  "    static int g() {\n        int count = 2;\n        return tally + count;\n"
+                  "    }\n}\n",
+    },
+    "redeclaration": {
+        "A.java": "class A {\n    static int f(int count) {\n        return count + 1;\n"
+                  "    }\n}\n",
+        "B.java": "class B {\n    static int g(int tally) {\n        int count = 2;\n"
+                  "        return tally + count;\n    }\n}\n",
+    },
+}
+
+
+def _rename_variant(files, lexicon, tmp_path):
+    root = tmp_path / "project"
+    root.mkdir()
+    for rel, text in files.items():
+        (root / rel).write_text(text)
+    line = files["A.java"].splitlines().index("    static int f(int count) {") + 1
+    record = VulnRecord("Capture-1", str(root), "A.java", Span("A.java", line, 1, line, 1))
+    manifest = generate_variants([record], lexicon, tmp_path / "out", seed=1,
+                                 kinds=(VariantKind.RENAME_ONLY,), trials=10)
+    [entry] = manifest.entries
+    assert entry.error is None
+    out = tmp_path / "out"
+    dct = RenameDictionary.loads((out / entry.dictionary).read_text())
+    return dct, {rel: (out / entry.output_root / rel).read_text() for rel in files}
+
+
+def _method(text, name):
+    return next(m for cls in parse(text).types for m in cls.methods if m.name == name)
+
+
+@pytest.mark.parametrize("files", CAPTURE_PROJECTS.values(), ids=CAPTURE_PROJECTS)
+def test_no_new_name_is_a_name_of_the_project(files, lexicon, tmp_path):
+    dct, _ = _rename_variant(files, lexicon, tmp_path)
+    assert "count" in dct.forward
+    names = {t.text for rel, text in files.items() for t in tokenize(text, rel) if t.kind == IDENT}
+    assert sorted(set(dct.forward.values()) & names) == []
+
+
+@pytest.mark.parametrize("files", CAPTURE_PROJECTS.values(), ids=CAPTURE_PROJECTS)
+def test_recovery_gives_back_every_file_of_the_rename_variant(files, lexicon, tmp_path):
+    dct, variant = _rename_variant(files, lexicon, tmp_path)
+    assert {rel: recover_patch(text, dct) for rel, text in variant.items()} == {
+        rel: print_source(parse(text, rel)) for rel, text in files.items()}
+
+
+def test_a_rename_keeps_a_field_read_in_another_method(lexicon, tmp_path):
+    dct, variant = _rename_variant(CAPTURE_PROJECTS["field-shadowing"], lexicon, tmp_path)
+    g = _method(variant["A.java"], dct.forward.get("g", "g"))
+    field = dct.forward.get("tally", "tally")
+    assert field not in {d.name for d in walk(g.body) if isinstance(d, Declarator)}
+    assert [n.id for n in walk(g.body) if isinstance(n, Name)] == [field, dct.forward["count"]]
+
+
+def test_a_rename_declares_no_name_twice_in_another_method(lexicon, tmp_path):
+    dct, variant = _rename_variant(CAPTURE_PROJECTS["redeclaration"], lexicon, tmp_path)
+    g = _method(variant["B.java"], dct.forward.get("g", "g"))
+    declared = [p.name for p in g.params] + [
+        d.name for d in walk(g.body) if isinstance(d, Declarator)]
+    assert declared == [dct.forward.get("tally", "tally"), dct.forward["count"]]
+    assert len(set(declared)) == 2
+
+
+# ---------------------------------------------------------------------------
+# Malformed dictionaries and manifests end in an error line, not a traceback
+# ---------------------------------------------------------------------------
+
+_MANIFEST_RECORD = {"id": "X-1", "project_root": "p", "buggy_file": "A.java",
+                    "buggy_lines": [1]}
+
+
+@pytest.mark.parametrize("content, detail", [
+    ("{bad", "not JSON: "),
+    (json.dumps({"kinds": {}}), "missing field 'forward'"),
+    (json.dumps({"forward": {"a": "x", "b": "x"}}),
+     "field 'forward': forward map is not injective at 'x'"),
+], ids=["not-json", "no-forward", "not-injective"])
+def test_cli_recover_reports_a_malformed_dictionary(tmp_path, capsys, content, detail):
+    dictionary = tmp_path / "dictionary.json"
+    dictionary.write_text(content)
+    patch = tmp_path / "patch.java"
+    patch.write_text("return x;")
+    rc = cli_main(["recover", "--dict", str(dictionary), "--patch", str(patch)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"vmorph: error: {dictionary}: {detail}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content, detail", [
+    ("{bad", "not JSON: "),
+    (json.dumps({"entries": []}), "missing field 'source_benchmark'"),
+    (json.dumps({"source_benchmark": "b", "entries": [
+        {"record": _MANIFEST_RECORD, "variant": "sideways"}]}),
+     "entries[0]: field 'variant' must be one of rename, structure, both, not 'sideways'"),
+], ids=["not-json", "no-source-benchmark", "unknown-variant"])
+def test_cli_validate_reports_a_malformed_manifest(tmp_path, capsys, content, detail):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(content)
+    rc = cli_main(["validate", "--manifest", str(manifest), "--runner", "true {project} {report}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"vmorph: error: {manifest}: {detail}")
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# perfbench's own output checks pass on a slice of every workload
+# ---------------------------------------------------------------------------
+
+
+def test_perfbench_output_checks_pass_on_every_workload(lexicon, tmp_path, monkeypatch):
+    """The checks `perfbench/run.py` makes on its output (every emitted file
+    re-prints to itself, every file of a rename variant recovers, no verdict
+    is diverged) hold on the first four records of seed 1 of each workload."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import gen
+    import run
+
+    for name, workload in gen.WORKLOADS.items():
+        records = [load_record(r.write(tmp_path / name / "in")) for r in workload(1)[:4]]
+        _, manifests = run.run_pass(records, tmp_path / name / "out", lexicon, [])
+        failures, _, _ = run.check_outputs(manifests)
+        assert failures == [], name
+        assert [e.record.id for m in manifests for e in m.entries
+                if run.verdict_of(e) == "diverged"] == [], name

@@ -185,6 +185,8 @@ def test_stdlib_index_env_override(tmp_path, monkeypatch):
 
 
 def test_focus_table_is_the_full_table_filtered_to_the_focus_names(guard_project):
+    classify = lambda table: classify_origin(  # noqa: E731
+        table, project_imports(guard_project), load_stdlib_index())
     full = collect_identifiers(guard_project)
     for focus in (m for src in guard_project for cls in src.types for m in cls.methods):
         # The focus names, found independently of the walk: every entry with
@@ -194,6 +196,6 @@ def test_focus_table_is_the_full_table_filtered_to_the_focus_names(guard_project
         table = collect_identifiers(guard_project, focus=focus)
         assert list(table.entries.items()) == [
             (name, e) for name, e in full.entries.items() if name in names]
-        assert [(d.name, d.span) for d in table.diagnostics] == [
-            (d.name, d.span) for d in full.diagnostics if d.name in names]
-        assert table.scope == full.scope
+        assert [(d.name, d.span) for d in classify(table).diagnostics] == [
+            (d.name, d.span) for d in classify(full).diagnostics if d.name in names]
+        assert table.names == full.names == set(full.entries)

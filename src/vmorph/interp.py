@@ -31,7 +31,15 @@ is the fuel left and D the call depth. Each statement is preceded by
 `if (F := F - 1) < 0: _oof()`, and a loop charges in its `while` test. A Java
 call is one Python call, `m<j>(a, b, F, D + 1)`, which checks D on entry and
 returns (value, F), so 200 nested calls run inside Python's default
-recursion limit. An operator evaluates each operand once, in Java order,
+recursion limit. A call of a leaf, a method whose body is one `return e;`
+and whose e calls no same-file method, is written in place instead: the
+arguments go into fresh slots (a slot read that nothing assigns before e
+reads it stands in for its parameter), `D < 200 and (F := F - 1) >= 0` does
+what the leaf does on entry, and then e runs, compiled in the leaf's scope.
+A leaf that is only reached this way is not emitted as a function. If e does
+not compile, the call stays a call, so the leaf rejects where it always
+did. A local that redeclares a name in scope is rejected, as javac rejects
+it (JLS 6.4). An operator evaluates each operand once, in Java order,
 through walrus temporaries; two ints take an inline path, and any other
 operands go to a helper that concatenates strings, wraps, or rejects. A
 switch is a one-pass `while True:` whose cases are `if start <= i:` blocks,
@@ -74,8 +82,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .errors import UnsupportedForEvaluation
-from .nodes import (DEFAULT_LABEL, INT_MAX, INT_MIN, Assign, For, Literal, MethodDecl, Name,
-                    SourceFile, Switch, While)
+from .nodes import (DEFAULT_LABEL, INT_MAX, INT_MIN, Assign, Call, Expr, For, Literal,
+                    MethodDecl, Name, Return, SourceFile, Switch, While, walk)
 
 DEFAULT_FUEL = 10_000
 MAX_CALL_DEPTH = 200
@@ -354,6 +362,7 @@ class _E(NamedTuple):
     boolean: bool = False  # gives a bool or raises
     is_int: bool = False  # gives an int or raises
     literal: tuple = ()  # (value,) for a literal
+    slot: int = 0  # the slot a pure slot read reads
     call: str = ""  # a same-file call, `m<j>(..., F, D + 1)`, which gives (value, F)
 
 
@@ -397,6 +406,7 @@ class _Compiler:
                     self.methods.setdefault((cls.name, m.name), []).append(m)
                     self.owner[id(m)] = cls.name
         self.numbers: dict[int, int] = {}  # id(method) -> its number, in the order first met
+        self.leaves: dict[int, Expr | None] = {}  # id(method) -> its e, if it is a leaf
         self.pending: list[tuple[MethodDecl, int]] = []
         self.texts: dict[int, str] = {}
         self.tables: list[str] = []
@@ -575,9 +585,10 @@ class _Compiler:
     def s_LocalVarDecl(self, s):
         names = self.scopes[-1][0]
         for d in s.declarators:  # each initializer sees the declarators before it
+            if any(d.name in bound for bound, _ in self.scopes):  # JLS 6.4
+                raise UnsupportedForEvaluation(d.span, f"variable {d.name!r} is already defined")
             init = self.expr(d.init) if d.init is not None else _E("None")
-            if d.name not in names:  # a redeclaration in the same scope rebinds it
-                names[d.name], self.size = self.size, self.size + 1
+            names[d.name], self.size = self.size, self.size + 1
             self.line(self.store(names[d.name], init))
 
     def store(self, slot: int, value: _E) -> str:
@@ -737,7 +748,7 @@ class _Compiler:
     def e_Name(self, e):
         slot, maybe_unset = self.resolve(e, e.id)
         if not maybe_unset:
-            return _E(f"v{slot}", pure=True)
+            return _E(f"v{slot}", pure=True, slot=slot)
         site = self.site(e.span, f"unbound name {e.id!r}")
         return _E(f"(v{slot} if v{slot} is not _UNSET else _fail({site}))", 1)
 
@@ -833,7 +844,11 @@ class _Compiler:
                 raise UnsupportedForEvaluation(span, f"unknown receiver {recv.id!r}")
             cls, recv = recv.id, None
         if recv is None:
-            number = self.callee(self.target(cls, method, n, span))
+            target = self.target(cls, method, n, span)
+            inlined = self.inline(target, args)
+            if inlined is not None:
+                return inlined
+            number = self.callee(target)
             call = f"m{number}({''.join(a.text + ', ' for a in args)}F, D + 1)"
             t = self.temp()
             return _E(f"((F := ({t} := {call})[1]) is None or {t}[0])", depth, writes=writes,
@@ -852,6 +867,62 @@ class _Compiler:
             return _E(f"_equals({checked}, {args[0].text})", depth, writes=writes)
         return _E(f"{_STRING_PATHS[method]}({checked}, {site}, "
                   f"{', '.join(a.text for a in args)})", depth, writes=writes)
+
+    def leaf(self, m: MethodDecl) -> Expr | None:
+        """The e of m's body when that body is exactly `return e;`, m takes
+        only supported parameter types and e calls no same-file method, so
+        it cannot recurse; else None."""
+        if id(m) not in self.leaves:
+            stmts = m.body.stmts
+            e = stmts[0].value if len(stmts) == 1 and isinstance(stmts[0], Return) else None
+            # the receivers that e_Call resolves as classes of the file
+            homes = self.classes - {p.name for p in m.params} - {"Math"}
+            if e is not None and (
+                    any(p.type_name not in SUPPORTED_PARAM_TYPES for p in m.params)
+                    or any(isinstance(c, Call) and (c.receiver is None or isinstance(
+                        c.receiver, Name) and c.receiver.id in homes) for c in walk(e))):
+                e = None
+            self.leaves[id(m)] = e
+        return self.leaves[id(m)]
+
+    def inline(self, m: MethodDecl, args: list[_E]) -> _E | None:
+        """A call of the leaf m written in place (Scheifler, "An Analysis of
+        Inline Substitution for a Structured Programming Language", CACM
+        20(9), 1977): the arguments in order, then what m does on entry (the
+        depth test, one unit of fuel for its return statement), then its e,
+        compiled in m's scope and class. A pure slot read stands in for its
+        parameter when no later argument and not e assign it; any other
+        argument is stored in a fresh slot. None when m is not a leaf, or e
+        does not compile: the call then runs m, which rejects where it did."""
+        e = self.leaf(m)
+        if e is None:
+            return None
+        assigned = {a.target.id for a in walk(e) if isinstance(a, Assign)
+                    and isinstance(a.target, Name)}
+        before = len(self.sites), len(self.helpers), self.size
+        slots, entry = {}, []
+        for i, (p, a) in enumerate(zip(m.params, args)):
+            if a.slot and p.name not in assigned and not any(
+                    later.writes for later in args[i + 1:]):
+                slots[p.name] = a.slot
+            else:  # `is` only orders the store before the tests after it
+                slots[p.name], self.size = self.size, self.size + 1
+                entry.append(f"(v{slots[p.name]} := {a.text}) is v{slots[p.name]}")
+        entry += [f"D < {MAX_CALL_DEPTH}", "(F := F - 1) >= 0"]
+        outer = self.scopes, self.cls
+        self.scopes, self.cls = [(slots, False)], self.owner[id(m)]
+        try:
+            x = self.expr(e)
+        except UnsupportedForEvaluation:
+            sites, helpers, self.size = before
+            del self.sites[sites:], self.helpers[helpers:]
+            self.leaves[id(m)] = None
+            return None
+        finally:
+            self.scopes, self.cls = outer
+        return _E(f"({x.text} if {' and '.join(entry)} else _oof())",
+                  max([x.depth, *(a.depth + 1 for a in args)]) + 1,
+                  writes=any(a.writes for a in args), boolean=x.boolean, is_int=x.is_int)
 
 
 def _is_int(x: _E) -> int | None:

@@ -34,6 +34,17 @@ RESERVED_WORDS = frozenset(
     record yield sealed permits""".split()
 )
 
+
+def _is_identifier(name: str) -> bool:
+    """Whether `name` lexes as exactly one identifier token, the unit that
+    recover_patch maps back."""
+    try:
+        tokens = tokenize(name)
+    except VmorphError:
+        return False
+    return tokens.kinds[:-1] == [IDENT] and tokens.texts[0] == name
+
+
 @dataclass(frozen=True)
 class SynonymLexicon:
     """word -> ranked synonym candidates, all lowercase, best first."""
@@ -102,6 +113,9 @@ class RenameDictionary:
         for orig, new in forward.items():
             if new in RESERVED_WORDS:
                 raise ValueError(f"new identifier {new!r} is a reserved word")
+            for name in (orig, new):
+                if not _is_identifier(name):
+                    raise ValueError(f"{name!r} is not an identifier")
             if new in backward:
                 raise ValueError(f"forward map is not injective at {new!r}")
             backward[new] = orig

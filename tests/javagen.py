@@ -3,6 +3,12 @@
 Emits source text (exercising the parser too). Generated methods terminate
 within the default fuel except for rare adversarial loops, which the fuzz
 harness tolerates as inconclusive; only a diverged verdict is a failure.
+
+Seeds from LEAF_SEEDS on also emit leaf callees: methods whose body is one
+`return e;` over int, boolean and String parameters, which the oracle writes
+in place of their calls. `subject` calls them inside expressions and loops,
+with literal, slot, assignment, nested-call and switch-local arguments. A
+seed below LEAF_SEEDS gives the same text as before the leaves existed.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ BOOL = "boolean"
 STR = "String"
 
 _STR_LITS = ('"a"', '"b"', '"ab"', '"/"', '""')
+LEAF_SEEDS = 2000
 
 
 class MethodGen:
@@ -21,6 +28,7 @@ class MethodGen:
         self.rng = rng
         self.counter = 0
         self.scope: list[dict[str, str]] = []  # name -> type, innermost last
+        self.leaves: list[tuple[str, str, list[str]]] = []  # (name, type, parameter types)
 
     def fresh(self, prefix: str) -> str:
         self.counter += 1
@@ -36,8 +44,30 @@ class MethodGen:
 
     # -- expressions ---------------------------------------------------------
 
+    def leaf_call(self, type_name: str, depth: int) -> str | None:
+        """A call of a leaf that returns type_name, or None, drawing nothing
+        when no leaf does (so seeds without leaves draw as they always did)."""
+        fitting = [leaf for leaf in self.leaves if leaf[1] == type_name]
+        if not fitting or depth >= 3 or self.rng.random() >= 0.3:
+            return None
+        name, _, types = self.rng.choice(fitting)
+        return f"{name}({', '.join(self.argument(t, depth + 1) for t in types)})"
+
+    def argument(self, type_name: str, depth: int) -> str:
+        """A leaf argument: a literal, a slot, an assignment or a call."""
+        roll, names = self.rng.random(), self.vars_of(type_name)
+        if roll < 0.2 and names:
+            target = self.rng.choice(names)
+            return f"({target} = {self.expr_of(type_name, 2)})"
+        if roll < 0.5 and names:
+            return self.rng.choice(names)
+        return self.expr_of(type_name, depth)
+
     def int_expr(self, depth: int = 0) -> str:
         rng = self.rng
+        call = self.leaf_call(INT, depth)
+        if call is not None:
+            return call
         options = ["lit", "lit"]
         if self.vars_of(INT):
             options += ["var", "var", "var"]
@@ -66,6 +96,9 @@ class MethodGen:
 
     def bool_expr(self, depth: int = 0) -> str:
         rng = self.rng
+        call = self.leaf_call(BOOL, depth)
+        if call is not None:
+            return call
         options = ["cmp", "lit"]
         if self.vars_of(BOOL):
             options += ["var", "var"]
@@ -94,6 +127,9 @@ class MethodGen:
 
     def str_expr(self, depth: int = 0) -> str:
         rng = self.rng
+        call = self.leaf_call(STR, depth)
+        if call is not None:
+            return call
         options = ["lit", "lit"]
         if self.vars_of(STR):
             options += ["var", "var"]
@@ -123,6 +159,9 @@ class MethodGen:
         self.scope.append({})
         while budget > 0:
             budget -= 1
+            if self.leaves and rng.random() < 0.25:
+                lines += self.leaf_statement(indent)
+                continue
             roll = rng.random()
             if roll < 0.25:
                 t = rng.choice([INT, INT, BOOL, STR])
@@ -188,11 +227,79 @@ class MethodGen:
         self.scope.pop()
         return lines
 
+    def leaf_statement(self, indent: str) -> list[str]:
+        """A statement that calls a leaf where the oracle runs it often or
+        with an argument it must check: in a loop to a parameter or a
+        constant, or with a switch local that its case declares."""
+        rng = self.rng
+        ints = self.vars_of(INT)
+        roll = rng.random()
+        if roll < 0.5 or not ints:
+            loop_var, target = self.fresh("k"), self.fresh("i")
+            bound = rng.choice(ints) if ints and rng.random() < 0.3 else str(rng.randint(1, 8))
+            body = f"{target} = {target} + {self.leaf_of_slot(loop_var)};"
+            self.scope[-1][target] = INT
+            return [f"{indent}int {target} = 0;",
+                    f"{indent}for (int {loop_var} = 0; {loop_var} < {bound}; "
+                    f"{loop_var} = {loop_var} + 1) {{",
+                    f"{indent}    {body}",
+                    f"{indent}}}"]
+        scrutinee, local, target = rng.choice(ints), self.fresh("w"), rng.choice(ints)
+        label = rng.randint(-1, 3)
+        self.scope.append({local: INT})
+        use = f"{target} = {self.int_expr(1)};"
+        self.scope.pop()
+        return [f"{indent}switch ({scrutinee}) {{",
+                f"{indent}    case {label}:",
+                f"{indent}        int {local} = {self.int_expr(1)};",
+                f"{indent}        {use}",
+                f"{indent}        {target} = {target} + {self.leaf_of_slot(local)};",
+                f"{indent}        break;",
+                f"{indent}    default:",
+                f"{indent}        {target} = {target} - 1;",
+                f"{indent}}}"]
+
+    def leaf_of_slot(self, local: str) -> str:
+        """A call of an int leaf whose first int parameter gets `local`."""
+        name, _, types = self.rng.choice(
+            [leaf for leaf in self.leaves if leaf[1] == INT and INT in leaf[2]])
+        self.scope.append({local: INT})
+        args = [local if i == types.index(INT) else self.argument(t, 2)
+                for i, t in enumerate(types)]
+        self.scope.pop()
+        return f"{name}({', '.join(args)})"
+
+
+def _leaf_source(gen: MethodGen, index: int) -> str:
+    """A method of random parameter and return types, added to gen.leaves:
+    `return e;` over its parameters, at times assigning one of them. One in
+    four calls an earlier one, so it is no leaf and is called as a method."""
+    rng = gen.rng
+    types = [rng.choice([INT, INT, BOOL, STR]) for _ in range(rng.randint(1, 3))]
+    if index == 0:
+        types[0] = INT  # the switch-local statement needs an int leaf
+    result = INT if index == 0 else rng.choice([INT, INT, BOOL, STR])
+    names = [f"q{i}{t[0].lower()}" for i, t in enumerate(types)]
+    saved = gen.scope, gen.leaves
+    gen.scope = [dict(zip(names, types))]
+    gen.leaves = gen.leaves if rng.random() < 0.25 else []
+    body = gen.expr_of(result)
+    if result == INT and types[0] == INT and rng.random() < 0.3:
+        body = f"({names[0]} = {gen.int_expr(1)}) + {names[0]}"
+    gen.scope, gen.leaves = saved
+    name = f"leaf{index}"
+    gen.leaves.append((name, result, types))
+    params = ", ".join(f"{t} {n}" for t, n in zip(types, names))
+    return f"    static {result} {name}({params}) {{\n        return {body};\n    }}\n\n"
+
 
 def generate_method_source(seed: int) -> str:
-    """One class: a helper plus a generated method `subject`."""
+    """One class: a helper plus a generated method `subject`, and from seed
+    LEAF_SEEDS on also leaf callees."""
     rng = random.Random(seed)
     gen = MethodGen(rng)
+    leaves = ("".join(_leaf_source(gen, i) for i in range(rng.randint(2, 4)))
+              if seed >= LEAF_SEEDS else "")
     params = []
     gen.scope.append({})
     for i, t in enumerate(rng.sample([INT, INT, BOOL, STR], rng.randint(1, 3))):
@@ -209,6 +316,7 @@ def generate_method_source(seed: int) -> str:
         "        return value * 2 + 1;\n"
         "    }\n"
         "\n"
+        + leaves +
         f"    static int subject({', '.join(params)}) {{\n"
         + "\n".join(body_lines)
         + ("\n" if body_lines else "")

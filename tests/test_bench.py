@@ -966,7 +966,8 @@ _MANIFEST_RECORD = {"id": "X-1", "project_root": "p", "buggy_file": "A.java",
     (json.dumps({"kinds": {}}), "missing field 'forward'"),
     (json.dumps({"forward": {"a": "x", "b": "x"}}),
      "field 'forward': forward map is not injective at 'x'"),
-], ids=["not-json", "no-forward", "not-injective"])
+    (json.dumps({"forward": {"count": "a b"}}), "field 'forward': 'a b' is not an identifier"),
+], ids=["not-json", "no-forward", "not-injective", "not-an-identifier"])
 def test_cli_recover_reports_a_malformed_dictionary(tmp_path, capsys, content, detail):
     dictionary = tmp_path / "dictionary.json"
     dictionary.write_text(content)

@@ -14,9 +14,9 @@ from vmorph.parser import parse
 from vmorph.printer import print_method
 from vmorph.transforms import TransformRule, apply_all, apply_rule
 
-from javagen import generate_method_source
+from javagen import LEAF_SEEDS, generate_method_source
 
-SEEDS = range(160)
+SEEDS = [*range(160), *range(LEAF_SEEDS, LEAF_SEEDS + 40)]  # the second range calls leaves
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -294,6 +294,35 @@ def test_switch_jump_past_a_declaration_stays_a_runtime_error():
     assert "unbound name 'x'" in str(exc.value)
 
 
+REDECLARATIONS = {
+    "same block": ("int n", "int x = 1; int x = 2; return x;", "x"),
+    "nested block": ("int n", "int x = 1; { int x = 2; } return x;", "x"),
+    "parameter": ("int x", "int x = 2; return x;", "x"),
+    "for init": ("int n", "int i = 0; for (int i = 0; i < n; i = i + 1) { } return i;", "i"),
+}
+
+
+@pytest.mark.parametrize("name", REDECLARATIONS)
+def test_a_local_that_redeclares_a_name_in_scope_is_rejected(name):
+    """javac rejects each of these (JLS 6.4); the oracle must not run them."""
+    params, body, local = REDECLARATIONS[name]
+    src = f"class A {{ static int f({params}) {{ {body} }} }}"
+    m, ast = method_named(src, "f")
+    with pytest.raises(UnsupportedForEvaluation) as exc:
+        ensure_supported(m, ast)
+    assert exc.value.detail == f"variable '{local}' is already defined"
+    assert exc.value.span.start_col == src.rindex(f"int {local} = ") + len("int ") + 1
+
+
+@pytest.mark.parametrize("body, value", [
+    ("int r = 0; { int x = 1; r = r + x; } { int x = 2; r = r + x; } return r;", 3),
+    ("int r = 0; for (int i = 0; i < 3; i = i + 1) { r = r + i; } int i = 5; return r + i;", 8),
+])
+def test_a_local_may_reuse_the_name_of_a_closed_scope(body, value):
+    m, ast = method_named(f"class A {{ static int f(int n) {{ {body} }} }}", "f")
+    assert evaluate(m, [0], context=ast) == Returned(value)
+
+
 @pytest.mark.parametrize("grow", ["t = t.concat(t);", "t = t + t;"])
 def test_string_growth_stops_at_the_length_bound(grow):
     src = ("class A { static int f(int n) { String t = \"a\"; "
@@ -488,9 +517,10 @@ def test_consistently_renamed_method_shares_outcomes(monkeypatch):
     # a use swap: b - a reads the parameters in the other order
     ALPHA_ORIGINAL.replace("int c = a - b;", "int c = b - a;")
     .replace("c = c + twice(i);", "c = c + twice(i) + a;"),
-    # a capture: renamed i to a, the loop variable shadows the parameter a
-    ALPHA_ORIGINAL.replace("for (int i = 0; i < 3; i = i + 1) { c = c + twice(i); }",
-                           "for (int a = 0; a < 3; a = a + 1) { c = c + twice(a) + a; }"),
+    # a capture: the read of the parameter a now reads the loop variable
+    # (renaming i to a would do this, but Java rejects a local that shadows
+    # a parameter, and so does the oracle)
+    ALPHA_ORIGINAL.replace("c = c + twice(i);", "c = c + twice(i) + i;"),
 ])
 def test_methods_equal_up_to_names_with_other_slots_run_alone(monkeypatch, variant):
     original = ALPHA_ORIGINAL.replace("c = c + twice(i);", "c = c + twice(i) + a;")
@@ -740,6 +770,161 @@ def test_deep_programs_keep_their_outcomes_and_fuel(name):
     m, ast = method_named(f"class A {{ static int f(int n) {{ {body} }} }}", "f")
     assert [(_outcome_json(m, [n], DEFAULT_FUEL, ast), _least_fuel(m, [n], ast))
             for n in DEEP_ARGS] == expected
+
+
+# ---------------------------------------------------------------------------
+# Calls of a leaf, a method whose body is one `return e;` calling no
+# same-file method, are written in place. Each outcome and least fuel below
+# is the one of a real call, recorded before the inliner existed.
+# ---------------------------------------------------------------------------
+
+LEAF_SRC = """class A {
+    static int h(int x, int y) { return x * 7 + y; }
+    static int slots(int a, int b) { return h(a, b); }
+    static int lits(int a, int b) { return h(3, b) + h(a, -2); }
+    static int bump(int a, int b) { return h((a = a + 1), a) + a; }
+    static int late(int a, int b) { return h(a, (a = a + 1)) + a; }
+    static int nested(int a, int b) { return h(h(a, 1), b); }
+    static int local(int a, int b) {
+        switch (a) { case 0: int x = b + 2; case 1: return h(x, b); }
+        return 0;
+    }
+    static int loop(int a, int b) {
+        int r = b;
+        for (int i = 0; i < a; i = i + 1) { r = r + h(i, r); }
+        return r;
+    }
+    static int r(int n) { if (n > 0) { return r(n - 1); } return h(n, 1); }
+    static int g(int x, int y) { return (x = x + y) * x + y; }
+    static int own(int a, int b) { return g(a, b) + a + g(b, a) + b; }
+}"""
+LEAF_ARGS = ((0, 0), (1, 2), (-3, 5), (5, -1), (interp.INT_MAX, 1), (interp.INT_MIN, -1))
+# (outcome, least fuel) on LEAF_ARGS, or on n = 197...201 for r
+LEAF_CALLS = {
+    "lits": [({"returned": r}, 3) for r in (19, 28, 3, 53, -2147483635, -2147483630)],
+    "bump": [({"returned": r}, 2) for r in (9, 18, -18, 54, -2147483648, -2147483639)],
+    "late": [({"returned": r}, 2) for r in (2, 11, -25, 47, 2147483641, -2147483646)],
+    "nested": [({"returned": r}, 3) for r in (7, 58, -135, 251, 2147483607, -2147483642)],
+    "local": [({"returned": 14}, 4), ({"unsupported": "unbound name 'x'"}, 2),
+              *[({"returned": 0}, 2)] * 4],
+    "loop": [({"returned": 0}, 5), ({"returned": 4}, 8), ({"returned": 5}, 5),
+             ({"returned": 150}, 20), STARVED, ({"returned": -1}, 5)],
+    "r": [({"returned": 1}, 397), ({"returned": 1}, 399), STARVED, STARVED, STARVED],
+    # g assigns its parameter x, which must not be the caller's a or b
+    "own": [({"returned": r}, 3) for r in (0, 24, 12, 40, 0, 0)],
+}
+
+
+@pytest.mark.parametrize("name", LEAF_CALLS)
+def test_a_leaf_call_keeps_its_outcome_and_fuel(name):
+    m, ast = method_named(LEAF_SRC, name)
+    args = [(n,) for n in range(197, 202)] if name == "r" else LEAF_ARGS
+    assert [(_outcome_json(m, list(a), DEFAULT_FUEL, ast), _least_fuel(m, list(a), ast))
+            for a in args] == LEAF_CALLS[name]
+    assert "def m1" not in interp._compile(m, ast).text  # h is written in place
+
+
+def test_a_switch_local_argument_is_checked_where_the_caller_reads_it():
+    m, ast = method_named(LEAF_SRC, "local")
+    with pytest.raises(UnsupportedForEvaluation) as exc:
+        evaluate(m, [1, 0], context=ast)
+    assert (exc.value.span.start_line, exc.value.span.start_col) == (9, 62)
+
+
+PLUS, TIMES = "+ on non-int operands", "* on non-int operands"
+# h(a, b) for a (rows) and b (columns) in OPERAND_POOL: the value returned,
+# or the detail of the rejection, at h's `x * 7 + y`. The least fuel is 2.
+H_ON_THE_POOL = [
+    (0, 1, -1, 7, 2147483647, -2147483648, PLUS, "0ab", PLUS),
+    (7, 8, 6, 14, -2147483642, -2147483641, PLUS, "7ab", PLUS),
+    (-7, -6, -8, 0, 2147483640, 2147483641, PLUS, "-7ab", PLUS),
+    (49, 50, 48, 56, -2147483600, -2147483599, PLUS, "49ab", PLUS),
+    (2147483641, 2147483642, 2147483640, -2147483648, -8, -7, PLUS, "2147483641ab", PLUS),
+    (-2147483648, -2147483647, 2147483647, -2147483641, -1, 0, PLUS, "-2147483648ab", PLUS),
+    *[(TIMES,) * 9] * 3,
+]
+
+
+def test_a_leaf_call_on_every_operand_shape_keeps_its_outcome_and_fuel():
+    """h(a, b) with slot arguments and with each pool value as a literal on
+    either side: the outcome, the rejection's span and the least fuel."""
+    literals = [_java_literal(v) for v in OPERAND_POOL]
+    methods = [f"static int x{j}(int a, int b) {{ return h({lit}, b); }}\n"
+               f"static int y{j}(int a, int b) {{ return h(a, {lit}); }}"
+               for j, lit in enumerate(literals)]
+    src = LEAF_SRC.replace("\n}", "\n" + "\n".join(methods) + "\n}")
+    ast = parse(src)
+    by_name = {m.name: m for m in ast.types[0].methods}
+    for i, a in enumerate(OPERAND_POOL):
+        for j, b in enumerate(OPERAND_POOL):
+            expected = H_ON_THE_POOL[i][j]
+            for name in ("slots", f"x{i}", f"y{j}"):
+                m = by_name[name]
+                try:
+                    got = evaluate(m, [a, b], context=ast).value
+                except UnsupportedForEvaluation as exc:
+                    got = exc.detail
+                    assert (exc.span.start_line, exc.span.start_col) == (2, 41), (a, b, name)
+                assert (type(got), got) == (type(expected), expected), (a, b, name)
+                assert _least_fuel(m, [a, b], ast) == 2, (a, b, name)
+
+
+def test_a_deep_leaf_inside_a_deep_expression_keeps_its_outcome_and_fuel():
+    """A leaf whose e nests 120 levels, called at the bottom of a 90-level
+    expression: the written-in-place text stays inside CPython's limits."""
+    leaf = "x" + "".join(f" + {i}" for i in range(1, 120))
+    caller = "d(n * 3)" + "".join(f" - {i}" for i in range(1, 90))
+    m, ast = method_named(f"class A {{ static int d(int x) {{ return {leaf}; }} "
+                          f"static int f(int n) {{ return {caller}; }} }}", "f")
+    assert [(_outcome_json(m, [n], DEFAULT_FUEL, ast), _least_fuel(m, [n], ast))
+            for n in DEEP_ARGS] == [({"returned": r}, 2) for r in
+                                    (3135, 3138, 3141, 3150, 3132, 3126, -2147480516)]
+
+
+UNSUPPORTED_LEAF_SRC = """class A {
+    static int leaf(int x) { return x + A.missing; }
+    static int after(int n) { int r = leaf(n); return r + new A(); }
+    static int before(int n) { int r = n; return leaf(r); }
+    static int peek(int x) { return x + a; }
+    static int peeks(int a) { return peek(a); }
+}"""
+
+
+@pytest.mark.parametrize("name, where, detail", [
+    ("after", (3, 59), "object allocation"),
+    ("before", (2, 41), "field access"),
+    ("peeks", (5, 41), "unbound name 'a'"),
+])
+def test_a_leaf_that_does_not_compile_rejects_where_it_did(name, where, detail):
+    """The caller's own rejection still comes first, a leaf's is still
+    reported at the leaf, and a leaf never sees its caller's names."""
+    m, ast = method_named(UNSUPPORTED_LEAF_SRC, name)
+    with pytest.raises(UnsupportedForEvaluation) as exc:
+        ensure_supported(m, ast)
+    assert ((exc.value.span.start_line, exc.value.span.start_col), exc.value.detail) == (
+        where, detail)
+
+
+def test_a_hot_loop_does_not_call_its_leaf():
+    """The benchmark's target shape: a loop calls a one-return helper, which
+    is written in place; the helper with an if stays a Python function."""
+    src = """class A {
+        static int ha(int x, int y) { return x * 7 + y; }
+        static int hb(int u, int v) { if (u > v) { return u - v; } return v - u; }
+        static int t(int a, int b, boolean flag, String text) {
+            int acc = a + 3;
+            int other = b * 3;
+            for (int i = 0; i < a; i = i + 1) { acc = acc + ha(i, other); }
+            acc = A.hb(Math.max(acc, b), 5);
+            return acc + other;
+        }
+    }"""
+    m, ast = method_named(src, "t")
+    text = interp._compile(m, ast).text
+    assert [line.split("(")[0] for line in text.splitlines() if line.startswith("def ")] == [
+        "def m0", "def m1"]
+    assert text.count("D + 1") == 1  # the one call, of hb
+    assert evaluate(m, [3, 1, True, "s"], context=ast) == Returned(34)
 
 
 # ---------------------------------------------------------------------------

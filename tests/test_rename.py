@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vmorph.errors import JavaSyntaxError, StaleDictionary
+from vmorph.errors import JavaSyntaxError, StaleDictionary, VmorphError
 from vmorph.identifiers import (
     classify_origin,
     collect_identifiers,
@@ -121,6 +121,22 @@ def test_dictionary_rejects_non_injective():
 def test_dictionary_rejects_reserved_word():
     with pytest.raises(ValueError):
         RenameDictionary.build({"a": "while"}, {})
+
+
+@pytest.mark.parametrize("forward, bad", [
+    ({"count": "a b"}, "a b"),
+    ({"a b": "count"}, "a b"),
+    ({"count": "tally1;"}, "tally1;"),
+    ({"count": " tally"}, " tally"),
+    ({"count": "7up"}, "7up"),
+    ({"count": ""}, ""),
+])
+def test_dictionary_loads_only_identifiers(forward, bad):
+    """A name that is not one identifier token could never be mapped back
+    by recover_patch, which substitutes whole identifier tokens."""
+    with pytest.raises(VmorphError) as exc:
+        RenameDictionary.loads(json.dumps({"forward": forward}))
+    assert str(exc.value) == f"field 'forward': {bad!r} is not an identifier"
 
 
 def test_apply_rename_round_trip_bytes(guard_project):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import json
 import shlex
+import string
 import subprocess
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -30,6 +31,8 @@ from .errors import (
     UnsupportedConstruct,
     UnsupportedForEvaluation,
     VmorphError,
+    not_utf8,
+    read_utf8,
 )
 from .identifiers import (
     IdentifierTable,
@@ -92,15 +95,17 @@ class VulnRecord:
                    data.get("cwe"), data.get("developer_patch"))
 
 
-def _check_fields(data, fields) -> None:
+def _check_fields(data, fields, optional=()) -> None:
     """A VmorphError naming the first of `fields` (key, check, what the check
-    wants) that the JSON object `data` lacks or fails."""
+    wants) that the JSON object `data` lacks, else the first of `fields` and
+    `optional` that it holds and fails."""
     if not isinstance(data, dict):
         raise VmorphError("expected a JSON object")
-    for key, ok, want in fields:
+    for key, _, _ in fields:
         if key not in data:
             raise VmorphError(f"missing field {key!r}")
-        if not ok(data[key]):
+    for key, ok, want in (*fields, *optional):
+        if key in data and not ok(data[key]):
             raise VmorphError(f"field {key!r} must be {want}, not {data[key]!r}")
 
 
@@ -201,11 +206,19 @@ _ENTRY_FIELDS = (
     ("record", lambda v: isinstance(v, dict), "an object"),
     ("variant", lambda v: v in _VARIANT_NAMES, f"one of {', '.join(_VARIANT_NAMES)}"),
 )
+_ENTRY_OPTIONAL_FIELDS = (
+    *((key, lambda v: v is None or isinstance(v, str), "a string or null")
+      for key in ("output_root", "dictionary", "report", "error")),
+    ("suggested_filenames", lambda v: isinstance(v, dict)
+     and all(isinstance(name, str) for name in v.values()), "an object of strings"),
+    ("notes", lambda v: isinstance(v, list) and all(isinstance(note, str) for note in v),
+     "a list of strings"),
+)
 
 
 def _load_entry(raw, i: int) -> ManifestEntry:
     try:
-        _check_fields(raw, _ENTRY_FIELDS)
+        _check_fields(raw, _ENTRY_FIELDS, _ENTRY_OPTIONAL_FIELDS)
         record = VulnRecord.from_json_dict(raw["record"])
     except VmorphError as e:
         raise VmorphError(f"entries[{i}]: {e}") from e
@@ -238,19 +251,6 @@ class _Project:
         return [f"{rel}: copied verbatim ({e})" for rel, e in self.errors.items()]
 
 
-def _not_utf8(e: UnicodeDecodeError) -> str:
-    return f"not UTF-8: {e.reason} at byte {e.start}"
-
-
-def read_utf8(path: Path) -> str:
-    """The text of a UTF-8 file; a VmorphError naming the file if it is not
-    UTF-8."""
-    try:
-        return path.read_text("utf-8")
-    except UnicodeDecodeError as e:
-        raise VmorphError(f"{path}: {_not_utf8(e)}") from e
-
-
 def _load_project(root: Path) -> _Project:
     project = _Project({}, {}, {})
     for path in sorted(root.rglob("*.java")):
@@ -259,7 +259,7 @@ def _load_project(root: Path) -> _Project:
             text = path.read_text("utf-8")
         except UnicodeDecodeError as e:
             project.verbatim[rel] = path.read_bytes()
-            project.errors[rel] = _not_utf8(e)
+            project.errors[rel] = not_utf8(e)
             continue
         try:
             project.asts[rel] = parse(text, rel)
@@ -486,6 +486,20 @@ def _generate_for_record(
 # ---------------------------------------------------------------------------
 
 
+def check_runner(runner_cmd: str) -> str:
+    """`runner_cmd` if it is a runner command template: shell words holding
+    the {project} and {report} placeholders and no other `{…}` field; else a
+    ValueError saying what is wrong."""
+    fields = {name for _, name, _, _ in string.Formatter().parse(runner_cmd) if name is not None}
+    placeholders = {"project", "report"}
+    if not placeholders <= fields:
+        raise ValueError("expected the {project} and {report} placeholders")
+    if fields - placeholders:
+        raise ValueError(f"unknown placeholder {{{min(fields - placeholders)}}}")
+    shlex.split(runner_cmd)
+    return runner_cmd
+
+
 def external_validate(
     entry: ManifestEntry,
     runner_cmd: str,
@@ -493,20 +507,20 @@ def external_validate(
 ) -> dict:
     """Run an external test command against one generated variant.
 
-    runner_cmd must contain {project} and {report} placeholders. Exit code 0
-    records passed, 1 records failed, anything else records error. The result
-    is stored on the entry's equivalence field and returned.
+    runner_cmd is checked by check_runner and split into words before the
+    paths are put in, so a path is never split. Exit code 0 records passed,
+    1 records failed, anything else records error. The result is stored on
+    the entry's equivalence field and returned.
     """
-    if "{project}" not in runner_cmd or "{report}" not in runner_cmd:
-        raise ValueError("runner_cmd must contain {project} and {report} placeholders")
+    check_runner(runner_cmd)
     if entry.output_root is None or entry.report is None:
         raise VmorphError("entry has no generated output to validate")
     base = Path(manifest_dir)
-    project_path = (base / entry.output_root).resolve()
-    report_path = (base / entry.report).resolve()
-    cmd = runner_cmd.format(project=str(project_path), report=str(report_path))
+    paths = {"project": str((base / entry.output_root).resolve()),
+             "report": str((base / entry.report).resolve())}
     try:
-        proc = subprocess.run(shlex.split(cmd), capture_output=True, text=True)
+        proc = subprocess.run([word.format(**paths) for word in shlex.split(runner_cmd)],
+                              capture_output=True, text=True)
     except FileNotFoundError as e:
         raise RunnerNotFound(str(e)) from e
     if proc.returncode == 0:

@@ -23,12 +23,12 @@ from .bench import (
     BenchmarkManifest,
     EXTERNAL_PENDING,
     VariantKind,
+    check_runner,
     external_validate,
     generate_variants,
     load_record,
-    read_utf8,
 )
-from .errors import VmorphError
+from .errors import VmorphError, read_utf8
 from .nodes import Span
 from .parser import parse
 from .prompts import FORMATS, PromptSpec, build_prompt, find_method_at
@@ -48,6 +48,13 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected at least 1, got {value}")
     return value
+
+
+def _runner(text: str) -> str:
+    try:
+        return check_runner(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from e
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -80,7 +87,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p_va = sub.add_parser("validate", help="run an external test command per manifest entry")
     p_va.add_argument("--manifest", required=True)
-    p_va.add_argument("--runner", required=True,
+    p_va.add_argument("--runner", type=_runner, required=True,
                       help="command template with {project} and {report} placeholders")
     p_va.add_argument("--all", action="store_true",
                       help="validate every entry, not only external-pending ones")

@@ -1,7 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and reading a UTF-8 file."""
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -85,3 +86,16 @@ class InsufficientSamples(VmorphError):
 
 class RunnerNotFound(VmorphError):
     pass
+
+
+def not_utf8(e: UnicodeDecodeError) -> str:
+    return f"not UTF-8: {e.reason} at byte {e.start}"
+
+
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; a VmorphError naming the file if it is not
+    UTF-8."""
+    try:
+        return Path(path).read_text("utf-8")
+    except UnicodeDecodeError as e:
+        raise VmorphError(f"{path}: {not_utf8(e)}") from e

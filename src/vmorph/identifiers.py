@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .errors import UnresolvedIdentifier
+from .errors import UnresolvedIdentifier, read_utf8
 # The kinds and the primitive type names are the node schema's; this module
 # re-exports them.
 from .nodes import (  # noqa: F401
@@ -162,8 +162,7 @@ def load_stdlib_index(path: str | None = None) -> frozenset[str]:
     if path is None:
         path = os.environ.get("VMORPH_STDLIB_INDEX")
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_utf8(path)
     else:
         text = resources.files("vmorph.data").joinpath("stdlib_index.txt").read_text("utf-8")
     names = set()

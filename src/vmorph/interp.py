@@ -82,7 +82,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .errors import UnsupportedForEvaluation
-from .nodes import (DEFAULT_LABEL, INT_MAX, INT_MIN, Assign, Call, Expr, For, Literal,
+from .nodes import (DEFAULT_LABEL, INT_MAX, INT_MIN, Assign, Expr, For, Literal,
                     MethodDecl, Name, Return, SourceFile, Switch, While, walk)
 
 DEFAULT_FUEL = 10_000
@@ -407,6 +407,7 @@ class _Compiler:
                     self.owner[id(m)] = cls.name
         self.numbers: dict[int, int] = {}  # id(method) -> its number, in the order first met
         self.leaves: dict[int, Expr | None] = {}  # id(method) -> its e, if it is a leaf
+        self.inlining = False  # while a leaf's e is compiled in place
         self.pending: list[tuple[MethodDecl, int]] = []
         self.texts: dict[int, str] = {}
         self.tables: list[str] = []
@@ -844,6 +845,8 @@ class _Compiler:
                 raise UnsupportedForEvaluation(span, f"unknown receiver {recv.id!r}")
             cls, recv = recv.id, None
         if recv is None:
+            if self.inlining:  # a leaf that calls a same-file method may recurse
+                raise UnsupportedForEvaluation(span, "same-file call in a leaf")
             target = self.target(cls, method, n, span)
             inlined = self.inline(target, args)
             if inlined is not None:
@@ -869,18 +872,13 @@ class _Compiler:
                   f"{', '.join(a.text for a in args)})", depth, writes=writes)
 
     def leaf(self, m: MethodDecl) -> Expr | None:
-        """The e of m's body when that body is exactly `return e;`, m takes
-        only supported parameter types and e calls no same-file method, so
-        it cannot recurse; else None."""
+        """The e of m's body when that body is exactly `return e;` and m takes
+        only supported parameter types; else None. inline() gives up on an e
+        that calls a same-file method."""
         if id(m) not in self.leaves:
             stmts = m.body.stmts
             e = stmts[0].value if len(stmts) == 1 and isinstance(stmts[0], Return) else None
-            # the receivers that e_Call resolves as classes of the file
-            homes = self.classes - {p.name for p in m.params} - {"Math"}
-            if e is not None and (
-                    any(p.type_name not in SUPPORTED_PARAM_TYPES for p in m.params)
-                    or any(isinstance(c, Call) and (c.receiver is None or isinstance(
-                        c.receiver, Name) and c.receiver.id in homes) for c in walk(e))):
+            if any(p.type_name not in SUPPORTED_PARAM_TYPES for p in m.params):
                 e = None
             self.leaves[id(m)] = e
         return self.leaves[id(m)]
@@ -893,13 +891,14 @@ class _Compiler:
         compiled in m's scope and class. A pure slot read stands in for its
         parameter when no later argument and not e assign it; any other
         argument is stored in a fresh slot. None when m is not a leaf, or e
-        does not compile: the call then runs m, which rejects where it did."""
+        calls a same-file method or does not compile: the call then runs m,
+        which rejects where it did."""
         e = self.leaf(m)
         if e is None:
             return None
         assigned = {a.target.id for a in walk(e) if isinstance(a, Assign)
                     and isinstance(a.target, Name)}
-        before = len(self.sites), len(self.helpers), self.size
+        before = len(self.sites), len(self.helpers), self.size, self.temps
         slots, entry = {}, []
         for i, (p, a) in enumerate(zip(m.params, args)):
             if a.slot and p.name not in assigned and not any(
@@ -910,16 +909,16 @@ class _Compiler:
                 entry.append(f"(v{slots[p.name]} := {a.text}) is v{slots[p.name]}")
         entry += [f"D < {MAX_CALL_DEPTH}", "(F := F - 1) >= 0"]
         outer = self.scopes, self.cls
-        self.scopes, self.cls = [(slots, False)], self.owner[id(m)]
+        self.scopes, self.cls, self.inlining = [(slots, False)], self.owner[id(m)], True
         try:
             x = self.expr(e)
         except UnsupportedForEvaluation:
-            sites, helpers, self.size = before
+            sites, helpers, self.size, self.temps = before
             del self.sites[sites:], self.helpers[helpers:]
             self.leaves[id(m)] = None
             return None
         finally:
-            self.scopes, self.cls = outer
+            self.scopes, self.cls, self.inlining = *outer, False
         return _E(f"({x.text} if {' and '.join(entry)} else _oof())",
                   max([x.depth, *(a.depth + 1 for a in args)]) + 1,
                   writes=any(a.writes for a in args), boolean=x.boolean, is_int=x.is_int)

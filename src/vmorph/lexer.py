@@ -12,9 +12,6 @@ Line and column are not stored per token. Only a span or an error message
 needs them, and `position(line_starts, offset)` finds them by bisecting the
 offsets at which lines start. Lines are counted by LF alone.
 
-A `Tokens` is also a sequence of `Token` tuples, comments included, with
-1-based line/column positions plus absolute character offsets.
-
 One compiled master regex matches a run of whitespace (space, tab, CR, LF
 only), then one token; `findall` returns each token with the whitespace
 before it, and a token's end offset is the running sum of their lengths
@@ -30,10 +27,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections.abc import Sequence
 from itertools import accumulate, compress, count, repeat
 from operator import add, itemgetter, sub
-from typing import Iterator, NamedTuple
 
 from .errors import JavaSyntaxError, UnsupportedConstruct
 from .nodes import Span
@@ -90,18 +85,6 @@ _LEAD = (dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$",
 _SETTLED = frozenset({IDENT, KEYWORD, OP})
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str  # raw source text (escapes unprocessed for strings/comments)
-    value: object  # decoded value for INT/STRING, text otherwise
-    line: int
-    col: int
-    end_line: int
-    end_col: int
-    start_off: int
-    end_off: int  # exclusive
-
-
 def position(line_starts: list[int], offset: int) -> tuple[int, int]:
     """The 1-based line and column of the character at `offset`, given the
     offset of each line's first character."""
@@ -109,12 +92,10 @@ def position(line_starts: list[int], offset: int) -> tuple[int, int]:
     return line, offset - line_starts[line - 1] + 1
 
 
-class Tokens(Sequence):
-    """The tokens of one text as parallel arrays (see the module docstring).
-    As a sequence it yields the `Token` tuples in text order, comments and
-    the final EOF included."""
+class Tokens:
+    """The tokens of one text as parallel arrays (see the module docstring)."""
 
-    __slots__ = ("kinds", "texts", "starts", "values", "comments", "line_starts", "_tuples")
+    __slots__ = ("kinds", "texts", "starts", "values", "comments", "line_starts")
 
     def __init__(self, kinds: list[str], texts: list[str], starts: list[int],
                  values: dict[int, object], comments: list[tuple[int, int, str]],
@@ -125,31 +106,10 @@ class Tokens(Sequence):
         self.values = values  # code token index -> decoded INT or STRING value
         self.comments = comments  # (index of the next code token, start, text)
         self.line_starts = line_starts  # the offset of each line's first character
-        self._tuples: list[Token] | None = None
-
-    def _token(self, kind: str, text: str, value: object, start: int) -> Token:
-        line, col = position(self.line_starts, start)
-        end_line, end_col = (position(self.line_starts, start + len(text) - 1) if text
-                             else (line, col))
-        return Token(kind, text, value, line, col, end_line, end_col, start, start + len(text))
 
     def __len__(self) -> int:
+        """The code tokens (EOF included) plus the comments."""
         return len(self.kinds) + len(self.comments)
-
-    def __iter__(self) -> Iterator[Token]:
-        comments = iter(self.comments)
-        comment = next(comments, None)
-        for i, (kind, text, start) in enumerate(zip(self.kinds, self.texts, self.starts)):
-            while comment is not None and comment[0] == i:
-                yield self._token(COMMENT, comment[2], comment[2], comment[1])
-                comment = next(comments, None)
-            yield self._token(kind, text, self.values.get(i, None if kind == EOF else text),
-                              start)
-
-    def __getitem__(self, i):
-        if self._tuples is None:
-            self._tuples = list(self)
-        return self._tuples[i]
 
 
 def tokenize(text: str, file: str = "<input>") -> Tokens:

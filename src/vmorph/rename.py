@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Optional
 
-from .errors import StaleDictionary, VmorphError
+from .errors import StaleDictionary, VmorphError, read_utf8
 from .identifiers import (
     CAMEL,
     PASCAL,
@@ -65,23 +65,26 @@ class SynonymLexicon:
 
     @classmethod
     def load(cls, path: str | None = None) -> "SynonymLexicon":
-        """Load a TSV lexicon (word<TAB>syn,syn,...); bundled file by default."""
+        """Load a TSV lexicon (word<TAB>syn,syn,...); bundled file by default.
+        A VmorphError names a file that is not UTF-8 or not a lexicon."""
         if path is not None:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
+            text = read_utf8(path)
         else:
             text = resources.files("vmorph.data").joinpath("synonyms.tsv").read_text("utf-8")
         words: dict[str, tuple[str, ...]] = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.rstrip()
-            if not line or line.startswith("#"):
-                continue
-            if "\t" not in line:
-                raise ValueError(f"lexicon line {lineno}: expected word<TAB>synonyms")
-            word, _, raw = line.partition("\t")
-            candidates = tuple(s.strip() for s in raw.split(",") if s.strip())
-            words[word.strip()] = candidates
-        return cls(words)
+        try:
+            for lineno, line in enumerate(text.splitlines(), 1):
+                line = line.rstrip()
+                if not line or line.startswith("#"):
+                    continue
+                if "\t" not in line:
+                    raise ValueError(f"lexicon line {lineno}: expected word<TAB>synonyms")
+                word, _, raw = line.partition("\t")
+                candidates = tuple(s.strip() for s in raw.split(",") if s.strip())
+                words[word.strip()] = candidates
+            return cls(words)
+        except ValueError as e:
+            raise VmorphError(f"{path or 'the bundled lexicon'}: {e}") from e
 
 
 def propose_synonyms(tokens: list[str], lexicon: SynonymLexicon) -> list[list[str]]:

@@ -721,10 +721,10 @@ def _extract_base_name(arg: Expr) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def chain_functions(block: Block, direction: str, taken: set[str] | None = None) -> Block:
+def chain_functions(block: Block, direction: str) -> Block:
     """Split one chain link per statement, or merge single-use receiver decls."""
     if direction == SPLIT:
-        return _each_site(block, taken, lambda s, names: _split_site(s, names, _DEFAULT_SCOPE))
+        return _each_site(block, lambda s, names: _split_site(s, names, _DEFAULT_SCOPE))
     if direction == MERGE:
         return _merge_block(block, _DEFAULT_SCOPE)
     raise ValueError(f"unknown direction {direction!r}")
@@ -856,10 +856,10 @@ def _stmt_expr(stmt: Stmt) -> Expr | None:
 # ---------------------------------------------------------------------------
 
 
-def argument_pass(block: Block, direction: str, taken: set[str] | None = None) -> Block:
+def argument_pass(block: Block, direction: str) -> Block:
     """Extract call/new arguments into locals, or inline single-use locals back."""
     if direction == EXTRACT:
-        return _each_site(block, taken, lambda s, names: _extract_site(
+        return _each_site(block, lambda s, names: _extract_site(
             s, names, _DEFAULT_SCOPE, lambda span, reason: None))
     if direction == INLINE:
         return _inline_block(block, _DEFAULT_SCOPE)
@@ -1113,10 +1113,10 @@ def _run_rule(
     return _each_block(body, block_by_block)
 
 
-def _each_site(block: Block, taken: set[str] | None, site) -> Block:
+def _each_site(block: Block, site) -> Block:
     """`block` with each statement that `site(stmt, taken)` rewrites replaced;
-    the fresh names it claims are added to a copy of `taken`."""
-    taken = set(RESERVED_WORDS).union(taken if taken is not None else _names_in(block))
+    `taken` holds the block's names, the reserved words and each claimed name."""
+    taken = _names_in(block) | RESERVED_WORDS
     stmts: list[Stmt] = []
     for stmt in block.stmts:
         done = site(stmt, taken)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -226,6 +227,14 @@ def test_external_validate_exit_codes(guard_record, lexicon, tmp_path):
 
     erroring = _runner_script(tmp_path, 3)
     assert external_validate(entry, erroring + " {project} {report}", base)["external"] == "error"
+
+
+def test_external_validate_passes_a_path_with_a_space_as_one_word(guard_record, lexicon,
+                                                                  tmp_path):
+    manifest = generate_variants([guard_record], lexicon, tmp_path / "out dir", seed=1)
+    runner = "sh -c 'test $# -eq 2 && test -d \"$1\"' runner {project} {report}"
+    result = external_validate(manifest.entries[0], runner, manifest.path.parent)
+    assert result == {"external": "passed", "exit_code": 0}
 
 
 def test_external_validate_missing_runner(guard_record, lexicon, tmp_path):
@@ -925,7 +934,8 @@ def _method(text, name):
 def test_no_new_name_is_a_name_of_the_project(files, lexicon, tmp_path):
     dct, _ = _rename_variant(files, lexicon, tmp_path)
     assert "count" in dct.forward
-    names = {t.text for rel, text in files.items() for t in tokenize(text, rel) if t.kind == IDENT}
+    tokens = [tokenize(text, rel) for rel, text in files.items()]
+    names = {tok for ts in tokens for kind, tok in zip(ts.kinds, ts.texts) if kind == IDENT}
     assert sorted(set(dct.forward.values()) & names) == []
 
 
@@ -954,7 +964,8 @@ def test_a_rename_declares_no_name_twice_in_another_method(lexicon, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Malformed dictionaries and manifests end in an error line, not a traceback
+# Malformed dictionaries, manifests, lexicons, stdlib indexes and runners end
+# in an error line, not a traceback
 # ---------------------------------------------------------------------------
 
 _MANIFEST_RECORD = {"id": "X-1", "project_root": "p", "buggy_file": "A.java",
@@ -986,7 +997,24 @@ def test_cli_recover_reports_a_malformed_dictionary(tmp_path, capsys, content, d
     (json.dumps({"source_benchmark": "b", "entries": [
         {"record": _MANIFEST_RECORD, "variant": "sideways"}]}),
      "entries[0]: field 'variant' must be one of rename, structure, both, not 'sideways'"),
-], ids=["not-json", "no-source-benchmark", "unknown-variant"])
+    (json.dumps({"source_benchmark": "b", "entries": [
+        {"record": _MANIFEST_RECORD, "variant": "rename", "output_root": 5}]}),
+     "entries[0]: field 'output_root' must be a string or null, not 5"),
+    (json.dumps({"source_benchmark": "b", "entries": [
+        {"record": _MANIFEST_RECORD, "variant": "rename", "error": 5}]}),
+     "entries[0]: field 'error' must be a string or null, not 5"),
+    (json.dumps({"source_benchmark": "b", "entries": [
+        {"record": _MANIFEST_RECORD, "variant": "rename", "suggested_filenames": [1]}]}),
+     "entries[0]: field 'suggested_filenames' must be an object of strings, not [1]"),
+    (json.dumps({"source_benchmark": "b", "entries": [
+        {"record": _MANIFEST_RECORD, "variant": "rename",
+         "suggested_filenames": {"A.java": 3}}]}),
+     "entries[0]: field 'suggested_filenames' must be an object of strings, not {'A.java': 3}"),
+    (json.dumps({"source_benchmark": "b", "entries": [
+        {"record": _MANIFEST_RECORD, "variant": "rename", "notes": ["ok", 2]}]}),
+     "entries[0]: field 'notes' must be a list of strings, not ['ok', 2]"),
+], ids=["not-json", "no-source-benchmark", "unknown-variant", "output-root", "error",
+        "filenames-list", "filenames-value", "notes"])
 def test_cli_validate_reports_a_malformed_manifest(tmp_path, capsys, content, detail):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(content)
@@ -995,6 +1023,61 @@ def test_cli_validate_reports_a_malformed_manifest(tmp_path, capsys, content, de
     err = capsys.readouterr().err
     assert err.startswith(f"vmorph: error: {manifest}: {detail}")
     assert "Traceback" not in err
+    assert manifest.read_text() == content
+
+
+@pytest.mark.parametrize("runner, detail", [
+    ("true", "expected the {project} and {report} placeholders"),
+    ("true {project}", "expected the {project} and {report} placeholders"),
+    ("true {project} {report} {x}", "unknown placeholder {x}"),
+    ("true {project} {report} {}", "unknown placeholder {}"),
+    ("true {project} {report", "expected '}' before end of string"),
+    ("true '{project} {report}", "No closing quotation"),
+], ids=["no-placeholders", "no-report", "unknown-field", "positional-field",
+        "unbalanced-brace", "unbalanced-quote"])
+def test_cli_validate_rejects_a_bad_runner_before_any_entry_runs(tmp_path, capsys, runner,
+                                                                  detail):
+    manifest = tmp_path / "manifest.json"
+    content = json.dumps({"source_benchmark": "b", "entries": [
+        {"record": _MANIFEST_RECORD, "variant": "rename", "output_root": "p",
+         "report": "p.json"}]})
+    manifest.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["validate", "--manifest", str(manifest), "--runner", runner, "--all"])
+    assert exc.value.code == 2
+    assert f"argument --runner: {detail}" in capsys.readouterr().err
+    assert manifest.read_text() == content
+    with pytest.raises(ValueError, match=re.escape(detail)):
+        external_validate(BenchmarkManifest.load(manifest).entries[0], runner, tmp_path)
+
+
+@pytest.mark.parametrize("content, detail", [
+    (b"word synonyms\n", "lexicon line 1: expected word<TAB>synonyms"),
+    (b"# ranked\nWord\tsyn\n", "lexicon word 'Word' is not lowercase"),
+    (b"caf\xe9\tcoffee\n", "not UTF-8: invalid continuation byte at byte 3"),
+], ids=["no-tab", "not-lowercase", "not-utf8"])
+def test_cli_transform_reports_a_malformed_lexicon(guard_record, tmp_path, capsys, content,
+                                                   detail):
+    lexicon = tmp_path / "bad.tsv"
+    lexicon.write_bytes(content)
+    out = tmp_path / "out"
+    rc = cli_main(["transform", "--mode", "all", "--project", guard_record.project_root,
+                   "--out", str(out), "--lexicon", str(lexicon)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"vmorph: error: {lexicon}: {detail}\n"
+    assert not out.exists()
+
+
+def test_cli_transform_reports_a_stdlib_index_that_is_not_utf8(guard_record, tmp_path, capsys,
+                                                               monkeypatch):
+    index = tmp_path / "names.txt"
+    index.write_bytes(b"String\ncaf\xe9\n")
+    monkeypatch.setenv("VMORPH_STDLIB_INDEX", str(index))
+    rc = cli_main(["transform", "--mode", "all", "--project", guard_record.project_root,
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"vmorph: error: {index}: not UTF-8: invalid continuation byte at byte 10\n")
 
 
 # ---------------------------------------------------------------------------

@@ -123,9 +123,10 @@ def test_attribution_totality(guard_project):
             line for line in text.splitlines()
             if not line.startswith(("package ", "import "))
         )
-        for tok in tokenize(body, name):
-            if tok.kind == IDENT and tok.text not in PRIMITIVE_TYPES:
-                token_counts[tok.text] = token_counts.get(tok.text, 0) + 1
+        tokens = tokenize(body, name)
+        for kind, tok in zip(tokens.kinds, tokens.texts):
+            if kind == IDENT and tok not in PRIMITIVE_TYPES:
+                token_counts[tok] = token_counts.get(tok, 0) + 1
     assert token_counts == site_counts
 
 

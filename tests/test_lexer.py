@@ -1,6 +1,6 @@
-"""The lexer's arrays and the Token tuples they stand for.
+"""The lexer's arrays.
 
-Positions are checked against a naive recount from each token's offsets, and
+Positions are checked against a naive recount from each token's offset, and
 the count of tokens against what the benchmark's `lexer.tokens` has always
 counted.
 """
@@ -11,13 +11,13 @@ import pytest
 
 import vmorph.parser
 from vmorph.errors import VmorphError
-from vmorph.lexer import COMMENT, EOF, IDENT, Token, Tokens, tokenize
+from vmorph.lexer import COMMENT, EOF, IDENT, Tokens, position, tokenize
 from vmorph.nodes import walk
 from vmorph.parser import parse
 from vmorph.printer import print_source
 
 from javagen import generate_method_source
-from test_parser import FRONT_END_EDGES
+from test_parser import FRONT_END_EDGES, token_rows
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -61,15 +61,18 @@ def test_token_positions_match_a_recount_from_their_offsets(name):
         tokens = tokenize(text, "T.java")
     except VmorphError:
         return
+    code = list(zip(tokens.starts, tokens.texts))
+    for at, start, _ in tokens.comments:  # the comment lies before code token `at`
+        assert tokens.starts[at - 1] < start < tokens.starts[at] if at else start < code[0][0]
     previous_end = 0
-    for tok in tokens:
-        assert text[tok.start_off:tok.end_off] == tok.text
-        assert text[previous_end:tok.start_off].strip(" \t\r\n") == ""
-        previous_end = tok.end_off
-        last = tok.end_off - 1 if tok.text else tok.start_off
-        assert (tok.line, tok.col, tok.end_line, tok.end_col) == (
-            *_naive(text, tok.start_off), *_naive(text, last)), tok
-    assert tokens[-1].kind == EOF and tokens[-1].start_off == len(text)
+    for start, tok in sorted(code + [(start, tok) for _, start, tok in tokens.comments]):
+        end = start + len(tok)
+        assert text[start:end] == tok
+        assert text[previous_end:start].strip(" \t\r\n") == ""
+        previous_end = end
+        for offset in (start, end - 1 if tok else start):
+            assert position(tokens.line_starts, offset) == _naive(text, offset), (tok, offset)
+    assert tokens.kinds[-1] == EOF and tokens.starts[-1] == len(text)
 
 
 @pytest.mark.parametrize("name", sorted(TEXTS))
@@ -79,9 +82,9 @@ def test_every_parsed_span_starts_and_ends_on_a_token(name):
         tree = parse(text, "T.java")
     except VmorphError:
         return
-    tokens = list(tokenize(text, "T.java"))
-    starts = {(t.line, t.col) for t in tokens}
-    ends = {(t.end_line, t.end_col) for t in tokens}
+    rows = token_rows(tokenize(text, "T.java"))
+    starts = {(line, col) for _, _, _, line, col, _, _, _, _ in rows}
+    ends = {(end_line, end_col) for _, _, _, _, _, end_line, end_col, _, _ in rows}
     for node in walk(tree):
         span = node.span
         if span.is_synthetic():
@@ -90,28 +93,24 @@ def test_every_parsed_span_starts_and_ends_on_a_token(name):
         assert (span.end_line, span.end_col) in ends, node
 
 
-def test_tokens_is_a_sequence_of_token_tuples():
+def test_tokens_holds_code_tokens_in_arrays_and_comments_apart():
     text = "class A { // c\n  int f = 12; /* d */ String s = \"a\\tb\"; }"
     tokens = tokenize(text, "A.java")
     assert isinstance(tokens, Tokens)
-    listed = list(tokens)
-    assert len(tokens) == len(listed) == 17
-    assert [tokens[i] for i in range(len(tokens))] == listed
-    assert tokens[-1] == listed[-1] and tokens[2:4] == listed[2:4]
-    assert all(type(t) is Token for t in listed)
-    assert [t.text for t in listed if t.kind == COMMENT] == ["// c", "/* d */"]
-    assert [(t.kind, t.value) for t in listed if t.kind in ("int", "string")] == [
+    assert len(tokens) == len(tokens.kinds) + 2 == 17
+    assert tokens.kinds.count(COMMENT) == 0
+    assert tokens.comments == [(3, 10, "// c"), (8, 29, "/* d */")]
+    assert [(tokens.kinds[i], v) for i, v in sorted(tokens.values.items())] == [
         ("int", 12), ("string", "a\tb")]
-    assert listed[-1] == Token(EOF, "", None, 2, 43, 2, 43, len(text), len(text))
-    # The arrays hold the code tokens only, comments apart.
-    assert tokens.kinds.count(COMMENT) == 0 and len(tokens.comments) == 2
     assert [tokens.texts[i] for i, k in enumerate(tokens.kinds) if k == IDENT] == [
         "A", "int", "f", "String", "s"]
+    assert (tokens.kinds[-1], tokens.texts[-1], tokens.starts[-1]) == (EOF, "", len(text))
+    assert position(tokens.line_starts, tokens.starts[-1]) == (2, 43)
 
 
 # `lexer.tokens` in perfbench counts `len()` of what `vmorph.parser.tokenize`
-# returns, once per parsed file. These are the counts the Token-list lexer
-# gave (comments and EOF included), so the metric keeps its meaning.
+# returns, once per parsed file. These are the counts the lexer has always
+# given (comments and EOF included), so the metric keeps its meaning.
 CORPUS_TOKENS = 1780
 COMMENTED = "class A {\r\n\t/* one\r\n two */ int f; // three\n  /** four */\n}\n// five"
 COMMENTED_TOKENS = 12
@@ -134,4 +133,4 @@ def test_parse_tokenizes_once_and_the_count_keeps_its_meaning(monkeypatch):
     results.clear()
     parse(COMMENTED)
     assert [len(r) for r in results] == [COMMENTED_TOKENS]
-    assert len(list(results[0])) == COMMENTED_TOKENS
+    assert len(results[0].kinds) + len(results[0].comments) == COMMENTED_TOKENS

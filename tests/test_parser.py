@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vmorph.errors import JavaSyntaxError, UnsupportedConstruct, VmorphError
-from vmorph.lexer import tokenize
+from vmorph.lexer import COMMENT, EOF, Tokens, position, tokenize
 from vmorph.nodes import Block, If, LocalVarDecl, Literal, Switch, walk
 from vmorph.parser import MAX_NESTING, parse
 from vmorph.printer import print_source
@@ -285,14 +285,29 @@ FRONT_END_EDGES = [
 ]
 
 
+def token_rows(tokens: Tokens) -> list[tuple]:
+    """Every token in text order, comments included, as (kind, text, value,
+    line, col, end_line, end_col, start, end): the value is the decoded INT or
+    STRING value, None for EOF and the text otherwise; the end is exclusive
+    and the end line and column are those of the last character."""
+    rows = [(start, kind, text, tokens.values.get(i, None if kind == EOF else text))
+            for i, (kind, text, start)
+            in enumerate(zip(tokens.kinds, tokens.texts, tokens.starts))]
+    rows += [(start, COMMENT, text, text) for _, start, text in tokens.comments]
+    result = []
+    for start, kind, text, value in sorted(rows):
+        last = start + len(text) - 1 if text else start
+        result.append((kind, text, value, *position(tokens.line_starts, start),
+                       *position(tokens.line_starts, last), start, start + len(text)))
+    return result
+
+
 def _front_end_lines(text: str, file: str) -> list[str]:
-    """Every token tuple, then the repr of the parse (spans included), or the
+    """Every token row, then the repr of the parse (spans included), or the
     type, message and span of the error each raises."""
     lines = []
     try:
-        for t in tokenize(text, file):
-            lines.append(repr((t.kind, t.text, t.value, t.line, t.col, t.end_line,
-                               t.end_col, t.start_off, t.end_off)))
+        lines.extend(map(repr, token_rows(tokenize(text, file))))
     except VmorphError as e:
         lines.append(f"tokenize: {type(e).__name__}: {str(e)!r} {e.span!r}")
     try:

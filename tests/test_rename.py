@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -51,6 +52,11 @@ def test_propose_synonyms_lookup():
     assert propose_synonyms(["parent", "path"], FIXTURE_LEXICON) == [["progenitor"], ["route"]]
     assert propose_synonyms(["xml"], FIXTURE_LEXICON) == [["xml"]]
     assert propose_synonyms(["check"], FIXTURE_LEXICON) == [["verify", "inspect"]]
+
+
+def test_the_bundled_lexicon_loads_the_same_through_its_path():
+    path = resources.files("vmorph.data").joinpath("synonyms.tsv")
+    assert SynonymLexicon.load(str(path)) == SynonymLexicon.load()
 
 
 def test_assemble_identifier():
@@ -269,11 +275,14 @@ def test_rename_preserves_interpreter_outcomes(corpus_files):
         assert verdict.verdict == "equivalent", original.name
 
 
+def _identifier_texts(text):
+    tokens = tokenize(text)
+    return [tok for kind, tok in zip(tokens.kinds, tokens.texts) if kind == IDENT]
+
+
 def test_recover_inverts_rename_token_stream(guard_project):
     plan = build_rename_plan(_classified_table(guard_project), SynonymLexicon.load())
     renamed = apply_rename(guard_project, plan)
     for original, out in zip(guard_project, renamed):
         recovered = recover_patch(print_source(out), plan)
-        original_tokens = [t.text for t in tokenize(print_source(original)) if t.kind == IDENT]
-        recovered_tokens = [t.text for t in tokenize(recovered) if t.kind == IDENT]
-        assert original_tokens == recovered_tokens
+        assert _identifier_texts(print_source(original)) == _identifier_texts(recovered)

@@ -16,11 +16,10 @@ manifest file):
 from __future__ import annotations
 
 import enum
-import json
 import shlex
 import string
 import subprocess
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -31,8 +30,10 @@ from .errors import (
     UnsupportedConstruct,
     UnsupportedForEvaluation,
     VmorphError,
+    check_fields,
+    dump_json,
+    load_json,
     not_utf8,
-    read_utf8,
 )
 from .identifiers import (
     IdentifierTable,
@@ -42,7 +43,7 @@ from .identifiers import (
     project_imports,
 )
 from .interp import check_equivalence, is_supported
-from .nodes import MethodDecl, SourceFile, Span
+from .nodes import MethodDecl, SourceFile, Span, method_at, method_position, with_method
 from .parser import parse
 from .printer import print_source
 from .prompts import find_method_at
@@ -86,8 +87,8 @@ class VulnRecord:
     def from_json_dict(cls, data: dict, project_root: str | None = None) -> "VulnRecord":
         """The record `data` describes; a VmorphError naming the first field
         that is missing or malformed."""
-        _check_fields(data, [f for f in _RECORD_FIELDS
-                             if f[0] != "project_root" or project_root is None])
+        check_fields(data, [f for f in _RECORD_FIELDS
+                            if f[0] != "project_root" or project_root is None])
         root = project_root if project_root is not None else data["project_root"]
         lines = data["buggy_lines"]
         span = Span(data["buggy_file"], lines[0], 1, lines[-1], 1)
@@ -95,37 +96,10 @@ class VulnRecord:
                    data.get("cwe"), data.get("developer_patch"))
 
 
-def _check_fields(data, fields, optional=()) -> None:
-    """A VmorphError naming the first of `fields` (key, check, what the check
-    wants) that the JSON object `data` lacks, else the first of `fields` and
-    `optional` that it holds and fails."""
-    if not isinstance(data, dict):
-        raise VmorphError("expected a JSON object")
-    for key, _, _ in fields:
-        if key not in data:
-            raise VmorphError(f"missing field {key!r}")
-    for key, ok, want in (*fields, *optional):
-        if key in data and not ok(data[key]):
-            raise VmorphError(f"field {key!r} must be {want}, not {data[key]!r}")
-
-
-def _load_json(path: Path, build):
-    """`build` of the JSON value in `path`; a VmorphError naming the file if
-    it is not UTF-8 JSON or `build` rejects it."""
-    text = read_utf8(path)
-    try:
-        return build(json.loads(text))
-    except json.JSONDecodeError as e:
-        raise VmorphError(f"{path}: not JSON: {e}") from e
-    except VmorphError as e:
-        raise VmorphError(f"{path}: {e}") from e
-
-
 # The required fields of a record's JSON: key, check, what the check wants.
 _RECORD_FIELDS = (
-    ("id", lambda v: isinstance(v, str), "a string"),
-    ("project_root", lambda v: isinstance(v, str), "a string"),
-    ("buggy_file", lambda v: isinstance(v, str), "a string"),
+    *((key, lambda v: isinstance(v, str), "a string")
+      for key in ("id", "project_root", "buggy_file")),
     ("buggy_lines", lambda v: isinstance(v, list) and len(v) > 0
      and all(type(n) is int for n in v), "a non-empty list of line numbers"),
 )
@@ -134,8 +108,8 @@ _RECORD_FIELDS = (
 def load_record(project_root: str | Path) -> VulnRecord:
     """Read a project's vuln.json descriptor (see README for the schema)."""
     root = Path(project_root)
-    return _load_json(root / "vuln.json",
-                      lambda data: VulnRecord.from_json_dict(data, project_root=str(root)))
+    return load_json(root / "vuln.json",
+                     lambda data: VulnRecord.from_json_dict(data, project_root=str(root)))
 
 
 @dataclass
@@ -179,8 +153,7 @@ class BenchmarkManifest:
     def save(self, path: str | Path) -> None:
         p = Path(path)
         p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n",
-                     encoding="utf-8")
+        p.write_text(dump_json(self.to_json_dict()), encoding="utf-8")
         self.path = p
 
     @classmethod
@@ -190,11 +163,11 @@ class BenchmarkManifest:
         p = Path(path)
 
         def build(data) -> "BenchmarkManifest":
-            _check_fields(data, _MANIFEST_FIELDS)
+            check_fields(data, _MANIFEST_FIELDS)
             entries = [_load_entry(raw, i) for i, raw in enumerate(data["entries"])]
             return cls(data["source_benchmark"], entries, p)
 
-        return _load_json(p, build)
+        return load_json(p, build)
 
 
 _MANIFEST_FIELDS = (
@@ -218,21 +191,13 @@ _ENTRY_OPTIONAL_FIELDS = (
 
 def _load_entry(raw, i: int) -> ManifestEntry:
     try:
-        _check_fields(raw, _ENTRY_FIELDS, _ENTRY_OPTIONAL_FIELDS)
+        check_fields(raw, _ENTRY_FIELDS, _ENTRY_OPTIONAL_FIELDS)
         record = VulnRecord.from_json_dict(raw["record"])
     except VmorphError as e:
         raise VmorphError(f"entries[{i}]: {e}") from e
-    return ManifestEntry(
-        record=record,
-        variant=VariantKind(raw["variant"]),
-        output_root=raw.get("output_root"),
-        dictionary=raw.get("dictionary"),
-        report=raw.get("report"),
-        equivalence=raw.get("equivalence", EXTERNAL_PENDING),
-        suggested_filenames=raw.get("suggested_filenames", {}),
-        notes=raw.get("notes", []),
-        error=raw.get("error"),
-    )
+    optional = {key: raw[key] for key, _, _ in _ENTRY_OPTIONAL_FIELDS if key in raw}
+    return ManifestEntry(record, VariantKind(raw["variant"]),
+                         equivalence=raw.get("equivalence", EXTERNAL_PENDING), **optional)
 
 
 # ---------------------------------------------------------------------------
@@ -314,20 +279,6 @@ def _suggested_filenames(asts: dict[str, SourceFile], dct: RenameDictionary) -> 
     return out
 
 
-def _position(ast: SourceFile, m: MethodDecl) -> tuple[int, int]:
-    """m's class and member index in ast; renaming keeps both."""
-    return next((i, j) for i, cls in enumerate(ast.types)
-                for j, member in enumerate(cls.members) if member is m)
-
-
-def _replace_method(ast: SourceFile, old: MethodDecl, new: MethodDecl) -> SourceFile:
-    types = []
-    for cls in ast.types:
-        members = tuple(new if member is old else member for member in cls.members)
-        types.append(replace(cls, members=members))
-    return replace(ast, types=tuple(types))
-
-
 def _equivalence_json(
     original: MethodDecl,
     original_ast: SourceFile,
@@ -357,7 +308,6 @@ def generate_variants(
     fuel: int = 10_000,
     source_benchmark: str = "fixture",
     manifest_path: str | Path | None = None,
-    stdlib: frozenset[str] | None = None,
 ) -> BenchmarkManifest:
     """Produce the requested variants for every record and write the manifest.
 
@@ -367,7 +317,7 @@ def generate_variants(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = Path(manifest_path) if manifest_path is not None else out / "manifest.json"
-    stdlib_index = stdlib if stdlib is not None else load_stdlib_index()
+    stdlib_index = load_stdlib_index()
 
     entries: list[ManifestEntry] = []
     for record in records:
@@ -430,7 +380,7 @@ def _generate_for_record(
     # Files the rename leaves alone are the original trees, so every variant
     # shares them and `printed` prints each once.
     renamed: dict[str, SourceFile] | None = None
-    class_index, member_index = _position(buggy_ast, method)
+    position = method_position(buggy_ast, method)
     printed: dict[int, tuple[SourceFile, str]] = {}
     suggested = _suggested_filenames(project.asts, dct) if needs_dictionary else {}
     for kind in kinds:
@@ -444,14 +394,12 @@ def _generate_for_record(
                 if renamed is None:
                     renamed = _rename_project(project.asts, table, dct)
                 variant_asts = dict(renamed)
-                variant_method = variant_asts[record.buggy_file].types[class_index].members[
-                    member_index]
+                variant_method = method_at(variant_asts[record.buggy_file], position)
                 entry.suggested_filenames = dict(suggested)
             if kind is not VariantKind.RENAME_ONLY:
                 buggy = variant_asts[record.buggy_file]
                 transformed, report = apply_all(variant_method, context=buggy)
-                variant_asts[record.buggy_file] = _replace_method(buggy, variant_method,
-                                                                  transformed)
+                variant_asts[record.buggy_file] = with_method(buggy, position, transformed)
                 variant_method = transformed
             if kind is not VariantKind.STRUCTURE_ONLY:
                 report.notes.append(RENAME_NOTE)
@@ -467,8 +415,7 @@ def _generate_for_record(
                 entry.equivalence if isinstance(entry.equivalence, dict) else str(entry.equivalence)
             )
             report_path = variant_dir / "report.json"
-            report_path.write_text(
-                json.dumps(report_dict, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            report_path.write_text(dump_json(report_dict), encoding="utf-8")
 
             entry.output_root = rel(variant_dir)
             entry.report = rel(report_path)

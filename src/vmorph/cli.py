@@ -14,7 +14,6 @@ bundled synonym lexicon and stdlib index are used unless overridden
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .bench import (
     generate_variants,
     load_record,
 )
-from .errors import VmorphError, read_utf8
+from .errors import VmorphError, dump_json, load_json, read_utf8
 from .nodes import Span
 from .parser import parse
 from .prompts import FORMATS, PromptSpec, build_prompt, find_method_at
@@ -154,17 +153,12 @@ def _cmd_prompt(args) -> int:
     spec = PromptSpec(args.format, args.max_window)
     bundle = build_prompt(spec, ast, method, Span(args.file, start, 1, end, 1),
                           source_text=text)
-    print(json.dumps(bundle.to_json_dict(), indent=2, sort_keys=True))
+    sys.stdout.write(dump_json(bundle.to_json_dict()))
     return 0
 
 
 def _cmd_recover(args) -> int:
-    dict_path = Path(args.dict_path)
-    text = read_utf8(dict_path)
-    try:
-        dct = RenameDictionary.loads(text)
-    except VmorphError as e:
-        raise VmorphError(f"{dict_path}: {e}") from e
+    dct = load_json(Path(args.dict_path), RenameDictionary.from_json_dict)
     patch = read_utf8(Path(args.patch))
     sys.stdout.write(recover_patch(patch, dct))
     return 0

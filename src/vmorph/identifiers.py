@@ -19,9 +19,8 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, replace
-from importlib import resources
 
-from .errors import UnresolvedIdentifier, read_utf8
+from .errors import UnresolvedIdentifier, data_lines
 # The kinds and the primitive type names are the node schema's; this module
 # re-exports them.
 from .nodes import (  # noqa: F401
@@ -34,6 +33,7 @@ from .nodes import (  # noqa: F401
     SourceFile,
     Span,
     identifier_sites,
+    names_in,
 )
 
 PROJECT = "project"
@@ -68,7 +68,7 @@ def collect_identifiers(
     method, but decl/use sites are still resolved project-wide, and `names`
     still holds every identifier of the project.
     """
-    wanted = None if focus is None else {site[0] for site in identifier_sites(focus)}
+    wanted = None if focus is None else names_in(focus)
     names: set[str] = set()
     kinds: dict[str, str] = {}
     decl_sites: dict[str, list[Span]] = {}
@@ -161,16 +161,7 @@ def load_stdlib_index(path: str | None = None) -> frozenset[str]:
     """
     if path is None:
         path = os.environ.get("VMORPH_STDLIB_INDEX")
-    if path is not None:
-        text = read_utf8(path)
-    else:
-        text = resources.files("vmorph.data").joinpath("stdlib_index.txt").read_text("utf-8")
-    names = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            names.add(line)
-    return frozenset(names)
+    return frozenset(line for _, line in data_lines("stdlib_index.txt", path))
 
 
 def project_imports(project: list[SourceFile]) -> list[str]:

@@ -39,6 +39,8 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
+from .errors import SpanOutsideMethod
+
 
 class Span(NamedTuple):
     """Half-open-free source range, 1-based lines and columns, inclusive ends."""
@@ -567,6 +569,11 @@ def identifier_sites(node: Node) -> Iterator[tuple[str, str, str, Node]]:
             yield name, role, kind, node
 
 
+def names_in(node: Node) -> set[str]:
+    """Every identifier under `node`, at any site."""
+    return {site[0] for site in identifier_sites(node)}
+
+
 def rename_identifiers(node: Node, mapping: dict[str, str], met: set[str]) -> Node:
     """`node` with each identifier site's name renamed by `mapping`; a dotted
     field keeps its head. Every key of `mapping` that occurs under `node` is
@@ -593,3 +600,28 @@ def rename_identifiers(node: Node, mapping: dict[str, str], met: set[str]) -> No
         return node if changes is None else replace(node, **changes)
 
     return visit(node)
+
+
+def method_position(file: SourceFile, m: MethodDecl) -> tuple[int, int]:
+    """m's (class index, member index) in `file`, which printing, reparsing
+    and renaming keep, so it finds m's counterpart in any tree made from
+    `file`; SpanOutsideMethod if m is not a member of `file`."""
+    for i, cls in enumerate(file.types):
+        for j, member in enumerate(cls.members):
+            if member is m:
+                return i, j
+    raise SpanOutsideMethod(f"method {m.name!r} not found in {file.span.file}")
+
+
+def method_at(file: SourceFile, position: tuple[int, int]) -> MethodDecl:
+    """The method at `position` in `file`."""
+    return file.types[position[0]].members[position[1]]
+
+
+def with_method(file: SourceFile, position: tuple[int, int], new: MethodDecl) -> SourceFile:
+    """`file` with the method at `position` replaced by `new`; only the class
+    that holds it is rebuilt."""
+    i, j = position
+    cls = file.types[i]
+    cls = replace(cls, members=cls.members[:j] + (new,) + cls.members[j + 1 :])
+    return replace(file, types=file.types[:i] + (cls,) + file.types[i + 1 :])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import SpanOutsideMethod
-from .nodes import MethodDecl, SourceFile, Span
+from .nodes import MethodDecl, SourceFile, Span, method_at, method_position
 from .parser import parse
 from .printer import print_source
 
@@ -74,13 +74,13 @@ def build_prompt(
     """Assemble the model input for one buggy method.
 
     When source_text is omitted the file is rendered canonically and the
-    method located in the rendering; when given (e.g. the on-disk file the
-    spans came from), spans are used against it directly.
+    method found in the rendering at its position; when given (e.g. the
+    on-disk file the spans came from), spans are used against it directly.
     """
     if source_text is None:
+        position = method_position(file, method)
         source_text = print_source(file)
-        located = parse(source_text, file.span.file)
-        method = _match_method(located, method)
+        method = method_at(parse(source_text, file.span.file), position)
 
     lines = source_text.split("\n")
     m_start, m_end = method.span.start_line, method.span.end_line
@@ -156,17 +156,6 @@ def _fit_window(before: list[str], anchor: list[str], after: list[str],
     return (before[len(before) - keep_before :] if keep_before else [],
             anchor,
             after[:keep_after])
-
-
-def _match_method(file: SourceFile, method: MethodDecl) -> MethodDecl:
-    candidates = [m for cls in file.types for m in cls.methods]
-    for m in candidates:
-        if m.name == method.name and [p.name for p in m.params] == [p.name for p in method.params]:
-            return m
-    for m in candidates:
-        if m.name == method.name:
-            return m
-    raise SpanOutsideMethod(f"method {method.name!r} not found in rendered file")
 
 
 def find_method_at(file: SourceFile, start_line: int, end_line: int) -> MethodDecl:

@@ -8,12 +8,10 @@ so patches written against the renamed code can be translated back. External
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 from typing import Callable, Optional
 
-from .errors import StaleDictionary, VmorphError, read_utf8
+from .errors import StaleDictionary, VmorphError, check_fields, data_lines, dump_json, parse_json
 from .identifiers import (
     CAMEL,
     PASCAL,
@@ -67,16 +65,9 @@ class SynonymLexicon:
     def load(cls, path: str | None = None) -> "SynonymLexicon":
         """Load a TSV lexicon (word<TAB>syn,syn,...); bundled file by default.
         A VmorphError names a file that is not UTF-8 or not a lexicon."""
-        if path is not None:
-            text = read_utf8(path)
-        else:
-            text = resources.files("vmorph.data").joinpath("synonyms.tsv").read_text("utf-8")
         words: dict[str, tuple[str, ...]] = {}
         try:
-            for lineno, line in enumerate(text.splitlines(), 1):
-                line = line.rstrip()
-                if not line or line.startswith("#"):
-                    continue
+            for lineno, line in data_lines("synonyms.tsv", path):
                 if "\t" not in line:
                     raise ValueError(f"lexicon line {lineno}: expected word<TAB>synonyms")
                 word, _, raw = line.partition("\t")
@@ -131,25 +122,18 @@ class RenameDictionary:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return dump_json(self.to_json_dict())
 
     @classmethod
     def loads(cls, text: str) -> "RenameDictionary":
-        """The dictionary `text` holds; a VmorphError naming the first field
-        that is missing or malformed."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise VmorphError(f"not JSON: {e}") from e
-        if not isinstance(data, dict):
-            raise VmorphError("expected a JSON object")
-        if "forward" not in data:
-            raise VmorphError("missing field 'forward'")
-        for key in ("forward", "kinds"):
-            value = data.get(key, {})
-            if not (isinstance(value, dict)
-                    and all(isinstance(v, str) for item in value.items() for v in item)):
-                raise VmorphError(f"field {key!r} must map names to names, not {value!r}")
+        """The dictionary `text` holds; see from_json_dict."""
+        return cls.from_json_dict(parse_json(text))
+
+    @classmethod
+    def from_json_dict(cls, data) -> "RenameDictionary":
+        """The dictionary `data` describes; a VmorphError naming the first
+        field that is missing or malformed."""
+        check_fields(data, _DICTIONARY_FIELDS[:1], _DICTIONARY_FIELDS[1:])
         try:
             return cls.build(data["forward"], data.get("kinds", {}))
         except ValueError as e:
@@ -158,6 +142,13 @@ class RenameDictionary:
     def inverted(self) -> "RenameDictionary":
         kinds = {new: self.kinds.get(orig, "variable") for orig, new in self.forward.items()}
         return RenameDictionary(dict(self.backward), dict(self.forward), kinds)
+
+
+# A dictionary's JSON fields, `forward` required: key, check, what the check wants.
+_DICTIONARY_FIELDS = tuple(
+    (key, lambda v: isinstance(v, dict)
+     and all(isinstance(s, str) for item in v.items() for s in item), "a map of names to names")
+    for key in ("forward", "kinds"))
 
 
 ReviewHook = Callable[[str, str], Optional[str]]

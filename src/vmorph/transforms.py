@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from importlib import resources
 
-from .errors import NotApplicable
+from .errors import NotApplicable, data_lines
 from .identifiers import tokenize_identifier
 from .nodes import (
     Assign,
@@ -69,7 +68,7 @@ from .nodes import (
     Unary,
     While,
     ends_case,
-    identifier_sites,
+    names_in,
     rebuild,
     walk,
 )
@@ -174,13 +173,7 @@ PARTICIPLES = {
 
 def load_purity_whitelist() -> frozenset[str]:
     """Load pure-method names; entries are qualified, matching is by suffix."""
-    text = resources.files("vmorph.data").joinpath("purity_whitelist.txt").read_text("utf-8")
-    names = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            names.add(line.rsplit(".", 1)[-1])
-    return frozenset(names)
+    return frozenset(line.rsplit(".", 1)[-1] for _, line in data_lines("purity_whitelist.txt"))
 
 
 _PURE_METHODS = load_purity_whitelist()
@@ -675,11 +668,6 @@ def _scope_for(m: MethodDecl, context: SourceFile | None) -> _Scope:
 _DEFAULT_SCOPE = _Scope({})
 
 
-def _names_in(node) -> set[str]:
-    """Every identifier visible anywhere under `node` (fresh names must avoid all)."""
-    return {site[0] for site in identifier_sites(node)}
-
-
 def _decl_type_for(call_or_new: Expr) -> str:
     if isinstance(call_or_new, New):
         return call_or_new.type_name
@@ -726,7 +714,7 @@ def chain_functions(block: Block, direction: str) -> Block:
     if direction == SPLIT:
         return _each_site(block, lambda s, names: _split_site(s, names, _DEFAULT_SCOPE))
     if direction == MERGE:
-        return _merge_block(block, _DEFAULT_SCOPE)
+        return _sink_block(block, _DEFAULT_SCOPE, _try_merge)
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -796,47 +784,46 @@ def _count_name_uses(stmts, name: str) -> int:
     return count
 
 
-def _merge_block(block: Block, scope: _Scope) -> Block:
+def _sink_block(block: Block, scope: _Scope, sink) -> Block:
+    """`block` after `sink(stmts, i, scope)` at each `stmts[i]` that declares
+    one initialized local whose name the statements after it use once; a
+    sink that rewrote `stmts` in place returns True and is tried again at
+    the same index."""
     stmts = list(block.stmts)
     i = 0
-    while i + 1 < len(stmts):
-        merged = _try_merge(stmts, i, scope)
-        if merged is not None:
-            stmts[i : i + 2] = [merged]
-        else:
+    while i < len(stmts):
+        decl = stmts[i]
+        if not (isinstance(decl, LocalVarDecl) and len(decl.declarators) == 1
+                and decl.init is not None
+                and _count_name_uses(stmts[i + 1 :], decl.name) == 1
+                and sink(stmts, i, scope)):
             i += 1
     return replace(block, stmts=tuple(stmts))
 
 
-def _try_merge(stmts: list[Stmt], i: int, scope: _Scope) -> Stmt | None:
+def _try_merge(stmts: list[Stmt], i: int, scope: _Scope) -> bool:
     """Sink a declaration's call into the receiver of its single use, which
     must run unconditionally and after nothing that conflicts with the call."""
     decl = stmts[i]
-    if not (isinstance(decl, LocalVarDecl) and len(decl.declarators) == 1
-            and isinstance(decl.declarators[0].init, Call)):
-        return None
-    name = decl.declarators[0].name
-    if _count_name_uses(stmts[i + 1 :], name) != 1:
-        return None
+    name, init = decl.name, decl.init
+    if not isinstance(init, Call):
+        return False
     use_stmt = stmts[i + 1]
     holder = _stmt_expr(use_stmt)
     if holder is None:
-        return None
-    target: Call | None = None
-    for n in walk(holder):
-        if isinstance(n, Call) and isinstance(n.receiver, Name) and n.receiver.id == name:
-            target = n
-            break
+        return False
+    target = next((n for n in walk(holder) if isinstance(n, Call)
+                   and isinstance(n.receiver, Name) and n.receiver.id == name), None)
     if target is None:
-        return None
+        return False
     if _count_name_uses([use_stmt], name) != 1:
-        return None
-    init = decl.declarators[0].init
+        return False
     prefix, conditional = scope.before(holder, target.receiver)
     if conditional or conflicts(prefix, scope.summary(init)):
-        return None
+        return False
     rewritten = _substitute(use_stmt, {id(target): replace(target, receiver=init)})
-    return replace(rewritten, comments=decl.comments + rewritten.comments)
+    stmts[i : i + 2] = [replace(rewritten, comments=decl.comments + rewritten.comments)]
+    return True
 
 
 def _stmt_expr(stmt: Stmt) -> Expr | None:
@@ -862,7 +849,7 @@ def argument_pass(block: Block, direction: str) -> Block:
         return _each_site(block, lambda s, names: _extract_site(
             s, names, _DEFAULT_SCOPE, lambda span, reason: None))
     if direction == INLINE:
-        return _inline_block(block, _DEFAULT_SCOPE)
+        return _sink_block(block, _DEFAULT_SCOPE, _try_inline)
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -914,30 +901,12 @@ def _extract_site(stmt: Stmt, taken: set[str], scope: _Scope, skip) -> _Site:
 _STRAIGHT_LINE = (LocalVarDecl, ExprStmt)
 
 
-def _inline_block(block: Block, scope: _Scope) -> Block:
-    stmts = list(block.stmts)
-    i = 0
-    while i < len(stmts):
-        performed = _try_inline(stmts, i, scope)
-        if not performed:
-            i += 1
-    return replace(block, stmts=tuple(stmts))
-
-
 def _try_inline(stmts: list[Stmt], i: int, scope: _Scope) -> bool:
     """Sink a declaration's initializer into its single use, which must be a
     whole argument that runs unconditionally. The initializer may pass only
     straight-line statements and code that do not conflict with it."""
     decl = stmts[i]
-    if not (isinstance(decl, LocalVarDecl) and len(decl.declarators) == 1
-            and decl.declarators[0].init is not None):
-        return False
-    name = decl.declarators[0].name
-    init = decl.declarators[0].init
-    total_uses = _count_name_uses(stmts[i + 1 :], name)
-    if total_uses != 1:
-        return False
-
+    name, init = decl.name, decl.init
     moved = scope.summary(init)
     j = i + 1
     while j < len(stmts) and _count_name_uses([stmts[j]], name) == 0:
@@ -1051,7 +1020,7 @@ def apply_rule(
 
 def _apply(m: MethodDecl, rules, context: SourceFile | None) -> tuple[MethodDecl, TransformReport]:
     report = TransformReport()
-    taken = _names_in(context if context is not None else m) | RESERVED_WORDS
+    taken = names_in(context if context is not None else m) | RESERVED_WORDS
     scope = _scope_for(m, context)
     body = m.body
     for rule in rules:
@@ -1116,7 +1085,7 @@ def _run_rule(
 def _each_site(block: Block, site) -> Block:
     """`block` with each statement that `site(stmt, taken)` rewrites replaced;
     `taken` holds the block's names, the reserved words and each claimed name."""
-    taken = _names_in(block) | RESERVED_WORDS
+    taken = names_in(block) | RESERVED_WORDS
     stmts: list[Stmt] = []
     for stmt in block.stmts:
         done = site(stmt, taken)

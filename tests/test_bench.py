@@ -1100,3 +1100,63 @@ def test_perfbench_output_checks_pass_on_every_workload(lexicon, tmp_path, monke
         assert failures == [], name
         assert [e.record.id for m in manifests for e in m.entries
                 if run.verdict_of(e) == "diverged"] == [], name
+
+
+def test_perfbench_setup_script_runs(monkeypatch):
+    """perfbench's setup script (`run.SETUP_CHILD`) imports vmorph and loads
+    the three bundled data files by their no-argument calls, then prints two
+    timings; renaming a loader or giving it a required argument breaks every
+    untraced benchmark run."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import run
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    env.pop("VMORPH_STDLIB_INDEX", None)
+    proc = subprocess.run([sys.executable, "-c", run.SETUP_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    words = proc.stdout.split()
+    assert len(words) == 2
+    assert all(float(word) >= 0 for word in words)
+
+
+# ---------------------------------------------------------------------------
+# Output bytes pinned by a golden
+# ---------------------------------------------------------------------------
+
+GOLDEN_TRANSFORM = Path(__file__).parent / "fixtures" / "golden" / "transform_project2.txt"
+PROJECT_ROOT_PLACEHOLDER = "<project_root>"
+
+
+def transform_snapshot() -> str:
+    """Every file `vmorph transform --mode all --seed 11` writes for the
+    project2 fixture, in path order, each as a header line with its path and
+    size in bytes followed by its text; the manifest's absolute
+    `project_root` is replaced by a placeholder.
+
+    Regenerate the golden file (only when an output change is intended) with
+    `PYTHONPATH=src:tests python -c "import test_bench as t;
+    t.GOLDEN_TRANSFORM.write_text(t.transform_snapshot(), encoding='utf-8')"`.
+    """
+    project = Path(__file__).parent / "fixtures" / "project2"
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch)
+        rc = cli_main(["transform", "--mode", "all", "--project", str(project),
+                       "--out", str(out), "--seed", "11"])
+        assert rc == 0
+        parts = []
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            text = path.read_bytes().decode("utf-8")
+            if path.name == "manifest.json":
+                text = text.replace(json.dumps(str(project))[1:-1], PROJECT_ROOT_PLACEHOLDER)
+            parts.append(f"=== {path.relative_to(out).as_posix()} "
+                         f"({len(text.encode('utf-8'))} bytes)\n{text}")
+    return "".join(parts)
+
+
+def test_transform_output_matches_golden(capsys):
+    """The bytes of every transform output file (key order, indent, trailing
+    newlines, reprinted sources) stay as they are."""
+    snapshot = transform_snapshot()
+    capsys.readouterr()
+    assert snapshot.encode("utf-8") == GOLDEN_TRANSFORM.read_bytes()

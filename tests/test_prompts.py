@@ -108,3 +108,32 @@ def test_canonical_rendering_path():
     method = ast.types[0].methods[0]
     b = build_prompt(PromptSpec(CODET5_MASK), ast, method, Span("A.java", 3, 1, 3, 1))
     assert "<extra_id_0>" in b.text
+
+
+OVERLOADS = """class C {
+    void f(int a) {
+        int x = a;
+    }
+
+    void f(String a) {
+        String y = a;
+    }
+}
+"""
+
+
+def test_canonical_rendering_finds_the_overload_by_position():
+    # Both overloads share a name and parameter names; the prompt is for the
+    # second, whose buggy line is line 7 of the rendering.
+    ast = parse(OVERLOADS, "C.java")
+    method = ast.types[0].methods[1]
+    b = build_prompt(PromptSpec(CODET5_MASK), ast, method, Span("C.java", 7, 1, 7, 1))
+    assert b.buggy_region == "        String y = a;"
+    assert b.text == "    void f(String a) {\n<extra_id_0>\n    }"
+
+
+def test_canonical_rendering_rejects_a_method_of_another_file():
+    ast = parse(OVERLOADS, "C.java")
+    other = parse("class D {\n    void g() {\n    }\n}\n", "D.java").types[0].methods[0]
+    with pytest.raises(SpanOutsideMethod):
+        build_prompt(PromptSpec(CODET5_MASK), ast, other, Span("C.java", 2, 1, 2, 1))

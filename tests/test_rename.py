@@ -286,3 +286,28 @@ def test_recover_inverts_rename_token_stream(guard_project):
     for original, out in zip(guard_project, renamed):
         recovered = recover_patch(print_source(out), plan)
         assert _identifier_texts(print_source(original)) == _identifier_texts(recovered)
+
+
+def test_data_files_skip_blank_lines_and_indented_comments_alike(tmp_path):
+    # The lexicon reads its lines as the stdlib index and the purity
+    # whitelist do: stripped, so a `#` after leading blanks starts a comment.
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("  # an indented comment\n\nword\t syn , alt\n")
+    assert SynonymLexicon.load(str(lexicon)).words == {"word": ("syn", "alt")}
+    index = tmp_path / "index.txt"
+    index.write_text("  # an indented comment\n\n  String \n")
+    assert load_stdlib_index(str(index)) == frozenset({"String"})
+
+
+def test_a_malformed_lexicon_line_is_named_by_its_line_number(tmp_path):
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("# header\n\nword\tsyn\nno tab here\n")
+    with pytest.raises(VmorphError, match=f"^{lexicon}: lexicon line 4: expected word<TAB>"):
+        SynonymLexicon.load(str(lexicon))
+
+
+def test_dictionary_fields_are_checked_by_name():
+    with pytest.raises(VmorphError, match=r"^field 'kinds' must be a map of names to names"):
+        RenameDictionary.loads(json.dumps({"forward": {"a": "b"}, "kinds": {"a": 1}}))
+    with pytest.raises(VmorphError, match=r"^expected a JSON object"):
+        RenameDictionary.loads("[]")

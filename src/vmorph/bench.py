@@ -42,7 +42,7 @@ from .identifiers import (
     load_stdlib_index,
     project_imports,
 )
-from .interp import check_equivalence, is_supported
+from .interp import DEFAULT_FUEL, DEFAULT_TRIALS, check_equivalence, is_supported
 from .nodes import MethodDecl, SourceFile, Span, method_at, method_position, with_method
 from .parser import parse
 from .printer import print_source
@@ -304,8 +304,8 @@ def generate_variants(
     out_dir: str | Path,
     seed: int,
     kinds: tuple[VariantKind, ...] = ALL_VARIANTS,
-    trials: int = 100,
-    fuel: int = 10_000,
+    trials: int = DEFAULT_TRIALS,
+    fuel: int = DEFAULT_FUEL,
     source_benchmark: str = "fixture",
     manifest_path: str | Path | None = None,
 ) -> BenchmarkManifest:
@@ -316,7 +316,7 @@ def generate_variants(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest_path = Path(manifest_path) if manifest_path is not None else out / "manifest.json"
+    manifest_path = Path(manifest_path) if manifest_path else out / "manifest.json"
     stdlib_index = load_stdlib_index()
 
     entries: list[ManifestEntry] = []

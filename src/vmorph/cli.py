@@ -28,6 +28,7 @@ from .bench import (
     load_record,
 )
 from .errors import VmorphError, dump_json, load_json, read_utf8
+from .interp import DEFAULT_FUEL, DEFAULT_TRIALS
 from .nodes import Span
 from .parser import parse
 from .prompts import FORMATS, PromptSpec, build_prompt, find_method_at
@@ -68,9 +69,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--lexicon", help="synonym lexicon TSV (bundled by default)")
     p_tr.add_argument("--seed", type=int, default=0)
     p_tr.add_argument("--manifest", help="manifest path (default OUT/manifest.json)")
-    p_tr.add_argument("--trials", type=_positive_int, default=100,
+    p_tr.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS,
                       help="equivalence trials per variant, at least 1")
-    p_tr.add_argument("--fuel", type=_positive_int, default=10_000,
+    p_tr.add_argument("--fuel", type=_positive_int, default=DEFAULT_FUEL,
                       help="oracle fuel per run, at least 1")
 
     p_pr = sub.add_parser("prompt", help="build a model prompt for a buggy method")
@@ -121,7 +122,6 @@ def main(argv: list[str] | None = None) -> int:
 def _cmd_transform(args) -> int:
     record = load_record(args.project)
     lexicon = SynonymLexicon.load(args.lexicon)
-    manifest_path = Path(args.manifest) if args.manifest else Path(args.out) / "manifest.json"
     manifest = generate_variants(
         [record],
         lexicon,
@@ -130,7 +130,7 @@ def _cmd_transform(args) -> int:
         kinds=_MODE_KINDS[args.mode],
         trials=args.trials,
         fuel=args.fuel,
-        manifest_path=manifest_path,
+        manifest_path=args.manifest,
     )
     failed = [e for e in manifest.entries if e.error]
     for entry in manifest.entries:

@@ -5,8 +5,9 @@ project), what must stay intact (standard-library and imported names), and
 which names a new name must not take. One walk over every project file gives
 all three: the entries, each with its declaration and use sites in every
 file, and the set of every identifier in the project, which a rename plan
-checks its new names against. `classify_origin` alone decides each entry's
-origin and which undeclared names to report.
+checks its new names against. An entry's origin follows from its sites
+alone; `classify_origin` reports the undeclared names that neither the
+stdlib index nor an import explains.
 
 Resolution is name-based: a use is attributed to the project entry of the
 same name regardless of scope, which is exactly the granularity the rename
@@ -19,6 +20,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, replace
+from functools import cache
 
 from .errors import UnresolvedIdentifier, data_lines
 # The kinds and the primitive type names are the node schema's; this module
@@ -38,6 +40,8 @@ from .nodes import (  # noqa: F401
 
 PROJECT = "project"
 EXTERNAL = "external"
+# The overridable methods of java.lang.Object.
+OBJECT_METHODS = frozenset({"equals", "hashCode", "toString", "clone", "finalize"})
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,14 @@ class IdentifierEntry:
     kind: str  # variable | function | class
     decl_sites: tuple[Span, ...]
     use_sites: tuple[Span, ...]
-    origin: str = ""  # project | external; "" until classify_origin
+
+    @property
+    def origin(self) -> str:
+        """project when the project declares the name, else external. A name
+        of an Object method is external: a project method of that name may
+        override it and be called by that name from outside the project, as
+        string concatenation calls toString."""
+        return PROJECT if self.decl_sites and self.name not in OBJECT_METHODS else EXTERNAL
 
 
 @dataclass(frozen=True)
@@ -62,7 +73,7 @@ class IdentifierTable:
 def collect_identifiers(
     project: list[SourceFile], focus: MethodDecl | None = None
 ) -> IdentifierTable:
-    """Build the unclassified identifier table for a parsed project.
+    """Build the identifier table for a parsed project.
 
     With `focus`, the entries are restricted to names occurring in that
     method, but decl/use sites are still resolved project-wide, and `names`
@@ -95,26 +106,17 @@ def collect_identifiers(
 def classify_origin(
     table: IdentifierTable, imports: list[str], stdlib_index: frozenset[str]
 ) -> IdentifierTable:
-    """Finalize origins and drop diagnostics the stdlib index or imports explain.
-
-    Origin is `project` iff the name has a declaration site inside the
-    project; everything else is `external` (including names that are neither
-    declared nor explained, which stay flagged as unresolved). Idempotent.
+    """`table` with a diagnostic for each name it uses but the project does
+    not declare, unless the stdlib index or an import explains it. The
+    diagnostics change no output. Idempotent.
     """
     import_tails = {imp.rstrip(".*").rsplit(".", 1)[-1] for imp in imports}
-    entries: dict[str, IdentifierEntry] = {}
-    diagnostics: list[UnresolvedIdentifier] = []
-    for name, entry in table.entries.items():
-        origin = PROJECT if entry.decl_sites else EXTERNAL
-        entries[name] = replace(entry, origin=origin)
-        if (
-            origin == EXTERNAL
-            and name not in stdlib_index
-            and name not in import_tails
-            and entry.use_sites
-        ):
-            diagnostics.append(UnresolvedIdentifier(name, entry.use_sites[0]))
-    return IdentifierTable(entries, table.names, tuple(diagnostics))
+    diagnostics = tuple(
+        UnresolvedIdentifier(name, entry.use_sites[0])
+        for name, entry in table.entries.items()
+        if entry.use_sites and not entry.decl_sites
+        and name not in stdlib_index and name not in import_tails)
+    return replace(table, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +159,21 @@ def convention(name: str) -> str:
 def load_stdlib_index(path: str | None = None) -> frozenset[str]:
     """Load the stdlib name list: one name per line, `#` comments allowed.
 
-    Resolution order: explicit path, VMORPH_STDLIB_INDEX, bundled list.
+    Resolution order: explicit path, VMORPH_STDLIB_INDEX, bundled list. A
+    path is read on every call, the bundled list once per process.
     """
     if path is None:
         path = os.environ.get("VMORPH_STDLIB_INDEX")
+    return _read_stdlib_index(path) if path is not None else _bundled_stdlib_index()
+
+
+def _read_stdlib_index(path: str | None) -> frozenset[str]:
     return frozenset(line for _, line in data_lines("stdlib_index.txt", path))
+
+
+@cache
+def _bundled_stdlib_index() -> frozenset[str]:
+    return _read_stdlib_index(None)
 
 
 def project_imports(project: list[SourceFile]) -> list[str]:

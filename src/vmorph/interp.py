@@ -85,6 +85,7 @@ from .errors import UnsupportedForEvaluation
 from .nodes import (DEFAULT_LABEL, INT_MAX, INT_MIN, Assign, Expr, For, Literal,
                     MethodDecl, Name, Return, SourceFile, Switch, While, walk)
 
+DEFAULT_TRIALS = 100
 DEFAULT_FUEL = 10_000
 MAX_CALL_DEPTH = 200
 MAX_STRING_LENGTH = 100_000  # longer strings are outside the outcome model
@@ -957,16 +958,23 @@ _CODE: dict[str, tuple] = {}
 _CODE_SIZE = 2
 
 
-def _load(text: str) -> tuple:
-    entry = _CODE.pop(text, None)  # put back below as the most recent
+def _lru(cache: dict, size: int, key, make, *args):
+    """cache[key], made by make(*args) when missing; `cache` keeps the `size`
+    keys used last, least recently used first."""
+    entry = cache.pop(key, None)  # put back below as the most recent
     if entry is None:
-        namespace = {name: globals()[name] for name in _RUNTIME}
-        exec(compile(text, "<vmorph oracle>", "exec"), namespace)
-        entry = (namespace["m0"], {})
-        if len(_CODE) >= _CODE_SIZE:
-            del _CODE[next(iter(_CODE))]
-    _CODE[text] = entry
+        entry = make(*args)
+        if len(cache) >= size:
+            del cache[next(iter(cache))]
+    cache[key] = entry
     return entry
+
+
+def _load(text: str) -> tuple:
+    """The top function `text` defines, and an empty outcome memo."""
+    namespace = {name: globals()[name] for name in _RUNTIME}
+    exec(compile(text, "<vmorph oracle>", "exec"), namespace)
+    return namespace["m0"], {}
 
 
 # (id(method), id(context)) -> (method, context, _Program or the rejection),
@@ -976,22 +984,19 @@ _COMPILED_SIZE = 2  # a trial evaluates the original and then the variant
 
 
 def _compile(m: MethodDecl, context: SourceFile | None) -> _Program:
-    key = (id(m), id(context))
-    entry = _COMPILED.pop(key, None)  # put back below as the most recent
-    if entry is None:
-        try:
-            program = _Compiler(context).compile(m)
-        except UnsupportedForEvaluation as exc:
-            entry = (m, context, exc)
-        else:
-            program.top, program.outcomes = _load(program.text)
-            entry = (m, context, program)
-        if len(_COMPILED) >= _COMPILED_SIZE:
-            del _COMPILED[next(iter(_COMPILED))]
-    _COMPILED[key] = entry
+    entry = _lru(_COMPILED, _COMPILED_SIZE, (id(m), id(context)), _compile_entry, m, context)
     if isinstance(entry[2], UnsupportedForEvaluation):
         raise UnsupportedForEvaluation(entry[2].span, entry[2].detail)  # a fresh copy
     return entry[2]
+
+
+def _compile_entry(m: MethodDecl, context: SourceFile | None) -> tuple:
+    try:
+        program = _Compiler(context).compile(m)
+    except UnsupportedForEvaluation as exc:
+        return m, context, exc
+    program.top, program.outcomes = _lru(_CODE, _CODE_SIZE, program.text, _load, program.text)
+    return m, context, program
 
 
 def ensure_supported(m: MethodDecl, context: SourceFile | None = None) -> None:
@@ -1074,20 +1079,18 @@ _TRIAL_ARGS_SIZE = 4
 
 
 def _trial_args(params, seed: int, trials: int) -> tuple:
-    key = (tuple(p.type_name for p in params), seed, trials)
-    vectors = _TRIAL_ARGS.pop(key, None)  # put back below as the most recent
-    if vectors is None:
-        vectors = tuple(tuple(generate_args(params, seed, t)) for t in range(trials))
-        if len(_TRIAL_ARGS) >= _TRIAL_ARGS_SIZE:
-            del _TRIAL_ARGS[next(iter(_TRIAL_ARGS))]
-    _TRIAL_ARGS[key] = vectors
-    return vectors
+    return _lru(_TRIAL_ARGS, _TRIAL_ARGS_SIZE, (tuple(p.type_name for p in params), seed, trials),
+                _draw_args, params, seed, trials)
+
+
+def _draw_args(params, seed: int, trials: int) -> tuple:
+    return tuple(tuple(generate_args(params, seed, t)) for t in range(trials))
 
 
 def check_equivalence(
     m1: MethodDecl,
     m2: MethodDecl,
-    trials: int = 100,
+    trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     fuel: int = DEFAULT_FUEL,
     context1: SourceFile | None = None,

@@ -57,8 +57,10 @@ OP = "op"
 COMMENT = "comment"
 EOF = "eof"
 
-_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
-            '"': '"', "'": "'", "\\": "\\", "0": "\0"}
+# The escapes the subset supports: the character after the backslash -> the
+# character it stands for. The printer writes strings with the same table.
+ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
+           '"': '"', "'": "'", "\\": "\\", "0": "\0"}
 
 _WHITESPACE = " \t\r\n"
 # Order matters: an ASCII digit starts a number before it could start a word,
@@ -73,7 +75,8 @@ _TOKEN = re.compile("[ \t\r\n]*(?:" + "|".join((
     r"\w[\w$]*",  # a non-ASCII word: an identifier if it starts with a letter
     r"[^ \t\r\n]",
 )) + ")", re.DOTALL)
-_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+# `\0` and an octal digit is an octal escape (JLS 3.10.7), which ESCAPES lacks.
+_ESCAPE = re.compile(r"\\(0[0-7]|.)", re.DOTALL)
 
 # A keyword or operator is known by its text alone; any other token by its
 # first character. A character missing from _LEAD starts a non-ASCII word or
@@ -147,9 +150,9 @@ def tokenize(text: str, file: str = "<input>") -> Tokens:
         elif kind is STRING and len(tok) > 1:
             if "\\" in tok:
                 for esc in _ESCAPE.finditer(tok, 1, len(tok) - 1):
-                    if esc[1] not in _ESCAPES:
+                    if esc[1] not in ESCAPES:
                         raise err(f"unsupported escape '\\{esc[1]}'", i)
-                values[at] = _ESCAPE.sub(lambda esc: _ESCAPES[esc[1]], tok[1:-1])
+                values[at] = _ESCAPE.sub(lambda esc: ESCAPES[esc[1]], tok[1:-1])
             else:
                 values[at] = tok[1:-1]
         elif kind is COMMENT:
@@ -181,10 +184,10 @@ def _string_error(text: str, start: int) -> str:
     its first bad escape, or the end of the line or input before it closes."""
     j = start + 1
     while j < len(text) and text[j] != "\n":
-        if text[j] == "\\":
-            esc = text[j + 1 : j + 2]
-            if esc and esc not in _ESCAPES:
-                return f"unsupported escape '\\{esc}'"
+        esc = _ESCAPE.match(text, j)
+        if esc:
+            if esc[1] not in ESCAPES:
+                return f"unsupported escape '\\{esc[1]}'"
             j += 2
         else:
             j += 1

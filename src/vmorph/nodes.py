@@ -86,6 +86,9 @@ PRIMITIVE_NAMES = frozenset({"int", "boolean", "long", "short", "byte", "char", 
 # Primitive and pseudo type names: never collected, never renamed.
 PRIMITIVE_TYPES = PRIMITIVE_NAMES | {"void", "var"}
 
+# The modifiers of the subset, in the order the printer writes them.
+MODIFIERS = ("public", "protected", "private", "static", "final")
+
 # The range of a Java int.
 INT_MIN = -(2**31)
 INT_MAX = 2**31 - 1

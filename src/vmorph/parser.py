@@ -34,6 +34,7 @@ from .nodes import (
     BINARY_LEVEL,
     INT_MAX,
     INT_MIN,
+    MODIFIERS,
     PRIMITIVE_NAMES,
     Assign,
     Binary,
@@ -70,8 +71,6 @@ from .nodes import (
     children,
     ends_case,
 )
-
-MODIFIERS = ("public", "private", "protected", "static", "final")
 
 # Deeper expressions are rejected: printing and tree walks recurse per level.
 MAX_EXPR_DEPTH = 256
@@ -238,7 +237,7 @@ class _Parser:
             else:
                 return frozenset(mods)
 
-    def class_decl(self, nested: bool = False) -> ClassDecl:
+    def class_decl(self) -> ClassDecl:
         comments = self.take_comments()
         start = self.pos
         mods = self.modifiers()
@@ -301,30 +300,35 @@ class _Parser:
             raise self.unsupported("generic type")
         return name
 
-    def param_list(self) -> tuple[Param, ...]:
+    def comma_list(self, item) -> tuple:
+        """`( )` or `( x, ..., x )`, where item() parses one x."""
         self.expect("(")
-        params = []
+        items = []
         if not self.at(")"):
-            while True:
-                start = self.pos
-                is_final = False
-                if self.at("final"):
-                    self.next()
-                    is_final = True
-                type_name = self.type_ref()
-                pname = self.expect_ident("parameter name")
-                params.append(Param(type_name, pname, is_final, self.span_from(start)))
-                if self.at(","):
-                    self.next()
-                    continue
-                break
+            items.append(item())
+            while self.at(","):
+                self.next()
+                items.append(item())
         self.expect(")")
+        return tuple(items)
+
+    def param_list(self) -> tuple[Param, ...]:
+        params = self.comma_list(self.param)
         seen: set[str] = set()
         for p in params:
             if p.name in seen:
                 raise JavaSyntaxError(p.span, f"duplicate parameter {p.name!r}")
             seen.add(p.name)
-        return tuple(params)
+        return params
+
+    def param(self) -> Param:
+        start = self.pos
+        is_final = self.at("final")
+        if is_final:
+            self.next()
+        type_name = self.type_ref()
+        return Param(type_name, self.expect_ident("parameter name"), is_final,
+                     self.span_from(start))
 
     def declarators(self, first_name: str) -> tuple[Declarator, ...]:
         """Parse `= init (, name = init)*`, first identifier already consumed."""
@@ -643,7 +647,7 @@ class _Parser:
                 self.next()
                 name = self.expect_ident("member name")
                 if self.at("("):
-                    args = self.arguments()
+                    args = self.comma_list(self.expression)
                     expr = Call(expr, name, args, self.span_from(start))
                 else:
                     expr = FieldAccess(expr, name, self.span_from(start))
@@ -662,7 +666,7 @@ class _Parser:
             if after == "->":
                 raise self.unsupported("lambda expression")
             if after == "(":
-                args = self.arguments()
+                args = self.comma_list(self.expression)
                 return Call(None, key, args, self.span_from(start))
             return Name(key, self.token_span(start))
         if key == "(":
@@ -686,7 +690,7 @@ class _Parser:
             type_name = self.dotted_name()
             if self.at("<"):
                 raise self.unsupported("generic type")
-            args = self.arguments()
+            args = self.comma_list(self.expression)
             if self.at("{"):
                 raise self.unsupported("anonymous class")
             return New(type_name, args, self.span_from(start))
@@ -695,16 +699,3 @@ class _Parser:
         if kind == EOF:
             raise self.error("unexpected end of input")
         raise self.error(f"unexpected token {key!r}")
-
-    def arguments(self) -> tuple[Expr, ...]:
-        self.expect("(")
-        args = []
-        if not self.at(")"):
-            while True:
-                args.append(self.expression())
-                if self.at(","):
-                    self.next()
-                    continue
-                break
-        self.expect(")")
-        return tuple(args)

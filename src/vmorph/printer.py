@@ -8,8 +8,10 @@ already in printer style the round trip is byte-identical.
 
 from __future__ import annotations
 
+from .lexer import ESCAPES
 from .nodes import (
     BINARY_LEVEL,
+    MODIFIERS,
     Assign,
     Binary,
     Block,
@@ -41,18 +43,14 @@ from .nodes import (
 
 INDENT = "    "
 
-_MODIFIER_ORDER = ("public", "protected", "private", "static", "final")
-
 # Precedence: higher binds tighter. The binary operators take the six levels
 # from _OR to _MUL, in the order of nodes.BINARY_LEVELS.
 _ASSIGN, _TERNARY, _OR, _AND, _EQ, _REL, _ADD, _MUL, _UNARY, _POSTFIX, _PRIMARY = range(1, 12)
 
 _BINOP_PREC = {op: _OR + level for op, level in BINARY_LEVEL.items()}
 
-_STRING_ESCAPES = {
-    "\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t",
-    "\r": "\\r", "\b": "\\b", "\f": "\\f", "\0": "\\0",
-}
+# The lexer's escapes the other way round; a ' needs none inside a string.
+_STRING_ESCAPES = {char: "\\" + esc for esc, char in ESCAPES.items() if esc != "'"}
 
 
 def print_source(ast: SourceFile) -> str:
@@ -116,7 +114,7 @@ def print_expr(expr: Expr) -> str:
 
 
 def _mods(modifiers: frozenset[str]) -> str:
-    ordered = [m for m in _MODIFIER_ORDER if m in modifiers]
+    ordered = [m for m in MODIFIERS if m in modifiers]
     return "".join(f"{m} " for m in ordered)
 
 

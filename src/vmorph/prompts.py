@@ -100,30 +100,20 @@ def build_prompt(
 
     if fmt == CODEX_INSERT:
         comment = _bug_comment(buggy)
-        prefix_lines, _, suffix_lines = _fit_window(before, comment, after, spec.max_window)
+        prefix_lines, suffix_lines = _fit_window(before, comment, after, spec.max_window)
         prefix = "\n".join(prefix_lines + comment)
-        suffix = "\n".join(suffix_lines)
-        return PromptBundle(fmt, None, prefix, suffix, None, region)
+        return PromptBundle(fmt, None, prefix, "\n".join(suffix_lines), None, region)
 
-    if fmt in _MASK_TOKENS:
-        token = _MASK_TOKENS[fmt]
-        before_k, _, after_k = _fit_window(before, [token], after, spec.max_window)
-        text = "\n".join(before_k + [token] + after_k)
-        return PromptBundle(fmt, text, None, None, token, region)
-
-    if fmt == CODEGEN_PREFIX:
-        kept = before
-        if spec.max_window is not None and len(kept) > spec.max_window:
-            kept = kept[-spec.max_window :]
-        return PromptBundle(fmt, "\n".join(kept), None, None, None, region)
-
-    if fmt == TUNED_COMMENT:
-        commented = [_comment_line(l) for l in buggy]
-        before_k, _, after_k = _fit_window(before, commented, after, spec.max_window)
-        text = "\n".join(before_k + commented + after_k)
-        return PromptBundle(fmt, text, None, None, None, region)
-
-    raise ValueError(f"unknown prompt format {fmt!r}")
+    # The one-text formats: the buggy lines masked, left out or commented.
+    token = _MASK_TOKENS.get(fmt)
+    if token is not None:
+        anchor = [token]
+    elif fmt == CODEGEN_PREFIX:
+        anchor, after = [], []
+    else:  # tuned-comment
+        anchor = [_comment_line(l) for l in buggy]
+    before_k, after_k = _fit_window(before, anchor, after, spec.max_window)
+    return PromptBundle(fmt, "\n".join(before_k + anchor + after_k), None, None, token, region)
 
 
 def _indent_of(line: str) -> str:
@@ -142,20 +132,19 @@ def _comment_line(line: str) -> str:
 
 
 def _fit_window(before: list[str], anchor: list[str], after: list[str],
-                max_window: Optional[int]) -> tuple[list[str], list[str], list[str]]:
-    """Trim context symmetrically around the anchor to fit the line budget."""
+                max_window: Optional[int]) -> tuple[list[str], list[str]]:
+    """The context before and after the anchor, trimmed symmetrically so
+    that the three fit the line budget."""
     if max_window is None:
-        return before, anchor, after
+        return before, after
     budget = max(0, max_window - len(anchor))
     if len(before) + len(after) <= budget:
-        return before, anchor, after
+        return before, after
     half = budget // 2
     keep_before = min(len(before), max(budget - len(after), half + budget % 2))
     keep_after = min(len(after), budget - keep_before)
     keep_before = min(len(before), budget - keep_after)
-    return (before[len(before) - keep_before :] if keep_before else [],
-            anchor,
-            after[:keep_after])
+    return before[len(before) - keep_before :] if keep_before else [], after[:keep_after]
 
 
 def find_method_at(file: SourceFile, start_line: int, end_line: int) -> MethodDecl:

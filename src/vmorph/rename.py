@@ -20,16 +20,16 @@ from .identifiers import (
     convention,
     tokenize_identifier,
 )
-from .lexer import IDENT, tokenize
+from .lexer import IDENT, KEYWORDS, tokenize
 from .nodes import SourceFile, rename_identifiers
 
-RESERVED_WORDS = frozenset(
-    """abstract assert boolean break byte case catch char class const continue
-    default do double else enum extends final finally float for goto if
-    implements import instanceof int interface long native new package private
-    protected public return short static strictfp super switch synchronized
-    this throw throws transient try void volatile while true false null var
-    record yield sealed permits""".split()
+# The subset's keywords and the Java words it does not lex as keywords: no new
+# name may be one of them.
+RESERVED_WORDS = KEYWORDS | frozenset(
+    """abstract assert boolean byte catch char const do double enum extends
+    finally float goto implements instanceof int interface long native permits
+    record sealed short strictfp super synchronized this throws transient try
+    volatile yield""".split()
 )
 
 

@@ -37,7 +37,7 @@ import enum
 from dataclasses import dataclass, field, replace
 
 from .errors import NotApplicable, data_lines
-from .identifiers import tokenize_identifier
+from .identifiers import CAMEL, SNAKE, tokenize_identifier
 from .nodes import (
     Assign,
     Binary,
@@ -72,7 +72,7 @@ from .nodes import (
     rebuild,
     walk,
 )
-from .rename import RESERVED_WORDS, fresh_name
+from .rename import RESERVED_WORDS, assemble_identifier, fresh_name
 
 MERGE = "merge"
 SPLIT = "split"
@@ -100,16 +100,8 @@ class TransformReport:
 
     def to_json_dict(self) -> dict:
         def row(items):
-            return [
-                {
-                    "rule": rule.value,
-                    "span": {"file": s.file, "start_line": s.start_line,
-                             "start_col": s.start_col, "end_line": s.end_line,
-                             "end_col": s.end_col},
-                    "detail": detail,
-                }
-                for rule, s, detail in items
-            ]
+            return [{"rule": rule.value, "span": span._asdict(), "detail": detail}
+                    for rule, span, detail in items]
 
         return {"applied": row(self.applied), "skipped": row(self.skipped),
                 "notes": list(self.notes)}
@@ -638,15 +630,18 @@ class _Scope:
         """The effects of evaluating all of `node`."""
         return _union(self.effect(n) for n, _ in _evaluation_order(node))
 
-    def before(self, holder, target) -> tuple[Effects, bool]:
-        """The effects of everything `holder` evaluates before `target`'s own
-        step (so including `target`'s operands), and whether `target` sits in
-        a conditional position."""
+    def before(self, holder, target, moved=frozenset()) -> tuple[Effects, bool]:
+        """The effects of everything `holder` evaluates before `target`'s
+        first operand, apart from the nodes whose ids are in `moved`, and
+        whether `target` sits in a conditional position. Code hoisted out of
+        `holder` takes its operands along, so only this code stays behind it."""
+        first = next(_evaluation_order(target))[0]
         prefix = _NO_EFFECTS
         for node, conditional in _evaluation_order(holder):
-            if node is target:
+            if node is first:
                 return prefix, conditional
-            prefix = prefix | self.effect(node)
+            if id(node) not in moved:
+                prefix = prefix | self.effect(node)
         raise ValueError("target is not evaluated by holder")
 
 
@@ -688,20 +683,19 @@ def _split_base_name(inner: Call) -> str:
     if len(meth_tokens) > 1 and meth_tokens[0] in ("get", "to"):
         meth_tokens = meth_tokens[1:]
     tokens = _receiver_tokens(inner) + meth_tokens
-    return "_".join(tokens) if tokens else "tmp"
+    return assemble_identifier(tokens, SNAKE) if tokens else "tmp"
 
 
 def _extract_base_name(arg: Expr) -> str | None:
     """Paper-style name for an extracted argument, or None to fall back to tmpN."""
     if isinstance(arg, New):
-        tokens = tokenize_identifier(arg.type_name.rsplit(".", 1)[-1])
-        return tokens[0] + "".join(t.capitalize() for t in tokens[1:])
+        return assemble_identifier(tokenize_identifier(arg.type_name.rsplit(".", 1)[-1]), CAMEL)
     assert isinstance(arg, Call)
     meth_tokens = tokenize_identifier(arg.method)
     if meth_tokens[0] not in PARTICIPLES:
         return None
-    tokens = [PARTICIPLES[meth_tokens[0]]] + meth_tokens[1:] + _receiver_tokens(arg)
-    return tokens[0] + "".join(t.capitalize() for t in tokens[1:])
+    return assemble_identifier([PARTICIPLES[meth_tokens[0]]] + meth_tokens[1:]
+                               + _receiver_tokens(arg), CAMEL)
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +729,7 @@ def _split_site(stmt: Stmt, taken: set[str], scope: _Scope) -> _Site:
     """Hoist the call at the bottom of the statement's chain into a local.
 
     The hoisted link must not conflict with anything the statement evaluates
-    before it, its own operands included.
+    before its first operand.
     """
     if isinstance(stmt, ExprStmt):
         holder = stmt.expr
@@ -860,34 +854,33 @@ def _extract_site(stmt: Stmt, taken: set[str], scope: _Scope, skip) -> _Site:
     Arguments are taken in evaluation order, so the hoisted declarations
     keep their order. One is hoisted when it runs unconditionally and does
     not conflict with anything that stays in place and is evaluated before
-    it, its own operands included.
+    its first operand.
     """
     holder = _stmt_expr(stmt)
     if holder is None:
         return None
 
-    events = list(_evaluation_order(holder))
-    args = {id(a) for n, _ in events if isinstance(n, (Call, New)) for a in n.args}
-    kept: list[tuple[object, Effects]] = []  # evaluated so far and staying in place
+    events = [n for n, _ in _evaluation_order(holder)]
+    args = {id(a) for n in events if isinstance(n, (Call, New)) for a in n.args}
+    moved: set[int] = set()  # the nodes of hoisted arguments
     hoisted: dict[int, Expr] = {}
     decls: list[Stmt] = []
-    for node, conditional in events:
-        if isinstance(node, (Call, New)) and id(node) in args:
-            reason = "conditional-context" if conditional else conflicts(
-                _union(e for _, e in kept), scope.summary(node))
-            if reason is None:
-                inside = {id(n) for n in walk(node)}
-                kept = [k for k in kept if id(k[0]) not in inside]
-                var_name = fresh_name(_extract_base_name(node) or "tmp", taken)
-                taken.add(var_name)
-                decls.append(LocalVarDecl(
-                    _decl_type_for(node),
-                    (Declarator(var_name, _substitute(node, hoisted), node.span),),
-                    (), node.span))
-                hoisted[id(node)] = Name(var_name, node.span)
-                continue
+    for node in events:
+        if not (isinstance(node, (Call, New)) and id(node) in args):
+            continue
+        prefix, conditional = scope.before(holder, node, moved)
+        reason = "conditional-context" if conditional else conflicts(prefix, scope.summary(node))
+        if reason is not None:
             skip(node.span, reason)
-        kept.append((node, scope.effect(node)))
+            continue
+        moved.update(map(id, walk(node)))
+        var_name = fresh_name(_extract_base_name(node) or "tmp", taken)
+        taken.add(var_name)
+        decls.append(LocalVarDecl(
+            _decl_type_for(node),
+            (Declarator(var_name, _substitute(node, hoisted), node.span),),
+            (), node.span))
+        hoisted[id(node)] = Name(var_name, node.span)
 
     if not decls:
         return None

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -1085,14 +1086,38 @@ def test_cli_transform_reports_a_stdlib_index_that_is_not_utf8(guard_record, tmp
 # ---------------------------------------------------------------------------
 
 
+# sha256 over every file the first four records of seed 1 of each perfbench
+# workload generate (see `_tree_digest`). Change one only when an output
+# change is intended, and say why.
+WORKLOAD_DIGESTS = {
+    "small-records": "e79df83ad8baa1f043f2720e022d5f4ef89063f50a168645e70cb6a10f73f6de",
+    "fuel-bound": "09c9cc2b74f1b9fcebb49a4730adfe35d1345f532f013f51ec4c602246d8065f",
+    "large-project": "4a2e94eaff063c93823f97fa6347de448dcf19802c8f13108789a48f6ea39cd6",
+}
+
+
+def _tree_digest(root: Path, blank: str) -> str:
+    """sha256 over the relative path, size and bytes of every file under
+    `root`, in path order, with each occurrence of `blank` (the absolute
+    input directory the manifests name) replaced by a placeholder."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes().replace(blank.encode(), PROJECT_ROOT_PLACEHOLDER.encode())
+        h.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
 def test_perfbench_output_checks_pass_on_every_workload(lexicon, tmp_path, monkeypatch):
     """The checks `perfbench/run.py` makes on its output (every emitted file
     re-prints to itself, every file of a rename variant recovers, no verdict
-    is diverged) hold on the first four records of seed 1 of each workload."""
+    is diverged) hold on the first four records of seed 1 of each workload,
+    and every output byte is the one recorded in WORKLOAD_DIGESTS."""
     monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
     import gen
     import run
 
+    digests = {}
     for name, workload in gen.WORKLOADS.items():
         records = [load_record(r.write(tmp_path / name / "in")) for r in workload(1)[:4]]
         _, manifests = run.run_pass(records, tmp_path / name / "out", lexicon, [])
@@ -1100,6 +1125,8 @@ def test_perfbench_output_checks_pass_on_every_workload(lexicon, tmp_path, monke
         assert failures == [], name
         assert [e.record.id for m in manifests for e in m.entries
                 if run.verdict_of(e) == "diverged"] == [], name
+        digests[name] = _tree_digest(tmp_path / name / "out", str(tmp_path / name / "in"))
+    assert digests == WORKLOAD_DIGESTS
 
 
 def test_perfbench_setup_script_runs(monkeypatch):

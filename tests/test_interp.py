@@ -994,3 +994,66 @@ def oracle_outcomes_snapshot() -> str:
 
 def test_oracle_outcomes_match_golden():
     assert oracle_outcomes_snapshot().encode("utf-8") == GOLDEN_ORACLE.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Jumps the compiler writes on paths of their own: a continue that leaves a
+# switch (a flag tested after it), and a break, continue or return that
+# leaves a helper (a value its caller dispatches on). Each outcome is Java's,
+# worked out by hand; each least fuel is pinned as first measured.
+# ---------------------------------------------------------------------------
+
+
+def _nested(depth: int, wrap, inner: str) -> str:
+    for i in reversed(range(depth)):
+        inner = wrap(i, inner)
+    return inner
+
+
+JUMP_PROGRAMS = {
+    # i = 1..n: r adds i + 1 where i % 3 != 0
+    "continue through a switch in a while": (
+        "int r = 0; int i = 0; while (i < n) { i = i + 1; "
+        "switch (i % 3) { case 0: continue; default: r = r + i; } r = r + 1; } return r;",
+        " = True", [(0, 0, 5), (5, 16, 29), (10, 44, 52), (50, 901, 239)]),
+    # i = 0..n-1 likewise; the continue must still run the update
+    "continue through a switch in a for": (
+        "int r = 0; for (int i = 0; i < n; i = i + 1) { "
+        "switch (i % 3) { case 0: continue; default: r = r + i; } r = r + 1; } return r;",
+        " = True", [(0, 0, 5), (5, 10, 23), (10, 33, 41), (50, 850, 188)]),
+    # the n-th pass of the innermost loop returns; loops past 16 go to a helper
+    "return out of 18 nested whiles": (
+        "int r = 0; " + _nested(18, lambda i, body: f"int i{i} = 0; while (i{i} < 2) {{ "
+                                f"i{i} = i{i} + 1; {body} }}",
+                                "r = r + 1; if (r == n) { return r * 10; }") + " return r;",
+        ",)\n", [(1, 10, 76), (5, 50, 107), (50, 500, 502)]),
+    # statements nested past the indentation budget go to a helper
+    "break out of 47 nested ifs": (
+        "int r = 0; while (r < 100) { r = r + 1; "
+        + _nested(47, lambda i, body: f"if (n > {i}) {{ {body} }}", "break;") + " } return r;",
+        "_BREAK", [(0, 100, 304), (46, 100, 4904), (50, 1, 53)]),
+    # i = 1..5: r adds i unless i + n > 48
+    "continue out of 47 nested ifs": (
+        "int r = 0; int i = 0; while (i < 5) { i = i + 1; "
+        + _nested(47, lambda k, body: f"if (i + n > {k + 2}) {{ {body} }}", "continue;")
+        + " r = r + i; } return r;",
+        "_CONTINUE", [(0, 15, 31), (46, 3, 254), (50, 0, 255)]),
+}
+
+
+@pytest.mark.parametrize("name", JUMP_PROGRAMS)
+def test_a_jump_out_of_a_switch_or_a_helper_keeps_its_outcome_and_fuel(name):
+    body, mark, expected = JUMP_PROGRAMS[name]
+    m, ast = method_named(f"class A {{ static int f(int n) {{ {body} }} }}", "f")
+    assert mark in interp._compile(m, ast).text  # the path under test is taken
+    assert [(n, _outcome_json(m, [n], DEFAULT_FUEL, ast), _least_fuel(m, [n], ast))
+            for n, _, _ in expected] == [(n, {"returned": r}, fuel) for n, r, fuel in expected]
+
+
+def test_a_bare_return_leaves_a_void_method():
+    m, ast = method_named(
+        "class A { static void f(int n) { int r = 0; if (n > 0) { return; } r = 10 / n; } }", "f")
+    assert [(_outcome_json(m, [n], DEFAULT_FUEL, ast), _least_fuel(m, [n], ast))
+            for n in (1, 0, -1)] == [({"returned": "void"}, 3),
+                                     ({"threw": "ArithmeticException"}, 3),
+                                     ({"returned": "void"}, 3)]

@@ -5,6 +5,7 @@ the count of tokens against what the benchmark's `lexer.tokens` has always
 counted.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -134,3 +135,22 @@ def test_parse_tokenizes_once_and_the_count_keeps_its_meaning(monkeypatch):
     parse(COMMENTED)
     assert [len(r) for r in results] == [COMMENTED_TOKENS]
     assert len(results[0].kinds) + len(results[0].comments) == COMMENTED_TOKENS
+
+
+# Java reads `\0` and the octal digits after it as one octal escape (JLS
+# 3.10.7), which the subset does not support: "\01" is one character, U+0001.
+@pytest.mark.parametrize("literal, escape", [
+    (r'"\01"', r"\01"), (r'"a\07x"', r"\07"), (r'"\00"', r"\00"), (r'"\\\01"', r"\01"),
+    (r'"\01', r"\01"),  # unterminated
+])
+def test_an_octal_escape_is_unsupported(literal, escape):
+    with pytest.raises(VmorphError, match=re.escape(f"unsupported escape '{escape}'")):
+        tokenize(f"x = {literal};")
+
+
+@pytest.mark.parametrize("literal, value", [
+    (r'"\0"', "\0"), (r'"\0x"', "\0x"), (r'"\08"', "\0" + "8"), (r'"\\01"', "\\01"),
+])
+def test_a_nul_escape_ends_before_a_character_that_is_not_octal(literal, value):
+    tokens = tokenize(f"x = {literal};")
+    assert list(tokens.values.values()) == [value]

@@ -78,6 +78,21 @@ def test_external_names_absent_from_plan(guard_project):
     assert "String" not in plan.forward
 
 
+@pytest.mark.parametrize("method", ["equals", "hashCode", "toString", "clone", "finalize"])
+def test_an_override_of_an_object_method_keeps_its_name(method):
+    """`"" + box` calls Box.toString, and a HashMap calls equals and hashCode:
+    a project method that overrides a method of Object is called by name from
+    outside the project, so renaming it would change what those calls run."""
+    source = (f"class Box {{ public String {method}() {{ return \"box\"; }} "
+              "String label() { return \"\" + this; } }")
+    project = [parse(source, "Box.java")]
+    table = _classified_table(project)
+    assert table.entries[method].origin == "external"
+    plan = build_rename_plan(table, SynonymLexicon.load())
+    assert method not in plan.forward
+    assert "label" in plan.forward
+
+
 def test_collision_gets_numeric_suffix():
     source = (
         "class A { void f() { int itemTally = 0; mark(itemTally); } "

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from vmorph.errors import NotApplicable
+from vmorph.interp import Returned, evaluate
 from vmorph.nodes import (Block, Break, If, LocalVarDecl, Switch, Ternary, structurally_equal,
                           walk)
 from vmorph.parser import parse
@@ -194,6 +195,20 @@ def test_if_chain_to_switch():
     assert structurally_equal(out[0], expected)
 
 
+def test_an_or_of_equalities_becomes_one_case_with_two_labels():
+    source = ("class W { static int f(int k) { int r = 0; if (k == 1 || 2 == k) { r = 10; } "
+              "else if (k == 3) { r = 20; } else { r = 30; } return r; } }")
+    ast = parse(source)
+    m = ast.types[0].methods[0]
+    out, report = apply_rule(m, TransformRule.COND_CONVERT)
+    assert [detail for _, _, detail in report.applied] == ["if-chain-to-switch"]
+    expected = stmt_of("switch (k) { case 1: case 2: r = 10; break; case 3: r = 20; break; "
+                       "default: r = 30; }", params="int k, int r")
+    assert structurally_equal(out.body.stmts[1], expected)
+    assert [evaluate(out, [k], context=ast) for k in range(5)] == [
+        Returned(r) for r in (30, 10, 10, 20, 30)]
+
+
 def test_plain_if_else_is_not_a_chain():
     with pytest.raises(NotApplicable):
         convert_conditional(stmt_of("if (k == 1) { a(); } else { b(); }", params="int k"))
@@ -378,6 +393,33 @@ def test_extract_keeps_argument_order():
     assert "h(n)" in print_stmt(decls[1])
 
 
+# Hoisted code takes its own operands along, so only what is evaluated before
+# its first operand stays behind it: (rule, method, the hoisted declaration).
+HOISTED_WITH_OPERANDS = {
+    "field operand": (TransformRule.ARGUMENT_PASS,
+                      "String base; void f() { send(normalize(base)); }",
+                      "var normalized = normalize(base);"),
+    "throwing operand": (TransformRule.ARGUMENT_PASS,
+                         "static int f(int n) { return Math.min(Math.abs(n % 50), 40); }",
+                         "var tmp = Math.abs(n % 50);"),
+    "throwing chain operand": (TransformRule.FUNCTION_CHAIN,
+                               "static int f(String a, int c, int d) {"
+                               " int n = a.substring(c / d).length(); return n; }",
+                               "String a_substring = a.substring(c / d);"),
+}
+
+
+@pytest.mark.parametrize("name", HOISTED_WITH_OPERANDS)
+def test_a_hoist_is_not_checked_against_its_own_operands(name):
+    rule, members, decl = HOISTED_WITH_OPERANDS[name]
+    ast = parse(f"class A {{ {members} }}")
+    m = ast.types[0].methods[0]
+    out, report = apply_rule(m, rule, context=ast)
+    assert report.skipped == []
+    assert len(report.applied) == 1
+    assert print_stmt(out.body.stmts[0]) == decl + "\n"
+
+
 # ---------------------------------------------------------------------------
 # reorder_statements
 # ---------------------------------------------------------------------------
@@ -552,13 +594,12 @@ NESTED_SITES_ORDER = {
                                     (APPLIED, 26, "chain link hoisted into local")],
                                    {35: "s_trim", 6: "s_trim2", 26: "s_trim3"}),
     # A statement's per-argument skips come before its applied entry.
-    TransformRule.ARGUMENT_PASS: ([(SKIPPED, 33, "interference"),
-                                   (APPLIED, 33, "1 argument(s) extracted into locals"),
+    TransformRule.ARGUMENT_PASS: ([(APPLIED, 33, "2 argument(s) extracted into locals"),
                                    (SKIPPED, 34, "conditional-context"),
                                    (APPLIED, 34, "1 argument(s) extracted into locals"),
                                    (APPLIED, 7, "1 argument(s) extracted into locals"),
                                    (APPLIED, 27, "1 argument(s) extracted into locals")],
-                                  {33: "tmp", 34: "tmp2", 7: "tmp3", 27: "tmp4"}),
+                                  {33: "tmp2", 34: "tmp3", 7: "tmp4", 27: "tmp5"}),
     TransformRule.CODE_ORDER: ([(APPLIED, 35, "independent adjacent statements swapped"),
                                 (APPLIED, 27, "independent adjacent statements swapped")], {}),
 }

@@ -161,6 +161,55 @@ def test_string_equality_builtin():
     assert evaluate(m, ["a", None]) == Returned(False)
 
 
+NPE = {"threw": "NullPointerException"}
+
+# (builtin, argument count) -> parameters, the call, and (arguments, outcome
+# as in the oracle golden) pairs; a list, as True == 1 would merge dict keys.
+BUILTIN_CALLS = {
+    ("length", 0): ("String s", "s.length()",
+                    [(("abc",), {"returned": 3}), ((None,), NPE),
+                     ((1,), {"unsupported": "method call on int"})]),
+    ("substring", 1): ("String s, int a", "s.substring(a)",
+                       [(("abc", 1), {"returned": "bc"}), ((None, 0), NPE),
+                        (("abc", 4), {"unsupported": "string index out of range"}),
+                        (("abc", True), {"unsupported": "substring on non-int index"})]),
+    ("substring", 2): ("String s, int a, int b", "s.substring(a, b)",
+                       [(("abc", 1, 2), {"returned": "b"}), (("abc", 0, 3), {"returned": "abc"}),
+                        (("abc", 2, 1), {"unsupported": "string index out of range"})]),
+    ("startsWith", 1): ("String s, String t", "s.startsWith(t)",
+                        [(("abc", "ab"), {"returned": True}), (("abc", "b"), {"returned": False}),
+                         (("abc", None), NPE), ((None, "a"), NPE),
+                         (("abc", 1), {"unsupported": "startsWith on non-string"})]),
+    ("equals", 1): ("String s, String t", "s.equals(t)",
+                    [(("ab", "ab"), {"returned": True}), (("ab", None), {"returned": False}),
+                     ((None, "ab"), NPE)]),
+    ("concat", 1): ("String s, String t", "s.concat(t)",
+                    [(("a", "b"), {"returned": "ab"}), (("a", None), NPE), ((None, "b"), NPE),
+                     (("a", 1), {"unsupported": "concat on non-string"})]),
+    ("min", 2): ("int a, int b", "Math.min(a, b)",
+                 [((3, -2), {"returned": -2}),
+                  ((True, 1), {"unsupported": "Math builtin on non-int"})]),
+    ("max", 2): ("int a, int b", "Math.max(a, b)",
+                 [((3, -2), {"returned": 3}),
+                  ((1, None), {"unsupported": "Math builtin on non-int"})]),
+    ("abs", 1): ("int a", "Math.abs(a)",
+                 [((-5,), {"returned": 5}), ((-(2**31),), {"returned": -(2**31)}),
+                  (("a",), {"unsupported": "Math builtin on non-int"})]),
+}
+
+
+def test_each_builtin_at_each_arity_keeps_its_outcomes():
+    assert set(BUILTIN_CALLS) == {(name, n) for table in (interp.STRING_BUILTINS,
+                                                          interp.MATH_BUILTINS)
+                                  for name, counts in table.items() for n in counts}
+    ast = parse("class B {\n" + "".join(
+        f"static int b{i}({params}) {{ return {call}; }}\n"
+        for i, (params, call, _) in enumerate(BUILTIN_CALLS.values())) + "}\n")
+    for m, (_, call, outcomes) in zip(ast.types[0].methods, BUILTIN_CALLS.values()):
+        for args, expected in outcomes:
+            assert _outcome_json(m, list(args), DEFAULT_FUEL, ast) == expected, (call, args)
+
+
 def test_int_wraps_at_32_bits():
     m, ast = method_named(SRC, "wrapAround")
     assert evaluate(m, [2**31 - 1]) == Returned(-(2**31))

@@ -139,7 +139,10 @@ class MethodGen:
         if kind == "var":
             return rng.choice(self.vars_of(STR))
         if kind == "concat":
-            return f"{self.str_expr(depth + 1)}.concat({self.str_expr(depth + 1)})"
+            receiver = self.str_expr(depth + 1)
+            if receiver == "null":  # javac rejects `null.concat(...)`; take no other draw
+                receiver = '""'
+            return f"{receiver}.concat({self.str_expr(depth + 1)})"
         if rng.random() < 0.1:
             return "null"
         return rng.choice(_STR_LITS)

@@ -644,6 +644,8 @@ class _Parser:
             if key == ".":
                 if self.at("class", 1):
                     raise self.unsupported("class literal", self.pos + 1)
+                if isinstance(expr, Literal) and expr.kind == "null":
+                    raise self.error("<null> cannot be dereferenced")
                 self.next()
                 name = self.expect_ident("member name")
                 if self.at("("):

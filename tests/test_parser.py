@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vmorph.errors import JavaSyntaxError, UnsupportedConstruct, VmorphError
+from vmorph.interp import Threw, evaluate
 from vmorph.lexer import COMMENT, EOF, Tokens, position, tokenize
 from vmorph.nodes import Block, If, LocalVarDecl, Literal, Switch, walk
 from vmorph.parser import MAX_NESTING, parse
@@ -72,6 +73,20 @@ def test_out_of_subset_constructs(source, construct):
 def test_syntax_errors(source):
     with pytest.raises(JavaSyntaxError):
         parse(source)
+
+
+@pytest.mark.parametrize("expr", ["null.concat(s)", "(null).length()", "null.f"])
+def test_a_member_access_on_null_is_a_syntax_error(expr):
+    source = f"class A {{ String f(String s) {{ return {expr}; }} }}"
+    with pytest.raises(JavaSyntaxError) as exc:  # javac's message
+        parse(source)
+    assert str(exc.value) == f"<input>:1:{source.index('.') + 1}: <null> cannot be dereferenced"
+
+
+def test_null_as_an_argument_parses_and_throws_when_run():
+    ast = parse("class A { static String f(String s) { return s.concat(null); } }")
+    m = ast.types[0].methods[0]
+    assert evaluate(m, ["a"], context=ast) == Threw("NullPointerException")
 
 
 @pytest.mark.parametrize("init", ["var i", "var i = 0, j"], ids=["bare", "second-declarator"])

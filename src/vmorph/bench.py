@@ -52,12 +52,13 @@ from .transforms import TransformReport, apply_all
 
 
 class VariantKind(enum.Enum):
+    """The variants of a record, in the order they are generated."""
     RENAME_ONLY = "rename"
     STRUCTURE_ONLY = "structure"
     BOTH = "both"
 
 
-ALL_VARIANTS = (VariantKind.RENAME_ONLY, VariantKind.STRUCTURE_ONLY, VariantKind.BOTH)
+ALL_VARIANTS = tuple(VariantKind)
 
 EXTERNAL_PENDING = "external-pending"
 

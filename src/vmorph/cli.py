@@ -35,12 +35,7 @@ from .prompts import FORMATS, PromptSpec, build_prompt, find_method_at
 from .rename import RenameDictionary, SynonymLexicon, recover_patch
 from .stats import margin_of_error
 
-_MODE_KINDS = {
-    "rename": (VariantKind.RENAME_ONLY,),
-    "structure": (VariantKind.STRUCTURE_ONLY,),
-    "both": (VariantKind.BOTH,),
-    "all": ALL_VARIANTS,
-}
+_MODE_KINDS = {**{kind.value: (kind,) for kind in VariantKind}, "all": ALL_VARIANTS}
 
 
 def _positive_int(text: str) -> int:
@@ -63,6 +58,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tr = sub.add_parser("transform", help="generate transformed variants of a project")
+    p_tr.set_defaults(run=_cmd_transform)
     p_tr.add_argument("--mode", choices=sorted(_MODE_KINDS), required=True)
     p_tr.add_argument("--project", required=True, help="project root containing vuln.json")
     p_tr.add_argument("--out", required=True, help="output directory")
@@ -75,6 +71,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                       help="oracle fuel per run, at least 1")
 
     p_pr = sub.add_parser("prompt", help="build a model prompt for a buggy method")
+    p_pr.set_defaults(run=_cmd_prompt)
     p_pr.add_argument("--format", choices=FORMATS, required=True)
     p_pr.add_argument("--file", required=True)
     p_pr.add_argument("--lines", required=True, metavar="A:B", help="buggy line range, 1-based")
@@ -82,10 +79,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
                       help="line budget of the prompt, at least 1")
 
     p_re = sub.add_parser("recover", help="map a patch on renamed code back to original names")
+    p_re.set_defaults(run=_cmd_recover)
     p_re.add_argument("--dict", dest="dict_path", required=True)
     p_re.add_argument("--patch", required=True)
 
     p_va = sub.add_parser("validate", help="run an external test command per manifest entry")
+    p_va.set_defaults(run=_cmd_validate)
     p_va.add_argument("--manifest", required=True)
     p_va.add_argument("--runner", type=_runner, required=True,
                       help="command template with {project} and {report} placeholders")
@@ -95,6 +94,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_st = sub.add_parser("stats", help="reporting statistics")
     st_sub = p_st.add_subparsers(dest="stats_command", required=True)
     p_moe = st_sub.add_parser("moe", help="t-interval margin of error; samples on stdin")
+    p_moe.set_defaults(run=_cmd_stats_moe)
     p_moe.add_argument("--confidence", type=float, default=0.95)
 
     return parser
@@ -103,20 +103,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        if args.command == "transform":
-            return _cmd_transform(args)
-        if args.command == "prompt":
-            return _cmd_prompt(args)
-        if args.command == "recover":
-            return _cmd_recover(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
+        return args.run(args)
     except (VmorphError, OSError) as e:
         print(f"vmorph: error: {e}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 def _cmd_transform(args) -> int:
@@ -182,16 +172,14 @@ def _cmd_validate(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_stats(args) -> int:
-    if args.stats_command == "moe":
-        try:
-            samples = [float(tok) for tok in sys.stdin.read().split()]
-            moe = margin_of_error(samples, args.confidence)
-        except ValueError as e:  # a sample that is not a number, or a bad confidence
-            raise VmorphError(f"stats moe: {e}") from e
-        print(repr(moe))
-        return 0
-    raise AssertionError("unreachable")
+def _cmd_stats_moe(args) -> int:
+    try:
+        samples = [float(tok) for tok in sys.stdin.read().split()]
+        moe = margin_of_error(samples, args.confidence)
+    except ValueError as e:  # a sample that is not a number, or a bad confidence
+        raise VmorphError(f"stats moe: {e}") from e
+    print(repr(moe))
+    return 0
 
 
 if __name__ == "__main__":

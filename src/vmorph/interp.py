@@ -270,6 +270,9 @@ def _switch(scrutinee, site):
     raise _Reject(site, None)
 
 
+# A builtin that the compiler does not write inline runs `_<builtin>`; the
+# Math ones take the site last, the string ones after the checked receiver.
+
 def _abs(a, site):
     _ints(a, 0, site)
     return _wrap32(abs(a))
@@ -313,17 +316,9 @@ def _concat(s: str, site, other) -> str:
     return _bounded(s + _string_argument("concat", other, site), site)
 
 
-# The names the generated code finds in its globals, besides its methods
-# (m0, m1, ...) and switch tables (T0, T1, ...). They are looked up when a
-# text is first compiled.
-_RUNTIME = ("VOID", "_UNSET", "_BREAK", "_CONTINUE", "_oof", "_fail", "_add", "_sub", "_mul",
-            "_div", "_mod", "_eq", "_set", "_switch", "_min", "_max", "_abs",
-            "_receiver", "_substring", "_equals", "_startsWith", "_concat")
 _ARITHMETIC_PATHS = {"+": "_add", "-": "_sub", "*": "_mul"}
 _DIVISION_PATHS = {"/": ("//", "_div"), "%": ("%", "_mod")}
 _COMPARISONS = frozenset({"<", "<=", ">", ">=", "==", "!="})
-_STRING_PATHS = {"substring": "_substring", "startsWith": "_startsWith", "concat": "_concat"}
-_MATH_PATHS = {"min": "_min", "max": "_max", "abs": "_abs"}
 _REJECTED = {"Throw": "throw statement", "New": "object allocation", "FieldAccess": "field access"}
 
 # How deep the compiler nests one function's text before it moves the rest
@@ -840,7 +835,7 @@ class _Compiler:
                 if n not in MATH_BUILTINS.get(method, ()):
                     raise UnsupportedForEvaluation(span, f"Math.{method}/{n}")
                 site = self.site(span, "Math builtin on non-int")
-                return _E(f"{_MATH_PATHS[method]}({', '.join(a.text for a in args)}, {site})",
+                return _E(f"_{method}({', '.join(a.text for a in args)}, {site})",
                           depth, writes=writes, is_int=True)
             if recv.id not in self.classes:
                 raise UnsupportedForEvaluation(span, f"unknown receiver {recv.id!r}")
@@ -869,7 +864,7 @@ class _Compiler:
         checked = f"_receiver({receiver.text}, {site})"
         if method == "equals":
             return _E(f"_equals({checked}, {args[0].text})", depth, writes=writes)
-        return _E(f"{_STRING_PATHS[method]}({checked}, {site}, "
+        return _E(f"_{method}({checked}, {site}, "
                   f"{', '.join(a.text for a in args)})", depth, writes=writes)
 
     def leaf(self, m: MethodDecl) -> Expr | None:
@@ -971,8 +966,10 @@ def _lru(cache: dict, size: int, key, make, *args):
 
 
 def _load(text: str) -> tuple:
-    """The top function `text` defines, and an empty outcome memo."""
-    namespace = {name: globals()[name] for name in _RUNTIME}
+    """The top function `text` defines, and an empty outcome memo. The text
+    finds what it calls (VOID, _oof, _add, _<builtin>, ...) among this
+    module's globals; its own names (m0, T0, ...) go into a copy of them."""
+    namespace = dict(globals())
     exec(compile(text, "<vmorph oracle>", "exec"), namespace)
     return namespace["m0"], {}
 

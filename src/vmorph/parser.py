@@ -268,18 +268,12 @@ class _Parser:
         if self.at("class"):
             raise self.unsupported("inner class")
         # Constructor: the class name followed directly by a parameter list.
-        if self.at_kind(IDENT) and self.at(class_name) and self.at("(", 1):
-            self.next()
-            params = self.param_list()
-            body = self.block()
-            return MethodDecl(class_name, mods, params, None, body, comments,
-                              self.span_from(start))
-        return_type = self.type_ref(allow_void=True)
+        constructor = self.at_kind(IDENT) and self.at(class_name) and self.at("(", 1)
+        return_type = None if constructor else self.type_ref(allow_void=True)
         name = self.expect_ident("member name")
         if self.at("("):
             params = self.param_list()
-            body = self.block()
-            return MethodDecl(name, mods, params, return_type, body, comments,
+            return MethodDecl(name, mods, params, return_type, self.block(), comments,
                               self.span_from(start))
         if return_type == "void":
             raise self.error("field cannot have type void")

@@ -48,6 +48,9 @@ INDENT = "    "
 _ASSIGN, _TERNARY, _OR, _AND, _EQ, _REL, _ADD, _MUL, _UNARY, _POSTFIX, _PRIMARY = range(1, 12)
 
 _BINOP_PREC = {op: _OR + level for op, level in BINARY_LEVEL.items()}
+# A node class's precedence, _PRIMARY if absent; a Binary takes its operator's.
+_PREC = {Assign: _ASSIGN, Ternary: _TERNARY, Unary: _UNARY, Call: _POSTFIX, FieldAccess: _POSTFIX,
+         New: _POSTFIX}
 
 # The lexer's escapes the other way round; a ' needs none inside a string.
 _STRING_ESCAPES = {char: "\\" + esc for esc, char in ESCAPES.items() if esc != "'"}
@@ -226,25 +229,10 @@ def _for_init(init) -> str:
     raise TypeError(f"cannot print for-init {type(init).__name__}")
 
 
-def _prec(expr: Expr) -> int:
-    if isinstance(expr, Assign):
-        return _ASSIGN
-    if isinstance(expr, Ternary):
-        return _TERNARY
-    if isinstance(expr, Binary):
-        return _BINOP_PREC[expr.op]
-    if isinstance(expr, Unary):
-        return _UNARY
-    if isinstance(expr, (Call, FieldAccess, New)):
-        return _POSTFIX
-    return _PRIMARY
-
-
 def _expr(expr: Expr, min_prec: int) -> str:
     text = _expr_inner(expr)
-    if _prec(expr) < min_prec:
-        return f"({text})"
-    return text
+    prec = _BINOP_PREC[expr.op] if type(expr) is Binary else _PREC.get(type(expr), _PRIMARY)
+    return f"({text})" if prec < min_prec else text
 
 
 def _expr_inner(expr: Expr) -> str:

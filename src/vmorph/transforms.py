@@ -84,6 +84,7 @@ _Site = tuple[list[Stmt], str] | None  # a site function's result
 
 
 class TransformRule(enum.Enum):
+    """The six rewrites, in the order apply_all applies them."""
     IF_FLIP = "IfFlip"
     LOOP_CONVERT = "LoopConvert"
     COND_CONVERT = "CondConvert"
@@ -973,14 +974,7 @@ def _reorder(block: Block, scope: _Scope, report: TransformReport) -> Block:
 # ---------------------------------------------------------------------------
 
 
-APPLY_ORDER = (
-    TransformRule.IF_FLIP,
-    TransformRule.LOOP_CONVERT,
-    TransformRule.COND_CONVERT,
-    TransformRule.FUNCTION_CHAIN,
-    TransformRule.ARGUMENT_PASS,
-    TransformRule.CODE_ORDER,
-)
+APPLY_ORDER = tuple(TransformRule)
 
 # Site functions without fresh names or scope; CodeOrder works on pairs (_reorder).
 _SITES = {

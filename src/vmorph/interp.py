@@ -20,10 +20,11 @@ receivers, and break/continue outside a loop or switch. `C.f(...)` resolves
 in class C and an unqualified `f(...)` in the caller's class, to the overload
 taking that many arguments; two such overloads are rejected, never guessed
 between. Running raises UnsupportedForEvaluation only for type confusions,
-string index errors, strings over MAX_STRING_LENGTH and a switch-case local
-whose case was jumped over. Fuel is charged once per statement (an if's then
-block and a loop body are not statements) and once per loop test; exhausting
-it, or nesting over MAX_CALL_DEPTH calls, gives OutOfFuel.
+string index errors, strings over MAX_STRING_LENGTH and a read of a
+switch-case local whose case was jumped over and that nothing has assigned
+since. Fuel is charged once per statement (an if's then block and a loop
+body are not statements) and once per loop test; exhausting it, or nesting
+over MAX_CALL_DEPTH calls, gives OutOfFuel.
 
 Method k of a program becomes `def m<k>(v1, ..., F, D)`: parameters and
 locals are slot variables numbered in the order the compiler meets them, F
@@ -254,13 +255,6 @@ def _eq(left, right, site) -> bool:
         raise _Reject(site, "comparison of unrelated types")
     # String == compares values here; the subset has no aliasing to observe.
     return left == right
-
-
-def _set(value, current, site):
-    """value, to be assigned to a switch local unless its case was jumped over."""
-    if current is _UNSET:
-        raise _Reject(site, None)
-    return value
 
 
 def _switch(scrutinee, site):
@@ -597,10 +591,7 @@ class _Compiler:
     def effect(self, e) -> str:
         """A statement evaluating e for its effect."""
         if isinstance(e, Assign):
-            slot, value, site = self.assignment(e)
-            if site is not None:
-                return f"v{slot} = _set({value.text}, v{slot}, {site})"
-            return self.store(slot, value)
+            return self.store(*self.assignment(e))
         x = self.expr(e)
         return f"F = {x.call}[1]" if x.call else x.text
 
@@ -749,21 +740,17 @@ class _Compiler:
         site = self.site(e.span, f"unbound name {e.id!r}")
         return _E(f"(v{slot} if v{slot} is not _UNSET else _fail({site}))", 1)
 
-    def assignment(self, e) -> tuple[int, _E, int | None]:
-        """The slot an assignment sets, its value, and the site that rejects
-        it, if its slot may be unset."""
+    def assignment(self, e) -> tuple[int, _E]:
+        """The slot an assignment sets, and its value. A switch local whose
+        case was jumped over may be assigned, as in Java (JLS 6.3, ch. 16)."""
         if not isinstance(e.target, Name):
             raise UnsupportedForEvaluation(e.span, "compound assignment target")
         value = self.expr(e.value)
-        slot, maybe_unset = self.resolve(e, e.target.id)
-        if not maybe_unset:
-            return slot, value, None
-        return slot, value, self.site(e.span, f"unbound name {e.target.id!r}")
+        return self.resolve(e, e.target.id)[0], value
 
     def e_Assign(self, e):
-        slot, value, site = self.assignment(e)
-        text = value.text if site is None else f"_set({value.text}, v{slot}, {site})"
-        return _E(f"(v{slot} := {text})", value.depth + 2, writes=True, is_int=value.is_int)
+        slot, value = self.assignment(e)
+        return _E(f"(v{slot} := {value.text})", value.depth + 2, writes=True, is_int=value.is_int)
 
     def e_Unary(self, e):
         x = self.expr(e.operand)

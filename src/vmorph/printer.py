@@ -8,6 +8,8 @@ already in printer style the round trip is byte-identical.
 
 from __future__ import annotations
 
+import re
+
 from .lexer import ESCAPES
 from .nodes import (
     BINARY_LEVEL,
@@ -282,6 +284,9 @@ def _literal(lit: Literal) -> str:
     if lit.kind == "null":
         return "null"
     if lit.kind == "string":
+        if re.search(r"\x00[0-7]", lit.value):  # type: ignore[arg-type]
+            # Java reads `\0` and an octal digit as one octal escape, which the lexer rejects.
+            raise ValueError(f"cannot print string {lit.value!r}: NUL before an octal digit")
         escaped = "".join(_STRING_ESCAPES.get(c, c) for c in lit.value)  # type: ignore[union-attr]
         return f'"{escaped}"'
     raise TypeError(f"unknown literal kind {lit.kind!r}")

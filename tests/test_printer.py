@@ -1,4 +1,6 @@
-from vmorph.nodes import structurally_equal
+import pytest
+
+from vmorph.nodes import Literal, structurally_equal
 from vmorph.parser import parse
 from vmorph.printer import print_expr, print_source, print_stmt
 
@@ -77,6 +79,17 @@ def test_string_escapes_round_trip():
     source = 'class A { void f() { x = "a\\nb\\t\\"q\\\\"; } }'
     ast = parse(source)
     assert structurally_equal(parse(print_source(ast)), ast)
+
+
+def test_a_nul_before_an_octal_digit_cannot_be_printed():
+    with pytest.raises(ValueError, match=r"cannot print string 'a\\x001': NUL before an octal"):
+        print_expr(Literal("a\x001", "string"))
+
+
+def test_a_nul_before_a_letter_prints_and_parses_back():
+    printed = print_expr(Literal("\x00a\x00", "string"))
+    assert printed == '"\\0a\\0"'
+    assert parse_stmts(f"x = {printed};").stmts[0].expr.value.value == "\x00a\x00"
 
 
 def test_comments_survive_printing():

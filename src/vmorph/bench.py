@@ -16,9 +16,6 @@ manifest file):
 from __future__ import annotations
 
 import enum
-import shlex
-import string
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -438,6 +435,9 @@ def check_runner(runner_cmd: str) -> str:
     """`runner_cmd` if it is a runner command template: shell words holding
     the {project} and {report} placeholders and no other `{…}` field; else a
     ValueError saying what is wrong."""
+    import shlex  # here and below: only the validate command needs these
+    import string
+
     fields = {name for _, name, _, _ in string.Formatter().parse(runner_cmd) if name is not None}
     placeholders = {"project", "report"}
     if not placeholders <= fields:
@@ -460,6 +460,9 @@ def external_validate(
     1 records failed, anything else records error. The result is stored on
     the entry's equivalence field and returned.
     """
+    import shlex
+    import subprocess
+
     check_runner(runner_cmd)
     if entry.output_root is None or entry.report is None:
         raise VmorphError("entry has no generated output to validate")

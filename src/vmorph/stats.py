@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import statistics
 
 from .errors import InsufficientSamples
 
@@ -20,6 +19,9 @@ def margin_of_error(samples: list[float], confidence: float = 0.95) -> float:
     n = len(samples)
     if n < 2:
         raise InsufficientSamples(f"need at least 2 samples, got {n}")
+    # Imported here, like scipy below: only this function needs it.
+    import statistics
+
     s = statistics.stdev(samples)
     if s == 0.0:
         return 0.0

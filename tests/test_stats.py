@@ -63,11 +63,13 @@ def test_non_finite_samples_rejected(bad):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.stats costs about a second to import; only margin_of_error needs it.
+    # scipy.stats costs about a second to import and statistics a few ms;
+    # only margin_of_error needs them. Only the validate command runs a
+    # subprocess.
     src = str(Path(vmorph.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    probe = ("import sys, vmorph, vmorph.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    probe = ("import sys, vmorph, vmorph.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith('scipy') or m in ('subprocess', 'statistics')))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"

@@ -284,7 +284,7 @@ def _literal(lit: Literal) -> str:
     if lit.kind == "null":
         return "null"
     if lit.kind == "string":
-        if re.search(r"\x00[0-7]", lit.value):  # type: ignore[arg-type]
+        if "\0" in lit.value and re.search(r"\x00[0-7]", lit.value):  # type: ignore[operator]
             # Java reads `\0` and an octal digit as one octal escape, which the lexer rejects.
             raise ValueError(f"cannot print string {lit.value!r}: NUL before an octal digit")
         escaped = "".join(_STRING_ESCAPES.get(c, c) for c in lit.value)  # type: ignore[union-attr]

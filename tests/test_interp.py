@@ -1114,3 +1114,39 @@ def test_a_bare_return_leaves_a_void_method():
             for n in (1, 0, -1)] == [({"returned": "void"}, 3),
                                      ({"threw": "ArithmeticException"}, 3),
                                      ({"returned": "void"}, 3)]
+
+
+# ---------------------------------------------------------------------------
+# Ill-typed methods. javac rejects the first five, but the oracle runs them
+# and a rewrite can produce such code; the last passes an argument of the
+# wrong type. Each keeps the outcome the oracle has always given it.
+# ---------------------------------------------------------------------------
+
+ILL_TYPED = {
+    "null stored into an int local": (
+        "static int f(int a) { int x = 0; x = null; return x + 1; }", [1],
+        "+ on non-int operands"),
+    "a string stored into an int local": (
+        "static int f(int a) { int x = 0; x = x + \"s\"; return x; }", [1], Returned("0s")),
+    "a string passed to an int parameter": (
+        "static int f(String s) { return g(s); }\n"
+        "static int g(int k) { int r = k * 2; return r; }", ["ab"], "* on non-int operands"),
+    "an int method that falls off its end": (
+        "static int f(int a) { return g(a) + 1; }\n"
+        "static int g(int k) { if (k > 0) { return 1; } }", [-1], "+ on non-int operands"),
+    "an int stored into a boolean local": (
+        "static boolean f(int a) { boolean b = a > 0; b = a; return b; }", [3], Returned(3)),
+    "a boolean argument for an int parameter": (
+        "static int f(int a) { return a + 1; }", [True], "+ on non-int operands"),
+}
+
+
+@pytest.mark.parametrize("name", ILL_TYPED)
+def test_an_ill_typed_method_keeps_its_outcome(name):
+    methods, args, expected = ILL_TYPED[name]
+    m, ast = method_named(f"class A {{\n{methods}\n}}", "f")
+    try:
+        got = evaluate(m, args, context=ast)
+    except UnsupportedForEvaluation as exc:
+        got = exc.detail
+    assert got == expected

@@ -146,6 +146,9 @@ def tokenize(text: str, file: str = "<input>") -> Tokens:
             if len(tok.lstrip("0")) > 10:
                 # Out of range for any int; int() of a long one raises ValueError.
                 raise err("integer literal out of 32-bit range", i)
+            # Java reads a leading 0 as octal: refuse where that is not int(tok).
+            if tok[0] == "0" and (len(tok.lstrip("0")) > 1 or tok[-1] in "89"):
+                raise err("only decimal integer literals are supported", i)
             values[at] = int(tok)
         elif kind is STRING and len(tok) > 1:
             if "\\" in tok:

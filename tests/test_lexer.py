@@ -154,3 +154,22 @@ def test_an_octal_escape_is_unsupported(literal, escape):
 def test_a_nul_escape_ends_before_a_character_that_is_not_octal(literal, value):
     tokens = tokenize(f"x = {literal};")
     assert list(tokens.values.values()) == [value]
+
+
+# Java reads an int literal that starts with 0 as octal (JLS 3.10.1): `010`
+# is 8, and `08` does not compile. The subset reads decimal, so it refuses
+# every such literal whose decimal reading is not its octal one.
+@pytest.mark.parametrize("source", ["x = 010;", "x = 08;", "x = 0009;", "x = 0123;"])
+def test_an_octal_int_literal_is_refused(source):
+    with pytest.raises(VmorphError, match="only decimal integer literals are supported"):
+        tokenize(source)
+
+
+def test_an_octal_case_label_is_refused():
+    with pytest.raises(VmorphError, match="only decimal integer literals are supported"):
+        parse("class A { int f(int k) { switch (k) { case 010: return 1; } return 0; } }")
+
+
+@pytest.mark.parametrize("literal, value", [("0", 0), ("00", 0), ("007", 7), ("10", 10)])
+def test_an_int_literal_that_octal_reads_the_same_lexes(literal, value):
+    assert list(tokenize(f"x = {literal};").values.values()) == [value]

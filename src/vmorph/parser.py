@@ -598,14 +598,14 @@ class _Parser:
         if key == "-":
             # Fold `-literal` eagerly: the raw-token path admits -2147483648,
             # and folding parenthesized forms keeps print/parse a fixpoint.
+            # `-(-2147483648)` has no literal to fold into and stays a Unary.
             if self.at_kind(INT, 1):
                 return self.negative_literal()
             self.next()
             operand = self.nested(self.unary)
-            if isinstance(operand, Literal) and operand.kind == "int":
-                value = -operand.value  # type: ignore[operator]
-                self._check_int_range(value, start)
-                return Literal(value, "int", self.span_from(start))
+            if (isinstance(operand, Literal) and operand.kind == "int"
+                    and -operand.value <= INT_MAX):  # type: ignore[operator]
+                return Literal(-operand.value, "int", self.span_from(start))  # type: ignore[operator]
             return Unary("-", operand, self.span_from(start))
         return self.postfix()
 

@@ -391,3 +391,24 @@ def test_mutated_fixture_parses_and_reprints_or_raises_a_vmorph_error(text):
     except VmorphError:
         return
     assert parse(print_source(tree), "M.java") == tree
+
+
+@pytest.mark.parametrize("text", ["-(-2147483648)", "- -2147483648", "-(- 2147483648)"])
+def test_negating_the_least_int_parses_as_a_unary_minus(text):
+    from vmorph.nodes import Unary, structurally_equal
+    from vmorph.printer import print_expr
+
+    m = parse(f"class A {{ static int f() {{ return {text}; }} }}").types[0].methods[0]
+    value = m.body.stmts[0].value
+    assert isinstance(value, Unary) and value.op == "-"
+    assert isinstance(value.operand, Literal) and value.operand.value == -2147483648
+    assert print_expr(value) == "-(-2147483648)"
+    again = parse(f"class A {{ static int f() {{ return {print_expr(value)}; }} }}")
+    assert structurally_equal(again.types[0].methods[0], m)
+    assert evaluate(m, []).value == -2147483648
+
+
+def test_negating_a_parenthesised_literal_in_range_still_folds():
+    m = parse("class A { static int f() { return -(2147483647); } }").types[0].methods[0]
+    value = m.body.stmts[0].value
+    assert isinstance(value, Literal) and value.value == -2147483647

@@ -95,7 +95,8 @@ MAX_STRING_LENGTH = 100_000  # longer strings are outside the outcome model
 STRING_BUILTINS = {"length": (0,), "substring": (1, 2), "startsWith": (1,), "equals": (1,),
                    "concat": (1,)}
 MATH_BUILTINS = {"min": (2,), "max": (2,), "abs": (1,)}
-SUPPORTED_PARAM_TYPES = frozenset({"int", "boolean", "String"})
+# Supported parameter type -> the Python types of its values.
+SUPPORTED_PARAM_TYPES = {"int": (int,), "boolean": (bool,), "String": (str, type(None))}
 
 ARITHMETIC = "ArithmeticException"
 NULL_POINTER = "NullPointerException"
@@ -180,6 +181,10 @@ class _Stop(Exception):
 class _Reject(Exception):
     """Ends an evaluation with a run-time rejection. args: the site number and
     a detail, or None for the detail the site's table entry holds."""
+
+
+class _Untyped(Exception):
+    """Ends a typed compile at a type assumption the method breaks."""
 
 
 _UNSET = object()  # a local of a switch whose declaring case was jumped over
@@ -335,12 +340,17 @@ class _Program:
     (span, detail) of each rejection site the text numbers and, once loaded,
     the text's top function and outcome memo, which every program of the
     same text shares. The memo maps (fuel, (type, value) per argument) to an
-    outcome or to a rejection's (site, detail)."""
+    outcome or to a rejection's (site, detail). A typed program runs only
+    arguments of the Python types in `accepts`, one entry per parameter;
+    `general` is its untyped program, once compiled."""
 
-    def __init__(self, text: str, sites: list):
-        self.text, self.sites = text, sites
-        self.top = None
+    def __init__(self, text: str, sites: list, accepts: tuple | None):
+        self.text, self.sites, self.accepts = text, sites, accepts
+        self.top, self.general = None, None
         self.outcomes: dict[tuple, object] = {}
+
+    def runs(self, args) -> bool:
+        return self.accepts is None or all(type(a) in t for a, t in zip(args, self.accepts))
 
 
 class _E(NamedTuple):
@@ -382,9 +392,12 @@ class _Compiler:
     """Compiles a method and the same-file methods it calls into the text of
     one Python function each. Scopes mirror Java blocks and map names to
     slots; a switch's locals are read with a check, as their declaring case
-    may have been jumped over."""
+    may have been jumped over. A typed compile reads a slot of known kind
+    without a type test, and raises _Untyped where the method breaks one of
+    the assumptions that give the kinds."""
 
-    def __init__(self, context: SourceFile | None):
+    def __init__(self, context: SourceFile | None, typed: bool = False):
+        self.typed = typed
         types = context.types if context is not None else ()
         self.classes = {cls.name for cls in types}
         # (class name, method name) -> its overloads; id(method) -> class name
@@ -399,6 +412,9 @@ class _Compiler:
         self.leaves: dict[int, Expr | None] = {}  # id(method) -> its e, if it is a leaf
         self.inlining = False  # while a leaf's e is compiled in place
         self.pending: list[tuple[MethodDecl, int]] = []
+        # id(method) -> the kinds its returns give; -> the kind a call read its result as
+        self.returned: dict[int, set] = {}
+        self.relied: dict[int, str] = {}
         self.texts: dict[int, str] = {}
         self.tables: list[str] = []
         self.sites: list[tuple] = []
@@ -419,11 +435,17 @@ class _Compiler:
                 if p.type_name not in SUPPORTED_PARAM_TYPES:
                     raise UnsupportedForEvaluation(p.span, f"parameter type {p.type_name!r}")
             self.texts[number] = self.method(m, number)
+        if any(self.returned[i] != {kind} for i, kind in self.relied.items()):
+            raise _Untyped()  # a call read the result of a method that returns something else
         return _Program("".join(self.tables + [self.texts[n] for n in sorted(self.texts)]),
-                        self.sites)
+                        self.sites, tuple(SUPPORTED_PARAM_TYPES[p.type_name] for p in top.params)
+                        if self.typed else None)
 
     def method(self, m: MethodDecl, number: int) -> str:
         self.scopes = [({p.name: i for i, p in enumerate(m.params, 1)}, False)]
+        # slot -> "int" or "boolean", what it holds whenever it is read
+        self.kinds = {i: self.declared(p.type_name) for i, p in enumerate(m.params, 1)}
+        self.returns = self.returned.setdefault(id(m), set())
         self.size, self.loops, self.temps = 1 + len(m.params), 0, 0
         self.out, self.indent, self.fn = [], 1, _Function(helper=False)
         self.helpers: list[tuple[str, list[str]]] = []
@@ -446,6 +468,27 @@ class _Compiler:
         homes = {cls for (cls, name), overloads in self.methods.items() if name == m.name
                  and any([p.type_name for p in o.params] == signature for o in overloads)}
         return homes.pop() if len(homes) == 1 else None
+
+    def result_kind(self, m: MethodDecl) -> str | None:
+        """What a call of m gives in a typed compile: an int or boolean
+        method's value, when its body ends in a return, so that every path
+        out of it is a return that s_Return checks."""
+        stmts = m.body.stmts
+        return self.declared(m.return_type) if stmts and isinstance(stmts[-1], Return) else None
+
+    def declared(self, type_name: str | None) -> str | None:
+        """The kind a typed compile gives a value of a declared type."""
+        return type_name if self.typed and type_name in ("int", "boolean") else None
+
+    def holds(self, slot: int, value: _E | None) -> None:
+        """Gives a slot that a declaration or a leaf's entry fills with value
+        the kind of value (none for None); check() holds later stores to it."""
+        self.kinds[slot] = _kind(value) if self.typed and value is not None else None
+
+    def check(self, kind: str | None, value: _E) -> None:
+        """value where something of `kind` (None: anything) is assumed."""
+        if kind is not None and kind != _kind(value):
+            raise _Untyped()
 
     def target(self, cls: str | None, method: str, n: int, span) -> MethodDecl:
         """The method of `cls` named `method` that takes `n` arguments."""
@@ -580,6 +623,7 @@ class _Compiler:
                 raise UnsupportedForEvaluation(d.span, f"variable {d.name!r} is already defined")
             init = self.expr(d.init) if d.init is not None else _E("None")
             names[d.name], self.size = self.size, self.size + 1
+            self.holds(names[d.name], init)
             self.line(self.store(names[d.name], init))
 
     def store(self, slot: int, value: _E) -> str:
@@ -680,10 +724,11 @@ class _Compiler:
             self.nested(self.emit_continue)
 
     def s_Return(self, s):
+        value = self.expr(s.value) if s.value is not None else _E("VOID")
+        self.returns.add(_kind(value))
         if s.value is None:
             self.emit_return("VOID")
             return
-        value = self.expr(s.value)
         if value.call and not self.fn.helper:
             self.line(f"return {value.call}")
         else:
@@ -735,10 +780,13 @@ class _Compiler:
 
     def e_Name(self, e):
         slot, maybe_unset = self.resolve(e, e.id)
+        kind = self.kinds.get(slot)  # what the slot holds once it is set
         if not maybe_unset:
-            return _E(f"v{slot}", pure=True, slot=slot)
+            return _E(f"v{slot}", pure=True, slot=slot, boolean=kind == "boolean",
+                      is_int=kind == "int")
         site = self.site(e.span, f"unbound name {e.id!r}")
-        return _E(f"(v{slot} if v{slot} is not _UNSET else _fail({site}))", 1)
+        return _E(f"(v{slot} if v{slot} is not _UNSET else _fail({site}))", 1,
+                  boolean=kind == "boolean", is_int=kind == "int")
 
     def assignment(self, e) -> tuple[int, _E]:
         """The slot an assignment sets, and its value. A switch local whose
@@ -746,11 +794,14 @@ class _Compiler:
         if not isinstance(e.target, Name):
             raise UnsupportedForEvaluation(e.span, "compound assignment target")
         value = self.expr(e.value)
-        return self.resolve(e, e.target.id)[0], value
+        slot = self.resolve(e, e.target.id)[0]
+        self.check(self.kinds.get(slot), value)
+        return slot, value
 
     def e_Assign(self, e):
         slot, value = self.assignment(e)
-        return _E(f"(v{slot} := {value.text})", value.depth + 2, writes=True, is_int=value.is_int)
+        return _E(f"(v{slot} := {value.text})", value.depth + 2, writes=True,
+                  boolean=value.boolean, is_int=value.is_int)
 
     def e_Unary(self, e):
         x = self.expr(e.operand)
@@ -767,7 +818,7 @@ class _Compiler:
         test, a, b = self.truth(e.cond), self.expr(e.if_true), self.expr(e.if_false)
         return _E(f"({a.text} if {test.text} else {b.text})",
                   max(test.depth, a.depth, b.depth) + 1, writes=test.writes or a.writes or b.writes,
-                  is_int=a.is_int and b.is_int)
+                  boolean=a.boolean and b.boolean, is_int=a.is_int and b.is_int)
 
     def e_Binary(self, e):
         op = e.op
@@ -782,19 +833,25 @@ class _Compiler:
         return self.binary(op, left, right, self.site(e.span, f"{op} on non-int operands"))
 
     def binary(self, op: str, left: _E, right: _E, site: int) -> _E:
+        writes, depth = left.writes or right.writes, max(left.depth, right.depth) + _EXPR_STEP
+        if left.is_int and right.is_int and op not in _DIVISION_PATHS:
+            # Python evaluates the operands in Java order, and only a result
+            # past the int range is left to fix: nothing is read again.
+            value = f"{left.text} {op} {right.text}"
+            if op in _COMPARISONS:
+                return _E(f"({value})", depth, writes=writes, boolean=True)
+            r = self.temp()
+            return _E(f"({r} if {_in_range(op, right, f'({r} := {value})')} else _wrap32({r}))",
+                      depth, writes=writes, is_int=True)
         lf, la = self.operand(left, right.writes)
         rf, ra = self.operand(right)
         tests = [_int_test(left, lf), _int_test(right, rf)]
-        writes, depth = left.writes or right.writes, max(left.depth, right.depth) + _EXPR_STEP
         if op in _ARITHMETIC_PATHS:
-            r, c = self.temp(), _is_int(right)
-            low, high = f"{INT_MIN} <= ", f" <= {INT_MAX}"
-            if c is not None and op != "*":  # the sum moves one way only
-                low, high = ("", high) if (op == "+") == (c >= 0) else (low, "")
-            tests.append(f"{low}({r} := {la} {op} {ra}){high}")
+            r = self.temp()
+            tests.append(_in_range(op, right, f"({r} := {la} {op} {ra})"))
             return _E(f"({r} if {_all(tests, left, right)} else "
                       f"{_ARITHMETIC_PATHS[op]}({la}, {ra}, {site}))", depth, writes=writes,
-                      is_int=op != "+" or left.is_int and right.is_int)
+                      is_int=op != "+")
         if op in _DIVISION_PATHS:
             py_op, path = _DIVISION_PATHS[op]
             # Python's // and % are Java's on a dividend >= 0 and a divisor > 0.
@@ -834,11 +891,16 @@ class _Compiler:
             inlined = self.inline(target, args)
             if inlined is not None:
                 return inlined
+            for p, a in zip(target.params, args):  # what the callee assumes of its parameters
+                self.check(self.declared(p.type_name), a)
             number = self.callee(target)
             call = f"m{number}({''.join(a.text + ', ' for a in args)}F, D + 1)"
             t = self.temp()
+            kind = self.result_kind(target)
+            if kind is not None:
+                self.relied[id(target)] = kind
             return _E(f"((F := ({t} := {call})[1]) is None or {t}[0])", depth, writes=writes,
-                      call=call)
+                      boolean=kind == "boolean", is_int=kind == "int", call=call)
         if n not in STRING_BUILTINS.get(method, ()):
             raise UnsupportedForEvaluation(span, f"method {method!r} with {n} arguments")
         site = self.site(span, None)
@@ -850,9 +912,10 @@ class _Compiler:
                       depth, writes=writes, is_int=True)
         checked = f"_receiver({receiver.text}, {site})"
         if method == "equals":
-            return _E(f"_equals({checked}, {args[0].text})", depth, writes=writes)
+            return _E(f"_equals({checked}, {args[0].text})", depth, writes=writes, boolean=True)
         return _E(f"_{method}({checked}, {site}, "
-                  f"{', '.join(a.text for a in args)})", depth, writes=writes)
+                  f"{', '.join(a.text for a in args)})", depth, writes=writes,
+                  boolean=method == "startsWith")
 
     def leaf(self, m: MethodDecl) -> Expr | None:
         """The e of m's body when that body is exactly `return e;` and m takes
@@ -889,6 +952,7 @@ class _Compiler:
                 slots[p.name] = a.slot
             else:  # `is` only orders the store before the tests after it
                 slots[p.name], self.size = self.size, self.size + 1
+                self.holds(slots[p.name], a)
                 entry.append(f"(v{slots[p.name]} := {a.text}) is v{slots[p.name]}")
         entry += [f"D < {MAX_CALL_DEPTH}", "(F := F - 1) >= 0"]
         outer = self.scopes, self.cls
@@ -907,16 +971,31 @@ class _Compiler:
                   writes=any(a.writes for a in args), boolean=x.boolean, is_int=x.is_int)
 
 
+def _kind(x: _E) -> str | None:
+    """The kind of a typed compile's slot that x may be stored in."""
+    return "int" if x.is_int else "boolean" if x.boolean else None
+
+
 def _is_int(x: _E) -> int | None:
     """The value of an int literal."""
     return x.literal[0] if x.literal and type(x.literal[0]) is int else None
 
 
+def _in_range(op: str, right: _E, result: str) -> str:
+    """A test that the result of int operands, op and right is an int: one
+    side only where right is a literal that moves a sum one way."""
+    low, high, c = f"{INT_MIN} <= ", f" <= {INT_MAX}", _is_int(right)
+    if c is not None and op != "*":
+        low, high = ("", high) if (op == "+") == (c >= 0) else (low, "")
+    return f"{low}{result}{high}"
+
+
 def _int_test(x: _E, first: str) -> str:
-    """A test that an operand is an int, which evaluates it if it has effects."""
+    """A test that an operand is an int, which evaluates it where first does
+    more than read it again."""
     if not x.is_int:
         return f"type({first}) is int"
-    return "" if x.pure else f"{first} is not None"
+    return "" if first == x.text else f"{first} is not None"
 
 
 def _all(tests: list[str], left: _E, right: _E) -> str:
@@ -975,12 +1054,21 @@ def _compile(m: MethodDecl, context: SourceFile | None) -> _Program:
 
 
 def _compile_entry(m: MethodDecl, context: SourceFile | None) -> tuple:
+    """The typed program of m, or its untyped one where m breaks a type
+    assumption; or the rejection."""
     try:
-        program = _Compiler(context).compile(m)
+        try:
+            program = _Compiler(context, typed=True).compile(m)
+        except _Untyped:
+            program = _Compiler(context).compile(m)
     except UnsupportedForEvaluation as exc:
         return m, context, exc
+    return m, context, _loaded(program)
+
+
+def _loaded(program: _Program) -> _Program:
     program.top, program.outcomes = _lru(_CODE, _CODE_SIZE, program.text, _load, program.text)
-    return m, context, program
+    return program
 
 
 def ensure_supported(m: MethodDecl, context: SourceFile | None = None) -> None:
@@ -1013,12 +1101,19 @@ def evaluate(
     context: SourceFile | None = None,
 ) -> Outcome:
     """Run a method on concrete argument values; deterministic and total.
-    Each distinct (fuel, typed arguments) runs once per compiled text."""
+    Each distinct (fuel, typed arguments) runs once per compiled text: the
+    typed program's, or the untyped program's for arguments of other types
+    than the parameters declare."""
     program = _compile(m, context)
     if len(args) != len(m.params):
         raise UnsupportedForEvaluation(m.span, "argument arity mismatch")
     key = (fuel, *((type(a), a) for a in args))  # 1 == True, but x + 1 takes only 1
     outcome = program.outcomes.get(key)
+    if outcome is None and not program.runs(args):
+        if program.general is None:
+            program.general = _loaded(_Compiler(context).compile(m))
+        program = program.general
+        outcome = program.outcomes.get(key)
     if outcome is None:
         outcome = program.outcomes[key] = _run(program, args, fuel)
     if type(outcome) is tuple:  # a rejection, raised with this program's span and names

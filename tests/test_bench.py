@@ -1187,3 +1187,54 @@ def test_transform_output_matches_golden(capsys):
     snapshot = transform_snapshot()
     capsys.readouterr()
     assert snapshot.encode("utf-8") == GOLDEN_TRANSFORM.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The oracle's typed compile on the benchmark's records
+# ---------------------------------------------------------------------------
+
+
+def test_every_perfbench_target_and_structure_variant_compiles_typed(tmp_path, monkeypatch):
+    """The oracle's speed on the benchmark rests on the typed compile: no
+    target of seed 1 of any workload, and no structure variant of one,
+    breaks a type assumption and falls back to the untyped program."""
+    from vmorph import interp
+    from vmorph.nodes import method_position, with_method
+    from vmorph.prompts import find_method_at
+    from vmorph.transforms import apply_all
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import gen
+
+    compiled = 0
+    for name, workload in gen.WORKLOADS.items():
+        for raw in workload(1):
+            record = load_record(raw.write(tmp_path / name))
+            ast = parse((Path(record.project_root) / record.buggy_file).read_text(),
+                        record.buggy_file)
+            m = find_method_at(ast, record.buggy_lines.start_line, record.buggy_lines.end_line)
+            variant = apply_all(m, context=ast)[0]
+            for method, context in ((m, ast),
+                                    (variant, with_method(ast, method_position(ast, m), variant))):
+                interp._Compiler(context, typed=True).compile(method)  # raises on a fallback
+                compiled += 1
+    assert compiled == 2 * (60 + 4 + 1)
+
+
+def test_a_record_loads_two_oracle_texts(lexicon, tmp_path, monkeypatch):
+    """The original and the structure variant each load one text, which the
+    rename and both variants share; every trial draws the declared types,
+    so the pipeline never compiles an untyped program."""
+    from vmorph import interp
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import gen
+
+    loads, load = [], interp._load
+    monkeypatch.setattr(interp, "_COMPILED", {})
+    monkeypatch.setattr(interp, "_CODE", {})
+    monkeypatch.setattr(interp, "_load", lambda text: loads.append(text) or load(text))
+    record = load_record(gen.WORKLOADS["fuel-bound"](1)[0].write(tmp_path / "in"))
+    manifest = generate_variants([record], lexicon, tmp_path / "out", seed=1)
+    assert all(isinstance(e.equivalence, dict) for e in manifest.entries)
+    assert len(loads) == 2

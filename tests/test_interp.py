@@ -1138,6 +1138,12 @@ ILL_TYPED = {
         "static boolean f(int a) { boolean b = a > 0; b = a; return b; }", [3], Returned(3)),
     "a boolean argument for an int parameter": (
         "static int f(int a) { return a + 1; }", [True], "+ on non-int operands"),
+    "a string returned from an int method": (
+        "static int f(int a) { return g(a) + 1; }\n"
+        "static int g(int k) { if (k > 0) { return \"s\"; } return k; }", [2], Returned("s1")),
+    "a bare return in an int method": (
+        "static int f(int a) { return g(a) * 2; }\n"
+        "static int g(int k) { if (k > 0) { return; } return k; }", [2], "* on non-int operands"),
 }
 
 
@@ -1150,3 +1156,74 @@ def test_an_ill_typed_method_keeps_its_outcome(name):
     except UnsupportedForEvaluation as exc:
         got = exc.detail
     assert got == expected
+
+
+@pytest.mark.parametrize("body, args, expected", [
+    ("return a / (a = 2);", [7, "s"], 3),
+    ("return a % (a = 4);", [7, "s"], 3),
+    ("return a + (s = \"x\");", [7, "s"], "7x"),
+    ("return a < (a = 9) ? a : 0;", [7, "s"], 9),
+    ("boolean b = a > 0; return (b == (b = false)) ? a : 0;", [7, "s"], 0),
+], ids=["division", "remainder", "concatenation", "comparison", "boolean"])
+def test_an_operand_is_read_before_a_later_operand_assigns_it(body, args, expected):
+    m, ast = method_named(f"class A {{ static int f(int a, String s) {{ {body} }} }}", "f")
+    assert evaluate(m, args, context=ast) == Returned(expected)
+
+
+# ---------------------------------------------------------------------------
+# The typed compile: a program compiled for its declared types gives what the
+# untyped program gives, on every argument vector of those types.
+# ---------------------------------------------------------------------------
+
+SURVEY_FUELS = (0, 1, 5, 25, DEFAULT_FUEL)
+
+
+def _loaded_programs(m, ast):
+    """m's typed and untyped programs, ready to run; "untyped" where the
+    typed compile falls back, None where m does not compile."""
+    try:
+        programs = [interp._Compiler(ast, typed).compile(m) for typed in (True, False)]
+    except UnsupportedForEvaluation:
+        return None
+    except interp._Untyped:
+        return "untyped"
+    for program in programs:
+        program.top, program.outcomes = interp._load(program.text)
+    return programs
+
+
+def _run_outcome(program, args, fuel):
+    """An outcome, or a rejection's span and detail."""
+    outcome = interp._run(program, args, fuel)
+    if type(outcome) is not tuple:
+        return outcome
+    span, own = program.sites[outcome[0]]
+    return span, outcome[1] or own
+
+
+def _survey_methods():
+    files = [parse(path.read_text(), path.name)
+             for path in sorted((FIXTURES / "corpus").glob("*.java"))]
+    files += [parse(generate_method_source(seed), f"Fuzzed{seed}.java")
+              for seed in [*range(40), *range(2000, 2010)]]
+    for ast in files:
+        for cls in ast.types:
+            for m in cls.methods:
+                yield m, ast
+                yield apply_all(m, context=ast)[0], ast
+
+
+def test_the_typed_program_gives_what_the_untyped_one_gives():
+    kinds = {"typed": 0, "untyped": 0}
+    for m, ast in _survey_methods():
+        programs = _loaded_programs(m, ast)
+        if not isinstance(programs, list):
+            kinds["untyped"] += programs == "untyped"
+            continue
+        kinds["typed"] += 1
+        for trial in range(10):
+            args = tuple(generate_args(m.params, 0, trial))
+            for fuel in SURVEY_FUELS:
+                typed, untyped = (_run_outcome(p, args, fuel) for p in programs)
+                assert typed == untyped, (m.name, m.span, args, fuel)
+    assert kinds == {"typed": 344, "untyped": 0}

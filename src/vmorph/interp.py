@@ -48,6 +48,23 @@ so fall-through and break need nothing more; a continue that leaves a switch
 sets a flag tested after it. A for loop's update is repeated before each
 continue that targets it.
 
+A method is compiled for its declared types (Chambers and Ungar's
+customization, "Customization: Optimizing Compiler Technology for SELF",
+PLDI 1989). The typed program gives a kind, int or boolean, to each slot it
+can prove holds one whenever it is read: an int or boolean parameter, a
+local whose initializer has a kind (a switch local's guarded read too), a
+leaf's argument slot, and the result of a call of a same-file int or
+boolean method whose body ends in a return. A read of such a slot drops its
+type test; an operator on two ints tests neither and reads neither again,
+and only a result out of range goes to _wrap32. Java gives each local one
+type, so no dataflow is needed: each assumption is checked where it could
+break (each store into a kinded slot, each argument of a call that is not
+written in place, each return of a method a call reads the result of), and
+a break compiles the untyped program, every test in place, instead.
+evaluate runs the typed program on arguments of the declared Python types
+(SUPPORTED_PARAM_TYPES), as every drawn trial has, and compiles the untyped
+program the first time an argument has another type.
+
 CPython compiles at most 200 nested parentheses, 100 indentation levels and
 20 nested loops in one function. The compiler stays inside them by
 construction: an expression or statement nested past a budget moves into a
@@ -472,7 +489,7 @@ class _Compiler:
     def result_kind(self, m: MethodDecl) -> str | None:
         """What a call of m gives in a typed compile: an int or boolean
         method's value, when its body ends in a return, so that every path
-        out of it is a return that s_Return checks."""
+        out of it is a return, whose kind s_Return records."""
         stmts = m.body.stmts
         return self.declared(m.return_type) if stmts and isinstance(stmts[-1], Return) else None
 
@@ -480,10 +497,10 @@ class _Compiler:
         """The kind a typed compile gives a value of a declared type."""
         return type_name if self.typed and type_name in ("int", "boolean") else None
 
-    def holds(self, slot: int, value: _E | None) -> None:
+    def holds(self, slot: int, value: _E) -> None:
         """Gives a slot that a declaration or a leaf's entry fills with value
-        the kind of value (none for None); check() holds later stores to it."""
-        self.kinds[slot] = _kind(value) if self.typed and value is not None else None
+        the kind of value; check() holds every later store to it."""
+        self.kinds[slot] = _kind(value) if self.typed else None
 
     def check(self, kind: str | None, value: _E) -> None:
         """value where something of `kind` (None: anything) is assumed."""

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -1227,3 +1228,33 @@ def test_the_typed_program_gives_what_the_untyped_one_gives():
                 typed, untyped = (_run_outcome(p, args, fuel) for p in programs)
                 assert typed == untyped, (m.name, m.span, args, fuel)
     assert kinds == {"typed": 344, "untyped": 0}
+
+
+# The survey's outcomes, as the oracle gave them when it still kept an untyped
+# program to compare the typed one with: for each method, its compile
+# rejection, or on each declared-type vector at each fuel its outcome or its
+# run-time rejection's span and detail.
+SURVEY_DIGEST = "be8d2c0247ed9c17292481028d5b56f0a26a5c7cf858b67ac700033a43a63db6"
+
+
+def _survey_lines():
+    for m, ast in _survey_methods():
+        yield f"{m.name} {tuple(m.span)}"
+        try:
+            ensure_supported(m, ast)
+        except UnsupportedForEvaluation as exc:
+            yield f"  compile: {tuple(exc.span)} {exc.detail}"
+            continue
+        for trial in range(10):
+            args = generate_args(m.params, 0, trial)
+            for fuel in SURVEY_FUELS:
+                try:
+                    outcome = repr(evaluate(m, args, fuel, ast))
+                except UnsupportedForEvaluation as exc:
+                    outcome = f"{tuple(exc.span)} {exc.detail}"
+                yield f"  {args!r} {fuel}: {outcome}"
+
+
+def test_the_survey_outcomes_match_their_digest():
+    digest = hashlib.sha256("\n".join(_survey_lines()).encode("utf-8")).hexdigest()
+    assert digest == SURVEY_DIGEST

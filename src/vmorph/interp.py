@@ -16,15 +16,18 @@ of Computation Process", 1971). Compiling rejects, on every path: parameter
 types other than int/boolean/String, throw, new, field access, assignment to
 a non-name, names that denote no parameter or local (static fields among
 them), calls that resolve to no builtin or same-file method, unknown
-receivers, and break/continue outside a loop or switch. `C.f(...)` resolves
-in class C and an unqualified `f(...)` in the caller's class, to the overload
-taking that many arguments; two such overloads are rejected, never guessed
-between. Running raises UnsupportedForEvaluation only for type confusions,
-string index errors, strings over MAX_STRING_LENGTH and a read of a
-switch-case local whose case was jumped over and that nothing has assigned
-since. Fuel is charged once per statement (an if's then block and a loop
-body are not statements) and once per loop test; exhausting it, or nesting
-over MAX_CALL_DEPTH calls, gives OutOfFuel.
+receivers, break/continue outside a loop or switch, and every ill-typed
+expression (see below). `C.f(...)` resolves in class C and an unqualified
+`f(...)` in the caller's class, to the overload taking that many arguments;
+two such overloads are rejected, never guessed between. evaluate rejects an
+argument that is not of its parameter's type (SUPPORTED_PARAM_TYPES) before
+anything runs. Running raises UnsupportedForEvaluation only for string index
+errors, strings over MAX_STRING_LENGTH, a read of a local that nothing has
+assigned (one declared without an initializer, or a switch-case local whose
+case was jumped over), and a non-void method that reaches its closing brace
+(javac's "missing return statement"). Fuel is charged once per statement (an
+if's then block and a loop body are not statements) and once per loop test;
+exhausting it, or nesting over MAX_CALL_DEPTH calls, gives OutOfFuel.
 
 Method k of a program becomes `def m<k>(v1, ..., F, D)`: parameters and
 locals are slot variables numbered in the order the compiler meets them, F
@@ -41,29 +44,23 @@ A leaf that is only reached this way is not emitted as a function. If e does
 not compile, the call stays a call, so the leaf rejects where it always
 did. A local that redeclares a name in scope is rejected, as javac rejects
 it (JLS 6.4). An operator evaluates each operand once, in Java order,
-through walrus temporaries; two ints take an inline path, and any other
-operands go to a helper that concatenates strings, wraps, or rejects. A
+through walrus temporaries where the operand is read again. A
 switch is a one-pass `while True:` whose cases are `if start <= i:` blocks,
 so fall-through and break need nothing more; a continue that leaves a switch
 sets a flag tested after it. A for loop's update is repeated before each
 continue that targets it.
 
-A method is compiled for its declared types (Chambers and Ungar's
-customization, "Customization: Optimizing Compiler Technology for SELF",
-PLDI 1989). The typed program gives a kind, int or boolean, to each slot it
-can prove holds one whenever it is read: an int or boolean parameter, a
-local whose initializer has a kind (a switch local's guarded read too), a
-leaf's argument slot, and the result of a call of a same-file int or
-boolean method whose body ends in a return. A read of such a slot drops its
-type test; an operator on two ints tests neither and reads neither again,
-and only a result out of range goes to _wrap32. Java gives each local one
-type, so no dataflow is needed: each assumption is checked where it could
-break (each store into a kinded slot, each argument of a call that is not
-written in place, each return of a method a call reads the result of), and
-a break compiles the untyped program, every test in place, instead.
-evaluate runs the typed program on arguments of the declared Python types
-(SUPPORTED_PARAM_TYPES), as every drawn trial has, and compiles the untyped
-program the first time an argument has another type.
+Compiling checks types as javac does for the subset (JLS ch. 15). Its types
+are int, boolean, String, the null type and void. Every parameter and local
+has its declared type, and a `var` local its initializer's. Each store,
+argument, return value, condition, operand, switch label and receiver is
+checked against the type its place needs, and an ill-typed method is
+rejected at its first ill-typed expression, with both types named. A
+well-typed program cannot reach a type confusion (Milner, "A Theory of Type
+Polymorphism in Programming", JCSS 1978), so the text tests no value's type:
+an operator on two ints reads each once and only a result out of range goes
+to _wrap32, `+` with a String operand concatenates, and a comparison with
+`null` is an identity test.
 
 CPython compiles at most 200 nested parentheses, 100 indentation levels and
 20 nested loops in one function. The compiler stays inside them by
@@ -100,7 +97,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .errors import UnsupportedForEvaluation
-from .nodes import (DEFAULT_LABEL, INT_MAX, INT_MIN, Assign, Expr, For, Literal,
+from .nodes import (DEFAULT_LABEL, INT_MAX, INT_MIN, Assign, Expr, For,
                     MethodDecl, Name, Return, SourceFile, Switch, While, walk)
 
 DEFAULT_TRIALS = 100
@@ -200,11 +197,7 @@ class _Reject(Exception):
     a detail, or None for the detail the site's table entry holds."""
 
 
-class _Untyped(Exception):
-    """Ends a typed compile at a type assumption the method breaks."""
-
-
-_UNSET = object()  # a local of a switch whose declaring case was jumped over
+_UNSET = object()  # a local that nothing has assigned yet
 # What a helper returns for a Java break or continue that leaves it.
 _BREAK, _CONTINUE = object(), object()
 
@@ -215,6 +208,10 @@ def _oof():
 
 def _fail(site):
     raise _Reject(site, None)
+
+
+def _npe():
+    raise _Stop(NULL_POINTER)
 
 
 def _wrap32(v: int) -> int:
@@ -231,82 +228,41 @@ def _bounded(s: str, site) -> str:
     return s
 
 
-def _ints(a, b, site) -> None:
-    if type(a) is not int or type(b) is not int:
-        raise _Reject(site, None)
+def _cat(a, b, site) -> str:
+    """String concatenation, `+` with a String operand."""
+    return _bounded(_to_java_string(a) + _to_java_string(b), site)
 
 
-def _on_ints(fn):
-    """fn, once its two operands are checked to be ints."""
-    def checked(a, b, site):
-        _ints(a, b, site)
-        return fn(a, b)
-    return checked
-
-
-# The paths an operator's inline code leaves for: an operand that is not an
-# int, or a result outside the int range.
-
-def _add(a, b, site):
-    if type(a) is str or type(b) is str:
-        return _bounded(_to_java_string(a) + _to_java_string(b), site)
-    _ints(a, b, site)
-    return _wrap32(a + b)
-
-
-def _java_div(a: int, b: int) -> int:
+def _div(a: int, b: int) -> int:
     if b == 0:
         raise _Stop(ARITHMETIC)
     q = abs(a) // abs(b)
     return _wrap32(-q if (a < 0) != (b < 0) else q)
 
 
-_sub = _on_ints(lambda a, b: _wrap32(a - b))
-_mul = _on_ints(lambda a, b: _wrap32(a * b))
-_div = _on_ints(_java_div)
-_mod = _on_ints(lambda a, b: _wrap32(a - _java_div(a, b) * b))
-_min, _max = _on_ints(min), _on_ints(max)
+def _mod(a: int, b: int) -> int:
+    return _wrap32(a - _div(a, b) * b)
 
 
-def _eq(left, right, site) -> bool:
-    if left is None or right is None:
-        if isinstance(left if right is None else right, (str, type(None))):
-            return left is right
-        raise _Reject(site, "null compared to a primitive")
-    if type(left) is not type(right):
-        raise _Reject(site, "comparison of unrelated types")
-    # String == compares values here; the subset has no aliasing to observe.
-    return left == right
+# The builtins the compiler does not write inline: `_<builtin>`. The string
+# ones take the receiver first, checked by _deref; substring and concat then
+# take a site, where they can reject.
+_min, _max = min, max
 
 
-def _switch(scrutinee, site):
-    """Raises for a switch scrutinee that is not an int or a string."""
-    if scrutinee is None:
-        raise _Stop(NULL_POINTER)
-    raise _Reject(site, None)
-
-
-# A builtin that the compiler does not write inline runs `_<builtin>`; the
-# Math ones take the site last, the string ones after the checked receiver.
-
-def _abs(a, site):
-    _ints(a, 0, site)
+def _abs(a: int) -> int:
     return _wrap32(abs(a))
 
 
-def _receiver(s, site) -> str:
-    """s, once it is checked to be a string a method can be called on."""
-    if type(s) is str:
-        return s
+def _deref(s: str | None) -> str:
+    """s, once it is checked not to be null."""
     if s is None:
         raise _Stop(NULL_POINTER)
-    raise _Reject(site, f"method call on {type(s).__name__}")
+    return s
 
 
-def _substring(s: str, site, begin, *end):
+def _substring(s: str, site, begin: int, *end: int) -> str:
     end = end[0] if end else len(s)
-    if type(begin) is not int or type(end) is not int:
-        raise _Reject(site, "substring on non-int index")
     if not (0 <= begin <= end <= len(s)):
         raise _Reject(site, "string index out of range")
     return s[begin:end]
@@ -316,25 +272,29 @@ def _equals(s: str, other) -> bool:
     return isinstance(other, str) and s == other
 
 
-def _string_argument(method: str, other, site) -> str:
-    if not isinstance(other, str):
-        if other is None:
-            raise _Stop(NULL_POINTER)
-        raise _Reject(site, f"{method} on non-string")
-    return other
-
-
-def _startsWith(s: str, site, other) -> bool:
-    return s.startswith(_string_argument("startsWith", other, site))
+def _startsWith(s: str, other) -> bool:
+    return s.startswith(_deref(other))
 
 
 def _concat(s: str, site, other) -> str:
-    return _bounded(s + _string_argument("concat", other, site), site)
+    return _bounded(s + _deref(other), site)
 
 
-_ARITHMETIC_PATHS = {"+": "_add", "-": "_sub", "*": "_mul"}
+# The subset's types are its declared ones (SUPPORTED_PARAM_TYPES), the type
+# of `null`, and void, what a void method's call gives.
+_NULL = "<null>"
+_LITERAL_TYPES = {"int": "int", "boolean": "boolean", "string": "String", "null": _NULL}
+# Builtin -> the type of each of its arguments, and of its value. Any value
+# but void may be passed to equals, which takes an Object.
+_BUILTIN_TYPES = {"length": (None, "int"), "substring": ("int", "String"),
+                  "startsWith": ("String", "boolean"), "equals": ("Object", "boolean"),
+                  "concat": ("String", "String"),
+                  "min": ("int", "int"), "max": ("int", "int"), "abs": ("int", "int")}
 _DIVISION_PATHS = {"/": ("//", "_div"), "%": ("%", "_mod")}
 _COMPARISONS = frozenset({"<", "<=", ">", ">=", "==", "!="})
+_LOGICAL = {"&&": "and", "||": "or"}
+_IDENTITY = {"==": "is", "!=": "is not"}
+_OPERATORS = frozenset({"+", "-", "*", *_DIVISION_PATHS, *_COMPARISONS, *_LOGICAL})
 _REJECTED = {"Throw": "throw statement", "New": "object allocation", "FieldAccess": "field access"}
 
 # How deep the compiler nests one function's text before it moves the rest
@@ -347,6 +307,13 @@ _INDENT_BUDGET = 48
 _LOOP_BUDGET = 16
 
 
+def _assignable(want: str, found: str) -> bool:
+    """Whether a value of type found may be stored where want is declared
+    (JLS 5.2, for this subset)."""
+    return found == want or (found == _NULL and want == "String") or (
+        want == "Object" and found != "void")
+
+
 # ---------------------------------------------------------------------------
 # Compilation: a method is supported when it compiles
 # ---------------------------------------------------------------------------
@@ -357,34 +324,29 @@ class _Program:
     (span, detail) of each rejection site the text numbers and, once loaded,
     the text's top function and outcome memo, which every program of the
     same text shares. The memo maps (fuel, (type, value) per argument) to an
-    outcome or to a rejection's (site, detail). A typed program runs only
-    arguments of the Python types in `accepts`, one entry per parameter;
-    `general` is its untyped program, once compiled."""
+    outcome or to a rejection's (site, detail)."""
 
-    def __init__(self, text: str, sites: list, accepts: tuple | None):
-        self.text, self.sites, self.accepts = text, sites, accepts
-        self.top, self.general = None, None
+    def __init__(self, text: str, sites: list):
+        self.text, self.sites = text, sites
+        self.top = None
         self.outcomes: dict[tuple, object] = {}
-
-    def runs(self, args) -> bool:
-        return self.accepts is None or all(type(a) in t for a, t in zip(args, self.accepts))
 
 
 class _E(NamedTuple):
-    """An expression's Python text, and what its users need to know of it."""
+    """An expression's Python text, its type, and what its users need to
+    know of it."""
     text: str
+    type: str
     depth: int = 0  # parentheses nested in the text
     pure: bool = False  # a literal, or a slot that cannot be unset: no effect, cannot raise
     writes: bool = False  # assigns a slot
-    boolean: bool = False  # gives a bool or raises
-    is_int: bool = False  # gives an int or raises
     literal: tuple = ()  # (value,) for a literal
     slot: int = 0  # the slot a pure slot read reads
     call: str = ""  # a same-file call, `m<j>(..., F, D + 1)`, which gives (value, F)
 
 
-_TRUE = _E("True", pure=True, boolean=True, literal=(True,))
-_ZERO = _E("0", pure=True, is_int=True, literal=(0,))
+_TRUE = _E("True", "boolean", pure=True, literal=(True,))
+_ZERO = _E("0", "int", pure=True, literal=(0,))
 
 
 class _Target:
@@ -406,15 +368,13 @@ class _Function:
 
 
 class _Compiler:
-    """Compiles a method and the same-file methods it calls into the text of
-    one Python function each. Scopes mirror Java blocks and map names to
-    slots; a switch's locals are read with a check, as their declaring case
-    may have been jumped over. A typed compile reads a slot of known kind
-    without a type test, and raises _Untyped where the method breaks one of
-    the assumptions that give the kinds."""
+    """Checks the types of a method and the same-file methods it calls, and
+    compiles them into the text of one Python function each. Scopes mirror
+    Java blocks and map names to slots; a local that may be read before
+    anything assigns it (a switch's, or one declared without an initializer)
+    is read with a check."""
 
-    def __init__(self, context: SourceFile | None, typed: bool = False):
-        self.typed = typed
+    def __init__(self, context: SourceFile | None):
         types = context.types if context is not None else ()
         self.classes = {cls.name for cls in types}
         # (class name, method name) -> its overloads; id(method) -> class name
@@ -429,9 +389,6 @@ class _Compiler:
         self.leaves: dict[int, Expr | None] = {}  # id(method) -> its e, if it is a leaf
         self.inlining = False  # while a leaf's e is compiled in place
         self.pending: list[tuple[MethodDecl, int]] = []
-        # id(method) -> the kinds its returns give; -> the kind a call read its result as
-        self.returned: dict[int, set] = {}
-        self.relied: dict[int, str] = {}
         self.texts: dict[int, str] = {}
         self.tables: list[str] = []
         self.sites: list[tuple] = []
@@ -452,17 +409,16 @@ class _Compiler:
                 if p.type_name not in SUPPORTED_PARAM_TYPES:
                     raise UnsupportedForEvaluation(p.span, f"parameter type {p.type_name!r}")
             self.texts[number] = self.method(m, number)
-        if any(self.returned[i] != {kind} for i, kind in self.relied.items()):
-            raise _Untyped()  # a call read the result of a method that returns something else
         return _Program("".join(self.tables + [self.texts[n] for n in sorted(self.texts)]),
-                        self.sites, tuple(SUPPORTED_PARAM_TYPES[p.type_name] for p in top.params)
-                        if self.typed else None)
+                        self.sites)
 
     def method(self, m: MethodDecl, number: int) -> str:
+        self.result = m.return_type or "void"  # a constructor returns nothing
+        if self.result != "void" and self.result not in SUPPORTED_PARAM_TYPES:
+            raise UnsupportedForEvaluation(m.span, f"return type {self.result!r}")
         self.scopes = [({p.name: i for i, p in enumerate(m.params, 1)}, False)]
-        # slot -> "int" or "boolean", what it holds whenever it is read
-        self.kinds = {i: self.declared(p.type_name) for i, p in enumerate(m.params, 1)}
-        self.returns = self.returned.setdefault(id(m), set())
+        self.types = {i: p.type_name for i, p in enumerate(m.params, 1)}  # slot -> its type
+        self.guarded: set[int] = set()  # slots read with a check that they are set
         self.size, self.loops, self.temps = 1 + len(m.params), 0, 0
         self.out, self.indent, self.fn = [], 1, _Function(helper=False)
         self.helpers: list[tuple[str, list[str]]] = []
@@ -475,7 +431,13 @@ class _Compiler:
                 head.append(" " + " = ".join(slots[len(m.params):]) + " = None")
             for name, body in self.helpers:
                 head += [f" def {name}():", f"  nonlocal {', '.join([*slots, 'F'])}", *body]
-        return "\n".join([*head, *self.out, " return VOID, F\n"])
+        if self.result == "void":
+            end = " return VOID, F"
+        else:  # javac rejects a method that can reach its closing brace (JLS 8.4.7)
+            brace = m.body.span._replace(start_line=m.body.span.end_line,
+                                         start_col=m.body.span.end_col)
+            end = f" _fail({self.site(brace, 'missing return statement')})"
+        return "\n".join([*head, *self.out, end + "\n"])
 
     def home(self, m: MethodDecl) -> str | None:
         """The class of a method that is not itself in the context (such as
@@ -486,26 +448,12 @@ class _Compiler:
                  and any([p.type_name for p in o.params] == signature for o in overloads)}
         return homes.pop() if len(homes) == 1 else None
 
-    def result_kind(self, m: MethodDecl) -> str | None:
-        """What a call of m gives in a typed compile: an int or boolean
-        method's value, when its body ends in a return, so that every path
-        out of it is a return, whose kind s_Return records."""
-        stmts = m.body.stmts
-        return self.declared(m.return_type) if stmts and isinstance(stmts[-1], Return) else None
-
-    def declared(self, type_name: str | None) -> str | None:
-        """The kind a typed compile gives a value of a declared type."""
-        return type_name if self.typed and type_name in ("int", "boolean") else None
-
-    def holds(self, slot: int, value: _E) -> None:
-        """Gives a slot that a declaration or a leaf's entry fills with value
-        the kind of value; check() holds every later store to it."""
-        self.kinds[slot] = _kind(value) if self.typed else None
-
-    def check(self, kind: str | None, value: _E) -> None:
-        """value where something of `kind` (None: anything) is assumed."""
-        if kind is not None and kind != _kind(value):
-            raise _Untyped()
+    def expect(self, x: _E, want: str, node) -> _E:
+        """x, the value of node, where a value of type want is needed."""
+        if not _assignable(want, x.type):
+            raise UnsupportedForEvaluation(
+                node.span, f"incompatible types: {x.type} cannot be converted to {want}")
+        return x
 
     def target(self, cls: str | None, method: str, n: int, span) -> MethodDecl:
         """The method of `cls` named `method` that takes `n` arguments."""
@@ -519,11 +467,11 @@ class _Compiler:
             raise UnsupportedForEvaluation(span, f"ambiguous call {method!r} with {n} arguments")
         return fitting[0]
 
-    def resolve(self, node, name: str) -> tuple[int, bool]:
-        """The slot `name` denotes here, and whether it may be unset."""
-        for names, in_switch in reversed(self.scopes):
+    def resolve(self, node, name: str) -> int:
+        """The slot `name` denotes here."""
+        for names, _ in reversed(self.scopes):
             if name in names:
-                return names[name], in_switch
+                return names[name]
         raise UnsupportedForEvaluation(node.span, f"unbound name {name!r}")
 
     def reject(self, node):
@@ -634,13 +582,26 @@ class _Compiler:
     s_Block = block
 
     def s_LocalVarDecl(self, s):
-        names = self.scopes[-1][0]
+        type_name = s.type_name
+        if type_name != "var" and type_name not in SUPPORTED_PARAM_TYPES:
+            raise UnsupportedForEvaluation(s.span, f"local variable type {type_name!r}")
+        names, in_switch = self.scopes[-1]
         for d in s.declarators:  # each initializer sees the declarators before it
             if any(d.name in bound for bound, _ in self.scopes):  # JLS 6.4
                 raise UnsupportedForEvaluation(d.span, f"variable {d.name!r} is already defined")
-            init = self.expr(d.init) if d.init is not None else _E("None")
+            if d.init is None:  # read with a check until assigned (JLS ch. 16)
+                init = _E("_UNSET", type_name)
+            elif type_name == "var":  # JLS 14.4.1
+                init = self.expr(d.init)
+                if init.type in (_NULL, "void"):
+                    raise UnsupportedForEvaluation(
+                        d.init.span, f"cannot infer a type for {d.name!r} from {init.type}")
+            else:
+                init = self.expect(self.expr(d.init), type_name, d.init)
             names[d.name], self.size = self.size, self.size + 1
-            self.holds(names[d.name], init)
+            self.types[names[d.name]] = init.type if type_name == "var" else type_name
+            if in_switch or d.init is None:
+                self.guarded.add(names[d.name])
             self.line(self.store(names[d.name], init))
 
     def store(self, slot: int, value: _E) -> str:
@@ -656,8 +617,11 @@ class _Compiler:
         x = self.expr(e)
         return f"F = {x.call}[1]" if x.call else x.text
 
+    def condition(self, e) -> _E:
+        return self.expect(self.expr(e), "boolean", e)
+
     def s_If(self, s):
-        test = self.truth(s.cond)
+        test = self.condition(s.cond)
         self.line(f"if {test.text}:")
         self.nested(self.block, s.then)
         # The then block runs uncharged; an else branch is a charged statement.
@@ -681,19 +645,20 @@ class _Compiler:
         self.fn.targets.pop()
 
     def s_While(self, s):
-        self.loop(self.truth(s.cond), s.body, None)
+        self.loop(self.condition(s.cond), s.body, None)
 
     def s_For(self, s):
         self.scopes.append(({}, False))
         if s.init is not None:
             self.charged((s.init,))
-        test = self.truth(s.cond) if s.cond is not None else _TRUE
+        test = self.condition(s.cond) if s.cond is not None else _TRUE
         self.loop(test, s.body, self.effect(s.update) if s.update is not None else None)
         self.scopes.pop()
 
     def s_Switch(self, s):
         scrutinee = self.expr(s.scrutinee)
-        site = self.site(s.span, "switch scrutinee type")
+        if scrutinee.type != "String":  # JLS 14.11: the subset switches on int or String
+            self.expect(scrutinee, "int", s.scrutinee)
         # label value -> the index of its case's first statement among the
         # switch's statements; where the default starts, else past the last
         starts: dict[object, int] = {}
@@ -702,15 +667,20 @@ class _Compiler:
             for label in case.labels:
                 if label == DEFAULT_LABEL:
                     default = len(stmts)
-                elif isinstance(label, Literal):  # int or String, never equal across types
+                else:
+                    self.expect(self.expr(label), scrutinee.type, label)
                     starts.setdefault(label.value, len(stmts))
             stmts += case.body
         default = len(stmts) if default is None else default
         table = f"T{len(self.tables)}"
         self.tables.append(f"{table} = {starts!r}\n")
-        start, (first, again) = self.temp(), self.operand(scrutinee)
-        self.line(f"{start} = {table}.get({again}, {default}) if type({first}) is int "
-                  f"or type({again}) is str else _switch({again}, {site})")
+        start = self.temp()
+        if scrutinee.type == "int":
+            self.line(f"{start} = {table}.get({scrutinee.text}, {default})")
+        else:
+            first, again = self.operand(scrutinee)
+            self.line(f"{start} = {table}.get({again}, {default}) if {first} is not None "
+                      "else _npe()")
         # A statement runs when the switch starts at its case or an earlier
         # one: `if start <= i:` from each place a case can start.
         entries, base = {0, default, *starts.values()}, self.indent
@@ -729,9 +699,9 @@ class _Compiler:
         self.indent = base
         self.fn.targets.pop()
         body, self.out = self.out, outer
-        declared = [f"v{slot}" for slot in self.scopes.pop()[0].values()]
-        if declared:
-            self.line(" = ".join(declared) + " = _UNSET")
+        unset = [f"v{slot}" for slot in self.scopes.pop()[0].values()]
+        if unset:
+            self.line(" = ".join(unset) + " = _UNSET")
         if target.crossed:
             self.line(f"{target.flag} = False")
         self.line("while True:")
@@ -741,11 +711,16 @@ class _Compiler:
             self.nested(self.emit_continue)
 
     def s_Return(self, s):
-        value = self.expr(s.value) if s.value is not None else _E("VOID")
-        self.returns.add(_kind(value))
         if s.value is None:
+            if self.result != "void":
+                raise UnsupportedForEvaluation(s.span, "missing return value")
             self.emit_return("VOID")
             return
+        value = self.expr(s.value)
+        if self.result == "void":
+            raise UnsupportedForEvaluation(s.value.span,
+                                           "incompatible types: unexpected return value")
+        self.expect(value, self.result, s.value)
         if value.call and not self.fn.helper:
             self.line(f"return {value.call}")
         else:
@@ -768,8 +743,7 @@ class _Compiler:
         if x.depth <= _EXPR_BUDGET:
             return x
         # Too deep to nest in another expression: a helper returns it.
-        return _E(f"{self.helper([f'  return {x.text}'])}()", 1, writes=x.writes,
-                  boolean=x.boolean, is_int=x.is_int)
+        return _E(f"{self.helper([f'  return {x.text}'])}()", x.type, 1, writes=x.writes)
 
     def operand(self, x: _E, later_writes: bool = False) -> tuple[str, str]:
         """The text that evaluates x where Java does, and the text that reads
@@ -780,110 +754,93 @@ class _Compiler:
         t = self.temp()
         return f"({t} := {x.text})", t
 
-    def truth(self, e) -> _E:
-        x = self.expr(e)
-        if x.boolean:
-            return x
-        site = self.site(e.span, "condition is not boolean")
-        first, again = self.operand(x)
-        return _E(f"({again} if type({first}) is bool else _fail({site}))", x.depth + 3,
-                  writes=x.writes, boolean=True)
-
     def e_Literal(self, e):
         v = e.value
         text = f"({v})" if type(v) is int and v < 0 else repr(v)
-        return _E(text, 1, pure=True, boolean=type(v) is bool, is_int=type(v) is int,
-                  literal=(v,))
+        return _E(text, _LITERAL_TYPES[e.kind], 1, pure=True, literal=(v,))
 
     def e_Name(self, e):
-        slot, maybe_unset = self.resolve(e, e.id)
-        kind = self.kinds.get(slot)  # what the slot holds once it is set
-        if not maybe_unset:
-            return _E(f"v{slot}", pure=True, slot=slot, boolean=kind == "boolean",
-                      is_int=kind == "int")
+        slot = self.resolve(e, e.id)
+        if slot not in self.guarded:
+            return _E(f"v{slot}", self.types[slot], pure=True, slot=slot)
         site = self.site(e.span, f"unbound name {e.id!r}")
-        return _E(f"(v{slot} if v{slot} is not _UNSET else _fail({site}))", 1,
-                  boolean=kind == "boolean", is_int=kind == "int")
+        return _E(f"(v{slot} if v{slot} is not _UNSET else _fail({site}))", self.types[slot], 1)
 
     def assignment(self, e) -> tuple[int, _E]:
-        """The slot an assignment sets, and its value. A switch local whose
-        case was jumped over may be assigned, as in Java (JLS 6.3, ch. 16)."""
+        """The slot an assignment sets, and its value. A local that may be
+        unset may be assigned, as in Java (JLS 6.3, ch. 16)."""
         if not isinstance(e.target, Name):
             raise UnsupportedForEvaluation(e.span, "compound assignment target")
         value = self.expr(e.value)
-        slot = self.resolve(e, e.target.id)[0]
-        self.check(self.kinds.get(slot), value)
-        return slot, value
+        slot = self.resolve(e, e.target.id)
+        return slot, self.expect(value, self.types[slot], e.value)
 
     def e_Assign(self, e):
         slot, value = self.assignment(e)
-        return _E(f"(v{slot} := {value.text})", value.depth + 2, writes=True,
-                  boolean=value.boolean, is_int=value.is_int)
+        return _E(f"(v{slot} := {value.text})", self.types[slot], value.depth + 2, writes=True)
 
     def e_Unary(self, e):
         x = self.expr(e.operand)
         if e.op == "-":  # wraps as 0 - x does
-            return self.binary("-", _ZERO, x, self.site(e.span, "- on non-int"))
-        if x.boolean:
-            return _E(f"(not {x.text})", x.depth + 1, writes=x.writes, boolean=True)
-        first, again = self.operand(x)
-        site = self.site(e.span, "! on non-boolean")
-        return _E(f"(not {again} if type({first}) is bool else _fail({site}))", x.depth + 3,
-                  writes=x.writes, boolean=True)
+            return self.binary("-", _ZERO, self.expect(x, "int", e.operand))
+        self.expect(x, "boolean", e.operand)
+        return _E(f"(not {x.text})", "boolean", x.depth + 1, writes=x.writes)
 
     def e_Ternary(self, e):
-        test, a, b = self.truth(e.cond), self.expr(e.if_true), self.expr(e.if_false)
-        return _E(f"({a.text} if {test.text} else {b.text})",
-                  max(test.depth, a.depth, b.depth) + 1, writes=test.writes or a.writes or b.writes,
-                  boolean=a.boolean and b.boolean, is_int=a.is_int and b.is_int)
+        test, a, b = self.condition(e.cond), self.expr(e.if_true), self.expr(e.if_false)
+        t = a.type if _assignable(a.type, b.type) else b.type  # JLS 15.25, for the subset
+        if t == "void" or not (_assignable(t, a.type) and _assignable(t, b.type)):
+            raise UnsupportedForEvaluation(e.span,
+                                           f"bad operand types for ?: {a.type} and {b.type}")
+        return _E(f"({a.text} if {test.text} else {b.text})", t,
+                  max(test.depth, a.depth, b.depth) + 1, writes=test.writes or a.writes or b.writes)
 
     def e_Binary(self, e):
-        op = e.op
-        if op in ("&&", "||"):
-            left, right = self.truth(e.left), self.truth(e.right)
-            return _E(f"({left.text} {'and' if op == '&&' else 'or'} {right.text})",
-                      max(left.depth, right.depth) + 1, writes=left.writes or right.writes,
-                      boolean=True)
-        left, right = self.expr(e.left), self.expr(e.right)
-        if op not in _ARITHMETIC_PATHS and op not in _DIVISION_PATHS and op not in _COMPARISONS:
+        op, left, right = e.op, self.expr(e.left), self.expr(e.right)
+        types = {left.type, right.type}
+        if op not in _OPERATORS:
             raise UnsupportedForEvaluation(e.span, f"operator {op}")
-        return self.binary(op, left, right, self.site(e.span, f"{op} on non-int operands"))
+        if types == {"int"} and op not in _LOGICAL:
+            return self.binary(op, left, right)
+        # Python evaluates the operands in Java order, and reads neither again.
+        if op in _LOGICAL and types == {"boolean"}:
+            text = f"{left.text} {_LOGICAL[op]} {right.text}"
+        elif op == "+" and "String" in types and "void" not in types:  # JLS 15.18.1
+            text = f"_cat({left.text}, {right.text}, {self.site(e.span, None)})"
+        elif op in ("==", "!=") and (types == {"boolean"} or types <= {"String", _NULL}):
+            # JLS 15.21: String == compares values here, as the subset has no
+            # aliasing to observe; a comparison with null is an identity test.
+            text = f"{left.text} {_IDENTITY[op] if _NULL in types else op} {right.text}"
+        else:
+            raise UnsupportedForEvaluation(
+                e.span, f"bad operand types for {op}: {left.type} and {right.type}")
+        return _E(f"({text})", "String" if op == "+" else "boolean",
+                  max(left.depth, right.depth) + 1, writes=left.writes or right.writes)
 
-    def binary(self, op: str, left: _E, right: _E, site: int) -> _E:
+    def binary(self, op: str, left: _E, right: _E) -> _E:
+        """An operator on two ints."""
         writes, depth = left.writes or right.writes, max(left.depth, right.depth) + _EXPR_STEP
-        if left.is_int and right.is_int and op not in _DIVISION_PATHS:
-            # Python evaluates the operands in Java order, and only a result
-            # past the int range is left to fix: nothing is read again.
-            value = f"{left.text} {op} {right.text}"
-            if op in _COMPARISONS:
-                return _E(f"({value})", depth, writes=writes, boolean=True)
-            r = self.temp()
-            return _E(f"({r} if {_in_range(op, right, f'({r} := {value})')} else _wrap32({r}))",
-                      depth, writes=writes, is_int=True)
-        lf, la = self.operand(left, right.writes)
-        rf, ra = self.operand(right)
-        tests = [_int_test(left, lf), _int_test(right, rf)]
-        if op in _ARITHMETIC_PATHS:
-            r = self.temp()
-            tests.append(_in_range(op, right, f"({r} := {la} {op} {ra})"))
-            return _E(f"({r} if {_all(tests, left, right)} else "
-                      f"{_ARITHMETIC_PATHS[op]}({la}, {ra}, {site}))", depth, writes=writes,
-                      is_int=op != "+")
         if op in _DIVISION_PATHS:
             py_op, path = _DIVISION_PATHS[op]
+            lf, la = self.operand(left, right.writes)
+            rf, ra = self.operand(right)
             # Python's // and % are Java's on a dividend >= 0 and a divisor > 0.
-            signs = [(left, f"{la} >= 0", 0), (right, f"{ra} > 0", 1)]
+            signs = [(left, f"{lf} >= 0", 0), (right, f"{rf} > 0", 1)]
             if any(_is_int(x) is not None and _is_int(x) < low for x, _, low in signs):
-                return _E(f"{path}({lf}, {rf}, {site})", depth, writes=writes, is_int=True)
-            tests += [test for x, test, _ in signs if _is_int(x) is None]
-            return _E(f"({la} {py_op} {ra} if {_all(tests, left, right)} else "
-                      f"{path}({la}, {ra}, {site}))", depth, writes=writes, is_int=True)
-        if op in ("==", "!="):  # these compare any two values
-            slow = f"{'' if op == '==' else 'not '}_eq({la}, {ra}, {site})"
-        else:
-            slow = f"_fail({site})"
-        return _E(f"({la} {op} {ra} if {_all(tests, left, right)} else {slow})", depth,
-                  writes=writes, boolean=True)
+                return _E(f"{path}({left.text}, {right.text})", "int", depth, writes=writes)
+            tests = [test for x, test, _ in signs if _is_int(x) is None]
+            if len(tests) == 2 and not right.pure:  # `&` evaluates the right operand too
+                tests = [f"({tests[0]}) & ({tests[1]})"]
+            return _E(f"({la} {py_op} {ra} if {' and '.join(tests) or 'True'} else "
+                      f"{path}({la}, {ra}))", "int", depth, writes=writes)
+        # Python evaluates the operands in Java order, and only a result past
+        # the int range is left to fix: nothing is read again.
+        value = f"{left.text} {op} {right.text}"
+        if op in _COMPARISONS:
+            return _E(f"({value})", "boolean", depth, writes=writes)
+        r = self.temp()
+        return _E(f"({r} if {_in_range(op, right, f'({r} := {value})')} else _wrap32({r}))",
+                  "int", depth, writes=writes)
 
     def e_Call(self, e):
         recv, method, span, n = e.receiver, e.method, e.span, len(e.args)
@@ -895,9 +852,9 @@ class _Compiler:
             if recv.id == "Math":
                 if n not in MATH_BUILTINS.get(method, ()):
                     raise UnsupportedForEvaluation(span, f"Math.{method}/{n}")
-                site = self.site(span, "Math builtin on non-int")
-                return _E(f"_{method}({', '.join(a.text for a in args)}, {site})",
-                          depth, writes=writes, is_int=True)
+                self.arguments(args, e.args, [_BUILTIN_TYPES[method][0]] * n)
+                return _E(f"_{method}({', '.join(a.text for a in args)})", "int", depth,
+                          writes=writes)
             if recv.id not in self.classes:
                 raise UnsupportedForEvaluation(span, f"unknown receiver {recv.id!r}")
             cls, recv = recv.id, None
@@ -905,34 +862,35 @@ class _Compiler:
             if self.inlining:  # a leaf that calls a same-file method may recurse
                 raise UnsupportedForEvaluation(span, "same-file call in a leaf")
             target = self.target(cls, method, n, span)
+            # A parameter of another type is the callee's own rejection.
+            self.arguments(args, e.args, [p.type_name if p.type_name in SUPPORTED_PARAM_TYPES
+                                          else "Object" for p in target.params])
             inlined = self.inline(target, args)
             if inlined is not None:
                 return inlined
-            for p, a in zip(target.params, args):  # what the callee assumes of its parameters
-                self.check(self.declared(p.type_name), a)
-            number = self.callee(target)
-            call = f"m{number}({''.join(a.text + ', ' for a in args)}F, D + 1)"
+            call = f"m{self.callee(target)}({''.join(a.text + ', ' for a in args)}F, D + 1)"
             t = self.temp()
-            kind = self.result_kind(target)
-            if kind is not None:
-                self.relied[id(target)] = kind
-            return _E(f"((F := ({t} := {call})[1]) is None or {t}[0])", depth, writes=writes,
-                      boolean=kind == "boolean", is_int=kind == "int", call=call)
+            return _E(f"((F := ({t} := {call})[1]) is None or {t}[0])",
+                      target.return_type, depth, writes=writes, call=call)
         if n not in STRING_BUILTINS.get(method, ()):
             raise UnsupportedForEvaluation(span, f"method {method!r} with {n} arguments")
-        site = self.site(span, None)
+        self.arguments(args, e.args, [_BUILTIN_TYPES[method][0]] * n)
         receiver = self.expr(recv)
+        if receiver.type != "String":
+            raise UnsupportedForEvaluation(recv.span, f"{receiver.type} cannot be dereferenced")
         depth, writes = max(depth, receiver.depth + _EXPR_STEP), writes or receiver.writes
+        value = _BUILTIN_TYPES[method][1]
         if method == "length":
             first, again = self.operand(receiver)
-            return _E(f"(len({again}) if type({first}) is str else _receiver({again}, {site}))",
-                      depth, writes=writes, is_int=True)
-        checked = f"_receiver({receiver.text}, {site})"
-        if method == "equals":
-            return _E(f"_equals({checked}, {args[0].text})", depth, writes=writes, boolean=True)
-        return _E(f"_{method}({checked}, {site}, "
-                  f"{', '.join(a.text for a in args)})", depth, writes=writes,
-                  boolean=method == "startsWith")
+            return _E(f"(len({again}) if {first} is not None else _npe())", value, depth,
+                      writes=writes)
+        at = f", {self.site(span, None)}" if method in ("substring", "concat") else ""
+        return _E(f"_{method}(_deref({receiver.text}){at}{''.join(', ' + a.text for a in args)})",
+                  value, depth, writes=writes)
+
+    def arguments(self, args: list[_E], nodes, types: list[str]) -> None:
+        for a, node, want in zip(args, nodes, types):
+            self.expect(a, want, node)
 
     def leaf(self, m: MethodDecl) -> Expr | None:
         """The e of m's body when that body is exactly `return e;` and m takes
@@ -954,8 +912,8 @@ class _Compiler:
         compiled in m's scope and class. A pure slot read stands in for its
         parameter when no later argument and not e assign it; any other
         argument is stored in a fresh slot. None when m is not a leaf, or e
-        calls a same-file method or does not compile: the call then runs m,
-        which rejects where it did."""
+        calls a same-file method, does not compile or is not of m's return
+        type: the call then runs m, which rejects where it did."""
         e = self.leaf(m)
         if e is None:
             return None
@@ -969,13 +927,15 @@ class _Compiler:
                 slots[p.name] = a.slot
             else:  # `is` only orders the store before the tests after it
                 slots[p.name], self.size = self.size, self.size + 1
-                self.holds(slots[p.name], a)
+                self.types[slots[p.name]] = p.type_name
                 entry.append(f"(v{slots[p.name]} := {a.text}) is v{slots[p.name]}")
         entry += [f"D < {MAX_CALL_DEPTH}", "(F := F - 1) >= 0"]
         outer = self.scopes, self.cls
         self.scopes, self.cls, self.inlining = [(slots, False)], self.owner[id(m)], True
         try:
             x = self.expr(e)
+            if not _assignable(m.return_type or "void", x.type):
+                raise UnsupportedForEvaluation(e.span, "not of the return type")
         except UnsupportedForEvaluation:
             sites, helpers, self.size, self.temps = before
             del self.sites[sites:], self.helpers[helpers:]
@@ -983,14 +943,9 @@ class _Compiler:
             return None
         finally:
             self.scopes, self.cls, self.inlining = *outer, False
-        return _E(f"({x.text} if {' and '.join(entry)} else _oof())",
+        return _E(f"({x.text} if {' and '.join(entry)} else _oof())", m.return_type,
                   max([x.depth, *(a.depth + 1 for a in args)]) + 1,
-                  writes=any(a.writes for a in args), boolean=x.boolean, is_int=x.is_int)
-
-
-def _kind(x: _E) -> str | None:
-    """The kind of a typed compile's slot that x may be stored in."""
-    return "int" if x.is_int else "boolean" if x.boolean else None
+                  writes=any(a.writes for a in args))
 
 
 def _is_int(x: _E) -> int | None:
@@ -1005,27 +960,6 @@ def _in_range(op: str, right: _E, result: str) -> str:
     if c is not None and op != "*":
         low, high = ("", high) if (op == "+") == (c >= 0) else (low, "")
     return f"{low}{result}{high}"
-
-
-def _int_test(x: _E, first: str) -> str:
-    """A test that an operand is an int, which evaluates it where first does
-    more than read it again."""
-    if not x.is_int:
-        return f"type({first}) is int"
-    return "" if first == x.text else f"{first} is not None"
-
-
-def _all(tests: list[str], left: _E, right: _E) -> str:
-    """The conjunction of an operator's tests, which evaluates both operands
-    in Java order even when the left one is no int. The first two test the
-    left and the right operand (see _int_test)."""
-    left_test, right_test, *rest = tests
-    if left_test and right_test and not right.pure:
-        if left.pure and not right.writes:  # the left slot reads the same after the right
-            tests = [right_test, left_test, *rest]
-        else:  # `&` does not short-circuit past the right operand
-            tests = [f"({left_test}) & ({right_test})", *rest]
-    return " and ".join(t for t in tests if t) or "True"
 
 
 # text -> (its top function, the outcome memo of its programs), least
@@ -1071,21 +1005,13 @@ def _compile(m: MethodDecl, context: SourceFile | None) -> _Program:
 
 
 def _compile_entry(m: MethodDecl, context: SourceFile | None) -> tuple:
-    """The typed program of m, or its untyped one where m breaks a type
-    assumption; or the rejection."""
+    """The program of m, loaded, or the rejection."""
     try:
-        try:
-            program = _Compiler(context, typed=True).compile(m)
-        except _Untyped:
-            program = _Compiler(context).compile(m)
+        program = _Compiler(context).compile(m)
     except UnsupportedForEvaluation as exc:
         return m, context, exc
-    return m, context, _loaded(program)
-
-
-def _loaded(program: _Program) -> _Program:
     program.top, program.outcomes = _lru(_CODE, _CODE_SIZE, program.text, _load, program.text)
-    return program
+    return m, context, program
 
 
 def ensure_supported(m: MethodDecl, context: SourceFile | None = None) -> None:
@@ -1117,21 +1043,19 @@ def evaluate(
     fuel: int = DEFAULT_FUEL,
     context: SourceFile | None = None,
 ) -> Outcome:
-    """Run a method on concrete argument values; deterministic and total.
-    Each distinct (fuel, typed arguments) runs once per compiled text: the
-    typed program's, or the untyped program's for arguments of other types
-    than the parameters declare."""
+    """Run a method on concrete argument values of its declared types;
+    deterministic and total. Each distinct (fuel, arguments) runs once per
+    compiled text."""
     program = _compile(m, context)
     if len(args) != len(m.params):
         raise UnsupportedForEvaluation(m.span, "argument arity mismatch")
-    key = (fuel, *((type(a), a) for a in args))  # 1 == True, but x + 1 takes only 1
+    key = (fuel, *((type(a), a) for a in args))  # 1 == True, but an int parameter takes only 1
     outcome = program.outcomes.get(key)
-    if outcome is None and not program.runs(args):
-        if program.general is None:
-            program.general = _loaded(_Compiler(context).compile(m))
-        program = program.general
-        outcome = program.outcomes.get(key)
     if outcome is None:
+        for p, a in zip(m.params, args):
+            if type(a) not in SUPPORTED_PARAM_TYPES[p.type_name]:
+                raise UnsupportedForEvaluation(
+                    p.span, f"argument of type {type(a).__name__} for parameter type {p.type_name}")
         outcome = program.outcomes[key] = _run(program, args, fuel)
     if type(outcome) is tuple:  # a rejection, raised with this program's span and names
         site, detail = outcome

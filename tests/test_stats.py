@@ -73,3 +73,15 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999])
+def test_one_and_two_degrees_of_freedom_match_their_closed_forms(confidence):
+    # t(1, p) = tan(pi (p - 1/2)), and t(2, p) = (2p - 1) / sqrt(2p (1 - p)).
+    # {0, 1} has s = 1/sqrt(2) and n = 2; {9, 10, 11} has s = 1 and n = 3.
+    p = 1.0 - (1.0 - confidence) / 2.0
+    one = math.tan(math.pi * (p - 0.5))
+    two = (2.0 * p - 1.0) / math.sqrt(2.0 * p * (1.0 - p))
+    assert math.isclose(margin_of_error([0.0, 1.0], confidence), one / 2.0, rel_tol=1e-12)
+    assert math.isclose(margin_of_error([9.0, 10.0, 11.0], confidence), two / math.sqrt(3.0),
+                        rel_tol=1e-12)

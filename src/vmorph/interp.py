@@ -12,12 +12,13 @@ outcome model knows exactly ArithmeticException and NullPointerException.
 "Supported" means "compiles": a method and the same-file methods it calls
 are compiled once into Python source, one function per method, which is the
 interpreter partially evaluated on the program (Futamura, "Partial Evaluation
-of Computation Process", 1971). Compiling rejects, on every path: parameter
-types other than int/boolean/String, throw, new, field access, assignment to
-a non-name, names that denote no parameter or local (static fields among
-them), calls that resolve to no builtin or same-file method, unknown
-receivers, break/continue outside a loop or switch, and every ill-typed
-expression (see below). `C.f(...)` resolves in class C and an unqualified
+of Computation Process", 1971). Compiling rejects, on every path:
+parameter, local and return types other than int/boolean/String (a return
+type may be void), throw, new, field access, assignment to a non-name,
+names that denote no parameter or local (static fields among them), calls
+that resolve to no builtin or same-file method, unknown receivers,
+break/continue outside a loop or switch, and every ill-typed expression
+(see below). `C.f(...)` resolves in class C and an unqualified
 `f(...)` in the caller's class, to the overload taking that many arguments;
 two such overloads are rejected, never guessed between. evaluate rejects an
 argument that is not of its parameter's type (SUPPORTED_PARAM_TYPES) before
@@ -69,9 +70,9 @@ helper defined at the top of its method, which shares the method's
 variables through `nonlocal` and hands a Java return, break or continue back
 to its caller as its return value.
 
-No Java name, span or comment enters the text. Callees are numbers, literals
-the repr of an int, bool, str or None, and a switch's label table a dict
-literal. Where running can reject, the text holds a site number that indexes
+No Java name, span or source comment enters the text. Callees are
+numbers, literals the repr of an int, bool, str or None, and a switch's
+label table a dict literal. Where running can reject, the text holds a site number that indexes
 the program's own (span, detail) table. So the text is a nameless key
 (de Bruijn's nameless terms, used for hash-consing): a consistently renamed
 program, such as a record's rename variant, gets its original's text, while
@@ -80,8 +81,11 @@ Each distinct text is compiled once and kept, with the outcome memo of every
 program of that text, in a small LRU cache. The memo is keyed by fuel and
 by each argument's type and value, so a method run again on the same inputs
 (the original of a record, against each of its variants) is not
-re-executed. A run-time rejection is memoised as its site number and raised
-with the spans and names of the program that asks. check_equivalence does
+re-executed. The text opens with a comment naming the top method's
+parameter types, so the programs of one text take the same argument types,
+and evaluate checks a vector's types only when the memo misses. A run-time
+rejection is memoised as its site number and raised with the spans and
+names of the program that asks. check_equivalence does
 not run the second method on a trial where the first ran out of fuel, as
 there is nothing to compare. It takes each trial's arguments from a small
 module cache keyed by (parameter types, seed, trials), filled from
@@ -109,6 +113,12 @@ MAX_STRING_LENGTH = 100_000  # longer strings are outside the outcome model
 STRING_BUILTINS = {"length": (0,), "substring": (1, 2), "startsWith": (1,), "equals": (1,),
                    "concat": (1,)}
 MATH_BUILTINS = {"min": (2,), "max": (2,), "abs": (1,)}
+# Builtin -> the type of each of its arguments, and of its value. Any value
+# but void may be passed to equals, which takes an Object.
+_BUILTIN_TYPES = {"length": (None, "int"), "substring": ("int", "String"),
+                  "startsWith": ("String", "boolean"), "equals": ("Object", "boolean"),
+                  "concat": ("String", "String"),
+                  "min": ("int", "int"), "max": ("int", "int"), "abs": ("int", "int")}
 # Supported parameter type -> the Python types of its values.
 SUPPORTED_PARAM_TYPES = {"int": (int,), "boolean": (bool,), "String": (str, type(None))}
 
@@ -284,12 +294,6 @@ def _concat(s: str, site, other) -> str:
 # of `null`, and void, what a void method's call gives.
 _NULL = "<null>"
 _LITERAL_TYPES = {"int": "int", "boolean": "boolean", "string": "String", "null": _NULL}
-# Builtin -> the type of each of its arguments, and of its value. Any value
-# but void may be passed to equals, which takes an Object.
-_BUILTIN_TYPES = {"length": (None, "int"), "substring": ("int", "String"),
-                  "startsWith": ("String", "boolean"), "equals": ("Object", "boolean"),
-                  "concat": ("String", "String"),
-                  "min": ("int", "int"), "max": ("int", "int"), "abs": ("int", "int")}
 _DIVISION_PATHS = {"/": ("//", "_div"), "%": ("%", "_mod")}
 _COMPARISONS = frozenset({"<", "<=", ">", ">=", "==", "!="})
 _LOGICAL = {"&&": "and", "||": "or"}
@@ -409,7 +413,10 @@ class _Compiler:
                 if p.type_name not in SUPPORTED_PARAM_TYPES:
                     raise UnsupportedForEvaluation(p.span, f"parameter type {p.type_name!r}")
             self.texts[number] = self.method(m, number)
-        return _Program("".join(self.tables + [self.texts[n] for n in sorted(self.texts)]),
+        # The parameter types head the text, so the programs that share a text
+        # and its outcome memo take arguments of the same types.
+        head = f"# {' '.join(p.type_name for p in top.params)}\n"
+        return _Program("".join([head, *self.tables, *(self.texts[n] for n in sorted(self.texts))]),
                         self.sites)
 
     def method(self, m: MethodDecl, number: int) -> str:
@@ -934,7 +941,7 @@ class _Compiler:
         self.scopes, self.cls, self.inlining = [(slots, False)], self.owner[id(m)], True
         try:
             x = self.expr(e)
-            if not _assignable(m.return_type or "void", x.type):
+            if not _assignable(m.return_type, x.type):
                 raise UnsupportedForEvaluation(e.span, "not of the return type")
         except UnsupportedForEvaluation:
             sites, helpers, self.size, self.temps = before

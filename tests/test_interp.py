@@ -472,6 +472,17 @@ def test_outcome_memo_keeps_int_and_boolean_apart(bool_first):
             assert evaluate(m, [arg], context=ast) == Returned(2)
 
 
+def test_an_argument_is_checked_against_its_own_parameter_types():
+    """f and g differ only in a parameter type that nothing reads: a vector
+    g ran and memoised is still of the wrong type for f."""
+    ast = parse("class A { static int f(int x) { return 1; } "
+                "static int g(boolean x) { return 1; } }")
+    f, g = ast.types[0].methods
+    assert evaluate(g, [True], context=ast) == Returned(1)
+    with pytest.raises(UnsupportedForEvaluation, match="argument of type bool"):
+        evaluate(f, [True], context=ast)
+
+
 def test_memoised_runtime_rejection_raises_on_every_call():
     src = "class A { static int f(String s) { String t = s.substring(1); return t.length(); } }"
     m, ast = method_named(src, "f")
@@ -1188,6 +1199,13 @@ def test_a_null_comparison_is_an_identity_test(test, python):
     assert python in text and "_eq(" not in text and "type(" not in text
     assert [evaluate(m, [v], context=ast) for v in ("", None)] == [
         Returned(test.startswith("null")), Returned(not test.startswith("null"))]
+
+
+def test_a_null_string_operand_of_plus_concatenates_as_null():
+    """`s + n` is a concatenation by s's type, whatever s holds (JLS 15.18.1)."""
+    m, ast = method_named("class A { static String f(String s, int n) { return s + n; } }", "f")
+    assert [evaluate(m, [s, 1], context=ast) for s in ("a", None)] == [
+        Returned("a1"), Returned("null1")]
 
 
 def test_a_read_of_an_unassigned_local_is_rejected():

@@ -81,11 +81,8 @@ Each distinct text is compiled once and kept, with the outcome memo of every
 program of that text, in a small LRU cache. The memo is keyed by fuel and
 by each argument's type and value, so a method run again on the same inputs
 (the original of a record, against each of its variants) is not
-re-executed. The text opens with a comment naming the top method's
-parameter types, so the programs of one text take the same argument types,
-and evaluate checks a vector's types only when the memo misses. A run-time
-rejection is memoised as its site number and raised with the spans and
-names of the program that asks. check_equivalence does
+re-executed. A run-time rejection is memoised as its site number and raised
+with the spans and names of the program that asks. check_equivalence does
 not run the second method on a trial where the first ran out of fuel, as
 there is nothing to compare. It takes each trial's arguments from a small
 module cache keyed by (parameter types, seed, trials), filled from
@@ -109,16 +106,15 @@ DEFAULT_FUEL = 10_000
 MAX_CALL_DEPTH = 200
 MAX_STRING_LENGTH = 100_000  # longer strings are outside the outcome model
 
-# Builtin method -> the argument counts it takes.
-STRING_BUILTINS = {"length": (0,), "substring": (1, 2), "startsWith": (1,), "equals": (1,),
-                   "concat": (1,)}
-MATH_BUILTINS = {"min": (2,), "max": (2,), "abs": (1,)}
-# Builtin -> the type of each of its arguments, and of its value. Any value
-# but void may be passed to equals, which takes an Object.
-_BUILTIN_TYPES = {"length": (None, "int"), "substring": ("int", "String"),
-                  "startsWith": ("String", "boolean"), "equals": ("Object", "boolean"),
-                  "concat": ("String", "String"),
-                  "min": ("int", "int"), "max": ("int", "int"), "abs": ("int", "int")}
+# Builtin method -> the argument counts it takes, the type of each of its
+# arguments, and the type of its value. Any value but void may be passed to
+# equals, which takes an Object.
+STRING_BUILTINS = {"length": ((0,), None, "int"), "substring": ((1, 2), "int", "String"),
+                   "startsWith": ((1,), "String", "boolean"),
+                   "equals": ((1,), "Object", "boolean"), "concat": ((1,), "String", "String")}
+MATH_BUILTINS = {"min": ((2,), "int", "int"), "max": ((2,), "int", "int"),
+                 "abs": ((1,), "int", "int")}
+_NO_BUILTIN = ((), None, None)
 # Supported parameter type -> the Python types of its values.
 SUPPORTED_PARAM_TYPES = {"int": (int,), "boolean": (bool,), "String": (str, type(None))}
 
@@ -413,10 +409,7 @@ class _Compiler:
                 if p.type_name not in SUPPORTED_PARAM_TYPES:
                     raise UnsupportedForEvaluation(p.span, f"parameter type {p.type_name!r}")
             self.texts[number] = self.method(m, number)
-        # The parameter types head the text, so the programs that share a text
-        # and its outcome memo take arguments of the same types.
-        head = f"# {' '.join(p.type_name for p in top.params)}\n"
-        return _Program("".join([head, *self.tables, *(self.texts[n] for n in sorted(self.texts))]),
+        return _Program("".join([*self.tables, *(self.texts[n] for n in sorted(self.texts))]),
                         self.sites)
 
     def method(self, m: MethodDecl, number: int) -> str:
@@ -771,7 +764,7 @@ class _Compiler:
         if slot not in self.guarded:
             return _E(f"v{slot}", self.types[slot], pure=True, slot=slot)
         site = self.site(e.span, f"unbound name {e.id!r}")
-        return _E(f"(v{slot} if v{slot} is not _UNSET else _fail({site}))", self.types[slot], 1)
+        return _E(f"(v{slot} if v{slot} is not _UNSET else _fail({site}))", self.types[slot], 2)
 
     def assignment(self, e) -> tuple[int, _E]:
         """The slot an assignment sets, and its value. A local that may be
@@ -811,17 +804,20 @@ class _Compiler:
             return self.binary(op, left, right)
         # Python evaluates the operands in Java order, and reads neither again.
         if op in _LOGICAL and types == {"boolean"}:
-            text = f"{left.text} {_LOGICAL[op]} {right.text}"
+            text = f"({left.text} {_LOGICAL[op]} {right.text})"
         elif op == "+" and "String" in types and "void" not in types:  # JLS 15.18.1
             text = f"_cat({left.text}, {right.text}, {self.site(e.span, None)})"
         elif op in ("==", "!=") and (types == {"boolean"} or types <= {"String", _NULL}):
             # JLS 15.21: String == compares values here, as the subset has no
-            # aliasing to observe; a comparison with null is an identity test.
-            text = f"{left.text} {_IDENTITY[op] if _NULL in types else op} {right.text}"
+            # aliasing to observe; a comparison with null is an identity test,
+            # except with a String literal, where CPython warns of `is`.
+            identity = _NULL in types and not any(x.literal and x.type == "String"
+                                                   for x in (left, right))
+            text = f"({left.text} {_IDENTITY[op] if identity else op} {right.text})"
         else:
             raise UnsupportedForEvaluation(
                 e.span, f"bad operand types for {op}: {left.type} and {right.type}")
-        return _E(f"({text})", "String" if op == "+" else "boolean",
+        return _E(text, "String" if op == "+" else "boolean",
                   max(left.depth, right.depth) + 1, writes=left.writes or right.writes)
 
     def binary(self, op: str, left: _E, right: _E) -> _E:
@@ -857,10 +853,11 @@ class _Compiler:
         cls = self.cls  # an unqualified call names a method of the caller's class
         if isinstance(recv, Name) and not any(recv.id in names for names, _ in self.scopes):
             if recv.id == "Math":
-                if n not in MATH_BUILTINS.get(method, ()):
+                counts, argument, value = MATH_BUILTINS.get(method, _NO_BUILTIN)
+                if n not in counts:
                     raise UnsupportedForEvaluation(span, f"Math.{method}/{n}")
-                self.arguments(args, e.args, [_BUILTIN_TYPES[method][0]] * n)
-                return _E(f"_{method}({', '.join(a.text for a in args)})", "int", depth,
+                self.arguments(args, e.args, [argument] * n)
+                return _E(f"_{method}({', '.join(a.text for a in args)})", value, depth,
                           writes=writes)
             if recv.id not in self.classes:
                 raise UnsupportedForEvaluation(span, f"unknown receiver {recv.id!r}")
@@ -879,14 +876,14 @@ class _Compiler:
             t = self.temp()
             return _E(f"((F := ({t} := {call})[1]) is None or {t}[0])",
                       target.return_type, depth, writes=writes, call=call)
-        if n not in STRING_BUILTINS.get(method, ()):
+        counts, argument, value = STRING_BUILTINS.get(method, _NO_BUILTIN)
+        if n not in counts:
             raise UnsupportedForEvaluation(span, f"method {method!r} with {n} arguments")
-        self.arguments(args, e.args, [_BUILTIN_TYPES[method][0]] * n)
+        self.arguments(args, e.args, [argument] * n)
         receiver = self.expr(recv)
         if receiver.type != "String":
             raise UnsupportedForEvaluation(recv.span, f"{receiver.type} cannot be dereferenced")
         depth, writes = max(depth, receiver.depth + _EXPR_STEP), writes or receiver.writes
-        value = _BUILTIN_TYPES[method][1]
         if method == "length":
             first, again = self.operand(receiver)
             return _E(f"(len({again}) if {first} is not None else _npe())", value, depth,
@@ -1056,13 +1053,13 @@ def evaluate(
     program = _compile(m, context)
     if len(args) != len(m.params):
         raise UnsupportedForEvaluation(m.span, "argument arity mismatch")
+    for p, a in zip(m.params, args):
+        if type(a) not in SUPPORTED_PARAM_TYPES[p.type_name]:
+            raise UnsupportedForEvaluation(
+                p.span, f"argument of type {type(a).__name__} for parameter type {p.type_name}")
     key = (fuel, *((type(a), a) for a in args))  # 1 == True, but an int parameter takes only 1
     outcome = program.outcomes.get(key)
     if outcome is None:
-        for p, a in zip(m.params, args):
-            if type(a) not in SUPPORTED_PARAM_TYPES[p.type_name]:
-                raise UnsupportedForEvaluation(
-                    p.span, f"argument of type {type(a).__name__} for parameter type {p.type_name}")
         outcome = program.outcomes[key] = _run(program, args, fuel)
     if type(outcome) is tuple:  # a rejection, raised with this program's span and names
         site, detail = outcome

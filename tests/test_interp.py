@@ -4,6 +4,7 @@ import itertools
 import json
 import sys
 import tokenize
+import warnings
 from pathlib import Path
 
 import pytest
@@ -206,7 +207,7 @@ BUILTIN_CALLS = {
 def test_each_builtin_at_each_arity_keeps_its_outcomes():
     assert set(BUILTIN_CALLS) == {(name, n) for table in (interp.STRING_BUILTINS,
                                                           interp.MATH_BUILTINS)
-                                  for name, counts in table.items() for n in counts}
+                                  for name, (counts, _, _) in table.items() for n in counts}
     ast = parse("class B {\n" + "".join(
         f"static {result} b{i}({params}) {{ return {call}; }}\n"
         for i, (params, result, call, _) in enumerate(BUILTIN_CALLS.values())) + "}\n")
@@ -824,6 +825,9 @@ DEEP_PROGRAMS = {
     "250-term chain": (
         "return n" + "".join(f" + {i}" for i in range(1, 250)) + ";",
         [({"returned": 31125 + n if n < 100 else -2147452524}, 1) for n in DEEP_ARGS]),
+    "250-term String chain": (
+        "return (n" + ' + "a"' * 249 + ").length();",
+        [({"returned": len(str(n)) + 249}, 1) for n in DEEP_ARGS]),
     "45 nested ifs": (
         _nest(45, lambda i, body: f"r = r + {i}; if (n > {i}) {{ {body} }}"),
         [({"returned": r}, fuel) for r, fuel in
@@ -849,6 +853,40 @@ def test_deep_programs_keep_their_outcomes_and_fuel(name):
     m, ast = method_named(f"class A {{ static int f(int n) {{ {body} }} }}", "f")
     assert [(_outcome_json(m, [n], DEFAULT_FUEL, ast), _least_fuel(m, [n], ast))
             for n in DEEP_ARGS] == expected
+
+
+def _nesting(text: str) -> int:
+    """The most brackets open at once in a Python expression's text."""
+    depth = most = 0
+    for t in tokenize.generate_tokens(io.StringIO(text).readline):
+        if t.type == tokenize.OP and t.string in "([{)]}":
+            depth += 1 if t.string in "([{" else -1
+            most = max(most, depth)
+    return most
+
+
+def test_no_compiled_expression_nests_deeper_than_its_count(monkeypatch):
+    """The compiler moves an expression into a helper by the depth it counts,
+    so each expression's count must cover the brackets its text nests."""
+    seen = []
+    expr = interp._Compiler.expr
+
+    def spy(self, e):
+        x = expr(self, e)
+        seen.append((_nesting(x.text), x.depth, type(e).__name__))
+        return x
+
+    monkeypatch.setattr(interp._Compiler, "expr", spy)
+    methods = [method_named(f"class A {{ static int f(int n) {{ {body} }} }}", "f")
+               for body, _ in DEEP_PROGRAMS.values()]
+    for m, ast in [*methods, *_survey_methods()]:
+        try:
+            interp._Compiler(ast).compile(m)
+        except UnsupportedForEvaluation:
+            pass
+    assert {kind for _, _, kind in seen} == {"Assign", "Binary", "Call", "Literal", "Name",
+                                             "Ternary", "Unary"}
+    assert [x for x in seen if x[0] > x[1]] == []
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +951,7 @@ def test_a_switch_local_argument_is_checked_where_the_caller_reads_it():
 REJECTED = "rejected"
 # h(a, b) for a (rows) and b (columns) in OPERAND_POOL: the value returned,
 # at the least fuel 2, or REJECTED where a or b is no int: then the argument
-# or the literal has the wrong type.
+# or the literal has the wrong type (see _wrong_operand).
 H_ON_THE_POOL = [
     (0, 1, -1, 7, 2147483647, -2147483648, *[REJECTED] * 3),
     (7, 8, 6, 14, -2147483642, -2147483641, *[REJECTED] * 3),
@@ -925,9 +963,27 @@ H_ON_THE_POOL = [
 ]
 
 
+_JAVA_TYPES = {bool: "boolean", str: "String", type(None): "<null>"}
+
+
+def _wrong_operand(m, args):
+    """The span and detail of m's rejection, a method of one call h(x, y)
+    whose arguments are int parameters or a literal, on args with a value
+    that is no int: a literal that is no int is rejected at compile time,
+    else the first argument that is no int."""
+    call = m.body.stmts[0].value
+    for node in call.args:
+        if type(node).__name__ == "Literal" and type(node.value) is not int:
+            return node.span, f"incompatible types: {_JAVA_TYPES[type(node.value)]} " \
+                              "cannot be converted to int"
+    p, a = next((p, a) for p, a in zip(m.params, args) if type(a) is not int)
+    return p.span, f"argument of type {type(a).__name__} for parameter type int"
+
+
 def test_a_leaf_call_on_every_operand_shape_keeps_its_outcome_and_fuel():
     """h(a, b) with slot arguments and with each pool value as a literal on
-    either side: the outcome and the least fuel, or the rejection."""
+    either side: the outcome and the least fuel, or the rejection's span and
+    detail."""
     literals = [_java_literal(v) for v in OPERAND_POOL]
     methods = [f"static int x{j}(int a, int b) {{ return h({lit}, b); }}\n"
                f"static int y{j}(int a, int b) {{ return h(a, {lit}); }}"
@@ -941,8 +997,10 @@ def test_a_leaf_call_on_every_operand_shape_keeps_its_outcome_and_fuel():
             for name in ("slots", f"x{i}", f"y{j}"):
                 m = by_name[name]
                 if expected == REJECTED:
-                    with pytest.raises(UnsupportedForEvaluation):
+                    with pytest.raises(UnsupportedForEvaluation) as exc:
                         evaluate(m, [a, b], context=ast)
+                    assert (exc.value.span, exc.value.detail) == _wrong_operand(m, [a, b]), (
+                        a, b, name)
                     continue
                 got = evaluate(m, [a, b], context=ast).value
                 assert (type(got), got) == (type(expected), expected), (a, b, name)
@@ -1199,6 +1257,16 @@ def test_a_null_comparison_is_an_identity_test(test, python):
     assert python in text and "_eq(" not in text and "type(" not in text
     assert [evaluate(m, [v], context=ast) for v in ("", None)] == [
         Returned(test.startswith("null")), Returned(not test.startswith("null"))]
+
+
+@pytest.mark.parametrize("test, expected", [('"ab" == null', False), ('null != "ab"', True)],
+                         ids=["equal", "not equal"])
+def test_a_string_literal_compared_with_null_compiles_without_a_warning(test, expected):
+    """CPython warns of `is` with a str literal; the text compares by value."""
+    m, ast = method_named(f"class A {{ static boolean f(int n) {{ return {test}; }} }}", "f")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluate(m, [0], context=ast) == Returned(expected)
 
 
 def test_a_null_string_operand_of_plus_concatenates_as_null():

@@ -14,21 +14,23 @@ became), LoopConvert and CondConvert inner-first, and FunctionChain,
 ArgumentPass and CodeOrder block by block (every statement of a block, then
 the blocks nested in the results).
 
-Reordering, split/extract (hoisting code before the statement) and
-merge/inline (sinking a declaration into its use) ask one question: may these
-two pieces of code change order? One evaluation-order walk summarizes code as
-the locations it reads and writes and whether it may throw; `conflicts`
-answers the question for two summaries. Locations are local names and one
-HEAP location for all fields. Two sides conflict when one writes a location
-the other reads or writes (Bernstein's conditions), when both may throw
-(calls, allocations, `/`, `%`, and field access through a receiver other
-than `this`), or when one may throw and the other writes HEAP. The heap
-rule: a call outside the purity whitelist, or an allocation, may read and
-write any field, so it conflicts with any code that touches the heap. The
-heap is every FieldAccess, plus every bare name that `context` declares as a
-field and that no parameter shadows; a field name that the method also
-declares as a local may denote either, so it touches both. Without
-`context`, every free name is a local.
+Code motion goes through two primitives. `_hoist` moves nodes of a statement
+into locals declared before it (split and extract), and `_sink` moves a
+declaration's initializer into its single use (merge and inline); each rule
+only picks what moves. Reordering, hoisting and sinking ask one question:
+may these two pieces of code change order? One evaluation-order walk
+summarizes code as the locations it reads and writes and whether it may
+throw; `conflicts` answers the question for two summaries. Locations are
+local names and one HEAP location for all fields. Two sides conflict when
+one writes a location the other reads or writes (Bernstein's conditions),
+when both may throw (calls, allocations, `/`, `%`, and field access through
+a receiver other than `this`), or when one may throw and the other writes
+HEAP. The heap rule: a call outside the purity whitelist, or an allocation,
+may read and write any field, so it conflicts with any code that touches the
+heap. The heap is every FieldAccess, plus every bare name that `context`
+declares as a field and that no parameter shadows; a field name that the
+method also declares as a local may denote either, so it touches both.
+Without `context`, every free name is a local.
 """
 
 from __future__ import annotations
@@ -732,12 +734,10 @@ def _split_site(stmt: Stmt, taken: set[str], scope: _Scope) -> _Site:
     The hoisted link must not conflict with anything the statement evaluates
     before its first operand.
     """
-    if isinstance(stmt, ExprStmt):
-        holder = stmt.expr
-    elif isinstance(stmt, LocalVarDecl) and len(stmt.declarators) == 1 \
-            and stmt.declarators[0].init is not None:
-        holder = stmt.declarators[0].init
-    else:
+    if not isinstance(stmt, (ExprStmt, LocalVarDecl)):
+        return None
+    holder = _stmt_expr(stmt)
+    if holder is None:
         return None
 
     link = _find_chain_link(holder)
@@ -749,18 +749,31 @@ def _split_site(stmt: Stmt, taken: set[str], scope: _Scope) -> _Site:
     reason = "interference" if conditional else conflicts(prefix, scope.summary(inner))
     if reason:
         raise NotApplicable(reason)
+    return (_hoist(stmt, [(inner, _claim(_split_base_name(inner), taken))]),
+            "chain link hoisted into local")
 
-    var_name = fresh_name(_split_base_name(inner), taken)
-    taken.add(var_name)
-    decl = LocalVarDecl(
-        _decl_type_for(inner),
-        (Declarator(var_name, inner, inner.span),),
-        stmt.comments if hasattr(stmt, "comments") else (),
-        inner.span,
-    )
-    rewritten = _substitute(stmt, {id(inner): Name(var_name, inner.span)})
-    rewritten = replace(rewritten, comments=())
-    return [decl, rewritten], "chain link hoisted into local"
+
+def _claim(base: str, taken: set[str]) -> str:
+    """A fresh name from `base`, added to `taken`."""
+    name = fresh_name(base, taken)
+    taken.add(name)
+    return name
+
+
+def _hoist(stmt: Stmt, hoisted: list[tuple[Expr, str]]) -> list[Stmt]:
+    """`stmt` after each (node, name) of `hoisted`, in order, was hoisted
+    into a local of that name declared before it: a later node that holds an
+    earlier one reads that one's local, and the statement's comments move to
+    the first declaration."""
+    subst: dict[int, Expr] = {}
+    decls: list[Stmt] = []
+    for node, name in hoisted:
+        decls.append(LocalVarDecl(_decl_type_for(node),
+                                  (Declarator(name, _substitute(node, subst), node.span),),
+                                  (), node.span))
+        subst[id(node)] = Name(name, node.span)
+    decls[0] = replace(decls[0], comments=stmt.comments)
+    return decls + [replace(_substitute(stmt, subst), comments=())]
 
 
 def _substitute(node, subst: dict[int, Expr]):
@@ -796,29 +809,37 @@ def _sink_block(block: Block, scope: _Scope, sink) -> Block:
     return replace(block, stmts=tuple(stmts))
 
 
-def _try_merge(stmts: list[Stmt], i: int, scope: _Scope) -> bool:
-    """Sink a declaration's call into the receiver of its single use, which
-    must run unconditionally and after nothing that conflicts with the call."""
-    decl = stmts[i]
-    name, init = decl.name, decl.init
-    if not isinstance(init, Call):
+def _sink(stmts: list[Stmt], i: int, j: int, scope: _Scope, find_use) -> bool:
+    """Move the initializer of `stmts[i]` into its single use in `stmts[j]`,
+    the node `find_use(holder)` gives for the expression `stmts[j]` holds,
+    and delete the declaration, whose comments go along. Only when there is
+    such a use, it runs unconditionally, and neither the statements between
+    nor what the holder evaluates before the use conflicts with the
+    initializer."""
+    decl, holder = stmts[i], _stmt_expr(stmts[j])
+    use = find_use(holder) if holder is not None else None
+    if use is None:
         return False
-    use_stmt = stmts[i + 1]
-    holder = _stmt_expr(use_stmt)
-    if holder is None:
+    moved = scope.summary(decl.init)
+    passed = [scope.summary(s) for s in stmts[i + 1 : j]]
+    prefix, conditional = scope.before(holder, use)
+    if conditional or any(conflicts(moved, e) for e in passed + [prefix]):
         return False
-    target = next((n for n in walk(holder) if isinstance(n, Call)
-                   and isinstance(n.receiver, Name) and n.receiver.id == name), None)
-    if target is None:
-        return False
-    if _count_name_uses([use_stmt], name) != 1:
-        return False
-    prefix, conditional = scope.before(holder, target.receiver)
-    if conditional or conflicts(prefix, scope.summary(init)):
-        return False
-    rewritten = _substitute(use_stmt, {id(target): replace(target, receiver=init)})
-    stmts[i : i + 2] = [replace(rewritten, comments=decl.comments + rewritten.comments)]
+    rewritten = _substitute(stmts[j], {id(use): decl.init})
+    stmts[j] = replace(rewritten, comments=decl.comments + rewritten.comments)
+    del stmts[i]
     return True
+
+
+def _try_merge(stmts: list[Stmt], i: int, scope: _Scope) -> bool:
+    """Sink a declaration's call into the next statement, where the local is
+    a call's receiver."""
+    decl = stmts[i]
+    if not isinstance(decl.init, Call):
+        return False
+    return _sink(stmts, i, i + 1, scope, lambda holder: next(
+        (n.receiver for n in walk(holder) if isinstance(n, Call)
+         and isinstance(n.receiver, Name) and n.receiver.id == decl.name), None))
 
 
 def _stmt_expr(stmt: Stmt) -> Expr | None:
@@ -864,8 +885,7 @@ def _extract_site(stmt: Stmt, taken: set[str], scope: _Scope, skip) -> _Site:
     events = [n for n, _ in _evaluation_order(holder)]
     args = {id(a) for n in events if isinstance(n, (Call, New)) for a in n.args}
     moved: set[int] = set()  # the nodes of hoisted arguments
-    hoisted: dict[int, Expr] = {}
-    decls: list[Stmt] = []
+    hoisted: list[tuple[Expr, str]] = []
     for node in events:
         if not (isinstance(node, (Call, New)) and id(node) in args):
             continue
@@ -875,21 +895,11 @@ def _extract_site(stmt: Stmt, taken: set[str], scope: _Scope, skip) -> _Site:
             skip(node.span, reason)
             continue
         moved.update(map(id, walk(node)))
-        var_name = fresh_name(_extract_base_name(node) or "tmp", taken)
-        taken.add(var_name)
-        decls.append(LocalVarDecl(
-            _decl_type_for(node),
-            (Declarator(var_name, _substitute(node, hoisted), node.span),),
-            (), node.span))
-        hoisted[id(node)] = Name(var_name, node.span)
+        hoisted.append((node, _claim(_extract_base_name(node) or "tmp", taken)))
 
-    if not decls:
+    if not hoisted:
         return None
-    rewritten = _substitute(stmt, hoisted)
-    if getattr(stmt, "comments", ()):
-        decls[0] = replace(decls[0], comments=stmt.comments)
-        rewritten = replace(rewritten, comments=())
-    return decls + [rewritten], f"{len(decls)} argument(s) extracted into locals"
+    return _hoist(stmt, hoisted), f"{len(hoisted)} argument(s) extracted into locals"
 
 
 _STRAIGHT_LINE = (LocalVarDecl, ExprStmt)
@@ -897,37 +907,16 @@ _STRAIGHT_LINE = (LocalVarDecl, ExprStmt)
 
 def _try_inline(stmts: list[Stmt], i: int, scope: _Scope) -> bool:
     """Sink a declaration's initializer into its single use, which must be a
-    whole argument that runs unconditionally. The initializer may pass only
-    straight-line statements and code that do not conflict with it."""
+    whole argument; the initializer may pass only straight-line statements."""
     decl = stmts[i]
-    name, init = decl.name, decl.init
-    moved = scope.summary(init)
     j = i + 1
-    while j < len(stmts) and _count_name_uses([stmts[j]], name) == 0:
-        s = stmts[j]
-        if not isinstance(s, _STRAIGHT_LINE) or conflicts(moved, scope.summary(s)):
+    while _count_name_uses([stmts[j]], decl.name) == 0:
+        if not isinstance(stmts[j], _STRAIGHT_LINE):
             return False
         j += 1
-    if j >= len(stmts):
-        return False
-    use_stmt = stmts[j]
-    holder = _stmt_expr(use_stmt)
-    if holder is None:
-        return False
-    use = next((a for n in walk(holder) if isinstance(n, (Call, New))
-                for a in n.args if isinstance(a, Name) and a.id == name), None)
-    if use is None:
-        return False
-    prefix, conditional = scope.before(holder, use)
-    if conditional or conflicts(prefix, moved):
-        return False
-
-    rewritten = _substitute(use_stmt, {id(use): init})
-    if decl.comments:
-        rewritten = replace(rewritten, comments=decl.comments + rewritten.comments)
-    stmts[j] = rewritten
-    del stmts[i]
-    return True
+    return _sink(stmts, i, j, scope, lambda holder: next(
+        (a for n in walk(holder) if isinstance(n, (Call, New))
+         for a in n.args if isinstance(a, Name) and a.id == decl.name), None))
 
 
 # ---------------------------------------------------------------------------

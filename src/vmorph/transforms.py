@@ -69,6 +69,7 @@ from .nodes import (
     Throw,
     Unary,
     While,
+    children,
     ends_case,
     names_in,
     rebuild,
@@ -291,14 +292,11 @@ def _if_else(target: Expr, t: Ternary, comments: tuple[str, ...], span: Span) ->
 
 
 def _record_misplaced_ternaries(stmt: Stmt, skip, reported: dict[int, Ternary]) -> None:
-    """Ternaries anywhere but as a whole assignment/initializer RHS are skipped,
-    each once: statements are visited inner-first, so `reported` (id -> node,
-    which keeps the id from reuse) holds those the statements inside `stmt`
-    already reported."""
+    """Ternaries anywhere but as a whole initializer are skipped (a whole
+    assignment's is always converted), each once: statements are visited
+    inner-first, so `reported` (id -> node, which keeps the id from reuse)
+    holds those the statements inside `stmt` already reported."""
     holder_exempt: set[int] = set()
-    if isinstance(stmt, ExprStmt) and isinstance(stmt.expr, Assign) \
-            and isinstance(stmt.expr.value, Ternary):
-        holder_exempt.add(id(stmt.expr.value))
     if isinstance(stmt, LocalVarDecl):
         for d in stmt.declarators:
             if isinstance(d.init, Ternary):
@@ -317,27 +315,14 @@ def _effect_free_scrutinee(expr: Expr) -> bool:
     return False
 
 
-def _free_breaks(stmts: tuple[Stmt, ...]) -> list[Break]:
-    """Breaks that would bind to the enclosing switch (not to a nested loop/switch)."""
-    found: list[Break] = []
-
-    def visit(s: Stmt) -> None:
-        if isinstance(s, (While, For, Switch)):
-            return
-        if isinstance(s, Break):
-            found.append(s)
-            return
-        if isinstance(s, Block):
-            for inner in s.stmts:
-                visit(inner)
-        elif isinstance(s, If):
-            visit(s.then)
-            if s.orelse is not None:
-                visit(s.orelse)
-
-    for s in stmts:
-        visit(s)
-    return found
+def _has_free_break(node) -> bool:
+    """Whether `node` holds a break that would bind to the enclosing switch
+    (not to a nested loop or switch)."""
+    if isinstance(node, Break):
+        return True
+    if isinstance(node, (While, For, Switch)):
+        return False
+    return any(_has_free_break(c) for c in children(node))
 
 
 def _switch_to_if_chain(stmt: Switch) -> Stmt:
@@ -376,7 +361,7 @@ def _switch_to_if_chain(stmt: Switch) -> Stmt:
         is_last = i == len(stmt.cases) - 1
         if not is_last and not case.terminated:
             raise NotApplicable("fallthrough")
-        if _free_breaks(case_block(case).stmts):
+        if _has_free_break(case_block(case)):
             raise NotApplicable("inner-break")
     if _shares_a_local([case.body for case in stmt.cases]):
         raise NotApplicable("case-scoped-local")
@@ -433,9 +418,9 @@ def _if_chain_to_switch(stmt: If) -> Stmt:
             if l.value in seen:
                 raise NotApplicable("duplicate-labels")
             seen.add(l.value)
-        if _free_breaks(body.stmts):
+        if _has_free_break(body):
             raise NotApplicable("inner-break")
-    if final_else is not None and _free_breaks(final_else.stmts):
+    if final_else is not None and _has_free_break(final_else):
         raise NotApplicable("inner-break")
     bodies = [body.stmts for _, body in links]
     if _shares_a_local(bodies + ([final_else.stmts] if final_else is not None else [])):

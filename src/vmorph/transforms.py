@@ -25,12 +25,13 @@ local names and one HEAP location for all fields. Two sides conflict when
 one writes a location the other reads or writes (Bernstein's conditions),
 when both may throw (calls, allocations, `/`, `%`, and field access through
 a receiver other than `this`), or when one may throw and the other writes
-HEAP. The heap rule: a call outside the purity whitelist, or an allocation,
-may read and write any field, so it conflicts with any code that touches the
-heap. The heap is every FieldAccess, plus every bare name that `context`
-declares as a field and that no parameter shadows; a field name that the
-method also declares as a local may denote either, so it touches both.
-Without `context`, every free name is a local.
+HEAP. The heap rule: a call outside the purity whitelist, or to a method
+name that `context` declares, or an allocation, may read and write any
+field, so it conflicts with any code that touches the heap. The heap is
+every FieldAccess, plus every bare name that `context` declares as a field
+and that no parameter shadows; a field name that the method also declares as
+a local may denote either, so it touches both. Without `context`, every free
+name is a local.
 """
 
 from __future__ import annotations
@@ -589,6 +590,8 @@ class _Scope:
     # The locations each bare field name may denote: HEAP, plus the name
     # itself when a local of that name is declared somewhere in the method.
     fields: dict[str, frozenset[str]]
+    # The method names taken for pure library methods.
+    pure: frozenset[str] = _PURE_METHODS
 
     def bare(self, name: str) -> frozenset[str]:
         return self.fields.get(name) or frozenset({name})
@@ -606,7 +609,7 @@ class _Scope:
             return Effects(writes=_HEAP, throws=_may_be_null(target.receiver))
         if isinstance(node, Declarator):
             return Effects(writes=frozenset({node.name}))
-        if isinstance(node, Call) and node.method in _PURE_METHODS:
+        if isinstance(node, Call) and node.method in self.pure:
             return _THROWS
         if isinstance(node, (Call, New)):
             return _IMPURE
@@ -637,15 +640,18 @@ def _scope_for(m: MethodDecl, context: SourceFile | None) -> _Scope:
     """Fields are the names `context` declares as fields that no parameter
     of `m` shadows; without `context` every free name is local. A local
     shadows a field only from its declaration on, so a bare name that is
-    both may denote either."""
+    both may denote either. A whitelisted method name that `context` also
+    declares may name that method, so it is not taken for pure."""
     fields: dict[str, frozenset[str]] = {}
+    pure = _PURE_METHODS
     if context is not None:
         params = {p.name for p in m.params}
         locals_ = {n.name for n in walk(m.body) if isinstance(n, Declarator)}
         fields = {d.name: _HEAP | ({d.name} & locals_)
                   for cls in context.types for f in cls.fields for d in f.declarators
                   if d.name not in params}
-    return _Scope(fields)
+        pure = _PURE_METHODS - {d.name for cls in context.types for d in cls.methods}
+    return _Scope(fields, pure)
 
 
 _DEFAULT_SCOPE = _Scope({})

@@ -688,6 +688,18 @@ def test_impure_call_keeps_its_place_around_fields(rule, body):
         assert structurally_equal(out, m)
 
 
+def test_a_project_method_named_like_a_pure_library_method_is_impure():
+    """The file's own `length()` writes the field `n`, so it may not swap
+    with a read of `n`: g() returns 0 as written and 1 with the two swapped."""
+    ast = parse("class A { static int n; static int length() { n = n + 1; return n; } "
+                "static int g() { int a = length(); int b = n; return a - b; } }")
+    g = ast.types[0].methods[1]
+    out, report = apply_all(g, context=ast)
+    assert structurally_equal(out, g)
+    assert report.skipped == [(TransformRule.CODE_ORDER, g.body.stmts[0].span,
+                               "heap-interference")]
+
+
 GOLDEN_APPLY_ALL = FIXTURES / "golden" / "apply_all_corpus.txt"
 
 

@@ -251,7 +251,8 @@ def _mod(a: int, b: int) -> int:
 
 
 # The builtins the compiler does not write inline: `_<builtin>`. The string
-# ones take the receiver first, checked by _deref; substring and concat then
+# ones take the receiver first and check it for null first thing, so only
+# after every argument is evaluated (JLS 15.12.4); substring and concat then
 # take a site, where they can reject.
 _min, _max = min, max
 
@@ -267,23 +268,25 @@ def _deref(s: str | None) -> str:
     return s
 
 
-def _substring(s: str, site, begin: int, *end: int) -> str:
+def _substring(s: str | None, site, begin: int, *end: int) -> str:
+    s = _deref(s)
     end = end[0] if end else len(s)
     if not (0 <= begin <= end <= len(s)):
         raise _Reject(site, "string index out of range")
     return s[begin:end]
 
 
-def _equals(s: str, other) -> bool:
+def _equals(s: str | None, other) -> bool:
+    s = _deref(s)
     return isinstance(other, str) and s == other
 
 
-def _startsWith(s: str, other) -> bool:
-    return s.startswith(_deref(other))
+def _startsWith(s: str | None, other) -> bool:
+    return _deref(s).startswith(_deref(other))
 
 
-def _concat(s: str, site, other) -> str:
-    return _bounded(s + _deref(other), site)
+def _concat(s: str | None, site, other) -> str:
+    return _bounded(_deref(s) + _deref(other), site)
 
 
 # The subset's types are its declared ones (SUPPORTED_PARAM_TYPES), the type
@@ -889,7 +892,7 @@ class _Compiler:
             return _E(f"(len({again}) if {first} is not None else _npe())", value, depth,
                       writes=writes)
         at = f", {self.site(span, None)}" if method in ("substring", "concat") else ""
-        return _E(f"_{method}(_deref({receiver.text}){at}{''.join(', ' + a.text for a in args)})",
+        return _E(f"_{method}({receiver.text}{at}{''.join(', ' + a.text for a in args)})",
                   value, depth, writes=writes)
 
     def arguments(self, args: list[_E], nodes, types: list[str]) -> None:

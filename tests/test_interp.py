@@ -27,7 +27,8 @@ from vmorph.interp import (
     outcome_to_json,
 )
 from vmorph.parser import parse
-from vmorph.transforms import apply_all
+from vmorph.printer import print_stmt
+from vmorph.transforms import TransformRule, apply_all, apply_rule
 
 from javagen import generate_method_source
 
@@ -1309,6 +1310,28 @@ def test_an_int_method_that_reaches_its_end_is_rejected():
 def test_an_operand_is_read_before_a_later_operand_assigns_it(result, body, args, expected):
     m, ast = method_named(f"class A {{ static {result} f(int a, String s) {{ {body} }} }}", "f")
     assert evaluate(m, args, context=ast) == Returned(expected)
+
+
+@pytest.mark.parametrize("call", ['s.concat("" + 1 / a)', "s.substring(1 / a)",
+                                  's.equals("" + 1 / a)', 's.startsWith("" + 1 / a)'],
+                         ids=["concat", "substring", "equals", "startsWith"])
+def test_a_null_receiver_is_checked_after_the_arguments(call):
+    """JLS 15.12.4: a method's arguments are evaluated before its receiver
+    is checked for null."""
+    m, ast = method_named(f'class A {{ static String f(String s, int a) {{ return "" + {call}; }} }}',
+                          "f")
+    assert evaluate(m, [None, 0], context=ast) == Threw("ArithmeticException")
+    assert evaluate(m, [None, 1], context=ast) == Threw("NullPointerException")
+
+
+def test_an_extracted_argument_that_throws_agrees_with_a_null_receiver():
+    src = ('class A { static String f(String s, int a) { return s.concat(g(a)); } '
+           'static String g(int a) { return "x" + (10 / a); } }')
+    f, ast = method_named(src, "f")
+    variant, _ = apply_rule(f, TransformRule.ARGUMENT_PASS, context=ast)
+    assert print_stmt(variant.body.stmts[0]) == "var tmp = g(a);\n"
+    assert evaluate(f, [None, 0], context=ast) == Threw("ArithmeticException")
+    assert check_equivalence(f, variant, context1=ast, context2=ast).verdict == EQUIVALENT
 
 
 # ---------------------------------------------------------------------------

@@ -1334,6 +1334,14 @@ def test_an_extracted_argument_that_throws_agrees_with_a_null_receiver():
     assert check_equivalence(f, variant, context1=ast, context2=ast).verdict == EQUIVALENT
 
 
+def test_a_variant_alone_out_of_fuel_is_inconclusive():
+    f, ast1 = method_named("class A { static int f(int n) { return n; } }", "f")
+    g, ast2 = method_named("class A { static int f(int n) { int i = 0; "
+                           "while (i < 1000) { i = i + 1; } return n; } }", "f")
+    verdict = check_equivalence(f, g, trials=5, fuel=100, context1=ast1, context2=ast2)
+    assert verdict.verdict == "inconclusive"
+
+
 # ---------------------------------------------------------------------------
 # The survey: the corpus and javagen methods and their apply_all outputs
 # ---------------------------------------------------------------------------

@@ -273,6 +273,18 @@ def test_inner_break_refused():
     assert exc.value.reason == "inner-break"
 
 
+@pytest.mark.parametrize("code, reason", [
+    ("var v = k > 0 ? 1 : 2;", "var-requires-initializer"),
+    ("if (k == 1) { a(); } else if (k == 1) { b(); }", "duplicate-labels"),
+    ("if (k == 1) { a(); } else if (k == 2) { b(); } else { if (k > 3) { break; } c(); }",
+     "inner-break"),
+], ids=["var-ternary", "duplicate-labels", "break-in-final-else"])
+def test_a_conditional_site_is_refused(code, reason):
+    with pytest.raises(NotApplicable) as exc:
+        convert_conditional(stmt_of(code, params="int k"))
+    assert exc.value.reason == reason
+
+
 # ---------------------------------------------------------------------------
 # chain_functions
 # ---------------------------------------------------------------------------
@@ -359,6 +371,27 @@ def test_inline_keeps_a_throwing_initializer_before_a_field_write():
     assert structurally_equal(argument_pass(block, INLINE), block)
 
 
+# Each way a sink refuses, through merge and through inline: the use is not
+# in an expression statement, is not of the rule's shape, runs conditionally,
+# or comes after code that conflicts with the initializer. Merge never passes
+# a statement; inline's pass is test_inline_blocked_by_interfering_write.
+@pytest.mark.parametrize("direction, code", [
+    (MERGE, "String t = s.trim(); if (t.isEmpty()) { mark(x); }"),
+    (MERGE, "String t = s.trim(); mark(t);"),
+    (MERGE, "String t = s.trim(); boolean b = x > 0 && t.isEmpty();"),
+    (MERGE, "String t = s.trim(); int k = g() + t.length();"),
+    (INLINE, "var t = g(x); if (f(t)) { mark(x); }"),
+    (INLINE, "var t = g(x); f(t + 1);"),
+    (INLINE, "var t = g(x); boolean b = x > 0 && f(t);"),
+    (INLINE, "var t = g(x); f(h(n), t);"),
+], ids=[f"{d}-{why}" for d in (MERGE, INLINE)
+        for why in ("no-holder", "no-use", "conditional", "conflict")])
+def test_a_sink_is_refused(direction, code):
+    block = block_of(code)
+    rewrite = chain_functions if direction == MERGE else argument_pass
+    assert structurally_equal(rewrite(block, direction), block)
+
+
 def test_extract_fresh_name_avoids_collisions():
     block = block_of("int normalizedParentPath = 3; f(parentPath.normalize());",
                      params="Path parentPath")
@@ -406,6 +439,9 @@ HOISTED_WITH_OPERANDS = {
                                "static int f(String a, int c, int d) {"
                                " int n = a.substring(c / d).length(); return n; }",
                                "String a_substring = a.substring(c / d);"),
+    "allocation": (TransformRule.ARGUMENT_PASS,
+                   "void f(Point p) { send(new File(p.y)); }",
+                   "File file = new File(p.y);"),
 }
 
 
@@ -445,6 +481,17 @@ def test_reorder_blocks_dependency():
 def test_reorder_never_moves_control_flow():
     block = block_of("int a = 1; return;")
     assert structurally_equal(reorder_statements(block), block)
+
+
+# A field read through a receiver other than `this` may throw, so it keeps
+# its place before other code that may throw.
+@pytest.mark.parametrize("code, swapped", [
+    ("int a = p.x; int b = 1 / n;", False),
+    ("int a = this.x; int b = 1 / n;", True),
+], ids=["receiver", "this"])
+def test_a_field_read_through_a_receiver_may_throw(code, swapped):
+    block = block_of(code, params="Point p, int n")
+    assert structurally_equal(reorder_statements(block), block) is not swapped
 
 
 def test_reorder_is_permutation_generated():

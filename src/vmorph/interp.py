@@ -251,9 +251,9 @@ def _mod(a: int, b: int) -> int:
 
 
 # The builtins the compiler does not write inline: `_<builtin>`. The string
-# ones take the receiver first and check it for null first thing, so only
-# after every argument is evaluated (JLS 15.12.4); substring and concat then
-# take a site, where they can reject.
+# ones take the receiver first and check it for null on entry, after Python
+# has evaluated every argument (JLS 15.12.4); substring and concat then take
+# a site, where they can reject.
 _min, _max = min, max
 
 

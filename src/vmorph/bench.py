@@ -265,6 +265,11 @@ def _write_project(target: Path, asts: dict[str, SourceFile], verbatim: dict[str
         out.write_bytes(data)
 
 
+def _method_names(asts: dict[str, SourceFile]) -> frozenset[str]:
+    """Every method name the project declares, in any file that parsed."""
+    return frozenset(m.name for ast in asts.values() for cls in ast.types for m in cls.methods)
+
+
 def _suggested_filenames(asts: dict[str, SourceFile], dct: RenameDictionary) -> dict[str, str]:
     """File moves implied by class renames (Java's file-per-class convention)."""
     out: dict[str, str] = {}
@@ -396,7 +401,8 @@ def _generate_for_record(
                 entry.suggested_filenames = dict(suggested)
             if kind is not VariantKind.RENAME_ONLY:
                 buggy = variant_asts[record.buggy_file]
-                transformed, report = apply_all(variant_method, context=buggy)
+                transformed, report = apply_all(variant_method, context=buggy,
+                                                project_methods=_method_names(variant_asts))
                 variant_asts[record.buggy_file] = with_method(buggy, position, transformed)
                 variant_method = transformed
             if kind is not VariantKind.STRUCTURE_ONLY:

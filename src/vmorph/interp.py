@@ -70,17 +70,18 @@ helper defined at the top of its method, which shares the method's
 variables through `nonlocal` and hands a Java return, break or continue back
 to its caller as its return value.
 
-No Java name, span or source comment enters the text. Callees are
-numbers, literals the repr of an int, bool, str or None, and a switch's
-label table a dict literal. Where running can reject, the text holds a site number that indexes
-the program's own (span, detail) table. So the text is a nameless key
-(de Bruijn's nameless terms, used for hash-consing): a consistently renamed
-program, such as a record's rename variant, gets its original's text, while
-a renaming that captured a name resolves to other slots and gets another.
-Each distinct text is compiled once and kept, with the outcome memo of every
-program of that text, in a small LRU cache. The memo is keyed by fuel and
-by each argument's type and value, so a method run again on the same inputs
-(the original of a record, against each of its variants) is not
+No Java name, span or source comment enters the text. Callees are numbers,
+literals the repr of an int, bool, str or None, and a switch's label table
+a dict literal. Where running can reject, the text holds a site number that
+indexes the program's own (node, detail) table; the node's span is read
+only when a rejection is raised. So the text is a nameless key (de Bruijn's
+nameless terms, used for hash-consing): a consistently renamed program,
+such as a record's rename variant, gets its original's text, while a
+renaming that captured a name resolves to other slots and gets another.
+Each distinct text is compiled once and kept, with the outcome memo of
+every program of that text, in a small LRU cache. The memo is keyed by fuel
+and by each argument's type and value, so a method run again on the same
+inputs (the original of a record, against each of its variants) is not
 re-executed. A run-time rejection is memoised as its site number and raised
 with the spans and names of the program that asks. check_equivalence does
 not run the second method on a trial where the first ran out of fuel, as
@@ -99,7 +100,7 @@ from typing import NamedTuple, Optional, Union
 
 from .errors import UnsupportedForEvaluation
 from .nodes import (DEFAULT_LABEL, INT_MAX, INT_MIN, Assign, Expr, For,
-                    MethodDecl, Name, Return, SourceFile, Switch, While, walk)
+                    MethodDecl, Name, Return, SourceFile, Span, Switch, While, walk)
 
 DEFAULT_TRIALS = 100
 DEFAULT_FUEL = 10_000
@@ -324,9 +325,9 @@ def _assignable(want: str, found: str) -> bool:
 
 class _Program:
     """A compiled method and the same-file methods it calls: the text, the
-    (span, detail) of each rejection site the text numbers and, once loaded,
-    the text's top function and outcome memo, which every program of the
-    same text shares. The memo maps (fuel, (type, value) per argument) to an
+    (node, detail) of each rejection site the text numbers (for a method's
+    closing brace, its Span) and, once loaded, the text's top function and
+    outcome memo, which every program of the same text shares. The memo maps (fuel, (type, value) per argument) to an
     outcome or to a rejection's (site, detail)."""
 
     def __init__(self, text: str, sites: list):
@@ -458,16 +459,16 @@ class _Compiler:
                 node.span, f"incompatible types: {x.type} cannot be converted to {want}")
         return x
 
-    def target(self, cls: str | None, method: str, n: int, span) -> MethodDecl:
-        """The method of `cls` named `method` that takes `n` arguments."""
+    def target(self, cls: str | None, method: str, n: int, call) -> MethodDecl:
+        """The method of `cls` named `method` that `call` makes with `n` arguments."""
         overloads = self.methods.get((cls, method))
         if overloads is None:
-            raise UnsupportedForEvaluation(span, f"unresolved call {method!r}")
+            raise UnsupportedForEvaluation(call.span, f"unresolved call {method!r}")
         fitting = [m for m in overloads if len(m.params) == n]
         if not fitting:
             raise UnsupportedForEvaluation(overloads[0].span, "argument arity mismatch")
         if len(fitting) > 1:
-            raise UnsupportedForEvaluation(span, f"ambiguous call {method!r} with {n} arguments")
+            raise UnsupportedForEvaluation(call.span, f"ambiguous call {method!r} with {n} arguments")
         return fitting[0]
 
     def resolve(self, node, name: str) -> int:
@@ -481,9 +482,9 @@ class _Compiler:
         kind = type(node).__name__
         raise UnsupportedForEvaluation(node.span, _REJECTED.get(kind, kind))
 
-    def site(self, span, detail: str | None) -> int:
+    def site(self, node, detail: str | None) -> int:
         """A number for a place that may reject at run time."""
-        self.sites.append((span, detail))
+        self.sites.append((node, detail))
         return len(self.sites) - 1
 
     def temp(self) -> str:
@@ -766,7 +767,7 @@ class _Compiler:
         slot = self.resolve(e, e.id)
         if slot not in self.guarded:
             return _E(f"v{slot}", self.types[slot], pure=True, slot=slot)
-        site = self.site(e.span, f"unbound name {e.id!r}")
+        site = self.site(e, f"unbound name {e.id!r}")
         return _E(f"(v{slot} if v{slot} is not _UNSET else _fail({site}))", self.types[slot], 2)
 
     def assignment(self, e) -> tuple[int, _E]:
@@ -809,7 +810,7 @@ class _Compiler:
         if op in _LOGICAL and types == {"boolean"}:
             text = f"({left.text} {_LOGICAL[op]} {right.text})"
         elif op == "+" and "String" in types and "void" not in types:  # JLS 15.18.1
-            text = f"_cat({left.text}, {right.text}, {self.site(e.span, None)})"
+            text = f"_cat({left.text}, {right.text}, {self.site(e, None)})"
         elif op in ("==", "!=") and (types == {"boolean"} or types <= {"String", _NULL}):
             # JLS 15.21: String == compares values here, as the subset has no
             # aliasing to observe; a comparison with null is an identity test,
@@ -849,7 +850,7 @@ class _Compiler:
                   "int", depth, writes=writes)
 
     def e_Call(self, e):
-        recv, method, span, n = e.receiver, e.method, e.span, len(e.args)
+        recv, method, n = e.receiver, e.method, len(e.args)
         args = [self.expr(a) for a in e.args]
         writes = any(a.writes for a in args)
         depth = max((a.depth for a in args), default=0) + _EXPR_STEP
@@ -858,17 +859,17 @@ class _Compiler:
             if recv.id == "Math":
                 counts, argument, value = MATH_BUILTINS.get(method, _NO_BUILTIN)
                 if n not in counts:
-                    raise UnsupportedForEvaluation(span, f"Math.{method}/{n}")
+                    raise UnsupportedForEvaluation(e.span, f"Math.{method}/{n}")
                 self.arguments(args, e.args, [argument] * n)
                 return _E(f"_{method}({', '.join(a.text for a in args)})", value, depth,
                           writes=writes)
             if recv.id not in self.classes:
-                raise UnsupportedForEvaluation(span, f"unknown receiver {recv.id!r}")
+                raise UnsupportedForEvaluation(e.span, f"unknown receiver {recv.id!r}")
             cls, recv = recv.id, None
         if recv is None:
             if self.inlining:  # a leaf that calls a same-file method may recurse
-                raise UnsupportedForEvaluation(span, "same-file call in a leaf")
-            target = self.target(cls, method, n, span)
+                raise UnsupportedForEvaluation(e.span, "same-file call in a leaf")
+            target = self.target(cls, method, n, e)
             # A parameter of another type is the callee's own rejection.
             self.arguments(args, e.args, [p.type_name if p.type_name in SUPPORTED_PARAM_TYPES
                                           else "Object" for p in target.params])
@@ -881,7 +882,7 @@ class _Compiler:
                       target.return_type, depth, writes=writes, call=call)
         counts, argument, value = STRING_BUILTINS.get(method, _NO_BUILTIN)
         if n not in counts:
-            raise UnsupportedForEvaluation(span, f"method {method!r} with {n} arguments")
+            raise UnsupportedForEvaluation(e.span, f"method {method!r} with {n} arguments")
         self.arguments(args, e.args, [argument] * n)
         receiver = self.expr(recv)
         if receiver.type != "String":
@@ -891,7 +892,7 @@ class _Compiler:
             first, again = self.operand(receiver)
             return _E(f"(len({again}) if {first} is not None else _npe())", value, depth,
                       writes=writes)
-        at = f", {self.site(span, None)}" if method in ("substring", "concat") else ""
+        at = f", {self.site(e, None)}" if method in ("substring", "concat") else ""
         return _E(f"_{method}({receiver.text}{at}{''.join(', ' + a.text for a in args)})",
                   value, depth, writes=writes)
 
@@ -1066,8 +1067,9 @@ def evaluate(
         outcome = program.outcomes[key] = _run(program, args, fuel)
     if type(outcome) is tuple:  # a rejection, raised with this program's span and names
         site, detail = outcome
-        span, own = program.sites[site]
-        raise UnsupportedForEvaluation(span, detail or own)
+        where, own = program.sites[site]
+        raise UnsupportedForEvaluation(where if isinstance(where, Span) else where.span,
+                                       detail or own)
     return outcome
 
 # ---------------------------------------------------------------------------

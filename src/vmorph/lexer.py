@@ -26,12 +26,11 @@ character.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from itertools import accumulate, compress, count, repeat
 from operator import add, itemgetter, sub
 
 from .errors import JavaSyntaxError, UnsupportedConstruct
-from .nodes import Span
+from .nodes import Span, position
 
 KEYWORDS = frozenset(
     {
@@ -86,13 +85,6 @@ _FIXED = dict.fromkeys(KEYWORDS, KEYWORD) | dict.fromkeys(OPERATORS, OP)
 _LEAD = (dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$", IDENT)
          | dict.fromkeys("0123456789", INT) | {'"': STRING, "/": COMMENT})
 _SETTLED = frozenset({IDENT, KEYWORD, OP})
-
-
-def position(line_starts: list[int], offset: int) -> tuple[int, int]:
-    """The 1-based line and column of the character at `offset`, given the
-    offset of each line's first character."""
-    line = bisect_right(line_starts, offset)
-    return line, offset - line_starts[line - 1] + 1
 
 
 class Tokens:

@@ -1,18 +1,23 @@
 """AST node definitions for the supported Java subset.
 
-Every node is an immutable (frozen) dataclass carrying a source Span. Spans
-are excluded from equality so that two parses of the same program compare
-equal regardless of layout; `structurally_equal` is therefore plain `==`.
+Every node is an immutable (frozen) dataclass with a source position,
+`node.span`. Spans are excluded from equality so that two parses of the
+same program compare equal regardless of layout; `structurally_equal` is
+therefore plain `==`.
 
 Trees stay immutable but are made cheap to build and hold, since on a whole
 project building them takes most of the time. Node classes are slotted (no
 per-instance `__dict__`) and get an `__init__` that fills the slots without
 `object.__setattr__`; assigning a field still raises FrozenInstanceError,
-and `dataclasses.replace` works as before. `Span` is a NamedTuple, one small
-tuple with no dict, so the collector's passes over a tree cost less; it
-still counts as one tracked object, as CPython untracks only exact tuples.
-Nodes without a position share one synthetic span. NODE_CLASSES lists every
-node class once.
+and `dataclasses.replace` works as before. A parsed node holds no `Span`:
+its `span` slot holds the `LineTable` that all nodes of its file share, and
+its `_pos` slot one int, its first and last character offsets packed
+together (see `POS_BITS`). Neither is an object of the node's own that the
+cyclic collector tracks. Reading `node.span` decodes a `Span` (a NamedTuple)
+from them, so only a consumer that asks pays for line and column. A node
+built with a `Span` keeps it; nodes without a position share one synthetic
+span. `evolve` copies a node with some fields changed and its position as
+stored, without decoding it. NODE_CLASSES lists every node class once.
 
 The node family deliberately covers only the subset documented in
 docs/grammar.md: top-level classes with fields, methods, and constructors;
@@ -26,8 +31,9 @@ survive printing (buggy-line hint comments must round-trip).
 Schema: each field of a node class declares, once, through its default,
 what it holds: `_child()` a child node, an optional one or a tuple of them;
 `_name(role, kind)` an identifier (`_type_name()` a possibly dotted type
-name); `_payload()` or `_span_field()` anything else. A new node class or
-field declares its children and names there and nowhere else; importing this
+name); `_payload()` or `_span_field()` anything else (a class that declares
+`span` gets its `_pos` field from `_node`). A new node class or field
+declares its children and names there and nowhere else; importing this
 module fails for a field that declares nothing. `children`, `walk`,
 `rebuild`, `identifier_sites` and `rename_identifiers` read only these
 declarations, and identifier collection, renaming and the rewrites' tree
@@ -36,7 +42,8 @@ surgery are built on them.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields, replace
+from bisect import bisect_right
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .errors import SpanOutsideMethod
@@ -71,6 +78,34 @@ class Span(NamedTuple):
 
 
 _SYNTHETIC = Span.synthetic()  # every node's default span, shared
+
+# A parsed node's `_pos`: its first character offset shifted left by
+# POS_BITS, or'ed with its last (inclusive) character offset.
+POS_BITS = 32
+_POS_MASK = (1 << POS_BITS) - 1
+
+
+class LineTable:
+    """The name and line-start offsets of one parsed file, which every node
+    of the file holds: it turns a node's packed offsets into a Span. Lines
+    are counted by LF alone, as the lexer counts them."""
+
+    __slots__ = ("file", "starts")
+
+    def __init__(self, file: str, starts: list[int]):
+        self.file = file
+        self.starts = starts  # the offset of each line's first character
+
+    def span(self, pos: int) -> Span:
+        return Span(self.file, *position(self.starts, pos >> POS_BITS),
+                    *position(self.starts, pos & _POS_MASK))
+
+
+def position(line_starts: list[int], offset: int) -> tuple[int, int]:
+    """The 1-based line and column of the character at `offset`, given the
+    offset of each line's first character."""
+    line = bisect_right(line_starts, offset)
+    return line, offset - line_starts[line - 1] + 1
 
 
 # Identifier roles and kinds.
@@ -139,7 +174,13 @@ NODE_CLASSES: list[type] = []  # every node class, once each, in definition orde
 def _node(cls: type) -> type:
     """Make `cls` a frozen, slotted dataclass built by `_slot_init`, store
     its child fields and identifier fields on it, so no traversal reads the
-    dataclass fields of a node, and register it in NODE_CLASSES."""
+    dataclass fields of a node, and register it in NODE_CLASSES. A class
+    that declares `span` also gets `_pos` after it, and `span` reads back
+    through `_span_property`."""
+    spanned = "span" in cls.__dict__.get("__annotations__", {})
+    if spanned:
+        cls.__annotations__["_pos"] = "int"
+        cls._pos = field(default=0, compare=False, repr=False, metadata={_SCHEMA: _PAYLOAD})
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
     child_fields, name_fields = [], []
     for f in fields(cls):
@@ -152,8 +193,13 @@ def _node(cls: type) -> type:
             raise TypeError(f"{cls.__name__}.{f.name} declares no schema")
     cls._child_fields = tuple(child_fields)
     cls._name_fields = tuple(name_fields)
+    # (name, slot getter) per field: `span`'s reads the stored position.
+    cls._getters = tuple((f.name, cls.__dict__[f.name].__get__) for f in fields(cls))
     if fields(cls):
         cls.__init__ = _slot_init(cls)
+        cls.__setstate__ = _setstate  # the dataclass's would set `span` by name
+    if spanned:
+        cls.span = _span_property(cls.__dict__["span"].__get__, cls.__dict__["_pos"].__get__)
     NODE_CLASSES.append(cls)
     return cls
 
@@ -176,6 +222,20 @@ def _slot_init(cls: type) -> Callable[..., None]:
     init = env["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     return init
+
+
+def _setstate(self, state: list) -> None:
+    """Unpickling and `copy.copy`: the dataclass's state is the field values
+    in order, which are also `__init__`'s parameters."""
+    self.__init__(*state)
+
+
+def _span_property(get_span, get_pos) -> property:
+    def span(self) -> Span:
+        """The node's Span: as given, or decoded from its file's line table."""
+        where = get_span(self)
+        return where.span(get_pos(self)) if where.__class__ is LineTable else where
+    return property(span)
 
 
 @_node
@@ -480,6 +540,17 @@ def structurally_equal(a: Node, b: Node) -> bool:
     return a == b
 
 
+def evolve(node: Node, **changes) -> Node:
+    """A copy of `node` with `changes` to its fields, like
+    `dataclasses.replace`, but without decoding the position: the copy holds
+    what `node` holds. `span=` may be among the changes."""
+    cls = node.__class__
+    values = [changes.pop(name) if name in changes else get(node) for name, get in cls._getters]
+    if changes:
+        raise TypeError(f"{cls.__name__} has no field {next(iter(changes))!r}")
+    return cls(*values)
+
+
 def children(node: Node) -> Iterator[Node]:
     """Yield direct child nodes, in field order."""
     for name in node._child_fields:
@@ -541,7 +612,7 @@ def rebuild(node: Node, f: Callable[[Node], Node]) -> Node:
         if changes is None:
             changes = {}
         changes[name] = new
-    return node if changes is None else replace(node, **changes)
+    return node if changes is None else evolve(node, **changes)
 
 
 def _site(node: Node, value: str, role: str, kind: str,
@@ -600,7 +671,7 @@ def rename_identifiers(node: Node, mapping: dict[str, str], met: set[str]) -> No
                 if role is not None:
                     changes = changes or {}
                     changes[fname] = value[: len(value) - len(name)] + new
-        return node if changes is None else replace(node, **changes)
+        return node if changes is None else evolve(node, **changes)
 
     return visit(node)
 
@@ -623,8 +694,10 @@ def method_at(file: SourceFile, position: tuple[int, int]) -> MethodDecl:
 
 def with_method(file: SourceFile, position: tuple[int, int], new: MethodDecl) -> SourceFile:
     """`file` with the method at `position` replaced by `new`; only the class
-    that holds it is rebuilt."""
+    that holds it is rebuilt; `file` itself when `new` is that method."""
     i, j = position
     cls = file.types[i]
-    cls = replace(cls, members=cls.members[:j] + (new,) + cls.members[j + 1 :])
-    return replace(file, types=file.types[:i] + (cls,) + file.types[i + 1 :])
+    if cls.members[j] is new:
+        return file
+    cls = evolve(cls, members=cls.members[:j] + (new,) + cls.members[j + 1 :])
+    return evolve(file, types=file.types[:i] + (cls,) + file.types[i + 1 :])

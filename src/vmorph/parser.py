@@ -7,8 +7,10 @@ Grammar in docs/grammar.md. Design points:
   extra EOF entries at the end so lookahead needs no bound check. No
   identifier, literal or EOF has the text of an operator or keyword, so
   `at()` and `expect()` compare texts alone: one list lookup.
-- Line and column are computed only when a Span is built, by bisecting the
-  file's line-start offsets; a code token never spans lines.
+- A node gets no Span: it gets the file's LineTable, which all its nodes
+  share, and its first and last character offsets packed into one int
+  (`nodes.POS_BITS`); line and column are decoded only when `node.span` is
+  read. An error gets a full Span. A code token never spans lines.
 - Binary operators are parsed by precedence climbing over one table of
   levels (`nodes.BINARY_LEVELS`), left-associative; a Binary's span starts
   at the first token of its leftmost operand.
@@ -26,10 +28,8 @@ Grammar in docs/grammar.md. Design points:
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 from .errors import JavaSyntaxError, UnsupportedConstruct
-from .lexer import EOF, IDENT, INT, STRING, Tokens, position, tokenize
+from .lexer import EOF, IDENT, INT, STRING, Tokens, tokenize
 from .nodes import (
     BINARY_LEVEL,
     INT_MAX,
@@ -53,6 +53,7 @@ from .nodes import (
     If,
     Import,
     Literal,
+    LineTable,
     LocalVarDecl,
     MethodDecl,
     Name,
@@ -69,6 +70,7 @@ from .nodes import (
     Unary,
     While,
     children,
+    POS_BITS,
     ends_case,
 )
 
@@ -79,10 +81,6 @@ MAX_EXPR_DEPTH = 256
 # Input nested deeper than this is rejected well inside Python's default
 # recursion limit (1,000).
 MAX_NESTING = 50
-
-
-# Span(...) without the argument handling of its __new__.
-_new_span = tuple.__new__
 
 
 def parse(text: str, file: str = "<input>") -> SourceFile:
@@ -105,8 +103,7 @@ class _Parser:
         self.texts = tokens.texts + [""] * 2
         self.starts = tokens.starts
         self.values = tokens.values
-        # A sentinel past the text: the line after any token's line starts.
-        self.line_starts = tokens.line_starts + [tokens.starts[-1] + 1]
+        self.lines = LineTable(file, tokens.line_starts)  # every node's, shared
         self.eof = len(tokens.kinds) - 1  # next() stops here
         # Comments between the previous code token and token i.
         self.comments_before: dict[int, tuple[str, ...]] = {}
@@ -171,21 +168,20 @@ class _Parser:
         return self.comments_before.get(self.pos, ())
 
     def token_span(self, i: int) -> Span:
-        """Token i's span. A code token lies on one line; EOF is empty."""
-        line, col = position(self.line_starts, self.starts[i])
-        end_col = col + (len(self.texts[i]) or 1) - 1
-        return _new_span(Span, (self.file, line, col, line, end_col))
+        """Token i's span, for an error."""
+        return self.lines.span(self.token_pos(i))
 
-    def span_from(self, start: int) -> Span:
-        """From token `start` to the last token consumed, which is not EOF."""
-        line_starts = self.line_starts
-        begin = self.starts[start]
-        line = bisect_right(line_starts, begin)
+    def token_pos(self, i: int) -> int:
+        """Token i's packed offsets. A token's last character is its start
+        plus its length less one; EOF, which is empty, takes one character."""
+        first = self.starts[i]
+        return first << POS_BITS | first + (len(self.texts[i]) or 1) - 1
+
+    def pos_from(self, start: int) -> int:
+        """The packed offsets from token `start` to the last token consumed,
+        which is not EOF."""
         last = self.pos - 1
-        end = self.starts[last] + len(self.texts[last]) - 1
-        end_line = line if end < line_starts[line] else bisect_right(line_starts, end)
-        return _new_span(Span, (self.file, line, begin - line_starts[line - 1] + 1,
-                                end_line, end - line_starts[end_line - 1] + 1))
+        return self.starts[start] << POS_BITS | self.starts[last] + len(self.texts[last]) - 1
 
     # -- compilation unit ---------------------------------------------------
 
@@ -208,13 +204,12 @@ class _Parser:
                     break
                 name += "." + self.expect_ident()
             self.expect(";")
-            imports.append(Import(name, wildcard, self.span_from(start)))
+            imports.append(Import(name, wildcard, self.lines, self.pos_from(start)))
         types = []
         while not self.at_kind(EOF):
             types.append(self.class_decl())
-        first, eof = self.token_span(0), self.token_span(self.pos)
-        span = Span(self.file, first.start_line, first.start_col, eof.end_line, eof.end_col)
-        return SourceFile(package, tuple(imports), tuple(types), span)
+        pos = self.starts[0] << POS_BITS | self.starts[self.pos]  # to EOF, which is empty
+        return SourceFile(package, tuple(imports), tuple(types), self.lines, pos)
 
     def dotted_name(self) -> str:
         name = self.expect_ident()
@@ -259,7 +254,7 @@ class _Parser:
                 raise self.error("unterminated class body")
             members.append(self.member(name))
         self.expect("}")
-        return ClassDecl(name, mods, tuple(members), comments, self.span_from(start))
+        return ClassDecl(name, mods, tuple(members), comments, self.lines, self.pos_from(start))
 
     def member(self, class_name: str):
         comments = self.take_comments()
@@ -274,12 +269,12 @@ class _Parser:
         if self.at("("):
             params = self.param_list()
             return MethodDecl(name, mods, params, return_type, self.block(), comments,
-                              self.span_from(start))
+                              self.lines, self.pos_from(start))
         if return_type == "void":
             raise self.error("field cannot have type void")
         declarators = self.declarators(name)
         self.expect(";")
-        return FieldDecl(mods, return_type, declarators, comments, self.span_from(start))
+        return FieldDecl(mods, return_type, declarators, comments, self.lines, self.pos_from(start))
 
     def type_ref(self, allow_void: bool = False) -> str:
         if self.at("void"):
@@ -322,7 +317,7 @@ class _Parser:
             self.next()
         type_name = self.type_ref()
         return Param(type_name, self.expect_ident("parameter name"), is_final,
-                     self.span_from(start))
+                     self.lines, self.pos_from(start))
 
     def declarators(self, first_name: str) -> tuple[Declarator, ...]:
         """Parse `= init (, name = init)*`, first identifier already consumed."""
@@ -334,7 +329,7 @@ class _Parser:
             if self.texts[self.pos] == "=":
                 self.next()
                 init = self.expression()
-            out.append(Declarator(name, init, self.span_from(start)))
+            out.append(Declarator(name, init, self.lines, self.pos_from(start)))
             if self.texts[self.pos] == ",":
                 self.next()
                 start = self.pos
@@ -356,7 +351,7 @@ class _Parser:
             stmts.append(self.nested(self.statement))
         trailing = self.take_comments()
         self.expect("}")
-        return Block(tuple(stmts), trailing, self.span_from(start))
+        return Block(tuple(stmts), trailing, self.lines, self.pos_from(start))
 
     def statement(self) -> Stmt:
         comments = self.take_comments()
@@ -377,7 +372,7 @@ class _Parser:
             cond = self.expression()
             self.expect(")")
             body = self.block()
-            return While(cond, body, comments, self.span_from(start))
+            return While(cond, body, comments, self.lines, self.pos_from(start))
         if key == "for":
             return self.for_stmt(comments)
         if key == "switch":
@@ -386,20 +381,20 @@ class _Parser:
             self.next()
             value = None if self.at(";") else self.expression()
             self.expect(";")
-            return Return(value, comments, self.span_from(start))
+            return Return(value, comments, self.lines, self.pos_from(start))
         if key == "break":
             self.next()
             self.expect(";")
-            return Break(comments, self.span_from(start))
+            return Break(comments, self.lines, self.pos_from(start))
         if key == "continue":
             self.next()
             self.expect(";")
-            return Continue(comments, self.span_from(start))
+            return Continue(comments, self.lines, self.pos_from(start))
         if key == "throw":
             self.next()
             expr = self.expression()
             self.expect(";")
-            return Throw(expr, comments, self.span_from(start))
+            return Throw(expr, comments, self.lines, self.pos_from(start))
         if key == "@":
             raise self.unsupported("annotation")
         if self.at_kind(IDENT) and self.at(":", 1):
@@ -408,10 +403,10 @@ class _Parser:
         decl = self.local_decl()
         if decl is not None:
             self.expect(";")
-            return LocalVarDecl(*decl, comments, self.span_from(start))
+            return LocalVarDecl(*decl, comments, self.lines, self.pos_from(start))
         expr = self.expression()
         self.expect(";")
-        return ExprStmt(expr, comments, self.span_from(start))
+        return ExprStmt(expr, comments, self.lines, self.pos_from(start))
 
     def local_decl(self) -> tuple[str, tuple[Declarator, ...]] | None:
         """The type and declarators of a local declaration, up to its `;`;
@@ -466,7 +461,7 @@ class _Parser:
                 orelse = self.nested(lambda: self.if_stmt(()))
             else:
                 orelse = self.block()
-        return If(cond, then, orelse, comments, self.span_from(start))
+        return If(cond, then, orelse, comments, self.lines, self.pos_from(start))
 
     def for_stmt(self, comments) -> For:
         start = self.expect("for")
@@ -480,15 +475,15 @@ class _Parser:
         update = None if self.at(")") else self.expression()
         self.expect(")")
         body = self.block()
-        return For(init, cond, update, body, comments, self.span_from(start))
+        return For(init, cond, update, body, comments, self.lines, self.pos_from(start))
 
     def for_init(self) -> Stmt:
         start = self.pos
         decl = self.local_decl()
         if decl is not None:
-            return LocalVarDecl(*decl, (), self.span_from(start))
+            return LocalVarDecl(*decl, (), self.lines, self.pos_from(start))
         expr = self.expression()
-        return ExprStmt(expr, (), self.span_from(start))
+        return ExprStmt(expr, (), self.lines, self.pos_from(start))
 
     def switch_stmt(self, comments) -> Switch:
         start = self.expect("switch")
@@ -528,9 +523,9 @@ class _Parser:
                     raise self.error("unterminated switch")
                 body.append(self.nested(self.statement))
             cases.append(SwitchCase(tuple(labels), tuple(body), ends_case(body),
-                                    self.span_from(case_start)))
+                                    self.lines, self.pos_from(case_start)))
         self.expect("}")
-        return Switch(scrutinee, tuple(cases), comments, self.span_from(start))
+        return Switch(scrutinee, tuple(cases), comments, self.lines, self.pos_from(start))
 
     def case_label(self) -> Literal:
         start = self.pos
@@ -540,7 +535,7 @@ class _Parser:
             return self.int_literal()
         if self.at_kind(STRING):
             self.next()
-            return Literal(self.values[start], "string", self.token_span(start))
+            return Literal(self.values[start], "string", self.lines, self.token_pos(start))
         raise self.error("case labels must be integer or string literals")
 
     # -- expressions ---------------------------------------------------------
@@ -561,7 +556,7 @@ class _Parser:
                 raise self.error("invalid assignment target")
             self.next()
             value = self.nested(self.assignment)
-            return Assign(left, value, self.span_from(start))
+            return Assign(left, value, self.lines, self.pos_from(start))
         return left
 
     def ternary(self) -> Expr:
@@ -572,7 +567,7 @@ class _Parser:
             if_true = self.expression()
             self.expect(":")
             if_false = self.nested(self.ternary)
-            return Ternary(cond, if_true, if_false, self.span_from(start))
+            return Ternary(cond, if_true, if_false, self.lines, self.pos_from(start))
         return cond
 
     def binary(self, min_level: int = 0) -> Expr:
@@ -587,14 +582,14 @@ class _Parser:
                 return left
             self.pos += 1
             right = self.binary(level + 1)
-            left = Binary(op, left, right, self.span_from(start))
+            left = Binary(op, left, right, self.lines, self.pos_from(start))
 
     def unary(self) -> Expr:
         start = self.pos
         key = self.texts[start]
         if key == "!":
             self.next()
-            return Unary("!", self.nested(self.unary), self.span_from(start))
+            return Unary("!", self.nested(self.unary), self.lines, self.pos_from(start))
         if key == "-":
             # Fold `-literal` eagerly: the raw-token path admits -2147483648,
             # and folding parenthesized forms keeps print/parse a fixpoint.
@@ -605,15 +600,15 @@ class _Parser:
             operand = self.nested(self.unary)
             if (isinstance(operand, Literal) and operand.kind == "int"
                     and -operand.value <= INT_MAX):  # type: ignore[operator]
-                return Literal(-operand.value, "int", self.span_from(start))  # type: ignore[operator]
-            return Unary("-", operand, self.span_from(start))
+                return Literal(-operand.value, "int", self.lines, self.pos_from(start))  # type: ignore[operator]
+            return Unary("-", operand, self.lines, self.pos_from(start))
         return self.postfix()
 
     def int_literal(self) -> Literal:
         i = self.next()
         value = self.values[i]
         self._check_int_range(value, i)  # type: ignore[arg-type]
-        return Literal(value, "int", self.token_span(i))
+        return Literal(value, "int", self.lines, self.token_pos(i))
 
     def negative_literal(self) -> Literal:
         """`-` and an INT token: one negative literal."""
@@ -621,7 +616,7 @@ class _Parser:
         lit = self.next()
         value = -self.values[lit]  # type: ignore[operator]
         self._check_int_range(value, lit)
-        return Literal(value, "int", self.span_from(start))
+        return Literal(value, "int", self.lines, self.pos_from(start))
 
     def _check_int_range(self, value: int, i: int) -> None:
         if not (INT_MIN <= value <= INT_MAX):
@@ -644,9 +639,9 @@ class _Parser:
                 name = self.expect_ident("member name")
                 if self.at("("):
                     args = self.comma_list(self.expression)
-                    expr = Call(expr, name, args, self.span_from(start))
+                    expr = Call(expr, name, args, self.lines, self.pos_from(start))
                 else:
-                    expr = FieldAccess(expr, name, self.span_from(start))
+                    expr = FieldAccess(expr, name, self.lines, self.pos_from(start))
                 continue
             return expr
 
@@ -663,8 +658,8 @@ class _Parser:
                 raise self.unsupported("lambda expression")
             if after == "(":
                 args = self.comma_list(self.expression)
-                return Call(None, key, args, self.span_from(start))
-            return Name(key, self.token_span(start))
+                return Call(None, key, args, self.lines, self.pos_from(start))
+            return Name(key, self.lines, self.token_pos(start))
         if key == "(":
             self.next()
             expr = self.expression()
@@ -674,13 +669,13 @@ class _Parser:
             return self.int_literal()
         if kind == STRING:
             self.next()
-            return Literal(self.values[start], "string", self.token_span(start))
+            return Literal(self.values[start], "string", self.lines, self.token_pos(start))
         if key == "true" or key == "false":
             self.next()
-            return Literal(key == "true", "boolean", self.token_span(start))
+            return Literal(key == "true", "boolean", self.lines, self.token_pos(start))
         if key == "null":
             self.next()
-            return Literal(None, "null", self.token_span(start))
+            return Literal(None, "null", self.lines, self.token_pos(start))
         if key == "new":
             self.next()
             type_name = self.dotted_name()
@@ -689,7 +684,7 @@ class _Parser:
             args = self.comma_list(self.expression)
             if self.at("{"):
                 raise self.unsupported("anonymous class")
-            return New(type_name, args, self.span_from(start))
+            return New(type_name, args, self.lines, self.pos_from(start))
         if key == "@":
             raise self.unsupported("annotation")
         if kind == EOF:

@@ -26,8 +26,9 @@ one writes a location the other reads or writes (Bernstein's conditions),
 when both may throw (calls, allocations, `/`, `%`, and field access through
 a receiver other than `this`), or when one may throw and the other writes
 HEAP. The heap rule: a call outside the purity whitelist, or to a method
-name that `context` declares, or an allocation, may read and write any
-field, so it conflicts with any code that touches the heap. The heap is
+name that the project declares in any file (`context`, or the names
+`apply_all` is given), or an allocation, may read and write any field, so
+it conflicts with any code that touches the heap. The heap is
 every FieldAccess, plus every bare name that `context` declares as a field
 and that no parameter shadows; a field name that the method also declares as
 a local may denote either, so it touches both. Without `context`, every free
@@ -37,7 +38,8 @@ name is a local.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import is_
 
 from .errors import NotApplicable, data_lines
 from .identifiers import CAMEL, SNAKE, tokenize_identifier
@@ -72,6 +74,7 @@ from .nodes import (
     While,
     children,
     ends_case,
+    evolve,
     names_in,
     rebuild,
     walk,
@@ -196,7 +199,7 @@ def flip_if(s: If) -> If:
         raise NotApplicable("else-if-chain")
     if not s.orelse.stmts:
         raise NotApplicable("no-else")
-    return replace(s, cond=negate(s.cond), then=s.orelse, orelse=s.then)
+    return evolve(s, cond=negate(s.cond), then=s.orelse, orelse=s.then)
 
 
 def _flip_site(stmt: Stmt) -> _Site:
@@ -225,10 +228,10 @@ def convert_loop(s: Stmt) -> Stmt:
     stmts = s.body.stmts
     if s.update is not None:
         stmts = stmts + (ExprStmt(s.update, (), s.update.span),)
-    body = replace(s.body, stmts=stmts)
+    body = evolve(s.body, stmts=stmts)
     if s.init is None:
         return While(cond, body, s.comments, s.span)
-    init = replace(s.init, comments=s.comments)
+    init = evolve(s.init, comments=s.comments)
     loop = While(cond, body, (), s.span)
     return Block((init, loop), (), s.span)
 
@@ -272,7 +275,7 @@ def _cond_site(stmt: Stmt) -> _Site:
         if stmt.type_name == "var":
             raise NotApplicable("var-requires-initializer")
         d = stmt.declarators[0]
-        decl = replace(stmt, declarators=(Declarator(d.name, None, d.span),))
+        decl = evolve(stmt, declarators=(Declarator(d.name, None, d.span),))
         return [decl, _if_else(Name(d.name, d.span), d.init, (), stmt.span)], "ternary-to-if-else"
 
     if isinstance(stmt, Switch):
@@ -387,7 +390,7 @@ def _switch_to_if_chain(stmt: Switch) -> Stmt:
         chain = If(case_cond(case), case_block(case), chain, (), case.span)
     if not isinstance(chain, If):
         raise NotApplicable("no-value-cases")
-    return replace(chain, comments=stmt.comments, span=stmt.span)
+    return evolve(chain, comments=stmt.comments, span=stmt.span)
 
 
 def _if_chain_to_switch(stmt: If) -> Stmt:
@@ -636,21 +639,23 @@ class _Scope:
         raise ValueError("target is not evaluated by holder")
 
 
-def _scope_for(m: MethodDecl, context: SourceFile | None) -> _Scope:
+def _scope_for(m: MethodDecl, context: SourceFile | None,
+               project_methods: frozenset[str]) -> _Scope:
     """Fields are the names `context` declares as fields that no parameter
     of `m` shadows; without `context` every free name is local. A local
     shadows a field only from its declaration on, so a bare name that is
-    both may denote either. A whitelisted method name that `context` also
-    declares may name that method, so it is not taken for pure."""
+    both may denote either. A whitelisted method name that `context` or
+    another project file (`project_methods`) also declares may name that
+    method, so it is not taken for pure."""
     fields: dict[str, frozenset[str]] = {}
-    pure = _PURE_METHODS
+    pure = _PURE_METHODS - project_methods
     if context is not None:
         params = {p.name for p in m.params}
         locals_ = {n.name for n in walk(m.body) if isinstance(n, Declarator)}
         fields = {d.name: _HEAP | ({d.name} & locals_)
                   for cls in context.types for f in cls.fields for d in f.declarators
                   if d.name not in params}
-        pure = _PURE_METHODS - {d.name for cls in context.types for d in cls.methods}
+        pure = pure - {d.name for cls in context.types for d in cls.methods}
     return _Scope(fields, pure)
 
 
@@ -763,8 +768,8 @@ def _hoist(stmt: Stmt, hoisted: list[tuple[Expr, str]]) -> list[Stmt]:
                                   (Declarator(name, _substitute(node, subst), node.span),),
                                   (), node.span))
         subst[id(node)] = Name(name, node.span)
-    decls[0] = replace(decls[0], comments=stmt.comments)
-    return decls + [replace(_substitute(stmt, subst), comments=())]
+    decls[0] = evolve(decls[0], comments=stmt.comments)
+    return decls + [evolve(_substitute(stmt, subst), comments=())]
 
 
 def _substitute(node, subst: dict[int, Expr]):
@@ -797,7 +802,7 @@ def _sink_block(block: Block, scope: _Scope, sink) -> Block:
                 and _count_name_uses(stmts[i + 1 :], decl.name) == 1
                 and sink(stmts, i, scope)):
             i += 1
-    return replace(block, stmts=tuple(stmts))
+    return _with_stmts(block, stmts)
 
 
 def _sink(stmts: list[Stmt], i: int, j: int, scope: _Scope, find_use) -> bool:
@@ -817,7 +822,7 @@ def _sink(stmts: list[Stmt], i: int, j: int, scope: _Scope, find_use) -> bool:
     if conditional or any(conflicts(moved, e) for e in passed + [prefix]):
         return False
     rewritten = _substitute(stmts[j], {id(use): decl.init})
-    stmts[j] = replace(rewritten, comments=decl.comments + rewritten.comments)
+    stmts[j] = evolve(rewritten, comments=decl.comments + rewritten.comments)
     del stmts[i]
     return True
 
@@ -946,7 +951,7 @@ def _reorder(block: Block, scope: _Scope, report: TransformReport) -> Block:
                 report.skipped.append((TransformRule.CODE_ORDER, stmts[i].span, reason))
         out.append(stmts[i])
         i += 1
-    return replace(block, stmts=tuple(out))
+    return _with_stmts(block, out)
 
 
 # ---------------------------------------------------------------------------
@@ -968,12 +973,15 @@ _SITES = {
 def apply_all(
     m: MethodDecl,
     context: SourceFile | None = None,
+    project_methods: frozenset[str] = frozenset(),
 ) -> tuple[MethodDecl, TransformReport]:
     """Apply every applicable rule once, in the fixed order
     IfFlip, LoopConvert, CondConvert, FunctionChain(split),
-    ArgumentPass(extract), CodeOrder.
+    ArgumentPass(extract), CodeOrder. `project_methods` holds the method
+    names the project declares in its other files (it may hold the
+    context's too); a call by such a name is never taken for pure.
     """
-    return _apply(m, APPLY_ORDER, context)
+    return _apply(m, APPLY_ORDER, context, project_methods)
 
 
 def apply_rule(
@@ -982,17 +990,18 @@ def apply_rule(
     context: SourceFile | None = None,
 ) -> tuple[MethodDecl, TransformReport]:
     """Apply a single rule across a whole method, as apply_all would."""
-    return _apply(m, (rule,), context)
+    return _apply(m, (rule,), context, frozenset())
 
 
-def _apply(m: MethodDecl, rules, context: SourceFile | None) -> tuple[MethodDecl, TransformReport]:
+def _apply(m: MethodDecl, rules, context: SourceFile | None,
+           project_methods: frozenset[str]) -> tuple[MethodDecl, TransformReport]:
     report = TransformReport()
     taken = names_in(context if context is not None else m) | RESERVED_WORDS
-    scope = _scope_for(m, context)
+    scope = _scope_for(m, context, project_methods)
     body = m.body
     for rule in rules:
         body = _run_rule(body, rule, taken, scope, report)
-    return replace(m, body=body), report
+    return evolve(m, body=body), report
 
 
 def _run_rule(
@@ -1033,18 +1042,18 @@ def _run_rule(
         return out
 
     if site is _flip_site:  # outer-first
-        return _each_block(body, lambda b, nested: replace(
-            b, stmts=tuple([nested(out) for s in b.stmts for out in at_site(s)])))
+        return _each_block(body, lambda b, nested: _with_stmts(
+            b, [nested(out) for s in b.stmts for out in at_site(s)]))
     if site is _loop_site or site is _cond_site:  # inner-first
-        return _each_block(body, lambda b, nested: replace(
-            b, stmts=tuple([out for s in b.stmts for out in at_site(nested(s))])))
+        return _each_block(body, lambda b, nested: _with_stmts(
+            b, [out for s in b.stmts for out in at_site(nested(s))]))
 
     def block_by_block(b: Block, nested) -> Block:
         if site is None:
             b = _reorder(b, scope, report)
         else:
-            b = replace(b, stmts=tuple([out for s in b.stmts for out in at_site(s)]))
-        return replace(b, stmts=tuple(map(nested, b.stmts)))
+            b = _with_stmts(b, [out for s in b.stmts for out in at_site(s)])
+        return _with_stmts(b, map(nested, b.stmts))
 
     return _each_block(body, block_by_block)
 
@@ -1057,7 +1066,15 @@ def _each_site(block: Block, site) -> Block:
     for stmt in block.stmts:
         done = site(stmt, taken)
         stmts.extend(done[0] if done is not None else (stmt,))
-    return replace(block, stmts=tuple(stmts))
+    return _with_stmts(block, stmts)
+
+
+def _with_stmts(block: Block, stmts) -> Block:
+    """`block` holding `stmts`: `block` itself when they are its own."""
+    stmts = tuple(stmts)
+    if len(stmts) == len(block.stmts) and all(map(is_, stmts, block.stmts)):
+        return block
+    return evolve(block, stmts=stmts)
 
 
 def _each_block(block: Block, rewrite) -> Block:
@@ -1074,10 +1091,16 @@ def _each_block(block: Block, rewrite) -> Block:
             # The else branch first: the order of fresh names and of report
             # entries depends on it.
             orelse = nested(node.orelse) if node.orelse is not None else None
-            return replace(node, then=_each_block(node.then, rewrite), orelse=orelse)
+            then = _each_block(node.then, rewrite)
+            if then is node.then and orelse is node.orelse:
+                return node
+            return evolve(node, then=then, orelse=orelse)
         if isinstance(node, SwitchCase):
-            body = _each_block(Block(node.body, (), node.span), rewrite).stmts
-            return replace(node, body=body, terminated=ends_case(body))
+            # The wrapping Block's span is never read: only its stmts are kept.
+            body = _each_block(Block(node.body), rewrite).stmts
+            if body is node.body:
+                return node
+            return evolve(node, body=body, terminated=ends_case(body))
         return rebuild(node, nested) if isinstance(node, Stmt) else node
 
     return rewrite(block, nested)

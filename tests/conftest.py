@@ -14,6 +14,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
+from vmorph.errors import (
+    JavaSyntaxError,
+    UnresolvedIdentifier,
+    UnsupportedConstruct,
+    UnsupportedForEvaluation,
+)
 from vmorph.nodes import (
     Assign,
     Binary,
@@ -31,6 +37,20 @@ from vmorph.nodes import (
 from vmorph.parser import parse
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# The errors that hold a source position.
+_POSITIONED_ERRORS = (JavaSyntaxError, UnsupportedConstruct, UnresolvedIdentifier,
+                      UnsupportedForEvaluation)
+
+
+@pytest.fixture(autouse=True)
+def errors_carry_a_span(monkeypatch):
+    """Every positioned error any test raises holds a real Span, not a
+    node's undecoded position."""
+    for cls in _POSITIONED_ERRORS:
+        def checked(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            assert type(self.span) is Span, (type(self).__name__, self.span)
+        monkeypatch.setattr(cls, "__init__", checked)
 
 
 @pytest.fixture(scope="session")

@@ -413,6 +413,33 @@ def _one_file_record(root: Path, rid: str, source: str, first: int, last: int) -
     return VulnRecord(rid, str(root), "A.java", Span("A.java", first, 1, last, 1))
 
 
+def test_a_project_method_in_another_file_named_like_a_pure_one_keeps_its_place(
+        lexicon, tmp_path):
+    """`Util.length()` writes A's field `total`, which the next statement
+    reads; a rewrite sees only A.java, so only the project's method names
+    can tell it that this `length` is no String method. Swapped, `run`
+    returns 1 where it returns 0 as written."""
+    record = _one_file_record(tmp_path / "proj", "Two-1", (
+        "class A {\n"
+        "    static int total;\n"
+        "    static int run(int n) {\n"
+        "        int got = Util.length();\n"
+        "        int seen = total;\n"
+        "        return got - seen + n;\n"
+        "    }\n"
+        "}\n"), 4, 5)
+    (tmp_path / "proj" / "Util.java").write_text(
+        "class Util { static int length() { A.total = A.total + 1; return A.total; } }\n")
+    manifest = generate_variants([record], lexicon, tmp_path / "out", seed=1,
+                                 kinds=(VariantKind.STRUCTURE_ONLY,))
+    assert manifest.entries[0].error is None
+    text = (tmp_path / "out" / "Two-1" / "structure" / "A.java").read_text()
+    assert text.index("int got = Util.length();") < text.index("int seen = total;")
+    report = json.loads((tmp_path / "out" / "Two-1" / "structure" / "report.json").read_text())
+    assert [(s["rule"], s["detail"]) for s in report["skipped"]] == [
+        ("CodeOrder", "heap-interference")]
+
+
 def test_static_field_method_is_external_pending(lexicon, tmp_path):
     source = (
         "class A {\n"

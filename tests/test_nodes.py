@@ -1,7 +1,11 @@
 """The node schema: every field declares what it holds, and the table-driven
 traversals agree with a scan of the dataclass fields. Nodes are slotted and
-frozen, and spans are tuples."""
+frozen, spans are tuples, and a parsed node's position is no object of its
+own."""
 
+import copy
+import gc
+import pickle
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -11,7 +15,10 @@ from vmorph.nodes import (
     Binary,
     Name,
     Node,
+    LineTable,
+    Span,
     children,
+    evolve,
     identifier_sites,
     rebuild,
     walk,
@@ -120,7 +127,8 @@ def test_node_has_no_dict_and_rejects_assignment():
 
 @pytest.mark.parametrize("cls", nodes.NODE_CLASSES, ids=lambda cls: cls.__name__)
 def test_replace_works_on_every_node_class(cls):
-    node = cls(**{f.name: f"v{i}" for i, f in enumerate(fields(cls)) if f.name != "span"})
+    position = ("span", "_pos")  # where the node is, not what it is
+    node = cls(**{f.name: f"v{i}" for i, f in enumerate(fields(cls)) if f.name not in position})
     assert replace(node) == node
     if cls in (Node, nodes.Expr, nodes.Stmt):  # the bases hold no field
         return
@@ -128,7 +136,7 @@ def test_replace_works_on_every_node_class(cls):
     assert spanned == node and spanned.span == ("X.java", 1, 2, 3, 4)
     assert node.span == nodes.Span.synthetic()
     for f in fields(cls):
-        if f.name != "span":
+        if f.name not in position:
             assert replace(node, **{f.name: "other"}) != node
 
 
@@ -140,3 +148,40 @@ def test_span_is_a_tuple_of_atoms_without_a_dict():
         assert [type(v) for v in span] == [str, int, int, int, int]
     # Every node left at the default span shares one.
     assert Name("a").span is Name("b").span
+
+
+def test_a_parsed_node_holds_no_tracked_position_of_its_own(all_fixture_sources):
+    """Past its fields' values, a parsed node refers to its class, an int and
+    its file's line table, which all the file's nodes share: nothing the
+    cyclic collector tracks per node."""
+    for name, text in all_fixture_sources.items():
+        tables = set()
+        for node in walk(parse(text, name)):
+            values = [getattr(node, f.name) for f in fields(node) if f.name not in ("span", "_pos")]
+            own = [r for r in gc.get_referents(node)
+                   if r is not type(node) and not any(r is v for v in values)]
+            assert not any(isinstance(r, Span) for r in own), (name, node)
+            tables.update(id(r) for r in own if gc.is_tracked(r))
+            assert all(isinstance(r, LineTable) for r in own if gc.is_tracked(r)), (name, node)
+        assert len(tables) == 1, name
+
+
+def test_evolve_copies_the_position_as_stored():
+    tree = parse("class A {\n  int f() { return 1; }\n}\n", "A.java")
+    m = tree.types[0].members[0]
+    renamed = evolve(m, name="g")
+    assert renamed.name == "g" and renamed.span == m.span
+    # The only int and the only line table m holds are its position.
+    position = lambda node: [r for r in gc.get_referents(node)  # noqa: E731
+                             if isinstance(r, (LineTable, int))]
+    assert position(renamed) == position(m)
+    assert sorted(type(r).__name__ for r in position(m)) == ["LineTable", "int"]
+    assert evolve(m, span=Span("B.java", 1, 1, 1, 1)).span == ("B.java", 1, 1, 1, 1)
+    with pytest.raises(TypeError):
+        evolve(m, nmae="g")
+
+
+def test_a_node_survives_copy_and_pickle():
+    tree = parse("class A { int f(int n) { return n + 1; } }", "A.java")
+    for clone in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert clone == tree and repr(clone) == repr(tree)

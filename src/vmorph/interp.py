@@ -327,8 +327,9 @@ class _Program:
     """A compiled method and the same-file methods it calls: the text, the
     (node, detail) of each rejection site the text numbers (for a method's
     closing brace, its Span) and, once loaded, the text's top function and
-    outcome memo, which every program of the same text shares. The memo maps (fuel, (type, value) per argument) to an
-    outcome or to a rejection's (site, detail)."""
+    outcome memo, which every program of the same text shares. The memo
+    maps (fuel, (type, value) per argument) to an outcome or to a
+    rejection's (site, detail)."""
 
     def __init__(self, text: str, sites: list):
         self.text, self.sites = text, sites
@@ -468,7 +469,8 @@ class _Compiler:
         if not fitting:
             raise UnsupportedForEvaluation(overloads[0].span, "argument arity mismatch")
         if len(fitting) > 1:
-            raise UnsupportedForEvaluation(call.span, f"ambiguous call {method!r} with {n} arguments")
+            raise UnsupportedForEvaluation(call.span,
+                                           f"ambiguous call {method!r} with {n} arguments")
         return fitting[0]
 
     def resolve(self, node, name: str) -> int:

@@ -35,6 +35,7 @@ from .nodes import (
     INT_MAX,
     INT_MIN,
     MODIFIERS,
+    POS_BITS,
     PRIMITIVE_NAMES,
     Assign,
     Binary,
@@ -70,7 +71,6 @@ from .nodes import (
     Unary,
     While,
     children,
-    POS_BITS,
     ends_case,
 )
 
@@ -97,7 +97,6 @@ def _depth(node) -> int:
 
 class _Parser:
     def __init__(self, tokens: Tokens, file: str):
-        self.file = file
         # Two copies of EOF past the end let lookahead index without a bound.
         self.kinds = tokens.kinds + [EOF] * 2
         self.texts = tokens.texts + [""] * 2
@@ -274,7 +273,8 @@ class _Parser:
             raise self.error("field cannot have type void")
         declarators = self.declarators(name)
         self.expect(";")
-        return FieldDecl(mods, return_type, declarators, comments, self.lines, self.pos_from(start))
+        return FieldDecl(mods, return_type, declarators, comments, self.lines,
+                         self.pos_from(start))
 
     def type_ref(self, allow_void: bool = False) -> str:
         if self.at("void"):

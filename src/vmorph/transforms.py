@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from operator import is_
 
 from .errors import NotApplicable, data_lines
@@ -774,9 +775,9 @@ def _hoist(stmt: Stmt, hoisted: list[tuple[Expr, str]]) -> list[Stmt]:
 
 def _substitute(node, subst: dict[int, Expr]):
     """Rebuild `node` with each node whose id is a key of `subst` replaced."""
-    def visit(n):
-        return subst[id(n)] if id(n) in subst else rebuild(n, visit)
-    return visit(node)
+    if id(node) in subst:
+        return subst[id(node)]
+    return rebuild(node, partial(_substitute, subst=subst))
 
 
 def _count_name_uses(stmts, name: str) -> int:
@@ -1083,24 +1084,27 @@ def _each_block(block: Block, rewrite) -> Block:
     (else-if links' too), loop bodies, and switch-case bodies, whose
     `terminated` is recomputed. A rewrite that changes a statement before
     calling `nested` on it works outer-first; one that calls `nested` first
-    works inner-first."""
-    def nested(node):
-        if isinstance(node, Block):
-            return _each_block(node, rewrite)
-        if isinstance(node, If):
-            # The else branch first: the order of fresh names and of report
-            # entries depends on it.
-            orelse = nested(node.orelse) if node.orelse is not None else None
-            then = _each_block(node.then, rewrite)
-            if then is node.then and orelse is node.orelse:
-                return node
-            return evolve(node, then=then, orelse=orelse)
-        if isinstance(node, SwitchCase):
-            # The wrapping Block's span is never read: only its stmts are kept.
-            body = _each_block(Block(node.body), rewrite).stmts
-            if body is node.body:
-                return node
-            return evolve(node, body=body, terminated=ends_case(body))
-        return rebuild(node, nested) if isinstance(node, Stmt) else node
+    works inner-first. `nested` is a partial, not a closure that calls
+    itself: such a closure is a reference cycle, which only the cyclic
+    collector frees, and it would keep the rule's state alive until then."""
+    return rewrite(block, partial(_nested, rewrite))
 
-    return rewrite(block, nested)
+
+def _nested(rewrite, node):
+    if isinstance(node, Block):
+        return _each_block(node, rewrite)
+    if isinstance(node, If):
+        # The else branch first: the order of fresh names and of report
+        # entries depends on it.
+        orelse = _nested(rewrite, node.orelse) if node.orelse is not None else None
+        then = _each_block(node.then, rewrite)
+        if then is node.then and orelse is node.orelse:
+            return node
+        return evolve(node, then=then, orelse=orelse)
+    if isinstance(node, SwitchCase):
+        # The wrapping Block's span is never read: only its stmts are kept.
+        body = _each_block(Block(node.body), rewrite).stmts
+        if body is node.body:
+            return node
+        return evolve(node, body=body, terminated=ends_case(body))
+    return rebuild(node, partial(_nested, rewrite)) if isinstance(node, Stmt) else node

@@ -157,7 +157,8 @@ def test_a_parsed_node_holds_no_tracked_position_of_its_own(all_fixture_sources)
     for name, text in all_fixture_sources.items():
         tables = set()
         for node in walk(parse(text, name)):
-            values = [getattr(node, f.name) for f in fields(node) if f.name not in ("span", "_pos")]
+            values = [getattr(node, f.name) for f in fields(node)
+                      if f.name not in ("span", "_pos")]
             own = [r for r in gc.get_referents(node)
                    if r is not type(node) and not any(r is v for v in values)]
             assert not any(isinstance(r, Span) for r in own), (name, node)

@@ -241,7 +241,7 @@ def _rename_project(asts: dict[str, SourceFile], table: IdentifierTable,
     if None in entries:  # a key the table does not know may be in any file
         keyed = list(asts)
     else:
-        files = {s.file for e in entries for s in e.decl_sites + e.use_sites}
+        files = set().union(*(e.files for e in entries))
         keyed = [rel for rel in asts if rel in files]
     renamed = dict(asts)
     renamed.update(zip(keyed, apply_rename([asts[rel] for rel in keyed], dct)))

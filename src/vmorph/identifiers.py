@@ -32,6 +32,7 @@ from .nodes import (  # noqa: F401
     PRIMITIVE_TYPES,
     VARIABLE,
     MethodDecl,
+    Node,
     SourceFile,
     Span,
     identifier_sites,
@@ -48,8 +49,19 @@ OBJECT_METHODS = frozenset({"equals", "hashCode", "toString", "clone", "finalize
 class IdentifierEntry:
     name: str
     kind: str  # variable | function | class
-    decl_sites: tuple[Span, ...]
-    use_sites: tuple[Span, ...]
+    # The node of each declaration and use site; a site's span is decoded
+    # only when `decl_sites` or `use_sites` is read.
+    decl_nodes: tuple[Node, ...]
+    use_nodes: tuple[Node, ...]
+    files: frozenset[str]  # the files that hold a site
+
+    @property
+    def decl_sites(self) -> tuple[Span, ...]:
+        return tuple(node.span for node in self.decl_nodes)
+
+    @property
+    def use_sites(self) -> tuple[Span, ...]:
+        return tuple(node.span for node in self.use_nodes)
 
     @property
     def origin(self) -> str:
@@ -57,7 +69,7 @@ class IdentifierEntry:
         of an Object method is external: a project method of that name may
         override it and be called by that name from outside the project, as
         string concatenation calls toString."""
-        return PROJECT if self.decl_sites and self.name not in OBJECT_METHODS else EXTERNAL
+        return PROJECT if self.decl_nodes and self.name not in OBJECT_METHODS else EXTERNAL
 
 
 @dataclass(frozen=True)
@@ -82,23 +94,26 @@ def collect_identifiers(
     wanted = None if focus is None else names_in(focus)
     names: set[str] = set()
     kinds: dict[str, str] = {}
-    decl_sites: dict[str, list[Span]] = {}
-    use_sites: dict[str, list[Span]] = {}
-    uses: list[tuple[str, str, Span]] = []
+    decl_nodes: dict[str, list[Node]] = {}
+    use_nodes: dict[str, list[Node]] = {}
+    files: dict[str, set[str]] = {}
+    uses: list[tuple[str, str, Node]] = []
     for src in project:
+        file = src.span.file
         for name, role, kind, node in identifier_sites(src):
             names.add(name)
             if wanted is None or name in wanted:
+                files.setdefault(name, set()).add(file)
                 if role == DECL:
                     kinds.setdefault(name, kind)
-                    decl_sites.setdefault(name, []).append(node.span)
+                    decl_nodes.setdefault(name, []).append(node)
                 else:
-                    uses.append((name, kind, node.span))
-    for name, kind, span in uses:  # a kind is the first declaration's, else the first use's
+                    uses.append((name, kind, node))
+    for name, kind, node in uses:  # a kind is the first declaration's, else the first use's
         kinds.setdefault(name, kind)
-        use_sites.setdefault(name, []).append(span)
-    entries = {name: IdentifierEntry(name, kind, tuple(decl_sites.get(name, ())),
-                                     tuple(use_sites.get(name, ())))
+        use_nodes.setdefault(name, []).append(node)
+    entries = {name: IdentifierEntry(name, kind, tuple(decl_nodes.get(name, ())),
+                                     tuple(use_nodes.get(name, ())), frozenset(files[name]))
                for name, kind in kinds.items()}
     return IdentifierTable(entries, frozenset(names))
 
@@ -112,9 +127,9 @@ def classify_origin(
     """
     import_tails = {imp.rstrip(".*").rsplit(".", 1)[-1] for imp in imports}
     diagnostics = tuple(
-        UnresolvedIdentifier(name, entry.use_sites[0])
+        UnresolvedIdentifier(name, entry.use_nodes[0].span)
         for name, entry in table.entries.items()
-        if entry.use_sites and not entry.decl_sites
+        if entry.use_nodes and not entry.decl_nodes
         and name not in stdlib_index and name not in import_tails)
     return replace(table, diagnostics=diagnostics)
 

@@ -78,6 +78,7 @@ class Span(NamedTuple):
 
 
 _SYNTHETIC = Span.synthetic()  # every node's default span, shared
+_new_span = tuple.__new__  # Span(...) without the argument handling of its __new__
 
 # A parsed node's `_pos`: its first character offset shifted left by
 # POS_BITS, or'ed with its last (inclusive) character offset.
@@ -97,8 +98,8 @@ class LineTable:
         self.starts = starts  # the offset of each line's first character
 
     def span(self, pos: int) -> Span:
-        return Span(self.file, *position(self.starts, pos >> POS_BITS),
-                    *position(self.starts, pos & _POS_MASK))
+        return _new_span(Span, (self.file, *position(self.starts, pos >> POS_BITS),
+                                *position(self.starts, pos & _POS_MASK)))
 
 
 def position(line_starts: list[int], offset: int) -> tuple[int, int]:
@@ -176,7 +177,7 @@ def _node(cls: type) -> type:
     its child fields and identifier fields on it, so no traversal reads the
     dataclass fields of a node, and register it in NODE_CLASSES. A class
     that declares `span` also gets `_pos` after it, and `span` reads back
-    through `_span_property`."""
+    through `_span`."""
     spanned = "span" in cls.__dict__.get("__annotations__", {})
     if spanned:
         cls.__annotations__["_pos"] = "int"
@@ -199,7 +200,8 @@ def _node(cls: type) -> type:
         cls.__init__ = _slot_init(cls)
         cls.__setstate__ = _setstate  # the dataclass's would set `span` by name
     if spanned:
-        cls.span = _span_property(cls.__dict__["span"].__get__, cls.__dict__["_pos"].__get__)
+        cls._where = cls.__dict__["span"]  # the slot, read under another name
+        cls.span = property(_span)
     NODE_CLASSES.append(cls)
     return cls
 
@@ -230,12 +232,10 @@ def _setstate(self, state: list) -> None:
     self.__init__(*state)
 
 
-def _span_property(get_span, get_pos) -> property:
-    def span(self) -> Span:
-        """The node's Span: as given, or decoded from its file's line table."""
-        where = get_span(self)
-        return where.span(get_pos(self)) if where.__class__ is LineTable else where
-    return property(span)
+def _span(self) -> Span:
+    """The node's Span: as given, or decoded from its file's line table."""
+    where = self._where
+    return where.span(self._pos) if where.__class__ is LineTable else where
 
 
 @_node

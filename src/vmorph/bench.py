@@ -16,7 +16,7 @@ manifest file):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import field
 from pathlib import Path
 from typing import Optional
 
@@ -40,7 +40,8 @@ from .identifiers import (
     project_imports,
 )
 from .interp import DEFAULT_FUEL, DEFAULT_TRIALS, check_equivalence, is_supported
-from .nodes import MethodDecl, SourceFile, Span, method_at, method_position, with_method
+from .nodes import (MethodDecl, SourceFile, Span, frozen, method_at, method_position, mutable,
+                    with_method)
 from .parser import parse
 from .printer import print_source
 from .prompts import find_method_at
@@ -62,7 +63,7 @@ EXTERNAL_PENDING = "external-pending"
 RENAME_NOTE = "identifier renaming leaves string literals untouched"
 
 
-@dataclass(frozen=True)
+@frozen
 class VulnRecord:
     id: str
     project_root: str
@@ -110,7 +111,7 @@ def load_record(project_root: str | Path) -> VulnRecord:
                      lambda data: VulnRecord.from_json_dict(data, project_root=str(root)))
 
 
-@dataclass
+@mutable
 class ManifestEntry:
     record: VulnRecord
     variant: VariantKind
@@ -136,7 +137,7 @@ class ManifestEntry:
         }
 
 
-@dataclass
+@mutable
 class BenchmarkManifest:
     source_benchmark: str
     entries: list[ManifestEntry]
@@ -203,7 +204,7 @@ def _load_entry(raw, i: int) -> ManifestEntry:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@mutable
 class _Project:
     asts: dict[str, SourceFile]  # relpath -> AST, insertion order sorted
     verbatim: dict[str, bytes]  # files that did not parse, copied as they are

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cache
 
 from .errors import UnresolvedIdentifier, data_lines
@@ -35,6 +35,7 @@ from .nodes import (  # noqa: F401
     Node,
     SourceFile,
     Span,
+    frozen,
     identifier_sites,
     names_in,
 )
@@ -45,7 +46,7 @@ EXTERNAL = "external"
 OBJECT_METHODS = frozenset({"equals", "hashCode", "toString", "clone", "finalize"})
 
 
-@dataclass(frozen=True)
+@frozen
 class IdentifierEntry:
     name: str
     kind: str  # variable | function | class
@@ -72,7 +73,7 @@ class IdentifierEntry:
         return PROJECT if self.decl_nodes and self.name not in OBJECT_METHODS else EXTERNAL
 
 
-@dataclass(frozen=True)
+@frozen
 class IdentifierTable:
     entries: dict[str, IdentifierEntry]
     names: frozenset[str]  # every identifier in the project, not only the entries'

@@ -95,12 +95,11 @@ caller can alter a later check's arguments.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .errors import UnsupportedForEvaluation
 from .nodes import (DEFAULT_LABEL, INT_MAX, INT_MIN, Assign, Expr, For,
-                    MethodDecl, Name, Return, SourceFile, Span, Switch, While, walk)
+                    MethodDecl, Name, Return, SourceFile, Span, Switch, While, frozen, walk)
 
 DEFAULT_TRIALS = 100
 DEFAULT_FUEL = 10_000
@@ -131,17 +130,17 @@ class _Void:
 VOID = _Void()
 
 
-@dataclass(frozen=True)
+@frozen
 class Returned:
     value: object  # an int, bool, str or None, or VOID
 
 
-@dataclass(frozen=True)
+@frozen
 class Threw:
     kind: str  # ArithmeticException | NullPointerException
 
 
-@dataclass(frozen=True)
+@frozen
 class OutOfFuel:
     pass
 
@@ -158,7 +157,7 @@ def outcome_to_json(outcome: Outcome) -> dict:
     return {"out_of_fuel": True}
 
 
-@dataclass(frozen=True)
+@frozen
 class Counterexample:
     args: tuple
     outcome1: Outcome
@@ -177,7 +176,7 @@ DIVERGED = "diverged"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@frozen
 class EquivalenceVerdict:
     verdict: str
     trials: int

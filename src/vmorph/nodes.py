@@ -9,7 +9,10 @@ Trees stay immutable but are made cheap to build and hold, since on a whole
 project building them takes most of the time. Node classes are slotted (no
 per-instance `__dict__`) and get an `__init__` that fills the slots without
 `object.__setattr__`; assigning a field still raises FrozenInstanceError,
-and `dataclasses.replace` works as before. A parsed node holds no `Span`:
+and `dataclasses.replace` works as before. They are made by `frozen`, the
+class builder that every vmorph dataclass uses (`mutable` for the mutable
+ones): `dataclasses` finds the fields, and all classes share one `__eq__`,
+`__hash__`, `__repr__` and frozen guard. A parsed node holds no `Span`:
 its `span` slot holds the `LineTable` that all nodes of its file share, and
 its `_pos` slot one int, its first and last character offsets packed
 together (see `POS_BITS`). Neither is an object of the node's own that the
@@ -43,7 +46,9 @@ surgery are built on them.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from operator import attrgetter
+from reprlib import recursive_repr
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .errors import SpanOutsideMethod
@@ -169,20 +174,141 @@ def _span_field() -> Span:
     return field(default=_SYNTHETIC, compare=False, metadata={_SCHEMA: _PAYLOAD})
 
 
+# ---------------------------------------------------------------------------
+# The class builder: every vmorph dataclass, nodes and the rest
+# ---------------------------------------------------------------------------
+
+BUILT_CLASSES: list[type] = []  # every class `frozen` and `mutable` made, in definition order
+_FACTORY = object()  # an `__init__` default: call the field's default factory
+
+
+def frozen(cls: type) -> type:
+    """`cls` as a frozen, slotted dataclass: compared and hashed by its
+    fields, and assigning or deleting an attribute raises
+    FrozenInstanceError."""
+    return _build(cls, True)
+
+
+def mutable(cls: type) -> type:
+    """`cls` as a mutable dataclass: compared by its fields, unhashable."""
+    return _build(cls, False)
+
+
+def _build(cls: type, is_frozen: bool) -> type:
+    """`dataclasses` finds the fields and makes the slots, so `fields`,
+    `replace` and FrozenInstanceError work as for any dataclass, but writes
+    no method: it compiles each one anew for each class, and writes a
+    missing docstring from `inspect.signature`, which made building the
+    classes a third of `import vmorph` without a bytecode cache. Every class
+    shares one `__eq__`, `__hash__`, `__repr__` and frozen guard instead,
+    each behaving as the dataclass's, and gets its own `__init__`."""
+    if not cls.__doc__:
+        cls.__doc__ = f"{cls.__name__}({', '.join(cls.__dict__.get('__annotations__', ()))})"
+    cls = dataclass(init=False, repr=False, eq=False, slots=is_frozen)(cls)
+    fs = fields(cls)
+    cls._compared = _tuple_getter([f.name for f in fs if f.compare])
+    cls._shown = tuple(f.name for f in fs if f.repr)
+    if fs:
+        cls.__init__ = _init(cls, fs, is_frozen)
+    cls.__eq__, cls.__repr__ = _eq, _repr
+    if is_frozen:
+        cls.__hash__ = _hash
+        cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+        cls.__getstate__, cls.__setstate__ = _getstate, _setstate
+    else:
+        cls.__hash__ = None
+    BUILT_CLASSES.append(cls)
+    return cls
+
+
+def _tuple_getter(names: list[str]):
+    """A callable that gives an instance's values of `names` as a tuple,
+    which the class holds unbound: an attrgetter or a static method."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(names[0])  # gives the bare value
+        return staticmethod(lambda self: (get(self),))
+    return staticmethod(lambda self: ())
+
+
+def _init(cls: type, fs: tuple, is_frozen: bool) -> Callable[..., None]:
+    """The `__init__` a dataclass would get, but a frozen class's sets each
+    slot through its descriptor: the dataclass's goes through
+    `object.__setattr__` to get past the frozen `__setattr__`, which makes
+    building a node about 1.7x slower."""
+    env, params, body = {"_FACTORY": _FACTORY}, [], []
+    for f in fs:
+        name = value = f.name
+        if f.default is not MISSING:
+            env[f"_default_{name}"] = f.default
+            params.append(f"{name}=_default_{name}")
+        elif f.default_factory is not MISSING:
+            env[f"_factory_{name}"] = f.default_factory
+            params.append(f"{name}=_FACTORY")
+            value = f"_factory_{name}() if {name} is _FACTORY else {name}"
+        else:
+            params.append(name)
+        if is_frozen:
+            env[f"_set_{name}"] = cls.__dict__[name].__set__
+            body.append(f"_set_{name}(self, {value})")
+        else:
+            body.append(f"self.{name} = {value}")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return self._compared(self) == self._compared(other)
+    return NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(self._compared(self))
+
+
+@recursive_repr()
+def _repr(self) -> str:
+    shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._shown])
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def _frozen_setattr(self, name: str, value) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _getstate(self) -> list:
+    """Pickling and copying a slotted class: its field values in order,
+    which are also `__init__`'s parameters."""
+    return [getattr(self, f.name) for f in fields(self)]
+
+
+def _setstate(self, state: list) -> None:
+    self.__init__(*state)
+
+
 NODE_CLASSES: list[type] = []  # every node class, once each, in definition order
 
 
 def _node(cls: type) -> type:
-    """Make `cls` a frozen, slotted dataclass built by `_slot_init`, store
-    its child fields and identifier fields on it, so no traversal reads the
-    dataclass fields of a node, and register it in NODE_CLASSES. A class
-    that declares `span` also gets `_pos` after it, and `span` reads back
-    through `_span`."""
+    """Make `cls` a frozen node class, store its child fields and identifier
+    fields on it, so no traversal reads the dataclass fields of a node, and
+    register it in NODE_CLASSES. A class that declares `span` also gets
+    `_pos` after it, and `span` reads back through `_span`."""
     spanned = "span" in cls.__dict__.get("__annotations__", {})
     if spanned:
         cls.__annotations__["_pos"] = "int"
         cls._pos = field(default=0, compare=False, repr=False, metadata={_SCHEMA: _PAYLOAD})
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    cls = frozen(cls)
     child_fields, name_fields = [], []
     for f in fields(cls):
         tag = f.metadata.get(_SCHEMA)
@@ -196,40 +322,11 @@ def _node(cls: type) -> type:
     cls._name_fields = tuple(name_fields)
     # (name, slot getter) per field: `span`'s reads the stored position.
     cls._getters = tuple((f.name, cls.__dict__[f.name].__get__) for f in fields(cls))
-    if fields(cls):
-        cls.__init__ = _slot_init(cls)
-        cls.__setstate__ = _setstate  # the dataclass's would set `span` by name
     if spanned:
         cls._where = cls.__dict__["span"]  # the slot, read under another name
         cls.span = property(_span)
     NODE_CLASSES.append(cls)
     return cls
-
-
-def _slot_init(cls: type) -> Callable[..., None]:
-    """The `__init__` a dataclass would get, but setting each slot through
-    its descriptor: the dataclass's goes through `object.__setattr__` to get
-    past the frozen `__setattr__`, which makes building a node about 1.7x
-    slower. Assignment after `__init__` still raises FrozenInstanceError."""
-    env, params, body = {}, [], []
-    for f in fields(cls):
-        env[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
-            env[f"_default_{f.name}"] = f.default
-            params.append(f"{f.name}=_default_{f.name}")
-        body.append(f"    _set_{f.name}(self, {f.name})\n")
-    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", env)
-    init = env["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
-
-
-def _setstate(self, state: list) -> None:
-    """Unpickling and `copy.copy`: the dataclass's state is the field values
-    in order, which are also `__init__`'s parameters."""
-    self.__init__(*state)
 
 
 def _span(self) -> Span:

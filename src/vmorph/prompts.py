@@ -10,11 +10,10 @@ buggy lines for the mask token reproduces the method text exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import SpanOutsideMethod
-from .nodes import MethodDecl, SourceFile, Span, method_at, method_position
+from .nodes import MethodDecl, SourceFile, Span, frozen, method_at, method_position
 from .parser import parse
 from .printer import print_source
 
@@ -31,7 +30,7 @@ FORMATS = (CODEX_INSERT, CODET5_MASK, CODEGEN_PREFIX, PLBART_MASK, INCODER_MASK,
 _MASK_TOKENS = {CODET5_MASK: "<extra_id_0>", PLBART_MASK: "<mask>", INCODER_MASK: "<mask>"}
 
 
-@dataclass(frozen=True)
+@frozen
 class PromptSpec:
     model_format: str
     max_window: Optional[int] = None  # line budget; None = unlimited
@@ -43,7 +42,7 @@ class PromptSpec:
             raise ValueError("max_window must be positive")
 
 
-@dataclass(frozen=True)
+@frozen
 class PromptBundle:
     model_format: str
     text: Optional[str]  # single-text formats

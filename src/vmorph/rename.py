@@ -8,7 +8,6 @@ so patches written against the renamed code can be translated back. External
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import StaleDictionary, VmorphError, check_fields, data_lines, dump_json, parse_json
@@ -21,7 +20,7 @@ from .identifiers import (
     tokenize_identifier,
 )
 from .lexer import IDENT, KEYWORDS, tokenize
-from .nodes import SourceFile, rename_identifiers
+from .nodes import SourceFile, frozen, rename_identifiers
 
 # The subset's keywords and the Java words it does not lex as keywords: no new
 # name may be one of them.
@@ -43,7 +42,7 @@ def _is_identifier(name: str) -> bool:
     return tokens.kinds[:-1] == [IDENT] and tokens.texts[0] == name
 
 
-@dataclass(frozen=True)
+@frozen
 class SynonymLexicon:
     """word -> ranked synonym candidates, all lowercase, best first."""
 
@@ -95,7 +94,7 @@ def assemble_identifier(tokens: list[str], convention: str) -> str:
     raise ValueError(f"unknown convention {convention!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class RenameDictionary:
     forward: dict[str, str]
     backward: dict[str, str]

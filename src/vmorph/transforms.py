@@ -38,7 +38,7 @@ name is a local.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import partial
 from operator import is_
 
@@ -76,6 +76,8 @@ from .nodes import (
     children,
     ends_case,
     evolve,
+    frozen,
+    mutable,
     names_in,
     rebuild,
     walk,
@@ -101,7 +103,7 @@ class TransformRule(enum.Enum):
     CODE_ORDER = "CodeOrder"
 
 
-@dataclass
+@mutable
 class TransformReport:
     applied: list[tuple[TransformRule, Span, str]] = field(default_factory=list)
     skipped: list[tuple[TransformRule, Span, str]] = field(default_factory=list)
@@ -485,7 +487,7 @@ def _equality_labels(cond: Expr, out: list[Literal]) -> Name | None:
 HEAP = "<heap>"
 
 
-@dataclass(frozen=True)
+@frozen
 class Effects:
     """The locations some code may read and write, and whether it may throw.
 
@@ -587,7 +589,7 @@ def _may_be_null(receiver: Expr) -> bool:
     return not (isinstance(receiver, Name) and receiver.id == "this")
 
 
-@dataclass(frozen=True)
+@frozen
 class _Scope:
     """How the names of one method map to effects."""
 

@@ -5,12 +5,13 @@ own."""
 
 import copy
 import gc
+import inspect
 import pickle
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import pytest
 
-from vmorph import nodes
+from vmorph import bench, identifiers, interp, nodes, prompts, rename, transforms
 from vmorph.nodes import (
     Binary,
     Name,
@@ -24,6 +25,8 @@ from vmorph.nodes import (
     walk,
 )
 from vmorph.parser import parse
+from vmorph.prompts import FORMATS, PromptSpec
+from vmorph.rename import SynonymLexicon
 
 from javagen import generate_method_source
 
@@ -186,3 +189,71 @@ def test_a_node_survives_copy_and_pickle():
     tree = parse("class A { int f(int n) { return n + 1; } }", "A.java")
     for clone in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
         assert clone == tree and repr(clone) == repr(tree)
+
+
+# ---------------------------------------------------------------------------
+# The class builder: every vmorph dataclass behaves as the dataclass would
+# ---------------------------------------------------------------------------
+
+
+def _values(cls, k: int) -> dict:
+    """Field values for an instance of cls; another k gives other values."""
+    if cls is PromptSpec:  # both fields are checked
+        return {"model_format": FORMATS[k], "max_window": k + 1}
+    if cls is SynonymLexicon:
+        return {"words": {f"w{k}": ("x",)}}
+    position = {"span": Span(f"F{k}.java", 1, 2, 3, 4), "_pos": k}
+    return {f.name: position.get(f.name, f"v{i}.{k}") for i, f in enumerate(fields(cls))}
+
+
+def test_every_vmorph_dataclass_is_built_by_the_class_builder():
+    made = {v for module in (bench, identifiers, interp, nodes, prompts, rename, transforms)
+            for v in vars(module).values()
+            if isinstance(v, type) and is_dataclass(v) and v.__module__ == module.__name__}
+    assert len(nodes.BUILT_CLASSES) == len(set(nodes.BUILT_CLASSES)) == 49
+    assert made == set(nodes.BUILT_CLASSES)
+
+
+@pytest.mark.parametrize("cls", nodes.BUILT_CLASSES, ids=lambda cls: cls.__name__)
+def test_a_built_class_behaves_as_its_dataclass(cls):
+    x = cls(**_values(cls, 0))
+    compared = tuple(getattr(x, f.name) for f in fields(cls) if f.compare)
+    shown = ", ".join(f"{f.name}={getattr(x, f.name)!r}" for f in fields(cls) if f.repr)
+    assert repr(x) == f"{cls.__qualname__}({shown})"
+    assert x == cls(**_values(cls, 0)) and x != object() and not x != x
+    for f in fields(cls):  # a field left out of comparison changes no ==
+        assert (replace(x, **{f.name: _values(cls, 1)[f.name]}) == x) is (not f.compare)
+    frozen = cls.__hash__ is not None
+    assert frozen == ("__slots__" in cls.__dict__)
+    if frozen:
+        try:
+            expected = hash(compared)  # a 1-tuple for a class of one compared field
+        except TypeError:  # a dict among the fields
+            with pytest.raises(TypeError):
+                hash(x)
+        else:
+            assert hash(x) == expected
+        for field_name in ("__class__", *(f.name for f in fields(cls))):
+            with pytest.raises(FrozenInstanceError):
+                setattr(x, field_name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(x, field_name)
+    else:
+        with pytest.raises(TypeError):
+            hash(x)
+    for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(clone) is cls and clone == x and repr(clone) == repr(x)
+
+
+def test_the_builder_writes_no_signature_docstring(monkeypatch):
+    """dataclasses writes a missing docstring from inspect.signature, which
+    took a sixth of `import vmorph`; every built class has its own."""
+    assert all(cls.__doc__ for cls in nodes.BUILT_CLASSES)
+
+    def no_signature(*args, **kwargs):
+        raise AssertionError("inspect.signature called")
+    monkeypatch.setattr(inspect, "signature", no_signature)
+    monkeypatch.setattr(nodes, "BUILT_CLASSES", [])
+    for build in (nodes.frozen, nodes.mutable):
+        built = build(type("Probe", (), {"__annotations__": {"a": "int"}}))
+        assert built.__doc__ == "Probe(a)" and repr(built(1)) == "Probe(a=1)"

@@ -17,10 +17,12 @@ parameter, local and return types other than int/boolean/String (a return
 type may be void), throw, new, field access, assignment to a non-name,
 names that denote no parameter or local (static fields among them), calls
 that resolve to no builtin or same-file method, unknown receivers,
-break/continue outside a loop or switch, and every ill-typed expression
-(see below). `C.f(...)` resolves in class C and an unqualified
-`f(...)` in the caller's class, to the overload taking that many arguments;
-two such overloads are rejected, never guessed between. evaluate rejects an
+break/continue outside a loop or switch, a statement that directly follows
+a return, throw, break or continue in its block or case (javac's
+"unreachable statement"), and every ill-typed expression (see below).
+`C.f(...)` resolves in class C and an unqualified `f(...)` in the caller's
+class, to the overload taking that many arguments; two such overloads are
+rejected, never guessed between. evaluate rejects an
 argument that is not of its parameter's type (SUPPORTED_PARAM_TYPES) before
 anything runs. Running raises UnsupportedForEvaluation only for string index
 errors, strings over MAX_STRING_LENGTH, a read of a local that nothing has
@@ -98,8 +100,9 @@ import random
 from typing import NamedTuple, Optional, Union
 
 from .errors import UnsupportedForEvaluation
-from .nodes import (DEFAULT_LABEL, INT_MAX, INT_MIN, Assign, Expr, For,
-                    MethodDecl, Name, Return, SourceFile, Span, Switch, While, frozen, walk)
+from .nodes import (DEFAULT_LABEL, INT_MAX, INT_MIN, Assign, Break, Continue, Expr, For,
+                    MethodDecl, Name, Return, SourceFile, Span, Switch, Throw, While, frozen,
+                    walk)
 
 DEFAULT_TRIALS = 100
 DEFAULT_FUEL = 10_000
@@ -564,11 +567,16 @@ class _Compiler:
         else:
             self.line(f"return {value}, F")
 
-    def charged(self, stmts) -> None:
-        """Statements in order, each charged one unit of fuel."""
+    def charged(self, stmts, before=None) -> None:
+        """Statements in order, each charged one unit of fuel. javac rejects
+        a statement that directly follows a return, throw, break or continue
+        as unreachable (JLS 14.22); `before` is the one before the first."""
         for s in stmts:
+            if isinstance(before, (Return, Throw, Break, Continue)):
+                raise UnsupportedForEvaluation(s.span, "unreachable statement")
             self.line("if (F := F - 1) < 0: _oof()")
             self.stmt(s)
+            before = s
 
     def nested(self, emit, *args) -> None:
         """What emit(*args) writes, one level deeper; `pass` if nothing."""
@@ -665,7 +673,8 @@ class _Compiler:
         if scrutinee.type != "String":  # JLS 14.11: the subset switches on int or String
             self.expect(scrutinee, "int", s.scrutinee)
         # label value -> the index of its case's first statement among the
-        # switch's statements; where the default starts, else past the last
+        # switch's statements; where the default starts, else past the last.
+        # Each statement comes with the one before it in its case, if any.
         starts: dict[object, int] = {}
         stmts, default = [], None
         for case in s.cases:
@@ -675,7 +684,7 @@ class _Compiler:
                 else:
                     self.expect(self.expr(label), scrutinee.type, label)
                     starts.setdefault(label.value, len(stmts))
-            stmts += case.body
+            stmts += zip((None, *case.body), case.body)
         default = len(stmts) if default is None else default
         table = f"T{len(self.tables)}"
         self.tables.append(f"{table} = {starts!r}\n")
@@ -693,12 +702,12 @@ class _Compiler:
         target = _Target(flag=self.temp())
         self.fn.targets.append(target)
         outer, self.out = self.out, []
-        for i, stmt in enumerate(stmts):
+        for i, (before, stmt) in enumerate(stmts):
             if i in entries:
                 self.indent = base + 1
                 self.line(f"if {start} <= {i}:")
                 self.indent += 1
-            self.charged((stmt,))
+            self.charged((stmt,), before)
         self.indent = base + 1
         self.line("break")
         self.indent = base
@@ -979,14 +988,17 @@ _CODE: dict[str, tuple] = {}
 _CODE_SIZE = 2
 
 
-def _lru(cache: dict, size: int, key, make, *args):
+def _lru(cache: dict, size: int, key, make, *args, evict=None):
     """cache[key], made by make(*args) when missing; `cache` keeps the `size`
-    keys used last, least recently used first."""
+    keys used last, least recently used first, and hands an entry it drops
+    to `evict`."""
     entry = cache.pop(key, None)  # put back below as the most recent
     if entry is None:
         entry = make(*args)
         if len(cache) >= size:
-            del cache[next(iter(cache))]
+            dropped = cache.pop(next(iter(cache)))
+            if evict is not None:
+                evict(dropped)
     cache[key] = entry
     return entry
 
@@ -1000,6 +1012,18 @@ def _load(text: str) -> tuple:
     return namespace["m0"], {}
 
 
+def _release(top) -> None:
+    """Empty the namespace of a loaded text once nothing can run its `top`:
+    the text has left _CODE and no _COMPILED entry holds `top`. The
+    namespace holds the text's functions and is their `__globals__`, so
+    until then they are a reference cycle, which only the cyclic collector
+    would free. Emptying it while an entry still holds `top` would make a
+    later evaluate fail."""
+    if top is not None and all(entry[0] is not top for entry in _CODE.values()) and all(
+            getattr(entry[2], "top", None) is not top for entry in _COMPILED.values()):
+        top.__globals__.clear()
+
+
 # (id(method), id(context)) -> (method, context, _Program or the rejection),
 # least recently used first; holding the keys keeps their ids from reuse.
 _COMPILED: dict[tuple[int, int], tuple] = {}
@@ -1007,7 +1031,8 @@ _COMPILED_SIZE = 2  # a trial evaluates the original and then the variant
 
 
 def _compile(m: MethodDecl, context: SourceFile | None) -> _Program:
-    entry = _lru(_COMPILED, _COMPILED_SIZE, (id(m), id(context)), _compile_entry, m, context)
+    entry = _lru(_COMPILED, _COMPILED_SIZE, (id(m), id(context)), _compile_entry, m, context,
+                 evict=lambda dropped: _release(getattr(dropped[2], "top", None)))
     if isinstance(entry[2], UnsupportedForEvaluation):
         raise UnsupportedForEvaluation(entry[2].span, entry[2].detail)  # a fresh copy
     return entry[2]
@@ -1019,7 +1044,8 @@ def _compile_entry(m: MethodDecl, context: SourceFile | None) -> tuple:
         program = _Compiler(context).compile(m)
     except UnsupportedForEvaluation as exc:
         return m, context, exc
-    program.top, program.outcomes = _lru(_CODE, _CODE_SIZE, program.text, _load, program.text)
+    program.top, program.outcomes = _lru(_CODE, _CODE_SIZE, program.text, _load, program.text,
+                                         evict=lambda dropped: _release(dropped[0]))
     return m, context, program
 
 

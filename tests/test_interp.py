@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import itertools
@@ -5,6 +6,7 @@ import json
 import sys
 import tokenize
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -1298,6 +1300,55 @@ def test_an_int_method_that_reaches_its_end_is_rejected():
         evaluate(m, [False], context=ast)
     brace = src.rindex("} }") + 1  # the method's closing brace, 1-based
     assert (exc.value.detail, exc.value.span.start_col) == ("missing return statement", brace)
+
+
+@pytest.mark.parametrize("body, unreachable", [
+    ("return 1; int y = 2;", "int y"),
+    ("int x = 0; switch (n) { case 0: return 1; x = 3; default: x = 4; } return x;", "x = 3"),
+    ("while (n > 0) { break; n = n - 1; } return n;", "n = n - 1"),
+    ("for (int i = 0; i < n; i = i + 1) { continue; n = 1; } return n;", "n = 1"),
+    ("if (n > 0) { return 1; return 2; } return 3;", "return 2"),
+], ids=["return", "case", "break", "continue", "nested"])
+def test_a_statement_right_after_a_jump_is_unreachable(body, unreachable):
+    """javac rejects it at compile time (JLS 14.22), and so does the oracle."""
+    src = f"class A {{ static int f(int n) {{ {body} }} }}"
+    m, ast = method_named(src, "f")
+    assert not is_supported(m, ast)
+    with pytest.raises(UnsupportedForEvaluation) as exc:
+        evaluate(m, [0], context=ast)
+    assert (exc.value.detail, exc.value.span.start_col) == (
+        "unreachable statement", src.index(unreachable) + 1)
+
+
+def test_a_case_after_a_jump_is_reachable():
+    m, ast = method_named("class A { static int f(int n) { int x = 0; switch (n) { "
+                          "case 0: return 1; case 1: x = 3; break; default: x = 4; } "
+                          "return x; } }", "f")
+    assert [evaluate(m, [n], context=ast) for n in (0, 1, 2)] == [
+        Returned(1), Returned(3), Returned(4)]
+
+
+def test_a_program_is_freed_once_nothing_can_run_it(monkeypatch):
+    """A loaded text's functions and the namespace that holds them are a
+    reference cycle; once the text has left the code cache and no compiled
+    entry holds its top function, the cycle is broken, so the program is
+    freed without the cyclic collector, and not before."""
+    monkeypatch.setattr(interp, "_COMPILED", {})
+    monkeypatch.setattr(interp, "_CODE", {})
+    a, b, c, d, e = (method_named(
+        f"class A {{ static int f(int n) {{ return Math.abs(n) + {k}; }} }}", "f") for k in range(5))
+    gc.disable()
+    try:
+        top = weakref.ref(interp._compile(*a).top)
+        ensure_supported(*b)
+        ensure_supported(*a)  # a's entry is now the most recent, its text is not
+        ensure_supported(*c)  # a's text leaves the code cache, a's entry stays
+        assert evaluate(a[0], [-1], context=a[1]) == Returned(1) and top() is not None
+        ensure_supported(*d)
+        ensure_supported(*e)  # a's entry leaves too
+        assert top() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("result, body, args, expected", [

@@ -178,7 +178,6 @@ def _span_field() -> Span:
 # The class builder: every vmorph dataclass, nodes and the rest
 # ---------------------------------------------------------------------------
 
-BUILT_CLASSES: list[type] = []  # every class `frozen` and `mutable` made, in definition order
 _FACTORY = object()  # an `__init__` default: call the field's default factory
 
 
@@ -217,7 +216,6 @@ def _build(cls: type, is_frozen: bool) -> type:
         cls.__getstate__, cls.__setstate__ = _getstate, _setstate
     else:
         cls.__hash__ = None
-    BUILT_CLASSES.append(cls)
     return cls
 
 

@@ -1,7 +1,8 @@
 """The node schema: every field declares what it holds, and the table-driven
 traversals agree with a scan of the dataclass fields. Nodes are slotted and
 frozen, spans are tuples, and a parsed node's position is no object of its
-own."""
+own. Every vmorph dataclass comes from the class builder and behaves as the
+dataclass would."""
 
 import copy
 import gc
@@ -206,15 +207,19 @@ def _values(cls, k: int) -> dict:
     return {f.name: position.get(f.name, f"v{i}.{k}") for i, f in enumerate(fields(cls))}
 
 
-def test_every_vmorph_dataclass_is_built_by_the_class_builder():
-    made = {v for module in (bench, identifiers, interp, nodes, prompts, rename, transforms)
-            for v in vars(module).values()
-            if isinstance(v, type) and is_dataclass(v) and v.__module__ == module.__name__}
-    assert len(nodes.BUILT_CLASSES) == len(set(nodes.BUILT_CLASSES)) == 49
-    assert made == set(nodes.BUILT_CLASSES)
+# Every dataclass vmorph defines, in module order.
+DATACLASSES = [v for module in (bench, identifiers, interp, nodes, prompts, rename, transforms)
+               for v in vars(module).values()
+               if isinstance(v, type) and is_dataclass(v) and v.__module__ == module.__name__]
 
 
-@pytest.mark.parametrize("cls", nodes.BUILT_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_vmorph_dataclass_is_made_by_the_class_builder():
+    assert len(DATACLASSES) == 49
+    for cls in DATACLASSES:  # one function each, not one per class
+        assert (cls.__eq__, cls.__repr__) == (nodes._eq, nodes._repr), cls
+
+
+@pytest.mark.parametrize("cls", DATACLASSES, ids=lambda cls: cls.__name__)
 def test_a_built_class_behaves_as_its_dataclass(cls):
     x = cls(**_values(cls, 0))
     compared = tuple(getattr(x, f.name) for f in fields(cls) if f.compare)
@@ -248,12 +253,11 @@ def test_a_built_class_behaves_as_its_dataclass(cls):
 def test_the_builder_writes_no_signature_docstring(monkeypatch):
     """dataclasses writes a missing docstring from inspect.signature, which
     took a sixth of `import vmorph`; every built class has its own."""
-    assert all(cls.__doc__ for cls in nodes.BUILT_CLASSES)
+    assert all(cls.__doc__ for cls in DATACLASSES)
 
     def no_signature(*args, **kwargs):
         raise AssertionError("inspect.signature called")
     monkeypatch.setattr(inspect, "signature", no_signature)
-    monkeypatch.setattr(nodes, "BUILT_CLASSES", [])
     for build in (nodes.frozen, nodes.mutable):
         built = build(type("Probe", (), {"__annotations__": {"a": "int"}}))
         assert built.__doc__ == "Probe(a)" and repr(built(1)) == "Probe(a=1)"

@@ -1024,6 +1024,14 @@ def _release(top) -> None:
         top.__globals__.clear()
 
 
+def _drop_code(entry: tuple) -> None:
+    _release(entry[0])
+
+
+def _drop_compiled(entry: tuple) -> None:
+    _release(getattr(entry[2], "top", None))
+
+
 # (id(method), id(context)) -> (method, context, _Program or the rejection),
 # least recently used first; holding the keys keeps their ids from reuse.
 _COMPILED: dict[tuple[int, int], tuple] = {}
@@ -1032,7 +1040,7 @@ _COMPILED_SIZE = 2  # a trial evaluates the original and then the variant
 
 def _compile(m: MethodDecl, context: SourceFile | None) -> _Program:
     entry = _lru(_COMPILED, _COMPILED_SIZE, (id(m), id(context)), _compile_entry, m, context,
-                 evict=lambda dropped: _release(getattr(dropped[2], "top", None)))
+                 evict=_drop_compiled)
     if isinstance(entry[2], UnsupportedForEvaluation):
         raise UnsupportedForEvaluation(entry[2].span, entry[2].detail)  # a fresh copy
     return entry[2]
@@ -1045,7 +1053,7 @@ def _compile_entry(m: MethodDecl, context: SourceFile | None) -> tuple:
     except UnsupportedForEvaluation as exc:
         return m, context, exc
     program.top, program.outcomes = _lru(_CODE, _CODE_SIZE, program.text, _load, program.text,
-                                         evict=lambda dropped: _release(dropped[0]))
+                                         evict=_drop_code)
     return m, context, program
 
 

@@ -251,8 +251,8 @@ def test_a_built_class_behaves_as_its_dataclass(cls):
 
 
 def test_the_builder_writes_no_signature_docstring(monkeypatch):
-    """dataclasses writes a missing docstring from inspect.signature, which
-    took a sixth of `import vmorph`; every built class has its own."""
+    """dataclasses writes a missing docstring from inspect.signature, a
+    costly call at import; every built class has its own."""
     assert all(cls.__doc__ for cls in DATACLASSES)
 
     def no_signature(*args, **kwargs):

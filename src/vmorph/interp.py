@@ -17,8 +17,9 @@ parameter, local and return types other than int/boolean/String (a return
 type may be void), throw, new, field access, assignment to a non-name,
 names that denote no parameter or local (static fields among them), calls
 that resolve to no builtin or same-file method, unknown receivers,
-break/continue outside a loop or switch, a statement that directly follows
-a return, throw, break or continue in its block or case (javac's
+break/continue outside a loop or switch, a statement that follows one that
+cannot complete normally in its block or case (a return, throw, break or
+continue, a block that ends in one, or an if whose branches both do: javac's
 "unreachable statement"), and every ill-typed expression (see below).
 `C.f(...)` resolves in class C and an unqualified `f(...)` in the caller's
 class, to the overload taking that many arguments; two such overloads are
@@ -35,7 +36,17 @@ exhausting it, or nesting over MAX_CALL_DEPTH calls, gives OutOfFuel.
 Method k of a program becomes `def m<k>(v1, ..., F, D)`: parameters and
 locals are slot variables numbered in the order the compiler meets them, F
 is the fuel left and D the call depth. Each statement is preceded by
-`if (F := F - 1) < 0: _oof()`, and a loop charges in its `while` test. A Java
+`if (F := F - 1) < 0: _oof()`, and a loop charges in its `while` test. A
+counted loop, whose test is `c < b` or `c <= b` with step `c = c + 1` (or
+`>`, `>=` and `c - 1`) on int slots that nothing else in the loop assigns,
+is preceded by `if (T) * k >= F: _oof()`: T is the passes it makes at
+least, b - c (one more for `<=`), and k its test plus its body's
+statements, what a pass charges at least. It is written only where nothing
+in the body can end the run but fuel (no jump, call that is not written in
+place, division that can throw, string operation or checked read) and T is
+not fixed at compile time, so a loop that lacks the fuel ends OutOfFuel at
+once, as it would have after T passes, and one that has it runs as before:
+the outcome at every fuel is the same. A Java
 call is one Python call, `m<j>(a, b, F, D + 1)`, which checks D on entry and
 returns (value, F), so 200 nested calls run inside Python's default
 recursion limit. A call of a leaf, a method whose body is one `return e;`
@@ -100,9 +111,9 @@ import random
 from typing import NamedTuple, Optional, Union
 
 from .errors import UnsupportedForEvaluation
-from .nodes import (DEFAULT_LABEL, INT_MAX, INT_MIN, Assign, Break, Continue, Expr, For,
-                    MethodDecl, Name, Return, SourceFile, Span, Switch, Throw, While, frozen,
-                    walk)
+from .nodes import (DEFAULT_LABEL, INT_MAX, INT_MIN, Assign, Binary, Block, Break, Continue,
+                    Expr, ExprStmt, For, If, Literal, LocalVarDecl, MethodDecl, Name, Return,
+                    SourceFile, Span, Switch, Throw, While, frozen, walk)
 
 DEFAULT_TRIALS = 100
 DEFAULT_FUEL = 10_000
@@ -298,6 +309,9 @@ _NULL = "<null>"
 _LITERAL_TYPES = {"int": "int", "boolean": "boolean", "string": "String", "null": _NULL}
 _DIVISION_PATHS = {"/": ("//", "_div"), "%": ("%", "_mod")}
 _COMPARISONS = frozenset({"<", "<=", ">", ">=", "==", "!="})
+# A counted loop's test -> the operator of its step, and the passes it makes
+# beyond the bound minus the counter (see _Compiler.trips).
+_COUNTED = {"<": ("+", 0), "<=": ("+", 1), ">": ("-", 0), ">=": ("-", 1)}
 _LOGICAL = {"&&": "and", "||": "or"}
 _IDENTITY = {"==": "is", "!=": "is not"}
 _OPERATORS = frozenset({"+", "-", "*", *_DIVISION_PATHS, *_COMPARISONS, *_LOGICAL})
@@ -427,6 +441,7 @@ class _Compiler:
         self.types = {i: p.type_name for i, p in enumerate(m.params, 1)}  # slot -> its type
         self.guarded: set[int] = set()  # slots read with a check that they are set
         self.size, self.loops, self.temps = 1 + len(m.params), 0, 0
+        self.stops, self.previous = False, None  # see loop() and charged()
         self.out, self.indent, self.fn = [], 1, _Function(helper=False)
         self.helpers: list[tuple[str, list[str]]] = []
         self.block(m.body)
@@ -488,6 +503,7 @@ class _Compiler:
 
     def site(self, node, detail: str | None) -> int:
         """A number for a place that may reject at run time."""
+        self.stops = True
         self.sites.append((node, detail))
         return len(self.sites) - 1
 
@@ -569,12 +585,14 @@ class _Compiler:
 
     def charged(self, stmts, before=None) -> None:
         """Statements in order, each charged one unit of fuel. javac rejects
-        a statement that directly follows a return, throw, break or continue
-        as unreachable (JLS 14.22); `before` is the one before the first."""
+        a statement that follows one that cannot complete normally as
+        unreachable (JLS 14.22); `before` is the one before the first, and
+        `self.previous` the one before the statement being written."""
         for s in stmts:
-            if isinstance(before, (Return, Throw, Break, Continue)):
+            if _jumps(before):
                 raise UnsupportedForEvaluation(s.span, "unreachable statement")
             self.line("if (F := F - 1) < 0: _oof()")
+            self.previous = before
             self.stmt(s)
             before = s
 
@@ -642,8 +660,19 @@ class _Compiler:
             self.line("else:")
             self.nested(self.charged, (s.orelse,))
 
-    def loop(self, test: _E, body, update: str | None) -> None:
-        """While and for: charge, test, body, update."""
+    def loop(self, test: _E, body, update: str | None, passes: str | None) -> None:
+        """While and for: charge, test, body, update. `passes` is the text of
+        T, the passes a counted loop makes at least (see trips()), or None.
+        Each pass charges k = 1 + len(body.stmts) units at least: its test
+        and each statement of the body. When nothing in the body can end the
+        run but fuel (self.stops stays False), a test before the loop ends
+        it OutOfFuel at once if T * k >= F: the T passes and the test after
+        them would charge more than the F units left, so the loop would run
+        out of fuel anyway (Gupta, "Optimizing Array Bound Checks Using Flow
+        Analysis", LOPLAS 2(1-4), 1993, hoists a check the same way). F is
+        never negative there, so a T of 0 or less fires only at F == 0,
+        where the first test runs out too."""
+        at, outer, self.stops = len(self.out), self.stops, False
         charge = "(F := F - 1) >= 0 or _oof()"
         self.line(f"while {charge}:" if test.literal == (True,) else
                   f"while ({charge}) and {test.text}:")
@@ -656,16 +685,57 @@ class _Compiler:
         self.nested(each_pass)
         self.loops -= 1
         self.fn.targets.pop()
+        if passes is not None and not self.stops:
+            self.out.insert(at, f"{' ' * self.indent}if ({passes}) * {1 + len(body.stmts)} "
+                            ">= F: _oof()")
+        self.stops = self.stops or outer
+
+    def trips(self, cond, step, others, start) -> str | None:
+        """The text of T for a counted loop, else None. A loop is counted
+        when its test is `c < b` or `c <= b` and its step `c = c + 1`, or the
+        test is `c > b` or `c >= b` and the step `c = c - 1`; c is an int
+        slot, b an int literal or slot, neither read with a check, and no
+        statement of `others`, the rest of the loop, assigns either. It then
+        passes T = b - c times (c - b counting down), one more for `<=` or
+        `>=`, where c may also wrap past INT_MAX or INT_MIN and pass on: T is
+        a lower bound. None also where T is fixed at compile time: b is a
+        literal and `start`, the for's init or the statement before a
+        while, sets c to a literal."""
+        if not isinstance(cond, Binary) or cond.op not in _COUNTED:
+            return None
+        (sign, more), c, b = _COUNTED[cond.op], cond.left, cond.right
+        if not (isinstance(c, Name) and isinstance(b, (Name, Literal))
+                and step == Assign(c, Binary(sign, c, Literal(1, "int")))):
+            return None
+        names = {c.id, getattr(b, "id", None)}
+        if any(isinstance(a, Assign) and getattr(a.target, "id", None) in names
+               for s in others for a in walk(s)):
+            return None
+        if isinstance(b, Literal) and _sets_literal(start, c.id):
+            return None
+        texts = []
+        for x in (c, b):
+            if isinstance(x, Literal):
+                texts.append(self.e_Literal(x).text)
+            elif (slot := self.resolve(x, x.id)) in self.guarded:
+                return None
+            else:
+                texts.append(f"v{slot}")
+        low, high = texts if sign == "+" else reversed(texts)
+        return f"{high} - {low}{' + 1' if more else ''}"
 
     def s_While(self, s):
-        self.loop(self.condition(s.cond), s.body, None)
+        previous, test, stmts = self.previous, self.condition(s.cond), s.body.stmts
+        step = stmts[-1].expr if stmts and isinstance(stmts[-1], ExprStmt) else None
+        self.loop(test, s.body, None, self.trips(s.cond, step, stmts[:-1], previous))
 
     def s_For(self, s):
         self.scopes.append(({}, False))
         if s.init is not None:
             self.charged((s.init,))
         test = self.condition(s.cond) if s.cond is not None else _TRUE
-        self.loop(test, s.body, self.effect(s.update) if s.update is not None else None)
+        self.loop(test, s.body, self.effect(s.update) if s.update is not None else None,
+                  self.trips(s.cond, s.update, s.body.stmts, s.init))
         self.scopes.pop()
 
     def s_Switch(self, s):
@@ -693,6 +763,7 @@ class _Compiler:
             self.line(f"{start} = {table}.get({scrutinee.text}, {default})")
         else:
             first, again = self.operand(scrutinee)
+            self.stops = True
             self.line(f"{start} = {table}.get({again}, {default}) if {first} is not None "
                       "else _npe()")
         # A statement runs when the switch starts at its case or an earlier
@@ -725,6 +796,7 @@ class _Compiler:
             self.nested(self.emit_continue)
 
     def s_Return(self, s):
+        self.stops = True
         if s.value is None:
             if self.result != "void":
                 raise UnsupportedForEvaluation(s.span, "missing return value")
@@ -741,11 +813,13 @@ class _Compiler:
             self.emit_return(value.text)
 
     def s_Break(self, s):
+        self.stops = True
         if not (self.loops or any(in_switch for _, in_switch in self.scopes)):
             raise UnsupportedForEvaluation(s.span, "break/continue escaped the method")
         self.emit_break()
 
     def s_Continue(self, s):
+        self.stops = True
         if not self.loops:
             raise UnsupportedForEvaluation(s.span, "break/continue escaped the method")
         self.emit_continue()
@@ -839,6 +913,7 @@ class _Compiler:
         writes, depth = left.writes or right.writes, max(left.depth, right.depth) + _EXPR_STEP
         if op in _DIVISION_PATHS:
             py_op, path = _DIVISION_PATHS[op]
+            self.stops = self.stops or _is_int(right) in (None, 0)
             lf, la = self.operand(left, right.writes)
             rf, ra = self.operand(right)
             # Python's // and % are Java's on a dividend >= 0 and a divisor > 0.
@@ -886,6 +961,7 @@ class _Compiler:
             inlined = self.inline(target, args)
             if inlined is not None:
                 return inlined
+            self.stops = True
             call = f"m{self.callee(target)}({''.join(a.text + ', ' for a in args)}F, D + 1)"
             t = self.temp()
             return _E(f"((F := ({t} := {call})[1]) is None or {t}[0])",
@@ -893,6 +969,7 @@ class _Compiler:
         counts, argument, value = STRING_BUILTINS.get(method, _NO_BUILTIN)
         if n not in counts:
             raise UnsupportedForEvaluation(e.span, f"method {method!r} with {n} arguments")
+        self.stops = True  # a null receiver throws
         self.arguments(args, e.args, [argument] * n)
         receiver = self.expr(recv)
         if receiver.type != "String":
@@ -964,6 +1041,25 @@ class _Compiler:
         return _E(f"({x.text} if {' and '.join(entry)} else _oof())", m.return_type,
                   max([x.depth, *(a.depth + 1 for a in args)]) + 1,
                   writes=any(a.writes for a in args))
+
+
+def _jumps(s) -> bool:
+    """Whether statement s cannot complete normally (JLS 14.22, for the
+    subset's statements): a return, throw, break or continue, a block whose
+    last statement cannot, or an if whose then and else both cannot."""
+    if isinstance(s, Block):
+        return bool(s.stmts) and _jumps(s.stmts[-1])
+    if isinstance(s, If):
+        return s.orelse is not None and _jumps(s.then) and _jumps(s.orelse)
+    return isinstance(s, (Return, Throw, Break, Continue))
+
+
+def _sets_literal(s, name: str) -> bool:
+    """Whether statement s declares or assigns `name` with a literal."""
+    if isinstance(s, LocalVarDecl):
+        return any(d.name == name and isinstance(d.init, Literal) for d in s.declarators)
+    return (isinstance(s, ExprStmt) and isinstance(s.expr, Assign) and s.expr.target == Name(name)
+            and isinstance(s.expr.value, Literal))
 
 
 def _is_int(x: _E) -> int | None:

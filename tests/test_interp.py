@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import re
 import sys
 import tokenize
 import warnings
@@ -28,6 +29,7 @@ from vmorph.interp import (
     is_supported,
     outcome_to_json,
 )
+from vmorph.nodes import INT_MAX
 from vmorph.parser import parse
 from vmorph.printer import print_stmt
 from vmorph.transforms import TransformRule, apply_all, apply_rule
@@ -1069,6 +1071,97 @@ def test_a_hot_loop_does_not_call_its_leaf():
 
 
 # ---------------------------------------------------------------------------
+# Counted loops: one fuel test on entry
+# ---------------------------------------------------------------------------
+
+ENTRY_TEST = re.compile(r" *if \(.*\) \* \d+ >= F: _oof\(\)")
+
+COUNTED_SRC = """class A {
+    static int leaf(int x) { return x * 3 + 1; }
+    static int up(int n) { int acc = 0; for (int i = 0; i < n; i = i + 1) { acc = acc + leaf(i); } return acc; }
+    static int loop(int n) { int acc = 0; int i = 0; while (i < n) { acc = acc + i; i = i + 1; } return acc; }
+    static int down(int n) { int acc = 0; while (n > 0) { acc = acc + n; n = n - 1; } return acc; }
+    static int upto(int n) { int acc = 0; for (int i = 1; i <= n; i = i + 1) { acc = acc + i; } return acc; }
+    static int divide(int n) { int x = 0; for (int i = 0; i < n; i = i + 1) { x = x + 10 / (i - 5); } return x; }
+}"""
+COUNTED_NS = (0, 1, 2, 3332, 3333, 3334, INT_MAX)
+
+
+def _entry_tests(m, ast) -> int:
+    return sum(bool(ENTRY_TEST.fullmatch(line)) for line in interp._compile(m, ast).text.splitlines())
+
+
+@pytest.mark.parametrize("name, entry_tests", [
+    ("up", 1), ("loop", 1), ("down", 1), ("upto", 1), ("divide", 0)])
+def test_a_counted_loop_gets_one_entry_test(name, entry_tests):
+    assert _entry_tests(*method_named(COUNTED_SRC, name)) == entry_tests
+
+
+@pytest.mark.parametrize("head, bound, body", [
+    ("", "n", "x = x + 10 / n;"),
+    ("", "n", "x = x + i % 0;"),
+    ("", "n", "x = x + -5 / (i - 5);"),
+    ("", "n", "x = x + hb(i, n);"),
+    ("String s = \"\";", "n", "s = s + i;"),
+    ("", "n", "if (i > 5) { break; }"),
+    ("", "n", "x = x + 1; n = n - 1;"),
+    ("", "n", "x = x + 1; if (i > n) { return x; }"),
+    ("int y;", "n", "y = x; x = x + y;"),
+    ("", "10", "x = x + i;"),
+], ids=["divides-by-a-slot", "divides-by-zero", "divides-a-negative-literal",
+        "calls-a-non-leaf", "concatenates", "breaks", "assigns-its-bound",
+        "returns", "reads-a-slot-that-may-be-unset", "literal-only"])
+def test_no_entry_test_where_the_run_can_end_otherwise_or_the_trip_count_is_fixed(head, bound,
+                                                                                   body):
+    src = ("class A { static int hb(int u, int v) { if (u > v) { return u - v; } return v - u; }"
+           f" static int f(int n) {{ int x = 0; {head} for (int i = 0; i < {bound}; i = i + 1) "
+           f"{{ {body} }} return x; }} }}")
+    assert _entry_tests(*method_named(src, "f")) == 0
+
+
+OOF = {"out_of_fuel": True}
+ARITH = {"threw": "ArithmeticException"}
+
+
+# Outcome at the default fuel and least fuel (up to 20,000) at each n of
+# COUNTED_NS, as the oracle gave them before it tested fuel on loop entry.
+COUNTED_PINS = {
+    "up": [({"returned": 0}, 5), ({"returned": 1}, 8), ({"returned": 5}, 11), (OOF, 10001),
+           (OOF, 10004), (OOF, 10007), (OOF, None)],
+    "loop": [({"returned": 0}, 5), ({"returned": 0}, 8), ({"returned": 1}, 11), (OOF, 10001),
+             (OOF, 10004), (OOF, 10007), (OOF, None)],
+    "down": [({"returned": 0}, 4), ({"returned": 1}, 7), ({"returned": 3}, 10),
+             ({"returned": 5552778}, 10000), (OOF, 10003), (OOF, 10006), (OOF, None)],
+    "upto": [({"returned": 0}, 5), ({"returned": 1}, 7), ({"returned": 3}, 9),
+             ({"returned": 5552778}, 6669), ({"returned": 5556111}, 6671),
+             ({"returned": 5559445}, 6673), (OOF, None)],
+    "divide": [({"returned": 0}, 5), ({"returned": -2}, 7), ({"returned": -4}, 9),
+               *[(ARITH, 15)] * 4],
+}
+
+
+@pytest.mark.parametrize("name", COUNTED_PINS)
+def test_a_counted_loop_keeps_its_outcome_and_least_fuel(name):
+    m, ast = method_named(COUNTED_SRC, name)
+    assert [(_outcome_json(m, [n], DEFAULT_FUEL, ast), _least_fuel(m, [n], ast, 20_000))
+            for n in COUNTED_NS] == COUNTED_PINS[name]
+
+
+@pytest.mark.parametrize("name", ["up", "loop", "down", "upto"])
+def test_a_counted_loop_agrees_at_every_fuel_with_its_uncounted_twin(name):
+    """The twin bounds the loop by `n + 0`, which gets no entry test and
+    charges the same; both must agree at every fuel near each end."""
+    m, ast = method_named(COUNTED_SRC, name)
+    twin_src = COUNTED_SRC.replace("< n;", "< n + 0;").replace("<= n;", "<= n + 0;").replace(
+        "(i < n)", "(i < n + 0)").replace("(n > 0)", "(n > 0 + 0)")
+    twin, twin_ast = method_named(twin_src, name)
+    assert _entry_tests(twin, twin_ast) == 0
+    for n, fuels in ((3, range(20)), (3333, range(9990, 10012)), (INT_MAX, (0, 5, 9999))):
+        for fuel in fuels:
+            assert evaluate(m, [n], fuel, ast) == evaluate(twin, [n], fuel, twin_ast), (n, fuel)
+
+
+# ---------------------------------------------------------------------------
 # Oracle golden snapshot
 # ---------------------------------------------------------------------------
 
@@ -1085,11 +1178,12 @@ def _outcome_json(m, args, fuel, context):
         return {"unsupported": exc.detail}
 
 
-def _least_fuel(m, args, context):
-    """The least fuel at which the outcome is not OutOfFuel, or None."""
-    if _outcome_json(m, args, DEFAULT_FUEL, context) == {"out_of_fuel": True}:
+def _least_fuel(m, args, context, most=DEFAULT_FUEL):
+    """The least fuel, up to `most`, at which the outcome is not OutOfFuel,
+    or None."""
+    if _outcome_json(m, args, most, context) == {"out_of_fuel": True}:
         return None
-    lo, hi = 0, DEFAULT_FUEL
+    lo, hi = 0, most
     while lo < hi:
         mid = (lo + hi) // 2
         if _outcome_json(m, args, mid, context) == {"out_of_fuel": True}:
@@ -1308,9 +1402,19 @@ def test_an_int_method_that_reaches_its_end_is_rejected():
     ("while (n > 0) { break; n = n - 1; } return n;", "n = n - 1"),
     ("for (int i = 0; i < n; i = i + 1) { continue; n = 1; } return n;", "n = 1"),
     ("if (n > 0) { return 1; return 2; } return 3;", "return 2"),
-], ids=["return", "case", "break", "continue", "nested"])
+    ("if (n > 0) { return 1; } else { return 2; } return 3;", "return 3"),
+    ("if (n > 0) { return 1; } else if (n < 0) { return 2; } else { return 0; } n = 4; return n;",
+     "n = 4"),
+    ("while (n > 0) { if (n > 1) { break; } else { continue; } n = n - 1; } return n;",
+     "n = n - 1"),
+    ("int x = 0; { x = 1; return x; } return 2;", "return 2"),
+    ("int x = 0; { x = 1; { return x; } } x = 2; return x;", "x = 2"),
+], ids=["return", "case", "break", "continue", "nested", "if-else", "else-if", "if-else-jumps",
+        "block", "blocks"])
 def test_a_statement_right_after_a_jump_is_unreachable(body, unreachable):
-    """javac rejects it at compile time (JLS 14.22), and so does the oracle."""
+    """javac rejects it at compile time (JLS 14.22), and so does the oracle:
+    after a jump, an if whose branches both end in a jump, or a block that
+    ends in one."""
     src = f"class A {{ static int f(int n) {{ {body} }} }}"
     m, ast = method_named(src, "f")
     assert not is_supported(m, ast)
@@ -1318,6 +1422,18 @@ def test_a_statement_right_after_a_jump_is_unreachable(body, unreachable):
         evaluate(m, [0], context=ast)
     assert (exc.value.detail, exc.value.span.start_col) == (
         "unreachable statement", src.index(unreachable) + 1)
+
+
+@pytest.mark.parametrize("body, expected", [
+    ("if (n > 0) { return 1; } return 3;", [3, 1]),
+    ("if (n > 0) { return 1; } else { n = 2; } return n;", [2, 1]),
+    ("if (n > 0) { n = 2; } else { return 0; } return n;", [0, 2]),
+    ("int x = 0; { x = 1; } return x;", [1, 1]),
+    ("while (n > 0) { if (n > 1) { break; } n = n - 1; } return n;", [0, 0]),
+], ids=["if", "then-completes", "else-completes", "block", "loop"])
+def test_a_statement_after_one_that_can_complete_normally_is_reachable(body, expected):
+    m, ast = method_named(f"class A {{ static int f(int n) {{ {body} }} }}", "f")
+    assert [evaluate(m, [n], context=ast) for n in (0, 1)] == [Returned(v) for v in expected]
 
 
 def test_a_case_after_a_jump_is_reachable():

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from functools import partial
 from operator import attrgetter
 from reprlib import recursive_repr
 from typing import Callable, Iterator, NamedTuple, Optional, Union
@@ -748,27 +749,29 @@ def rename_identifiers(node: Node, mapping: dict[str, str], met: set[str]) -> No
     field keeps its head. Every key of `mapping` that occurs under `node` is
     added to `met`, also where no name is renamed: as a primitive type name
     or a wildcard import's tail. Every unchanged subtree is shared."""
-    lookup, meet = mapping.get, met.add
+    return _renamed(mapping.get, met.add, node)
 
-    def visit(node: Node) -> Node:
-        if node._child_fields:
-            node = rebuild(node, visit)
-        changes = None
-        for fname, role, kind, form in node._name_fields:
-            value = name = getattr(node, fname)
-            if value is None:
-                continue
-            if form == _TYPE or form == _IMPORT:  # a method name renames as is
-                name, role, _ = _site(node, value, role, kind, form)
-            new = lookup(name)
-            if new is not None:
-                meet(name)
-                if role is not None:
-                    changes = changes or {}
-                    changes[fname] = value[: len(value) - len(name)] + new
-        return node if changes is None else evolve(node, **changes)
 
-    return visit(node)
+def _renamed(lookup, meet, node: Node) -> Node:
+    """rename_identifiers' walk. Each level passes a partial of this
+    function to `rebuild`, not a closure that calls itself: such a closure
+    is a reference cycle, which only the cyclic collector frees."""
+    if node._child_fields:
+        node = rebuild(node, partial(_renamed, lookup, meet))
+    changes = None
+    for fname, role, kind, form in node._name_fields:
+        value = name = getattr(node, fname)
+        if value is None:
+            continue
+        if form == _TYPE or form == _IMPORT:  # a method name renames as is
+            name, role, _ = _site(node, value, role, kind, form)
+        new = lookup(name)
+        if new is not None:
+            meet(name)
+            if role is not None:
+                changes = changes or {}
+                changes[fname] = value[: len(value) - len(name)] + new
+    return node if changes is None else evolve(node, **changes)
 
 
 def method_position(file: SourceFile, m: MethodDecl) -> tuple[int, int]:

@@ -1,3 +1,5 @@
+import gc
+import inspect
 import json
 from importlib import resources
 
@@ -175,6 +177,22 @@ def test_apply_rename_keeps_stdlib_names(guard_project):
         before, after = print_source(original), print_source(out)
         for library_name in ("startsWith", "normalize", "concat", "String"):
             assert before.count(library_name) == after.count(library_name)
+
+
+def test_a_rename_leaves_no_reference_cycle_of_its_walk(guard_project):
+    """The walk passes itself on as a partial, not as a closure that calls
+    itself: with the collector off, such a closure and its cell would stay
+    behind after every rename."""
+    plan = build_rename_plan(_classified_table(guard_project), SynonymLexicon.load())
+    gc.collect()
+    gc.disable()
+    try:
+        apply_rename(guard_project, plan)
+        left = [f for f in gc.get_objects()
+                if inspect.isfunction(f) and "rename_identifiers.<locals>" in f.__qualname__]
+    finally:
+        gc.enable()
+    assert left == []
 
 
 def test_empty_dictionary_is_identity(guard_project):

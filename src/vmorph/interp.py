@@ -312,6 +312,7 @@ _COMPARISONS = frozenset({"<", "<=", ">", ">=", "==", "!="})
 # A counted loop's test -> the operator of its step, and the passes it makes
 # beyond the bound minus the counter (see _Compiler.trips).
 _COUNTED = {"<": ("+", 0), "<=": ("+", 1), ">": ("-", 0), ">=": ("-", 1)}
+_ONE = Literal(1, "int")
 _LOGICAL = {"&&": "and", "||": "or"}
 _IDENTITY = {"==": "is", "!=": "is not"}
 _OPERATORS = frozenset({"+", "-", "*", *_DIVISION_PATHS, *_COMPARISONS, *_LOGICAL})
@@ -705,13 +706,13 @@ class _Compiler:
             return None
         (sign, more), c, b = _COUNTED[cond.op], cond.left, cond.right
         if not (isinstance(c, Name) and isinstance(b, (Name, Literal))
-                and step == Assign(c, Binary(sign, c, Literal(1, "int")))):
-            return None
-        names = {c.id, getattr(b, "id", None)}
-        if any(isinstance(a, Assign) and getattr(a.target, "id", None) in names
-               for s in others for a in walk(s)):
+                and step == Assign(c, Binary(sign, c, _ONE))):
             return None
         if isinstance(b, Literal) and _sets_literal(start, c.id):
+            return None
+        names = {x.id for x in (c, b) if isinstance(x, Name)}
+        if any(isinstance(a, Assign) and isinstance(a.target, Name) and a.target.id in names
+               for s in others for a in walk(s)):
             return None
         texts = []
         for x in (c, b):
@@ -1043,15 +1044,19 @@ class _Compiler:
                   writes=any(a.writes for a in args))
 
 
+_JUMPS = frozenset({Return, Throw, Break, Continue})
+
+
 def _jumps(s) -> bool:
     """Whether statement s cannot complete normally (JLS 14.22, for the
     subset's statements): a return, throw, break or continue, a block whose
     last statement cannot, or an if whose then and else both cannot."""
-    if isinstance(s, Block):
+    kind = type(s)
+    if kind is Block:
         return bool(s.stmts) and _jumps(s.stmts[-1])
-    if isinstance(s, If):
+    if kind is If:
         return s.orelse is not None and _jumps(s.then) and _jumps(s.orelse)
-    return isinstance(s, (Return, Throw, Break, Continue))
+    return kind in _JUMPS
 
 
 def _sets_literal(s, name: str) -> bool:

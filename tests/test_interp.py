@@ -1078,17 +1078,23 @@ ENTRY_TEST = re.compile(r" *if \(.*\) \* \d+ >= F: _oof\(\)")
 
 COUNTED_SRC = """class A {
     static int leaf(int x) { return x * 3 + 1; }
-    static int up(int n) { int acc = 0; for (int i = 0; i < n; i = i + 1) { acc = acc + leaf(i); } return acc; }
-    static int loop(int n) { int acc = 0; int i = 0; while (i < n) { acc = acc + i; i = i + 1; } return acc; }
-    static int down(int n) { int acc = 0; while (n > 0) { acc = acc + n; n = n - 1; } return acc; }
-    static int upto(int n) { int acc = 0; for (int i = 1; i <= n; i = i + 1) { acc = acc + i; } return acc; }
-    static int divide(int n) { int x = 0; for (int i = 0; i < n; i = i + 1) { x = x + 10 / (i - 5); } return x; }
+    static int up(int n) {
+        int acc = 0; for (int i = 0; i < n; i = i + 1) { acc = acc + leaf(i); } return acc; }
+    static int loop(int n) {
+        int acc = 0; int i = 0; while (i < n) { acc = acc + i; i = i + 1; } return acc; }
+    static int down(int n) {
+        int acc = 0; while (n > 0) { acc = acc + n; n = n - 1; } return acc; }
+    static int upto(int n) {
+        int acc = 0; for (int i = 1; i <= n; i = i + 1) { acc = acc + i; } return acc; }
+    static int divide(int n) {
+        int x = 0; for (int i = 0; i < n; i = i + 1) { x = x + 10 / (i - 5); } return x; }
 }"""
 COUNTED_NS = (0, 1, 2, 3332, 3333, 3334, INT_MAX)
 
 
 def _entry_tests(m, ast) -> int:
-    return sum(bool(ENTRY_TEST.fullmatch(line)) for line in interp._compile(m, ast).text.splitlines())
+    lines = interp._compile(m, ast).text.splitlines()
+    return sum(bool(ENTRY_TEST.fullmatch(line)) for line in lines)
 
 
 @pytest.mark.parametrize("name, entry_tests", [

@@ -43,10 +43,10 @@ is preceded by `if (T) * k >= F: _oof()`: T is the passes it makes at
 least, b - c (one more for `<=`), and k its test plus its body's
 statements, what a pass charges at least. It is written only where nothing
 in the body can end the run but fuel (no jump, call that is not written in
-place, division that can throw, string operation or checked read) and T is
-not fixed at compile time, so a loop that lacks the fuel ends OutOfFuel at
-once, as it would have after T passes, and one that has it runs as before:
-the outcome at every fuel is the same. A Java
+place, division that can throw, String method, concatenation or switch, or
+checked read) and T is not fixed at compile time, so a loop that lacks the
+fuel ends OutOfFuel at once, as it would have after T passes, and one that
+has it runs as before: the outcome at every fuel is the same. A Java
 call is one Python call, `m<j>(a, b, F, D + 1)`, which checks D on entry and
 returns (value, F), so 200 nested calls run inside Python's default
 recursion limit. A call of a leaf, a method whose body is one `return e;`

@@ -310,7 +310,6 @@ def generate_variants(
     kinds: tuple[VariantKind, ...] = ALL_VARIANTS,
     trials: int = DEFAULT_TRIALS,
     fuel: int = DEFAULT_FUEL,
-    source_benchmark: str = "fixture",
     manifest_path: str | Path | None = None,
 ) -> BenchmarkManifest:
     """Produce the requested variants for every record and write the manifest.
@@ -330,7 +329,7 @@ def generate_variants(
                                  trials, fuel, stdlib_index)
         )
 
-    manifest = BenchmarkManifest(source_benchmark, entries)
+    manifest = BenchmarkManifest("fixture", entries)
     manifest.save(manifest_path)
     return manifest
 
@@ -373,10 +372,9 @@ def _generate_for_record(
     entries: list[ManifestEntry] = []
 
     needs_dictionary = any(k in kinds for k in (VariantKind.RENAME_ONLY, VariantKind.BOTH))
-    dictionary_path: Path | None = None
+    dictionary_path = vuln_dir / "dictionary.json"
     if needs_dictionary:
         vuln_dir.mkdir(parents=True, exist_ok=True)
-        dictionary_path = vuln_dir / "dictionary.json"
         dictionary_path.write_text(dct.dumps(), encoding="utf-8")
 
     # The rename and both variants share one renamed project, computed by the
@@ -416,15 +414,13 @@ def _generate_for_record(
                 method, buggy_ast, variant_method, variant_buggy, trials, seed, fuel)
 
             report_dict = report.to_json_dict()
-            report_dict["equivalence"] = (
-                entry.equivalence if isinstance(entry.equivalence, dict) else str(entry.equivalence)
-            )
+            report_dict["equivalence"] = entry.equivalence
             report_path = variant_dir / "report.json"
             report_path.write_text(dump_json(report_dict), encoding="utf-8")
 
             entry.output_root = rel(variant_dir)
             entry.report = rel(report_path)
-            if kind is not VariantKind.STRUCTURE_ONLY and dictionary_path is not None:
+            if kind is not VariantKind.STRUCTURE_ONLY:
                 entry.dictionary = rel(dictionary_path)
         except (VmorphError, OSError) as e:
             entry.error = str(GenerationFailure(record.id, kind.value, str(e)))

@@ -18,8 +18,7 @@ type may be void), throw, new, field access, assignment to a non-name,
 names that denote no parameter or local (static fields among them), calls
 that resolve to no builtin or same-file method, unknown receivers,
 break/continue outside a loop or switch, a statement that follows one that
-cannot complete normally in its block or case (a return, throw, break or
-continue, a block that ends in one, or an if whose branches both do: javac's
+cannot complete normally (`nodes.jumps`) in its block or case (javac's
 "unreachable statement"), and every ill-typed expression (see below).
 `C.f(...)` resolves in class C and an unqualified `f(...)` in the caller's
 class, to the overload taking that many arguments; two such overloads are
@@ -111,9 +110,9 @@ import random
 from typing import NamedTuple, Optional, Union
 
 from .errors import UnsupportedForEvaluation
-from .nodes import (DEFAULT_LABEL, INT_MAX, INT_MIN, Assign, Binary, Block, Break, Continue,
-                    Expr, ExprStmt, For, If, Literal, LocalVarDecl, MethodDecl, Name, Return,
-                    SourceFile, Span, Switch, Throw, While, frozen, walk)
+from .nodes import (DEFAULT_LABEL, INT_MAX, INT_MIN, Assign, Binary, Expr, ExprStmt, For,
+                    Literal, LocalVarDecl, MethodDecl, Name, Return, SourceFile, Span, Switch,
+                    While, frozen, jumps, walk)
 
 DEFAULT_TRIALS = 100
 DEFAULT_FUEL = 10_000
@@ -590,7 +589,7 @@ class _Compiler:
         unreachable (JLS 14.22); `before` is the one before the first, and
         `self.previous` the one before the statement being written."""
         for s in stmts:
-            if _jumps(before):
+            if jumps(before):
                 raise UnsupportedForEvaluation(s.span, "unreachable statement")
             self.line("if (F := F - 1) < 0: _oof()")
             self.previous = before
@@ -1042,21 +1041,6 @@ class _Compiler:
         return _E(f"({x.text} if {' and '.join(entry)} else _oof())", m.return_type,
                   max([x.depth, *(a.depth + 1 for a in args)]) + 1,
                   writes=any(a.writes for a in args))
-
-
-_JUMPS = frozenset({Return, Throw, Break, Continue})
-
-
-def _jumps(s) -> bool:
-    """Whether statement s cannot complete normally (JLS 14.22, for the
-    subset's statements): a return, throw, break or continue, a block whose
-    last statement cannot, or an if whose then and else both cannot."""
-    kind = type(s)
-    if kind is Block:
-        return bool(s.stmts) and _jumps(s.stmts[-1])
-    if kind is If:
-        return s.orelse is not None and _jumps(s.then) and _jumps(s.orelse)
-    return kind in _JUMPS
 
 
 def _sets_literal(s, name: str) -> bool:

@@ -31,6 +31,9 @@ Call/FieldAccess/Assign/New. Anything else is rejected at parse time.
 Comments are attached to the statement or member that follows them so they
 survive printing (buggy-line hint comments must round-trip).
 
+`jumps` says whether a statement can complete normally, for the parser's
+`SwitchCase.terminated`, the rewrites and the oracle alike.
+
 Schema: each field of a node class declares, once, through its default,
 what it holds: `_child()` a child node, an optional one or a tuple of them;
 `_name(role, kind)` an identifier (`_type_name()` a possibly dotted type
@@ -477,12 +480,6 @@ class SwitchCase(Node):
     span: Span = _span_field()
 
 
-def ends_case(body) -> bool:
-    """Whether a case body's last statement is a break, return or throw, so
-    control cannot fall through to the next case."""
-    return bool(body) and isinstance(body[-1], (Break, Return, Throw))
-
-
 DEFAULT_LABEL = "default"
 
 
@@ -553,6 +550,28 @@ class Throw(Stmt):
     expr: Expr = _child()
     comments: tuple[str, ...] = _payload(())
     span: Span = _span_field()
+
+
+_JUMPS = frozenset({Return, Throw, Break, Continue})
+
+
+def jumps(stmt) -> bool:
+    """Whether `stmt` cannot complete normally (JLS 14.22, for the subset's
+    statements): a return, throw, break or continue, a block whose last
+    statement jumps, or an if whose then and else both jump. None, the
+    statement before a first one, does not."""
+    kind = type(stmt)
+    if kind is Block:
+        return bool(stmt.stmts) and jumps(stmt.stmts[-1])
+    if kind is If:
+        return stmt.orelse is not None and jumps(stmt.then) and jumps(stmt.orelse)
+    return kind in _JUMPS
+
+
+def ends_case(body) -> bool:
+    """Whether control cannot fall through a case body to the next case:
+    its last statement jumps."""
+    return bool(body) and jumps(body[-1])
 
 
 # ---------------------------------------------------------------------------

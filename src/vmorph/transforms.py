@@ -14,14 +14,18 @@ became), LoopConvert and CondConvert inner-first, and FunctionChain,
 ArgumentPass and CodeOrder block by block (every statement of a block, then
 the blocks nested in the results).
 
+`nodes.jumps` says whether a statement can complete normally (a switch
+case that can falls through, and only it gets a `break`), and `_has_free`
+whether a break or continue leaves one.
+
 Code motion goes through two primitives. `_hoist` moves nodes of a statement
 into locals declared before it (split and extract), and `_sink` moves a
 declaration's initializer into its single use (merge and inline); each rule
 only picks what moves. Reordering, hoisting and sinking ask one question:
-may these two pieces of code change order? One evaluation-order walk
-summarizes code as the locations it reads and writes and whether it may
-throw; `conflicts` answers the question for two summaries. Locations are
-local names and one HEAP location for all fields. Two sides conflict when
+may these two pieces of code change order? One evaluation-order walk, in
+the field order of the node schema, summarizes code as the locations it
+reads and writes and whether it may throw; `conflicts` answers the
+question for two summaries. Locations are local names and one HEAP location for all fields. Two sides conflict when
 one writes a location the other reads or writes (Bernstein's conditions),
 when both may throw (calls, allocations, `/`, `%`, and field access through
 a receiver other than `this`), or when one may throw and the other writes
@@ -222,7 +226,7 @@ def convert_loop(s: Stmt) -> Stmt:
         return For(None, s.cond, None, s.body, s.comments, s.span)
     if not isinstance(s, For):
         raise TypeError(f"convert_loop expects a loop, got {type(s).__name__}")
-    if any(isinstance(n, Continue) for n in walk(s.body)):
+    if _has_free(s.body, Continue):
         # A continue would skip the relocated update expression.
         raise NotApplicable("continue-in-body")
     if isinstance(s.init, LocalVarDecl) and len(s.init.declarators) > 1:
@@ -322,14 +326,24 @@ def _effect_free_scrutinee(expr: Expr) -> bool:
     return False
 
 
-def _has_free_break(node) -> bool:
-    """Whether `node` holds a break that would bind to the enclosing switch
-    (not to a nested loop or switch)."""
-    if isinstance(node, Break):
+def _has_free(node, jump) -> bool:
+    """Whether `node` holds a `jump` (Break or Continue) that leaves it: a
+    break binds to the nearest loop or switch around it, a continue to the
+    nearest loop."""
+    if isinstance(node, jump):
         return True
-    if isinstance(node, (While, For, Switch)):
+    if isinstance(node, (While, For)) or (jump is Break and isinstance(node, Switch)):
         return False
-    return any(_has_free_break(c) for c in children(node))
+    return any(_has_free(c, jump) for c in children(node))
+
+
+def _check_branches(bodies: list[Block]) -> None:
+    """Refuse to turn these switch cases into if branches, or back, when a
+    break would leave another statement or when they share a local."""
+    if any(_has_free(body, Break) for body in bodies):
+        raise NotApplicable("inner-break")
+    if _shares_a_local([body.stmts for body in bodies]):
+        raise NotApplicable("case-scoped-local")
 
 
 def _switch_to_if_chain(stmt: Switch) -> Stmt:
@@ -364,14 +378,9 @@ def _switch_to_if_chain(stmt: Switch) -> Stmt:
             body = body[:-1]
         return Block(tuple(body), (), case.span)
 
-    for i, case in enumerate(stmt.cases):
-        is_last = i == len(stmt.cases) - 1
-        if not is_last and not case.terminated:
-            raise NotApplicable("fallthrough")
-        if _has_free_break(case_block(case)):
-            raise NotApplicable("inner-break")
-    if _shares_a_local([case.body for case in stmt.cases]):
-        raise NotApplicable("case-scoped-local")
+    if not all(case.terminated for case in stmt.cases[:-1]):
+        raise NotApplicable("fallthrough")
+    _check_branches([case_block(case) for case in stmt.cases])
 
     def case_cond(case: SwitchCase) -> Expr:
         conds: list[Expr] = []
@@ -398,10 +407,9 @@ def _switch_to_if_chain(stmt: Switch) -> Stmt:
 
 def _if_chain_to_switch(stmt: If) -> Stmt:
     """if (k == 1) ... else if (k == 2) ... else ...  ->  switch (k)."""
-    links: list[tuple[list[Literal], Block]] = []
+    links: list[tuple[list, Block]] = []  # labels and body of each case
     scrutinee: Name | None = None
     node: Stmt | None = stmt
-    final_else: Block | None = None
     while isinstance(node, If):
         labels: list[Literal] = []
         sc = _equality_labels(node.cond, labels)
@@ -413,33 +421,25 @@ def _if_chain_to_switch(stmt: If) -> Stmt:
             raise NotApplicable("non-literal-guards")
         links.append((labels, node.then))
         node = node.orelse
-    if node is not None:
-        assert isinstance(node, Block)
-        final_else = node
     if len(links) < 2:
         raise NotApplicable("no-chain")
 
     seen: set[object] = set()
-    for labels, body in links:
+    for labels, _ in links:
         for l in labels:
             if l.value in seen:
                 raise NotApplicable("duplicate-labels")
             seen.add(l.value)
-        if _has_free_break(body):
-            raise NotApplicable("inner-break")
-    if final_else is not None and _has_free_break(final_else):
-        raise NotApplicable("inner-break")
-    bodies = [body.stmts for _, body in links]
-    if _shares_a_local(bodies + ([final_else.stmts] if final_else is not None else [])):
-        raise NotApplicable("case-scoped-local")
+    if node is not None:  # the final else
+        links.append(([DEFAULT_LABEL], node))
+    _check_branches([body for _, body in links])
 
     cases: list[SwitchCase] = []
     for labels, body in links:
-        stmts = body.stmts if ends_case(body.stmts) else body.stmts + (Break((), body.span),)
-        cases.append(SwitchCase(tuple(labels), stmts, True, body.span))
-    if final_else is not None:
-        cases.append(SwitchCase((DEFAULT_LABEL,), final_else.stmts,
-                                ends_case(final_else.stmts), final_else.span))
+        stmts = body.stmts
+        if labels[0] != DEFAULT_LABEL and not ends_case(stmts):
+            stmts += (Break((), body.span),)
+        cases.append(SwitchCase(tuple(labels), stmts, ends_case(stmts), body.span))
     assert scrutinee is not None
     return Switch(scrutinee, tuple(cases), stmt.comments, stmt.span)
 
@@ -538,50 +538,29 @@ def conflicts(a: Effects, b: Effects) -> str | None:
 
 
 def _evaluation_order(node, conditional: bool = False):
-    """Yield (node, conditional) for `node` and every node under it, in the
-    order Java evaluates them: operands before the step that uses them.
-
-    `conditional` marks positions that may not run: ternary branches and the
-    right side of `&&` and `||`. An assignment's target is not yielded as a
-    read (the Assign step is the write), and a Declarator follows its
-    initializer as the write of the declared name. `node` is an expression,
-    a local declaration or an expression statement.
-    """
-    if isinstance(node, LocalVarDecl):
-        for d in node.declarators:
-            if d.init is not None:
-                yield from _evaluation_order(d.init, conditional)
-            yield d, conditional
-        return
-    if isinstance(node, ExprStmt):
-        yield from _evaluation_order(node.expr, conditional)
-        return
-    if isinstance(node, FieldAccess):
-        yield from _evaluation_order(node.receiver, conditional)
-    elif isinstance(node, Unary):
-        yield from _evaluation_order(node.operand, conditional)
-    elif isinstance(node, Binary):
-        yield from _evaluation_order(node.left, conditional)
-        yield from _evaluation_order(node.right, conditional or node.op in ("&&", "||"))
-    elif isinstance(node, Ternary):
-        yield from _evaluation_order(node.cond, conditional)
-        yield from _evaluation_order(node.if_true, True)
-        yield from _evaluation_order(node.if_false, True)
-    elif isinstance(node, Call):
-        if node.receiver is not None:
-            yield from _evaluation_order(node.receiver, conditional)
-        for a in node.args:
-            yield from _evaluation_order(a, conditional)
-    elif isinstance(node, New):
-        for a in node.args:
-            yield from _evaluation_order(a, conditional)
-    elif isinstance(node, Assign):
+    """Yield (node, conditional) for `node`, an expression, local
+    declaration or expression statement, and every expression and
+    declarator under it, in the order Java evaluates them: children in
+    field order, then the step that uses them (a Declarator is the write of
+    its name). `conditional` marks positions that may not run: each operand
+    after the first of `?:`, `&&` and `||`. Of an assignment's target only
+    a field's receiver is yielded; the Assign step is the write."""
+    if isinstance(node, Assign):
         if isinstance(node.target, FieldAccess):
             yield from _evaluation_order(node.target.receiver, conditional)
         yield from _evaluation_order(node.value, conditional)
-    elif not isinstance(node, (Name, Literal)):
-        raise TypeError(f"unknown node {type(node).__name__}")
-    yield node, conditional
+    else:
+        operand = conditional  # the first operand runs whenever `node` does
+        later = conditional or isinstance(node, Ternary) or (
+            isinstance(node, Binary) and node.op in ("&&", "||"))
+        for name in node._child_fields:
+            value = getattr(node, name)
+            for item in value if value.__class__ is tuple else (value,):
+                if item is not None:
+                    yield from _evaluation_order(item, operand)
+                    operand = later
+    if not isinstance(node, Stmt):
+        yield node, conditional
 
 
 def _may_be_null(receiver: Expr) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -5,11 +6,11 @@ from dataclasses import replace
 import pytest
 
 from vmorph.errors import NotApplicable
-from vmorph.interp import Returned, evaluate
-from vmorph.nodes import (Block, Break, If, LocalVarDecl, Switch, Ternary, structurally_equal,
-                          walk)
+from vmorph.interp import EQUIVALENT, Returned, check_equivalence, evaluate, is_supported
+from vmorph.nodes import (Block, Break, Declarator, If, LocalVarDecl, Switch, SwitchCase, Ternary,
+                          While, jumps, structurally_equal, walk)
 from vmorph.parser import parse
-from vmorph.printer import print_method, print_stmt
+from vmorph.printer import print_expr, print_method, print_stmt
 from vmorph.transforms import (
     EXTRACT,
     INLINE,
@@ -24,6 +25,7 @@ from vmorph.transforms import (
     convert_loop,
     flip_if,
     reorder_statements,
+    _evaluation_order,
 )
 
 from conftest import (
@@ -34,6 +36,7 @@ from conftest import (
     gen_straightline_block,
     parse_stmts,
 )
+from javagen import LEAF_SEEDS, generate_method_source
 
 
 def stmt_of(code, params="int x, int n, String s"):
@@ -109,6 +112,22 @@ def test_continue_blocks_for_conversion():
     assert exc.value.reason == "continue-in-body"
 
 
+def test_a_continue_of_a_nested_loop_does_not_block_for_conversion():
+    loop = stmt_of("for (int i = 0; i < 3; i = i + 1) "
+                   "{ int j = 0; while (j < 3) { j = j + 1; if (j == 2) { continue; } mark(j); } }")
+    converted = convert_loop(loop)
+    assert isinstance(converted, Block) and isinstance(converted.stmts[1], While)
+
+
+def test_a_continue_inside_a_nested_switch_blocks_for_conversion():
+    # A continue inside a switch still targets the loop around the switch.
+    loop = stmt_of("for (int i = 0; i < 3; i = i + 1) "
+                   "{ switch (x) { case 1: continue; default: mark(i); } }")
+    with pytest.raises(NotApplicable) as exc:
+        convert_loop(loop)
+    assert exc.value.reason == "continue-in-body"
+
+
 def test_multi_declaration_init_blocks_conversion():
     loop = stmt_of("for (int i = 0, j = 1; i < n; i = i + 1) { mark(i); }")
     with pytest.raises(NotApplicable) as exc:
@@ -176,6 +195,52 @@ def test_fallthrough_switch_not_convertible():
     with pytest.raises(NotApplicable) as exc:
         convert_conditional(sw)
     assert exc.value.reason == "fallthrough"
+
+
+def unreachable(node) -> list:
+    """The statements under `node` that follow, in their block or case body,
+    one that cannot complete normally: javac rejects each one."""
+    out = []
+    for n in walk(node):
+        body = n.stmts if isinstance(n, Block) else n.body if isinstance(n, SwitchCase) else ()
+        out += [s for before, s in zip(body, body[1:]) if jumps(before)]
+    return out
+
+
+def convert_in_loop(code: str, detail: str):
+    """`code` in a counted loop of `f(int k, boolean c)`, converted by
+    CondConvert, with the method and its file: the conversion must be the
+    only one and must be an equivalent, compilable method."""
+    ast = parse("class W { static int f(int k, boolean c) { int r = 0; "
+                f"for (int i = 0; i < 4; i = i + 1) {{ {code} r = r + 10; }} return r; }} }}")
+    m = ast.types[0].methods[0]
+    out, report = apply_rule(m, TransformRule.COND_CONVERT, context=ast)
+    assert [d for _, _, d in report.applied] == [detail]
+    assert unreachable(out) == []
+    assert is_supported(out, ast)
+    assert check_equivalence(m, out, context1=ast, context2=ast).verdict == EQUIVALENT
+    return out
+
+
+@pytest.mark.parametrize("code", [
+    "if (k == 1) { r = r + 1; continue; } else if (k == 2) { r = r + 2; } else { r = r + i; }",
+    "if (k == 1) { r = r + 1; } else if (k == 2) { if (c) { return 1; } else { return 2; } } "
+    "else { r = r + i; }",
+], ids=["continue", "if-else-returns"])
+def test_an_if_chain_branch_that_jumps_gets_no_break(code):
+    out = convert_in_loop(code, "if-chain-to-switch")
+    switch = next(n for n in walk(out) if isinstance(n, Switch))
+    assert [isinstance(case.body[-1], Break) for case in switch.cases] == [
+        "continue" not in code, "return" not in code, False]
+
+
+def test_a_switch_case_that_ends_in_continue_does_not_fall_through():
+    out = convert_in_loop("switch (k) { case 1: r = r + 1; continue; case 2: r = r + 2; break; "
+                          "default: r = r + i; }", "switch-to-if-chain")
+    chain = next(n for n in walk(out) if isinstance(n, If))
+    assert print_stmt(chain) == ("if (k == 1) {\n    r = r + 1;\n    continue;\n"
+                                 "} else if (k == 2) {\n    r = r + 2;\n"
+                                 "} else {\n    r = r + i;\n}\n")
 
 
 def test_string_switch_uses_equals():
@@ -283,6 +348,30 @@ def test_a_conditional_site_is_refused(code, reason):
     with pytest.raises(NotApplicable) as exc:
         convert_conditional(stmt_of(code, params="int k"))
     assert exc.value.reason == reason
+
+
+def test_evaluation_order():
+    """Operands in field order, before the step that uses them; a field
+    target's receiver but not the field itself; every operand after the
+    first of `&&`, `||` and `?:` conditional."""
+    stmt = stmt_of("int a = this.total = s.substring(x, n).length() + new Box(-x).size(), "
+                   "b = p && !q || r ? a : -n;",
+                   params="int x, int n, String s, boolean p, boolean q, boolean r")
+    assert [(type(node).__name__,
+             node.name if isinstance(node, Declarator) else print_expr(node), conditional)
+            for node, conditional in _evaluation_order(stmt)] == [
+        ("Name", "this", False), ("Name", "s", False), ("Name", "x", False),
+        ("Name", "n", False), ("Call", "s.substring(x, n)", False),
+        ("Call", "s.substring(x, n).length()", False), ("Name", "x", False),
+        ("Unary", "-x", False), ("New", "new Box(-x)", False),
+        ("Call", "new Box(-x).size()", False),
+        ("Binary", "s.substring(x, n).length() + new Box(-x).size()", False),
+        ("Assign", "this.total = s.substring(x, n).length() + new Box(-x).size()", False),
+        ("Declarator", "a", False), ("Name", "p", False), ("Name", "q", True),
+        ("Unary", "!q", True), ("Binary", "p && !q", False), ("Name", "r", True),
+        ("Binary", "p && !q || r", False), ("Name", "a", True), ("Name", "n", True),
+        ("Unary", "-n", True), ("Ternary", "p && !q || r ? a : -n", False),
+        ("Declarator", "b", False)]
 
 
 # ---------------------------------------------------------------------------
@@ -771,3 +860,42 @@ def apply_all_corpus_snapshot() -> str:
 
 def test_apply_all_corpus_matches_golden():
     assert apply_all_corpus_snapshot().encode("utf-8") == GOLDEN_APPLY_ALL.read_bytes()
+
+
+def fuzz_sources():
+    """(file name, parsed file) of the generated methods the differential
+    fuzz suite runs: seeds 0-159, and 40 seeds whose methods call leaves."""
+    for seed in [*range(160), *range(LEAF_SEEDS, LEAF_SEEDS + 40)]:
+        name = f"Fuzzed{seed}.java"
+        yield name, parse(generate_method_source(seed), name)
+
+
+def test_no_rewrite_leaves_a_statement_after_a_jump(all_fixture_sources):
+    """javac rejects a statement that follows, in its block or case, one
+    that cannot complete normally (JLS 14.22). No rule and no apply_all
+    output of a fixture or generated method holds one."""
+    files = [(name, parse(text, name)) for name, text in all_fixture_sources.items()]
+    for name, ast in files + list(fuzz_sources()):
+        for cls in ast.types:
+            for m in cls.methods:
+                outputs = [apply_all(m, context=ast)[0]]
+                outputs += [apply_rule(m, rule, context=ast)[0] for rule in TransformRule]
+                for out in outputs:
+                    assert unreachable(out) == [], (name, m.name, print_method(out))
+
+
+# sha256 of the printed apply_all output and report JSON of every method of
+# javagen seeds 0-159. Change it only when an output change is intended.
+JAVAGEN_APPLY_ALL_DIGEST = "937211e663c7991877f69200126e3d6b414aab24093130c41989a5e807beea05"
+
+
+def test_apply_all_on_generated_methods_matches_its_digest():
+    h = hashlib.sha256()
+    for seed in range(160):
+        ast = parse(generate_method_source(seed), f"Fuzzed{seed}.java")
+        for cls in ast.types:
+            for m in cls.methods:
+                out, report = apply_all(m, context=ast)
+                h.update(print_method(out).encode())
+                h.update(json.dumps(report.to_json_dict(), sort_keys=True).encode())
+    assert h.hexdigest() == JAVAGEN_APPLY_ALL_DIGEST

@@ -208,9 +208,9 @@ def unreachable(node) -> list:
 
 
 def convert_in_loop(code: str, detail: str):
-    """`code` in a counted loop of `f(int k, boolean c)`, converted by
-    CondConvert, with the method and its file: the conversion must be the
-    only one and must be an equivalent, compilable method."""
+    """`f(int k, boolean c)`, which runs `code` in a counted loop, after
+    CondConvert: the one conversion, with `detail`, must give a method that
+    compiles, holds no unreachable statement and is equivalent."""
     ast = parse("class W { static int f(int k, boolean c) { int r = 0; "
                 f"for (int i = 0; i < 4; i = i + 1) {{ {code} r = r + 10; }} return r; }} }}")
     m = ast.types[0].methods[0]
@@ -222,16 +222,16 @@ def convert_in_loop(code: str, detail: str):
     return out
 
 
-@pytest.mark.parametrize("code", [
-    "if (k == 1) { r = r + 1; continue; } else if (k == 2) { r = r + 2; } else { r = r + i; }",
-    "if (k == 1) { r = r + 1; } else if (k == 2) { if (c) { return 1; } else { return 2; } } "
-    "else { r = r + i; }",
+@pytest.mark.parametrize("code, breaks", [
+    ("if (k == 1) { r = r + 1; continue; } else if (k == 2) { r = r + 2; } else { r = r + i; }",
+     [False, True, False]),
+    ("if (k == 1) { r = r + 1; } else if (k == 2) { if (c) { return 1; } else { return 2; } } "
+     "else { r = r + i; }", [True, False, False]),
 ], ids=["continue", "if-else-returns"])
-def test_an_if_chain_branch_that_jumps_gets_no_break(code):
+def test_an_if_chain_branch_that_jumps_gets_no_break(code, breaks):
     out = convert_in_loop(code, "if-chain-to-switch")
     switch = next(n for n in walk(out) if isinstance(n, Switch))
-    assert [isinstance(case.body[-1], Break) for case in switch.cases] == [
-        "continue" not in code, "return" not in code, False]
+    assert [isinstance(case.body[-1], Break) for case in switch.cases] == breaks
 
 
 def test_a_switch_case_that_ends_in_continue_does_not_fall_through():

@@ -90,23 +90,25 @@ only when a rejection is raised. So the text is a nameless key (de Bruijn's
 nameless terms, used for hash-consing): a consistently renamed program,
 such as a record's rename variant, gets its original's text, while a
 renaming that captured a name resolves to other slots and gets another.
-Each distinct text is compiled once and kept, with the outcome memo of
-every program of that text, in a small LRU cache. The memo is keyed by fuel
-and by each argument's type and value, so a method run again on the same
-inputs (the original of a record, against each of its variants) is not
+The two programs compiled last are kept. A text is loaded once while any
+program of it is held, and its programs share one outcome memo, keyed by
+fuel and by each argument's type and value, so a method run again on the
+same inputs (the original of a record, against each of its variants) is not
 re-executed. A run-time rejection is memoised as its site number and raised
 with the spans and names of the program that asks. check_equivalence does
 not run the second method on a trial where the first ran out of fuel, as
-there is nothing to compare. It takes each trial's arguments from a small
-module cache keyed by (parameter types, seed, trials), filled from
-generate_args, so the checks of a record's variants, which share the
-original's parameter types, share one draw. The vectors are tuples, so no
-caller can alter a later check's arguments.
+there is nothing to compare. The last four draws of trial arguments are
+kept, keyed by (parameter types, seed, trials), so the checks of a record's
+variants, which share the original's parameter types, share the draw that
+generate_args gives. The vectors are tuples, so no caller can alter a later
+check's arguments.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+import weakref
 from typing import NamedTuple, Optional, Union
 
 from .errors import UnsupportedForEvaluation
@@ -340,17 +342,14 @@ def _assignable(want: str, found: str) -> bool:
 
 
 class _Program:
-    """A compiled method and the same-file methods it calls: the text, the
-    (node, detail) of each rejection site the text numbers (for a method's
-    closing brace, its Span) and, once loaded, the text's top function and
-    outcome memo, which every program of the same text shares. The memo
-    maps (fuel, (type, value) per argument) to an outcome or to a
-    rejection's (site, detail)."""
+    """A compiled method and the same-file methods it calls: the text and
+    the (node, detail) of each rejection site the text numbers (for a
+    method's closing brace, its Span). Once loaded, it holds its text's
+    _Loaded and, for a run to read at once, that one's top function and
+    outcome memo, which every program of the same text shares."""
 
     def __init__(self, text: str, sites: list):
         self.text, self.sites = text, sites
-        self.top = None
-        self.outcomes: dict[tuple, object] = {}
 
 
 class _E(NamedTuple):
@@ -858,7 +857,7 @@ class _Compiler:
         """The slot an assignment sets, and its value. A local that may be
         unset may be assigned, as in Java (JLS 6.3, ch. 16)."""
         if not isinstance(e.target, Name):
-            raise UnsupportedForEvaluation(e.span, "compound assignment target")
+            raise UnsupportedForEvaluation(e.span, "field access")
         value = self.expr(e.value)
         slot = self.resolve(e, e.target.id)
         return slot, self.expect(value, self.types[slot], e.value)
@@ -1065,56 +1064,34 @@ def _in_range(op: str, right: _E, result: str) -> str:
     return f"{low}{result}{high}"
 
 
-# text -> (its top function, the outcome memo of its programs), least
-# recently used first. A record compiles two texts, as its rename variant
-# has the original's and its both variant the structure variant's; a larger
-# cache would hit only across records, and costs memory.
-_CODE: dict[str, tuple] = {}
-_CODE_SIZE = 2
+class _Loaded:
+    """A loaded text: the namespace its functions live in, its top function
+    and the outcome memo of its programs, which maps (fuel, (type, value)
+    per argument) to an outcome or to a rejection's (site, detail). The
+    text's programs hold it. The namespace holds the functions and is their
+    `__globals__`, a reference cycle, so it is emptied when the last
+    program goes, and the functions are freed without the cyclic
+    collector."""
+
+    def __init__(self, namespace: dict):
+        self.namespace, self.top, self.outcomes = namespace, namespace["m0"], {}
+
+    def __del__(self):
+        self.namespace.clear()
 
 
-def _lru(cache: dict, size: int, key, make, *args, evict=None):
-    """cache[key], made by make(*args) when missing; `cache` keeps the `size`
-    keys used last, least recently used first, and hands an entry it drops
-    to `evict`."""
-    entry = cache.pop(key, None)  # put back below as the most recent
-    if entry is None:
-        entry = make(*args)
-        if len(cache) >= size:
-            dropped = cache.pop(next(iter(cache)))
-            if evict is not None:
-                evict(dropped)
-    cache[key] = entry
-    return entry
+# text -> its _Loaded, while a program of the text is held: a record's
+# rename variant, compiled while its original is held, shares the original's.
+_CODE = weakref.WeakValueDictionary()
 
 
-def _load(text: str) -> tuple:
-    """The top function `text` defines, and an empty outcome memo. The text
-    finds what it calls (VOID, _oof, _add, _<builtin>, ...) among this
-    module's globals; its own names (m0, T0, ...) go into a copy of them."""
+def _load(text: str) -> _Loaded:
+    """The loaded form of `text`. The text finds what it calls (VOID, _oof,
+    _add, _<builtin>, ...) among this module's globals; its own names (m0,
+    T0, ...) go into a copy of them."""
     namespace = dict(globals())
     exec(compile(text, "<vmorph oracle>", "exec"), namespace)
-    return namespace["m0"], {}
-
-
-def _release(top) -> None:
-    """Empty the namespace of a loaded text once nothing can run its `top`:
-    the text has left _CODE and no _COMPILED entry holds `top`. The
-    namespace holds the text's functions and is their `__globals__`, so
-    until then they are a reference cycle, which only the cyclic collector
-    would free. Emptying it while an entry still holds `top` would make a
-    later evaluate fail."""
-    if top is not None and all(entry[0] is not top for entry in _CODE.values()) and all(
-            getattr(entry[2], "top", None) is not top for entry in _COMPILED.values()):
-        top.__globals__.clear()
-
-
-def _drop_code(entry: tuple) -> None:
-    _release(entry[0])
-
-
-def _drop_compiled(entry: tuple) -> None:
-    _release(getattr(entry[2], "top", None))
+    return _Loaded(namespace)
 
 
 # (id(method), id(context)) -> (method, context, _Program or the rejection),
@@ -1124,22 +1101,33 @@ _COMPILED_SIZE = 2  # a trial evaluates the original and then the variant
 
 
 def _compile(m: MethodDecl, context: SourceFile | None) -> _Program:
-    entry = _lru(_COMPILED, _COMPILED_SIZE, (id(m), id(context)), _compile_entry, m, context,
-                 evict=_drop_compiled)
+    key = (id(m), id(context))
+    entry = _COMPILED.pop(key, None)  # put back below as the most recent
+    if entry is None:
+        # Compiled before the oldest entry goes, so a text that entry's
+        # program holds is still found: a record's both variant has the text
+        # of the structure variant checked before it.
+        entry = m, context, _compile_entry(m, context)
+        if len(_COMPILED) >= _COMPILED_SIZE:
+            del _COMPILED[next(iter(_COMPILED))]
+    _COMPILED[key] = entry
     if isinstance(entry[2], UnsupportedForEvaluation):
         raise UnsupportedForEvaluation(entry[2].span, entry[2].detail)  # a fresh copy
     return entry[2]
 
 
-def _compile_entry(m: MethodDecl, context: SourceFile | None) -> tuple:
+def _compile_entry(m: MethodDecl,
+                   context: SourceFile | None) -> _Program | UnsupportedForEvaluation:
     """The program of m, loaded, or the rejection."""
     try:
         program = _Compiler(context).compile(m)
     except UnsupportedForEvaluation as exc:
-        return m, context, exc
-    program.top, program.outcomes = _lru(_CODE, _CODE_SIZE, program.text, _load, program.text,
-                                         evict=_drop_code)
-    return m, context, program
+        return exc
+    loaded = _CODE.get(program.text)
+    if loaded is None:
+        loaded = _CODE[program.text] = _load(program.text)
+    program.loaded, program.top, program.outcomes = loaded, loaded.top, loaded.outcomes
+    return program
 
 
 def ensure_supported(m: MethodDecl, context: SourceFile | None = None) -> None:
@@ -1216,24 +1204,19 @@ def _gen_value(type_name: str, rng: random.Random):
 
 
 def generate_args(params, seed: int, trial: int) -> list:
+    return list(_draw(tuple(p.type_name for p in params), seed, trial))
+
+
+def _draw(types: tuple, seed: int, trial: int) -> tuple:
     rng = random.Random(seed * 1_000_003 + trial)
-    return [_gen_value(p.type_name, rng) for p in params]
+    return tuple(_gen_value(t, rng) for t in types)
 
 
-# (parameter type names, seed, trials) -> each trial's arguments as a tuple,
-# least recently used first. The methods of a record share their parameter
-# types, so its checks draw the arguments once.
-_TRIAL_ARGS: dict[tuple, tuple] = {}
-_TRIAL_ARGS_SIZE = 4
-
-
-def _trial_args(params, seed: int, trials: int) -> tuple:
-    return _lru(_TRIAL_ARGS, _TRIAL_ARGS_SIZE, (tuple(p.type_name for p in params), seed, trials),
-                _draw_args, params, seed, trials)
-
-
-def _draw_args(params, seed: int, trials: int) -> tuple:
-    return tuple(tuple(generate_args(params, seed, t)) for t in range(trials))
+@functools.lru_cache(maxsize=4)
+def _trial_args(types: tuple, seed: int, trials: int) -> tuple:
+    """Each trial's arguments. The methods of a record share their
+    parameter types, so its checks draw the arguments once."""
+    return tuple(_draw(types, seed, t) for t in range(trials))
 
 
 def check_equivalence(
@@ -1263,7 +1246,7 @@ def check_equivalence(
     ensure_supported(m2, context2)
 
     saw_fuel = False
-    for args in _trial_args(m1.params, seed, trials):
+    for args in _trial_args(tuple(p.type_name for p in m1.params), seed, trials):
         o1 = evaluate(m1, args, fuel, context1)
         if isinstance(o1, OutOfFuel):  # nothing to compare m2 with
             saw_fuel = True

@@ -367,8 +367,6 @@ def _switch_to_if_chain(stmt: Switch) -> Stmt:
             for l in case.labels:
                 assert isinstance(l, Literal)
                 label_kinds.add(l.kind)
-    if label_kinds - {"int", "string"}:
-        raise NotApplicable("non-literal-guards")
     if len(label_kinds) > 1:
         raise NotApplicable("mixed-label-types")
 

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -1260,7 +1261,7 @@ def test_a_record_loads_two_oracle_texts(lexicon, tmp_path, monkeypatch):
 
     loads, load = [], interp._load
     monkeypatch.setattr(interp, "_COMPILED", {})
-    monkeypatch.setattr(interp, "_CODE", {})
+    monkeypatch.setattr(interp, "_CODE", weakref.WeakValueDictionary())
     monkeypatch.setattr(interp, "_load", lambda text: loads.append(text) or load(text))
     record = load_record(gen.WORKLOADS["fuel-bound"](1)[0].write(tmp_path / "in"))
     manifest = generate_variants([record], lexicon, tmp_path / "out", seed=1)

@@ -297,7 +297,7 @@ def test_deep_recursion_runs_at_the_default_recursion_limit(monkeypatch):
     monkeypatch.setattr(interp, "_abs", lambda a: limits.append(sys.getrecursionlimit())
                         or math_abs(a))
     monkeypatch.setattr(interp, "_COMPILED", {})  # compile against the patched _abs
-    monkeypatch.setattr(interp, "_CODE", {})
+    monkeypatch.setattr(interp, "_CODE", weakref.WeakValueDictionary())
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # as in a fresh process
     try:
@@ -544,7 +544,7 @@ def _top_runs(monkeypatch):
     so no earlier test's memo is shared."""
     runs, run = {}, interp._run
     monkeypatch.setattr(interp, "_COMPILED", {})
-    monkeypatch.setattr(interp, "_CODE", {})
+    monkeypatch.setattr(interp, "_CODE", weakref.WeakValueDictionary())
 
     def counting_run(program, args, fuel):
         runs[program] = runs.get(program, 0) + 1
@@ -646,7 +646,7 @@ def test_a_wrapped_evaluate_sees_every_trial(monkeypatch):
 
 
 def test_trial_arguments_are_the_draws_of_generate_args(monkeypatch):
-    monkeypatch.setattr(interp, "_TRIAL_ARGS", {})
+    interp._trial_args.cache_clear()
     m, ast = method_named(
         "class A { static int f(int a, boolean b, String s) { return a; } }", "f")
     calls = _spy_on_evaluate(monkeypatch)
@@ -666,7 +666,7 @@ ORDER_SRC = f"""class A {{
 }}"""
 
 
-def test_verdicts_do_not_depend_on_check_order_or_the_argument_cache(monkeypatch):
+def test_verdicts_do_not_depend_on_check_order_or_the_argument_cache():
     """Checks sharing one draw (equivalent, diverged, inconclusive under a
     small fuel) give the same verdicts in every order, from a cold or a warm
     argument cache; a counterexample handed out does not alter a later check."""
@@ -688,12 +688,12 @@ def test_verdicts_do_not_depend_on_check_order_or_the_argument_cache(monkeypatch
             out[name] = verdict.to_json_dict()
         return out
 
-    monkeypatch.setattr(interp, "_TRIAL_ARGS", {})
+    interp._trial_args.cache_clear()
     reference = verdicts(list(checks))
     assert [v["verdict"] for v in reference.values()] == [
         "equivalent", "diverged", "inconclusive", "diverged"]
     for order in itertools.permutations(checks):
-        monkeypatch.setattr(interp, "_TRIAL_ARGS", {})
+        interp._trial_args.cache_clear()
         assert verdicts(order) == reference  # cold
         assert verdicts(order) == reference  # warm
 
@@ -1046,6 +1046,22 @@ def test_a_leaf_that_does_not_compile_rejects_where_it_did(name, where, detail):
         ensure_supported(m, ast)
     assert ((exc.value.span.start_line, exc.value.span.start_col), exc.value.detail) == (
         where, detail)
+
+
+@pytest.mark.parametrize("body, where, detail", [
+    ("A.x = 1; return 0;", (36, 42), "field access"),
+    ("this.x = 1; return 0;", (36, 45), "field access"),
+    ("s.x = 1; return 0;", (36, 42), "field access"),
+    ("break;", (36, 41), "break/continue escaped the method"),
+    ("continue;", (36, 44), "break/continue escaped the method"),
+], ids=["static-field", "this-field", "receiver-field", "break", "continue"])
+def test_a_statement_outside_the_subset_is_rejected_at_its_span(body, where, detail):
+    m, ast = method_named(f"class A {{ static int f(String s) {{ {body} }} }}", "f")
+    with pytest.raises(UnsupportedForEvaluation) as exc:
+        ensure_supported(m, ast)
+    span = exc.value.span
+    assert ((span.start_line, span.start_col, span.end_line, span.end_col), exc.value.detail) == (
+        (1, where[0], 1, where[1]), detail)
 
 
 def test_a_hot_loop_does_not_call_its_leaf():
@@ -1452,25 +1468,35 @@ def test_a_case_after_a_jump_is_reachable():
 
 def test_a_program_is_freed_once_nothing_can_run_it(monkeypatch):
     """A loaded text's functions and the namespace that holds them are a
-    reference cycle; once the text has left the code cache and no compiled
-    entry holds its top function, the cycle is broken, so the program is
-    freed without the cyclic collector, and not before."""
+    reference cycle; once the last program of the text has left the compile
+    cache, the cycle is broken, so the program is freed without the cyclic
+    collector, and not before."""
     monkeypatch.setattr(interp, "_COMPILED", {})
-    monkeypatch.setattr(interp, "_CODE", {})
+    monkeypatch.setattr(interp, "_CODE", weakref.WeakValueDictionary())
     a, b, c, d, e = (method_named(
         f"class A {{ static int f(int n) {{ return Math.abs(n) + {k}; }} }}", "f") for k in range(5))
     gc.disable()
     try:
         top = weakref.ref(interp._compile(*a).top)
         ensure_supported(*b)
-        ensure_supported(*a)  # a's entry is now the most recent, its text is not
-        ensure_supported(*c)  # a's text leaves the code cache, a's entry stays
-        assert evaluate(a[0], [-1], context=a[1]) == Returned(1) and top() is not None
-        ensure_supported(*d)
+        ensure_supported(*a)  # a's entry is now the most recent
+        ensure_supported(*c)  # b's entry leaves, a's stays
+        assert evaluate(a[0], [-1], context=a[1]) == Returned(1)
+        ensure_supported(*d)  # c's entry leaves
+        assert top() is not None
         ensure_supported(*e)  # a's entry leaves too
         assert top() is None
     finally:
         gc.enable()
+
+
+def test_a_held_program_runs_after_it_leaves_the_caches():
+    m, ast = method_named("class A { static int f(int n) { return Math.abs(n); } }", "f")
+    program = interp._compile(m, ast)
+    for k in range(1, 4):
+        ensure_supported(*method_named(
+            f"class A {{ static int f(int n) {{ return Math.abs(n) + {k}; }} }}", "f"))
+    assert interp._run(program, [-1], DEFAULT_FUEL) == Returned(1)
 
 
 @pytest.mark.parametrize("result, body, args, expected", [

@@ -14,7 +14,7 @@ are compiled once into Python source, one function per method, which is the
 interpreter partially evaluated on the program (Futamura, "Partial Evaluation
 of Computation Process", 1971). Compiling rejects, on every path:
 parameter, local and return types other than int/boolean/String (a return
-type may be void), throw, new, field access, assignment to a non-name,
+type may be void), throw, new, field access (an assigned field too),
 names that denote no parameter or local (static fields among them), calls
 that resolve to no builtin or same-file method, unknown receivers,
 break/continue outside a loop or switch, a statement that follows one that

@@ -1491,6 +1491,8 @@ def test_a_program_is_freed_once_nothing_can_run_it(monkeypatch):
 
 
 def test_a_held_program_runs_after_it_leaves_the_caches():
+    """A program holds its loaded text, so one that a caller holds still
+    runs after newer compiles push it out of the compile cache."""
     m, ast = method_named("class A { static int f(int n) { return Math.abs(n); } }", "f")
     program = interp._compile(m, ast)
     for k in range(1, 4):

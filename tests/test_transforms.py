@@ -355,10 +355,11 @@ def test_a_conditional_site_is_refused(code, reason):
     ("switch (k) { case 1: default: r = 1; }", "mixed-default-labels"),
     ('switch (k) { case 1: r = 1; break; case "a": r = 2; }', "mixed-label-types"),
     ("switch (k) { default: r = 1; }", "no-value-cases"),
+    ("switch (k) { default: }", "no-value-cases"),
     ("if (k == 1) { r = 1; } else if (k > 2) { r = 2; }", "non-literal-guards"),
     ("if (k == 1) { r = 1; } else if (r == 2) { r = 2; }", "non-literal-guards"),
 ], ids=["empty-switch", "mixed-default-labels", "mixed-label-types", "no-value-cases",
-        "comparison-guard", "other-scrutinee"])
+        "empty-default", "comparison-guard", "other-scrutinee"])
 def test_a_refused_conditional_is_reported_at_its_site(code, reason):
     ast = parse(f"class W {{ static int f(int k) {{ int r = 0; {code} return r; }} }}")
     m = ast.types[0].methods[0]

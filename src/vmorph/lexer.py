@@ -8,6 +8,14 @@ STRING tokens also have a decoded value, kept by index in `values`.
 Comments are kept apart, each with the index of the code token it precedes,
 so the parser never meets one.
 
+Equal token texts of one file are one `str` object: `tokenize` passes the
+texts through a dict of the spellings it has met. The parser fills node
+fields (names, called methods, type names, operators, modifiers) straight
+from `texts`, so a parsed file keeps one copy of each spelling, not one per
+token: a project's files hold far fewer spellings than tokens. The dict is a
+local, freed when `tokenize` returns; `sys.intern` would instead add every
+spelling to one interpreter-wide table, which does not give its memory back.
+
 Line and column are not stored per token. Only a span or an error message
 needs them, and `position(line_starts, offset)` finds them by bisecting the
 offsets at which lines start. Lines are counted by LF alone.
@@ -114,6 +122,8 @@ def tokenize(text: str, file: str = "<input>") -> Tokens:
     """
     pieces = _TOKEN.findall(text)
     raw = list(map(str.lstrip, pieces, repeat(_WHITESPACE)))
+    spelled: dict[str, str] = {}  # one str per spelling, see the module docstring
+    raw = list(map(spelled.setdefault, raw, raw))
     starts = list(map(sub, accumulate(map(len, pieces)), map(len, raw)))  # end - length
     kinds = list(map(_FIXED.get, raw, map(_LEAD.get, map(itemgetter(0), raw))))
     lines = text.split("\n")

@@ -404,9 +404,21 @@ class _Parser:
         if decl is not None:
             self.expect(";")
             return LocalVarDecl(*decl, comments, self.lines, self.pos_from(start))
-        expr = self.expression()
+        expr = self.statement_expression()
         self.expect(";")
         return ExprStmt(expr, comments, self.lines, self.pos_from(start))
+
+    def statement_expression(self) -> Expr:
+        """An expression that may stand as a statement, a for-init or a
+        for-update (JLS 14.8): an assignment, a call or an instance creation,
+        not in parentheses. Only the node of a parenthesised expression
+        starts after the expression's first token."""
+        start = self.pos
+        expr = self.expression()
+        if (not isinstance(expr, (Assign, Call, New))
+                or expr._pos >> POS_BITS != self.starts[start]):
+            raise JavaSyntaxError(expr.span, "not a statement")
+        return expr
 
     def local_decl(self) -> tuple[str, tuple[Declarator, ...]] | None:
         """The type and declarators of a local declaration, up to its `;`;
@@ -472,7 +484,7 @@ class _Parser:
         self.expect(";")
         cond = None if self.at(";") else self.expression()
         self.expect(";")
-        update = None if self.at(")") else self.expression()
+        update = None if self.at(")") else self.statement_expression()
         self.expect(")")
         body = self.block()
         return For(init, cond, update, body, comments, self.lines, self.pos_from(start))
@@ -482,7 +494,7 @@ class _Parser:
         decl = self.local_decl()
         if decl is not None:
             return LocalVarDecl(*decl, (), self.lines, self.pos_from(start))
-        expr = self.expression()
+        expr = self.statement_expression()
         return ExprStmt(expr, (), self.lines, self.pos_from(start))
 
     def switch_stmt(self, comments) -> Switch:

@@ -29,7 +29,7 @@ from vmorph.interp import (
     is_supported,
     outcome_to_json,
 )
-from vmorph.nodes import INT_MAX
+from vmorph.nodes import INT_MAX, Binary, evolve
 from vmorph.parser import parse
 from vmorph.printer import print_stmt
 from vmorph.transforms import TransformRule, apply_all, apply_rule
@@ -1464,6 +1464,63 @@ def test_a_case_after_a_jump_is_reachable():
                           "return x; } }", "f")
     assert [evaluate(m, [n], context=ast) for n in (0, 1, 2)] == [
         Returned(1), Returned(3), Returned(4)]
+
+
+# The oracle's compile-time rejections that no other test reaches: each with
+# its detail and the column its span starts at.
+@pytest.mark.parametrize("src, detail, at", [
+    ("class A { static long f(int n) { return n; } }", "return type 'long'", "static long"),
+    ("class A { static int f(int n) { return g(n, n); } static int g(int a) { return a; } }",
+     "argument arity mismatch", "static int g"),
+    ("class A { static int f(int n) { long x = n; return n; } }",
+     "local variable type 'long'", "long x"),
+    ("class A { static int f(int n) { var x = null; return n; } }",
+     "cannot infer a type for 'x' from <null>", "null"),
+    ("class A { static int f(int n) { var x = v(); return n; } static void v() { } }",
+     "cannot infer a type for 'x' from void", "v()"),
+    ("class A { static void f(int n) { return 1; } }",
+     "incompatible types: unexpected return value", "1;"),
+    ('class A { static int f(boolean c) { var s = c ? 1 : "a"; return 0; } }',
+     "bad operand types for ?: int and String", "c ?"),
+    ("class A { static int f(int n) { return Math.min(1); } }", "Math.min/1", "Math"),
+    ("class A { static int f(int n) { return Math.floorMod(1, 2); } }", "Math.floorMod/2", "Math"),
+    ("class A { static int f(int x) { return x.length(); } }", "int cannot be dereferenced",
+     "x.length"),
+    # The leaf is not inlined, so the callee's own compile rejects it.
+    ("class A { static int f(int n) { return g(n); } static int g(int x) { return x > 0; } }",
+     "incompatible types: boolean cannot be converted to int", "x > 0"),
+], ids=["return-type", "call-arity", "local-type", "var-null", "var-void", "void-return",
+        "ternary", "min-arity", "floorMod", "int-receiver", "leaf-type"])
+def test_a_compile_rejection_names_its_reason_and_place(src, detail, at):
+    m, ast = method_named(src, "f")
+    with pytest.raises(UnsupportedForEvaluation) as exc:
+        ensure_supported(m, ast)
+    assert (exc.value.detail, exc.value.span.start_col) == (detail, src.index(at) + 1)
+
+
+def test_an_operator_outside_the_subset_is_rejected():
+    """The parser makes no such Binary, but a caller of the API can build one."""
+    m, ast = method_named("class A { static int f(int n) { return n + n; } }", "f")
+    ret = m.body.stmts[0]
+    xor = Binary("^", ret.value.left, ret.value.right, ret.value.span)
+    m = evolve(m, body=evolve(m.body, stmts=(evolve(ret, value=xor),)))
+    with pytest.raises(UnsupportedForEvaluation) as exc:
+        ensure_supported(m, ast)
+    assert (exc.value.detail, exc.value.span.start_col) == ("operator ^", 40)
+
+
+def test_the_entry_points_reject_arguments_that_do_not_fit():
+    m, ast = method_named("class A { static int f(int n) { return n; } }", "f")
+    with pytest.raises(UnsupportedForEvaluation) as exc:
+        evaluate(m, [1, 2], context=ast)
+    assert (exc.value.detail, exc.value.span.start_col) == ("argument arity mismatch", 11)
+    other, other_ast = method_named("class A { static int f(boolean n) { return 1; } }", "f")
+    with pytest.raises(UnsupportedForEvaluation) as exc:
+        check_equivalence(m, other, context1=ast, context2=other_ast)
+    assert (exc.value.detail, exc.value.span.start_col) == ("parameter type mismatch", 24)
+    wide, _ = method_named("class A { static int f(long n) { return 1; } }", "f")
+    with pytest.raises(ValueError, match="no argument generator for type 'long'"):
+        generate_args(wide.params, 0, 0)
 
 
 def test_a_program_is_freed_once_nothing_can_run_it(monkeypatch):

@@ -6,6 +6,7 @@ counted.
 """
 
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 import vmorph.parser
 from vmorph.errors import VmorphError
 from vmorph.lexer import COMMENT, EOF, IDENT, Tokens, position, tokenize
-from vmorph.nodes import walk
+from vmorph.nodes import Binary, walk
 from vmorph.parser import parse
 from vmorph.printer import print_source
 
@@ -173,3 +174,33 @@ def test_an_octal_case_label_is_refused():
 @pytest.mark.parametrize("literal, value", [("0", 0), ("00", 0), ("007", 7), ("10", 10)])
 def test_an_int_literal_that_octal_reads_the_same_lexes(literal, value):
     assert list(tokenize(f"x = {literal};").values.values()) == [value]
+
+
+# Fields the parser fills with one token's text. A dotted name is assembled
+# from several tokens, so it is a new string each time and is left out.
+SPELLED_FIELDS = ("id", "method", "name", "type_name", "return_type")
+
+
+def _spellings(tree):
+    """Every token text a parsed tree keeps in a node field: names, called
+    methods, type names, Binary operators and modifiers."""
+    for node in walk(tree):
+        for field in SPELLED_FIELDS:
+            value = getattr(node, field, None)
+            if isinstance(value, str) and "." not in value:
+                yield value
+        if isinstance(node, Binary):
+            yield node.op
+        yield from getattr(node, "modifiers", ())
+
+
+def test_equal_token_texts_of_one_file_are_one_string():
+    repeated = 0  # spellings met more than once; Python shares 1-character ones anyway
+    for path in sorted(FIXTURES.rglob("*.java")):
+        text = path.read_text()
+        for texts in (tokenize(text).texts, list(_spellings(parse(text)))):
+            first: dict[str, str] = {}
+            for spelling in texts:
+                assert first.setdefault(spelling, spelling) is spelling, (path.name, spelling)
+            repeated += sum(n > 1 for s, n in Counter(texts).items() if len(s) > 1)
+    assert repeated > 100

@@ -117,6 +117,75 @@ def test_an_error_at_the_end_names_the_end_of_input(source, message):
     assert str(exc.value) == message
 
 
+# javac takes only an assignment, a call or an instance creation as a
+# statement, a for-init or a for-update (JLS 14.8, 14.14.1).
+@pytest.mark.parametrize("code, expr", [
+    ("i < n;", "i < n"),
+    ("x;", "x;"),
+    ("a + b;", "a + b"),
+    ("a.f;", "a.f"),
+    ("(x);", "x)"),
+    ("(x = 1);", "x = 1"),
+    ("(g());", "g()"),
+    ("-x;", "-x"),
+    ("for (i < n; ; ) { }", "i < n"),
+    ("for (; ; i + 1) { }", "i + 1"),
+    ("for (; ; (i = i + 1)) { }", "i = i + 1"),
+], ids=["comparison", "name", "sum", "field", "parenthesised", "parenthesised-assignment",
+        "parenthesised-call", "negation", "for-init", "for-update", "parenthesised-for-update"])
+def test_an_expression_that_is_not_a_statement_is_a_syntax_error(code, expr):
+    source = f"class A {{ void f(int i, int n, int x, int a, int b) {{ {code} }} }}"
+    with pytest.raises(JavaSyntaxError) as exc:
+        parse(source)
+    assert str(exc.value) == f"<input>:1:{source.index(expr) + 1}: not a statement"
+
+
+@pytest.mark.parametrize("code", ["(a).f();", "(a) = 1;", "((a)).f = g(1);", "new A();",
+                                  "for (i = 0; i < n; i = i + 1) { }"])
+def test_a_statement_expression_that_starts_with_a_parenthesis_parses(code):
+    tree = parse(f"class A {{ void f(int i, int n, A a) {{ {code} }} }}")
+    assert parse(print_source(tree)) == tree
+
+
+# The front end's rejections that no other test reaches, with the class,
+# the message and the place of each.
+@pytest.mark.parametrize("source, error, message", [
+    ("public public class A {}", JavaSyntaxError, "1:8: duplicate modifier 'public'"),
+    ("class A<T> {}", UnsupportedConstruct,
+     "1:8: unsupported construct: generic type declaration"),
+    ("class A extends B {}", UnsupportedConstruct, "1:9: unsupported construct: 'extends' clause"),
+    ("class A { void f(void p) {} }", JavaSyntaxError,
+     "1:18: 'void' is only valid as a return type"),
+    ("class A { void f(var p) {} }", JavaSyntaxError,
+     "1:18: 'var' is only valid for initialized local variables"),
+    ("class A { void f() { @Foo g(); } }", UnsupportedConstruct,
+     "1:22: unsupported construct: annotation"),
+    ("class A { void f() { x = @Foo y; } }", UnsupportedConstruct,
+     "1:26: unsupported construct: annotation"),
+    ("class A { void f() { x = (a) -> b; } }", UnsupportedConstruct,
+     "1:30: unsupported construct: lambda expression"),
+    ("class A { void f() { x = new ArrayList<String>(); } }", UnsupportedConstruct,
+     "1:39: unsupported construct: generic type"),
+    ("class A { void f(int x) { switch (x) { default: break; default: break; } } }",
+     JavaSyntaxError, "1:65: duplicate default label"),
+    ("class A { void f(int x) { switch (x) { g(); } } }", JavaSyntaxError,
+     "1:40: expected 'case' or 'default'"),
+    ("class A { void f(int x, int y) { switch (x) { case y: break; } } }", JavaSyntaxError,
+     "1:52: case labels must be integer or string literals"),
+    ("class A { void f(int x) { switch (x) {", JavaSyntaxError, "1:39: unterminated switch"),
+    ("class A { void f(int x) { switch (x) { case 1: g();", JavaSyntaxError,
+     "1:52: unterminated switch"),
+    ("class A { void f() { g() = 1; } }", JavaSyntaxError, "1:26: invalid assignment target"),
+], ids=["duplicate-modifier", "generic-class", "extends", "void-parameter", "var-parameter",
+        "annotated-statement", "annotated-expression", "lambda", "generic-new",
+        "duplicate-default", "no-label", "name-label", "switch-cut-before-a-case",
+        "switch-cut-in-a-case", "call-target"])
+def test_a_front_end_rejection_names_its_reason_and_place(source, error, message):
+    with pytest.raises(VmorphError) as exc:
+        parse(source)
+    assert (type(exc.value), str(exc.value)) == (error, f"<input>:{message}")
+
+
 def test_syntax_error_carries_span():
     with pytest.raises(JavaSyntaxError) as exc:
         parse("class A {\n  void f() {\n    if (x) a();\n  }\n}")

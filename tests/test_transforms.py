@@ -10,7 +10,7 @@ from vmorph.interp import EQUIVALENT, Returned, check_equivalence, evaluate, is_
 from vmorph.nodes import (Block, Break, Declarator, If, LocalVarDecl, Switch, SwitchCase, Ternary,
                           While, jumps, structurally_equal, walk)
 from vmorph.parser import parse
-from vmorph.printer import print_expr, print_method, print_stmt
+from vmorph.printer import print_expr, print_method, print_source, print_stmt
 from vmorph.transforms import (
     EXTRACT,
     INLINE,
@@ -157,6 +157,23 @@ def test_for_while_for_round_trip_modulo_scoping_block():
     expected = stmt_of("for (; i < n; ) { mark(i); i = i + 1; }")
     assert structurally_equal(back, expected)
     assert structurally_equal(init, stmt_of("int i = 0;"))
+
+
+def test_an_expression_for_init_and_a_final_parameter_pass_print_loop_convert_and_the_oracle():
+    ast = parse("class W { static int f(final int n) { int s = 0; int i; "
+                "for (i = 0; i < 3; i = i + 1) { s = s + n; } return s + i; } }")
+    printed = print_source(ast)
+    assert "static int f(final int n) {" in printed
+    assert "for (i = 0; i < 3; i = i + 1) {" in printed
+    assert structurally_equal(parse(printed), ast)
+    m = ast.types[0].methods[0]
+    out, report = apply_rule(m, TransformRule.LOOP_CONVERT, context=ast)
+    assert [d for _, _, d in report.applied] == ["for-to-while"]
+    text = "class W {\n" + print_method(out, 1) + "}\n"
+    assert structurally_equal(parse(text).types[0].methods[0], out)
+    assert "        {\n            i = 0;\n            while (i < 3) {\n" in text
+    assert evaluate(out, [2], context=ast) == Returned(9)
+    assert check_equivalence(m, out, context1=ast, context2=ast).verdict == EQUIVALENT
 
 
 # ---------------------------------------------------------------------------

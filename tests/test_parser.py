@@ -140,10 +140,9 @@ def test_an_expression_that_is_not_a_statement_is_a_syntax_error(code, expr):
     assert str(exc.value) == f"<input>:1:{source.index(expr) + 1}: not a statement"
 
 
-@pytest.mark.parametrize("code", ["(a).f();", "(a) = 1;", "((a)).f = g(1);", "new A();",
-                                  "for (i = 0; i < n; i = i + 1) { }"])
+@pytest.mark.parametrize("code", ["(a).f();", "(a) = 1;", "((a)).f = g(1);"])
 def test_a_statement_expression_that_starts_with_a_parenthesis_parses(code):
-    tree = parse(f"class A {{ void f(int i, int n, A a) {{ {code} }} }}")
+    tree = parse(f"class A {{ void f(A a) {{ {code} }} }}")
     assert parse(print_source(tree)) == tree
 
 

@@ -1254,6 +1254,51 @@ def test_oracle_outcomes_match_golden():
 
 
 # ---------------------------------------------------------------------------
+# Division and remainder, and the String operations that throw on null
+# ---------------------------------------------------------------------------
+
+NPE = {"threw": "NullPointerException"}
+# (x, y) -> the outcome and least fuel of `int r = x / y; return r;`, then of
+# the same with %. Java's / rounds toward zero, % takes the dividend's sign,
+# INT_MIN / -1 wraps to INT_MIN, and a zero divisor throws (JLS 15.17.2-3).
+DIVISION_PINS = {
+    (7, 2): (({"returned": 3}, 2), ({"returned": 1}, 2)),
+    (-7, 2): (({"returned": -3}, 2), ({"returned": -1}, 2)),
+    (7, -2): (({"returned": -3}, 2), ({"returned": 1}, 2)),
+    (-7, -2): (({"returned": 3}, 2), ({"returned": -1}, 2)),
+    (interp.INT_MIN, -1): (({"returned": interp.INT_MIN}, 2), ({"returned": 0}, 2)),
+    (interp.INT_MIN, 1): (({"returned": interp.INT_MIN}, 2), ({"returned": 0}, 2)),
+    (7, 0): ((ARITH, 1), (ARITH, 1)),
+    (-7, 0): ((ARITH, 1), (ARITH, 1)),
+    (0, 0): ((ARITH, 1), (ARITH, 1)),
+}
+
+
+@pytest.mark.parametrize("op", ["/", "%"])
+@pytest.mark.parametrize("shape", ["x {} y", "{x} {} y", "x {} {y}", "{x} {} {y}"],
+                         ids=["slots", "literal-left", "literal-right", "literals"])
+def test_division_and_remainder_keep_their_outcomes_and_least_fuel(op, shape):
+    """Each operand a parameter or a literal, on every pair of DIVISION_PINS."""
+    for (x, y), pins in DIVISION_PINS.items():
+        expr = shape.replace("{x}", str(x)).replace("{y}", str(y)).format(op)
+        m, ast = method_named(f"class A {{ static int f(int x, int y) {{ int r = {expr}; "
+                              "return r; } }", "f")
+        got = (_outcome_json(m, [x, y], DEFAULT_FUEL, ast), _least_fuel(m, [x, y], ast))
+        assert got == pins["/%".index(op)], (expr, x, y)
+
+
+@pytest.mark.parametrize("body, pins", [
+    ("return s.length();", [(NPE, 1), ({"returned": 0}, 1), ({"returned": 2}, 1)]),
+    ('int r = 0; switch (s) { case "ab": r = 1; break; default: r = 2; } return r;',
+     [(NPE, 2), ({"returned": 2}, 4), ({"returned": 1}, 5)]),
+], ids=["length", "switch"])
+def test_length_and_a_string_switch_throw_on_null(body, pins):
+    m, ast = method_named(f"class A {{ static int f(String s) {{ {body} }} }}", "f")
+    assert [(_outcome_json(m, [s], DEFAULT_FUEL, ast), _least_fuel(m, [s], ast))
+            for s in (None, "", "ab")] == pins
+
+
+# ---------------------------------------------------------------------------
 # Jumps the compiler writes on paths of their own: a continue that leaves a
 # switch (a flag tested after it), and a break, continue or return that
 # leaves a helper (a value its caller dispatches on). Each outcome is Java's,

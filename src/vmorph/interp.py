@@ -56,8 +56,9 @@ what the leaf does on entry, and then e runs, compiled in the leaf's scope.
 A leaf that is only reached this way is not emitted as a function. If e does
 not compile, the call stays a call, so the leaf rejects where it always
 did. A local that redeclares a name in scope is rejected, as javac rejects
-it (JLS 6.4). An operator evaluates each operand once, in Java order,
-through walrus temporaries where the operand is read again. A
+it (JLS 6.4). An operator evaluates each operand once, in Java order. An
+operation that can throw is one call of its runtime helper (_div, _mod,
+_length, _substring, ...), and the text holds no inline null or sign test. A
 switch is a one-pass `while True:` whose cases are `if start <= i:` blocks,
 so fall-through and break need nothing more; a continue that leaves a switch
 sets a flag tested after it. A for loop's update is repeated before each
@@ -231,10 +232,6 @@ def _fail(site):
     raise _Reject(site, None)
 
 
-def _npe():
-    raise _Stop(NULL_POINTER)
-
-
 def _wrap32(v: int) -> int:
     return (v + 2**31) % 2**32 - 2**31
 
@@ -262,13 +259,17 @@ def _div(a: int, b: int) -> int:
 
 
 def _mod(a: int, b: int) -> int:
-    return _wrap32(a - _div(a, b) * b)
+    """Java's %: the remainder takes the dividend's sign (JLS 15.17.3)."""
+    if b == 0:
+        raise _Stop(ARITHMETIC)
+    r = abs(a) % abs(b)
+    return -r if a < 0 else r
 
 
-# The builtins the compiler does not write inline: `_<builtin>`. The string
-# ones take the receiver first and check it for null on entry, after Python
-# has evaluated every argument (JLS 15.12.4); substring and concat then take
-# a site, where they can reject.
+# A builtin is a call of `_<builtin>`. The String ones take the receiver
+# first and check it for null on entry, after Python has evaluated every
+# argument (JLS 15.12.4); substring and concat then take a site, where they
+# can reject.
 _min, _max = min, max
 
 
@@ -281,6 +282,12 @@ def _deref(s: str | None) -> str:
     if s is None:
         raise _Stop(NULL_POINTER)
     return s
+
+
+def _length(s: str | None) -> int:
+    if s is None:
+        raise _Stop(NULL_POINTER)
+    return len(s)
 
 
 def _substring(s: str | None, site, begin: int, *end: int) -> str:
@@ -308,7 +315,7 @@ def _concat(s: str | None, site, other) -> str:
 # of `null`, and void, what a void method's call gives.
 _NULL = "<null>"
 _LITERAL_TYPES = {"int": "int", "boolean": "boolean", "string": "String", "null": _NULL}
-_DIVISION_PATHS = {"/": ("//", "_div"), "%": ("%", "_mod")}
+_DIVISION = {"/": "_div", "%": "_mod"}
 _COMPARISONS = frozenset({"<", "<=", ">", ">=", "==", "!="})
 # A counted loop's test -> the operator of its step, and the passes it makes
 # beyond the bound minus the counter (see _Compiler.trips).
@@ -316,7 +323,7 @@ _COUNTED = {"<": ("+", 0), "<=": ("+", 1), ">": ("-", 0), ">=": ("-", 1)}
 _ONE = Literal(1, "int")
 _LOGICAL = {"&&": "and", "||": "or"}
 _IDENTITY = {"==": "is", "!=": "is not"}
-_OPERATORS = frozenset({"+", "-", "*", *_DIVISION_PATHS, *_COMPARISONS, *_LOGICAL})
+_OPERATORS = frozenset({"+", "-", "*", *_DIVISION, *_COMPARISONS, *_LOGICAL})
 _REJECTED = {"Throw": "throw statement", "New": "object allocation", "FieldAccess": "field access"}
 
 # How deep the compiler nests one function's text before it moves the rest
@@ -358,15 +365,14 @@ class _E(NamedTuple):
     text: str
     type: str
     depth: int = 0  # parentheses nested in the text
-    pure: bool = False  # a literal, or a slot that cannot be unset: no effect, cannot raise
     writes: bool = False  # assigns a slot
     literal: tuple = ()  # (value,) for a literal
-    slot: int = 0  # the slot a pure slot read reads
+    slot: int = 0  # the slot read, for a read that needs no check
     call: str = ""  # a same-file call, `m<j>(..., F, D + 1)`, which gives (value, F)
 
 
-_TRUE = _E("True", "boolean", pure=True, literal=(True,))
-_ZERO = _E("0", "int", pure=True, literal=(0,))
+_TRUE = _E("True", "boolean", literal=(True,))
+_ZERO = _E("0", "int", literal=(0,))
 
 
 class _Target:
@@ -757,14 +763,10 @@ class _Compiler:
         default = len(stmts) if default is None else default
         table = f"T{len(self.tables)}"
         self.tables.append(f"{table} = {starts!r}\n")
-        start = self.temp()
-        if scrutinee.type == "int":
-            self.line(f"{start} = {table}.get({scrutinee.text}, {default})")
-        else:
-            first, again = self.operand(scrutinee)
-            self.stops = True
-            self.line(f"{start} = {table}.get({again}, {default}) if {first} is not None "
-                      "else _npe()")
+        start, value = self.temp(), scrutinee.text
+        if scrutinee.type == "String":  # a null scrutinee throws
+            self.stops, value = True, f"_deref({value})"
+        self.line(f"{start} = {table}.get({value}, {default})")
         # A statement runs when the switch starts at its case or an earlier
         # one: `if start <= i:` from each place a case can start.
         entries, base = {0, default, *starts.values()}, self.indent
@@ -832,24 +834,15 @@ class _Compiler:
         # Too deep to nest in another expression: a helper returns it.
         return _E(f"{self.helper([f'  return {x.text}'])}()", x.type, 1, writes=x.writes)
 
-    def operand(self, x: _E, later_writes: bool = False) -> tuple[str, str]:
-        """The text that evaluates x where Java does, and the text that reads
-        its value afterwards. A slot read is repeated unless something
-        evaluated in between may assign a slot."""
-        if x.pure and (x.literal or not later_writes):
-            return x.text, x.text
-        t = self.temp()
-        return f"({t} := {x.text})", t
-
     def e_Literal(self, e):
         v = e.value
         text = f"({v})" if type(v) is int and v < 0 else repr(v)
-        return _E(text, _LITERAL_TYPES[e.kind], 1, pure=True, literal=(v,))
+        return _E(text, _LITERAL_TYPES[e.kind], 1, literal=(v,))
 
     def e_Name(self, e):
         slot = self.resolve(e, e.id)
         if slot not in self.guarded:
-            return _E(f"v{slot}", self.types[slot], pure=True, slot=slot)
+            return _E(f"v{slot}", self.types[slot], slot=slot)
         site = self.site(e, f"unbound name {e.id!r}")
         return _E(f"(v{slot} if v{slot} is not _UNSET else _fail({site}))", self.types[slot], 2)
 
@@ -910,20 +903,9 @@ class _Compiler:
     def binary(self, op: str, left: _E, right: _E) -> _E:
         """An operator on two ints."""
         writes, depth = left.writes or right.writes, max(left.depth, right.depth) + _EXPR_STEP
-        if op in _DIVISION_PATHS:
-            py_op, path = _DIVISION_PATHS[op]
+        if op in _DIVISION:
             self.stops = self.stops or _is_int(right) in (None, 0)
-            lf, la = self.operand(left, right.writes)
-            rf, ra = self.operand(right)
-            # Python's // and % are Java's on a dividend >= 0 and a divisor > 0.
-            signs = [(left, f"{lf} >= 0", 0), (right, f"{rf} > 0", 1)]
-            if any(_is_int(x) is not None and _is_int(x) < low for x, _, low in signs):
-                return _E(f"{path}({left.text}, {right.text})", "int", depth, writes=writes)
-            tests = [test for x, test, _ in signs if _is_int(x) is None]
-            if len(tests) == 2 and not right.pure:  # `&` evaluates the right operand too
-                tests = [f"({tests[0]}) & ({tests[1]})"]
-            return _E(f"({la} {py_op} {ra} if {' and '.join(tests) or 'True'} else "
-                      f"{path}({la}, {ra}))", "int", depth, writes=writes)
+            return _E(f"{_DIVISION[op]}({left.text}, {right.text})", "int", depth, writes=writes)
         # Python evaluates the operands in Java order, and only a result past
         # the int range is left to fix: nothing is read again.
         value = f"{left.text} {op} {right.text}"
@@ -974,10 +956,6 @@ class _Compiler:
         if receiver.type != "String":
             raise UnsupportedForEvaluation(recv.span, f"{receiver.type} cannot be dereferenced")
         depth, writes = max(depth, receiver.depth + _EXPR_STEP), writes or receiver.writes
-        if method == "length":
-            first, again = self.operand(receiver)
-            return _E(f"(len({again}) if {first} is not None else _npe())", value, depth,
-                      writes=writes)
         at = f", {self.site(e, None)}" if method in ("substring", "concat") else ""
         return _E(f"_{method}({receiver.text}{at}{''.join(', ' + a.text for a in args)})",
                   value, depth, writes=writes)
@@ -1003,9 +981,9 @@ class _Compiler:
         Inline Substitution for a Structured Programming Language", CACM
         20(9), 1977): the arguments in order, then what m does on entry (the
         depth test, one unit of fuel for its return statement), then its e,
-        compiled in m's scope and class. A pure slot read stands in for its
-        parameter when no later argument and not e assign it; any other
-        argument is stored in a fresh slot. None when m is not a leaf, or e
+        compiled in m's scope and class. A read of a slot that needs no
+        check stands in for its parameter when no later argument and not e
+        assign it; any other argument is stored in a fresh slot. None when m is not a leaf, or e
         calls a same-file method, does not compile or is not of m's return
         type: the call then runs m, which rejects where it did."""
         e = self.leaf(m)
@@ -1087,7 +1065,7 @@ _CODE = weakref.WeakValueDictionary()
 
 def _load(text: str) -> _Loaded:
     """The loaded form of `text`. The text finds what it calls (VOID, _oof,
-    _add, _<builtin>, ...) among this module's globals; its own names (m0,
+    _div, _<builtin>, ...) among this module's globals; its own names (m0,
     T0, ...) go into a copy of them."""
     namespace = dict(globals())
     exec(compile(text, "<vmorph oracle>", "exec"), namespace)

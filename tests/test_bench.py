@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tokenize as py_tokenize
 import weakref
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from vmorph.bench import (
 )
 from vmorph import bench
 from vmorph.cli import main as cli_main
-from vmorph.errors import RunnerNotFound, StaleDictionary
+from vmorph.errors import RunnerNotFound, StaleDictionary, UnsupportedForEvaluation
 from vmorph.identifiers import collect_identifiers
 from vmorph.lexer import IDENT, tokenize
 from vmorph.nodes import Declarator, Name, Span, walk
@@ -1249,6 +1251,48 @@ def test_every_perfbench_target_and_structure_variant_compiles_without_type_test
                 assert "type(" not in text and "_eq(" not in text, (name, method.name)
                 compiled += 1
     assert compiled == 2 * (60 + 4 + 1)
+
+
+def _inline_throws(text: str) -> list[str]:
+    """The Python `//` and `%` operators and `_npe` names of an oracle text,
+    its string literals aside."""
+    return [t.string for t in py_tokenize.generate_tokens(io.StringIO(text).readline)
+            if t.string in ("//", "%", "_npe") and t.type in (py_tokenize.OP, py_tokenize.NAME)]
+
+
+def test_the_oracle_throws_only_through_its_runtime_helpers(tmp_path, monkeypatch):
+    """No text of the survey methods or of the seed-1 perfbench targets and
+    structure variants tests a sign or a null inline: each Java / and % is a
+    call of _div or _mod, and nothing throws through _npe."""
+    from test_interp import _survey_methods
+    from vmorph import interp
+    from vmorph.nodes import Binary, method_position, with_method
+    from vmorph.prompts import find_method_at
+    from vmorph.transforms import apply_all
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import gen
+
+    programs = list(_survey_methods())
+    for name, workload in gen.WORKLOADS.items():
+        for raw in workload(1):
+            record = load_record(raw.write(tmp_path / name))
+            ast = parse((Path(record.project_root) / record.buggy_file).read_text(),
+                        record.buggy_file)
+            m = find_method_at(ast, record.buggy_lines.start_line, record.buggy_lines.end_line)
+            variant = apply_all(m, context=ast)[0]
+            programs += [(m, ast), (variant, with_method(ast, method_position(ast, m), variant))]
+    compiled = 0
+    for m, context in programs:
+        try:
+            text = interp._Compiler(context).compile(m).text
+        except UnsupportedForEvaluation:
+            continue
+        assert _inline_throws(text) == [], (m.name, text)
+        ops = [b.op for b in walk(m) if isinstance(b, Binary)]
+        assert text.count("_div(") >= ops.count("/") and text.count("_mod(") >= ops.count("%")
+        compiled += 1
+    assert compiled > 2 * (60 + 4 + 1)
 
 
 def test_a_record_loads_two_oracle_texts(lexicon, tmp_path, monkeypatch):

@@ -146,8 +146,8 @@ class _Parser:
         self.pos = i + 1
         return self.texts[i]
 
-    def error(self, message: str) -> JavaSyntaxError:
-        return JavaSyntaxError(self.token_span(self.pos), message)
+    def error(self, message: str, i: int | None = None) -> JavaSyntaxError:
+        return JavaSyntaxError(self.token_span(self.pos if i is None else i), message)
 
     def unsupported(self, construct: str, i: int | None = None) -> UnsupportedConstruct:
         return UnsupportedConstruct(self.token_span(self.pos if i is None else i), construct)
@@ -511,19 +511,21 @@ class _Parser:
             case_start = self.pos
             labels: list[object] = []
             while self.at("case") or self.at("default"):
+                # javac reports a duplicate default at its ':' and a
+                # duplicate case at its 'case'.
                 if self.at("default"):
                     self.next()
-                    self.expect(":")
+                    colon = self.expect(":")
                     if DEFAULT_LABEL in seen_labels:
-                        raise self.error("duplicate default label")
+                        raise self.error("duplicate default label", colon)
                     seen_labels.add(DEFAULT_LABEL)
                     labels.append(DEFAULT_LABEL)
                 else:
-                    self.next()
+                    at = self.next()
                     lit = self.case_label()
                     key = (lit.kind, lit.value)
                     if key in seen_labels:
-                        raise self.error(f"duplicate case label {lit.value!r}")
+                        raise self.error(f"duplicate case label {lit.value!r}", at)
                     seen_labels.add(key)
                     self.expect(":")
                     labels.append(lit)

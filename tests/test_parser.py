@@ -166,7 +166,11 @@ def test_a_statement_expression_that_starts_with_a_parenthesis_parses(code):
     ("class A { void f() { x = new ArrayList<String>(); } }", UnsupportedConstruct,
      "1:39: unsupported construct: generic type"),
     ("class A { void f(int x) { switch (x) { default: break; default: break; } } }",
-     JavaSyntaxError, "1:65: duplicate default label"),
+     JavaSyntaxError, "1:63: duplicate default label"),
+    ("class A { void f(int x) { switch (x) { case 1: break; case 1: break; } } }",
+     JavaSyntaxError, "1:55: duplicate case label 1"),
+    ('class A { void f(String s) { switch (s) { case "a": break; case "a": break; } } }',
+     JavaSyntaxError, "1:60: duplicate case label 'a'"),
     ("class A { void f(int x) { switch (x) { g(); } } }", JavaSyntaxError,
      "1:40: expected 'case' or 'default'"),
     ("class A { void f(int x, int y) { switch (x) { case y: break; } } }", JavaSyntaxError,
@@ -177,7 +181,7 @@ def test_a_statement_expression_that_starts_with_a_parenthesis_parses(code):
     ("class A { void f() { g() = 1; } }", JavaSyntaxError, "1:26: invalid assignment target"),
 ], ids=["duplicate-modifier", "generic-class", "extends", "void-parameter", "var-parameter",
         "annotated-statement", "annotated-expression", "lambda", "generic-new",
-        "duplicate-default", "no-label", "name-label", "switch-cut-before-a-case",
+        "duplicate-default", "duplicate-int-case", "duplicate-string-case", "no-label", "name-label", "switch-cut-before-a-case",
         "switch-cut-in-a-case", "call-target"])
 def test_a_front_end_rejection_names_its_reason_and_place(source, error, message):
     with pytest.raises(VmorphError) as exc:

@@ -28,7 +28,8 @@ from vmorph.bench import (
 )
 from vmorph import bench
 from vmorph.cli import main as cli_main
-from vmorph.errors import RunnerNotFound, StaleDictionary, UnsupportedForEvaluation
+from vmorph.errors import (RunnerNotFound, StaleDictionary, UnsupportedForEvaluation,
+                           VmorphError)
 from vmorph.identifiers import collect_identifiers
 from vmorph.lexer import IDENT, tokenize
 from vmorph.nodes import Declarator, Name, Span, walk
@@ -255,6 +256,27 @@ def test_external_validate_requires_placeholders(guard_record, lexicon, tmp_path
         external_validate(manifest.entries[0], "true", tmp_path / "out")
 
 
+def test_external_validate_needs_a_generated_output(guard_record, tmp_path):
+    entry = bench.ManifestEntry(record=guard_record, variant=VariantKind.RENAME_ONLY)
+    with pytest.raises(VmorphError) as exc:
+        external_validate(entry, "true {project} {report}", tmp_path)
+    assert str(exc.value) == "entry has no generated output to validate"
+
+
+def test_an_output_path_that_is_a_file_fails_its_entry_alone(guard_record, lexicon, tmp_path):
+    out = tmp_path / "out"
+    taken = out / guard_record.id / VariantKind.STRUCTURE_ONLY.value
+    taken.parent.mkdir(parents=True)
+    taken.write_text("taken\n")
+    manifest = generate_variants([guard_record], lexicon, out, seed=1)
+    rename, structure, both = manifest.entries
+    assert (structure.error, structure.equivalence) == (
+        f"Halo-1/structure: [Errno 17] File exists: '{taken}'", None)
+    for entry in (rename, both):
+        assert entry.error is None and (out / entry.output_root / "PathGuard.java").is_file()
+    assert BenchmarkManifest.load(manifest.path).to_json_dict() == manifest.to_json_dict()
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -376,6 +398,40 @@ def test_cli_prompt(fixtures_dir, capsys):
     assert data["text"].count("<extra_id_0>") == 1
 
 
+def test_cli_prompt_keeps_to_its_window(fixtures_dir, capsys):
+    rc = cli_main(["prompt", "--format", "codet5-mask", "--lines", "6:6", "--max-window", "3",
+                   "--file", str(fixtures_dir / "golden" / "Sample.java")])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["text"] == (
+        "        }\n<extra_id_0>\n        if (bounded > ceiling) {")
+
+
+@pytest.mark.parametrize("lines", ["six", "6:x", ""])
+def test_cli_prompt_reports_malformed_lines(fixtures_dir, capsys, lines):
+    rc = cli_main(["prompt", "--format", "codet5-mask", "--lines", lines,
+                   "--file", str(fixtures_dir / "golden" / "Sample.java")])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", "vmorph: error: --lines expects A:B with integer line numbers\n")
+
+
+def test_cli_transform_passes_its_trials_and_fuel_to_the_oracle(tmp_path, capsys):
+    root = tmp_path / "mini"
+    root.mkdir()
+    (root / "Mini.java").write_text("public class Mini {\n    static int pick(int a, int b) {\n"
+                                    "        if (a > b) {\n            return a;\n        }\n"
+                                    "        return b;\n    }\n}\n")
+    (root / "vuln.json").write_text(json.dumps({"id": "Mini-1", "buggy_file": "Mini.java",
+                                                "buggy_lines": [3, 5], "cwe": "CWE-20",
+                                                "developer_patch": None}))
+    out = tmp_path / "out"
+    rc = cli_main(["transform", "--mode", "structure", "--project", str(root), "--out", str(out),
+                   "--trials", "3", "--fuel", "1"])
+    assert rc == 0
+    entry, = BenchmarkManifest.load(out / "manifest.json").entries
+    assert entry.equivalence == {"verdict": "inconclusive", "trials": 3}  # 1 unit: the if only
+
+
 def test_cli_stats_moe(monkeypatch, capsys):
     import io
 
@@ -398,6 +454,26 @@ def test_cli_validate(guard_record, tmp_path, capsys):
     assert "Halo-1/rename: passed" in capsys.readouterr().out
     manifest = BenchmarkManifest.load(out / "manifest.json")
     assert manifest.entries[0].equivalence == {"external": "passed", "exit_code": 0}
+
+
+def test_cli_validate_runs_only_pending_entries_and_counts_a_failure(guard_record, tmp_path,
+                                                                      capsys):
+    out = tmp_path / "out"
+    cli_main(["transform", "--mode", "all", "--project", guard_record.project_root,
+              "--out", str(out)])
+    manifest = BenchmarkManifest.load(out / "manifest.json")
+    rename, structure, both = manifest.entries
+    structure.error = "Halo-1/structure: set by the test"
+    both.equivalence = {"verdict": "equivalent", "trials": 100}
+    manifest.save(out / "manifest.json")
+    capsys.readouterr()
+    rc = cli_main(["validate", "--manifest", str(out / "manifest.json"),
+                   "--runner", _runner_script(tmp_path, 1) + " {project} {report}"])
+    assert rc == 1
+    assert capsys.readouterr().out == "Halo-1/rename: failed (exit 1)\n"
+    assert [e.equivalence for e in BenchmarkManifest.load(out / "manifest.json").entries] == [
+        {"external": "failed", "exit_code": 1}, EXTERNAL_PENDING,
+        {"verdict": "equivalent", "trials": 100}]
 
 
 def test_cli_mode_filters_variants(guard_record, tmp_path, capsys):

@@ -237,6 +237,11 @@ def test_void_return():
     assert isinstance(out, Returned) and out.value is VOID
 
 
+def test_a_void_outcome_prints_as_void():
+    m, ast = method_named("class A { static void noop(int x) { x = x + 1; } }", "noop")
+    assert repr(evaluate(m, [1])) == "Returned(value=void)"
+
+
 @pytest.mark.parametrize(
     "src, reason",
     [
@@ -1169,6 +1174,15 @@ def test_a_counted_loop_keeps_its_outcome_and_least_fuel(name):
             for n in COUNTED_NS] == COUNTED_PINS[name]
 
 
+def test_a_counted_loop_whose_bound_may_be_unset_gets_no_entry_test():
+    """The bound is a local declared without an initializer, so it is read
+    with a check; the loop runs and charges as any other."""
+    m, ast = method_named("class A { static int f(int n) { int x = 0; int b; b = n; "
+                          "for (int i = 0; i < b; i = i + 1) { x = x + 1; } return x; } }", "f")
+    assert _entry_tests(m, ast) == 0
+    assert [evaluate(m, [n], context=ast) for n in (5, 10**6)] == [Returned(5), OutOfFuel()]
+
+
 @pytest.mark.parametrize("name", ["up", "loop", "down", "upto"])
 def test_a_counted_loop_agrees_at_every_fuel_with_its_uncounted_twin(name):
     """The twin bounds the loop by `n + 0`, which gets no entry test and
@@ -1534,8 +1548,10 @@ def test_a_case_after_a_jump_is_reachable():
     # The leaf is not inlined, so the callee's own compile rejects it.
     ("class A { static int f(int n) { return g(n); } static int g(int x) { return x > 0; } }",
      "incompatible types: boolean cannot be converted to int", "x > 0"),
+    ("class A { static int g(long x) { return 1; } static int f(int n) { return g(n); } }",
+     "parameter type 'long'", "long x"),
 ], ids=["return-type", "call-arity", "local-type", "var-null", "var-void", "void-return",
-        "ternary", "min-arity", "floorMod", "int-receiver", "leaf-type"])
+        "ternary", "min-arity", "floorMod", "int-receiver", "leaf-type", "leaf-parameter-type"])
 def test_a_compile_rejection_names_its_reason_and_place(src, detail, at):
     m, ast = method_named(src, "f")
     with pytest.raises(UnsupportedForEvaluation) as exc:

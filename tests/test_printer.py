@@ -108,3 +108,14 @@ def test_unary_minus_stacking_stays_parseable():
     block = parse_stmts("x = - -n;")
     printed = print_stmt(block.stmts[0])
     assert structurally_equal(parse_stmts(printed).stmts[0], block.stmts[0])
+
+
+@pytest.mark.parametrize("source", [
+    "class A {\n    void f() {\n        return;\n    }\n}\n",
+    "class A {\n    void f() {\n        throw new E();\n    }\n}\n",
+    "class A {\n}\n\nclass B {\n    void g() {\n    }\n}\n",
+], ids=["bare-return", "throw", "two-classes"])
+def test_a_canonical_source_prints_back_to_itself(source):
+    ast = parse(source)
+    assert print_source(ast) == source
+    assert structurally_equal(parse(print_source(ast)), ast)

@@ -137,3 +137,41 @@ def test_canonical_rendering_rejects_a_method_of_another_file():
     other = parse("class D {\n    void g() {\n    }\n}\n", "D.java").types[0].methods[0]
     with pytest.raises(SpanOutsideMethod):
         build_prompt(PromptSpec(CODET5_MASK), ast, other, Span("C.java", 2, 1, 2, 1))
+
+
+@pytest.mark.parametrize("fmt, max_window, message", [
+    ("gpt-mask", None, "unknown prompt format 'gpt-mask'"),
+    (CODET5_MASK, 0, "max_window must be positive"),
+], ids=["format", "window"])
+def test_a_prompt_spec_rejects_what_no_prompt_can_take(fmt, max_window, message):
+    with pytest.raises(ValueError) as exc:
+        PromptSpec(fmt, max_window)
+    assert str(exc.value) == message
+
+
+def test_codex_insert_json_holds_the_prefix_and_suffix(sample, fixtures_dir):
+    golden = fixtures_dir / "golden"
+    assert _bundle(sample, CODEX_INSERT).to_json_dict() == {
+        "format": CODEX_INSERT, "buggy_region": "        int bounded = value;",
+        "prefix": (golden / "codex_insert.prefix.txt").read_text(),
+        "suffix": (golden / "codex_insert.suffix.txt").read_text()}
+
+
+def test_codex_insert_comments_out_a_multi_line_region(sample):
+    b = _bundle(sample, CODEX_INSERT, lines=(7, 9))
+    assert b.prefix.split("\n")[-5:] == [
+        "        /* BUG:", "        if (bounded > ceiling) {", "            bounded = ceiling;",
+        "        }", "        FIXED: */"]
+    assert b.suffix == "        return bounded;\n    }"
+
+
+def test_a_window_the_method_fits_keeps_every_line(sample):
+    # Nine lines of context and the mask: ten lines.
+    assert _bundle(sample, CODET5_MASK, max_window=10) == _bundle(sample, CODET5_MASK)
+
+
+def test_no_method_covers_the_lines(sample):
+    _, ast, _ = sample
+    with pytest.raises(SpanOutsideMethod) as exc:
+        find_method_at(ast, 1, 1)
+    assert str(exc.value) == "no method covers lines 1:1"

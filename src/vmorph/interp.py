@@ -983,9 +983,10 @@ class _Compiler:
         depth test, one unit of fuel for its return statement), then its e,
         compiled in m's scope and class. A read of a slot that needs no
         check stands in for its parameter when no later argument and not e
-        assign it; any other argument is stored in a fresh slot. None when m is not a leaf, or e
-        calls a same-file method, does not compile or is not of m's return
-        type: the call then runs m, which rejects where it did."""
+        assign it; any other argument is stored in a fresh slot. None when
+        m is not a leaf, or e calls a same-file method, does not compile or
+        is not of m's return type: the call then runs m, which rejects where
+        it did."""
         e = self.leaf(m)
         if e is None:
             return None

@@ -5,9 +5,10 @@ reaches. It needs nothing beyond the standard library:
 
 A line is executable when the line table of a code object compiled from
 the module names it; a module's line-0 entries are left out. The plugin
-starts a `sys.settrace` hook when pytest loads it, before anything imports
-vmorph, so module-level lines count too. After the run it prints each
-module's unreached lines and the total. The default run does not load it.
+starts a `sys.settrace` hook before pytest loads the conftest files, so
+the lines that run when vmorph is imported count too. After the run it
+prints each module's unreached lines and the total. The default run does
+not load it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import types
 from pathlib import Path
 
 _PACKAGE = Path(importlib.util.find_spec("vmorph").origin).parent  # found, not imported
-_PREFIX = str(_PACKAGE) + "/"
+_PREFIX = f"{_PACKAGE}/"
 _reached: dict[str, set[int]] = {}
 
 
@@ -37,8 +38,9 @@ def _trace(frame, event, arg):
     return local
 
 
-sys.settrace(_trace)
-threading.settrace(_trace)
+def pytest_load_initial_conftests():
+    sys.settrace(_trace)
+    threading.settrace(_trace)
 
 
 def executable_lines(path: Path) -> set[int]:

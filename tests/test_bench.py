@@ -1300,20 +1300,19 @@ def test_transform_output_matches_golden(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_every_perfbench_target_and_structure_variant_compiles_without_type_tests(
-        tmp_path, monkeypatch):
-    """The oracle's speed on the benchmark rests on the type check: every
-    target of seed 1 of every workload, and every structure variant of one,
-    compiles, and its text tests no value's type at run time."""
-    from vmorph import interp
+@pytest.fixture(scope="module")
+def perfbench_programs(tmp_path_factory):
+    """(workload, method, context) for every target of seed 1 of every
+    perfbench workload and for its structure variant, in that order."""
     from vmorph.nodes import method_position, with_method
     from vmorph.prompts import find_method_at
     from vmorph.transforms import apply_all
 
-    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
-    import gen
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+        import gen
 
-    compiled = 0
+    programs, tmp_path = [], tmp_path_factory.mktemp("perfbench")
     for name, workload in gen.WORKLOADS.items():
         for raw in workload(1):
             record = load_record(raw.write(tmp_path / name))
@@ -1321,12 +1320,22 @@ def test_every_perfbench_target_and_structure_variant_compiles_without_type_test
                         record.buggy_file)
             m = find_method_at(ast, record.buggy_lines.start_line, record.buggy_lines.end_line)
             variant = apply_all(m, context=ast)[0]
-            for method, context in ((m, ast),
-                                    (variant, with_method(ast, method_position(ast, m), variant))):
-                text = interp._Compiler(context).compile(method).text
-                assert "type(" not in text and "_eq(" not in text, (name, method.name)
-                compiled += 1
-    assert compiled == 2 * (60 + 4 + 1)
+            programs += [(name, m, ast),
+                         (name, variant, with_method(ast, method_position(ast, m), variant))]
+    return programs
+
+
+def test_every_perfbench_target_and_structure_variant_compiles_without_type_tests(
+        perfbench_programs):
+    """The oracle's speed on the benchmark rests on the type check: every
+    target of seed 1 of every workload, and every structure variant of one,
+    compiles, and its text tests no value's type at run time."""
+    from vmorph import interp
+
+    for name, method, context in perfbench_programs:
+        text = interp._Compiler(context).compile(method).text
+        assert "type(" not in text and "_eq(" not in text, (name, method.name)
+    assert len(perfbench_programs) == 2 * (60 + 4 + 1)
 
 
 def _inline_throws(text: str) -> list[str]:
@@ -1336,28 +1345,15 @@ def _inline_throws(text: str) -> list[str]:
             if t.string in ("//", "%", "_npe") and t.type in (py_tokenize.OP, py_tokenize.NAME)]
 
 
-def test_the_oracle_throws_only_through_its_runtime_helpers(tmp_path, monkeypatch):
+def test_the_oracle_throws_only_through_its_runtime_helpers(perfbench_programs):
     """No text of the survey methods or of the seed-1 perfbench targets and
     structure variants tests a sign or a null inline: each Java / and % is a
     call of _div or _mod, and nothing throws through _npe."""
     from test_interp import _survey_methods
     from vmorph import interp
-    from vmorph.nodes import Binary, method_position, with_method
-    from vmorph.prompts import find_method_at
-    from vmorph.transforms import apply_all
+    from vmorph.nodes import Binary
 
-    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
-    import gen
-
-    programs = list(_survey_methods())
-    for name, workload in gen.WORKLOADS.items():
-        for raw in workload(1):
-            record = load_record(raw.write(tmp_path / name))
-            ast = parse((Path(record.project_root) / record.buggy_file).read_text(),
-                        record.buggy_file)
-            m = find_method_at(ast, record.buggy_lines.start_line, record.buggy_lines.end_line)
-            variant = apply_all(m, context=ast)[0]
-            programs += [(m, ast), (variant, with_method(ast, method_position(ast, m), variant))]
+    programs = [*_survey_methods(), *((m, context) for _, m, context in perfbench_programs)]
     compiled = 0
     for m, context in programs:
         try:

@@ -1059,7 +1059,9 @@ def test_a_leaf_that_does_not_compile_rejects_where_it_did(name, where, detail):
     ("s.x = 1; return 0;", (36, 42), "field access"),
     ("break;", (36, 41), "break/continue escaped the method"),
     ("continue;", (36, 44), "break/continue escaped the method"),
-], ids=["static-field", "this-field", "receiver-field", "break", "continue"])
+    ("switch (0) { default: continue; }", (58, 66), "break/continue escaped the method"),
+], ids=["static-field", "this-field", "receiver-field", "break", "continue",
+        "continue-in-a-switch"])
 def test_a_statement_outside_the_subset_is_rejected_at_its_span(body, where, detail):
     m, ast = method_named(f"class A {{ static int f(String s) {{ {body} }} }}", "f")
     with pytest.raises(UnsupportedForEvaluation) as exc:
@@ -1109,6 +1111,10 @@ COUNTED_SRC = """class A {
         int acc = 0; for (int i = 1; i <= n; i = i + 1) { acc = acc + i; } return acc; }
     static int divide(int n) {
         int x = 0; for (int i = 0; i < n; i = i + 1) { x = x + 10 / (i - 5); } return x; }
+    static int fixed(int n) {
+        int acc = 0; for (int i = 0; i < 100; i = i + 1) { acc = acc + n; } return acc; }
+    static int spin(int n) {
+        int acc = n; int i = 0; while (i < 5000) { acc = acc + i; i = i + 1; } return acc; }
 }"""
 COUNTED_NS = (0, 1, 2, 3332, 3333, 3334, INT_MAX)
 
@@ -1164,6 +1170,8 @@ COUNTED_PINS = {
              ({"returned": 5559445}, 6673), (OOF, None)],
     "divide": [({"returned": 0}, 5), ({"returned": -2}, 7), ({"returned": -4}, 9),
                *[(ARITH, 15)] * 4],
+    "fixed": [({"returned": r}, 205) for r in (0, 100, 200, 333200, 333300, 333400, -100)],
+    "spin": [(OOF, 15005)] * 7,
 }
 
 
@@ -1195,6 +1203,19 @@ def test_a_counted_loop_agrees_at_every_fuel_with_its_uncounted_twin(name):
     for n, fuels in ((3, range(20)), (3333, range(9990, 10012)), (INT_MAX, (0, 5, 9999))):
         for fuel in fuels:
             assert evaluate(m, [n], fuel, ast) == evaluate(twin, [n], fuel, twin_ast), (n, fuel)
+
+
+@pytest.mark.parametrize("name, least", [("fixed", 205), ("spin", 15005)])
+def test_a_constant_bound_loop_agrees_at_every_fuel_with_its_uncounted_twin(name, least):
+    """The twin bounds the loop by `100 + 0` or `5000 + 0`, which gets no
+    entry test and charges the same; both agree at every fuel near each end."""
+    m, ast = method_named(COUNTED_SRC, name)
+    twin_src = COUNTED_SRC.replace("< 100;", "< 100 + 0;").replace("(i < 5000)",
+                                                                   "(i < 5000 + 0)")
+    twin, twin_ast = method_named(twin_src, name)
+    assert _entry_tests(twin, twin_ast) == 0
+    for fuel in (*range(12), *range(least - 12, least + 12), DEFAULT_FUEL):
+        assert evaluate(m, [7], fuel, ast) == evaluate(twin, [7], fuel, twin_ast), fuel
 
 
 # ---------------------------------------------------------------------------
@@ -1348,6 +1369,12 @@ JUMP_PROGRAMS = {
         "int r = 0; while (r < 100) { r = r + 1; "
         + _nested(47, lambda i, body: f"if (n > {i}) {{ {body} }}", "break;") + " } return r;",
         "_BREAK", [(0, 100, 304), (46, 100, 4904), (50, 1, 53)]),
+    # n % 3 == 0 adds 1, then 4 unless n > 46, then falls through to add 8
+    "break out of a switch from 47 nested ifs": (
+        "int r = 0; switch (n % 3) { case 0: r = 1; "
+        + _nested(47, lambda i, body: f"if (n > {i}) {{ {body} }}", "break;")
+        + " r = r + 4; default: r = r + 8; } return r;",
+        "_BREAK", [(0, 13, 7), (1, 8, 4), (45, 13, 52), (48, 1, 52)]),
     # i = 1..5: r adds i unless i + n > 48
     "continue out of 47 nested ifs": (
         "int r = 0; int i = 0; while (i < 5) { i = i + 1; "

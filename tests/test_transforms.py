@@ -104,6 +104,11 @@ def test_while_to_for_schema():
     assert structurally_equal(converted, expected)
 
 
+def test_convert_loop_refuses_a_statement_that_is_not_a_loop():
+    with pytest.raises(TypeError, match="convert_loop expects a loop, got ExprStmt"):
+        convert_loop(stmt_of("mark(x);"))
+
+
 def test_continue_blocks_for_conversion():
     loop = stmt_of(
         "for (int i = 0; i < n; i = i + 1) { if (i == 2) { continue; } mark(i); }")
@@ -360,7 +365,8 @@ def test_inner_break_refused():
     ("if (k == 1) { a(); } else if (k == 1) { b(); }", "duplicate-labels"),
     ("if (k == 1) { a(); } else if (k == 2) { b(); } else { if (k > 3) { break; } c(); }",
      "inner-break"),
-], ids=["var-ternary", "duplicate-labels", "break-in-final-else"])
+    ("mark(k);", "not-a-conditional-site"),
+], ids=["var-ternary", "duplicate-labels", "break-in-final-else", "not-a-conditional"])
 def test_a_conditional_site_is_refused(code, reason):
     with pytest.raises(NotApplicable) as exc:
         convert_conditional(stmt_of(code, params="int k"))
@@ -375,8 +381,13 @@ def test_a_conditional_site_is_refused(code, reason):
     ("switch (k) { default: }", "no-value-cases"),
     ("if (k == 1) { r = 1; } else if (k > 2) { r = 2; }", "non-literal-guards"),
     ("if (k == 1) { r = 1; } else if (r == 2) { r = 2; }", "non-literal-guards"),
+    ("if (k == 1) { r = 1; } else if (k == 2 || r == 3) { r = 2; }", "non-literal-guards"),
+    ("switch (g().k) { case 1: r = 1; break; default: r = 2; }", "effectful-scrutinee"),
+    # a whole initializer is not also reported as a nested ternary
+    ("var v = k > 0 ? 1 : 2; r = v;", "var-requires-initializer"),
 ], ids=["empty-switch", "mixed-default-labels", "mixed-label-types", "no-value-cases",
-        "empty-default", "comparison-guard", "other-scrutinee"])
+        "empty-default", "comparison-guard", "other-scrutinee", "other-scrutinee-in-an-or",
+        "field-of-a-call", "var-ternary"])
 def test_a_refused_conditional_is_reported_at_its_site(code, reason):
     ast = parse(f"class W {{ static int f(int k) {{ int r = 0; {code} return r; }} }}")
     m = ast.types[0].methods[0]
@@ -442,6 +453,17 @@ def test_merge_requires_single_use():
     assert structurally_equal(merged, block)
 
 
+def test_split_names_a_field_receiver_by_its_field():
+    split = chain_functions(block_of("this.path.normalize().toString();"), SPLIT)
+    assert split.stmts[0].declarators[0].name == "path_normalize"
+
+
+@pytest.mark.parametrize("rewrite", [chain_functions, argument_pass])
+def test_an_unknown_direction_is_refused(rewrite):
+    with pytest.raises(ValueError, match="unknown direction 'sideways'"):
+        rewrite(block_of("f(g(x));"), "sideways")
+
+
 def test_split_skips_when_preceding_effect():
     # g() runs before the chain's inner call; hoisting would reorder them.
     block = block_of("mark(g(), value.getClass().equals(x));", params="Object value, int x")
@@ -480,6 +502,11 @@ def test_inline_example():
     assert structurally_equal(out, block_of("f(g(x));"))
 
 
+def test_inline_into_a_throw():
+    out = argument_pass(block_of("var t = g(x); throw new E(t);"), INLINE)
+    assert structurally_equal(out, block_of("throw new E(g(x));"))
+
+
 def test_inline_requires_single_use():
     block = block_of("var t = g(x); f(t); mark(t);")
     assert structurally_equal(argument_pass(block, INLINE), block)
@@ -498,8 +525,9 @@ def test_inline_keeps_a_throwing_initializer_before_a_field_write():
 
 # Each way a sink refuses, through merge and through inline: the use is not
 # in an expression statement, is not of the rule's shape, runs conditionally,
-# or comes after code that conflicts with the initializer. Merge never passes
-# a statement; inline's pass is test_inline_blocked_by_interfering_write.
+# or comes after code that conflicts with the initializer; merge also needs a
+# call to sink, and inline passes only straight-line statements. Merge never
+# passes a statement; inline's pass is test_inline_blocked_by_interfering_write.
 @pytest.mark.parametrize("direction, code", [
     (MERGE, "String t = s.trim(); if (t.isEmpty()) { mark(x); }"),
     (MERGE, "String t = s.trim(); mark(t);"),
@@ -509,8 +537,11 @@ def test_inline_keeps_a_throwing_initializer_before_a_field_write():
     (INLINE, "var t = g(x); f(t + 1);"),
     (INLINE, "var t = g(x); boolean b = x > 0 && f(t);"),
     (INLINE, "var t = g(x); f(h(n), t);"),
-], ids=[f"{d}-{why}" for d in (MERGE, INLINE)
-        for why in ("no-holder", "no-use", "conditional", "conflict")])
+    (MERGE, "String t = s; mark(t.trim());"),
+    (INLINE, "var t = g(x); if (n > 0) { mark(x); } f(t);"),
+], ids=[*(f"{d}-{why}" for d in (MERGE, INLINE)
+          for why in ("no-holder", "no-use", "conditional", "conflict")),
+        f"{MERGE}-not-a-call", f"{INLINE}-passes-a-branch"])
 def test_a_sink_is_refused(direction, code):
     block = block_of(code)
     rewrite = chain_functions if direction == MERGE else argument_pass

@@ -43,16 +43,16 @@ least, b - c (one more for `<=`), and k its test plus its body's
 statements, what a pass charges at least. It is written only where nothing
 in the body can end the run but fuel (no jump, call that is not written in
 place, division that can throw, String method, concatenation or switch, or
-checked read) and T is not fixed at compile time, so a loop that lacks the
-fuel ends OutOfFuel at once, as it would have after T passes, and one that
-has it runs as before: the outcome at every fuel is the same. A Java
-call is one Python call, `m<j>(a, b, F, D + 1)`, which checks D on entry and
-returns (value, F), so 200 nested calls run inside Python's default
-recursion limit. A call of a leaf, a method whose body is one `return e;`
-and whose e calls no same-file method, is written in place instead: the
-arguments go into fresh slots (a slot read that nothing assigns before e
-reads it stands in for its parameter), `D < 200 and (F := F - 1) >= 0` does
-what the leaf does on entry, and then e runs, compiled in the leaf's scope.
+checked read), so a loop that lacks the fuel ends OutOfFuel at once, as it
+would have after T passes, and one that has it runs as before: the outcome
+at every fuel is the same. A Java call is one Python call,
+`m<j>(a, b, F, D + 1)`, which checks D on entry and returns (value, F), so
+200 nested calls run inside Python's default recursion limit. A call of a
+leaf, a method whose body is one `return e;` and whose e calls no
+same-file method, is written in place instead: the arguments go into fresh
+slots (a slot read that nothing assigns before e reads it stands in for its
+parameter), `D < 200 and (F := F - 1) >= 0` does what the leaf does on
+entry, and then e runs, compiled in the leaf's scope.
 A leaf that is only reached this way is not emitted as a function. If e does
 not compile, the call stays a call, so the leaf rejects where it always
 did. A local that redeclares a name in scope is rejected, as javac rejects
@@ -114,8 +114,8 @@ from typing import NamedTuple, Optional, Union
 
 from .errors import UnsupportedForEvaluation
 from .nodes import (DEFAULT_LABEL, INT_MAX, INT_MIN, Assign, Binary, Expr, ExprStmt, For,
-                    Literal, LocalVarDecl, MethodDecl, Name, Return, SourceFile, Span, Switch,
-                    While, frozen, jumps, walk)
+                    Literal, MethodDecl, Name, Return, SourceFile, Span, Switch, While, frozen,
+                    jumps, walk)
 
 DEFAULT_TRIALS = 100
 DEFAULT_FUEL = 10_000
@@ -252,10 +252,13 @@ def _cat(a, b, site) -> str:
 
 
 def _div(a: int, b: int) -> int:
+    """Java's /: rounds toward zero (JLS 15.17.2); only INT_MIN / -1 leaves the int range."""
     if b == 0:
         raise _Stop(ARITHMETIC)
     q = abs(a) // abs(b)
-    return _wrap32(-q if (a < 0) != (b < 0) else q)
+    if (a < 0) != (b < 0):
+        return -q
+    return q if q != 2**31 else INT_MIN
 
 
 def _mod(a: int, b: int) -> int:
@@ -376,20 +379,21 @@ _ZERO = _E("0", "int", literal=(0,))
 
 
 class _Target:
-    """A Java loop or switch open in the function being written: a Python
-    loop. A loop repeats its update before a continue; a switch sets its
-    flag when a continue leaves it."""
+    """A Java loop or switch open where the compiler writes: a Python loop.
+    A loop (flag None) repeats its update before a continue; a switch sets
+    its flag when a continue leaves it."""
 
     def __init__(self, update: str | None = None, flag: str | None = None):
         self.update, self.flag, self.crossed = update, flag, False
 
 
 class _Function:
-    """The Python function being written: a method's, or a helper's."""
+    """The Python function being written: a method's, or a helper's. The
+    first `base` targets of the method's stack are open outside it, so a
+    jump to one of them leaves the function."""
 
-    def __init__(self, helper: bool):
-        self.helper = helper
-        self.targets: list[_Target] = []  # innermost last
+    def __init__(self, helper: bool, base: int):
+        self.helper, self.base = helper, base
         self.escapes: set[str] = set()  # "break", "continue", "return" out of a helper
 
 
@@ -445,9 +449,10 @@ class _Compiler:
         self.scopes = [({p.name: i for i, p in enumerate(m.params, 1)}, False)]
         self.types = {i: p.type_name for i, p in enumerate(m.params, 1)}  # slot -> its type
         self.guarded: set[int] = set()  # slots read with a check that they are set
-        self.size, self.loops, self.temps = 1 + len(m.params), 0, 0
-        self.stops, self.previous = False, None  # see loop() and charged()
-        self.out, self.indent, self.fn = [], 1, _Function(helper=False)
+        self.size, self.temps = 1 + len(m.params), 0
+        self.stops = False  # see loop()
+        self.targets: list[_Target] = []  # the open loops and switches, innermost last
+        self.out, self.indent, self.fn = [], 1, _Function(helper=False, base=0)
         self.helpers: list[tuple[str, list[str]]] = []
         self.block(m.body)
         slots = [f"v{i}" for i in range(1, self.size)]
@@ -531,7 +536,8 @@ class _Compiler:
         if emit is None:
             self.reject(s)
         if self.indent > _INDENT_BUDGET or (
-                isinstance(s, (While, For, Switch)) and len(self.fn.targets) >= _LOOP_BUDGET):
+                isinstance(s, (While, For, Switch))
+                and len(self.targets) - self.fn.base >= _LOOP_BUDGET):
             self.hoist(emit, s)
         else:
             emit(s)
@@ -539,7 +545,7 @@ class _Compiler:
     def hoist(self, emit, s) -> None:
         """Write s as a helper of its own, and call it here."""
         outer = self.out, self.indent, self.fn
-        self.out, self.indent, self.fn = [], 2, _Function(helper=True)
+        self.out, self.indent, self.fn = [], 2, _Function(helper=True, base=len(self.targets))
         emit(s)
         body, escapes = self.out or ["  pass"], self.fn.escapes
         self.out, self.indent, self.fn = outer
@@ -560,18 +566,18 @@ class _Compiler:
         self.indent -= 1
 
     def emit_break(self) -> None:
-        if self.fn.targets:
+        if len(self.targets) > self.fn.base:
             self.line("break")
         else:
             self.fn.escapes.add("break")
             self.line("return _BREAK")
 
     def emit_continue(self) -> None:
-        if not self.fn.targets:
+        if len(self.targets) == self.fn.base:
             self.fn.escapes.add("continue")
             self.line("return _CONTINUE")
             return
-        target = self.fn.targets[-1]
+        target = self.targets[-1]
         if target.flag is not None:  # leave the switch, then continue after it
             target.crossed = True
             self.line(f"{target.flag} = True")
@@ -591,13 +597,11 @@ class _Compiler:
     def charged(self, stmts, before=None) -> None:
         """Statements in order, each charged one unit of fuel. javac rejects
         a statement that follows one that cannot complete normally as
-        unreachable (JLS 14.22); `before` is the one before the first, and
-        `self.previous` the one before the statement being written."""
+        unreachable (JLS 14.22); `before` is the one before the first."""
         for s in stmts:
             if jumps(before):
                 raise UnsupportedForEvaluation(s.span, "unreachable statement")
             self.line("if (F := F - 1) < 0: _oof()")
-            self.previous = before
             self.stmt(s)
             before = s
 
@@ -681,21 +685,19 @@ class _Compiler:
         charge = "(F := F - 1) >= 0 or _oof()"
         self.line(f"while {charge}:" if test.literal == (True,) else
                   f"while ({charge}) and {test.text}:")
-        self.fn.targets.append(_Target(update=update))
-        self.loops += 1
+        self.targets.append(_Target(update=update))
         def each_pass():
             self.block(body)
             if update is not None:
                 self.line(update)
         self.nested(each_pass)
-        self.loops -= 1
-        self.fn.targets.pop()
+        self.targets.pop()
         if passes is not None and not self.stops:
             self.out.insert(at, f"{' ' * self.indent}if ({passes}) * {1 + len(body.stmts)} "
                             ">= F: _oof()")
         self.stops = self.stops or outer
 
-    def trips(self, cond, step, others, start) -> str | None:
+    def trips(self, cond, step, others) -> str | None:
         """The text of T for a counted loop, else None. A loop is counted
         when its test is `c < b` or `c <= b` and its step `c = c + 1`, or the
         test is `c > b` or `c >= b` and the step `c = c - 1`; c is an int
@@ -703,16 +705,12 @@ class _Compiler:
         statement of `others`, the rest of the loop, assigns either. It then
         passes T = b - c times (c - b counting down), one more for `<=` or
         `>=`, where c may also wrap past INT_MAX or INT_MIN and pass on: T is
-        a lower bound. None also where T is fixed at compile time: b is a
-        literal and `start`, the for's init or the statement before a
-        while, sets c to a literal."""
+        a lower bound."""
         if not isinstance(cond, Binary) or cond.op not in _COUNTED:
             return None
         (sign, more), c, b = _COUNTED[cond.op], cond.left, cond.right
         if not (isinstance(c, Name) and isinstance(b, (Name, Literal))
                 and step == Assign(c, Binary(sign, c, _ONE))):
-            return None
-        if isinstance(b, Literal) and _sets_literal(start, c.id):
             return None
         names = {x.id for x in (c, b) if isinstance(x, Name)}
         if any(isinstance(a, Assign) and isinstance(a.target, Name) and a.target.id in names
@@ -730,9 +728,9 @@ class _Compiler:
         return f"{high} - {low}{' + 1' if more else ''}"
 
     def s_While(self, s):
-        previous, test, stmts = self.previous, self.condition(s.cond), s.body.stmts
+        test, stmts = self.condition(s.cond), s.body.stmts
         step = stmts[-1].expr if stmts and isinstance(stmts[-1], ExprStmt) else None
-        self.loop(test, s.body, None, self.trips(s.cond, step, stmts[:-1], previous))
+        self.loop(test, s.body, None, self.trips(s.cond, step, stmts[:-1]))
 
     def s_For(self, s):
         self.scopes.append(({}, False))
@@ -740,7 +738,7 @@ class _Compiler:
             self.charged((s.init,))
         test = self.condition(s.cond) if s.cond is not None else _TRUE
         self.loop(test, s.body, self.effect(s.update) if s.update is not None else None,
-                  self.trips(s.cond, s.update, s.body.stmts, s.init))
+                  self.trips(s.cond, s.update, s.body.stmts))
         self.scopes.pop()
 
     def s_Switch(self, s):
@@ -772,7 +770,7 @@ class _Compiler:
         entries, base = {0, default, *starts.values()}, self.indent
         self.scopes.append(({}, True))
         target = _Target(flag=self.temp())
-        self.fn.targets.append(target)
+        self.targets.append(target)
         outer, self.out = self.out, []
         for i, (before, stmt) in enumerate(stmts):
             if i in entries:
@@ -783,7 +781,7 @@ class _Compiler:
         self.indent = base + 1
         self.line("break")
         self.indent = base
-        self.fn.targets.pop()
+        self.targets.pop()
         body, self.out = self.out, outer
         unset = [f"v{slot}" for slot in self.scopes.pop()[0].values()]
         if unset:
@@ -815,13 +813,13 @@ class _Compiler:
 
     def s_Break(self, s):
         self.stops = True
-        if not (self.loops or any(in_switch for _, in_switch in self.scopes)):
+        if not self.targets:
             raise UnsupportedForEvaluation(s.span, "break/continue escaped the method")
         self.emit_break()
 
     def s_Continue(self, s):
         self.stops = True
-        if not self.loops:
+        if all(target.flag for target in self.targets):  # no loop is open
             raise UnsupportedForEvaluation(s.span, "break/continue escaped the method")
         self.emit_continue()
 
@@ -1019,14 +1017,6 @@ class _Compiler:
         return _E(f"({x.text} if {' and '.join(entry)} else _oof())", m.return_type,
                   max([x.depth, *(a.depth + 1 for a in args)]) + 1,
                   writes=any(a.writes for a in args))
-
-
-def _sets_literal(s, name: str) -> bool:
-    """Whether statement s declares or assigns `name` with a literal."""
-    if isinstance(s, LocalVarDecl):
-        return any(d.name == name and isinstance(d.init, Literal) for d in s.declarators)
-    return (isinstance(s, ExprStmt) and isinstance(s.expr, Assign) and s.expr.target == Name(name)
-            and isinstance(s.expr.value, Literal))
 
 
 def _is_int(x: _E) -> int | None:

@@ -608,15 +608,17 @@ class _Scope:
         """The effects of everything `holder` evaluates before `target`'s
         first operand, apart from the nodes whose ids are in `moved`, and
         whether `target` sits in a conditional position. Code hoisted out of
-        `holder` takes its operands along, so only this code stays behind it."""
+        `holder` takes its operands along, so only this code stays behind it.
+        Each caller's target is under `holder` and is no assignment's
+        target, so the walk of `holder` meets `first`."""
         first = next(_evaluation_order(target))[0]
         prefix = _NO_EFFECTS
         for node, conditional in _evaluation_order(holder):
             if node is first:
-                return prefix, conditional
+                break
             if id(node) not in moved:
                 prefix = prefix | self.effect(node)
-        raise ValueError("target is not evaluated by holder")
+        return prefix, conditional
 
 
 def _scope_for(m: MethodDecl, context: SourceFile | None,

@@ -2,7 +2,7 @@
 
 The check needs only the standard library: it parses each module with `ast`
 and takes a name as used when the module reads it anywhere, in code or in an
-annotation (a quoted one too), or lists it in `__all__`. An import whose
+annotation (a quoted one too). An import whose
 statement carries `# noqa: F401` is a deliberate re-export and is left alone,
 as flake8 does.
 `__init__.py`, whose imports are the package's API, is skipped.
@@ -43,9 +43,6 @@ def unused_imports(text: str) -> list[str]:
             used.update(_quoted_names(node.annotation))
         elif isinstance(node, ast.FunctionDef) and node.returns is not None:
             used.update(_quoted_names(node.returns))
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
     return [f"line {line}: {name}" for name, line in sorted(bound.items(), key=lambda x: x[1])
             if name not in used and name != "*"]
 
@@ -60,14 +57,12 @@ from typing import Optional
 import json as j
 import os.path
 
-__all__ = ["j"]
-
 
 def f(x: re.Pattern) -> "Optional[str]":
     import shutil
-    return sep
+    return sep + j.dumps(x)
 """
-    assert unused_imports(text) == ["line 2: path", "line 8: os", "line 14: shutil"]
+    assert unused_imports(text) == ["line 2: path", "line 8: os", "line 12: shutil"]
 
 
 @pytest.mark.parametrize("module", MODULES)

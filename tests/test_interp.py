@@ -1144,8 +1144,8 @@ def test_a_counted_loop_gets_one_entry_test(name, entry_tests):
         "calls-a-non-leaf", "concatenates", "breaks", "assigns-its-bound",
         "returns", "reads-a-slot-that-may-be-unset"])
 def test_no_entry_test_where_the_run_can_end_otherwise_or_the_trip_count_is_fixed(head, body):
-    """Each body can end the run otherwise. A fixed trip count does not stop
-    the entry test: see `fixed` and `spin` in COUNTED_SRC."""
+    """Each body can end the run otherwise than by fuel. A fixed trip count
+    keeps no entry test out: `fixed` and `spin` in COUNTED_SRC get theirs."""
     src = ("class A { static int hb(int u, int v) { if (u > v) { return u - v; } return v - u; }"
            f" static int f(int n) {{ int x = 0; {head} for (int i = 0; i < n; i = i + 1) "
            f"{{ {body} }} return x; }} }}")

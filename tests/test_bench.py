@@ -1338,6 +1338,18 @@ def test_every_perfbench_target_and_structure_variant_compiles_without_type_test
     assert len(perfbench_programs) == 2 * (60 + 4 + 1)
 
 
+def test_every_perfbench_structure_variant_has_as_many_entry_tests_as_its_target(
+        perfbench_programs):
+    """The structure variant writes each `while` as a `for` with its step
+    last in the body; a loop's step is read alike in both, so each counted
+    loop keeps its fuel test on entry."""
+    from test_interp import _entry_tests
+
+    counts = [(name, m.name, _entry_tests(m, context)) for name, m, context in perfbench_programs]
+    assert [(*target, variant[2]) for target, variant in zip(counts[::2], counts[1::2])
+            if target[2] != variant[2]] == []
+
+
 def _inline_throws(text: str) -> list[str]:
     """The Python `//` and `%` operators and `_npe` names of an oracle text,
     its string literals aside."""

@@ -924,6 +924,7 @@ LEAF_SRC = """class A {
     static int r(int n) { if (n > 0) { return r(n - 1); } return h(n, 1); }
     static int g(int x, int y) { return (x = x + y) * x + y; }
     static int own(int a, int b) { return g(a, b) + a + g(b, a) + b; }
+    static int inner(int a, int b) { return h(a, Math.max(0, (a = a + 1))) + a; }
 }"""
 LEAF_ARGS = ((0, 0), (1, 2), (-3, 5), (5, -1), (interp.INT_MAX, 1), (interp.INT_MIN, -1))
 # (outcome, least fuel) on LEAF_ARGS, or on n = 197...201 for r
@@ -939,6 +940,8 @@ LEAF_CALLS = {
     "r": [({"returned": 1}, 397), ({"returned": 1}, 399), STARVED, STARVED, STARVED],
     # g assigns its parameter x, which must not be the caller's a or b
     "own": [({"returned": r}, 3) for r in (0, 24, 12, 40, 0, 0)],
+    # the later argument assigns a inside a nested call
+    "inner": [({"returned": r}, 2) for r in (2, 11, -23, 47, -7, 1)],
 }
 
 
@@ -1115,6 +1118,10 @@ COUNTED_SRC = """class A {
         int acc = 0; for (int i = 0; i < 100; i = i + 1) { acc = acc + n; } return acc; }
     static int spin(int n) {
         int acc = n; int i = 0; while (i < 5000) { acc = acc + i; i = i + 1; } return acc; }
+    static int forDown(int n) {
+        int acc = 0; for (; n > 0; ) { acc = acc + n; n = n - 1; } return acc; }
+    static int forUp(int n) {
+        int acc = 0; for (int i = 0; i < n; ) { acc = acc + i; i = i + 1; } return acc; }
 }"""
 COUNTED_NS = (0, 1, 2, 3332, 3333, 3334, INT_MAX)
 
@@ -1125,7 +1132,8 @@ def _entry_tests(m, ast) -> int:
 
 
 @pytest.mark.parametrize("name, entry_tests", [
-    ("up", 1), ("loop", 1), ("down", 1), ("upto", 1), ("divide", 0), ("fixed", 1), ("spin", 1)])
+    ("up", 1), ("loop", 1), ("down", 1), ("upto", 1), ("divide", 0), ("fixed", 1), ("spin", 1),
+    ("forDown", 1), ("forUp", 1)])
 def test_a_counted_loop_gets_one_entry_test(name, entry_tests):
     assert _entry_tests(*method_named(COUNTED_SRC, name)) == entry_tests
 
@@ -1172,6 +1180,10 @@ COUNTED_PINS = {
                *[(ARITH, 15)] * 4],
     "fixed": [({"returned": r}, 205) for r in (0, 100, 200, 333200, 333300, 333400, -100)],
     "spin": [(OOF, 15005)] * 7,
+    "forDown": [({"returned": 0}, 4), ({"returned": 1}, 7), ({"returned": 3}, 10),
+                ({"returned": 5552778}, 10000), (OOF, 10003), (OOF, 10006), (OOF, None)],
+    "forUp": [({"returned": 0}, 5), ({"returned": 0}, 8), ({"returned": 1}, 11), (OOF, 10001),
+              (OOF, 10004), (OOF, 10007), (OOF, None)],
 }
 
 
@@ -1191,13 +1203,14 @@ def test_a_counted_loop_whose_bound_may_be_unset_gets_no_entry_test():
     assert [evaluate(m, [n], context=ast) for n in (5, 10**6)] == [Returned(5), OutOfFuel()]
 
 
-@pytest.mark.parametrize("name", ["up", "loop", "down", "upto"])
+@pytest.mark.parametrize("name", ["up", "loop", "down", "upto", "forDown", "forUp"])
 def test_a_counted_loop_agrees_at_every_fuel_with_its_uncounted_twin(name):
     """The twin bounds the loop by `n + 0`, which gets no entry test and
     charges the same; both must agree at every fuel near each end."""
     m, ast = method_named(COUNTED_SRC, name)
-    twin_src = COUNTED_SRC.replace("< n;", "< n + 0;").replace("<= n;", "<= n + 0;").replace(
-        "(i < n)", "(i < n + 0)").replace("(n > 0)", "(n > 0 + 0)")
+    twin_src = (COUNTED_SRC.replace("< n;", "< n + 0;").replace("<= n;", "<= n + 0;")
+                .replace("(i < n)", "(i < n + 0)").replace("(n > 0)", "(n > 0 + 0)")
+                .replace("; n > 0;", "; n > 0 + 0;"))
     twin, twin_ast = method_named(twin_src, name)
     assert _entry_tests(twin, twin_ast) == 0
     for n, fuels in ((3, range(20)), (3333, range(9990, 10012)), (INT_MAX, (0, 5, 9999))):

@@ -346,6 +346,12 @@ def _assignable(want: str, found: str) -> bool:
         want == "Object" and found != "void")
 
 
+def _assigned(nodes) -> set[str]:
+    """The names that an assignment inside the trees `nodes` sets."""
+    return {a.target.id for node in nodes for a in walk(node)
+            if isinstance(a, Assign) and isinstance(a.target, Name)}
+
+
 # ---------------------------------------------------------------------------
 # Compilation: a method is supported when it compiles
 # ---------------------------------------------------------------------------
@@ -368,7 +374,6 @@ class _E(NamedTuple):
     text: str
     type: str
     depth: int = 0  # parentheses nested in the text
-    writes: bool = False  # assigns a slot
     literal: tuple = ()  # (value,) for a literal
     slot: int = 0  # the slot read, for a read that needs no check
     call: str = ""  # a same-file call, `m<j>(..., F, D + 1)`, which gives (value, F)
@@ -697,24 +702,31 @@ class _Compiler:
                             ">= F: _oof()")
         self.stops = self.stops or outer
 
-    def trips(self, cond, step, others) -> str | None:
-        """The text of T for a counted loop, else None. A loop is counted
-        when its test is `c < b` or `c <= b` and its step `c = c + 1`, or the
-        test is `c > b` or `c >= b` and the step `c = c - 1`; c is an int
-        slot, b an int literal or slot, neither read with a check, and no
-        statement of `others`, the rest of the loop, assigns either. It then
-        passes T = b - c times (c - b counting down), one more for `<=` or
-        `>=`, where c may also wrap past INT_MAX or INT_MIN and pass on: T is
-        a lower bound."""
+    def trips(self, loop) -> str | None:
+        """The text of T for a counted loop, a while or a for, else None.
+        Its step is a for's update, else the last statement of its body. A
+        loop is counted when its test is `c < b` or `c <= b` and its step
+        `c = c + 1`, or the test is `c > b` or `c >= b` and the step
+        `c = c - 1`; c is an int slot, b an int literal or slot, neither
+        read with a check, and no other statement of the body assigns
+        either. It then passes T = b - c times (c - b counting down), one
+        more for `<=` or `>=`, where c may also wrap past INT_MAX or INT_MIN
+        and pass on: T is a lower bound. A step in the body is charged as
+        any statement is, so loop()'s k counts it."""
+        cond, stmts = loop.cond, loop.body.stmts
+        if isinstance(loop, For) and loop.update is not None:
+            step, others = loop.update, stmts
+        elif stmts and isinstance(stmts[-1], ExprStmt):
+            step, others = stmts[-1].expr, stmts[:-1]
+        else:
+            return None
         if not isinstance(cond, Binary) or cond.op not in _COUNTED:
             return None
         (sign, more), c, b = _COUNTED[cond.op], cond.left, cond.right
         if not (isinstance(c, Name) and isinstance(b, (Name, Literal))
                 and step == Assign(c, Binary(sign, c, _ONE))):
             return None
-        names = {x.id for x in (c, b) if isinstance(x, Name)}
-        if any(isinstance(a, Assign) and isinstance(a.target, Name) and a.target.id in names
-               for s in others for a in walk(s)):
+        if {x.id for x in (c, b) if isinstance(x, Name)} & _assigned(others):
             return None
         texts = []
         for x in (c, b):
@@ -728,9 +740,7 @@ class _Compiler:
         return f"{high} - {low}{' + 1' if more else ''}"
 
     def s_While(self, s):
-        test, stmts = self.condition(s.cond), s.body.stmts
-        step = stmts[-1].expr if stmts and isinstance(stmts[-1], ExprStmt) else None
-        self.loop(test, s.body, None, self.trips(s.cond, step, stmts[:-1]))
+        self.loop(self.condition(s.cond), s.body, None, self.trips(s))
 
     def s_For(self, s):
         self.scopes.append(({}, False))
@@ -738,7 +748,7 @@ class _Compiler:
             self.charged((s.init,))
         test = self.condition(s.cond) if s.cond is not None else _TRUE
         self.loop(test, s.body, self.effect(s.update) if s.update is not None else None,
-                  self.trips(s.cond, s.update, s.body.stmts))
+                  self.trips(s))
         self.scopes.pop()
 
     def s_Switch(self, s):
@@ -830,7 +840,7 @@ class _Compiler:
         if x.depth <= _EXPR_BUDGET:
             return x
         # Too deep to nest in another expression: a helper returns it.
-        return _E(f"{self.helper([f'  return {x.text}'])}()", x.type, 1, writes=x.writes)
+        return _E(f"{self.helper([f'  return {x.text}'])}()", x.type, 1)
 
     def e_Literal(self, e):
         v = e.value
@@ -855,14 +865,14 @@ class _Compiler:
 
     def e_Assign(self, e):
         slot, value = self.assignment(e)
-        return _E(f"(v{slot} := {value.text})", self.types[slot], value.depth + 2, writes=True)
+        return _E(f"(v{slot} := {value.text})", self.types[slot], value.depth + 2)
 
     def e_Unary(self, e):
         x = self.expr(e.operand)
         if e.op == "-":  # wraps as 0 - x does
             return self.binary("-", _ZERO, self.expect(x, "int", e.operand))
         self.expect(x, "boolean", e.operand)
-        return _E(f"(not {x.text})", "boolean", x.depth + 1, writes=x.writes)
+        return _E(f"(not {x.text})", "boolean", x.depth + 1)
 
     def e_Ternary(self, e):
         test, a, b = self.condition(e.cond), self.expr(e.if_true), self.expr(e.if_false)
@@ -871,7 +881,7 @@ class _Compiler:
             raise UnsupportedForEvaluation(e.span,
                                            f"bad operand types for ?: {a.type} and {b.type}")
         return _E(f"({a.text} if {test.text} else {b.text})", t,
-                  max(test.depth, a.depth, b.depth) + 1, writes=test.writes or a.writes or b.writes)
+                  max(test.depth, a.depth, b.depth) + 1)
 
     def e_Binary(self, e):
         op, left, right = e.op, self.expr(e.left), self.expr(e.right)
@@ -895,28 +905,26 @@ class _Compiler:
         else:
             raise UnsupportedForEvaluation(
                 e.span, f"bad operand types for {op}: {left.type} and {right.type}")
-        return _E(text, "String" if op == "+" else "boolean",
-                  max(left.depth, right.depth) + 1, writes=left.writes or right.writes)
+        return _E(text, "String" if op == "+" else "boolean", max(left.depth, right.depth) + 1)
 
     def binary(self, op: str, left: _E, right: _E) -> _E:
         """An operator on two ints."""
-        writes, depth = left.writes or right.writes, max(left.depth, right.depth) + _EXPR_STEP
+        depth = max(left.depth, right.depth) + _EXPR_STEP
         if op in _DIVISION:
             self.stops = self.stops or _is_int(right) in (None, 0)
-            return _E(f"{_DIVISION[op]}({left.text}, {right.text})", "int", depth, writes=writes)
+            return _E(f"{_DIVISION[op]}({left.text}, {right.text})", "int", depth)
         # Python evaluates the operands in Java order, and only a result past
         # the int range is left to fix: nothing is read again.
         value = f"{left.text} {op} {right.text}"
         if op in _COMPARISONS:
-            return _E(f"({value})", "boolean", depth, writes=writes)
+            return _E(f"({value})", "boolean", depth)
         r = self.temp()
         return _E(f"({r} if {_in_range(op, right, f'({r} := {value})')} else _wrap32({r}))",
-                  "int", depth, writes=writes)
+                  "int", depth)
 
     def e_Call(self, e):
         recv, method, n = e.receiver, e.method, len(e.args)
         args = [self.expr(a) for a in e.args]
-        writes = any(a.writes for a in args)
         depth = max((a.depth for a in args), default=0) + _EXPR_STEP
         cls = self.cls  # an unqualified call names a method of the caller's class
         if isinstance(recv, Name) and not any(recv.id in names for names, _ in self.scopes):
@@ -925,8 +933,7 @@ class _Compiler:
                 if n not in counts:
                     raise UnsupportedForEvaluation(e.span, f"Math.{method}/{n}")
                 self.arguments(args, e.args, [argument] * n)
-                return _E(f"_{method}({', '.join(a.text for a in args)})", value, depth,
-                          writes=writes)
+                return _E(f"_{method}({', '.join(a.text for a in args)})", value, depth)
             if recv.id not in self.classes:
                 raise UnsupportedForEvaluation(e.span, f"unknown receiver {recv.id!r}")
             cls, recv = recv.id, None
@@ -937,14 +944,14 @@ class _Compiler:
             # A parameter of another type is the callee's own rejection.
             self.arguments(args, e.args, [p.type_name if p.type_name in SUPPORTED_PARAM_TYPES
                                           else "Object" for p in target.params])
-            inlined = self.inline(target, args)
+            inlined = self.inline(target, args, e.args)
             if inlined is not None:
                 return inlined
             self.stops = True
             call = f"m{self.callee(target)}({''.join(a.text + ', ' for a in args)}F, D + 1)"
             t = self.temp()
             return _E(f"((F := ({t} := {call})[1]) is None or {t}[0])",
-                      target.return_type, depth, writes=writes, call=call)
+                      target.return_type, depth, call=call)
         counts, argument, value = STRING_BUILTINS.get(method, _NO_BUILTIN)
         if n not in counts:
             raise UnsupportedForEvaluation(e.span, f"method {method!r} with {n} arguments")
@@ -953,10 +960,10 @@ class _Compiler:
         receiver = self.expr(recv)
         if receiver.type != "String":
             raise UnsupportedForEvaluation(recv.span, f"{receiver.type} cannot be dereferenced")
-        depth, writes = max(depth, receiver.depth + _EXPR_STEP), writes or receiver.writes
+        depth = max(depth, receiver.depth + _EXPR_STEP)
         at = f", {self.site(e, None)}" if method in ("substring", "concat") else ""
         return _E(f"_{method}({receiver.text}{at}{''.join(', ' + a.text for a in args)})",
-                  value, depth, writes=writes)
+                  value, depth)
 
     def arguments(self, args: list[_E], nodes, types: list[str]) -> None:
         for a, node, want in zip(args, nodes, types):
@@ -974,27 +981,26 @@ class _Compiler:
             self.leaves[id(m)] = e
         return self.leaves[id(m)]
 
-    def inline(self, m: MethodDecl, args: list[_E]) -> _E | None:
+    def inline(self, m: MethodDecl, args: list[_E], nodes) -> _E | None:
         """A call of the leaf m written in place (Scheifler, "An Analysis of
         Inline Substitution for a Structured Programming Language", CACM
         20(9), 1977): the arguments in order, then what m does on entry (the
         depth test, one unit of fuel for its return statement), then its e,
-        compiled in m's scope and class. A read of a slot that needs no
-        check stands in for its parameter when no later argument and not e
-        assign it; any other argument is stored in a fresh slot. None when
+        compiled in m's scope and class; `nodes` are the arguments' trees.
+        A read of a slot that needs no check stands in for its parameter
+        when no later argument assigns a slot and e does not assign that
+        parameter; any other argument is stored in a fresh slot. None when
         m is not a leaf, or e calls a same-file method, does not compile or
         is not of m's return type: the call then runs m, which rejects where
         it did."""
         e = self.leaf(m)
         if e is None:
             return None
-        assigned = {a.target.id for a in walk(e) if isinstance(a, Assign)
-                    and isinstance(a.target, Name)}
+        assigned = _assigned((e,))
         before = len(self.sites), len(self.helpers), self.size, self.temps
         slots, entry = {}, []
         for i, (p, a) in enumerate(zip(m.params, args)):
-            if a.slot and p.name not in assigned and not any(
-                    later.writes for later in args[i + 1:]):
+            if a.slot and p.name not in assigned and not _assigned(nodes[i + 1:]):
                 slots[p.name] = a.slot
             else:  # `is` only orders the store before the tests after it
                 slots[p.name], self.size = self.size, self.size + 1
@@ -1015,8 +1021,7 @@ class _Compiler:
         finally:
             self.scopes, self.cls, self.inlining = *outer, False
         return _E(f"({x.text} if {' and '.join(entry)} else _oof())", m.return_type,
-                  max([x.depth, *(a.depth + 1 for a in args)]) + 1,
-                  writes=any(a.writes for a in args))
+                  max([x.depth, *(a.depth + 1 for a in args)]) + 1)
 
 
 def _is_int(x: _E) -> int | None:

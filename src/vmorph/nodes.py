@@ -31,8 +31,9 @@ Call/FieldAccess/Assign/New. Anything else is rejected at parse time.
 Comments are attached to the statement or member that follows them so they
 survive printing (buggy-line hint comments must round-trip).
 
-`jumps` says whether a statement can complete normally, for the parser's
-`SwitchCase.terminated`, the rewrites and the oracle alike.
+`jumps` says whether a statement can complete normally, for the rewrites
+and the oracle alike; `ends_case`, read where it is needed, whether a
+switch case falls through.
 
 Schema: each field of a node class declares, once, through its default,
 what it holds: `_child()` a child node, an optional one or a tuple of them;
@@ -469,14 +470,10 @@ class For(Stmt):
 
 @_node
 class SwitchCase(Node):
-    """labels holds Literal nodes and/or the DEFAULT_LABEL sentinel.
-
-    terminated is derived at construction, as `ends_case(body)`.
-    """
+    """labels holds Literal nodes and/or the DEFAULT_LABEL sentinel."""
 
     labels: tuple[object, ...] = _child()
     body: tuple[Stmt, ...] = _child()
-    terminated: bool = _payload()
     span: Span = _span_field()
 
 

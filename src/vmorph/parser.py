@@ -71,7 +71,6 @@ from .nodes import (
     Unary,
     While,
     children,
-    ends_case,
 )
 
 # Deeper expressions are rejected: printing and tree walks recurse per level.
@@ -536,8 +535,8 @@ class _Parser:
                 if self.at_kind(EOF):
                     raise self.error("unterminated switch")
                 body.append(self.nested(self.statement))
-            cases.append(SwitchCase(tuple(labels), tuple(body), ends_case(body),
-                                    self.lines, self.pos_from(case_start)))
+            cases.append(SwitchCase(tuple(labels), tuple(body), self.lines,
+                                    self.pos_from(case_start)))
         self.expect("}")
         return Switch(scrutinee, tuple(cases), comments, self.lines, self.pos_from(start))
 

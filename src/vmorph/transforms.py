@@ -376,7 +376,7 @@ def _switch_to_if_chain(stmt: Switch) -> Stmt:
             body = body[:-1]
         return Block(tuple(body), (), case.span)
 
-    if not all(case.terminated for case in stmt.cases[:-1]):
+    if not all(ends_case(case.body) for case in stmt.cases[:-1]):
         raise NotApplicable("fallthrough")
     _check_branches([case_block(case) for case in stmt.cases])
 
@@ -437,7 +437,7 @@ def _if_chain_to_switch(stmt: If) -> Stmt:
         stmts = body.stmts
         if labels[0] != DEFAULT_LABEL and not ends_case(stmts):
             stmts += (Break((), body.span),)
-        cases.append(SwitchCase(tuple(labels), stmts, ends_case(stmts), body.span))
+        cases.append(SwitchCase(tuple(labels), stmts, body.span))
     assert scrutinee is not None
     return Switch(scrutinee, tuple(cases), stmt.comments, stmt.span)
 
@@ -1062,12 +1062,12 @@ def _with_stmts(block: Block, stmts) -> Block:
 def _each_block(block: Block, rewrite) -> Block:
     """`rewrite(block, nested)`, where `nested(stmt)` is `stmt` with every
     block directly inside it passed through `_each_block` in turn: branches
-    (else-if links' too), loop bodies, and switch-case bodies, whose
-    `terminated` is recomputed. A rewrite that changes a statement before
-    calling `nested` on it works outer-first; one that calls `nested` first
-    works inner-first. `nested` is a partial, not a closure that calls
-    itself: such a closure is a reference cycle, which only the cyclic
-    collector frees, and it would keep the rule's state alive until then."""
+    (else-if links' too), loop bodies, and switch-case bodies. A rewrite
+    that changes a statement before calling `nested` on it works
+    outer-first; one that calls `nested` first works inner-first. `nested`
+    is a partial, not a closure that calls itself: such a closure is a
+    reference cycle, which only the cyclic collector frees, and it would
+    keep the rule's state alive until then."""
     return rewrite(block, partial(_nested, rewrite))
 
 
@@ -1087,5 +1087,5 @@ def _nested(rewrite, node):
         body = _each_block(Block(node.body), rewrite).stmts
         if body is node.body:
             return node
-        return evolve(node, body=body, terminated=ends_case(body))
+        return evolve(node, body=body)
     return rebuild(node, partial(_nested, rewrite)) if isinstance(node, Stmt) else node

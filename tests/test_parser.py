@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from vmorph.errors import JavaSyntaxError, UnsupportedConstruct, VmorphError
 from vmorph.interp import Threw, evaluate
 from vmorph.lexer import COMMENT, EOF, Tokens, position, tokenize
-from vmorph.nodes import Block, If, LocalVarDecl, Literal, Switch, walk
+from vmorph.nodes import Block, If, LocalVarDecl, Literal, Switch, ends_case, walk
 from vmorph.parser import MAX_NESTING, parse
 from vmorph.printer import print_source
 
@@ -238,8 +238,8 @@ def test_switch_shape_and_termination():
     assert isinstance(sw, Switch)
     assert len(sw.cases) == 2
     assert len(sw.cases[0].labels) == 2
-    assert sw.cases[0].terminated
-    assert not sw.cases[1].terminated
+    assert ends_case(sw.cases[0].body)
+    assert not ends_case(sw.cases[1].body)
 
 
 def test_multi_declarator_locals():

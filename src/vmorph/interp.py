@@ -37,15 +37,16 @@ locals are slot variables numbered in the order the compiler meets them, F
 is the fuel left and D the call depth. Each statement is preceded by
 `if (F := F - 1) < 0: _oof()`, and a loop charges in its `while` test. A
 counted loop, whose test is `c < b` or `c <= b` with step `c = c + 1` (or
-`>`, `>=` and `c - 1`) on int slots that nothing else in the loop assigns,
-is preceded by `if (T) * k >= F: _oof()`: T is the passes it makes at
-least, b - c (one more for `<=`), and k its test plus its body's
-statements, what a pass charges at least. It is written only where nothing
-in the body can end the run but fuel (no jump, call that is not written in
-place, division that can throw, String method, concatenation or switch, or
-checked read), so a loop that lacks the fuel ends OutOfFuel at once, as it
-would have after T passes, and one that has it runs as before: the outcome
-at every fuel is the same. A Java call is one Python call,
+`>`, `>=` and `c - 1`; a for's update, else the body's last statement) on
+int slots that nothing else in the loop assigns, is preceded by
+`if (T) * k >= F: _oof()`: T is the passes it makes at least, b - c (one
+more for `<=`), and k its test plus its body's statements, what a pass
+charges at least. It is written only where nothing in the body can end
+the run but fuel (no jump, call that is not written in place, division
+that can throw, String method, concatenation or switch, or checked read),
+so a loop that lacks the fuel ends OutOfFuel at once, as it would have
+after T passes, and one that has it runs as before: the outcome at every
+fuel is the same. A Java call is one Python call,
 `m<j>(a, b, F, D + 1)`, which checks D on entry and returns (value, F), so
 200 nested calls run inside Python's default recursion limit. A call of a
 leaf, a method whose body is one `return e;` and whose e calls no
@@ -703,23 +704,19 @@ class _Compiler:
         self.stops = self.stops or outer
 
     def trips(self, loop) -> str | None:
-        """The text of T for a counted loop, a while or a for, else None.
-        Its step is a for's update, else the last statement of its body. A
-        loop is counted when its test is `c < b` or `c <= b` and its step
-        `c = c + 1`, or the test is `c > b` or `c >= b` and the step
-        `c = c - 1`; c is an int slot, b an int literal or slot, neither
-        read with a check, and no other statement of the body assigns
-        either. It then passes T = b - c times (c - b counting down), one
-        more for `<=` or `>=`, where c may also wrap past INT_MAX or INT_MIN
-        and pass on: T is a lower bound. A step in the body is charged as
-        any statement is, so loop()'s k counts it."""
+        """The text of T for a counted while or for loop, else None. Its step
+        is a for's update, else its body's last statement, which loop()'s k
+        counts as any other. A loop is counted when its test is `c < b` or
+        `c <= b` and its step `c = c + 1`, or the test is `c > b` or `c >= b`
+        and the step `c = c - 1`; c is an int slot, b an int literal or slot,
+        neither read with a check, and no other statement of the body
+        assigns either. It then passes T = b - c times (c - b counting down),
+        one more for `<=` or `>=`, where c may also wrap past INT_MAX or
+        INT_MIN and pass on: T is a lower bound."""
         cond, stmts = loop.cond, loop.body.stmts
-        if isinstance(loop, For) and loop.update is not None:
-            step, others = loop.update, stmts
-        elif stmts and isinstance(stmts[-1], ExprStmt):
+        step, others = getattr(loop, "update", None), stmts  # a while has no update
+        if step is None and stmts and isinstance(stmts[-1], ExprStmt):
             step, others = stmts[-1].expr, stmts[:-1]
-        else:
-            return None
         if not isinstance(cond, Binary) or cond.op not in _COUNTED:
             return None
         (sign, more), c, b = _COUNTED[cond.op], cond.left, cond.right

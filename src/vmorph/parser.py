@@ -446,7 +446,7 @@ class _Parser:
     def _looks_like_generic_decl(self) -> bool:
         """Scan past a balanced <...> of type-ish tokens followed by a name."""
         depth = 0
-        for j in range(self.pos, self.eof + 1):  # from the '<'
+        for j in range(self.pos, self.eof):  # from the '<'
             text = self.texts[j]
             if text == "<":
                 depth += 1
@@ -456,7 +456,7 @@ class _Parser:
                     return self.kinds[j + 1] == IDENT
             elif not (self.kinds[j] == IDENT or text in (".", ",", "?")):
                 return False
-        return False
+        return False  # the input ends before the '<' closes
 
     def if_stmt(self, comments) -> If:
         start = self.expect("if")

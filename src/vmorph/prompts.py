@@ -147,13 +147,13 @@ def _fit_window(before: list[str], anchor: list[str], after: list[str],
 
 
 def find_method_at(file: SourceFile, start_line: int, end_line: int) -> MethodDecl:
-    """The innermost method whose span covers the given line range."""
+    """The last method, in source order, whose span covers the given line
+    range: of two on one line, the later."""
     best: MethodDecl | None = None
     for cls in file.types:
         for m in cls.methods:
             if m.span.start_line <= start_line and end_line <= m.span.end_line:
-                if best is None or m.span.start_line >= best.span.start_line:
-                    best = m
+                best = m
     if best is None:
         raise SpanOutsideMethod(f"no method covers lines {start_line}:{end_line}")
     return best

@@ -25,14 +25,14 @@ def margin_of_error(samples: list[float], confidence: float = 0.95) -> float:
     s = statistics.stdev(samples)
     if s == 0.0:
         return 0.0
-    return _t_quantile(1.0 - (1.0 - confidence) / 2.0, n - 1) * s / math.sqrt(n)
+    return _t_quantile((1.0 - confidence) / 2.0, n - 1) * s / math.sqrt(n)
 
 
-def _t_quantile(p: float, df: int) -> float:
-    """The t with P(T <= t) = p, for p > 1/2 and Student's T on df degrees
-    of freedom: a bisection on the upper tail P(T > t), halving the bracket
-    until no float lies strictly inside it."""
-    tail = 1.0 - p
+def _t_quantile(tail: float, df: int) -> float:
+    """The t with P(T > t) = tail, for 0 < tail <= 1/2 and Student's T on
+    df degrees of freedom: a bisection on P(T > t), halving the bracket
+    until no float lies strictly inside it. It takes the tail itself, not
+    1 - tail, whose rounding would lose the tail of a confidence near 1."""
     lo, hi = 0.0, 1.0
     while _t_tail(hi, df) > tail:
         lo, hi = hi, 2.0 * hi
@@ -53,9 +53,9 @@ def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
     """The regularized incomplete beta function I_x(a, b), with y = 1 - x
     given apart to keep its precision. The continued fraction converges
     fast for x < (a + 1) / (a + b + 2); past that, I_x(a, b) = 1 - I_y(b, a)
-    (Press et al., Numerical Recipes, 3rd ed., section 6.4)."""
-    if x == 0.0:
-        return 0.0
+    (Press et al., Numerical Recipes, 3rd ed., section 6.4). x > 0 here:
+    x = df / (df + t^2), df >= 1, and a tail of at least 2^-54 keeps t at
+    most 2^53."""
     if y == 0.0:
         return 1.0
     front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)

@@ -143,6 +143,7 @@ def test_parse_tokenizes_once_and_the_count_keeps_its_meaning(monkeypatch):
 @pytest.mark.parametrize("literal, escape", [
     (r'"\01"', r"\01"), (r'"a\07x"', r"\07"), (r'"\00"', r"\00"), (r'"\\\01"', r"\01"),
     (r'"\01', r"\01"),  # unterminated
+    (r'"\n\01', r"\01"),  # unterminated, after a valid escape
 ])
 def test_an_octal_escape_is_unsupported(literal, escape):
     with pytest.raises(VmorphError, match=re.escape(f"unsupported escape '{escape}'")):

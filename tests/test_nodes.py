@@ -261,3 +261,16 @@ def test_the_builder_writes_no_signature_docstring(monkeypatch):
     for build in (nodes.frozen, nodes.mutable):
         built = build(type("Probe", (), {"__annotations__": {"a": "int"}}))
         assert built.__doc__ == "Probe(a)" and repr(built(1)) == "Probe(a=1)"
+
+
+def test_a_node_field_that_declares_nothing_is_refused():
+    class Bare(Node):
+        x: int = 0
+
+    with pytest.raises(TypeError, match=r"^Bare\.x declares no schema$"):
+        nodes._node(Bare)
+
+
+def test_with_method_keeps_the_file_when_the_method_is_its_own():
+    ast = parse("class A { int f() { return 1; } }")
+    assert nodes.with_method(ast, (0, 0), nodes.method_at(ast, (0, 0))) is ast

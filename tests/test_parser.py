@@ -179,10 +179,14 @@ def test_a_statement_expression_that_starts_with_a_parenthesis_parses(code):
     ("class A { void f(int x) { switch (x) { case 1: g();", JavaSyntaxError,
      "1:52: unterminated switch"),
     ("class A { void f() { g() = 1; } }", JavaSyntaxError, "1:26: invalid assignment target"),
+    # a `>` that closes an inner `<` only, and a `<` that nothing closes
+    ("class A { void f() { Map<K, List<V> > m; } }", UnsupportedConstruct,
+     "1:22: unsupported construct: generic type"),
+    ("class A { void f() { Map<K, V", JavaSyntaxError, "1:22: not a statement"),
 ], ids=["duplicate-modifier", "generic-class", "extends", "void-parameter", "var-parameter",
         "annotated-statement", "annotated-expression", "lambda", "generic-new",
         "duplicate-default", "duplicate-int-case", "duplicate-string-case", "no-label", "name-label", "switch-cut-before-a-case",
-        "switch-cut-in-a-case", "call-target"])
+        "switch-cut-in-a-case", "call-target", "nested-generic", "unclosed-generic"])
 def test_a_front_end_rejection_names_its_reason_and_place(source, error, message):
     with pytest.raises(VmorphError) as exc:
         parse(source)

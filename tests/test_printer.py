@@ -1,6 +1,6 @@
 import pytest
 
-from vmorph.nodes import Literal, structurally_equal
+from vmorph.nodes import Block, Break, For, Literal, Name, structurally_equal
 from vmorph.parser import parse
 from vmorph.printer import print_expr, print_source, print_stmt
 
@@ -84,6 +84,17 @@ def test_string_escapes_round_trip():
 def test_a_nul_before_an_octal_digit_cannot_be_printed():
     with pytest.raises(ValueError, match=r"cannot print string 'a\\x001': NUL before an octal"):
         print_expr(Literal("a\x001", "string"))
+
+
+@pytest.mark.parametrize("printer, node, message", [
+    (print_stmt, Name("x"), "cannot print statement Name"),
+    (print_stmt, For(Break(), None, None, Block(())), "cannot print for-init Break"),
+    (print_expr, Block(()), "cannot print expression Block"),
+    (print_expr, Literal(1, "char"), "unknown literal kind 'char'"),
+], ids=["statement", "for-init", "expression", "literal"])
+def test_a_node_of_no_printable_kind_is_refused(printer, node, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        printer(node)
 
 
 def test_a_nul_before_a_letter_prints_and_parses_back():

@@ -175,3 +175,8 @@ def test_no_method_covers_the_lines(sample):
     with pytest.raises(SpanOutsideMethod) as exc:
         find_method_at(ast, 1, 1)
     assert str(exc.value) == "no method covers lines 1:1"
+
+
+def test_of_two_methods_on_one_line_the_later_is_found():
+    ast = parse("class A { int f() { return 1; } int g() { return 2; } }")
+    assert find_method_at(ast, 1, 1).name == "g"

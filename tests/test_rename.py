@@ -67,6 +67,15 @@ def test_assemble_identifier():
     assert assemble_identifier(["file", "service"], "pascal") == "FileService"
 
 
+@pytest.mark.parametrize("tokens, convention, message", [
+    ([], "camel", "cannot assemble an identifier from no tokens"),
+    (["node"], "kebab", "unknown convention 'kebab'"),
+])
+def test_an_identifier_cannot_be_assembled(tokens, convention, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        assemble_identifier(tokens, convention)
+
+
 def test_plan_uses_first_ranked_synonyms():
     project = [parse("class A { void f() { int parentPath = 0; mark(parentPath); } }", "A.java")]
     plan = build_rename_plan(_classified_table(project), FIXTURE_LEXICON)
@@ -337,6 +346,16 @@ def test_a_malformed_lexicon_line_is_named_by_its_line_number(tmp_path):
     lexicon.write_text("# header\n\nword\tsyn\nno tab here\n")
     with pytest.raises(VmorphError, match=f"^{lexicon}: lexicon line 4: expected word<TAB>"):
         SynonymLexicon.load(str(lexicon))
+
+
+@pytest.mark.parametrize("words, message", [
+    ({"word": ()}, "lexicon word 'word' has no candidates"),
+    ({"word": ("word", "syn")}, "lexicon word 'word' maps to itself first"),
+    ({"word": ("syn", "Alt")}, "candidate 'Alt' for 'word' is not lowercase"),
+], ids=["no-candidates", "itself-first", "capitalised-candidate"])
+def test_a_lexicon_entry_is_checked(words, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SynonymLexicon(words)
 
 
 def test_dictionary_fields_are_checked_by_name():

@@ -85,3 +85,18 @@ def test_one_and_two_degrees_of_freedom_match_their_closed_forms(confidence):
     assert math.isclose(margin_of_error([0.0, 1.0], confidence), one / 2.0, rel_tol=1e-12)
     assert math.isclose(margin_of_error([9.0, 10.0, 11.0], confidence), two / math.sqrt(3.0),
                         rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("confidence", [1.0 - 2.0 ** -53, 1.0 - 1e-12])
+def test_a_confidence_near_one_keeps_its_tail(confidence):
+    # t(1, p) = 1 / tan(pi tail), with the tail (1 - confidence) / 2 taken
+    # as it is: 1 - tail rounds the tail away.
+    tail = (1.0 - confidence) / 2.0
+    assert math.isclose(margin_of_error([0.0, 1.0], confidence),
+                        1.0 / math.tan(math.pi * tail) / 2.0, rel_tol=1e-12)
+
+
+def test_a_confidence_near_zero_gives_the_least_positive_t():
+    # The tail is 1/2, so the bisection ends at the least positive t, whose
+    # square, and so y = t^2 / (df + t^2), is 0.
+    assert margin_of_error([0.0, 1.0], 1e-300) == 5e-324

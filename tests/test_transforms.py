@@ -249,7 +249,8 @@ def convert_in_loop(code: str, detail: str):
      [False, True, False]),
     ("if (k == 1) { r = r + 1; } else if (k == 2) { if (c) { return 1; } else { return 2; } } "
      "else { r = r + i; }", [True, False, False]),
-], ids=["continue", "if-else-returns"])
+    ("if (k == 1) { r = r + 1; } else if (k == 2) { r = r + 2; continue; }", [True, False]),
+], ids=["continue", "if-else-returns", "no-final-else"])
 def test_an_if_chain_branch_that_jumps_gets_no_break(code, breaks):
     out = convert_in_loop(code, "if-chain-to-switch")
     switch = next(n for n in walk(out) if isinstance(n, Switch))
@@ -385,9 +386,10 @@ def test_a_conditional_site_is_refused(code, reason):
     ("switch (g().k) { case 1: r = 1; break; default: r = 2; }", "effectful-scrutinee"),
     # a whole initializer is not also reported as a nested ternary
     ("var v = k > 0 ? 1 : 2; r = v;", "var-requires-initializer"),
+    ("if (k == 1) { r = 1; } else if (k == r) { r = 2; }", "non-literal-guards"),
 ], ids=["empty-switch", "mixed-default-labels", "mixed-label-types", "no-value-cases",
         "empty-default", "comparison-guard", "other-scrutinee", "other-scrutinee-in-an-or",
-        "field-of-a-call", "var-ternary"])
+        "field-of-a-call", "var-ternary", "name-guard"])
 def test_a_refused_conditional_is_reported_at_its_site(code, reason):
     ast = parse(f"class W {{ static int f(int k) {{ int r = 0; {code} return r; }} }}")
     m = ast.types[0].methods[0]

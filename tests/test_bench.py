@@ -1395,3 +1395,64 @@ def test_a_record_loads_two_oracle_texts(lexicon, tmp_path, monkeypatch):
     manifest = generate_variants([record], lexicon, tmp_path / "out", seed=1)
     assert all(isinstance(e.equivalence, dict) for e in manifest.entries)
     assert len(loads) == 2
+
+
+# ---------------------------------------------------------------------------
+# apply_all commutes with a consistent rename
+# ---------------------------------------------------------------------------
+
+
+def _identifier_map(before: str, after: str) -> dict[str, str]:
+    """The identifier that each identifier token of `before` becomes in
+    `after`; the two must lex to the same tokens but for identifiers, and
+    one identifier must always become the same one."""
+    x, y = tokenize(before), tokenize(after)
+    assert x.kinds == y.kinds
+    assert ([t for k, t in zip(x.kinds, x.texts) if k != IDENT]
+            == [t for k, t in zip(y.kinds, y.texts) if k != IDENT])
+    mapping: dict[str, str] = {}
+    for kind, s, t in zip(x.kinds, x.texts, y.texts):
+        if kind == IDENT:
+            assert mapping.setdefault(s, t) == t, (s, t)
+    return mapping
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_apply_all_commutes_with_a_consistent_rename(lexicon, seed, monkeypatch):
+    """On every record of every perfbench workload, apply_all on the renamed
+    target (the both variant) makes the rewrites it makes on the target (the
+    structure variant): the reports are equal, and the methods are equal up
+    to a bijection of identifiers that extends the rename dictionary. Only
+    the fresh locals a rewrite derives from the words around it may differ."""
+    from vmorph.identifiers import classify_origin, load_stdlib_index, project_imports
+    from vmorph.nodes import method_at, method_position
+    from vmorph.printer import print_method
+    from vmorph.prompts import find_method_at
+    from vmorph.rename import build_rename_plan
+    from vmorph.transforms import apply_all
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import gen
+
+    records = 0
+    for workload in gen.WORKLOADS.values():
+        for raw in workload(seed):
+            asts = {rel: parse(text, rel) for rel, text in raw.files.items()}
+            buggy = asts[raw.buggy_file]
+            m = find_method_at(buggy, *raw.buggy_lines)
+            trees = list(asts.values())
+            table = classify_origin(collect_identifiers(trees, focus=m), project_imports(trees),
+                                    load_stdlib_index())
+            dct = build_rename_plan(table, lexicon)
+            renamed = bench._rename_project(asts, table, dct)
+            structure, report = apply_all(m, buggy, bench._method_names(asts))
+            both, both_report = apply_all(
+                method_at(renamed[raw.buggy_file], method_position(buggy, m)),
+                renamed[raw.buggy_file], bench._method_names(renamed))
+            assert both_report.to_json_dict() == report.to_json_dict(), raw.id
+            law = dict(dct.forward)
+            for s, t in _identifier_map(print_method(structure), print_method(both)).items():
+                assert law.setdefault(s, t) == t, (raw.id, s, t)
+            assert len(set(law.values())) == len(law), raw.id
+            records += 1
+    assert records == 60 + 4 + 1

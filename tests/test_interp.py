@@ -925,6 +925,7 @@ LEAF_SRC = """class A {
     static int g(int x, int y) { return (x = x + y) * x + y; }
     static int own(int a, int b) { return g(a, b) + a + g(b, a) + b; }
     static int inner(int a, int b) { return h(a, Math.max(0, (a = a + 1))) + a; }
+    static int other(int a, int b) { return h(a, (b = b + 1)) + b; }
 }"""
 LEAF_ARGS = ((0, 0), (1, 2), (-3, 5), (5, -1), (interp.INT_MAX, 1), (interp.INT_MIN, -1))
 # (outcome, least fuel) on LEAF_ARGS, or on n = 197...201 for r
@@ -942,6 +943,8 @@ LEAF_CALLS = {
     "own": [({"returned": r}, 3) for r in (0, 24, 12, 40, 0, 0)],
     # the later argument assigns a inside a nested call
     "inner": [({"returned": r}, 2) for r in (2, 11, -23, 47, -7, 1)],
+    # the later argument assigns b, not a
+    "other": [({"returned": r}, 2) for r in (2, 13, -9, 35, 2147483645, -2147483648)],
 }
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import vmorph.parser
-from vmorph.errors import VmorphError
+from vmorph.errors import JavaSyntaxError, VmorphError
 from vmorph.lexer import COMMENT, EOF, IDENT, Tokens, position, tokenize
 from vmorph.nodes import Binary, walk
 from vmorph.parser import parse
@@ -156,6 +156,31 @@ def test_an_octal_escape_is_unsupported(literal, escape):
 def test_a_nul_escape_ends_before_a_character_that_is_not_octal(literal, value):
     tokens = tokenize(f"x = {literal};")
     assert list(tokens.values.values()) == [value]
+
+
+# A string literal that does not close is reported at its opening quote: by
+# its first unsupported escape (a backslash before a line end is one), else
+# as unterminated.
+@pytest.mark.parametrize("literal, message", [
+    ('"', "unterminated string literal"),
+    ('"abc\n', "unterminated string literal"),
+    ('"ab\\"', "unterminated string literal"),
+    ('"ab\\\n', "unsupported escape '\\\n'"),
+    ('"ab\\', "unterminated string literal"),
+    ('"a\\qb\n', "unsupported escape '\\q'"),
+    ('"a /* c', "unterminated string literal"),
+], ids=["lone-quote", "line-end", "escaped-quote-at-end", "backslash-line-end",
+        "backslash-at-end", "bad-escape-then-line-end", "comment-opener"])
+def test_an_unclosed_string_literal_names_its_reason_and_place(literal, message):
+    with pytest.raises(JavaSyntaxError) as exc:
+        tokenize(f"x = 1;\n  y = {literal}")
+    assert str(exc.value) == f"<input>:2:7: {message}"
+
+
+@pytest.mark.parametrize("literal, value", [(r'"ab\\"', "ab\\"), (r'"ab\""', 'ab"')],
+                         ids=["backslash", "quote"])
+def test_an_escape_just_before_the_closing_quote_decodes(literal, value):
+    assert list(tokenize(f"x = {literal};").values.values()) == [value]
 
 
 # Java reads an int literal that starts with 0 as octal (JLS 3.10.1): `010`

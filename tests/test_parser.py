@@ -163,6 +163,8 @@ def test_a_statement_expression_that_starts_with_a_parenthesis_parses(code):
      "1:26: unsupported construct: annotation"),
     ("class A { void f() { x = (a) -> b; } }", UnsupportedConstruct,
      "1:30: unsupported construct: lambda expression"),
+    ("class A { void f() { x = y -> z; } }", UnsupportedConstruct,
+     "1:28: unsupported construct: lambda expression"),
     ("class A { void f() { x = new ArrayList<String>(); } }", UnsupportedConstruct,
      "1:39: unsupported construct: generic type"),
     ("class A { void f(int x) { switch (x) { default: break; default: break; } } }",
@@ -184,7 +186,7 @@ def test_a_statement_expression_that_starts_with_a_parenthesis_parses(code):
      "1:22: unsupported construct: generic type"),
     ("class A { void f() { Map<K, V", JavaSyntaxError, "1:22: not a statement"),
 ], ids=["duplicate-modifier", "generic-class", "extends", "void-parameter", "var-parameter",
-        "annotated-statement", "annotated-expression", "lambda", "generic-new",
+        "annotated-statement", "annotated-expression", "lambda", "name-lambda", "generic-new",
         "duplicate-default", "duplicate-int-case", "duplicate-string-case", "no-label", "name-label", "switch-cut-before-a-case",
         "switch-cut-in-a-case", "call-target", "nested-generic", "unclosed-generic"])
 def test_a_front_end_rejection_names_its_reason_and_place(source, error, message):

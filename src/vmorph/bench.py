@@ -235,15 +235,11 @@ def _load_project(root: Path) -> _Project:
 
 def _rename_project(asts: dict[str, SourceFile], table: IdentifierTable,
                     dct: RenameDictionary) -> dict[str, SourceFile]:
-    """`asts` renamed by `dct`. Only the files that hold a site of some key
-    in `table` go through apply_rename (every file, if some key is not in
-    `table`); every other file keeps its tree, which all variants share."""
-    entries = [table.entries.get(key) for key in dct.forward]
-    if None in entries:  # a key the table does not know may be in any file
-        keyed = list(asts)
-    else:
-        files = set().union(*(e.files for e in entries))
-        keyed = [rel for rel in asts if rel in files]
+    """`asts` renamed by `dct`, a plan built from `table`, which holds every
+    key. Only the files that hold a site of some key go through apply_rename;
+    every other file keeps its tree, which all variants share."""
+    files = set().union(*(table.entries[key].files for key in dct.forward))
+    keyed = [rel for rel in asts if rel in files]
     renamed = dict(asts)
     renamed.update(zip(keyed, apply_rename([asts[rel] for rel in keyed], dct)))
     return renamed

@@ -23,14 +23,8 @@ from dataclasses import replace
 from functools import cache
 
 from .errors import UnresolvedIdentifier, data_lines
-# The kinds and the primitive type names are the node schema's; this module
-# re-exports them.
-from .nodes import (  # noqa: F401
-    CLASS,
+from .nodes import (
     DECL,
-    FUNCTION,
-    PRIMITIVE_TYPES,
-    VARIABLE,
     MethodDecl,
     Node,
     SourceFile,
@@ -172,14 +166,13 @@ def convention(name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def load_stdlib_index(path: str | None = None) -> frozenset[str]:
+def load_stdlib_index() -> frozenset[str]:
     """Load the stdlib name list: one name per line, `#` comments allowed.
 
-    Resolution order: explicit path, VMORPH_STDLIB_INDEX, bundled list. A
-    path is read on every call, the bundled list once per process.
+    The file VMORPH_STDLIB_INDEX names, read on every call; else the bundled
+    list, read once per process.
     """
-    if path is None:
-        path = os.environ.get("VMORPH_STDLIB_INDEX")
+    path = os.environ.get("VMORPH_STDLIB_INDEX")
     return _read_stdlib_index(path) if path is not None else _bundled_stdlib_index()
 
 

@@ -985,8 +985,9 @@ class _Compiler:
         depth test, one unit of fuel for its return statement), then its e,
         compiled in m's scope and class; `nodes` are the arguments' trees.
         A read of a slot that needs no check stands in for its parameter
-        when no later argument assigns a slot and e does not assign that
-        parameter; any other argument is stored in a fresh slot. None when
+        when no later argument assigns that slot's name and e does not
+        assign that parameter; any other argument is stored in a fresh
+        slot (e cannot assign a caller's slot). None when
         m is not a leaf, or e calls a same-file method, does not compile or
         is not of m's return type: the call then runs m, which rejects where
         it did."""
@@ -997,7 +998,7 @@ class _Compiler:
         before = len(self.sites), len(self.helpers), self.size, self.temps
         slots, entry = {}, []
         for i, (p, a) in enumerate(zip(m.params, args)):
-            if a.slot and p.name not in assigned and not _assigned(nodes[i + 1:]):
+            if a.slot and p.name not in assigned and nodes[i].id not in _assigned(nodes[i + 1:]):
                 slots[p.name] = a.slot
             else:  # `is` only orders the store before the tests after it
                 slots[p.name], self.size = self.size, self.size + 1

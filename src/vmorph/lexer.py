@@ -27,8 +27,11 @@ before it, and a token's end offset is the running sum of their lengths
 object per token). Whitespace is the one thing no token alternative matches,
 so the pieces cover the text up to its trailing whitespace. Input outside the
 subset ends up in an alternative that raises: a word that does not start
-with a letter, an unterminated string or comment, a char literal, any other
-character.
+with a letter, an unterminated comment, a char literal, any other character.
+A string literal is one alternative whose closing quote is optional, with a
+backslash and the character after it, a line end too, as one pair; the
+literal raises at its opening quote for its first unsupported escape, else
+when it did not close.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ _TOKEN = re.compile("[ \t\r\n]*(?:" + "|".join((
     r"//[^\n]*|/\*(?:.*?\*/)?",  # a bare `/*` is an unterminated comment
     "|".join(re.escape(op) for op in OPERATORS if len(op) == 2)
     + "|[" + re.escape("".join(op for op in OPERATORS if len(op) == 1)) + "]",
-    r'"(?:[^"\\\n]|\\[^\n])*"',
+    r'"(?:[^"\\\n]|\\.)*"?',  # a literal that does not close raises
     r"\w[\w$]*",  # a non-ASCII word: an identifier if it starts with a letter
     r"[^ \t\r\n]",
 )) + ")", re.DOTALL)
@@ -152,22 +155,23 @@ def tokenize(text: str, file: str = "<input>") -> Tokens:
             if tok[0] == "0" and (len(tok.lstrip("0")) > 1 or tok[-1] in "89"):
                 raise err("only decimal integer literals are supported", i)
             values[at] = int(tok)
-        elif kind is STRING and len(tok) > 1:
+        elif kind is STRING:
+            end = 1  # past the opening quote or the last escape
             if "\\" in tok:
-                for esc in _ESCAPE.finditer(tok, 1, len(tok) - 1):
+                for esc in _ESCAPE.finditer(tok, 1):
                     if esc[1] not in ESCAPES:
                         raise err(f"unsupported escape '\\{esc[1]}'", i)
-                values[at] = _ESCAPE.sub(lambda esc: ESCAPES[esc[1]], tok[1:-1])
-            else:
-                values[at] = tok[1:-1]
+                    end = esc.end()
+            if end == len(tok) or tok[-1] != '"':
+                raise err("unterminated string literal", i)
+            body = tok[1:-1]
+            values[at] = body if end == 1 else _ESCAPE.sub(lambda esc: ESCAPES[esc[1]], body)
         elif kind is COMMENT:
             if tok == "/*":
                 raise err("unterminated block comment", i)
             comments.append((at, starts[i], tok))
         elif tok[0].isalpha():
             kinds[i] = IDENT
-        elif tok == '"':
-            raise err(_string_error(text, starts[i]), i)
         elif tok == "'":
             raise UnsupportedConstruct(where(i), "char literal")
         else:
@@ -183,17 +187,3 @@ def tokenize(text: str, file: str = "<input>") -> Tokens:
     starts.append(len(text))
     return Tokens(kinds, raw, starts, values, comments, line_starts)
 
-
-def _string_error(text: str, start: int) -> str:
-    """Why the string literal opening at `start` matched no string group:
-    its first bad escape, or the end of the line or input before it closes."""
-    j = start + 1
-    while j < len(text) and text[j] != "\n":
-        esc = _ESCAPE.match(text, j)
-        if esc:
-            if esc[1] not in ESCAPES:
-                return f"unsupported escape '\\{esc[1]}'"
-            j += 2
-        else:
-            j += 1
-    return "unterminated string literal"

@@ -102,7 +102,7 @@ class _Parser:
         self.starts = tokens.starts
         self.values = tokens.values
         self.lines = LineTable(file, tokens.line_starts)  # every node's, shared
-        self.eof = len(tokens.kinds) - 1  # next() stops here
+        self.eof = len(tokens.kinds) - 1  # the index of the EOF token
         # Comments between the previous code token and token i.
         self.comments_before: dict[int, tuple[str, ...]] = {}
         for i, _, text in tokens.comments:
@@ -119,10 +119,10 @@ class _Parser:
         return self.kinds[self.pos + k] == kind
 
     def next(self) -> int:
-        """Consume the current token, unless it is EOF; its index."""
+        """Consume the current token; its index. Every caller has first
+        matched the token's text or kind, so it is never EOF."""
         i = self.pos
-        if i < self.eof:
-            self.pos = i + 1
+        self.pos = i + 1
         return i
 
     def found(self) -> str:
@@ -666,10 +666,7 @@ class _Parser:
             if key in PRIMITIVE_NAMES:
                 raise self.error(f"type name {key!r} cannot be used as an expression")
             self.pos = start + 1  # not EOF
-            after = self.texts[start + 1]
-            if after == "->":
-                raise self.unsupported("lambda expression")
-            if after == "(":
+            if self.texts[start + 1] == "(":
                 args = self.comma_list(self.expression)
                 return Call(None, key, args, self.lines, self.pos_from(start))
             return Name(key, self.lines, self.token_pos(start))

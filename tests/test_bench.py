@@ -35,7 +35,7 @@ from vmorph.lexer import IDENT, tokenize
 from vmorph.nodes import Declarator, Name, Span, walk
 from vmorph.parser import parse
 from vmorph.printer import print_source
-from vmorph.rename import RenameDictionary, SynonymLexicon, recover_patch
+from vmorph.rename import RenameDictionary, SynonymLexicon, apply_rename, recover_patch
 
 
 @pytest.fixture(scope="module")
@@ -956,9 +956,10 @@ def test_a_key_only_in_another_file_renames_that_file_alone(rename_project):
 
 @pytest.mark.parametrize("key", ["int", "util"], ids=["primitive", "wildcard-import-tail"])
 def test_a_key_met_but_never_renamed_is_not_stale(rename_project, key):
-    renamed = _renamed(rename_project, {key: "renamedKey"})
-    assert renamed == rename_project.asts
-    assert renamed["C.java"] is rename_project.asts["C.java"]
+    trees = list(rename_project.asts.values())
+    renamed = apply_rename(trees, RenameDictionary.build({key: "renamedKey"}, {}))
+    assert renamed == trees
+    assert renamed[2] is trees[2]  # C.java
 
 
 def test_a_key_found_only_inside_a_longer_name_changes_nothing_there(rename_project):
@@ -969,10 +970,11 @@ def test_a_key_found_only_inside_a_longer_name_changes_nothing_there(rename_proj
 
 
 def test_a_key_in_no_tree_is_still_stale(rename_project):
+    trees = list(rename_project.asts.values())
     with pytest.raises(StaleDictionary):
-        _renamed(rename_project, {"java": "jvm"})  # a substring of B, in no identifier
+        apply_rename(trees, RenameDictionary.build({"java": "jvm"}, {}))  # a substring of B
     with pytest.raises(StaleDictionary):
-        _renamed(rename_project, {"absent": "present"})
+        apply_rename(trees, RenameDictionary.build({"absent": "present"}, {}))
 
 
 def test_files_without_a_key_keep_their_trees_across_variants(rename_project, lexicon,

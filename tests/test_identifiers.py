@@ -2,11 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vmorph.identifiers import (
-    CLASS,
     EXTERNAL,
-    FUNCTION,
     PROJECT,
-    VARIABLE,
     classify_origin,
     collect_identifiers,
     convention,
@@ -15,6 +12,7 @@ from vmorph.identifiers import (
     tokenize_identifier,
 )
 from vmorph.lexer import IDENT, tokenize
+from vmorph.nodes import CLASS, FUNCTION, VARIABLE
 from vmorph.parser import parse
 from vmorph.rename import assemble_identifier
 
@@ -109,7 +107,7 @@ def test_attribution_totality(guard_project):
     site_counts: dict[str, int] = {}
     for entry in table.entries.values():
         site_counts[entry.name] = len(entry.decl_sites) + len(entry.use_sites)
-    from vmorph.identifiers import PRIMITIVE_TYPES
+    from vmorph.nodes import PRIMITIVE_TYPES
     from pathlib import Path
 
     token_counts: dict[str, int] = {}

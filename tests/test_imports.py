@@ -2,10 +2,9 @@
 
 The check needs only the standard library: it parses each module with `ast`
 and takes a name as used when the module reads it anywhere, in code or in an
-annotation (a quoted one too). An import whose
-statement carries `# noqa: F401` is a deliberate re-export and is left alone,
-as flake8 does.
-`__init__.py`, whose imports are the package's API, is skipped.
+annotation (a quoted one too). No module re-exports: a `# noqa: F401` does
+not exempt an import. `__init__.py`, whose imports are the package's API, is
+skipped.
 """
 
 import ast
@@ -26,14 +25,12 @@ def _quoted_names(annotation: ast.expr) -> set[str]:
 
 def unused_imports(text: str) -> list[str]:
     """The names that an import of `text` binds and nothing in it reads."""
-    tree, lines = ast.parse(text), text.splitlines()
+    tree = ast.parse(text)
     bound: dict[str, int] = {}
     used: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            if any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
                 continue
             for alias in node.names:
                 bound[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -62,7 +59,8 @@ def f(x: re.Pattern) -> "Optional[str]":
     import shutil
     return sep + j.dumps(x)
 """
-    assert unused_imports(text) == ["line 2: path", "line 8: os", "line 12: shutil"]
+    assert unused_imports(text) == ["line 2: path", "line 4: Any", "line 8: os",
+                                    "line 12: shutil"]
 
 
 @pytest.mark.parametrize("module", MODULES)

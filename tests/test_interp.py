@@ -957,6 +957,14 @@ def test_a_leaf_call_keeps_its_outcome_and_fuel(name):
     assert "def m1" not in interp._compile(m, ast).text  # h is written in place
 
 
+@pytest.mark.parametrize("name, stores", [("other", []), ("late", ["v1"])])
+def test_a_leaf_argument_is_stored_only_when_a_later_argument_assigns_its_name(name, stores):
+    """In h(a, (b = b + 1)) a's slot stands in for h's x; in h(a, (a = a + 1))
+    a is read before the second argument assigns it, so it is stored."""
+    m, ast = method_named(LEAF_SRC, name)
+    assert re.findall(r"\(v\d+ := (v\d+)\) is v\d+", interp._compile(m, ast).text) == stores
+
+
 def test_a_switch_local_argument_is_checked_where_the_caller_reads_it():
     m, ast = method_named(LEAF_SRC, "local")
     with pytest.raises(UnsupportedForEvaluation) as exc:

@@ -330,7 +330,7 @@ def test_recover_inverts_rename_token_stream(guard_project):
         assert _identifier_texts(print_source(original)) == _identifier_texts(recovered)
 
 
-def test_data_files_skip_blank_lines_and_indented_comments_alike(tmp_path):
+def test_data_files_skip_blank_lines_and_indented_comments_alike(tmp_path, monkeypatch):
     # The lexicon reads its lines as the stdlib index and the purity
     # whitelist do: stripped, so a `#` after leading blanks starts a comment.
     lexicon = tmp_path / "lexicon.tsv"
@@ -338,7 +338,8 @@ def test_data_files_skip_blank_lines_and_indented_comments_alike(tmp_path):
     assert SynonymLexicon.load(str(lexicon)).words == {"word": ("syn", "alt")}
     index = tmp_path / "index.txt"
     index.write_text("  # an indented comment\n\n  String \n")
-    assert load_stdlib_index(str(index)) == frozenset({"String"})
+    monkeypatch.setenv("VMORPH_STDLIB_INDEX", str(index))
+    assert load_stdlib_index() == frozenset({"String"})
 
 
 def test_a_malformed_lexicon_line_is_named_by_its_line_number(tmp_path):

@@ -986,11 +986,10 @@ class _Compiler:
         compiled in m's scope and class; `nodes` are the arguments' trees.
         A read of a slot that needs no check stands in for its parameter
         when no later argument assigns that slot's name and e does not
-        assign that parameter; any other argument is stored in a fresh
-        slot (e cannot assign a caller's slot). None when
-        m is not a leaf, or e calls a same-file method, does not compile or
-        is not of m's return type: the call then runs m, which rejects where
-        it did."""
+        assign that parameter (e cannot assign a caller's slot); any other
+        argument is stored in a fresh slot. None when m is not a leaf, or e
+        calls a same-file method, does not compile or is not of m's return
+        type: the call then runs m, which rejects where it did."""
         e = self.leaf(m)
         if e is None:
             return None

@@ -1340,6 +1340,22 @@ def test_every_perfbench_target_and_structure_variant_compiles_without_type_test
     assert len(perfbench_programs) == 2 * (60 + 4 + 1)
 
 
+# A same-file call's value written other than as the expression that reads
+# it: a store, a statement or a return of the call's (value, F) pair.
+_CALL_FORMS = re.compile(r" *(v\d+, F = m\d+\(.*|F = m\d+\(.*\)\[1\]|return m\d+\(.*)")
+
+
+def test_every_perfbench_call_value_is_read_from_one_expression(perfbench_programs):
+    """Each same-file call of the seed-1 perfbench targets and structure
+    variants is `((F := (t := m<j>(..., F, D + 1))[1]) is None or t[0])`,
+    wherever its value goes."""
+    from vmorph import interp
+
+    assert [(name, m.name, line) for name, m, context in perfbench_programs
+            for line in interp._Compiler(context).compile(m).text.splitlines()
+            if _CALL_FORMS.fullmatch(line)] == []
+
+
 def test_every_perfbench_structure_variant_has_as_many_entry_tests_as_its_target(
         perfbench_programs):
     """The structure variant writes each `while` as a `for` with its step

@@ -29,7 +29,7 @@ from vmorph.interp import (
     is_supported,
     outcome_to_json,
 )
-from vmorph.nodes import INT_MAX, Binary, evolve
+from vmorph.nodes import INT_MAX, Binary, Call, evolve, walk
 from vmorph.parser import parse
 from vmorph.printer import print_stmt
 from vmorph.transforms import TransformRule, apply_all, apply_rule
@@ -957,12 +957,16 @@ def test_a_leaf_call_keeps_its_outcome_and_fuel(name):
     assert "def m1" not in interp._compile(m, ast).text  # h is written in place
 
 
-@pytest.mark.parametrize("name, stores", [("other", []), ("late", ["v1"])])
-def test_a_leaf_argument_is_stored_only_when_a_later_argument_assigns_its_name(name, stores):
-    """In h(a, (b = b + 1)) a's slot stands in for h's x; in h(a, (a = a + 1))
-    a is read before the second argument assigns it, so it is stored."""
+@pytest.mark.parametrize("name", ["slots", "lits", "late", "other"])
+def test_every_argument_of_an_inlined_leaf_call_is_stored_in_a_fresh_slot(name):
+    """`(v<k> := <arg>) is v<k>` for each argument of each call of h, a slot
+    read or a literal alike, with a k of its own."""
     m, ast = method_named(LEAF_SRC, name)
-    assert re.findall(r"\(v\d+ := (v\d+)\) is v\d+", interp._compile(m, ast).text) == stores
+    text = interp._compile(m, ast).text
+    stored = re.findall(r"\) is v(\d+) and ", text)
+    assert all(f"(v{k} := " in text for k in stored)
+    assert len(set(stored)) == len(stored) == sum(
+        len(c.args) for c in walk(m) if isinstance(c, Call) and c.method == "h")
 
 
 def test_a_switch_local_argument_is_checked_where_the_caller_reads_it():

@@ -50,9 +50,8 @@ fuel is the same. A Java call is one Python call,
 `m<j>(a, b, F, D + 1)`, which checks D on entry and returns (value, F), so
 200 nested calls run inside Python's default recursion limit. A call of a
 leaf, a method whose body is one `return e;` and whose e calls no
-same-file method, is written in place instead: the arguments go into fresh
-slots (a slot read that nothing assigns before e reads it stands in for its
-parameter), `D < 200 and (F := F - 1) >= 0` does what the leaf does on
+same-file method, is written in place instead: each argument goes into a
+fresh slot, `D < 200 and (F := F - 1) >= 0` does what the leaf does on
 entry, and then e runs, compiled in the leaf's scope.
 A leaf that is only reached this way is not emitted as a function. If e does
 not compile, the call stays a call, so the leaf rejects where it always
@@ -370,17 +369,16 @@ class _Program:
 
 
 class _E(NamedTuple):
-    """An expression's Python text, its type, and what its users need to
-    know of it."""
+    """An expression's Python text, its type, the parentheses nested in the
+    text, and its value if it is a literal. Every expression, a same-file
+    call's too, is written as one Python expression that gives its value."""
     text: str
     type: str
     depth: int = 0  # parentheses nested in the text
     literal: tuple = ()  # (value,) for a literal
-    slot: int = 0  # the slot read, for a read that needs no check
-    call: str = ""  # a same-file call, `m<j>(..., F, D + 1)`, which gives (value, F)
 
 
-_TRUE = _E("True", "boolean", literal=(True,))
+_TRUE = _E("True", "boolean")
 _ZERO = _E("0", "int", literal=(0,))
 
 
@@ -648,10 +646,7 @@ class _Compiler:
             self.types[names[d.name]] = init.type if type_name == "var" else type_name
             if in_switch or d.init is None:
                 self.guarded.add(names[d.name])
-            self.line(self.store(names[d.name], init))
-
-    def store(self, slot: int, value: _E) -> str:
-        return f"v{slot}, F = {value.call}" if value.call else f"v{slot} = {value.text}"
+            self.line(f"v{names[d.name]} = {init.text}")
 
     def s_ExprStmt(self, s):
         self.line(self.effect(s.expr))
@@ -659,9 +654,9 @@ class _Compiler:
     def effect(self, e) -> str:
         """A statement evaluating e for its effect."""
         if isinstance(e, Assign):
-            return self.store(*self.assignment(e))
-        x = self.expr(e)
-        return f"F = {x.call}[1]" if x.call else x.text
+            slot, value = self.assignment(e)
+            return f"v{slot} = {value.text}"
+        return self.expr(e).text
 
     def condition(self, e) -> _E:
         return self.expect(self.expr(e), "boolean", e)
@@ -688,9 +683,7 @@ class _Compiler:
         never negative there, so a T of 0 or less fires only at F == 0,
         where the first test runs out too."""
         at, outer, self.stops = len(self.out), self.stops, False
-        charge = "(F := F - 1) >= 0 or _oof()"
-        self.line(f"while {charge}:" if test.literal == (True,) else
-                  f"while ({charge}) and {test.text}:")
+        self.line(f"while ((F := F - 1) >= 0 or _oof()) and {test.text}:")
         self.targets.append(_Target(update=update))
         def each_pass():
             self.block(body)
@@ -813,10 +806,7 @@ class _Compiler:
             raise UnsupportedForEvaluation(s.value.span,
                                            "incompatible types: unexpected return value")
         self.expect(value, self.result, s.value)
-        if value.call and not self.fn.helper:
-            self.line(f"return {value.call}")
-        else:
-            self.emit_return(value.text)
+        self.emit_return(value.text)
 
     def s_Break(self, s):
         self.stops = True
@@ -847,7 +837,7 @@ class _Compiler:
     def e_Name(self, e):
         slot = self.resolve(e, e.id)
         if slot not in self.guarded:
-            return _E(f"v{slot}", self.types[slot], slot=slot)
+            return _E(f"v{slot}", self.types[slot])
         site = self.site(e, f"unbound name {e.id!r}")
         return _E(f"(v{slot} if v{slot} is not _UNSET else _fail({site}))", self.types[slot], 2)
 
@@ -941,14 +931,14 @@ class _Compiler:
             # A parameter of another type is the callee's own rejection.
             self.arguments(args, e.args, [p.type_name if p.type_name in SUPPORTED_PARAM_TYPES
                                           else "Object" for p in target.params])
-            inlined = self.inline(target, args, e.args)
+            inlined = self.inline(target, args)
             if inlined is not None:
                 return inlined
             self.stops = True
             call = f"m{self.callee(target)}({''.join(a.text + ', ' for a in args)}F, D + 1)"
             t = self.temp()
-            return _E(f"((F := ({t} := {call})[1]) is None or {t}[0])",
-                      target.return_type, depth, call=call)
+            return _E(f"((F := ({t} := {call})[1]) is None or {t}[0])", target.return_type,
+                      depth)
         counts, argument, value = STRING_BUILTINS.get(method, _NO_BUILTIN)
         if n not in counts:
             raise UnsupportedForEvaluation(e.span, f"method {method!r} with {n} arguments")
@@ -978,31 +968,24 @@ class _Compiler:
             self.leaves[id(m)] = e
         return self.leaves[id(m)]
 
-    def inline(self, m: MethodDecl, args: list[_E], nodes) -> _E | None:
+    def inline(self, m: MethodDecl, args: list[_E]) -> _E | None:
         """A call of the leaf m written in place (Scheifler, "An Analysis of
         Inline Substitution for a Structured Programming Language", CACM
-        20(9), 1977): the arguments in order, then what m does on entry (the
-        depth test, one unit of fuel for its return statement), then its e,
-        compiled in m's scope and class; `nodes` are the arguments' trees.
-        A read of a slot that needs no check stands in for its parameter
-        when no later argument assigns that slot's name and e does not
-        assign that parameter (e cannot assign a caller's slot); any other
-        argument is stored in a fresh slot. None when m is not a leaf, or e
-        calls a same-file method, does not compile or is not of m's return
-        type: the call then runs m, which rejects where it did."""
+        20(9), 1977): each argument in order stored in a fresh slot, its
+        parameter's, then what m does on entry (the depth test, one unit of
+        fuel for its return statement), then its e, compiled in m's scope
+        and class. None when m is not a leaf, or e calls a same-file method,
+        does not compile or is not of m's return type: the call then runs m,
+        which rejects where it did."""
         e = self.leaf(m)
         if e is None:
             return None
-        assigned = _assigned((e,))
         before = len(self.sites), len(self.helpers), self.size, self.temps
         slots, entry = {}, []
-        for i, (p, a) in enumerate(zip(m.params, args)):
-            if a.slot and p.name not in assigned and nodes[i].id not in _assigned(nodes[i + 1:]):
-                slots[p.name] = a.slot
-            else:  # `is` only orders the store before the tests after it
-                slots[p.name], self.size = self.size, self.size + 1
-                self.types[slots[p.name]] = p.type_name
-                entry.append(f"(v{slots[p.name]} := {a.text}) is v{slots[p.name]}")
+        for p, a in zip(m.params, args):  # `is` only orders the store before the tests after it
+            slots[p.name], self.size = self.size, self.size + 1
+            self.types[slots[p.name]] = p.type_name
+            entry.append(f"(v{slots[p.name]} := {a.text}) is v{slots[p.name]}")
         entry += [f"D < {MAX_CALL_DEPTH}", "(F := F - 1) >= 0"]
         outer = self.scopes, self.cls
         self.scopes, self.cls, self.inlining = [(slots, False)], self.owner[id(m)], True

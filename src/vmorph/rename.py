@@ -162,8 +162,10 @@ def build_rename_plan(
 
     Collisions (against every name in the project, reserved words, and names
     already assigned) are resolved by advancing to the next-ranked synonym of
-    the last token, then by numeric suffixing. A review hook may accept, edit,
-    or skip each proposal.
+    the last token, then by numeric suffixing. An attempt that is not a Java
+    identifier (`2x`, `ice cream`) is passed over as a taken one is; a name
+    with no identifier attempt keeps its spelling. A review hook may accept,
+    edit, or skip each proposal.
     """
     taken: set[str] = set(table.names).union(table.entries, RESERVED_WORDS)
     forward: dict[str, str] = {}
@@ -175,8 +177,10 @@ def build_rename_plan(
         first_choice = [c[0] for c in candidates]
         attempts = [assemble_identifier(first_choice[:-1] + [last], conv)
                     for last in candidates[-1]]
-        chosen = next((a for a in attempts if a not in taken), None) \
-            or fresh_name(attempts[0], taken)
+        chosen = next((a for a in attempts if a not in taken and _is_identifier(a)), None) \
+            or next(filter(_is_identifier, (fresh_name(a, taken) for a in attempts)), None)
+        if chosen is None:  # no spelling of the synonyms is a Java identifier
+            continue
 
         if review is not None:
             decision = review(name, chosen)

@@ -117,6 +117,19 @@ def test_collision_gets_numeric_suffix():
     assert "entryCount2" in new_names or "entry_count" in new_names
 
 
+@pytest.mark.parametrize("name, lexicon, new", [
+    # `_2x`'s one word is `2x`, which assembles to `2x`
+    ("_2x", SynonymLexicon.load(), None),
+    ("treat", SynonymLexicon({"treat": ("ice cream",)}), None),
+    ("treat", SynonymLexicon({"treat": ("ice cream", "sweet")}), "sweet"),
+], ids=["digit-word", "spaced-candidate", "next-candidate"])
+def test_the_plan_proposes_only_identifiers(name, lexicon, new):
+    project = [parse(f"class A {{ int f() {{ int {name} = 0; return {name}; }} }}", "A.java")]
+    plan = build_rename_plan(_classified_table(project), lexicon)
+    assert plan.forward.get(name) == new
+    assert "f" in plan.forward
+
+
 def test_review_hook_accept_edit_skip():
     source = "class A { void f() { int parentPath = 0; int checkPath = 1; mark(parentPath + checkPath); } }"
     project = [parse(source, "A.java")]

@@ -72,6 +72,11 @@ class VulnRecord:
     cwe: Optional[str] = None
     developer_patch: Optional[str] = None
 
+    def __post_init__(self):
+        # The id names the record's output directory, so it may not leave --out.
+        if self.id in ("", ".", "..") or any(c in self.id for c in "/\\\0"):
+            raise VmorphError(f"field 'id' must be one path segment, not {self.id!r}")
+
     def to_json_dict(self) -> dict:
         return {
             "id": self.id,

@@ -898,17 +898,27 @@ def test_a_buggy_file_that_is_not_utf8_fails_only_its_record(lexicon, tmp_path):
     (json.dumps({"id": 7, "buggy_file": "A.java", "buggy_lines": [3]}).encode(),
      "field 'id' must be a string, not 7"),
     (b"{\"id\": \"caf\xe9\"}", "not UTF-8: invalid continuation byte at byte 11"),
-], ids=["not-json", "not-an-object", "missing-lines", "bad-lines", "bad-id", "not-utf8"])
+    *((json.dumps({"id": rid, "buggy_file": "A.java", "buggy_lines": [3]}).encode(),
+       f"field 'id' must be one path segment, not {rid!r}")
+      for rid in ("../escaped", "{tmp}/absolute", "X\0-1", "", ".", "..", "X/1", "X\\1")),
+], ids=["not-json", "not-an-object", "missing-lines", "bad-lines", "bad-id", "not-utf8",
+        "parent-id", "absolute-id", "nul-id", "empty-id", "dot-id", "dot-dot-id", "slash-id",
+        "backslash-id"])
 def test_cli_transform_reports_a_malformed_descriptor(tmp_path, capsys, content, detail):
+    """An id is one path segment: the output of no record leaves --out."""
     root = tmp_path / "project"
     root.mkdir()
-    (root / "vuln.json").write_bytes(content)
+    (root / "A.java").write_text("class A {\n    static int f(int n) {\n        return n;\n    }\n}\n")
+    (root / "vuln.json").write_bytes(content.replace(b"{tmp}", str(tmp_path).encode()))
     rc = cli_main(["transform", "--mode", "all", "--project", str(root),
                    "--out", str(tmp_path / "out")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"vmorph: error: {root / 'vuln.json'}: {detail}")
+    assert err.startswith(f"vmorph: error: {root / 'vuln.json'}: "
+                          f"{detail.replace('{tmp}', str(tmp_path))}")
     assert "Traceback" not in err
+    assert set(tmp_path.iterdir()) <= {root, tmp_path / "out"}
+    assert sorted(p.name for p in root.iterdir()) == ["A.java", "vuln.json"]
 
 
 def test_cli_recover_reports_a_patch_that_is_not_utf8(tmp_path, capsys):

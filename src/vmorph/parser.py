@@ -541,15 +541,13 @@ class _Parser:
         return Switch(scrutinee, tuple(cases), comments, self.lines, self.pos_from(start))
 
     def case_label(self) -> Literal:
+        """An int or String literal, parenthesized or negated as javac
+        accepts it (`case (1):`, `case -(2):`)."""
         start = self.pos
-        if self.at("-") and self.at_kind(INT, 1):
-            return self.negative_literal()
-        if self.at_kind(INT):
-            return self.int_literal()
-        if self.at_kind(STRING):
-            self.next()
-            return Literal(self.values[start], "string", self.lines, self.token_pos(start))
-        raise self.error("case labels must be integer or string literals")
+        label = self.unary()
+        if not (isinstance(label, Literal) and label.kind in ("int", "string")):
+            raise self.error("case labels must be integer or string literals", start)
+        return label
 
     # -- expressions ---------------------------------------------------------
 

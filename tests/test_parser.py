@@ -227,6 +227,17 @@ def test_switch_labels_distinct():
         parse("class A { void f(int k) { switch (k) { case 1: break; case 1: break; } } }")
 
 
+def test_a_parenthesized_or_negated_case_label_is_the_literal_it_spells():
+    """javac 17 compiles each of these labels."""
+    tree = parse("class A { int f(int k, String s) { switch (k) { case (1): return 1; "
+                 "case -(2): return 2; case (-3): return 3; } "
+                 "switch (s) { case (\"a\"): return 4; } return 0; } }")
+    assert [(label.kind, label.value) for sw in walk(tree) if isinstance(sw, Switch)
+            for case in sw.cases for label in case.labels] == [
+        ("int", 1), ("int", -2), ("int", -3), ("string", "a")]
+    assert parse(print_source(tree)) == tree
+
+
 def test_switch_shape_and_termination():
     ast = parse(
         """class A { void f(int k) {

@@ -281,7 +281,7 @@ def _repr(self) -> str:
     return f"{self.__class__.__qualname__}({shown})"
 
 
-def _frozen_setattr(self, name: str, value) -> None:
+def _frozen_setattr(self, name: str, _value) -> None:
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 

@@ -841,7 +841,7 @@ def argument_pass(block: Block, direction: str) -> Block:
     """Extract call/new arguments into locals, or inline single-use locals back."""
     if direction == EXTRACT:
         return _each_site(block, lambda s, names: _extract_site(
-            s, names, _DEFAULT_SCOPE, lambda span, reason: None))
+            s, names, _DEFAULT_SCOPE, lambda *_: None))
     if direction == INLINE:
         return _sink_block(block, _DEFAULT_SCOPE, _try_inline)
     raise ValueError(f"unknown direction {direction!r}")

@@ -1,10 +1,14 @@
-"""Every module of `src/vmorph` uses what it imports.
+"""Every module of `src/vmorph` uses what it imports, and every function
+reads the parameters it takes.
 
-The check needs only the standard library: it parses each module with `ast`
-and takes a name as used when the module reads it anywhere, in code or in an
+The checks need only the standard library: each parses a module with `ast`.
+A name counts as used when the module reads it anywhere, in code or in an
 annotation (a quoted one too). No module re-exports: a `# noqa: F401` does
 not exempt an import. `__init__.py`, whose imports are the package's API, is
-skipped.
+skipped by the import check. A parameter counts as read when its function's
+body reads its name; `self`, `cls` and a name that starts with `_` are
+exempt, the spelling of a parameter that a protocol passes and nothing
+needs.
 """
 
 import ast
@@ -66,3 +70,42 @@ def f(x: re.Pattern) -> "Optional[str]":
 @pytest.mark.parametrize("module", MODULES)
 def test_a_module_uses_every_name_it_imports(module):
     assert unused_imports((SOURCES / module).read_text(encoding="utf-8")) == []
+
+
+def unread_parameters(text: str) -> list[str]:
+    """The parameters of each `def` and `lambda` in `text` whose body never
+    reads them, `self`, `cls` and names that start with `_` aside."""
+    unread = []
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(node.lineno, p.arg)
+                   for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                   if p is not None and p.arg not in read and p.arg not in ("self", "cls")
+                   and not p.arg.startswith("_")]
+    return [f"line {line}: {name}" for line, name in sorted(unread)]
+
+
+def test_the_check_finds_an_unread_parameter():
+    text = """class C:
+    def f(self, a, b, *args, c, _d, **kw):
+        def g(x):
+            return b + x
+        return kw, g(lambda y, *_: 0)
+
+    @classmethod
+    def h(cls, e, f=1):
+        del e
+        e = f
+"""
+    assert unread_parameters(text) == ["line 2: a", "line 2: args", "line 2: c",
+                                       "line 5: y", "line 8: e"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SOURCES.glob("*.py")))
+def test_a_function_reads_every_parameter_it_takes(module):
+    assert unread_parameters((SOURCES / module).read_text(encoding="utf-8")) == []

@@ -48,7 +48,9 @@ so a loop that lacks the fuel ends OutOfFuel at once, as it would have
 after T passes, and one that has it runs as before: the outcome at every
 fuel is the same. A Java call is one Python call,
 `m<j>(a, b, F, D + 1)`, which checks D on entry and returns (value, F), so
-200 nested calls run inside Python's default recursion limit. A call of a
+200 nested calls run inside Python's default recursion limit. Wherever the
+value goes, it is read by one expression,
+`((F := (t := m<j>(a, b, F, D + 1))[1]) is None or t[0])`. A call of a
 leaf, a method whose body is one `return e;` and whose e calls no
 same-file method, is written in place instead: each argument goes into a
 fresh slot, `D < 200 and (F := F - 1) >= 0` does what the leaf does on

@@ -1560,6 +1560,39 @@ def test_a_statement_right_after_a_jump_is_unreachable(body, unreachable):
         "unreachable statement", src.index(unreachable) + 1)
 
 
+# `static int p(int k)` with each body: javac 17 compiles the first three
+# and rejects the last three, and the oracle does the same. A loop on the
+# literal `true` or on no condition, and a switch with a default whose last
+# group jumps, complete normally only through a break that leaves them (JLS
+# 14.22); a method body that can complete normally misses a return (JLS
+# 8.4.7), reported at its closing brace.
+JAVAC_PROBES = {
+    "a": ("switch (k) { case 1: return 1; default: return 2; }", [2, 1]),
+    "d": ("for (;;) { if (k > 0) { return 1; } k = k + 1; }", [1, 1]),
+    "e": ("while (true) { switch (k) { case 1: break; default: return 2; } k = k + 1; }",
+          [2, 2]),
+    "b": ("switch (k) { case 1: return 1; default: return 2; } return 3;",
+          ("unreachable statement", "return 3")),
+    "c": ("while (true) { return 1; } return 2;", ("unreachable statement", "return 2")),
+    "f": ("switch (k) { case 1: return 1; default: }", ("missing return statement", "} }")),
+}
+
+
+@pytest.mark.parametrize("probe", JAVAC_PROBES)
+def test_the_oracle_compiles_what_javac_compiles(probe):
+    body, expected = JAVAC_PROBES[probe]
+    src = f"class A {{ static int p(int k) {{ {body} }} }}"
+    m, ast = method_named(src, "p")
+    if isinstance(expected, list):
+        assert [evaluate(m, [k], context=ast) for k in (0, 1)] == [Returned(v) for v in expected]
+        return
+    detail, place = expected
+    assert not is_supported(m, ast)
+    with pytest.raises(UnsupportedForEvaluation) as exc:
+        evaluate(m, [1], context=ast)
+    assert (exc.value.detail, exc.value.span.start_col) == (detail, src.rindex(place) + 1)
+
+
 @pytest.mark.parametrize("body, expected", [
     ("if (n > 0) { return 1; } return 3;", [3, 1]),
     ("if (n > 0) { return 1; } else { n = 2; } return n;", [2, 1]),

@@ -22,6 +22,7 @@ from vmorph.nodes import (
     children,
     evolve,
     identifier_sites,
+    jumps,
     rebuild,
     walk,
 )
@@ -274,3 +275,54 @@ def test_a_node_field_that_declares_nothing_is_refused():
 def test_with_method_keeps_the_file_when_the_method_is_its_own():
     ast = parse("class A { int f() { return 1; } }")
     assert nodes.with_method(ast, (0, 0), nodes.method_at(ast, (0, 0))) is ast
+
+
+# Whether each statement shape of the subset cannot complete normally (JLS
+# 14.22). A loop on the literal `true`, or a for with no condition, cannot
+# unless a break leaves it; a switch cannot when it has a default, its last
+# group ends in a jump and no break leaves it. A break inside a nested loop
+# or switch leaves only that one. Only the literal `true` is a constant.
+JUMPS = {
+    "expression": ("k = 1;", False),
+    "return": ("return k;", True),
+    "throw": ("throw new IllegalStateException();", True),
+    "break": ("break;", True),
+    "continue": ("continue;", True),
+    "empty block": ("{ }", False),
+    "block that ends in a jump": ("{ k = 1; return k; }", True),
+    "if without else": ("if (k > 0) { return 1; }", False),
+    "if and else both jump": ("if (k > 0) { return 1; } else { return 2; }", True),
+    "else completes": ("if (k > 0) { return 1; } else { k = 2; }", False),
+    "while on a condition": ("while (k > 0) { return 1; }", False),
+    "while on a constant that is no literal": ("while (1 < 2) { return 1; }", False),
+    "while true": ("while (true) { k = k + 1; }", True),
+    "for with no condition": ("for (;;) { k = k + 1; }", True),
+    "for on true": ("for (; true; k = k + 1) { }", True),
+    "while true that continues": ("while (true) { continue; }", True),
+    "while true with a break": ("while (true) { if (k > 0) { break; } k = k + 1; }", False),
+    "for with no condition and a break": ("for (;;) { break; }", False),
+    "break in a switch in a loop": (
+        "while (true) { switch (k) { case 1: break; default: return 2; } }", True),
+    "break in a loop in a loop": ("for (;;) { while (k > 0) { break; } }", True),
+    "switch with a default": ("switch (k) { case 1: return 1; default: return 2; }", True),
+    "switch without a default": ("switch (k) { case 1: return 1; case 2: return 2; }", False),
+    "empty switch": ("switch (k) { }", False),
+    "last group without statements": ("switch (k) { case 1: return 1; default: }", False),
+    "last group completes": ("switch (k) { case 1: return 1; default: k = 2; }", False),
+    "default falls into a jump": ("switch (k) { default: k = 2; case 1: return 1; }", True),
+    "break in a case": ("switch (k) { case 1: break; default: return 2; }", False),
+    "break in an if in a case": (
+        "switch (k) { case 1: if (k > 0) { break; } return 1; default: return 2; }", False),
+    "break in a loop in a case": (
+        "switch (k) { case 1: while (k > 0) { break; } return 1; default: return 2; }", True),
+    "break in a switch in a case": (
+        "switch (k) { default: switch (k) { case 1: break; } return 1; }", True),
+}
+
+
+@pytest.mark.parametrize("shape", JUMPS)
+def test_jumps_follows_the_completion_rule(shape):
+    code, expected = JUMPS[shape]
+    method = parse(f"class A {{ int f(int k) {{ {code} }} }}").types[0].methods[0]
+    assert jumps(method.body.stmts[0]) is expected
+    assert jumps(None) is False

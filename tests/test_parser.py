@@ -177,6 +177,12 @@ def test_a_statement_expression_that_starts_with_a_parenthesis_parses(code):
      "1:40: expected 'case' or 'default'"),
     ("class A { void f(int x, int y) { switch (x) { case y: break; } } }", JavaSyntaxError,
      "1:52: case labels must be integer or string literals"),
+    ("class A { void f(int x) { switch (x) { case (2 + 3): break; } } }", UnsupportedConstruct,
+     "1:45: unsupported construct: constant-expression case label"),
+    ("class A { void f(int x) { switch (x) { case 2 + 3: break; } } }", UnsupportedConstruct,
+     "1:45: unsupported construct: constant-expression case label"),
+    ("class A { void f(int x) { switch (x) { case -(-2147483648): break; } } }",
+     UnsupportedConstruct, "1:45: unsupported construct: constant-expression case label"),
     ("class A { void f(int x) { switch (x) {", JavaSyntaxError, "1:39: unterminated switch"),
     ("class A { void f(int x) { switch (x) { case 1: g();", JavaSyntaxError,
      "1:52: unterminated switch"),
@@ -187,7 +193,8 @@ def test_a_statement_expression_that_starts_with_a_parenthesis_parses(code):
     ("class A { void f() { Map<K, V", JavaSyntaxError, "1:22: not a statement"),
 ], ids=["duplicate-modifier", "generic-class", "extends", "void-parameter", "var-parameter",
         "annotated-statement", "annotated-expression", "lambda", "name-lambda", "generic-new",
-        "duplicate-default", "duplicate-int-case", "duplicate-string-case", "no-label", "name-label", "switch-cut-before-a-case",
+        "duplicate-default", "duplicate-int-case", "duplicate-string-case", "no-label", "name-label",
+        "parenthesized-sum-label", "sum-label", "negated-min-int-label", "switch-cut-before-a-case",
         "switch-cut-in-a-case", "call-target", "nested-generic", "unclosed-generic"])
 def test_a_front_end_rejection_names_its_reason_and_place(source, error, message):
     with pytest.raises(VmorphError) as exc:

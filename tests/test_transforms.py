@@ -250,7 +250,13 @@ def convert_in_loop(code: str, detail: str):
     ("if (k == 1) { r = r + 1; } else if (k == 2) { if (c) { return 1; } else { return 2; } } "
      "else { r = r + i; }", [True, False, False]),
     ("if (k == 1) { r = r + 1; } else if (k == 2) { r = r + 2; continue; }", [True, False]),
-], ids=["continue", "if-else-returns", "no-final-else"])
+    ("if (k == 1) { while (true) { r = r + 1; return r; } } else if (k == 2) { r = r + 2; } "
+     "else { r = r + i; }", [False, True, False]),
+    # `k + i` keeps CondConvert from rewriting the inner switch itself
+    ("if (k == 1) { r = r + 1; } else if (k == 2) { switch (k + i) { case 3: return 1; "
+     "default: return 2; } } else { r = r + i; }", [True, False, False]),
+], ids=["continue", "if-else-returns", "no-final-else", "while-true-returns",
+        "switch-with-default-returns"])
 def test_an_if_chain_branch_that_jumps_gets_no_break(code, breaks):
     out = convert_in_loop(code, "if-chain-to-switch")
     switch = next(n for n in walk(out) if isinstance(n, Switch))

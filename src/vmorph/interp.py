@@ -19,17 +19,17 @@ names that denote no parameter or local (static fields among them), calls
 that resolve to no builtin or same-file method, unknown receivers,
 break/continue outside a loop or switch, a statement that follows one that
 cannot complete normally (`nodes.jumps`) in its block or case (javac's
-"unreachable statement"), and every ill-typed expression (see below).
+"unreachable statement"), a non-void method whose body can (javac's
+"missing return statement"), and every ill-typed expression (see below).
 `C.f(...)` resolves in class C and an unqualified `f(...)` in the caller's
 class, to the overload taking that many arguments; two such overloads are
 rejected, never guessed between. evaluate rejects an
 argument that is not of its parameter's type (SUPPORTED_PARAM_TYPES) before
 anything runs. Running raises UnsupportedForEvaluation only for string index
-errors, strings over MAX_STRING_LENGTH, a read of a local that nothing has
-assigned (one declared without an initializer, or a switch-case local whose
-case was jumped over), and a non-void method that reaches its closing brace
-(javac's "missing return statement"). Fuel is charged once per statement (an
-if's then block and a loop body are not statements) and once per loop test;
+errors, strings over MAX_STRING_LENGTH, and a read of a local that nothing
+has assigned (one declared without an initializer, or a switch-case local
+whose case was jumped over). Fuel is charged once per statement (an if's
+then block and a loop body are not statements) and once per loop test;
 exhausting it, or nesting over MAX_CALL_DEPTH calls, gives OutOfFuel.
 
 Method k of a program becomes `def m<k>(v1, ..., F, D)`: parameters and
@@ -116,7 +116,7 @@ from typing import NamedTuple, Optional, Union
 
 from .errors import UnsupportedForEvaluation
 from .nodes import (DEFAULT_LABEL, INT_MAX, INT_MIN, Assign, Binary, Expr, ExprStmt, For,
-                    Literal, MethodDecl, Name, Return, SourceFile, Span, Switch, While, frozen,
+                    Literal, MethodDecl, Name, Return, SourceFile, Switch, While, frozen,
                     jumps, walk)
 
 DEFAULT_TRIALS = 100
@@ -361,10 +361,10 @@ def _assigned(nodes) -> set[str]:
 
 class _Program:
     """A compiled method and the same-file methods it calls: the text and
-    the (node, detail) of each rejection site the text numbers (for a
-    method's closing brace, its Span). Once loaded, it holds its text's
-    _Loaded and, for a run to read at once, that one's top function and
-    outcome memo, which every program of the same text shares."""
+    the (node, detail) of each rejection site the text numbers. Once
+    loaded, it holds its text's _Loaded and, for a run to read at once,
+    that one's top function and outcome memo, which every program of the
+    same text shares."""
 
     def __init__(self, text: str, sites: list):
         self.text, self.sites = text, sites
@@ -461,6 +461,10 @@ class _Compiler:
         self.out, self.indent, self.fn = [], 1, _Function(helper=False, base=0)
         self.helpers: list[tuple[str, list[str]]] = []
         self.block(m.body)
+        if self.result != "void" and not jumps(m.body):  # javac's JLS 8.4.7 check
+            brace = m.body.span._replace(start_line=m.body.span.end_line,
+                                         start_col=m.body.span.end_col)
+            raise UnsupportedForEvaluation(brace, "missing return statement")
         slots = [f"v{i}" for i in range(1, self.size)]
         head = [f"def m{number}({', '.join([*slots[:len(m.params)], 'F', 'D'])}):",
                 f" if D > {MAX_CALL_DEPTH}: _oof()"]
@@ -469,13 +473,8 @@ class _Compiler:
                 head.append(" " + " = ".join(slots[len(m.params):]) + " = None")
             for name, body in self.helpers:
                 head += [f" def {name}():", f"  nonlocal {', '.join([*slots, 'F'])}", *body]
-        if self.result == "void":
-            end = " return VOID, F"
-        else:  # javac rejects a method that can reach its closing brace (JLS 8.4.7)
-            brace = m.body.span._replace(start_line=m.body.span.end_line,
-                                         start_col=m.body.span.end_col)
-            end = f" _fail({self.site(brace, 'missing return statement')})"
-        return "\n".join([*head, *self.out, end + "\n"])
+        end = [" return VOID, F"] if self.result == "void" else []
+        return "\n".join([*head, *self.out, *end]) + "\n"
 
     def home(self, m: MethodDecl) -> str | None:
         """The class of a method that is not itself in the context (such as
@@ -1132,8 +1131,7 @@ def evaluate(
     if type(outcome) is tuple:  # a rejection, raised with this program's span and names
         site, detail = outcome
         where, own = program.sites[site]
-        raise UnsupportedForEvaluation(where if isinstance(where, Span) else where.span,
-                                       detail or own)
+        raise UnsupportedForEvaluation(where.span, detail or own)
     return outcome
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ Comments are attached to the statement or member that follows them so they
 survive printing (buggy-line hint comments must round-trip).
 
 `jumps` says whether a statement can complete normally, for the rewrites
-and the oracle alike; `ends_case`, read where it is needed, whether a
-switch case falls through.
+and the oracle alike, `ends_case` whether a switch case falls through, and
+`has_free` whether a break or continue leaves a statement.
 
 Schema: each field of a node class declares, once, through its default,
 what it holds: `_child()` a child node, an optional one or a tuple of them;
@@ -553,16 +553,34 @@ _JUMPS = frozenset({Return, Throw, Break, Continue})
 
 
 def jumps(stmt) -> bool:
-    """Whether `stmt` cannot complete normally (JLS 14.22, for the subset's
-    statements): a return, throw, break or continue, a block whose last
-    statement jumps, or an if whose then and else both jump. None, the
-    statement before a first one, does not."""
+    """Whether `stmt` cannot complete normally (JLS 14.22): a return, throw,
+    break or continue, a block whose last statement jumps, an if whose then
+    and else both jump, and, unless a break leaves it, a loop whose condition
+    is absent or the literal `true` (no other constant counts, not even
+    `1 < 2`) or a switch with a default whose last group jumps. None does not."""
     kind = type(stmt)
     if kind is Block:
         return bool(stmt.stmts) and jumps(stmt.stmts[-1])
     if kind is If:
         return stmt.orelse is not None and jumps(stmt.then) and jumps(stmt.orelse)
+    if kind is While or kind is For:
+        return ((stmt.cond is None or type(stmt.cond) is Literal and stmt.cond.value is True)
+                and not has_free(stmt.body, Break))
+    if kind is Switch:
+        return (any(DEFAULT_LABEL in case.labels for case in stmt.cases)
+                and ends_case(stmt.cases[-1].body)
+                and not any(has_free(case, Break) for case in stmt.cases))
     return kind in _JUMPS
+
+
+def has_free(node, jump) -> bool:
+    """Whether a `jump` (Break or Continue) in `node` leaves it: a break binds
+    to the nearest loop or switch around it, a continue to the nearest loop."""
+    if isinstance(node, jump):
+        return True
+    if isinstance(node, (While, For)) or (jump is Break and isinstance(node, Switch)):
+        return False
+    return any(has_free(c, jump) for c in children(node))
 
 
 def ends_case(body) -> bool:

@@ -71,6 +71,7 @@ from .nodes import (
     Unary,
     While,
     children,
+    walk,
 )
 
 # Deeper expressions are rejected: printing and tree walks recurse per level.
@@ -541,13 +542,15 @@ class _Parser:
         return Switch(scrutinee, tuple(cases), comments, self.lines, self.pos_from(start))
 
     def case_label(self) -> Literal:
-        """An int or String literal, parenthesized or negated as javac
-        accepts it (`case (1):`, `case -(2):`)."""
+        """An int or String literal, parenthesized or negated (`case -(2):`):
+        no other constant expression, which javac takes (JLS 14.11)."""
         start = self.pos
-        label = self.unary()
-        if not (isinstance(label, Literal) and label.kind in ("int", "string")):
+        label = self.ternary()
+        if isinstance(label, Literal) and label.kind in ("int", "string"):
+            return label
+        if any(isinstance(n, Name) for n in walk(label)):
             raise self.error("case labels must be integer or string literals", start)
-        return label
+        raise self.unsupported("constant-expression case label", start)
 
     # -- expressions ---------------------------------------------------------
 

@@ -15,8 +15,8 @@ ArgumentPass and CodeOrder block by block (every statement of a block, then
 the blocks nested in the results).
 
 `nodes.jumps` says whether a statement can complete normally (a switch
-case that can falls through, and only it gets a `break`), and `_has_free`
-whether a break or continue leaves one.
+case that can falls through, and only it gets a `break`), and
+`nodes.has_free` whether a break or continue leaves one.
 
 Code motion goes through two primitives. `_hoist` moves nodes of a statement
 into locals declared before it (split and extract), and `_sink` moves a
@@ -77,10 +77,10 @@ from .nodes import (
     Throw,
     Unary,
     While,
-    children,
     ends_case,
     evolve,
     frozen,
+    has_free,
     mutable,
     names_in,
     rebuild,
@@ -226,7 +226,7 @@ def convert_loop(s: Stmt) -> Stmt:
         return For(None, s.cond, None, s.body, s.comments, s.span)
     if not isinstance(s, For):
         raise TypeError(f"convert_loop expects a loop, got {type(s).__name__}")
-    if _has_free(s.body, Continue):
+    if has_free(s.body, Continue):
         # A continue would skip the relocated update expression.
         raise NotApplicable("continue-in-body")
     if isinstance(s.init, LocalVarDecl) and len(s.init.declarators) > 1:
@@ -326,21 +326,10 @@ def _effect_free_scrutinee(expr: Expr) -> bool:
     return False
 
 
-def _has_free(node, jump) -> bool:
-    """Whether `node` holds a `jump` (Break or Continue) that leaves it: a
-    break binds to the nearest loop or switch around it, a continue to the
-    nearest loop."""
-    if isinstance(node, jump):
-        return True
-    if isinstance(node, (While, For)) or (jump is Break and isinstance(node, Switch)):
-        return False
-    return any(_has_free(c, jump) for c in children(node))
-
-
 def _check_branches(bodies: list[Block]) -> None:
     """Refuse to turn these switch cases into if branches, or back, when a
     break would leave another statement or when they share a local."""
-    if any(_has_free(body, Break) for body in bodies):
+    if any(has_free(body, Break) for body in bodies):
         raise NotApplicable("inner-break")
     if _shares_a_local([body.stmts for body in bodies]):
         raise NotApplicable("case-scoped-local")

@@ -1432,9 +1432,9 @@ def test_a_bare_return_leaves_a_void_method():
 
 # ---------------------------------------------------------------------------
 # Ill-typed methods. javac rejects all but the sixth, and so does the oracle:
-# at compile time, at the first ill-typed expression, or where javac's
-# missing return would be reached. The sixth passes an argument of the wrong
-# type, which evaluate rejects before anything runs.
+# at compile time, at the first ill-typed expression or at the closing brace
+# of a method that misses a return. The sixth passes an argument of the
+# wrong type, which evaluate rejects before anything runs.
 # ---------------------------------------------------------------------------
 
 COMPILE, RUN = "compile", "run"
@@ -1452,7 +1452,7 @@ ILL_TYPED = {
     "an int method that falls off its end": (
         "static int f(int a) { return g(a) + 1; }\n"
         "static int g(int k) { if (k > 0) { return 1; } }", [-1],
-        RUN, "missing return statement", (3, 48)),
+        COMPILE, "missing return statement", (3, 48)),
     "an int stored into a boolean local": (
         "static boolean f(int a) { boolean b = a > 0; b = a; return b; }", [3],
         COMPILE, "incompatible types: int cannot be converted to boolean", (2, 50)),
@@ -1521,13 +1521,14 @@ def test_a_read_of_an_unassigned_local_is_rejected():
 
 
 def test_an_int_method_that_reaches_its_end_is_rejected():
-    """javac rejects the method: a return is missing (JLS 8.4.7). The oracle
-    rejects a run that reaches the method's closing brace."""
+    """javac rejects the method: a return is missing (JLS 8.4.7). So does
+    the oracle when it compiles the method, at its closing brace, even for
+    arguments that take a return."""
     src = "class A { static int f(boolean c) { if (c) { return 1; } } }"
     m, ast = method_named(src, "f")
-    assert evaluate(m, [True], context=ast) == Returned(1)
+    assert not is_supported(m, ast)
     with pytest.raises(UnsupportedForEvaluation) as exc:
-        evaluate(m, [False], context=ast)
+        evaluate(m, [True], context=ast)
     brace = src.rindex("} }") + 1  # the method's closing brace, 1-based
     assert (exc.value.detail, exc.value.span.start_col) == ("missing return statement", brace)
 

@@ -183,6 +183,12 @@ def test_a_statement_expression_that_starts_with_a_parenthesis_parses(code):
      "1:45: unsupported construct: constant-expression case label"),
     ("class A { void f(int x) { switch (x) { case -(-2147483648): break; } } }",
      UnsupportedConstruct, "1:45: unsupported construct: constant-expression case label"),
+    ("class A { void f(int x) { switch (x) { case f(): break; } } }", JavaSyntaxError,
+     "1:45: case labels must be integer or string literals"),
+    ("class A { void f(int x) { switch (x) { case true: break; } } }", JavaSyntaxError,
+     "1:45: case labels must be integer or string literals"),
+    ("class A { void f(int x) { switch (x) { case " + " + ".join(["1"] * 1000) + ": break; } } }",
+     UnsupportedConstruct, "1:45: unsupported construct: expression nested deeper than 256"),
     ("class A { void f(int x) { switch (x) {", JavaSyntaxError, "1:39: unterminated switch"),
     ("class A { void f(int x) { switch (x) { case 1: g();", JavaSyntaxError,
      "1:52: unterminated switch"),
@@ -194,7 +200,8 @@ def test_a_statement_expression_that_starts_with_a_parenthesis_parses(code):
 ], ids=["duplicate-modifier", "generic-class", "extends", "void-parameter", "var-parameter",
         "annotated-statement", "annotated-expression", "lambda", "name-lambda", "generic-new",
         "duplicate-default", "duplicate-int-case", "duplicate-string-case", "no-label", "name-label",
-        "parenthesized-sum-label", "sum-label", "negated-min-int-label", "switch-cut-before-a-case",
+        "parenthesized-sum-label", "sum-label", "negated-min-int-label", "call-label",
+        "true-label", "long-sum-label", "switch-cut-before-a-case",
         "switch-cut-in-a-case", "call-target", "nested-generic", "unclosed-generic"])
 def test_a_front_end_rejection_names_its_reason_and_place(source, error, message):
     with pytest.raises(VmorphError) as exc:

@@ -542,15 +542,15 @@ class _Parser:
         return Switch(scrutinee, tuple(cases), comments, self.lines, self.pos_from(start))
 
     def case_label(self) -> Literal:
-        """An int or String literal, parenthesized or negated (`case -(2):`):
-        no other constant expression, which javac takes (JLS 14.11)."""
-        start = self.pos
-        label = self.ternary()
+        """An int or String literal, parenthesized or negated (`case -(2):`). Another
+        constant expression of them (JLS 14.11) is unsupported, any other label an error."""
+        start, label = self.pos, self.expression()
         if isinstance(label, Literal) and label.kind in ("int", "string"):
             return label
-        if any(isinstance(n, Name) for n in walk(label)):
-            raise self.error("case labels must be integer or string literals", start)
-        raise self.unsupported("constant-expression case label", start)
+        if all(type(n) in (Unary, Binary, Ternary)
+               or type(n) is Literal and n.kind in ("int", "string") for n in walk(label)):
+            raise self.unsupported("constant-expression case label", start)
+        raise self.error("case labels must be integer or string literals", start)
 
     # -- expressions ---------------------------------------------------------
 
